@@ -45,6 +45,8 @@ from .sensing import MeasurementHistory, SvamConfig, measure_segment, svam_combi
 # floor. Large enough that closed-form cancellation noise stays harmless.
 NOISELESS_VAR_FLOOR = 1e-12
 
+CODEBOOK_MODES = ("flexible", "hierarchical")
+
 
 @dataclass(frozen=True)
 class AdaptConfig:
@@ -72,7 +74,7 @@ class AdaptConfig:
             )
         if not (0.0 < self.p_thresh < 1.0):
             raise ValueError("confidence threshold must lie in (0, 1)")
-        if self.codebook not in ("flexible", "hierarchical"):
+        if self.codebook not in CODEBOOK_MODES:
             raise ValueError(f"unknown codebook mode {self.codebook!r}")
         if self.noise_scale <= 0:
             raise ValueError("noise scale must be positive")
@@ -83,6 +85,11 @@ class AdaptConfig:
             object.__setattr__(self, "beamwidth_initial", self.roi.width)
         elif bw < self.roi.width:
             raise ValueError("initial beam must cover the region of interest")
+        if self.codebook == "hierarchical" and self.grid_size % 2 ** self.depth():
+            raise ValueError(
+                f"grid size {self.grid_size} cannot resolve "
+                f"{2 ** self.depth()} nodes evenly"
+            )
 
     @property
     def segments(self) -> int:

@@ -4,12 +4,12 @@ and codebook export, all emitting CSV artifacts."""
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 from .arrays import AngularGrid, RegionOfInterest
 from .beams import build_hierarchical_codebook
 from .harness import (
+    CONFIG_KEYS,
     EXPERIMENT_KINDS,
     ExperimentConfig,
     MetricRow,
@@ -19,62 +19,32 @@ from .harness import (
     records_rmse,
     run_adaptive_trials,
     run_experiment,
+    write_codebook,
     write_crb_csv,
     write_trajectories,
 )
 
-
-def _roi(text: str) -> RegionOfInterest:
-    left, right = (float(v) for v in text.split(","))
-    return RegionOfInterest(left, right)
-
-
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
-
-
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(","))
+_parse_roi = CONFIG_KEYS["roi"].parse
 
 
 def _base_config(args, experiment: str) -> ExperimentConfig:
-    overrides = dict(
-        experiment=experiment,
-        n=args.n,
-        n_v=args.nv,
-        grid_size=args.grid,
-        total_snapshots=args.snapshots,
-        trials=args.trials,
-        snr_db=args.snr_db,
-        p_thresh=args.p_thresh,
-        noise_scale=getattr(args, "noise_scale", None),
-        roi=args.roi,
-        seed=args.seed,
-        codebook=getattr(args, "codebook", None),
-        out=args.out,
-    )
+    overrides = {key: getattr(args, key) for key in CONFIG_KEYS if key != "experiment"}
+    overrides["experiment"] = experiment
     if args.config:
         return config_from_file(args.config, **overrides)
-    kwargs = {k: v for k, v in overrides.items() if v is not None}
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**{k: v for k, v in overrides.items() if v is not None})
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    """--config plus one flag per config key; the command fixes experiment."""
     parser.add_argument("--config", help="key = value settings file")
-    parser.add_argument("--n", type=int, help="physical array size")
-    parser.add_argument("--nv", type=_ints, help="block sizes, comma separated")
-    parser.add_argument("--grid", type=int, help="candidate grid size")
-    parser.add_argument("--snapshots", type=int, help="training length")
-    parser.add_argument("--trials", type=int, help="Monte Carlo realizations")
-    parser.add_argument(
-        "--snr-db",
-        type=_floats,
-        help="SNR values in dB; spell negative lists as --snr-db=-10,-5",
-    )
-    parser.add_argument("--p-thresh", type=_floats, help="confidence thresholds")
-    parser.add_argument("--roi", type=_roi, help="region as left,right")
-    parser.add_argument("--seed", type=int, help="experiment seed")
-    parser.add_argument("--out", help="output CSV path")
+    for name, key in CONFIG_KEYS.items():
+        if name == "experiment":
+            continue
+        parser.add_argument(
+            key.flag or "--" + name.replace("_", "-"),
+            dest=name, type=key.parse, choices=key.choices, help=key.help,
+        )
 
 
 def _cmd_align(args) -> int:
@@ -119,28 +89,7 @@ def _cmd_crb(args) -> int:
 def _cmd_codebook(args) -> int:
     book = build_hierarchical_codebook(args.roi, args.depth, args.m)
     out = args.out or "codebook.csv"
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["level", "index", "u_lo", "u_hi", "direction", "beamwidth",
-             "method", "taps"]
-        )
-        for level in range(book.depth + 1):
-            for index in range(2**level):
-                node = book.node(level, index)
-                beam = node.beamformer
-                taps = " ".join(
-                    f"{w.real:.12g}{w.imag:+.12g}j" for w in beam.weights
-                )
-                writer.writerow(
-                    [
-                        level, index,
-                        format(node.span[0], ".12g"), format(node.span[1], ".12g"),
-                        format(beam.spec.direction, ".12g"),
-                        format(beam.spec.beamwidth, ".12g"),
-                        beam.method, taps,
-                    ]
-                )
+    write_codebook(book, out)
     print(f"{2**(book.depth + 1) - 1} beams -> {out}")
     return 0
 
@@ -154,18 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_align = sub.add_parser("align", help="Monte Carlo alignment at one setting")
     _add_common(p_align)
-    p_align.add_argument("--noise-scale", type=_floats,
-                         help="inference noise multipliers")
-    p_align.add_argument("--codebook", choices=["flexible", "hierarchical"])
     p_align.add_argument("--trajectories", help="per-segment trace CSV path")
     p_align.set_defaults(run=_cmd_align)
 
     p_sweep = sub.add_parser("sweep", help="full experiment sweep to CSV")
     p_sweep.add_argument("--experiment", required=True, choices=EXPERIMENT_KINDS)
     _add_common(p_sweep)
-    p_sweep.add_argument("--noise-scale", type=_floats,
-                         help="inference noise multipliers")
-    p_sweep.add_argument("--codebook", choices=["flexible", "hierarchical"])
     p_sweep.set_defaults(run=_cmd_sweep)
 
     p_crb = sub.add_parser("crb", help="estimation bound table over the grid")
@@ -178,14 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_crb.add_argument("--snapshots", type=int, default=120)
     p_crb.add_argument("--grid", type=int, default=64)
     p_crb.add_argument("--snr-db", type=float, default=-10.0)
-    p_crb.add_argument("--roi", type=_roi, default=RegionOfInterest(0.0, 1.0))
+    p_crb.add_argument("--roi", type=_parse_roi, default=RegionOfInterest(0.0, 1.0))
     p_crb.add_argument("--out")
     p_crb.set_defaults(run=_cmd_crb)
 
     p_book = sub.add_parser("codebook", help="export a dyadic beam codebook")
     p_book.add_argument("--depth", type=int, required=True)
     p_book.add_argument("--m", type=int, default=61, help="taps per beam")
-    p_book.add_argument("--roi", type=_roi, default=RegionOfInterest(0.0, 1.0))
+    p_book.add_argument("--roi", type=_parse_roi, default=RegionOfInterest(0.0, 1.0))
     p_book.add_argument("--out")
     p_book.set_defaults(run=_cmd_codebook)
 

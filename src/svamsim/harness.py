@@ -13,12 +13,20 @@ sweep points see identical channel realizations.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .adaptive import AdaptConfig, TrialRecord, run_alignment, run_hiepm_known_alpha
+from .adaptive import (
+    CODEBOOK_MODES,
+    AdaptConfig,
+    TrialRecord,
+    run_alignment,
+    run_hiepm_known_alpha,
+)
 from .arrays import AngularGrid, RegionOfInterest
 from .beams import (
     BeamSpec,
@@ -105,8 +113,19 @@ class ExperimentConfig:
                 raise ValueError(
                     f"block size {n_v} must divide {self.total_snapshots} snapshots"
                 )
+        if self.experiment in _REDUCERS:
+            # build every alignment config now so a bad point fails here,
+            # not after the points before it have run their trials
+            for _ in self.sweep_points():
+                pass
 
-    def adapt(self, n_v: int, p_thresh: float, noise_scale: float = 1.0) -> AdaptConfig:
+    def adapt(
+        self,
+        n_v: int,
+        p_thresh: float,
+        noise_scale: float = 1.0,
+        codebook: str | None = None,
+    ) -> AdaptConfig:
         return AdaptConfig(
             n=self.n,
             n_v=n_v,
@@ -114,9 +133,25 @@ class ExperimentConfig:
             roi=self.roi,
             grid_size=self.grid_size,
             p_thresh=p_thresh,
-            codebook=self.codebook,
+            codebook=self.codebook if codebook is None else codebook,
             noise_scale=noise_scale,
         )
+
+    def sweep_points(self) -> Iterator[tuple[tuple, AdaptConfig]]:
+        """Every alignment sweep point in CSV row order.
+
+        Yields ((snr_db, n_v, p_thresh, noise_scale, codebook), AdaptConfig).
+        noise_mismatch adds the innermost noise_scale axis and
+        codebook_compare the innermost codebook axis; an axis the experiment
+        does not sweep is None in the coordinates.
+        """
+        scales = self.noise_scale if self.experiment == "noise_mismatch" else (None,)
+        books = CODEBOOK_MODES if self.experiment == "codebook_compare" else (None,)
+        for point in itertools.product(
+            self.snr_db, self.n_v, self.p_thresh, scales, books
+        ):
+            _, n_v, p, scale, book = point
+            yield point, self.adapt(n_v, p, 1.0 if scale is None else scale, book)
 
 
 @dataclass(frozen=True)
@@ -237,119 +272,58 @@ def _db(x: float) -> float:
     return 10.0 * math.log10(x) if x > 0 else -math.inf
 
 
-def _rmse_rows(config: ExperimentConfig) -> list[MetricRow]:
+def _final_rmse(records: list[TrialRecord], grid: AngularGrid):
+    yield None, "rmse", records_rmse(records)
+
+
+def _segment_rmse(records: list[TrialRecord], grid: AngularGrid):
+    truths = [r.true_angle for r in records]
+    for t in range(len(records[0].segments)):
+        ests = [grid.points[r.segments[t].mode_index] for r in records]
+        yield t, "rmse", rmse(ests, truths)
+
+
+def _gain_stats(records: list[TrialRecord], grid: AngularGrid):
+    for t in range(len(records[0].segments)):
+        gains = [r.segments[t].gain_at_truth for r in records]
+        yield t, "mean_gain_db", _db(float(np.mean(gains)))
+        yield t, "min_gain_db", _db(float(np.min(gains)))
+        yield t, "max_gain_db", _db(float(np.max(gains)))
+
+
+# per alignment experiment: records of one sweep point -> (t, metric, value)
+_REDUCERS = {
+    "rmse_vs_snr": _final_rmse,
+    "rmse_vs_snapshots": _segment_rmse,
+    "gain_over_time": _gain_stats,
+    "noise_mismatch": _final_rmse,
+    "codebook_compare": _final_rmse,
+}
+
+
+def _adaptive_rows(config: ExperimentConfig) -> list[MetricRow]:
+    reduce = _REDUCERS[config.experiment]
+    grid = AngularGrid(config.roi, config.grid_size)
     rows = []
-    for snr in config.snr_db:
-        for n_v in config.n_v:
-            for p in config.p_thresh:
-                records = run_adaptive_trials(
-                    config.adapt(n_v, p), snr, config.trials, config.seed
+    for (snr, n_v, p, scale, book), adapt in config.sweep_points():
+        records = run_adaptive_trials(adapt, snr, config.trials, config.seed)
+        for t, name, value in reduce(records, grid):
+            rows.append(
+                MetricRow(
+                    config.experiment, snr, n_v, p, scale, t, config.trials,
+                    name if book is None else f"{name}_{book}", value,
                 )
-                rows.append(
-                    MetricRow(
-                        config.experiment, snr, n_v, p, None, None,
-                        config.trials, "rmse", records_rmse(records),
-                    )
-                )
-    return rows
-
-
-def _rmse_vs_snapshots_rows(config: ExperimentConfig) -> list[MetricRow]:
-    rows = []
-    for snr in config.snr_db:
-        for n_v in config.n_v:
-            for p in config.p_thresh:
-                records = run_adaptive_trials(
-                    config.adapt(n_v, p), snr, config.trials, config.seed
-                )
-                grid = AngularGrid(config.roi, config.grid_size)
-                for t in range(len(records[0].segments)):
-                    ests = [grid.points[r.segments[t].mode_index] for r in records]
-                    rows.append(
-                        MetricRow(
-                            config.experiment, snr, n_v, p, None, t,
-                            config.trials, "rmse",
-                            rmse(ests, [r.true_angle for r in records]),
-                        )
-                    )
-    return rows
-
-
-def _gain_rows(config: ExperimentConfig) -> list[MetricRow]:
-    rows = []
-    for snr in config.snr_db:
-        for n_v in config.n_v:
-            for p in config.p_thresh:
-                records = run_adaptive_trials(
-                    config.adapt(n_v, p), snr, config.trials, config.seed
-                )
-                for t in range(len(records[0].segments)):
-                    gains = [r.segments[t].gain_at_truth for r in records]
-                    for name, value in (
-                        ("mean_gain_db", _db(float(np.mean(gains)))),
-                        ("min_gain_db", _db(float(np.min(gains)))),
-                        ("max_gain_db", _db(float(np.max(gains)))),
-                    ):
-                        rows.append(
-                            MetricRow(
-                                config.experiment, snr, n_v, p, None, t,
-                                config.trials, name, value,
-                            )
-                        )
-    return rows
-
-
-def _noise_mismatch_rows(config: ExperimentConfig) -> list[MetricRow]:
-    rows = []
-    for snr in config.snr_db:
-        for n_v in config.n_v:
-            for p in config.p_thresh:
-                for scale in config.noise_scale:
-                    records = run_adaptive_trials(
-                        config.adapt(n_v, p, noise_scale=scale),
-                        snr, config.trials, config.seed,
-                    )
-                    rows.append(
-                        MetricRow(
-                            config.experiment, snr, n_v, p, scale, None,
-                            config.trials, "rmse", records_rmse(records),
-                        )
-                    )
-    return rows
-
-
-def _codebook_compare_rows(config: ExperimentConfig) -> list[MetricRow]:
-    rows = []
-    for snr in config.snr_db:
-        for n_v in config.n_v:
-            for p in config.p_thresh:
-                for mode in ("flexible", "hierarchical"):
-                    adapt = AdaptConfig(
-                        n=config.n, n_v=n_v,
-                        total_snapshots=config.total_snapshots,
-                        roi=config.roi, grid_size=config.grid_size,
-                        p_thresh=p, codebook=mode,
-                    )
-                    records = run_adaptive_trials(
-                        adapt, snr, config.trials, config.seed
-                    )
-                    rows.append(
-                        MetricRow(
-                            config.experiment, snr, n_v, p, None, None,
-                            config.trials, f"rmse_{mode}", records_rmse(records),
-                        )
-                    )
+            )
     return rows
 
 
 def region_beam_bank(
-    n: int, n_v: int, total_snapshots: int, roi: RegionOfInterest,
+    beam: BeamSpec, taps: int, segments: int,
     fir: FirDesignParams = FirDesignParams(),
 ) -> np.ndarray:
-    """Non-adaptive bank: the region-covering beam repeated every segment."""
-    m = SvamConfig(n=n, n_v=n_v).combiner_length
-    f = design_beamformer(BeamSpec(roi.center, roi.width), m, fir)
-    return np.tile(f.weights[:, None], (1, total_snapshots // n_v))
+    """Non-adaptive bank: one designed beam repeated for every segment."""
+    f = design_beamformer(beam, taps, fir)
+    return np.tile(f.weights[:, None], (1, segments))
 
 
 def expanded_combiners(bank: np.ndarray, n: int, n_v: int) -> np.ndarray:
@@ -371,12 +345,10 @@ def _crb_rows(config: ExperimentConfig) -> list[MetricRow]:
         noise_var = noise_variance_from_snr(snr)
         for n_v in config.n_v:
             segments = config.total_snapshots // n_v
-            bank = region_beam_bank(
-                config.n, n_v, config.total_snapshots, config.roi
-            )
+            m = SvamConfig(n=config.n, n_v=n_v).combiner_length
+            bank = region_beam_bank(region, m, segments)
             w = expanded_combiners(bank, config.n, n_v)
-            full = design_beamformer(region, config.n)
-            bench_bank = np.tile(full.weights[:, None], (1, segments))
+            bench_bank = region_beam_bank(region, config.n, segments)
             for i, u in enumerate(grid.points):
                 u = float(u)
                 svam = crb_svam(bank, n_v, u, 1.0, 1.0, noise_var)
@@ -398,15 +370,9 @@ def _crb_rows(config: ExperimentConfig) -> list[MetricRow]:
 
 def run_experiment(config: ExperimentConfig) -> list[MetricRow]:
     """Run every sweep point of the configured study and aggregate metrics."""
-    dispatch = {
-        "rmse_vs_snr": _rmse_rows,
-        "rmse_vs_snapshots": _rmse_vs_snapshots_rows,
-        "gain_over_time": _gain_rows,
-        "noise_mismatch": _noise_mismatch_rows,
-        "codebook_compare": _codebook_compare_rows,
-        "crb_sweep": _crb_rows,
-    }
-    return dispatch[config.experiment](config)
+    if config.experiment == "crb_sweep":
+        return _crb_rows(config)
+    return _adaptive_rows(config)
 
 
 def _cell(value) -> str:
@@ -414,63 +380,50 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, str):
         return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".12g")
 
 
-def emit_csv(rows: list[MetricRow], path: str) -> None:
-    """Write metric rows with a fixed column order and 12-digit floats."""
+def _write_csv(path: str, what: str, header, records) -> None:
+    """The one CSV writer: a header, then each record's cells through _cell."""
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
-            for row in rows:
-                writer.writerow(
-                    [
-                        row.experiment,
-                        _cell(row.snr_db),
-                        _cell(row.n_v),
-                        _cell(row.p_thresh),
-                        _cell(row.noise_scale),
-                        _cell(row.t),
-                        _cell(row.trial_count),
-                        row.metric_name,
-                        _cell(row.value),
-                    ]
-                )
+            writer.writerow(header)
+            writer.writerows([_cell(v) for v in record] for record in records)
     except OSError as exc:
-        raise OSError(f"cannot write metrics CSV to {path!r}: {exc}") from exc
+        raise OSError(f"cannot write {what} CSV to {path!r}: {exc}") from exc
+
+
+def emit_csv(rows: list[MetricRow], path: str) -> None:
+    """Write metric rows with a fixed column order and 12-digit floats."""
+    _write_csv(
+        path, "metrics", CSV_COLUMNS,
+        ([getattr(row, col) for col in CSV_COLUMNS] for row in rows),
+    )
 
 
 def write_trajectories(records: list[TrialRecord], path: str) -> None:
     """Per-segment trace of each trial: beam, gain at truth, confidence."""
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                [
-                    "trial", "true_angle", "t", "beam_direction", "beamwidth",
-                    "gain_db_at_truth", "peak_prob", "mode_index", "estimate",
-                ]
-            )
-            for rec in records:
-                for t, seg in enumerate(rec.segments):
-                    writer.writerow(
-                        [
-                            _cell(rec.trial_index),
-                            _cell(rec.true_angle),
-                            _cell(t),
-                            _cell(seg.beam.direction),
-                            _cell(seg.beam.beamwidth),
-                            _cell(_db(seg.gain_at_truth)),
-                            _cell(seg.peak_prob),
-                            _cell(seg.mode_index),
-                            _cell(rec.estimate),
-                        ]
-                    )
-    except OSError as exc:
-        raise OSError(f"cannot write trajectory CSV to {path!r}: {exc}") from exc
+    header = [
+        "trial", "true_angle", "t", "beam_direction", "beamwidth",
+        "gain_db_at_truth", "peak_prob", "mode_index", "estimate",
+    ]
+    _write_csv(
+        path, "trajectory", header,
+        (
+            [
+                rec.trial_index, rec.true_angle, t, seg.beam.direction,
+                seg.beam.beamwidth, _db(seg.gain_at_truth), seg.peak_prob,
+                seg.mode_index, rec.estimate,
+            ]
+            for rec in records
+            for t, seg in enumerate(rec.segments)
+        ),
+    )
 
 
 def crb_table(
@@ -498,9 +451,7 @@ def crb_table(
     if beam is None:
         beam = BeamSpec(roi.center, roi.width)
     m = SvamConfig(n=n, n_v=n_v).combiner_length if scheme != "benchmark" else n
-    f = design_beamformer(beam, m, fir)
-    segments = total_snapshots // n_v
-    bank = np.tile(f.weights[:, None], (1, segments))
+    bank = region_beam_bank(beam, m, total_snapshots // n_v, fir)
     out = []
     for u in grid.points:
         u = float(u)
@@ -535,32 +486,79 @@ def crb_table(
 
 def write_crb_csv(rows: list[dict], path: str) -> None:
     columns = ["u", "N", "N_v", "L", "scheme", "bound", "g_term", "condition_holds"]
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                record = []
-                for col in columns:
-                    v = row[col]
-                    if isinstance(v, bool):
-                        record.append("true" if v else "false")
-                    else:
-                        record.append(_cell(v))
-                writer.writerow(record)
-    except OSError as exc:
-        raise OSError(f"cannot write CRB CSV to {path!r}: {exc}") from exc
+    _write_csv(path, "CRB", columns, ([row[col] for col in columns] for row in rows))
 
 
-_LIST_FIELDS = {"n_v", "snr_db", "p_thresh", "noise_scale"}
-_INT_FIELDS = {"n", "grid_size", "total_snapshots", "trials", "seed"}
-_STR_FIELDS = {"experiment", "codebook", "out"}
+def write_codebook(book: HierarchicalCodebook, path: str) -> None:
+    """Every node of a dyadic codebook: span, beam, design method and taps."""
+
+    def records():
+        for level in book.levels:
+            for node in level:
+                beam = node.beamformer
+                taps = " ".join(f"{w.real:.12g}{w.imag:+.12g}j" for w in beam.weights)
+                yield [
+                    node.level, node.index, *node.span, beam.spec.direction,
+                    beam.spec.beamwidth, beam.method, taps,
+                ]
+
+    header = [
+        "level", "index", "u_lo", "u_hi", "direction", "beamwidth", "method", "taps",
+    ]
+    _write_csv(path, "codebook", header, records())
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _region(text: str) -> RegionOfInterest:
+    left, right = (float(v) for v in text.split(","))
+    return RegionOfInterest(left, right)
+
+
+@dataclass(frozen=True)
+class ConfigKey:
+    """How one ExperimentConfig field is spelled and parsed as text.
+
+    The config-file key is the field name; the command-line flag is
+    --field-name with dashes unless flag spells it differently.
+    """
+
+    parse: Callable[[str], object]
+    help: str
+    flag: str | None = None
+    choices: tuple[str, ...] | None = None
+
+
+CONFIG_KEYS: dict[str, ConfigKey] = {
+    "experiment": ConfigKey(str, "experiment kind"),
+    "n": ConfigKey(int, "physical array size"),
+    "n_v": ConfigKey(_int_list, "block sizes, comma separated", "--nv"),
+    "grid_size": ConfigKey(int, "candidate grid size", "--grid"),
+    "total_snapshots": ConfigKey(int, "training length", "--snapshots"),
+    "trials": ConfigKey(int, "Monte Carlo realizations"),
+    "snr_db": ConfigKey(
+        _float_list, "SNR values in dB; spell negative lists as --snr-db=-10,-5"
+    ),
+    "p_thresh": ConfigKey(_float_list, "confidence thresholds"),
+    "noise_scale": ConfigKey(_float_list, "inference noise multipliers"),
+    "roi": ConfigKey(_region, "region as left,right"),
+    "seed": ConfigKey(int, "experiment seed"),
+    "codebook": ConfigKey(str, "beam controller", choices=CODEBOOK_MODES),
+    "out": ConfigKey(str, "output CSV path"),
+}
 
 
 def parse_config_file(path: str) -> dict:
     """key = value experiment settings; '#' comments; lists comma-separated.
 
-    Returns keyword arguments for ExperimentConfig.
+    Returns keyword arguments for ExperimentConfig. Every error names the
+    offending path:line.
     """
     kwargs: dict = {}
     with open(path) as fh:
@@ -572,19 +570,12 @@ def parse_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key in _LIST_FIELDS:
-                kwargs[key] = tuple(float(v) for v in value.split(","))
-                if key == "n_v":
-                    kwargs[key] = tuple(int(v) for v in kwargs[key])
-            elif key in _INT_FIELDS:
-                kwargs[key] = int(value)
-            elif key in _STR_FIELDS:
-                kwargs[key] = value
-            elif key == "roi":
-                left, right = (float(v) for v in value.split(","))
-                kwargs[key] = RegionOfInterest(left, right)
-            else:
+            if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                kwargs[key] = CONFIG_KEYS[key].parse(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad {key} {value!r}: {exc}") from exc
     return kwargs
 
 

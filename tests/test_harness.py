@@ -2,7 +2,9 @@
 parsing, and the CLI surface."""
 
 import csv
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from svamsim.arrays import AngularGrid, RegionOfInterest
 from svamsim.cli import main as cli_main
 from svamsim.harness import (
+    CONFIG_KEYS,
     ExperimentConfig,
     MetricRow,
     bootstrap_rmse_interval,
@@ -188,6 +191,26 @@ def test_invalid_configs_rejected():
         tiny_config(snr_db=())
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(p_thresh=(0.6, 1.0)),
+        dict(experiment="noise_mismatch", noise_scale=(1.0, 0.0)),
+        dict(codebook="bogus"),
+        dict(n=64, grid_size=48, total_snapshots=120, snr_db=(20.0,),
+             codebook="hierarchical"),
+        dict(experiment="codebook_compare", n=64, grid_size=48,
+             total_snapshots=120, snr_db=(20.0,)),
+    ],
+    ids=["p_thresh", "noise_scale", "codebook", "hier_grid", "compare_grid"],
+)
+def test_bad_sweep_point_fails_at_construction(overrides):
+    # each of these used to be accepted and raise only after earlier sweep
+    # points had run their trials
+    with pytest.raises(ValueError):
+        tiny_config(**overrides)
+
+
 # -------------------------------------------------------------- CSV output
 
 
@@ -297,6 +320,15 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     path.write_text("just some words\n")
     with pytest.raises(ValueError, match="key = value"):
         config_from_file(str(path))
+    for bad in ("n_v = 2.5", "roi = 0,1,2", "trials = x"):
+        path.write_text(f"n = 16\n{bad}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2:")):
+            config_from_file(str(path))
+
+
+def test_config_keys_cover_every_field():
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert list(CONFIG_KEYS) == fields
 
 
 # --------------------------------------------------------------------- CLI
