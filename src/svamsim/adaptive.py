@@ -6,6 +6,7 @@ Two controllers share the measurement/inference loop:
   snapshot block either re-designs a flexible beam around the posterior
   mass (halving or doubling its width against a confidence threshold) or
   picks a node of a dyadic codebook by climbing from the posterior mode.
+  It advances a whole batch of trials in lockstep.
 
 * run_hiepm_known_alpha is the known-gain case study: an exact
   per-snapshot Bayes update drives codeword selection by posterior
@@ -17,6 +18,7 @@ Two controllers share the measurement/inference loop:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +32,13 @@ from .beams import (
     build_hierarchical_codebook,
     design_beamformer,
 )
-from .channel import ChannelParams, antenna_snapshot, combine
+from .channel import (
+    ChannelParams,
+    antenna_blocks,
+    antenna_snapshot,
+    combine,
+    noiseless_snapshot,
+)
 from .inference import (
     alpha_posterior,
     approx_log_likelihood,
@@ -38,7 +46,14 @@ from .inference import (
     known_alpha_posterior,
     posterior_pmf,
 )
-from .sensing import MeasurementHistory, SvamConfig, measure_segment, svam_combiner
+from .sensing import (
+    BeamCache,
+    MeasurementHistory,
+    SegmentMeasurement,
+    SvamConfig,
+    block_combiners,
+    svam_combiner,
+)
 
 # Noiseless channels are allowed as a sentinel (infinite SNR); the Gaussian
 # scoring still needs a positive variance, so inference falls back to this
@@ -66,6 +81,13 @@ class AdaptConfig:
     hier_start_offset: int = 0  # extra levels to skip downward per search
 
     def __post_init__(self) -> None:
+        self.svam()  # rejects n_v < 1 and a virtual size beyond the aperture
+        if self.grid_size < 1:
+            raise ValueError(f"grid size must be positive, got {self.grid_size}")
+        if self.codebook_depth is not None and self.codebook_depth < 0:
+            raise ValueError(
+                f"codebook depth must be nonnegative, got {self.codebook_depth}"
+            )
         if self.total_snapshots < 1:
             raise ValueError("need at least one snapshot")
         if self.total_snapshots % self.n_v:
@@ -266,21 +288,35 @@ def _inference_noise(config: AdaptConfig, channel: ChannelParams) -> float:
 
 def run_alignment(
     config: AdaptConfig,
-    channel: ChannelParams,
-    rng: np.random.Generator,
-    trial_index: int = 0,
+    channels: Sequence[ChannelParams],
+    rngs: Sequence[np.random.Generator],
     codebook: HierarchicalCodebook | None = None,
-) -> TrialRecord:
-    """One full unknown-gain alignment run over all snapshot blocks.
+) -> list[TrialRecord]:
+    """Unknown-gain alignment of a batch of trials over all snapshot blocks.
 
-    The dominant (first) path angle is treated as the ground truth for the
-    per-segment gain log and the final estimate is the posterior argmax.
+    The trials advance in lockstep. Trial i observes channels[i] and draws
+    only from rngs[i], one noise block per segment, in the order a lone run
+    of that trial would. The history and the posterior carry a leading trial
+    axis, so inference runs once per block for the whole batch; only the
+    controller step is taken trial by trial. A single trial is a batch of
+    one. The trials must share transmit power and noise variance.
+
+    The dominant (first) path angle of each channel is the ground truth for
+    its per-segment gain log and each final estimate is the posterior
+    argmax. Records are numbered by their position in the batch.
     """
+    count = len(channels)
+    if count < 1 or len(rngs) != count:
+        raise ValueError("need at least one channel and one generator per channel")
+    power, channel_noise = channels[0].power, channels[0].noise_variance
+    if any(c.power != power or c.noise_variance != channel_noise for c in channels):
+        raise ValueError("trials of one batch must share power and noise variance")
     grid = AngularGrid(config.roi, config.grid_size)
     svam_cfg = config.svam()
     m = svam_cfg.combiner_length
-    noise_var = _inference_noise(config, channel)
-    truth = channel.paths[0][1]
+    noise_var = _inference_noise(config, channels[0])
+    truths = [channel.paths[0][1] for channel in channels]
+    signals = np.stack([noiseless_snapshot(channel, config.n) for channel in channels])
 
     hierarchical = config.codebook == "hierarchical"
     if hierarchical:
@@ -288,62 +324,72 @@ def run_alignment(
             codebook = build_hierarchical_codebook(
                 config.roi, config.depth(), m, config.fir, grid_size=config.grid_size
             )
-        level = 0
-        beam = codebook.node(0, 0).beamformer
+        levels = [0] * count
+        beams = [codebook.node(0, 0).beamformer] * count
     else:
-        beam = design_beamformer(
-            BeamSpec(config.roi.center, config.beamwidth_initial), m, config.fir
-        )
-        bw_current = config.beamwidth_initial
+        widths = [config.beamwidth_initial] * count
+        beams = [
+            design_beamformer(
+                BeamSpec(config.roi.center, config.beamwidth_initial), m, config.fir
+            )
+        ] * count
 
-    history = MeasurementHistory(svam_cfg)
-    logs: list[SegmentLog] = []
-    pmf = np.full(grid.size, 1.0 / grid.size)
+    combiners = BeamCache(lambda w: block_combiners(w, svam_cfg))
+    gains = [BeamCache(lambda w, u=u: abs(beam_gain(w, u)) ** 2) for u in truths]
+    history = MeasurementHistory(svam_cfg, trials=count)
+    logs: list[list[SegmentLog]] = [[] for _ in range(count)]
     for t in range(config.segments):
-        segment = measure_segment(beam, channel, svam_cfg, t, rng)
-        history.append(segment, beam, grid)
-        gamma = gamma_mle(history, grid, channel.power, noise_var)
-        post = alpha_posterior(history, grid, gamma, channel.power, noise_var)
+        x = antenna_blocks(signals, channel_noise, rngs, config.n_v)
+        # row-by-row products, as a lone trial computes them: one batched
+        # product over all trials would round the outputs differently
+        values = combine(np.stack([combiners(beam) for beam in beams]), x)
+        history.append(SegmentMeasurement(values, t), beams, grid)
+        gamma = gamma_mle(history, grid, power, noise_var)
+        post = alpha_posterior(history, grid, gamma, power, noise_var)
         pmf = posterior_pmf(
-            approx_log_likelihood(history, grid, post, channel.power, noise_var)
+            approx_log_likelihood(history, grid, post, power, noise_var)
         )
-        mode = int(np.argmax(pmf))
-        gain = abs(beam_gain(beam, truth)) ** 2
+        modes = np.argmax(pmf, axis=-1)
 
-        if hierarchical:
-            nxt = hier_beam_search(
-                level, pmf, grid.size, config.p_thresh, codebook,
-                config.hier_start_offset,
-            )
-            peak_prob = node_mass(pmf, nxt, grid.size)
-            next_beam = codebook.node(nxt.level, nxt.index).beamformer
-        else:
-            spec, peak_prob = select_next_beam(
-                pmf, bw_current, config.p_thresh, grid, config.beamwidth_initial
-            )
-            next_beam = design_beamformer(spec, m, config.fir)
-
-        logs.append(
-            SegmentLog(
-                beam=beam.spec,
-                gain_at_truth=gain,
-                mode_index=mode,
-                peak_prob=peak_prob,
-            )
-        )
-        if t < config.segments - 1:
-            beam = next_beam
+        for i, beam in enumerate(beams):
             if hierarchical:
-                level = nxt.level
+                nxt = hier_beam_search(
+                    levels[i], pmf[i], grid.size, config.p_thresh, codebook,
+                    config.hier_start_offset,
+                )
+                peak_prob = node_mass(pmf[i], nxt, grid.size)
+                next_beam = codebook.node(nxt.level, nxt.index).beamformer
             else:
-                bw_current = spec.beamwidth
+                spec, peak_prob = select_next_beam(
+                    pmf[i], widths[i], config.p_thresh, grid,
+                    config.beamwidth_initial,
+                )
+                next_beam = design_beamformer(spec, m, config.fir)
 
-    return TrialRecord(
-        trial_index=trial_index,
-        true_angle=truth,
-        estimate=float(grid.points[int(np.argmax(pmf))]),
-        segments=tuple(logs),
-    )
+            logs[i].append(
+                SegmentLog(
+                    beam=beam.spec,
+                    gain_at_truth=gains[i](beam),
+                    mode_index=int(modes[i]),
+                    peak_prob=peak_prob,
+                )
+            )
+            if t < config.segments - 1:
+                beams[i] = next_beam
+                if hierarchical:
+                    levels[i] = nxt.level
+                else:
+                    widths[i] = spec.beamwidth
+
+    return [
+        TrialRecord(
+            trial_index=index,
+            true_angle=truth,
+            estimate=float(grid.points[mode]),
+            segments=tuple(log),
+        )
+        for index, (truth, mode, log) in enumerate(zip(truths, modes, logs))
+    ]
 
 
 def run_hiepm_known_alpha(

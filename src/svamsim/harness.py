@@ -32,7 +32,6 @@ from .beams import (
     BeamSpec,
     FirDesignParams,
     HierarchicalCodebook,
-    build_hierarchical_codebook,
     design_beamformer,
 )
 from .channel import ChannelParams
@@ -196,23 +195,11 @@ def run_adaptive_trials(
     seed: int,
     codebook: HierarchicalCodebook | None = None,
 ) -> list[TrialRecord]:
+    """All trials of one sweep point, advanced together by run_alignment."""
     grid = AngularGrid(config.roi, config.grid_size)
-    if config.codebook == "hierarchical" and codebook is None:
-        codebook = build_hierarchical_codebook(
-            config.roi,
-            config.depth(),
-            config.svam().combiner_length,
-            config.fir,
-            grid_size=config.grid_size,
-        )
-    records = []
-    for trial in range(trials):
-        rng = trial_generator(seed, trial)
-        channel = draw_channel(grid, snr_db, rng)
-        records.append(
-            run_alignment(config, channel, rng, trial_index=trial, codebook=codebook)
-        )
-    return records
+    rngs = [trial_generator(seed, trial) for trial in range(trials)]
+    channels = [draw_channel(grid, snr_db, rng) for rng in rngs]
+    return run_alignment(config, channels, rngs, codebook=codebook)
 
 
 def run_hiepm_trials(

@@ -7,6 +7,10 @@ Gaussian posterior of the gain, and finally scores every candidate with a
 Gaussian marginal likelihood whose rank-one-plus-identity structure keeps
 all per-candidate work closed-form. Likelihoods are handled in the log
 domain throughout; the pmf is produced by max-subtracted exponentiation.
+
+Every per-candidate array has the shape of the history's statistics: (grid,)
+for one trial, (trials, grid) for a batch advancing in lockstep. The
+formulas are elementwise, so a batch row equals the lone trial's vector.
 """
 
 from __future__ import annotations
@@ -83,7 +87,7 @@ def gamma_mle(
     n_v = history.n_v
     g = history.cumulative_gain
     s = history.matched_statistic
-    gamma = np.zeros(grid.size)
+    gamma = np.zeros(g.shape)
     lit = g > 0
     energy = np.abs(s[lit]) ** 2 / (g[lit] * n_v)
     gamma[lit] = np.maximum(0.0, (energy - noise_var) / (power * g[lit] * n_v))
@@ -105,10 +109,10 @@ def alpha_posterior(
     """
     _check_history(history, grid)
     _check_noise(power, noise_var)
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (grid.size,) or np.any(gamma < 0):
-        raise ValueError("gamma must be a nonnegative per-candidate vector")
     g = history.cumulative_gain
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != g.shape or np.any(gamma < 0):
+        raise ValueError("gamma must be a nonnegative per-candidate vector")
     s = history.matched_statistic
     denom = power * gamma * g * history.n_v + noise_var
     mean = np.sqrt(power) * gamma * s / denom
@@ -149,7 +153,7 @@ def likelihood_terms(
 
     root_power = np.sqrt(power)
     residual_sq = (
-        history.total_power
+        np.expand_dims(history.total_power, -1)
         - 2.0 * root_power * (mean.conj() * s).real
         + power * np.abs(mean) ** 2 * g * history.n_v
     )
@@ -177,20 +181,23 @@ def approx_log_likelihood(
 
 
 def posterior_pmf(log_likelihood: np.ndarray) -> np.ndarray:
-    """Normalize log scores into a pmf via max subtraction.
+    """Normalize log scores into a pmf via max subtraction, along the last
+    axis: a (trials, grid) stack gives one pmf per row.
 
-    Rejects inputs with no usable mass (all -inf) or NaNs.
+    Rejects inputs where any row has no usable mass (all -inf) or a NaN.
     """
     ll = np.asarray(log_likelihood, dtype=float)
     if ll.size == 0:
         raise ValueError("empty likelihood vector")
-    if np.any(np.isnan(ll)):
+    # array methods, not np.max/np.any: the known-gain loop calls this once
+    # per snapshot, where the function wrappers' overhead shows
+    if np.isnan(ll).any():
         raise ValueError("likelihoods contain NaN")
-    top = np.max(ll)
-    if top == -np.inf:
+    top = ll.max(axis=-1, keepdims=True)
+    if (top == -np.inf).any():
         raise ValueError("all likelihoods are zero; nothing to normalize")
     weights = np.exp(ll - top)
-    return weights / weights.sum()
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def known_alpha_posterior(

@@ -14,13 +14,13 @@ angle sensitivity lost by scalar combining.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
 from .arrays import SlaGeometry
 from .beams import Beamformer
-from .channel import ChannelParams, antenna_snapshot, combine
+from .channel import ChannelParams, antenna_blocks, combine, noiseless_snapshot
 
 if TYPE_CHECKING:
     from .arrays import AngularGrid
@@ -91,9 +91,40 @@ def benchmark_combiner(
     return np.array(weights, dtype=complex)
 
 
+def block_combiners(f: Beamformer | np.ndarray, config: SvamConfig) -> np.ndarray:
+    """(n_v, n) full-length combiners of one block, one row per snapshot;
+    every block slides the beamformer through the same rows."""
+    return np.stack([svam_combiner(f, r, config) for r in range(config.n_v)])
+
+
+class BeamCache:
+    """A value derived from a beam's taps, computed once per distinct beam.
+
+    Entries are keyed by the identity of read-only weight arrays: the design
+    cache and codebook nodes hand out the same array every time a beam
+    recurs, and the entry holds that array so its identity cannot be
+    reused. Writeable arrays could change in place and are rebuilt on every
+    call.
+    """
+
+    def __init__(self, build: Callable[[np.ndarray], Any]):
+        self._build = build
+        self._items: dict[int, tuple[np.ndarray, Any]] = {}
+
+    def __call__(self, f: Beamformer | np.ndarray) -> Any:
+        weights = f.weights if isinstance(f, Beamformer) else np.asarray(f)
+        item = self._items.get(id(weights))
+        if item is None:
+            item = (weights, self._build(weights))
+            if not weights.flags.writeable:
+                self._items[id(weights)] = item
+        return item[1]
+
+
 @dataclass(frozen=True)
 class SegmentMeasurement:
-    """Scalar combiner outputs of one n_v-snapshot block."""
+    """Scalar combiner outputs of one n_v-snapshot block; (trials, n_v) for
+    a batch of trials."""
 
     values: np.ndarray
     index: int
@@ -106,36 +137,44 @@ def measure_segment(
     segment_index: int,
     rng: np.random.Generator,
 ) -> SegmentMeasurement:
-    """Slide the combiner across one block of snapshots and collect outputs."""
+    """Slide the combiner across one block of snapshots and collect outputs:
+    the block of a lone trial, built like each trial's block of a batch."""
     if segment_index < 0:
         raise ValueError("segment index must be nonnegative")
-    values = np.empty(config.n_v, dtype=complex)
-    base = segment_index * config.n_v
-    for r in range(config.n_v):
-        w = svam_combiner(f, base + r, config)
-        x = antenna_snapshot(params, config.n, rng)
-        values[r] = combine(w, x)
-    return SegmentMeasurement(values=values, index=segment_index)
+    (x,) = antenna_blocks(
+        noiseless_snapshot(params, config.n)[None], params.noise_variance,
+        [rng], config.n_v,
+    )
+    return SegmentMeasurement(
+        values=combine(block_combiners(f, config), x), index=segment_index
+    )
 
 
 class MeasurementHistory:
     """Everything the inference engine needs about past segments.
 
-    Stores the raw segments and beamformer log, plus running per-grid
-    statistics that make posterior updates O(grid) per segment: the response
-    rows beta_t(u_i), the accumulated gain sum |beta|^2, the matched inner
-    products sum_t beta_t^*(u_i) phi^H y_t, and the total measured power.
+    A history follows one trial, or with trials=k a batch of k trials that
+    advance in lockstep: each segment then carries (k, n_v) values and one
+    beamformer per trial, and every statistic gains a leading trial axis.
+    It stores the raw segments and beamformer log, plus running per-grid
+    statistics that make posterior updates O(grid) per segment and trial:
+    the accumulated gain sum |beta|^2, the matched inner products
+    sum_t beta_t^*(u_i) phi^H y_t, and the total measured power. A response
+    row beta_t(u_i) is computed once per distinct designed beam.
     """
 
-    def __init__(self, config: SvamConfig):
+    def __init__(self, config: SvamConfig, trials: int | None = None):
+        if trials is not None and trials < 1:
+            raise ValueError("a batch needs at least one trial")
         self.config = config
+        self.batch: tuple[int, ...] = () if trials is None else (trials,)
         self.segments: list[SegmentMeasurement] = []
-        self.beamformers: list[Beamformer | np.ndarray] = []
+        self.beamformers: list = []
         self._grid: AngularGrid | None = None
-        self._beta_rows: list[np.ndarray] = []
+        self._beta: BeamCache | None = None
         self._gain: np.ndarray | None = None
         self._matched: np.ndarray | None = None
-        self._power: float = 0.0
+        self._power = np.zeros(self.batch)
 
     @property
     def segment_count(self) -> int:
@@ -154,13 +193,16 @@ class MeasurementHistory:
     def append(
         self,
         segment: SegmentMeasurement,
-        beamformer: Beamformer | np.ndarray,
+        beamformer: Beamformer | np.ndarray | Sequence[Beamformer | np.ndarray],
         grid: "AngularGrid",
     ) -> "MeasurementHistory":
-        if len(segment.values) != self.config.n_v:
+        """Add one block; a batch takes a sequence with one beamformer per
+        trial."""
+        values = np.asarray(segment.values)
+        expected = self.batch + (self.config.n_v,)
+        if values.shape != expected:
             raise ValueError(
-                f"segment carries {len(segment.values)} snapshots, "
-                f"expected {self.config.n_v}"
+                f"segment values have shape {values.shape}, expected {expected}"
             )
         if segment.index != self.segment_count:
             raise ValueError(
@@ -169,32 +211,45 @@ class MeasurementHistory:
             )
         if self._grid is None:
             self._grid = grid
-            g = grid.size
-            self._gain = np.zeros(g)
-            self._matched = np.zeros(g, dtype=complex)
+            # the closure holds the grid, not the history: no reference cycle
+            # keeps a finished history alive until the cyclic collector runs
+            self._beta = BeamCache(lambda w: w.conj() @ grid.manifold(len(w)))
+            shape = self.batch + (grid.size,)
+            self._gain = np.zeros(shape)
+            self._matched = np.zeros(shape, dtype=complex)
         elif grid is not self._grid:
             raise ValueError("history is bound to a different grid")
 
-        weights = (
-            beamformer.weights
-            if isinstance(beamformer, Beamformer)
-            else np.asarray(beamformer)
-        )
-        beta = weights.conj() @ grid.manifold(len(weights))
-        matched_row = grid.manifold(self.config.n_v).conj().T @ segment.values
+        if self.batch:
+            beamformer = tuple(beamformer)
+            if len(beamformer) != len(values):
+                raise ValueError(
+                    f"{len(beamformer)} beamformers for {len(values)} trials"
+                )
+            beta = np.stack([self._beta(f) for f in beamformer])
+        else:
+            beta = self._beta(beamformer)
+        # the response rows stay one product per beam and the power one
+        # vdot per trial, so every batch row carries a lone trial's bits
+        matched_row = values @ grid.manifold(self.config.n_v).conj()
+        power = [np.vdot(v, v).real for v in values.reshape(-1, self.config.n_v)]
 
         self.segments.append(segment)
         self.beamformers.append(beamformer)
-        self._beta_rows.append(beta)
         self._gain += np.abs(beta) ** 2
         self._matched += beta.conj() * matched_row
-        self._power += float(np.vdot(segment.values, segment.values).real)
+        self._power = self._power + np.reshape(power, self.batch)
         return self
 
     @property
     def beta_matrix(self) -> np.ndarray:
-        """(segments, grid) response values beta_t(u_i)."""
-        return np.array(self._beta_rows)
+        """(segments, grid) response values beta_t(u_i); (trials, segments,
+        grid) for a batch."""
+        if self.batch:
+            rows = [np.stack([self._beta(f) for f in fs]) for fs in self.beamformers]
+        else:
+            rows = [self._beta(f) for f in self.beamformers]
+        return np.stack(rows, axis=-2)
 
     @property
     def cumulative_gain(self) -> np.ndarray:
@@ -211,12 +266,13 @@ class MeasurementHistory:
         return self._matched
 
     @property
-    def total_power(self) -> float:
-        """Squared norm of all stored measurements."""
-        return self._power
+    def total_power(self) -> float | np.ndarray:
+        """Squared norm of all stored measurements, per trial for a batch."""
+        return self._power if self.batch else float(self._power)
 
     def stacked(self) -> np.ndarray:
-        """All segment values concatenated in time order."""
+        """All segment values concatenated in time order (along the last
+        axis for a batch)."""
         if not self.segments:
             raise ValueError("history is empty")
-        return np.concatenate([s.values for s in self.segments])
+        return np.concatenate([s.values for s in self.segments], axis=-1)

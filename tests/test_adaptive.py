@@ -231,12 +231,28 @@ def test_config_validation():
     assert cfg.svam().combiner_length == 13
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(n=8, n_v=16, total_snapshots=16),  # virtual size beyond the aperture
+        dict(grid_size=0),
+        dict(codebook_depth=-1),
+        dict(codebook_depth=-1, codebook="hierarchical"),
+    ],
+    ids=["n_v_beyond_aperture", "empty_grid", "negative_depth", "negative_depth_hier"],
+)
+def test_config_rejects_unrunnable_sizes(overrides):
+    # each used to be accepted and fail only once a run started, or never
+    with pytest.raises(ValueError):
+        make_config(**overrides)
+
+
 def test_noiseless_on_grid_recovery_flexible():
     cfg = make_config(total_snapshots=24)
     grid = AngularGrid(ROI, 16)
     truth = float(grid.points[9])
     chan = ChannelParams.single_path(np.exp(0.3j), truth)
-    rec = run_alignment(cfg, chan, np.random.default_rng(0))
+    (rec,) = run_alignment(cfg, [chan], [np.random.default_rng(0)])
     assert rec.estimate == truth
     assert rec.squared_error == 0.0
     assert rec.segments[-1].mode_index == 9
@@ -250,7 +266,7 @@ def test_noiseless_on_grid_recovery_hierarchical():
     grid = AngularGrid(ROI, 16)
     truth = float(grid.points[9])
     chan = ChannelParams.single_path(1.0 + 0.0j, truth)
-    rec = run_alignment(cfg, chan, np.random.default_rng(0))
+    (rec,) = run_alignment(cfg, [chan], [np.random.default_rng(0)])
     assert rec.estimate == truth
     assert rec.segments[0].beam.beamwidth == pytest.approx(ROI.width)
 
@@ -258,15 +274,15 @@ def test_noiseless_on_grid_recovery_hierarchical():
 def test_alignment_is_deterministic():
     cfg = make_config()
     chan = ChannelParams.single_path(1j, 0.4, noise_variance=0.5)
-    rec1 = run_alignment(cfg, chan, np.random.default_rng(7), trial_index=3)
-    rec2 = run_alignment(cfg, chan, np.random.default_rng(7), trial_index=3)
+    (rec1,) = run_alignment(cfg, [chan], [np.random.default_rng(7)])
+    (rec2,) = run_alignment(cfg, [chan], [np.random.default_rng(7)])
     assert rec1 == rec2
 
 
 def test_records_carry_one_log_per_segment():
     cfg = make_config()
     chan = ChannelParams.single_path(1.0, 0.4, noise_variance=0.1)
-    rec = run_alignment(cfg, chan, np.random.default_rng(1))
+    (rec,) = run_alignment(cfg, [chan], [np.random.default_rng(1)])
     assert len(rec.segments) == cfg.segments
     assert all(s.peak_prob >= 0 for s in rec.segments)
     assert rec.trial_index == 0

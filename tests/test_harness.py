@@ -98,6 +98,23 @@ def test_first_trials_unchanged_when_count_grows():
     assert many[:3] == few
 
 
+@pytest.mark.parametrize("codebook", ["flexible", "hierarchical"])
+def test_lockstep_batch_keeps_each_trial_stream(codebook):
+    # trials advance together, but each still draws only from its own
+    # generator: a 3-trial batch equals the head of a 7-trial batch
+    cfg = tiny_config(trials=7, codebook=codebook)
+    adapt = cfg.adapt(4, 0.6)
+    few = run_adaptive_trials(adapt, -5.0, 3, cfg.seed)
+    many = run_adaptive_trials(adapt, -5.0, 7, cfg.seed)
+    assert len(few) == 3 and len(many) == 7
+    for got, want in zip(many[:3], few):
+        assert got.trial_index == want.trial_index
+        assert got.true_angle == want.true_angle
+        assert got.estimate == want.estimate
+        assert got.segments == want.segments
+    assert many[:3] == few
+
+
 def test_trials_are_reproducible_and_distinct():
     cfg = tiny_config()
     adapt = cfg.adapt(4, 0.6)
@@ -201,8 +218,13 @@ def test_invalid_configs_rejected():
              codebook="hierarchical"),
         dict(experiment="codebook_compare", n=64, grid_size=48,
              total_snapshots=120, snr_db=(20.0,)),
+        dict(n=8, n_v=(16,), total_snapshots=16, trials=1),
+        dict(grid_size=0),
     ],
-    ids=["p_thresh", "noise_scale", "codebook", "hier_grid", "compare_grid"],
+    ids=[
+        "p_thresh", "noise_scale", "codebook", "hier_grid", "compare_grid",
+        "n_v_beyond_aperture", "empty_grid",
+    ],
 )
 def test_bad_sweep_point_fails_at_construction(overrides):
     # each of these used to be accepted and raise only after earlier sweep
