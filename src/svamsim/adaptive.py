@@ -17,7 +17,7 @@ Two controllers share the measurement/inference loop:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +26,6 @@ from .arrays import AngularGrid, RegionOfInterest
 from .beams import (
     BeamSpec,
     Beamformer,
-    FirDesignParams,
     HierarchicalCodebook,
     beam_gain,
     build_hierarchical_codebook,
@@ -75,7 +74,6 @@ class AdaptConfig:
     p_thresh: float
     codebook: str = "flexible"  # or "hierarchical"
     beamwidth_initial: float | None = None  # defaults to the region width
-    fir: FirDesignParams = field(default_factory=FirDesignParams)
     noise_scale: float = 1.0
     codebook_depth: int | None = None
     hier_start_offset: int = 0  # extra levels to skip downward per search
@@ -322,16 +320,14 @@ def run_alignment(
     if hierarchical:
         if codebook is None:
             codebook = build_hierarchical_codebook(
-                config.roi, config.depth(), m, config.fir, grid_size=config.grid_size
+                config.roi, config.depth(), m, grid_size=config.grid_size
             )
         levels = [0] * count
         beams = [codebook.node(0, 0).beamformer] * count
     else:
         widths = [config.beamwidth_initial] * count
         beams = [
-            design_beamformer(
-                BeamSpec(config.roi.center, config.beamwidth_initial), m, config.fir
-            )
+            design_beamformer(BeamSpec(config.roi.center, config.beamwidth_initial), m)
         ] * count
 
     combiners = BeamCache(lambda w: block_combiners(w, svam_cfg))
@@ -364,7 +360,7 @@ def run_alignment(
                     pmf[i], widths[i], config.p_thresh, grid,
                     config.beamwidth_initial,
                 )
-                next_beam = design_beamformer(spec, m, config.fir)
+                next_beam = design_beamformer(spec, m)
 
             logs[i].append(
                 SegmentLog(

@@ -124,19 +124,6 @@ def manifold_complement_and_projector(m: int, u: float) -> tuple[np.ndarray, np.
     return companion, proj
 
 
-def sla_sampling_matrix(geometry: SlaGeometry, aperture: int) -> np.ndarray:
-    """Binary selection matrix mapping a full ULA of size `aperture` onto the
-    sparse elements: row r picks position geometry.positions[r]."""
-    aperture = _check_size(aperture)
-    if geometry.positions[-1] >= aperture:
-        raise ValueError(
-            f"element position {geometry.positions[-1]} exceeds aperture {aperture}"
-        )
-    mat = np.zeros((len(geometry), aperture))
-    mat[np.arange(len(geometry)), list(geometry.positions)] = 1.0
-    return mat
-
-
 class AngularGrid:
     """Uniform grid of candidate angles tiling a region of interest.
 

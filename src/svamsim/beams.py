@@ -20,13 +20,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.signal import remez
 
-from .arrays import (
-    U_MAX,
-    U_MIN,
-    RegionOfInterest,
-    manifold_matrix,
-    ula_manifold,
-)
+from .arrays import U_MAX, U_MIN, RegionOfInterest, ula_manifold
 
 
 @dataclass(frozen=True)
@@ -234,20 +228,6 @@ def beam_gain(f: Beamformer | np.ndarray, u: float) -> complex:
     """Complex response beta(u) = f^H phi(u) of a combiner at angle u."""
     w = _weights_of(f)
     return complex(np.vdot(w, ula_manifold(len(w), u)))
-
-
-def beam_gain_profile(f: Beamformer | np.ndarray, us: np.ndarray) -> np.ndarray:
-    """beta(u) over many angles at once."""
-    w = _weights_of(f)
-    return w.conj() @ manifold_matrix(len(w), us)
-
-
-def export_taps(f: Beamformer | np.ndarray, path) -> None:
-    """Write taps as one "real imaginary" pair per line for inspection."""
-    w = _weights_of(f)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for tap in w:
-            fh.write(f"{tap.real:.17g} {tap.imag:.17g}\n")
 
 
 @dataclass(frozen=True, eq=False)

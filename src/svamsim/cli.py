@@ -10,6 +10,7 @@ from .arrays import AngularGrid, RegionOfInterest
 from .beams import build_hierarchical_codebook
 from .harness import (
     CONFIG_KEYS,
+    CRB_SCHEMES,
     EXPERIMENT_KINDS,
     ExperimentConfig,
     MetricRow,
@@ -112,10 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(run=_cmd_sweep)
 
     p_crb = sub.add_parser("crb", help="estimation bound table over the grid")
-    p_crb.add_argument(
-        "--scheme", required=True,
-        choices=["general", "benchmark", "svam", "unknown-alpha"],
-    )
+    p_crb.add_argument("--scheme", required=True, choices=CRB_SCHEMES)
     p_crb.add_argument("--n", type=int, default=64)
     p_crb.add_argument("--nv", type=int, default=4)
     p_crb.add_argument("--snapshots", type=int, default=120)

@@ -119,9 +119,10 @@ def crb_benchmark(
     return _finish(prefactor, denom, scale)
 
 
-def _svam_gram_terms(f: np.ndarray, u: float) -> tuple[float, float, complex]:
+def _svam_gram_terms(f: np.ndarray, u: float) -> tuple[float, float, complex, float]:
     """Gram products of the sub-aperture bank against the length-m manifold:
-    derivative energy, steering energy, and their cross term."""
+    derivative energy, steering energy, their cross term, and the squared
+    norm of the derivative itself."""
     m = f.shape[0]
     phi = ula_manifold(m, u)
     d = ula_manifold_derivative(m, u)
@@ -130,7 +131,12 @@ def _svam_gram_terms(f: np.ndarray, u: float) -> tuple[float, float, complex]:
     derivative_energy = float(np.vdot(fd, fd).real)
     steering_energy = float(np.vdot(fp, fp).real)
     cross = complex(np.vdot(fd, fp))
-    return derivative_energy, steering_energy, cross
+    return derivative_energy, steering_energy, cross, float(np.vdot(d, d).real)
+
+
+def _virtual_gain(n_v: int, steering_energy: float, cross: complex) -> float:
+    quad = np.pi**2 * (n_v - 1) * (2 * n_v - 1) / 6.0 * steering_energy
+    return quad - np.pi * (n_v - 1) * cross.imag
 
 
 def gain_term(f: np.ndarray, n_v: int, u: float) -> float:
@@ -143,9 +149,8 @@ def gain_term(f: np.ndarray, n_v: int, u: float) -> float:
     gain_condition_sufficient for a certificate of nonnegativity.
     """
     f = np.atleast_2d(np.asarray(f, dtype=complex))
-    _, steering_energy, cross = _svam_gram_terms(f, u)
-    quad = np.pi**2 * (n_v - 1) * (2 * n_v - 1) / 6.0 * steering_energy
-    return quad - np.pi * (n_v - 1) * cross.imag
+    _, steering_energy, cross, _ = _svam_gram_terms(f, u)
+    return _virtual_gain(n_v, steering_energy, cross)
 
 
 def crb_svam(
@@ -166,14 +171,10 @@ def crb_svam(
     if n_v < 1:
         raise ValueError("block size must be positive")
     prefactor = _check_noise_terms(power, alpha_sq, noise_var)
-    derivative_energy, steering_energy, cross = _svam_gram_terms(f, u)
-    g = (
-        np.pi**2 * (n_v - 1) * (2 * n_v - 1) / 6.0 * steering_energy
-        - np.pi * (n_v - 1) * cross.imag
-    )
+    derivative_energy, steering_energy, cross, d_scale = _svam_gram_terms(f, u)
+    g = _virtual_gain(n_v, steering_energy, cross)
     denom = n_v * (derivative_energy + g)
     m = f.shape[0]
-    d_scale = float(np.vdot(ula_manifold_derivative(m, u), ula_manifold_derivative(m, u)).real)
     scale = n_v * (d_scale + np.pi**2 * n_v**2 * m) * float(np.sum(np.abs(f) ** 2))
     return _finish(prefactor, denom, scale, gain_term=float(g))
 

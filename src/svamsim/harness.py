@@ -28,14 +28,16 @@ from .adaptive import (
     run_hiepm_known_alpha,
 )
 from .arrays import AngularGrid, RegionOfInterest
-from .beams import (
-    BeamSpec,
-    FirDesignParams,
-    HierarchicalCodebook,
-    design_beamformer,
-)
+from .beams import BeamSpec, HierarchicalCodebook, design_beamformer
 from .channel import ChannelParams
-from .crb import crb_benchmark, crb_general, crb_svam, crb_unknown_alpha, gain_condition_sufficient
+from .crb import (
+    CrbResult,
+    crb_benchmark,
+    crb_general,
+    crb_svam,
+    crb_unknown_alpha,
+    gain_condition_sufficient,
+)
 from .sensing import SvamConfig, svam_combiner
 
 EXPERIMENT_KINDS = (
@@ -46,6 +48,8 @@ EXPERIMENT_KINDS = (
     "codebook_compare",
     "crb_sweep",
 )
+
+CRB_SCHEMES = ("general", "benchmark", "svam", "unknown-alpha")
 
 CSV_COLUMNS = (
     "experiment",
@@ -107,14 +111,14 @@ class ExperimentConfig:
         for axis in ("n_v", "snr_db", "p_thresh", "noise_scale"):
             if len(getattr(self, axis)) == 0:
                 raise ValueError(f"sweep axis {axis} is empty")
-        for n_v in self.n_v:
-            if self.total_snapshots % n_v:
-                raise ValueError(
-                    f"block size {n_v} must divide {self.total_snapshots} snapshots"
-                )
-        if self.experiment in _REDUCERS:
-            # build every alignment config now so a bad point fails here,
-            # not after the points before it have run their trials
+        # check every sweep point now so a bad one fails here, not after
+        # the points before it have run: a bound point with the bound
+        # dispatch's checks, an alignment point by building its AdaptConfig
+        if self.experiment == "crb_sweep":
+            AngularGrid(self.roi, self.grid_size)  # rejects an empty grid
+            for snr, n_v in itertools.product(self.snr_db, self.n_v):
+                _bound_noise_variance(self.n, n_v, self.total_snapshots, snr)
+        else:
             for _ in self.sweep_points():
                 pass
 
@@ -188,6 +192,15 @@ def draw_channel(
     )
 
 
+def _draw_trials(
+    config: AdaptConfig, snr_db: float, trials: int, seed: int
+) -> tuple[list[np.random.Generator], list[ChannelParams]]:
+    """Each trial's generator and the channel it draws first."""
+    grid = AngularGrid(config.roi, config.grid_size)
+    rngs = [trial_generator(seed, trial) for trial in range(trials)]
+    return rngs, [draw_channel(grid, snr_db, rng) for rng in rngs]
+
+
 def run_adaptive_trials(
     config: AdaptConfig,
     snr_db: float,
@@ -196,9 +209,7 @@ def run_adaptive_trials(
     codebook: HierarchicalCodebook | None = None,
 ) -> list[TrialRecord]:
     """All trials of one sweep point, advanced together by run_alignment."""
-    grid = AngularGrid(config.roi, config.grid_size)
-    rngs = [trial_generator(seed, trial) for trial in range(trials)]
-    channels = [draw_channel(grid, snr_db, rng) for rng in rngs]
+    rngs, channels = _draw_trials(config, snr_db, trials, seed)
     return run_alignment(config, channels, rngs, codebook=codebook)
 
 
@@ -210,17 +221,13 @@ def run_hiepm_trials(
     codebook: HierarchicalCodebook,
     mode: str = "svam",
 ) -> list[TrialRecord]:
-    grid = AngularGrid(config.roi, config.grid_size)
-    records = []
-    for trial in range(trials):
-        rng = trial_generator(seed, trial)
-        channel = draw_channel(grid, snr_db, rng)
-        records.append(
-            run_hiepm_known_alpha(
-                config, channel, codebook, rng, mode=mode, trial_index=trial
-            )
+    rngs, channels = _draw_trials(config, snr_db, trials, seed)
+    return [
+        run_hiepm_known_alpha(
+            config, channel, codebook, rng, mode=mode, trial_index=trial
         )
-    return records
+        for trial, (rng, channel) in enumerate(zip(rngs, channels))
+    ]
 
 
 def rmse(estimates, truths) -> float:
@@ -304,12 +311,9 @@ def _adaptive_rows(config: ExperimentConfig) -> list[MetricRow]:
     return rows
 
 
-def region_beam_bank(
-    beam: BeamSpec, taps: int, segments: int,
-    fir: FirDesignParams = FirDesignParams(),
-) -> np.ndarray:
+def region_beam_bank(beam: BeamSpec, taps: int, segments: int) -> np.ndarray:
     """Non-adaptive bank: one designed beam repeated for every segment."""
-    f = design_beamformer(beam, taps, fir)
+    f = design_beamformer(beam, taps)
     return np.tile(f.weights[:, None], (1, segments))
 
 
@@ -324,34 +328,76 @@ def expanded_combiners(bank: np.ndarray, n: int, n_v: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def _bound_noise_variance(
+    n: int, n_v: int, total_snapshots: int, snr_db: float
+) -> float:
+    """Check the sizes and SNR of one bound point; its noise variance."""
+    SvamConfig(n=n, n_v=n_v)  # rejects n_v < 1 and a block beyond the aperture
+    if total_snapshots < 1:
+        raise ValueError("need at least one snapshot")
+    if total_snapshots % n_v:
+        raise ValueError(f"block size {n_v} must divide {total_snapshots} snapshots")
+    noise_var = noise_variance_from_snr(snr_db)
+    if noise_var <= 0:
+        raise ValueError("noise variance must be positive for a finite bound")
+    return noise_var
+
+
+def _scheme_bounds(
+    scheme: str,
+    n: int,
+    n_v: int,
+    total_snapshots: int,
+    grid: AngularGrid,
+    snr_db: float,
+    beam: BeamSpec | None = None,
+) -> tuple[np.ndarray, list[CrbResult]]:
+    """The scheme's repeated-beam bank and its bound at every grid point.
+
+    The bank is designed once: full-aperture taps for benchmark,
+    sub-aperture taps otherwise. general and unknown-alpha work on the
+    sliding combiners, expanded once to N x L; svam and benchmark need no
+    expansion. The beam defaults to one covering the grid's region.
+    """
+    if scheme not in CRB_SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    noise_var = _bound_noise_variance(n, n_v, total_snapshots, snr_db)
+    if beam is None:
+        beam = BeamSpec(grid.roi.center, grid.roi.width)
+    m = n if scheme == "benchmark" else SvamConfig(n=n, n_v=n_v).combiner_length
+    bank = region_beam_bank(beam, m, total_snapshots // n_v)
+    us = [float(u) for u in grid.points]
+    if scheme == "svam":
+        bounds = [crb_svam(bank, n_v, u, 1.0, 1.0, noise_var) for u in us]
+    elif scheme == "benchmark":
+        bounds = [crb_benchmark(bank, n_v, u, 1.0, 1.0, noise_var) for u in us]
+    else:
+        w = expanded_combiners(bank, n, n_v)
+        bound = crb_general if scheme == "general" else crb_unknown_alpha
+        bounds = [bound(w, u, 1.0, 1.0, noise_var) for u in us]
+    return bank, bounds
+
+
+# crb_sweep's schemes in the order each grid point's rows are written
+_SWEEP_SCHEMES = ("svam", "benchmark", "unknown-alpha")
+
+
 def _crb_rows(config: ExperimentConfig) -> list[MetricRow]:
-    rows = []
     grid = AngularGrid(config.roi, config.grid_size)
-    region = BeamSpec(config.roi.center, config.roi.width)
-    for snr in config.snr_db:
-        noise_var = noise_variance_from_snr(snr)
-        for n_v in config.n_v:
-            segments = config.total_snapshots // n_v
-            m = SvamConfig(n=config.n, n_v=n_v).combiner_length
-            bank = region_beam_bank(region, m, segments)
-            w = expanded_combiners(bank, config.n, n_v)
-            bench_bank = region_beam_bank(region, config.n, segments)
-            for i, u in enumerate(grid.points):
-                u = float(u)
-                svam = crb_svam(bank, n_v, u, 1.0, 1.0, noise_var)
-                bench = crb_benchmark(bench_bank, n_v, u, 1.0, 1.0, noise_var)
-                unknown = crb_unknown_alpha(w, u, 1.0, 1.0, noise_var)
-                for name, value in (
-                    ("crb_svam", svam.bound),
-                    ("crb_benchmark", bench.bound),
-                    ("crb_unknown_alpha", unknown.bound),
-                ):
-                    rows.append(
-                        MetricRow(
-                            config.experiment, snr, n_v, None, None, i,
-                            0, name, value,
-                        )
+    rows = []
+    for snr, n_v in itertools.product(config.snr_db, config.n_v):
+        columns = [
+            _scheme_bounds(scheme, config.n, n_v, config.total_snapshots, grid, snr)[1]
+            for scheme in _SWEEP_SCHEMES
+        ]
+        for i, point in enumerate(zip(*columns)):
+            for scheme, res in zip(_SWEEP_SCHEMES, point):
+                rows.append(
+                    MetricRow(
+                        config.experiment, snr, n_v, None, None, i, 0,
+                        "crb_" + scheme.replace("-", "_"), res.bound,
                     )
+                )
     return rows
 
 
@@ -421,54 +467,29 @@ def crb_table(
     grid: AngularGrid,
     snr_db: float,
     beam: BeamSpec | None = None,
-    fir: FirDesignParams = FirDesignParams(),
 ) -> list[dict]:
     """Bound sweep over the grid for one scheme and a fixed (repeated) beam.
 
     general expands the sliding combiners explicitly and must match svam;
     benchmark repeats a full-aperture beam; unknown-alpha drops the
-    known-gain assumption on the expanded combiners.
+    known-gain assumption on the expanded combiners. svam rows add the
+    virtual-aperture gain term and its nonnegativity certificate.
     """
-    if scheme not in ("general", "benchmark", "svam", "unknown-alpha"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if total_snapshots % n_v:
-        raise ValueError("block size must divide the snapshot count")
-    noise_var = noise_variance_from_snr(snr_db)
-    roi = grid.roi
-    if beam is None:
-        beam = BeamSpec(roi.center, roi.width)
-    m = SvamConfig(n=n, n_v=n_v).combiner_length if scheme != "benchmark" else n
-    bank = region_beam_bank(beam, m, total_snapshots // n_v, fir)
-    out = []
-    for u in grid.points:
-        u = float(u)
-        g_term = None
-        holds = None
-        if scheme == "svam":
-            res = crb_svam(bank, n_v, u, 1.0, 1.0, noise_var)
-            g_term = res.gain_term
-            holds, _, _ = gain_condition_sufficient(bank, u)
-        elif scheme == "benchmark":
-            res = crb_benchmark(bank, n_v, u, 1.0, 1.0, noise_var)
-        elif scheme == "general":
-            res = crb_general(expanded_combiners(bank, n, n_v), u, 1.0, 1.0, noise_var)
-        else:
-            res = crb_unknown_alpha(
-                expanded_combiners(bank, n, n_v), u, 1.0, 1.0, noise_var
-            )
-        out.append(
-            {
-                "u": u,
-                "N": n,
-                "N_v": n_v,
-                "L": total_snapshots,
-                "scheme": scheme,
-                "bound": res.bound,
-                "g_term": g_term,
-                "condition_holds": holds,
-            }
-        )
-    return out
+    bank, bounds = _scheme_bounds(scheme, n, n_v, total_snapshots, grid, snr_db, beam)
+    svam = scheme == "svam"
+    return [
+        {
+            "u": u,
+            "N": n,
+            "N_v": n_v,
+            "L": total_snapshots,
+            "scheme": scheme,
+            "bound": res.bound,
+            "g_term": res.gain_term,
+            "condition_holds": gain_condition_sufficient(bank, u)[0] if svam else None,
+        }
+        for u, res in zip(map(float, grid.points), bounds)
+    ]
 
 
 def write_crb_csv(rows: list[dict], path: str) -> None:

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 import numpy as np
 
 from .arrays import SlaGeometry
-from .beams import Beamformer
+from .beams import Beamformer, _weights_of
 from .channel import ChannelParams, antenna_blocks, combine, noiseless_snapshot
 
 if TYPE_CHECKING:
@@ -67,7 +67,7 @@ def svam_combiner(
 ) -> np.ndarray:
     """Full-length combiner for a snapshot: the sub-aperture beamformer
     zero-padded at the shift position the snapshot index selects."""
-    weights = f.weights if isinstance(f, Beamformer) else np.asarray(f)
+    weights = _weights_of(f)
     m = config.combiner_length
     if len(weights) != m:
         raise ValueError(f"beamformer has {len(weights)} taps, geometry needs {m}")
@@ -75,20 +75,6 @@ def svam_combiner(
     w = np.zeros(config.n, dtype=complex)
     w[offset : offset + m] = weights
     return w
-
-
-def benchmark_combiner(
-    f: Beamformer | np.ndarray, snapshot_index: int, n_v: int
-) -> np.ndarray:
-    """Full-aperture reference combiner: the same unit-norm beamformer is
-    reused for all n_v snapshots of the block."""
-    weights = f.weights if isinstance(f, Beamformer) else np.asarray(f)
-    norm = np.linalg.norm(weights)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"benchmark combiner must be unit norm, got {norm}")
-    if n_v < 1:
-        raise ValueError("block size must be positive")
-    return np.array(weights, dtype=complex)
 
 
 def block_combiners(f: Beamformer | np.ndarray, config: SvamConfig) -> np.ndarray:
@@ -112,7 +98,7 @@ class BeamCache:
         self._items: dict[int, tuple[np.ndarray, Any]] = {}
 
     def __call__(self, f: Beamformer | np.ndarray) -> Any:
-        weights = f.weights if isinstance(f, Beamformer) else np.asarray(f)
+        weights = _weights_of(f)
         item = self._items.get(id(weights))
         if item is None:
             item = (weights, self._build(weights))

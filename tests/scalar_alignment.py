@@ -93,14 +93,12 @@ def run_alignment_scalar(
     if hierarchical:
         if codebook is None:
             codebook = build_hierarchical_codebook(
-                config.roi, config.depth(), m, config.fir, grid_size=config.grid_size
+                config.roi, config.depth(), m, grid_size=config.grid_size
             )
         level = 0
         beam = codebook.node(0, 0).beamformer
     else:
-        beam = design_beamformer(
-            BeamSpec(config.roi.center, config.beamwidth_initial), m, config.fir
-        )
+        beam = design_beamformer(BeamSpec(config.roi.center, config.beamwidth_initial), m)
         bw_current = config.beamwidth_initial
 
     history = ScalarHistory(svam_cfg, grid)
@@ -127,7 +125,7 @@ def run_alignment_scalar(
             spec, peak_prob = select_next_beam(
                 pmf, bw_current, config.p_thresh, grid, config.beamwidth_initial
             )
-            next_beam = design_beamformer(spec, m, config.fir)
+            next_beam = design_beamformer(spec, m)
 
         logs.append(
             SegmentLog(

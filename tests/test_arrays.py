@@ -8,7 +8,6 @@ from svamsim.arrays import (
     check_angle,
     manifold_complement_and_projector,
     manifold_matrix,
-    sla_sampling_matrix,
     ula_manifold,
     ula_manifold_derivative,
 )
@@ -122,25 +121,6 @@ class TestComplementAndProjector:
 
 
 class TestSparseGeometry:
-    def test_sampling_rows_are_unit_vectors(self):
-        geom = SlaGeometry((0, 2, 3))
-        mat = sla_sampling_matrix(geom, 4)
-        expected = np.zeros((3, 4))
-        expected[0, 0] = expected[1, 2] = expected[2, 3] = 1.0
-        assert np.array_equal(mat, expected)
-
-    def test_contiguous_geometry_is_identity_prefix(self):
-        geom = SlaGeometry((0, 1, 2))
-        mat = sla_sampling_matrix(geom, 5)
-        np.testing.assert_allclose(mat[:, :3], np.eye(3))
-        assert np.all(mat[:, 3:] == 0)
-
-    def test_sampled_manifold_matches_positions(self):
-        geom = SlaGeometry((0, 3))
-        picked = sla_sampling_matrix(geom, 5) @ ula_manifold(5, 0.4)
-        expected = np.array([1.0, np.exp(1j * np.pi * 3 * 0.4)])
-        np.testing.assert_allclose(picked, expected, atol=1e-12)
-
     def test_bad_geometries_rejected(self):
         with pytest.raises(ValueError):
             SlaGeometry((1, 2))
@@ -148,8 +128,6 @@ class TestSparseGeometry:
             SlaGeometry((0, 2, 2))
         with pytest.raises(ValueError):
             SlaGeometry(())
-        with pytest.raises(ValueError):
-            sla_sampling_matrix(SlaGeometry((0, 6)), 5)
 
 
 class TestAngles:

@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 
 from svamsim.arrays import AngularGrid, RegionOfInterest
+from svamsim import harness
 from svamsim.cli import main as cli_main
 from svamsim.harness import (
     CONFIG_KEYS,
+    CRB_SCHEMES,
+    EXPERIMENT_KINDS,
     ExperimentConfig,
     MetricRow,
     bootstrap_rmse_interval,
@@ -220,10 +223,19 @@ def test_invalid_configs_rejected():
              total_snapshots=120, snr_db=(20.0,)),
         dict(n=8, n_v=(16,), total_snapshots=16, trials=1),
         dict(grid_size=0),
+        *(dict(experiment=kind, n_v=(0,)) for kind in EXPERIMENT_KINDS),
+        dict(experiment="crb_sweep", n=8, n_v=(2, 16), total_snapshots=16),
+        dict(experiment="crb_sweep", snr_db=(-10.0, math.inf)),
+        dict(experiment="crb_sweep", n_v=(2, -4)),
+        dict(experiment="crb_sweep", total_snapshots=0),
+        dict(experiment="crb_sweep", grid_size=0),
     ],
     ids=[
         "p_thresh", "noise_scale", "codebook", "hier_grid", "compare_grid",
         "n_v_beyond_aperture", "empty_grid",
+        *(f"n_v_zero_{kind}" for kind in EXPERIMENT_KINDS),
+        "crb_n_v_beyond_aperture", "crb_noiseless", "crb_negative_n_v",
+        "crb_no_snapshots", "crb_empty_grid",
     ],
 )
 def test_bad_sweep_point_fails_at_construction(overrides):
@@ -303,6 +315,55 @@ def test_crb_table_and_writer(tmp_path):
     assert parsed[0]["condition_holds"] in ("true", "false")
     with pytest.raises(ValueError):
         crb_table("best", 16, 4, 16, grid, 0.0)
+
+
+@pytest.mark.parametrize("scheme", CRB_SCHEMES)
+@pytest.mark.parametrize(
+    "n_v, total_snapshots", [(0, 16), (4, 0)], ids=["n_v_zero", "no_snapshots"]
+)
+def test_crb_table_rejects_bad_sizes(scheme, n_v, total_snapshots, tmp_path):
+    grid = AngularGrid(ROI, 8)
+    with pytest.raises(ValueError):
+        crb_table(scheme, 16, n_v, total_snapshots, grid, 0.0)
+    with pytest.raises(ValueError):
+        cli_main(
+            ["crb", "--scheme", scheme, "--n", "16", "--nv", str(n_v),
+             "--snapshots", str(total_snapshots), "--grid", "8",
+             "--out", str(tmp_path / "crb.csv")]
+        )
+
+
+def _count_expansions(monkeypatch) -> list:
+    calls = []
+    expand = harness.expanded_combiners
+
+    def counted(*args):
+        calls.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(harness, "expanded_combiners", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "scheme, expansions",
+    [("general", 1), ("unknown-alpha", 1), ("svam", 0), ("benchmark", 0)],
+)
+def test_crb_table_expands_the_bank_once(scheme, expansions, monkeypatch):
+    calls = _count_expansions(monkeypatch)
+    rows = crb_table(scheme, 16, 4, 16, AngularGrid(ROI, 8), 0.0)
+    assert len(rows) == 8
+    assert len(calls) == expansions
+
+
+def test_crb_sweep_expands_once_per_point(monkeypatch):
+    calls = _count_expansions(monkeypatch)
+    cfg = tiny_config(
+        experiment="crb_sweep", n_v=(1, 2, 4), snr_db=(-10.0, 0.0), grid_size=8
+    )
+    rows = run_experiment(cfg)
+    assert len(rows) == 3 * 8 * len(cfg.n_v) * len(cfg.snr_db)
+    assert len(calls) == len(cfg.n_v) * len(cfg.snr_db)
 
 
 # ------------------------------------------------------------------ config

@@ -8,7 +8,6 @@ from svamsim.sensing import (
     MeasurementHistory,
     SegmentMeasurement,
     SvamConfig,
-    benchmark_combiner,
     measure_segment,
     svam_combiner,
 )
@@ -95,18 +94,6 @@ class TestSvamCombiner:
         bf = design_beamformer(BeamSpec(0.25, 0.5), cfg.combiner_length)
         w = svam_combiner(bf, 2, cfg)
         np.testing.assert_allclose(w[2:], bf.weights)
-
-
-class TestBenchmarkCombiner:
-    def test_constant_within_block(self):
-        f = random_unit(6, 7)
-        outs = [benchmark_combiner(f, snap, 3) for snap in range(3)]
-        for w in outs:
-            np.testing.assert_allclose(w, f)
-
-    def test_unit_norm_enforced(self):
-        with pytest.raises(ValueError):
-            benchmark_combiner(2.0 * random_unit(4, 8), 0, 2)
 
 
 class TestMeasureSegment:
