@@ -12,11 +12,21 @@ Two controllers share the measurement/inference loop:
   per-snapshot Bayes update drives codeword selection by posterior
   matching (the node whose mass is closest to 1/2), with the codeword
   either slid across the aperture as a sub-beam or repeated at full
-  aperture for the block.
+  aperture for the block. It too advances a whole batch of trials in
+  lockstep.
+
+Both loops draw each trial's noise from that trial's own generator, one
+block at a time, in the order a lone run of the trial would, so a batch
+row reproduces the lone trial bit for bit. The inference takes the whole
+batch at once and checks every row; one bad row rejects the batch. Only
+the flexible and hierarchical controller steps of run_alignment still run
+trial by trial; posterior matching picks all trials' codewords from one
+table of node masses.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,13 +41,7 @@ from .beams import (
     build_hierarchical_codebook,
     design_beamformer,
 )
-from .channel import (
-    ChannelParams,
-    antenna_blocks,
-    antenna_snapshot,
-    combine,
-    noiseless_snapshot,
-)
+from .channel import ChannelParams, antenna_blocks, combine, noiseless_snapshot
 from .inference import (
     alpha_posterior,
     approx_log_likelihood,
@@ -51,7 +55,6 @@ from .sensing import (
     SegmentMeasurement,
     SvamConfig,
     block_combiners,
-    svam_combiner,
 )
 
 # Noiseless channels are allowed as a sentinel (infinite SNR); the Gaussian
@@ -96,8 +99,10 @@ class AdaptConfig:
             raise ValueError("confidence threshold must lie in (0, 1)")
         if self.codebook not in CODEBOOK_MODES:
             raise ValueError(f"unknown codebook mode {self.codebook!r}")
-        if self.noise_scale <= 0:
-            raise ValueError("noise scale must be positive")
+        if not (0.0 < self.noise_scale < math.inf):  # NaN compares false
+            raise ValueError(
+                f"noise scale must be positive and finite, got {self.noise_scale}"
+            )
         if self.hier_start_offset < 0:
             raise ValueError("start offset must be nonnegative")
         bw = self.beamwidth_initial
@@ -257,27 +262,51 @@ def node_mass(pmf: np.ndarray, node: HierNode, grid_size: int) -> float:
     return float(np.sum(pmf[node.index * per_node : (node.index + 1) * per_node]))
 
 
-def select_codeword_posterior_matching(
-    pmf: np.ndarray, codebook: HierarchicalCodebook, grid_size: int
-) -> HierNode:
-    """Known-gain codeword rule: walk down the larger-mass child while the
-    mass stays at least 1/2, then choose between the deepest such node and
-    its better child whichever mass is closer to 1/2."""
-    level, k = 0, 0
-    mass = 1.0
-    while level < codebook.depth:
-        left = HierNode(level + 1, 2 * k)
-        right = HierNode(level + 1, 2 * k + 1)
-        lm = node_mass(pmf, left, grid_size)
-        rm = node_mass(pmf, right, grid_size)
-        child, child_mass = (left, lm) if lm >= rm else (right, rm)
-        if child_mass >= 0.5:
-            level, k, mass = child.level, child.index, child_mass
-            continue
-        if abs(child_mass - 0.5) < abs(mass - 0.5):
-            return child
-        return HierNode(level, k)
-    return HierNode(level, k)
+def node_masses(pmf: np.ndarray, depth: int) -> list[np.ndarray]:
+    """Posterior mass of every dyadic node from the root down to depth.
+
+    Entry l holds the 2**l masses of level l: (trials, 2**l) for a
+    (trials, grid) stack of pmfs. Each is the sum of the node's contiguous
+    pmf slice, taken the way node_mass takes it, so the two agree to the bit.
+    """
+    pmf = np.asarray(pmf, dtype=float)
+    if depth < 0 or pmf.shape[-1] % 2**depth:
+        raise ValueError("grid does not tile the node's level")
+    lead = pmf.shape[:-1]
+    return [
+        pmf.reshape(lead + (2**level, -1)).sum(axis=-1) for level in range(depth + 1)
+    ]
+
+
+def select_codeword_posterior_matching(masses: Sequence[np.ndarray]) -> list[HierNode]:
+    """Known-gain codeword rule, one node per trial: walk down the
+    larger-mass child while the mass stays at least 1/2, then choose between
+    the deepest such node and its better child whichever mass is closer to
+    1/2. masses is node_masses of a (trials, grid) pmf stack; the codebook
+    depth is len(masses) - 1."""
+    count = len(masses[0])
+    if any(np.shape(m) != (count, 2**level) for level, m in enumerate(masses)):
+        raise ValueError("need a (trials, 2**level) mass table per level")
+    rows = np.arange(count)
+    level = np.zeros(count, dtype=int)
+    index = np.zeros(count, dtype=int)
+    mass = np.ones(count)
+    walking = np.ones(count, dtype=bool)
+    for depth, below in enumerate(masses[1:], start=1):
+        left, right = below[rows, 2 * index], below[rows, 2 * index + 1]
+        take_left = left >= right
+        child = np.where(take_left, 2 * index, 2 * index + 1)
+        child_mass = np.where(take_left, left, right)
+        descend = walking & (child_mass >= 0.5)
+        # a walk that stops here still ends on the child if it is closer
+        moved = descend | (
+            walking & ~descend & (np.abs(child_mass - 0.5) < np.abs(mass - 0.5))
+        )
+        level[moved] = depth
+        index[moved] = child[moved]
+        mass[descend] = child_mass[descend]
+        walking = descend
+    return [HierNode(int(l), int(k)) for l, k in zip(level, index)]
 
 
 def _inference_noise(config: AdaptConfig, channel: ChannelParams) -> float:
@@ -390,63 +419,101 @@ def run_alignment(
 
 def run_hiepm_known_alpha(
     config: AdaptConfig,
-    channel: ChannelParams,
+    channels: Sequence[ChannelParams],
+    rngs: Sequence[np.random.Generator],
     codebook: HierarchicalCodebook,
-    rng: np.random.Generator,
     mode: str = "svam",
-    trial_index: int = 0,
-) -> TrialRecord:
-    """Known-gain hierarchical alignment over all snapshot blocks.
+) -> list[TrialRecord]:
+    """Known-gain hierarchical alignment of a batch of trials over all
+    snapshot blocks.
 
     mode "svam" slides a length-m codeword across the aperture within each
     block; mode "repeat" uses a full-length codeword for the whole block.
     With a block size of one the two are the same controller. The codebook
     passed in must match the codeword length of the chosen mode.
+
+    The trials advance in lockstep. Trial i observes channels[i] and draws
+    only from rngs[i], one noise block per segment, in the order a lone run
+    of that trial would. The Bayes update still runs once per snapshot, in
+    time order, but for the whole batch at once: each row of the
+    (trials, grid) posterior is the lone trial's, and every input check
+    applies to each row. Posterior matching then picks one codeword per
+    trial from the node masses of all trials. A single trial is a batch of
+    one. The trials must share transmit power and noise variance and have a
+    single path each. Records are numbered by their position in the batch.
     """
     if mode not in ("svam", "repeat"):
         raise ValueError(f"unknown combining mode {mode!r}")
-    if len(channel.paths) != 1:
+    count = len(channels)
+    if count < 1 or len(rngs) != count:
+        raise ValueError("need at least one channel and one generator per channel")
+    if any(len(channel.paths) != 1 for channel in channels):
         raise ValueError("known-gain controller assumes a single path")
+    power, channel_noise = channels[0].power, channels[0].noise_variance
+    if any(c.power != power or c.noise_variance != channel_noise for c in channels):
+        raise ValueError("trials of one batch must share power and noise variance")
     grid = AngularGrid(config.roi, config.grid_size)
     svam_cfg = config.svam()
-    noise_var = _inference_noise(config, channel)
-    alpha, truth = channel.paths[0]
+    noise_var = _inference_noise(config, channels[0])
+    alphas = np.array([channel.paths[0][0] for channel in channels])
+    truths = [channel.paths[0][1] for channel in channels]
     expected_taps = svam_cfg.combiner_length if mode == "svam" else config.n
     if codebook.node(0, 0).beamformer.size != expected_taps:
         raise ValueError(
             f"codebook carries {codebook.node(0, 0).beamformer.size}-tap beams, "
             f"mode {mode!r} needs {expected_taps}"
         )
+    signals = np.stack([noiseless_snapshot(channel, config.n) for channel in channels])
+    manifold = grid.manifold(config.n)
 
-    pmf = np.full(grid.size, 1.0 / grid.size)
-    node = select_codeword_posterior_matching(pmf, codebook, grid.size)
-    logs: list[SegmentLog] = []
-    for snap in range(config.total_snapshots):
-        codeword = codebook.node(node.level, node.index).beamformer
+    def block_rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # one block's full-length combiners and, by the product a lone
+        # update takes, each combiner's response over the grid
         if mode == "svam":
-            w = svam_combiner(codeword, snap, svam_cfg)
+            rows = block_combiners(weights, svam_cfg)
         else:
-            w = codeword.weights
-        x = antenna_snapshot(channel, config.n, rng)
-        y = combine(w, x)
-        pmf = known_alpha_posterior(
-            pmf, y, w, alpha, grid, channel.power, noise_var
-        )
-        if (snap + 1) % config.n_v == 0:
-            logs.append(
+            rows = np.tile(weights, (config.n_v, 1))
+        return rows, np.stack([row.conj() @ manifold for row in rows])
+
+    blocks = BeamCache(block_rows)
+    gains = [BeamCache(lambda w, u=u: abs(beam_gain(w, u)) ** 2) for u in truths]
+    pmf = np.full((count, grid.size), 1.0 / grid.size)
+    nodes = select_codeword_posterior_matching(node_masses(pmf, codebook.depth))
+    logs: list[list[SegmentLog]] = [[] for _ in range(count)]
+    for t in range(config.segments):
+        codewords = [codebook.node(nd.level, nd.index).beamformer for nd in nodes]
+        cached = [blocks(codeword) for codeword in codewords]
+        combiners = np.stack([rows for rows, _ in cached])
+        responses = np.stack([response for _, response in cached])
+        x = antenna_blocks(signals, channel_noise, rngs, config.n_v)
+        # one vdot per row, and one update per snapshot in time order:
+        # merging a block's log-likelihoods would round differently
+        values = combine(combiners, x)
+        for r in range(config.n_v):
+            pmf = known_alpha_posterior(
+                pmf, values[:, r], combiners[:, r], alphas, grid, power, noise_var,
+                response=responses[:, r],
+            )
+        masses = node_masses(pmf, codebook.depth)
+        modes = np.argmax(pmf, axis=-1)
+        for i, (node, codeword) in enumerate(zip(nodes, codewords)):
+            logs[i].append(
                 SegmentLog(
                     beam=codeword.spec,
-                    gain_at_truth=abs(beam_gain(codeword, truth)) ** 2,
-                    mode_index=int(np.argmax(pmf)),
-                    peak_prob=node_mass(pmf, node, grid.size),
+                    gain_at_truth=gains[i](codeword),
+                    mode_index=int(modes[i]),
+                    peak_prob=float(masses[node.level][i, node.index]),
                 )
             )
-            if snap + 1 < config.total_snapshots:
-                node = select_codeword_posterior_matching(pmf, codebook, grid.size)
+        if t < config.segments - 1:
+            nodes = select_codeword_posterior_matching(masses)
 
-    return TrialRecord(
-        trial_index=trial_index,
-        true_angle=truth,
-        estimate=float(grid.points[int(np.argmax(pmf))]),
-        segments=tuple(logs),
-    )
+    return [
+        TrialRecord(
+            trial_index=index,
+            true_angle=truth,
+            estimate=float(grid.points[mode_index]),
+            segments=tuple(log),
+        )
+        for index, (truth, mode_index, log) in enumerate(zip(truths, modes, logs))
+    ]

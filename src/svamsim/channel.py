@@ -19,10 +19,13 @@ class ChannelParams:
     noise_variance: float
 
     def __post_init__(self) -> None:
-        if self.power < 0:
-            raise ValueError("power must be nonnegative")
-        if self.noise_variance < 0:
-            raise ValueError("noise variance must be nonnegative")
+        # written so that NaN, which compares false, is rejected too
+        if not self.power >= 0:
+            raise ValueError(f"power must be nonnegative, got {self.power}")
+        if not self.noise_variance >= 0:
+            raise ValueError(
+                f"noise variance must be nonnegative, got {self.noise_variance}"
+            )
         if len(self.paths) == 0:
             raise ValueError("at least one propagation path is required")
         paths = tuple((complex(a), check_angle(u)) for a, u in self.paths)

@@ -76,8 +76,13 @@ def theta_from_u(u: float) -> float:
 
 
 def noise_variance_from_snr(snr_db: float) -> float:
-    """Per-antenna noise power for unit signal power; +inf SNR means none."""
-    if math.isinf(snr_db) and snr_db > 0:
+    """Per-antenna noise power for unit signal power; +inf SNR means none.
+
+    NaN and -inf dB have no such power and are rejected.
+    """
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"SNR must be finite or +inf dB, got {snr_db}")
+    if snr_db == math.inf:
         return 0.0
     return 10.0 ** (-snr_db / 10.0)
 
@@ -111,6 +116,8 @@ class ExperimentConfig:
         for axis in ("n_v", "snr_db", "p_thresh", "noise_scale"):
             if len(getattr(self, axis)) == 0:
                 raise ValueError(f"sweep axis {axis} is empty")
+        for snr in self.snr_db:
+            noise_variance_from_snr(snr)
         # check every sweep point now so a bad one fails here, not after
         # the points before it have run: a bound point with the bound
         # dispatch's checks, an alignment point by building its AdaptConfig
@@ -221,13 +228,10 @@ def run_hiepm_trials(
     codebook: HierarchicalCodebook,
     mode: str = "svam",
 ) -> list[TrialRecord]:
+    """All trials of one known-gain scheme, advanced together by
+    run_hiepm_known_alpha."""
     rngs, channels = _draw_trials(config, snr_db, trials, seed)
-    return [
-        run_hiepm_known_alpha(
-            config, channel, codebook, rng, mode=mode, trial_index=trial
-        )
-        for trial, (rng, channel) in enumerate(zip(rngs, channels))
-    ]
+    return run_hiepm_known_alpha(config, channels, rngs, codebook, mode=mode)
 
 
 def rmse(estimates, truths) -> float:

@@ -202,31 +202,51 @@ def posterior_pmf(log_likelihood: np.ndarray) -> np.ndarray:
 
 def known_alpha_posterior(
     prior: np.ndarray,
-    y: complex,
+    y: complex | np.ndarray,
     w: np.ndarray,
-    alpha: complex,
+    alpha: complex | np.ndarray,
     grid: AngularGrid,
     power: float,
     noise_var: float,
+    response: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact single-snapshot Bayes update when the path gain is known.
 
     posterior(i) is proportional to prior(i) * CN(y; sqrt(power) * alpha *
     w^H phi(u_i), noise_var); computed in the log domain and renormalized.
+
+    A (trials, grid) prior updates a batch of trials at once: y and alpha
+    then hold one value per trial and w one combiner row per trial, and
+    each row of the result equals that trial's lone update. Every check
+    applies to each row; one bad row rejects the whole batch. response is
+    the rows w^H phi(u_i) over the grid when the caller already holds them
+    (cached per beam); otherwise each row is one product computed here.
     """
     _check_noise(power, noise_var)
     prior = np.asarray(prior, dtype=float)
-    if prior.shape != (grid.size,):
+    if prior.ndim not in (1, 2) or prior.shape[-1] != grid.size:
         raise ValueError("prior length must match the grid")
-    if np.any(prior < 0) or prior.sum() <= 0:
+    batch = prior.shape[:-1]
+    if (prior < 0).any() or (prior.sum(axis=-1) <= 0).any():
         raise ValueError("prior must be a nonnegative vector with mass")
+    y = np.asarray(y)
+    alpha = np.asarray(alpha)
     w = np.asarray(w)
-    norm = np.linalg.norm(w)
-    if norm > 1.0 + 1e-9:
-        raise ValueError(f"combiner norm {norm} exceeds 1")
-    response = w.conj() @ grid.manifold(len(w))
-    predicted = np.sqrt(power) * alpha * response
-    log_lik = -np.abs(y - predicted) ** 2 / noise_var
+    if y.shape != batch or alpha.shape != batch or w.shape[:-1] != batch:
+        raise ValueError("need one measurement, gain and combiner per trial")
+    norm = np.linalg.norm(w, axis=-1)
+    if (norm > 1.0 + 1e-9).any():
+        raise ValueError(f"combiner norm {norm.max()} exceeds 1")
+    if response is None:
+        manifold = grid.manifold(w.shape[-1])
+        response = np.reshape(
+            [row.conj() @ manifold for row in w.reshape(-1, w.shape[-1])],
+            prior.shape,
+        )
+    elif np.shape(response) != prior.shape:
+        raise ValueError("need one response row per trial over the grid")
+    predicted = (np.sqrt(power) * alpha)[..., None] * response
+    log_lik = -np.abs(y[..., None] - predicted) ** 2 / noise_var
     with np.errstate(divide="ignore"):
         log_post = np.log(prior) + log_lik
     return posterior_pmf(log_post)

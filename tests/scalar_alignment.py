@@ -1,11 +1,13 @@
-"""Test oracle: the one-trial-at-a-time unknown-gain loop.
+"""Test oracles: the one-trial-at-a-time unknown-gain and known-gain loops.
 
-This is the alignment loop as it ran before trials advanced in lockstep:
-every snapshot is synthesized and combined on its own, the running
-statistics live in a one-trial history that computes each response row
-afresh, and the inference and controller functions are called once per
-trial and block. The batched run_alignment must reproduce its records
-exactly, field by field.
+These are the loops as they ran before trials advanced in lockstep. In the
+unknown-gain loop every snapshot is synthesized and combined on its own,
+the running statistics live in a one-trial history that computes each
+response row afresh, and the inference and controller functions are called
+once per trial and block. The known-gain loop (at the end) takes one
+trial's Bayes update and posterior matching snapshot by snapshot. The
+batched run_alignment and run_hiepm_known_alpha must reproduce their
+records exactly, field by field.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 
 from svamsim.adaptive import (
     AdaptConfig,
+    HierNode,
     SegmentLog,
     TrialRecord,
     hier_beam_search,
@@ -141,6 +144,88 @@ def run_alignment_scalar(
                 level = nxt.level
             else:
                 bw_current = spec.beamwidth
+
+    return TrialRecord(
+        trial_index=trial_index,
+        true_angle=truth,
+        estimate=float(grid.points[int(np.argmax(pmf))]),
+        segments=tuple(logs),
+    )
+
+
+# ------------------------------------------------------------ known gain
+#
+# The known-gain hiePM loop as it ran before trials advanced in lockstep:
+# one snapshot per step, with the one-trial Bayes update and posterior
+# matching read node by node through node_mass.
+
+
+def known_alpha_update(prior, y, w, alpha, grid, power, noise_var) -> np.ndarray:
+    """One trial's exact single-snapshot Bayes update."""
+    response = w.conj() @ grid.manifold(len(w))
+    predicted = np.sqrt(power) * alpha * response
+    log_lik = -np.abs(y - predicted) ** 2 / noise_var
+    with np.errstate(divide="ignore"):
+        log_post = np.log(prior) + log_lik
+    return posterior_pmf(log_post)
+
+
+def select_codeword_scalar(
+    pmf: np.ndarray, codebook: HierarchicalCodebook, grid_size: int
+) -> HierNode:
+    level, k = 0, 0
+    mass = 1.0
+    while level < codebook.depth:
+        left = HierNode(level + 1, 2 * k)
+        right = HierNode(level + 1, 2 * k + 1)
+        lm = node_mass(pmf, left, grid_size)
+        rm = node_mass(pmf, right, grid_size)
+        child, child_mass = (left, lm) if lm >= rm else (right, rm)
+        if child_mass >= 0.5:
+            level, k, mass = child.level, child.index, child_mass
+            continue
+        if abs(child_mass - 0.5) < abs(mass - 0.5):
+            return child
+        return HierNode(level, k)
+    return HierNode(level, k)
+
+
+def run_hiepm_scalar(
+    config: AdaptConfig,
+    channel: ChannelParams,
+    codebook: HierarchicalCodebook,
+    rng: np.random.Generator,
+    mode: str = "svam",
+    trial_index: int = 0,
+) -> TrialRecord:
+    grid = AngularGrid(config.roi, config.grid_size)
+    svam_cfg = config.svam()
+    noise_var = max(config.noise_scale * channel.noise_variance, NOISELESS_VAR_FLOOR)
+    alpha, truth = channel.paths[0]
+
+    pmf = np.full(grid.size, 1.0 / grid.size)
+    node = select_codeword_scalar(pmf, codebook, grid.size)
+    logs: list[SegmentLog] = []
+    for snap in range(config.total_snapshots):
+        codeword = codebook.node(node.level, node.index).beamformer
+        if mode == "svam":
+            w = svam_combiner(codeword, snap, svam_cfg)
+        else:
+            w = codeword.weights
+        x = antenna_snapshot(channel, config.n, rng)
+        y = combine(w, x)
+        pmf = known_alpha_update(pmf, y, w, alpha, grid, channel.power, noise_var)
+        if (snap + 1) % config.n_v == 0:
+            logs.append(
+                SegmentLog(
+                    beam=codeword.spec,
+                    gain_at_truth=abs(beam_gain(codeword, truth)) ** 2,
+                    mode_index=int(np.argmax(pmf)),
+                    peak_prob=node_mass(pmf, node, grid.size),
+                )
+            )
+            if snap + 1 < config.total_snapshots:
+                node = select_codeword_scalar(pmf, codebook, grid.size)
 
     return TrialRecord(
         trial_index=trial_index,

@@ -10,6 +10,7 @@ from svamsim.adaptive import (
     cumul_peak,
     hier_beam_search,
     node_mass,
+    node_masses,
     run_alignment,
     run_hiepm_known_alpha,
     select_codeword_posterior_matching,
@@ -169,33 +170,34 @@ def test_hier_search_rejects_uneven_grid():
 
 # ---------------------------------------- posterior-matching codeword choice
 
-CODEBOOK_8 = build_hierarchical_codebook(ROI, 3, 8, grid_size=8)
+DEPTH_8 = 3  # dyadic levels over an 8-point grid
 
 
 def test_matching_walks_to_leaf_on_delta():
     pmf = np.zeros(8)
     pmf[4] = 1.0
-    node = select_codeword_posterior_matching(pmf, CODEBOOK_8, 8)
+    (node,) = select_codeword_posterior_matching(node_masses(pmf[None], DEPTH_8))
     assert node == HierNode(3, 4)
 
 
 def test_matching_keeps_node_closer_to_half():
     # right half holds 0.52 (close to 1/2); its children hold 0.22 and 0.3
     pmf = np.array([0.48, 0.0, 0.0, 0.0, 0.22, 0.0, 0.3, 0.0])
-    node = select_codeword_posterior_matching(pmf, CODEBOOK_8, 8)
+    (node,) = select_codeword_posterior_matching(node_masses(pmf[None], DEPTH_8))
     assert node == HierNode(1, 1)
     assert node_mass(pmf, node, 8) == pytest.approx(0.52)
 
 
 def test_matching_takes_child_closer_to_half():
     pmf = np.array([0.25, 0.24, 0.03, 0.0, 0.48, 0.0, 0.0, 0.0])
-    node = select_codeword_posterior_matching(pmf, CODEBOOK_8, 8)
+    (node,) = select_codeword_posterior_matching(node_masses(pmf[None], DEPTH_8))
     assert node == HierNode(2, 0)
     assert node_mass(pmf, node, 8) == pytest.approx(0.49)
 
 
 def test_matching_uniform_picks_half_region():
-    node = select_codeword_posterior_matching(np.full(8, 1 / 8), CODEBOOK_8, 8)
+    uniform = np.full((1, 8), 1 / 8)
+    (node,) = select_codeword_posterior_matching(node_masses(uniform, DEPTH_8))
     assert node.level == 1
 
 
@@ -238,8 +240,13 @@ def test_config_validation():
         dict(grid_size=0),
         dict(codebook_depth=-1),
         dict(codebook_depth=-1, codebook="hierarchical"),
+        dict(noise_scale=float("nan")),
+        dict(noise_scale=float("inf")),
     ],
-    ids=["n_v_beyond_aperture", "empty_grid", "negative_depth", "negative_depth_hier"],
+    ids=[
+        "n_v_beyond_aperture", "empty_grid", "negative_depth", "negative_depth_hier",
+        "noise_scale_nan", "noise_scale_inf",
+    ],
 )
 def test_config_rejects_unrunnable_sizes(overrides):
     # each used to be accepted and fail only once a run started, or never
@@ -294,7 +301,7 @@ def test_hiepm_noiseless_recovery():
     truth = float(grid.points[6])
     chan = ChannelParams.single_path(np.exp(-0.7j), truth)
     book = build_hierarchical_codebook(ROI, 4, 16, grid_size=16)
-    rec = run_hiepm_known_alpha(cfg, chan, book, np.random.default_rng(0))
+    (rec,) = run_hiepm_known_alpha(cfg, [chan], [np.random.default_rng(0)], book)
     assert rec.estimate == truth
     assert len(rec.segments) == 12
 
@@ -304,8 +311,12 @@ def test_hiepm_block_size_one_makes_modes_agree():
     cfg = make_config(n_v=1, total_snapshots=8)
     chan = ChannelParams.single_path(1.0, 0.37, noise_variance=0.3)
     book = build_hierarchical_codebook(ROI, 4, 16, grid_size=16)
-    rec_a = run_hiepm_known_alpha(cfg, chan, book, np.random.default_rng(5), "svam")
-    rec_b = run_hiepm_known_alpha(cfg, chan, book, np.random.default_rng(5), "repeat")
+    rec_a = run_hiepm_known_alpha(
+        cfg, [chan], [np.random.default_rng(5)], book, "svam"
+    )
+    rec_b = run_hiepm_known_alpha(
+        cfg, [chan], [np.random.default_rng(5)], book, "repeat"
+    )
     assert rec_a == rec_b
 
 
@@ -316,13 +327,13 @@ def test_hiepm_validations():
     chan = ChannelParams.single_path(1.0, 0.4)
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):  # svam needs 13-tap codewords here
-        run_hiepm_known_alpha(cfg, chan, book_16, rng, "svam")
+        run_hiepm_known_alpha(cfg, [chan], [rng], book_16, "svam")
     with pytest.raises(ValueError):  # repeat needs full-length codewords
-        run_hiepm_known_alpha(cfg, chan, book_13, rng, "repeat")
+        run_hiepm_known_alpha(cfg, [chan], [rng], book_13, "repeat")
     with pytest.raises(ValueError):
-        run_hiepm_known_alpha(cfg, chan, book_13, rng, "sideways")
+        run_hiepm_known_alpha(cfg, [chan], [rng], book_13, "sideways")
     two_paths = ChannelParams(
         power=1.0, paths=((1.0, 0.2), (0.5, 0.8)), noise_variance=0.0
     )
     with pytest.raises(ValueError):
-        run_hiepm_known_alpha(cfg, two_paths, book_13, rng, "svam")
+        run_hiepm_known_alpha(cfg, [two_paths], [rng], book_13, "svam")

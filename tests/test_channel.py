@@ -15,6 +15,10 @@ class TestChannelParams:
             ChannelParams(power=1.0, paths=((1.0, 1.0),), noise_variance=0.0)
         with pytest.raises(ValueError):
             ChannelParams(power=1.0, paths=((1.0, 0.0),), noise_variance=-0.1)
+        with pytest.raises(ValueError):
+            ChannelParams(power=np.nan, paths=((1.0, 0.1),), noise_variance=0.5)
+        with pytest.raises(ValueError):
+            ChannelParams(power=1.0, paths=((1.0, 0.1),), noise_variance=np.nan)
 
     def test_single_path_helper(self):
         params = ChannelParams.single_path(1j, 0.25, noise_variance=0.5)

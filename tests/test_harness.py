@@ -71,6 +71,9 @@ def test_snr_mapping():
     assert noise_variance_from_snr(-10.0) == pytest.approx(10.0)
     assert noise_variance_from_snr(20.0) == pytest.approx(0.01)
     assert noise_variance_from_snr(math.inf) == 0.0
+    for meaningless in (math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            noise_variance_from_snr(meaningless)
 
 
 def test_angle_conversions():
@@ -229,13 +232,20 @@ def test_invalid_configs_rejected():
         dict(experiment="crb_sweep", n_v=(2, -4)),
         dict(experiment="crb_sweep", total_snapshots=0),
         dict(experiment="crb_sweep", grid_size=0),
+        dict(snr_db=(math.nan,)),
+        dict(experiment="crb_sweep", snr_db=(math.nan,)),
+        dict(snr_db=(-10.0, -math.inf)),
+        dict(experiment="crb_sweep", snr_db=(-math.inf,)),
+        dict(experiment="noise_mismatch", noise_scale=(1.0, math.nan)),
+        dict(experiment="noise_mismatch", noise_scale=(1.0, math.inf)),
     ],
     ids=[
         "p_thresh", "noise_scale", "codebook", "hier_grid", "compare_grid",
         "n_v_beyond_aperture", "empty_grid",
         *(f"n_v_zero_{kind}" for kind in EXPERIMENT_KINDS),
         "crb_n_v_beyond_aperture", "crb_noiseless", "crb_negative_n_v",
-        "crb_no_snapshots", "crb_empty_grid",
+        "crb_no_snapshots", "crb_empty_grid", "snr_nan", "crb_snr_nan",
+        "snr_minus_inf", "crb_snr_minus_inf", "noise_scale_nan", "noise_scale_inf",
     ],
 )
 def test_bad_sweep_point_fails_at_construction(overrides):

@@ -1,28 +1,50 @@
-"""Lockstep trials: the batched alignment loop against the one-trial oracle,
-block noise against single snapshots, and per-row validation."""
+"""Lockstep trials: the batched alignment and known-gain hiePM loops against
+their one-trial oracles, block noise against single snapshots, and per-row
+validation."""
 
+import functools
 import gc
 import math
+import types
 import weakref
 
 import numpy as np
 import pytest
 
-from scalar_alignment import run_alignment_scalar
-from svamsim.adaptive import AdaptConfig, run_alignment
+from scalar_alignment import (
+    known_alpha_update,
+    run_alignment_scalar,
+    run_hiepm_scalar,
+    select_codeword_scalar,
+)
+from svamsim.adaptive import (
+    AdaptConfig,
+    HierNode,
+    node_mass,
+    node_masses,
+    run_alignment,
+    run_hiepm_known_alpha,
+    select_codeword_posterior_matching,
+)
 from svamsim.arrays import AngularGrid, RegionOfInterest
-from svamsim.beams import BeamSpec, design_beamformer
+from svamsim.beams import BeamSpec, build_hierarchical_codebook, design_beamformer
 from svamsim.channel import (
     ChannelParams,
     antenna_blocks,
     antenna_snapshot,
     noiseless_snapshot,
 )
-from svamsim.harness import draw_channel, noise_variance_from_snr, trial_generator
+from svamsim.harness import (
+    draw_channel,
+    noise_variance_from_snr,
+    run_hiepm_trials,
+    trial_generator,
+)
 from svamsim.inference import (
     alpha_posterior,
     approx_log_likelihood,
     gamma_mle,
+    known_alpha_posterior,
     posterior_pmf,
 )
 from svamsim.sensing import (
@@ -82,6 +104,10 @@ def assert_matches_oracle(cfg: AdaptConfig, channels, seed: int = 0) -> None:
         run_alignment_scalar(cfg, channel, rng, trial_index=trial)
         for trial, (channel, rng) in enumerate(zip(channels, generators()))
     ]
+    assert_same_records(batched, lone)
+
+
+def assert_same_records(batched, lone) -> None:
     assert len(batched) == len(lone)
     for got, want in zip(batched, lone):
         assert got.trial_index == want.trial_index
@@ -127,6 +153,157 @@ def test_batch_rejects_mismatched_inputs():
         run_alignment(cfg, [chan, chan], [rng(0)])
     with pytest.raises(ValueError):
         run_alignment(cfg, [chan, quieter], [rng(0), rng(1)])
+
+
+# --------------------------------------------------------- known-gain hiePM
+
+
+@functools.cache
+def hiepm_codebook(taps: int):
+    return build_hierarchical_codebook(ROI, 4, taps, grid_size=16)
+
+
+def hiepm_config(n_v: int) -> AdaptConfig:
+    """A 20-snapshot run, which every block size below divides."""
+    return config(codebook="hierarchical", n_v=n_v, total_snapshots=20)
+
+
+def book_for(cfg: AdaptConfig, mode: str):
+    return hiepm_codebook(cfg.svam().combiner_length if mode == "svam" else cfg.n)
+
+
+@pytest.mark.parametrize("snr_db", [-10.0, math.inf])
+@pytest.mark.parametrize("n_v", [1, 2, 5])
+@pytest.mark.parametrize("mode", ["svam", "repeat"])
+def test_hiepm_lockstep_matches_scalar_oracle(mode, n_v, snr_db):
+    cfg = hiepm_config(n_v)
+    book = book_for(cfg, mode)
+    channels = single_path_trials(cfg, snr_db, seed=3)
+
+    def generators():
+        return [np.random.default_rng((7, trial)) for trial in range(len(channels))]
+
+    batched = run_hiepm_known_alpha(cfg, channels, generators(), book, mode)
+    lone = [
+        run_hiepm_scalar(cfg, channel, book, rng, mode, trial_index=trial)
+        for trial, (channel, rng) in enumerate(zip(channels, generators()))
+    ]
+    assert_same_records(batched, lone)
+
+
+@pytest.mark.parametrize("mode", ["svam", "repeat"])
+def test_hiepm_batch_keeps_each_trial_stream(mode):
+    # a 3-trial batch equals the head of a 7-trial batch
+    cfg = hiepm_config(2)
+    book = book_for(cfg, mode)
+    few = run_hiepm_trials(cfg, -5.0, 3, 11, book, mode)
+    many = run_hiepm_trials(cfg, -5.0, 7, 11, book, mode)
+    assert len(few) == 3 and len(many) == 7
+    assert_same_records(many[:3], few)
+
+
+def test_hiepm_batch_rejects_mismatched_inputs():
+    cfg = hiepm_config(2)
+    book = book_for(cfg, "svam")
+    chan = ChannelParams.single_path(1.0, 0.25, noise_variance=0.5)
+    quieter = ChannelParams.single_path(1.0, 0.25, noise_variance=0.1)
+    two_paths = ChannelParams(1.0, ((1.0, 0.2), (0.5, 0.8)), 0.5)
+    rng = np.random.default_rng
+    with pytest.raises(ValueError):
+        run_hiepm_known_alpha(cfg, [], [], book)
+    with pytest.raises(ValueError):
+        run_hiepm_known_alpha(cfg, [chan, chan], [rng(0)], book)
+    with pytest.raises(ValueError):
+        run_hiepm_known_alpha(cfg, [chan, quieter], [rng(0), rng(1)], book)
+    with pytest.raises(ValueError):  # one multipath trial spoils the batch
+        run_hiepm_known_alpha(cfg, [chan, two_paths], [rng(0), rng(1)], book)
+
+
+def _known_alpha_batch(trials=4, n=10, grid_size=16, seed=8):
+    rng = np.random.default_rng(seed)
+    prior = rng.random((trials, grid_size)) ** 3
+    prior[1, 3] = 0.0  # a ruled-out candidate stays ruled out
+    prior /= prior.sum(axis=-1, keepdims=True)
+    w = rng.standard_normal((trials, n)) + 1j * rng.standard_normal((trials, n))
+    w *= 0.9 / np.linalg.norm(w, axis=-1, keepdims=True)
+    y = rng.standard_normal(trials) + 1j * rng.standard_normal(trials)
+    alpha = np.exp(2j * np.pi * rng.random(trials))
+    return prior, y, w, alpha, AngularGrid(ROI, grid_size)
+
+
+def test_batched_known_alpha_rows_equal_lone_updates():
+    prior, y, w, alpha, grid = _known_alpha_batch()
+    manifold = grid.manifold(w.shape[-1])
+    response = np.stack([row.conj() @ manifold for row in w])
+    batch = known_alpha_posterior(prior, y, w, alpha, grid, 2.0, 0.3)
+    cached = known_alpha_posterior(
+        prior, y, w, alpha, grid, 2.0, 0.3, response=response
+    )
+    for i in range(len(prior)):
+        args = (prior[i], complex(y[i]), w[i], complex(alpha[i]), grid, 2.0, 0.3)
+        lone = known_alpha_posterior(*args)
+        np.testing.assert_array_equal(lone, known_alpha_update(*args))
+        np.testing.assert_array_equal(batch[i], lone)
+        np.testing.assert_array_equal(cached[i], lone)
+    assert batch[1, 3] == 0.0
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    ["negative_prior", "massless_prior", "norm_above_one", "short_y",
+     "response_shape", "prior_length"],
+)
+def test_known_alpha_batch_rejects_any_bad_row(spoil):
+    prior, y, w, alpha, grid = _known_alpha_batch()
+    response = None
+    if spoil == "negative_prior":
+        prior[2, 5] = -0.01
+    elif spoil == "massless_prior":
+        prior[2] = 0.0
+    elif spoil == "norm_above_one":
+        w[2] *= 1.2 / np.linalg.norm(w[2])
+    elif spoil == "short_y":
+        y = y[:-1]
+    elif spoil == "response_shape":
+        response = np.zeros((len(prior), grid.size + 1), dtype=complex)
+    else:
+        prior = prior[:, :-1]
+    with pytest.raises(ValueError):
+        known_alpha_posterior(
+            prior, y, w, alpha, grid, 2.0, 0.3, response=response
+        )
+
+
+def _peaky_pmfs(grid_size=64, seed=4):
+    rng = np.random.default_rng(seed)
+    pmfs = [np.full(grid_size, 1.0 / grid_size), np.eye(grid_size)[37]]
+    for power in (1, 4, 12, 40):
+        p = rng.random(grid_size) ** power
+        pmfs.append(p / p.sum())
+    return np.stack(pmfs)
+
+
+def test_node_masses_equal_node_mass_bit_for_bit():
+    pmf = _peaky_pmfs()
+    masses = node_masses(pmf, 6)
+    assert len(masses) == 7
+    for level, table in enumerate(masses):
+        assert table.shape == (len(pmf), 2**level)
+        for i, row in enumerate(pmf):
+            for k in range(2**level):
+                assert table[i, k] == node_mass(row, HierNode(level, k), 64)
+    with pytest.raises(ValueError):  # 12 points do not split into 8 nodes
+        node_masses(np.full((1, 12), 1 / 12), 3)
+
+
+def test_batched_matching_equals_scalar_rule():
+    pmf = _peaky_pmfs()
+    depth_6 = types.SimpleNamespace(depth=6)
+    want = [select_codeword_scalar(row, depth_6, 64) for row in pmf]
+    assert select_codeword_posterior_matching(node_masses(pmf, 6)) == want
+    assert len({node.level for node in want}) > 2  # walks of several lengths
+    with pytest.raises(ValueError):  # a level table of the wrong width
+        select_codeword_posterior_matching([np.ones((2, 1)), np.ones((2, 3))])
 
 
 # ------------------------------------------------------------ block noise
