@@ -99,31 +99,6 @@ def manifold_matrix(n: int, us: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.pi * np.outer(np.arange(n), us))
 
 
-def manifold_complement_and_projector(m: int, u: float) -> tuple[np.ndarray, np.ndarray]:
-    """Centered-derivative companion of the steering vector and the projector
-    onto the plane it spans with the steering vector itself.
-
-    The companion vector has entries (k - (m-1)/2) * exp(j*pi*k*u); it is
-    orthogonal to the steering vector, carries squared norm m*(m^2-1)/12,
-    and satisfies
-
-        d(phi_m)/du = j*pi*((m-1)/2 * phi_m + companion).
-
-    Requires m >= 2 (a single element has no usable derivative direction).
-    """
-    m = _check_size(m)
-    if m < 2:
-        raise ValueError("derivative decomposition needs at least 2 elements")
-    phi = ula_manifold(m, u)
-    offsets = np.arange(m) - (m - 1) / 2.0
-    companion = offsets * phi
-    # Orthogonal pair, so the projector splits into two rank-one terms.
-    proj = np.outer(phi, phi.conj()) / m
-    proj += np.outer(companion, companion.conj()) * (12.0 / (m * (m * m - 1)))
-    proj = 0.5 * (proj + proj.conj().T)
-    return companion, proj
-
-
 class AngularGrid:
     """Uniform grid of candidate angles tiling a region of interest.
 

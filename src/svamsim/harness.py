@@ -356,7 +356,8 @@ def _scheme_bounds(
     snr_db: float,
     beam: BeamSpec | None = None,
 ) -> tuple[np.ndarray, list[CrbResult]]:
-    """The scheme's repeated-beam bank and its bound at every grid point.
+    """The scheme's repeated-beam bank and its bound at every grid point,
+    from one bound call over the whole grid.
 
     The bank is designed once: full-aperture taps for benchmark,
     sub-aperture taps otherwise. general and unknown-alpha work on the
@@ -370,15 +371,14 @@ def _scheme_bounds(
         beam = BeamSpec(grid.roi.center, grid.roi.width)
     m = n if scheme == "benchmark" else SvamConfig(n=n, n_v=n_v).combiner_length
     bank = region_beam_bank(beam, m, total_snapshots // n_v)
-    us = [float(u) for u in grid.points]
     if scheme == "svam":
-        bounds = [crb_svam(bank, n_v, u, 1.0, 1.0, noise_var) for u in us]
+        bounds = crb_svam(bank, n_v, grid.points, 1.0, 1.0, noise_var)
     elif scheme == "benchmark":
-        bounds = [crb_benchmark(bank, n_v, u, 1.0, 1.0, noise_var) for u in us]
+        bounds = crb_benchmark(bank, n_v, grid.points, 1.0, 1.0, noise_var)
     else:
         w = expanded_combiners(bank, n, n_v)
         bound = crb_general if scheme == "general" else crb_unknown_alpha
-        bounds = [bound(w, u, 1.0, 1.0, noise_var) for u in us]
+        bounds = bound(w, grid.points, 1.0, 1.0, noise_var)
     return bank, bounds
 
 
@@ -480,7 +480,10 @@ def crb_table(
     virtual-aperture gain term and its nonnegativity certificate.
     """
     bank, bounds = _scheme_bounds(scheme, n, n_v, total_snapshots, grid, snr_db, beam)
-    svam = scheme == "svam"
+    if scheme == "svam":
+        holds = [h for h, _, _ in gain_condition_sufficient(bank, grid.points)]
+    else:
+        holds = [None] * len(grid)
     return [
         {
             "u": u,
@@ -490,9 +493,9 @@ def crb_table(
             "scheme": scheme,
             "bound": res.bound,
             "g_term": res.gain_term,
-            "condition_holds": gain_condition_sufficient(bank, u)[0] if svam else None,
+            "condition_holds": h,
         }
-        for u, res in zip(map(float, grid.points), bounds)
+        for u, res, h in zip(map(float, grid.points), bounds, holds)
     ]
 
 

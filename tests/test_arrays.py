@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from scalar_bounds import manifold_complement_and_projector
 from svamsim.arrays import (
     AngularGrid,
     RegionOfInterest,
     SlaGeometry,
     check_angle,
-    manifold_complement_and_projector,
     manifold_matrix,
     ula_manifold,
     ula_manifold_derivative,

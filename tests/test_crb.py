@@ -188,7 +188,7 @@ class TestGainCondition:
     def test_orthogonal_bank_sits_on_boundary(self):
         m, u = 9, -0.4
         phi = ula_manifold(m, u)
-        from svamsim.arrays import manifold_complement_and_projector
+        from scalar_bounds import manifold_complement_and_projector
 
         companion, _ = manifold_complement_and_projector(m, u)
         rng = np.random.default_rng(3)

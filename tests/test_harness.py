@@ -327,6 +327,28 @@ def test_crb_table_and_writer(tmp_path):
         crb_table("best", 16, 4, 16, grid, 0.0)
 
 
+def test_svam_table_with_single_tap_combiners(tmp_path):
+    # n_v = n leaves one tap per segment: the derivative vanishes and the
+    # gain term is pi^2 (n_v-1)(2 n_v-1)/6 ||F^H phi||^2, so it is
+    # nonnegative and the certificate holds
+    grid = AngularGrid(ROI, 8)
+    rows = crb_table("svam", 16, 16, 32, grid, 0.0)
+    expected_g = np.pi**2 * 15 * 31 / 6.0 * 2  # two unit-modulus taps
+    assert all(r["condition_holds"] is True for r in rows)
+    assert all(r["g_term"] == pytest.approx(expected_g, rel=1e-12) for r in rows)
+    assert all(math.isfinite(r["bound"]) and r["bound"] > 0 for r in rows)
+    out = tmp_path / "crb.csv"
+    code = cli_main(
+        ["crb", "--scheme", "svam", "--n", "16", "--nv", "16", "--snapshots", "32",
+         "--grid", "8", "--out", str(out)]
+    )
+    assert code == 0
+    with open(out) as fh:
+        parsed = list(csv.DictReader(fh))
+    assert len(parsed) == 8
+    assert all(r["condition_holds"] == "true" and float(r["g_term"]) >= 0 for r in parsed)
+
+
 @pytest.mark.parametrize("scheme", CRB_SCHEMES)
 @pytest.mark.parametrize(
     "n_v, total_snapshots", [(0, 16), (4, 0)], ids=["n_v_zero", "no_snapshots"]
