@@ -110,6 +110,7 @@ class AdaptConfig:
             object.__setattr__(self, "beamwidth_initial", self.roi.width)
         elif bw < self.roi.width:
             raise ValueError("initial beam must cover the region of interest")
+        BeamSpec(self.roi.center, self.beamwidth_initial)  # the first flexible beam
         if self.codebook == "hierarchical" and self.grid_size % 2 ** self.depth():
             raise ValueError(
                 f"grid size {self.grid_size} cannot resolve "
@@ -313,6 +314,33 @@ def _inference_noise(config: AdaptConfig, channel: ChannelParams) -> float:
     return max(config.noise_scale * channel.noise_variance, NOISELESS_VAR_FLOOR)
 
 
+def _batch_inputs(
+    config: AdaptConfig, channels: Sequence[ChannelParams], rngs: Sequence
+) -> tuple[float, float, list[float], np.ndarray, list[BeamCache]]:
+    """Check a batch for one generator per channel and a shared transmit power
+    and noise variance; return those two, each trial's true (first-path)
+    angle, the noiseless snapshots and a |beta(truth)|^2 cache per trial."""
+    if len(channels) < 1 or len(rngs) != len(channels):
+        raise ValueError("need at least one channel and one generator per channel")
+    power, noise = channels[0].power, channels[0].noise_variance
+    if any(c.power != power or c.noise_variance != noise for c in channels):
+        raise ValueError("trials of one batch must share power and noise variance")
+    truths = [channel.paths[0][1] for channel in channels]
+    signals = np.stack([noiseless_snapshot(channel, config.n) for channel in channels])
+    gains = [BeamCache(lambda w, u=u: abs(beam_gain(w, u)) ** 2) for u in truths]
+    return power, noise, truths, signals, gains
+
+
+def _records(
+    grid: AngularGrid, truths: list[float], modes: np.ndarray, logs: list
+) -> list[TrialRecord]:
+    """Records numbered by batch position; each estimate is the final mode."""
+    return [
+        TrialRecord(index, truth, float(grid.points[mode]), tuple(log))
+        for index, (truth, mode, log) in enumerate(zip(truths, modes, logs))
+    ]
+
+
 def run_alignment(
     config: AdaptConfig,
     channels: Sequence[ChannelParams],
@@ -333,17 +361,11 @@ def run_alignment(
     argmax. Records are numbered by their position in the batch.
     """
     count = len(channels)
-    if count < 1 or len(rngs) != count:
-        raise ValueError("need at least one channel and one generator per channel")
-    power, channel_noise = channels[0].power, channels[0].noise_variance
-    if any(c.power != power or c.noise_variance != channel_noise for c in channels):
-        raise ValueError("trials of one batch must share power and noise variance")
+    power, channel_noise, truths, signals, gains = _batch_inputs(config, channels, rngs)
     grid = AngularGrid(config.roi, config.grid_size)
     svam_cfg = config.svam()
     m = svam_cfg.combiner_length
     noise_var = _inference_noise(config, channels[0])
-    truths = [channel.paths[0][1] for channel in channels]
-    signals = np.stack([noiseless_snapshot(channel, config.n) for channel in channels])
 
     hierarchical = config.codebook == "hierarchical"
     if hierarchical:
@@ -360,7 +382,6 @@ def run_alignment(
         ] * count
 
     combiners = BeamCache(lambda w: block_combiners(w, svam_cfg))
-    gains = [BeamCache(lambda w, u=u: abs(beam_gain(w, u)) ** 2) for u in truths]
     history = MeasurementHistory(svam_cfg, trials=count)
     logs: list[list[SegmentLog]] = [[] for _ in range(count)]
     for t in range(config.segments):
@@ -406,15 +427,7 @@ def run_alignment(
                 else:
                     widths[i] = spec.beamwidth
 
-    return [
-        TrialRecord(
-            trial_index=index,
-            true_angle=truth,
-            estimate=float(grid.points[mode]),
-            segments=tuple(log),
-        )
-        for index, (truth, mode, log) in enumerate(zip(truths, modes, logs))
-    ]
+    return _records(grid, truths, modes, logs)
 
 
 def run_hiepm_known_alpha(
@@ -445,25 +458,19 @@ def run_hiepm_known_alpha(
     if mode not in ("svam", "repeat"):
         raise ValueError(f"unknown combining mode {mode!r}")
     count = len(channels)
-    if count < 1 or len(rngs) != count:
-        raise ValueError("need at least one channel and one generator per channel")
+    power, channel_noise, truths, signals, gains = _batch_inputs(config, channels, rngs)
     if any(len(channel.paths) != 1 for channel in channels):
         raise ValueError("known-gain controller assumes a single path")
-    power, channel_noise = channels[0].power, channels[0].noise_variance
-    if any(c.power != power or c.noise_variance != channel_noise for c in channels):
-        raise ValueError("trials of one batch must share power and noise variance")
     grid = AngularGrid(config.roi, config.grid_size)
     svam_cfg = config.svam()
     noise_var = _inference_noise(config, channels[0])
     alphas = np.array([channel.paths[0][0] for channel in channels])
-    truths = [channel.paths[0][1] for channel in channels]
     expected_taps = svam_cfg.combiner_length if mode == "svam" else config.n
     if codebook.node(0, 0).beamformer.size != expected_taps:
         raise ValueError(
             f"codebook carries {codebook.node(0, 0).beamformer.size}-tap beams, "
             f"mode {mode!r} needs {expected_taps}"
         )
-    signals = np.stack([noiseless_snapshot(channel, config.n) for channel in channels])
     manifold = grid.manifold(config.n)
 
     def block_rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -476,7 +483,6 @@ def run_hiepm_known_alpha(
         return rows, np.stack([row.conj() @ manifold for row in rows])
 
     blocks = BeamCache(block_rows)
-    gains = [BeamCache(lambda w, u=u: abs(beam_gain(w, u)) ** 2) for u in truths]
     pmf = np.full((count, grid.size), 1.0 / grid.size)
     nodes = select_codeword_posterior_matching(node_masses(pmf, codebook.depth))
     logs: list[list[SegmentLog]] = [[] for _ in range(count)]
@@ -508,12 +514,4 @@ def run_hiepm_known_alpha(
         if t < config.segments - 1:
             nodes = select_codeword_posterior_matching(masses)
 
-    return [
-        TrialRecord(
-            trial_index=index,
-            true_angle=truth,
-            estimate=float(grid.points[mode_index]),
-            segments=tuple(log),
-        )
-        for index, (truth, mode_index, log) in enumerate(zip(truths, modes, logs))
-    ]
+    return _records(grid, truths, modes, logs)

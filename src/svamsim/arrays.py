@@ -1,4 +1,4 @@
-"""Uniform and sparse linear array geometry and steering vectors.
+"""Uniform linear array steering vectors, angular regions and grids.
 
 Angles are expressed throughout as u = sin(theta) for a half-wavelength
 element spacing, so the spatial frequency of an N-element array sweeps
@@ -50,30 +50,6 @@ class RegionOfInterest:
     @property
     def center(self) -> float:
         return 0.5 * (self.u_left + self.u_right)
-
-
-@dataclass(frozen=True)
-class SlaGeometry:
-    """Sparse linear array on a half-wavelength grid.
-
-    positions are integer element offsets in half wavelengths; the first
-    element anchors the array at zero and positions increase strictly.
-    """
-
-    positions: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        pos = tuple(int(p) for p in self.positions)
-        if len(pos) == 0:
-            raise ValueError("sparse geometry needs at least one element")
-        if pos[0] != 0:
-            raise ValueError("sparse geometry must be anchored at position 0")
-        if any(b <= a for a, b in zip(pos, pos[1:])):
-            raise ValueError("element positions must be strictly increasing")
-        object.__setattr__(self, "positions", pos)
-
-    def __len__(self) -> int:
-        return len(self.positions)
 
 
 def ula_manifold(n: int, u: float) -> np.ndarray:

@@ -261,14 +261,6 @@ class HierarchicalCodebook:
             raise ValueError(f"node index {index} outside level {level}")
         return row[index]
 
-    def children(self, node: CodebookNode) -> tuple[CodebookNode, CodebookNode]:
-        if node.level >= self.depth:
-            raise ValueError("leaf node has no children")
-        return (
-            self.node(node.level + 1, 2 * node.index),
-            self.node(node.level + 1, 2 * node.index + 1),
-        )
-
 
 def build_hierarchical_codebook(
     roi: RegionOfInterest,

@@ -38,7 +38,7 @@ from .crb import (
     crb_unknown_alpha,
     gain_condition_sufficient,
 )
-from .sensing import SvamConfig, svam_combiner
+from .sensing import SvamConfig, block_combiners
 
 EXPERIMENT_KINDS = (
     "rmse_vs_snr",
@@ -113,6 +113,8 @@ class ExperimentConfig:
             )
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.seed < 0:  # the per-trial seed sequences take no negative seed
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         for axis in ("n_v", "snr_db", "p_thresh", "noise_scale"):
             if len(getattr(self, axis)) == 0:
                 raise ValueError(f"sweep axis {axis} is empty")
@@ -324,12 +326,10 @@ def region_beam_bank(beam: BeamSpec, taps: int, segments: int) -> np.ndarray:
 def expanded_combiners(bank: np.ndarray, n: int, n_v: int) -> np.ndarray:
     """Full N x L combiner matrix from a per-segment sub-aperture bank."""
     cfg = SvamConfig(n=n, n_v=n_v)
-    cols = [
-        svam_combiner(bank[:, t], t * n_v + l, cfg)
-        for t in range(bank.shape[1])
-        for l in range(n_v)
-    ]
-    return np.stack(cols, axis=1)
+    blocks = [block_combiners(column, cfg) for column in bank.T]
+    # C order, as the bound products expect: the bounds cancel digits, and
+    # BLAS rounds a Fortran-ordered matrix differently
+    return np.ascontiguousarray(np.concatenate(blocks).T)
 
 
 def _bound_noise_variance(

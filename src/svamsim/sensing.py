@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
-from .arrays import SlaGeometry
 from .beams import Beamformer, _weights_of
 from .channel import ChannelParams, antenna_blocks, combine, noiseless_snapshot
 
@@ -28,52 +27,39 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class SvamConfig:
-    """Physical aperture, virtual size, and optional sparse geometry.
+    """Physical aperture n and virtual size n_v of the sliding layout.
 
-    For a dense array the combiner length is m = n - n_v + 1. For a sparse
-    geometry the shifts follow the element positions and m = n - p[n_v - 1].
+    Snapshot r of every block places the length-m combiner at elements
+    r..r+m-1 of the aperture, so m = n - n_v + 1 and the block's outputs
+    see a contiguous n_v-element virtual array.
     """
 
     n: int
     n_v: int
-    geometry: SlaGeometry | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.n_v < 1:
             raise ValueError("array and virtual sizes must be positive")
         if self.n_v > self.n:
             raise ValueError(f"virtual size {self.n_v} exceeds aperture {self.n}")
-        if self.geometry is not None:
-            if len(self.geometry) != self.n_v:
-                raise ValueError(
-                    f"geometry has {len(self.geometry)} elements, expected {self.n_v}"
-                )
-            if self.geometry.positions[-1] >= self.n:
-                raise ValueError("geometry does not fit inside the aperture")
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        if self.geometry is None:
-            return tuple(range(self.n_v))
-        return self.geometry.positions
 
     @property
     def combiner_length(self) -> int:
-        return self.n - self.offsets[-1]
+        return self.n - self.n_v + 1
 
 
 def svam_combiner(
     f: Beamformer | np.ndarray, snapshot_index: int, config: SvamConfig
 ) -> np.ndarray:
     """Full-length combiner for a snapshot: the sub-aperture beamformer
-    zero-padded at the shift position the snapshot index selects."""
+    zero-padded at shift snapshot_index % n_v."""
     weights = _weights_of(f)
     m = config.combiner_length
     if len(weights) != m:
-        raise ValueError(f"beamformer has {len(weights)} taps, geometry needs {m}")
-    offset = config.offsets[snapshot_index % config.n_v]
+        raise ValueError(f"beamformer has {len(weights)} taps, the layout needs {m}")
+    shift = snapshot_index % config.n_v
     w = np.zeros(config.n, dtype=complex)
-    w[offset : offset + m] = weights
+    w[shift : shift + m] = weights
     return w
 
 

@@ -242,10 +242,14 @@ def test_config_validation():
         dict(codebook_depth=-1, codebook="hierarchical"),
         dict(noise_scale=float("nan")),
         dict(noise_scale=float("inf")),
+        dict(beamwidth_initial=3.0),  # covers the region but no beam is that wide
+        dict(beamwidth_initial=float("nan")),
+        dict(beamwidth_initial=float("inf")),
     ],
     ids=[
         "n_v_beyond_aperture", "empty_grid", "negative_depth", "negative_depth_hier",
-        "noise_scale_nan", "noise_scale_inf",
+        "noise_scale_nan", "noise_scale_inf", "beamwidth_above_two", "beamwidth_nan",
+        "beamwidth_inf",
     ],
 )
 def test_config_rejects_unrunnable_sizes(overrides):

@@ -5,7 +5,6 @@ from scalar_bounds import manifold_complement_and_projector
 from svamsim.arrays import (
     AngularGrid,
     RegionOfInterest,
-    SlaGeometry,
     check_angle,
     manifold_matrix,
     ula_manifold,
@@ -118,16 +117,6 @@ class TestComplementAndProjector:
     def test_single_element_rejected(self):
         with pytest.raises(ValueError):
             manifold_complement_and_projector(1, 0.0)
-
-
-class TestSparseGeometry:
-    def test_bad_geometries_rejected(self):
-        with pytest.raises(ValueError):
-            SlaGeometry((1, 2))
-        with pytest.raises(ValueError):
-            SlaGeometry((0, 2, 2))
-        with pytest.raises(ValueError):
-            SlaGeometry(())
 
 
 class TestAngles:

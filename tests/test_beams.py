@@ -179,11 +179,14 @@ class TestHierarchicalCodebook:
 
     def test_children_cover_parent(self):
         cb = build_hierarchical_codebook(RegionOfInterest(0.0, 1.0), 3, m=8)
-        parent = cb.node(1, 1)
-        left, right = cb.children(parent)
-        assert left.span[0] == parent.span[0]
-        assert right.span[1] == parent.span[1]
-        assert left.span[1] == right.span[0]
+        for level in range(cb.depth):
+            for k in range(2**level):
+                parent = cb.node(level, k)
+                left = cb.node(level + 1, 2 * k)
+                right = cb.node(level + 1, 2 * k + 1)
+                assert left.span[0] == parent.span[0]
+                assert right.span[1] == parent.span[1]
+                assert left.span[1] == right.span[0]
 
     def test_depth_too_large_for_grid_rejected(self):
         with pytest.raises(ValueError):

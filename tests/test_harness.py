@@ -238,6 +238,8 @@ def test_invalid_configs_rejected():
         dict(experiment="crb_sweep", snr_db=(-math.inf,)),
         dict(experiment="noise_mismatch", noise_scale=(1.0, math.nan)),
         dict(experiment="noise_mismatch", noise_scale=(1.0, math.inf)),
+        dict(seed=-1),
+        dict(experiment="crb_sweep", seed=-1),
     ],
     ids=[
         "p_thresh", "noise_scale", "codebook", "hier_grid", "compare_grid",
@@ -246,6 +248,7 @@ def test_invalid_configs_rejected():
         "crb_n_v_beyond_aperture", "crb_noiseless", "crb_negative_n_v",
         "crb_no_snapshots", "crb_empty_grid", "snr_nan", "crb_snr_nan",
         "snr_minus_inf", "crb_snr_minus_inf", "noise_scale_nan", "noise_scale_inf",
+        "seed_negative", "crb_seed_negative",
     ],
 )
 def test_bad_sweep_point_fails_at_construction(overrides):

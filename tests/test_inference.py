@@ -185,6 +185,47 @@ class TestLikelihoodTerms:
             assert terms.log_det[i] == pytest.approx(logdet, rel=1e-10)
             assert terms.quad_form[i] == pytest.approx(quad, rel=1e-8, abs=1e-9)
 
+    def test_long_batched_run_matches_dense_solve(self):
+        # 120 segments of running statistics against one dense slogdet and
+        # solve on the whole stacked record: the O(grid) updates do not drift
+        power, sigma2, segments = 1.0, 0.5, 120
+        cfg = SvamConfig(n=64, n_v=4)
+        grid = AngularGrid(RegionOfInterest(0.0, 1.0), 64)
+        rng = np.random.default_rng(120)
+        channels = [
+            ChannelParams.single_path(
+                np.exp(2j * np.pi * rng.uniform()), grid.points[k],
+                power=power, noise_variance=sigma2,
+            )
+            for k in (11, 40)
+        ]
+        hist = MeasurementHistory(cfg, trials=2)
+        for t in range(segments):
+            beams = [unit(cfg.combiner_length, 2 * t + k) for k in range(2)]
+            values = np.stack([
+                measure_segment(f, c, cfg, t, rng).values
+                for f, c in zip(beams, channels)
+            ])
+            hist.append(SegmentMeasurement(values, t), beams, grid)
+        gamma = gamma_mle(hist, grid, power, sigma2)
+        post = alpha_posterior(hist, grid, gamma, power, sigma2)
+        terms = likelihood_terms(hist, grid, post, power, sigma2)
+        y, beta = hist.stacked(), hist.beta_matrix
+        assert y.shape == (2, segments * cfg.n_v)
+        for k in range(2):
+            for i in (0, 11, 40, 63):
+                v = np.kron(beta[k, :, i], ula_manifold(cfg.n_v, grid.points[i]))
+                cov = power * post.variance[k, i] * np.outer(
+                    v, v.conj()
+                ) + sigma2 * np.eye(len(v))
+                resid = y[k] - np.sqrt(power) * post.mean[k, i] * v
+                sign, logdet = np.linalg.slogdet(cov)
+                assert sign > 0
+                quad = float(np.vdot(resid, np.linalg.solve(cov, resid)).real)
+                assert terms.log_det[k, i] == pytest.approx(logdet, rel=1e-10)
+                assert terms.quad_form[k, i] == pytest.approx(quad, rel=1e-10)
+        assert np.all(gamma[[0, 1], [11, 40]] > 0)
+
     def test_zero_data_scores_all_candidates_equally(self):
         cfg = SvamConfig(n=10, n_v=2)
         grid = AngularGrid(RegionOfInterest(0.0, 1.0), 8)

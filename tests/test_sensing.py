@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from svamsim.arrays import AngularGrid, RegionOfInterest, SlaGeometry, ula_manifold
+from svamsim.arrays import AngularGrid, RegionOfInterest, ula_manifold
 from svamsim.beams import BeamSpec, design_beamformer
 from svamsim.channel import ChannelParams
 from svamsim.sensing import (
@@ -25,18 +25,9 @@ class TestSvamConfig:
         assert SvamConfig(n=64, n_v=4).combiner_length == 61
         assert SvamConfig(n=8, n_v=1).combiner_length == 8
 
-    def test_sparse_combiner_length(self):
-        cfg = SvamConfig(n=5, n_v=2, geometry=SlaGeometry((0, 2)))
-        assert cfg.combiner_length == 3
-        assert cfg.offsets == (0, 2)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SvamConfig(n=4, n_v=5)
-        with pytest.raises(ValueError):
-            SvamConfig(n=5, n_v=3, geometry=SlaGeometry((0, 2)))
-        with pytest.raises(ValueError):
-            SvamConfig(n=3, n_v=2, geometry=SlaGeometry((0, 3)))
 
 
 class TestSvamCombiner:
@@ -58,25 +49,6 @@ class TestSvamCombiner:
         f = random_unit(8, 2)
         for snap in range(4):
             np.testing.assert_allclose(svam_combiner(f, snap, cfg), f)
-
-    def test_sparse_shift_layout(self):
-        cfg = SvamConfig(n=5, n_v=2, geometry=SlaGeometry((0, 2)))
-        f = random_unit(3, 3)
-        np.testing.assert_allclose(
-            svam_combiner(f, 1, cfg), np.concatenate([[0, 0], f])
-        )
-        np.testing.assert_allclose(
-            svam_combiner(f, 0, cfg), np.concatenate([f, [0, 0]])
-        )
-
-    def test_contiguous_sparse_equals_dense(self):
-        dense = SvamConfig(n=7, n_v=3)
-        sparse = SvamConfig(n=7, n_v=3, geometry=SlaGeometry((0, 1, 2)))
-        f = random_unit(5, 4)
-        for snap in range(3):
-            np.testing.assert_allclose(
-                svam_combiner(f, snap, dense), svam_combiner(f, snap, sparse)
-            )
 
     def test_norm_preserved(self):
         cfg = SvamConfig(n=10, n_v=4)
@@ -127,17 +99,6 @@ class TestMeasureSegment:
         for alpha, u in (pa, pb):
             beta = np.vdot(f, ula_manifold(5, u))
             expected += alpha * beta * np.exp(1j * np.pi * u * np.arange(2))
-        np.testing.assert_allclose(seg.values, expected, atol=1e-12)
-
-    def test_sparse_phase_progression_uses_positions(self):
-        geom = SlaGeometry((0, 3))
-        cfg = SvamConfig(n=7, n_v=2, geometry=geom)
-        f = random_unit(4, 12)
-        u = 0.45
-        params = ChannelParams.single_path(1.0, u)
-        seg = measure_segment(f, params, cfg, 0, np.random.default_rng(0))
-        beta = np.vdot(f, ula_manifold(4, u))
-        expected = beta * np.exp(1j * np.pi * u * np.array([0, 3]))
         np.testing.assert_allclose(seg.values, expected, atol=1e-12)
 
 
