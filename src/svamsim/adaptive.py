@@ -19,9 +19,9 @@ Both loops draw each trial's noise from that trial's own generator, one
 block at a time, in the order a lone run of the trial would, so a batch
 row reproduces the lone trial bit for bit. The inference takes the whole
 batch at once and checks every row; one bad row rejects the batch. Only
-the flexible and hierarchical controller steps of run_alignment still run
-trial by trial; posterior matching picks all trials' codewords from one
-table of node masses.
+the flexible controller step of run_alignment still runs trial by trial;
+the hierarchical search and posterior matching pick all trials' nodes from
+one table of node masses.
 """
 
 from __future__ import annotations
@@ -222,37 +222,49 @@ def select_next_beam(
 
 
 def hier_beam_search(
-    level_current: int,
-    pmf: np.ndarray,
+    levels: Sequence[int],
+    masses: Sequence[np.ndarray],
+    modes: Sequence[int],
     grid_size: int,
     p_thresh: float,
-    codebook: HierarchicalCodebook,
     start_offset: int = 0,
-) -> HierNode:
-    """Codebook node for the next block: start one level below the current
-    one at the node containing the posterior mode, then climb to the parent
-    until enough mass is captured. Level 0 always terminates the climb."""
+) -> list[HierNode]:
+    """Codebook node for each trial's next block: start one level below the
+    trial's current one at the node containing its posterior mode, then
+    climb to the parent until enough mass is captured. Level 0 always
+    terminates the climb.
+
+    levels and modes hold one entry per trial; masses is node_masses of the
+    (trials, grid) pmf stack, and the codebook depth is len(masses) - 1.
+    Every mass is read from that table, so a node's mass is node_mass's.
+    """
     if not (0.0 < p_thresh < 1.0):
         raise ValueError("confidence threshold must lie in (0, 1)")
-    pmf = np.asarray(pmf, dtype=float)
-    if len(pmf) != grid_size:
-        raise ValueError("pmf length must match the grid size")
-    level = min(level_current + 1 + start_offset, codebook.depth)
-    if level < 0:
-        raise ValueError("negative codebook level")
-    if grid_size % 2**level:
+    depth = len(masses) - 1
+    count = len(levels)
+    if len(modes) != count or any(
+        np.shape(m) != (count, 2**level) for level, m in enumerate(masses)
+    ):
+        raise ValueError("need one level and mode per trial and a mass table row")
+    if grid_size % 2**depth:
         raise ValueError(
-            f"grid size {grid_size} cannot resolve {2**level} nodes evenly"
+            f"grid size {grid_size} cannot resolve {2**depth} nodes evenly"
         )
-    mode = int(np.argmax(pmf))
-    k = (mode * 2**level) // grid_size
-    while True:
-        per_node = grid_size // 2**level
-        mass = float(pmf[k * per_node : (k + 1) * per_node].sum())
-        if mass >= p_thresh or level == 0:
-            return HierNode(level=level, index=k)
-        k //= 2
-        level -= 1
+    level = np.minimum(np.asarray(levels, dtype=int) + 1 + start_offset, depth)
+    if np.any(level < 0):
+        raise ValueError("negative codebook level")
+    modes = np.asarray(modes, dtype=int)
+    if np.any((modes < 0) | (modes >= grid_size)):
+        raise ValueError("posterior mode outside the grid")
+    index = (modes * 2**level) // grid_size
+    # a climb only goes up, so one sweep from the deepest level settles all
+    for at_level in range(depth, 0, -1):
+        rows = np.flatnonzero(level == at_level)
+        # written so that a NaN mass climbs, as a failed >= test does
+        climb = rows[~(masses[at_level][rows, index[rows]] >= p_thresh)]
+        level[climb] -= 1
+        index[climb] //= 2
+    return [HierNode(int(l), int(k)) for l, k in zip(level, index)]
 
 
 def node_mass(pmf: np.ndarray, node: HierNode, grid_size: int) -> float:
@@ -352,9 +364,10 @@ def run_alignment(
     The trials advance in lockstep. Trial i observes channels[i] and draws
     only from rngs[i], one noise block per segment, in the order a lone run
     of that trial would. The history and the posterior carry a leading trial
-    axis, so inference runs once per block for the whole batch; only the
-    controller step is taken trial by trial. A single trial is a batch of
-    one. The trials must share transmit power and noise variance.
+    axis, so inference and the hierarchical search run once per block for
+    the whole batch; only the flexible controller step is taken trial by
+    trial. A single trial is a batch of one. The trials must share transmit
+    power and noise variance.
 
     The dominant (first) path angle of each channel is the ground truth for
     its per-segment gain log and each final estimate is the posterior
@@ -386,8 +399,7 @@ def run_alignment(
     logs: list[list[SegmentLog]] = [[] for _ in range(count)]
     for t in range(config.segments):
         x = antenna_blocks(signals, channel_noise, rngs, config.n_v)
-        # row-by-row products, as a lone trial computes them: one batched
-        # product over all trials would round the outputs differently
+        # combine gives every row the bits a lone trial's product has
         values = combine(np.stack([combiners(beam) for beam in beams]), x)
         history.append(SegmentMeasurement(values, t), beams, grid)
         gamma = gamma_mle(history, grid, power, noise_var)
@@ -397,35 +409,42 @@ def run_alignment(
         )
         modes = np.argmax(pmf, axis=-1)
 
-        for i, beam in enumerate(beams):
-            if hierarchical:
-                nxt = hier_beam_search(
-                    levels[i], pmf[i], grid.size, config.p_thresh, codebook,
-                    config.hier_start_offset,
+        if hierarchical:
+            masses = node_masses(pmf, codebook.depth)
+            nodes = hier_beam_search(
+                levels, masses, modes, grid.size, config.p_thresh,
+                config.hier_start_offset,
+            )
+            peaks = [
+                float(masses[node.level][i, node.index])
+                for i, node in enumerate(nodes)
+            ]
+        else:
+            picks = [
+                select_next_beam(
+                    pmf[i], widths[i], config.p_thresh, grid, config.beamwidth_initial
                 )
-                peak_prob = node_mass(pmf[i], nxt, grid.size)
-                next_beam = codebook.node(nxt.level, nxt.index).beamformer
-            else:
-                spec, peak_prob = select_next_beam(
-                    pmf[i], widths[i], config.p_thresh, grid,
-                    config.beamwidth_initial,
-                )
-                next_beam = design_beamformer(spec, m)
+                for i in range(count)
+            ]
+            peaks = [peak_prob for _, peak_prob in picks]
 
+        for i, beam in enumerate(beams):
             logs[i].append(
                 SegmentLog(
                     beam=beam.spec,
                     gain_at_truth=gains[i](beam),
                     mode_index=int(modes[i]),
-                    peak_prob=peak_prob,
+                    peak_prob=peaks[i],
                 )
             )
-            if t < config.segments - 1:
-                beams[i] = next_beam
-                if hierarchical:
-                    levels[i] = nxt.level
-                else:
-                    widths[i] = spec.beamwidth
+        if t == config.segments - 1:
+            break  # the beams chosen after the last block are never used
+        if hierarchical:
+            levels = [node.level for node in nodes]
+            beams = [codebook.node(node.level, node.index).beamformer for node in nodes]
+        else:
+            widths = [spec.beamwidth for spec, _ in picks]
+            beams = [design_beamformer(spec, m) for spec, _ in picks]
 
     return _records(grid, truths, modes, logs)
 

@@ -135,6 +135,35 @@ def _ls_lowpass(m: int, pass_edge: float, stop_edge: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _prototype(
+    m: int, pass_edge: float, stop_edge: float, params: FirDesignParams
+) -> tuple[np.ndarray, str]:
+    """Real lowpass prototype for one band shape, and the method that made it.
+
+    The prototype does not depend on the beam direction, so every beam of a
+    given tap count, passband half-width and transition shares one exchange.
+    The taps are read-only.
+    """
+    try:
+        proto = remez(
+            m,
+            [0.0, pass_edge, stop_edge, 1.0],
+            [1.0, 0.0],
+            fs=2.0,
+            maxiter=params.max_remez_iterations,
+            grid_density=params.grid_density,
+        )
+        if not np.all(np.isfinite(proto)) or np.linalg.norm(proto) < 1e-12:
+            raise ValueError("degenerate equiripple solution")
+        method = "remez"
+    except Exception:
+        proto = _ls_lowpass(m, pass_edge, stop_edge)
+        method = "least-squares"
+    proto.flags.writeable = False
+    return proto, method
+
+
+@lru_cache(maxsize=None)
 def _design_weights(
     band_lo: float,
     band_hi: float,
@@ -162,7 +191,6 @@ def _design_weights(
     center = 0.5 * (band_lo + band_hi)
     pass_edge = 0.5 * width
 
-    method = "remez"
     if pass_edge >= 1.0 - 1e-9:
         # Full-space beam: a centered unit impulse is exactly allpass.
         proto = np.zeros(m)
@@ -171,21 +199,7 @@ def _design_weights(
     else:
         transition = params.transition_fraction * width
         transition = min(transition, 0.5 * (1.0 - pass_edge))
-        stop_edge = pass_edge + transition
-        try:
-            proto = remez(
-                m,
-                [0.0, pass_edge, stop_edge, 1.0],
-                [1.0, 0.0],
-                fs=2.0,
-                maxiter=params.max_remez_iterations,
-                grid_density=params.grid_density,
-            )
-            if not np.all(np.isfinite(proto)) or np.linalg.norm(proto) < 1e-12:
-                raise ValueError("degenerate equiripple solution")
-        except Exception:
-            proto = _ls_lowpass(m, pass_edge, stop_edge)
-            method = "least-squares"
+        proto, method = _prototype(m, pass_edge, pass_edge + transition, params)
 
     taps = proto * np.exp(1j * np.pi * center * np.arange(m))
     taps = taps / np.linalg.norm(taps)

@@ -91,13 +91,18 @@ def antenna_blocks(
 
 def combine(w: np.ndarray, x: np.ndarray) -> complex | np.ndarray:
     """Scalar combiner output w^H x. Stacked combiners and observations of
-    shape (..., n) give one output per row, each the same w^H x."""
+    shape (..., n) give one output per row, each the same w^H x that a
+    contiguous copy of the row gives."""
     w = np.asarray(w)
     x = np.asarray(x)
     if w.shape != x.shape:
         raise ValueError(f"combiner shape {w.shape} != snapshot shape {x.shape}")
     if w.ndim == 1:
         return complex(np.vdot(w, x))
-    n = w.shape[-1]
-    rows = zip(w.reshape(-1, n), x.reshape(-1, n))
-    return np.array([np.vdot(a, b) for a, b in rows]).reshape(w.shape[:-1])
+    # one batched row-times-column product over contiguous rows runs the
+    # BLAS dot kernel np.vdot runs on a contiguous row, so each output keeps
+    # a lone row's bits; vdot itself can take another kernel on a row that
+    # is not contiguous
+    w = np.ascontiguousarray(w)
+    x = np.ascontiguousarray(x)
+    return np.matmul(w.conj()[..., None, :], x[..., :, None])[..., 0, 0]

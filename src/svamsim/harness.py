@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -111,6 +112,12 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; expected one of "
                 f"{', '.join(EXPERIMENT_KINDS)}"
             )
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            # a bool is an Integral too, but trials=True is no trial count
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.seed < 0:  # the per-trial seed sequences take no negative seed

@@ -4,7 +4,8 @@ These are the loops as they ran before trials advanced in lockstep. In the
 unknown-gain loop every snapshot is synthesized and combined on its own,
 the running statistics live in a one-trial history that computes each
 response row afresh, and the inference and controller functions are called
-once per trial and block. The known-gain loop (at the end) takes one
+once per trial and block; the dyadic search reads one trial's pmf slice by
+slice (hier_beam_search_scalar). The known-gain loop (at the end) takes one
 trial's Bayes update and posterior matching snapshot by snapshot. The
 batched run_alignment and run_hiepm_known_alpha must reproduce their
 records exactly, field by field.
@@ -19,7 +20,6 @@ from svamsim.adaptive import (
     HierNode,
     SegmentLog,
     TrialRecord,
-    hier_beam_search,
     node_mass,
     select_next_beam,
 )
@@ -79,6 +79,40 @@ class ScalarHistory:
         self.total_power += float(np.vdot(values, values).real)
 
 
+def hier_beam_search_scalar(
+    level_current: int,
+    pmf: np.ndarray,
+    grid_size: int,
+    p_thresh: float,
+    codebook: HierarchicalCodebook,
+    start_offset: int = 0,
+) -> HierNode:
+    """One trial's dyadic search: start one level below the current one at
+    the node containing the posterior mode, then climb to the parent until
+    enough mass is captured. Level 0 always terminates the climb."""
+    if not (0.0 < p_thresh < 1.0):
+        raise ValueError("confidence threshold must lie in (0, 1)")
+    pmf = np.asarray(pmf, dtype=float)
+    if len(pmf) != grid_size:
+        raise ValueError("pmf length must match the grid size")
+    level = min(level_current + 1 + start_offset, codebook.depth)
+    if level < 0:
+        raise ValueError("negative codebook level")
+    if grid_size % 2**level:
+        raise ValueError(
+            f"grid size {grid_size} cannot resolve {2**level} nodes evenly"
+        )
+    mode = int(np.argmax(pmf))
+    k = (mode * 2**level) // grid_size
+    while True:
+        per_node = grid_size // 2**level
+        mass = float(pmf[k * per_node : (k + 1) * per_node].sum())
+        if mass >= p_thresh or level == 0:
+            return HierNode(level=level, index=k)
+        k //= 2
+        level -= 1
+
+
 def run_alignment_scalar(
     config: AdaptConfig,
     channel: ChannelParams,
@@ -118,7 +152,7 @@ def run_alignment_scalar(
         gain = abs(beam_gain(beam, truth)) ** 2
 
         if hierarchical:
-            nxt = hier_beam_search(
+            nxt = hier_beam_search_scalar(
                 level, pmf, grid.size, config.p_thresh, codebook,
                 config.hier_start_offset,
             )

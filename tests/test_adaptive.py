@@ -122,13 +122,22 @@ def test_select_validates_inputs():
 
 # ---------------------------------------------------------- hier_beam_search
 
-CODEBOOK_16 = build_hierarchical_codebook(ROI, 4, 13, grid_size=16)
+DEPTH_16 = 4  # dyadic levels over a 16-point grid
+
+
+def search_one(level, pmf, p_thresh, start_offset=0):
+    """The batched search on a batch of one trial."""
+    (node,) = hier_beam_search(
+        [level], node_masses(pmf[None], DEPTH_16), [int(np.argmax(pmf))],
+        len(pmf), p_thresh, start_offset,
+    )
+    return node
 
 
 def test_hier_search_descends_to_confident_leaf():
     pmf = np.full(16, 0.1 / 15)
     pmf[5] = 0.9
-    node = hier_beam_search(3, pmf, 16, 0.6, CODEBOOK_16)
+    node = search_one(3, pmf, 0.6)
     assert node == HierNode(4, 5)
 
 
@@ -136,21 +145,21 @@ def test_hier_search_climbs_to_parent():
     pmf = np.zeros(16)
     pmf[5] = 0.55
     pmf[4] = 0.45
-    node = hier_beam_search(3, pmf, 16, 0.6, CODEBOOK_16)
+    node = search_one(3, pmf, 0.6)
     assert node == HierNode(3, 2)
     assert node_mass(pmf, node, 16) == pytest.approx(1.0)
 
 
 def test_hier_search_terminates_at_root():
     pmf = np.full(16, 1 / 16)
-    node = hier_beam_search(0, pmf, 16, 0.99, CODEBOOK_16)
+    node = search_one(0, pmf, 0.99)
     assert node == HierNode(0, 0)
 
 
 def test_hier_search_start_offset_skips_levels():
     pmf = np.zeros(16)
     pmf[5] = 1.0
-    node = hier_beam_search(0, pmf, 16, 0.6, CODEBOOK_16, start_offset=2)
+    node = search_one(0, pmf, 0.6, start_offset=2)
     assert node.level == 3
     assert node == HierNode(3, 2)
 
@@ -158,14 +167,27 @@ def test_hier_search_start_offset_skips_levels():
 def test_hier_search_level_is_capped_at_depth():
     pmf = np.zeros(16)
     pmf[5] = 1.0
-    node = hier_beam_search(9, pmf, 16, 0.6, CODEBOOK_16, start_offset=5)
+    node = search_one(9, pmf, 0.6, start_offset=5)
     assert node == HierNode(4, 5)
 
 
 def test_hier_search_rejects_uneven_grid():
-    book = build_hierarchical_codebook(ROI, 2, 5)
+    masses = node_masses(np.full((1, 8), 1 / 8), 2)
     with pytest.raises(ValueError):
-        hier_beam_search(1, np.full(6, 1 / 6), 6, 0.5, book)
+        hier_beam_search([1], masses, [0], 6, 0.5)
+
+
+@pytest.mark.parametrize(
+    "levels, modes, p_thresh",
+    [([0, 0], [0], 0.6), ([0], [16], 0.6), ([0], [-1], 0.6), ([-3], [0], 0.6),
+     ([0], [0], 1.0)],
+    ids=["levels_vs_modes", "mode_past_grid", "negative_mode", "negative_level",
+         "p_thresh"],
+)
+def test_hier_search_rejects_bad_batch(levels, modes, p_thresh):
+    masses = node_masses(np.full((len(levels), 16), 1 / 16), DEPTH_16)
+    with pytest.raises(ValueError):
+        hier_beam_search(levels, masses, modes, 16, p_thresh)
 
 
 # ---------------------------------------- posterior-matching codeword choice

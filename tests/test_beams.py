@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import scalar_beams
+from svamsim import beams, harness
 from svamsim.arrays import RegionOfInterest, manifold_matrix
 from svamsim.beams import (
     BeamSpec,
@@ -146,6 +148,90 @@ class TestLeastSquaresFallback:
                 [np.sum(h * np.exp(-1j * w * np.arange(m))) for w in omega]
             )
             np.testing.assert_allclose(np.abs(resp), 1.0, atol=0.05)
+
+
+@pytest.fixture
+def cold_design_cache():
+    """Empty the design caches before a test and again after it, so that
+    designs made under a patched remez never reach a later test."""
+    beams._design_weights.cache_clear()
+    beams._prototype.cache_clear()
+    yield
+    beams._design_weights.cache_clear()
+    beams._prototype.cache_clear()
+
+
+# directions and widths that clip at -1 and at +1, fall under the 2/m
+# resolution floor, fill the whole space (allpass) or share a band shape
+# with another direction; m covers a single tap and both parities
+ORACLE_DIRECTIONS = (-1.0, -0.95, -0.3, 0.0, 0.37, 0.999)
+ORACLE_WIDTHS = (2.0, 1.5, 0.5, 0.125, 0.01)
+ORACLE_TAPS = (1, 2, 16, 17, 61)
+
+
+def assert_designs_match_oracle() -> set[str]:
+    """Compare every design of the grid with the oracle; return the methods."""
+    params = FirDesignParams()
+    methods = set()
+    for m in ORACLE_TAPS:
+        for direction in ORACLE_DIRECTIONS:
+            for width in ORACLE_WIDTHS:
+                spec = BeamSpec(direction, width)
+                bf = design_beamformer(spec, m, params)
+                taps, method, band = scalar_beams.design_weights(
+                    *spec.passband(), m, params
+                )
+                assert np.array_equal(bf.weights, taps), (m, direction, width)
+                assert (bf.method, bf.passband) == (method, band)
+                methods.add(bf.method)
+    return methods
+
+
+class TestPrototypeCache:
+    def test_designs_equal_the_uncached_oracle(self, cold_design_cache):
+        assert assert_designs_match_oracle() == {"single-tap", "allpass", "remez"}
+
+    def test_forced_fallback_equals_the_uncached_oracle(
+        self, cold_design_cache, monkeypatch
+    ):
+        def no_exchange(*args, **kwargs):
+            raise RuntimeError("exchange disabled")
+
+        monkeypatch.setattr(beams, "remez", no_exchange)
+        methods = assert_designs_match_oracle()
+        assert methods == {"single-tap", "allpass", "least-squares"}
+
+    def test_prototype_is_shared_across_directions(self, cold_design_cache):
+        a = design_beamformer(BeamSpec(0.25, 0.5), 61)
+        b = design_beamformer(BeamSpec(-0.25, 0.5), 61)
+        assert a.weights is not b.weights
+        assert beams._prototype.cache_info().currsize == 1
+        proto, method = beams._prototype(61, 0.25, 0.35, FirDesignParams())
+        assert method == "remez" and not proto.flags.writeable
+
+    def test_one_exchange_per_band_shape_in_an_alignment_run(
+        self, cold_design_cache, monkeypatch
+    ):
+        # the benchmark's align repetition at seed 0: both controllers over
+        # four SNRs, 25 trials each
+        shapes = []
+        scipy_remez = beams.remez
+
+        def counting_remez(numtaps, bands, *args, **kwargs):
+            shapes.append((numtaps, bands[1], bands[2]))
+            return scipy_remez(numtaps, bands, *args, **kwargs)
+
+        monkeypatch.setattr(beams, "remez", counting_remez)
+        config = harness.ExperimentConfig(
+            experiment="codebook_compare", n=64, n_v=(4,), grid_size=64,
+            total_snapshots=120, trials=25, snr_db=(-15.0, -10.0, -5.0, 0.0),
+            p_thresh=(0.6,), roi=RegionOfInterest(0.0, 1.0), seed=0,
+        )
+        harness.run_experiment(config)
+        assert len(shapes) == len(set(shapes))
+        # pass edges 1/2 down to 1/32, and the 2/61 resolution floor
+        assert len(shapes) == 6
+        assert {m for m, _, _ in shapes} == {61}
 
 
 class TestHierarchicalCodebook:

@@ -92,6 +92,43 @@ class TestCombine:
         with pytest.raises(ValueError):
             combine(np.ones(3), np.ones(4))
 
+    def test_stacked_rows_equal_lone_vdot_bit_for_bit(self):
+        # The lockstep loops rely on every stacked output carrying the bits
+        # of a lone trial's np.vdot. The reference takes each row as a
+        # contiguous copy, as a lone trial holds it: on a row that is not
+        # contiguous np.vdot can run another kernel than on the same values
+        # held contiguously.
+        rng = np.random.default_rng(29)
+
+        def draw(shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        views = {
+            "contiguous": lambda a: a,
+            "row slice": lambda a: a[::2],
+            "offset slice": lambda a: a[..., 1:-1],
+            "strided": lambda a: a[..., ::2],
+            "reversed": lambda a: a[..., ::-1],
+            "column-major": lambda a: np.asfortranarray(a),
+        }
+        for n in range(1, 130):
+            for lead in ((4,), (3, 4)):
+                for name, view in views.items():
+                    w = view(draw(lead + (2 * n + 2,)))[..., :n]
+                    x = view(draw(lead + (2 * n + 2,)))[..., :n]
+                    got = combine(w, x)
+                    want = np.array([
+                        np.vdot(np.ascontiguousarray(a), np.ascontiguousarray(b))
+                        for a, b in zip(w.reshape(-1, n), x.reshape(-1, n))
+                    ]).reshape(w.shape[:-1])
+                    assert got.shape == want.shape
+                    assert np.array_equal(got, want), (
+                        f"stacked combine of a {name} {w.shape} stack differs "
+                        "from per-row np.vdot: numpy's batched matmul no longer "
+                        "runs the BLAS dot kernel vdot runs, so lockstep "
+                        "batches would stop reproducing lone trials"
+                    )
+
     def test_unit_norm_noise_variance_preserved(self):
         params = ChannelParams(power=0.0, paths=((0.0, 0.0),), noise_variance=1.5)
         rng = np.random.default_rng(77)

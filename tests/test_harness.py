@@ -240,6 +240,13 @@ def test_invalid_configs_rejected():
         dict(experiment="noise_mismatch", noise_scale=(1.0, math.inf)),
         dict(seed=-1),
         dict(experiment="crb_sweep", seed=-1),
+        dict(seed=1.5),
+        dict(seed=2.0),
+        dict(experiment="crb_sweep", seed=1.5),
+        dict(seed=True),
+        dict(trials=2.5),
+        dict(trials=True),
+        dict(trials=np.float64(2.0)),
     ],
     ids=[
         "p_thresh", "noise_scale", "codebook", "hier_grid", "compare_grid",
@@ -248,7 +255,9 @@ def test_invalid_configs_rejected():
         "crb_n_v_beyond_aperture", "crb_noiseless", "crb_negative_n_v",
         "crb_no_snapshots", "crb_empty_grid", "snr_nan", "crb_snr_nan",
         "snr_minus_inf", "crb_snr_minus_inf", "noise_scale_nan", "noise_scale_inf",
-        "seed_negative", "crb_seed_negative",
+        "seed_negative", "crb_seed_negative", "seed_fraction", "seed_float",
+        "crb_seed_fraction", "seed_bool", "trials_fraction", "trials_bool",
+        "trials_numpy_float",
     ],
 )
 def test_bad_sweep_point_fails_at_construction(overrides):
@@ -256,6 +265,12 @@ def test_bad_sweep_point_fails_at_construction(overrides):
     # points had run their trials
     with pytest.raises(ValueError):
         tiny_config(**overrides)
+
+
+def test_numpy_integer_seed_and_trials_accepted():
+    config = tiny_config(seed=np.int64(3), trials=np.int32(2))
+    assert config == tiny_config(seed=3, trials=2)
+    assert type(config.seed) is int and type(config.trials) is int
 
 
 # -------------------------------------------------------------- CSV output
