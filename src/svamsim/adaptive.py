@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import AngularGrid, RegionOfInterest
+from .arrays import AngularGrid, RegionOfInterest, check_integer
 from .beams import (
     BeamSpec,
     Beamformer,
@@ -76,19 +76,14 @@ class AdaptConfig:
     grid_size: int
     p_thresh: float
     codebook: str = "flexible"  # or "hierarchical"
-    beamwidth_initial: float | None = None  # defaults to the region width
     noise_scale: float = 1.0
-    codebook_depth: int | None = None
-    hier_start_offset: int = 0  # extra levels to skip downward per search
 
     def __post_init__(self) -> None:
+        for name in ("n", "n_v", "total_snapshots"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         self.svam()  # rejects n_v < 1 and a virtual size beyond the aperture
         if self.grid_size < 1:
             raise ValueError(f"grid size must be positive, got {self.grid_size}")
-        if self.codebook_depth is not None and self.codebook_depth < 0:
-            raise ValueError(
-                f"codebook depth must be nonnegative, got {self.codebook_depth}"
-            )
         if self.total_snapshots < 1:
             raise ValueError("need at least one snapshot")
         if self.total_snapshots % self.n_v:
@@ -103,14 +98,6 @@ class AdaptConfig:
             raise ValueError(
                 f"noise scale must be positive and finite, got {self.noise_scale}"
             )
-        if self.hier_start_offset < 0:
-            raise ValueError("start offset must be nonnegative")
-        bw = self.beamwidth_initial
-        if bw is None:
-            object.__setattr__(self, "beamwidth_initial", self.roi.width)
-        elif bw < self.roi.width:
-            raise ValueError("initial beam must cover the region of interest")
-        BeamSpec(self.roi.center, self.beamwidth_initial)  # the first flexible beam
         if self.codebook == "hierarchical" and self.grid_size % 2 ** self.depth():
             raise ValueError(
                 f"grid size {self.grid_size} cannot resolve "
@@ -125,8 +112,7 @@ class AdaptConfig:
         return SvamConfig(n=self.n, n_v=self.n_v)
 
     def depth(self) -> int:
-        if self.codebook_depth is not None:
-            return self.codebook_depth
+        """Levels of the hierarchical codebook: log2 of the grid size."""
         return int(np.log2(self.grid_size))
 
 
@@ -202,22 +188,22 @@ def select_next_beam(
     bw_current: float,
     p_thresh: float,
     grid: AngularGrid,
-    bw_initial: float,
 ) -> tuple[BeamSpec, float]:
     """Pick the next flexible beam: try half the current width and double
-    until the windowed mass clears the threshold; at the initial width the
+    until the windowed mass clears the threshold; at the region's width the
     search gives up and resets to the region-wide beam."""
     if not (0.0 < p_thresh < 1.0):
         raise ValueError("confidence threshold must lie in (0, 1)")
-    if bw_current <= 0 or bw_initial <= 0:
-        raise ValueError("beamwidths must be positive")
+    if bw_current <= 0:
+        raise ValueError("beamwidth must be positive")
+    widest = grid.roi.width
     bw = 0.5 * bw_current
-    while bw < bw_initial:
+    while bw < widest:
         peak_prob, spec = cumul_peak(pmf, bw, grid)
         if peak_prob >= p_thresh:
             return spec, peak_prob
         bw *= 2.0
-    peak_prob, spec = cumul_peak(pmf, bw_initial, grid)
+    peak_prob, spec = cumul_peak(pmf, widest, grid)
     return spec, peak_prob
 
 
@@ -227,7 +213,6 @@ def hier_beam_search(
     modes: Sequence[int],
     grid_size: int,
     p_thresh: float,
-    start_offset: int = 0,
 ) -> list[HierNode]:
     """Codebook node for each trial's next block: start one level below the
     trial's current one at the node containing its posterior mode, then
@@ -250,7 +235,7 @@ def hier_beam_search(
         raise ValueError(
             f"grid size {grid_size} cannot resolve {2**depth} nodes evenly"
         )
-    level = np.minimum(np.asarray(levels, dtype=int) + 1 + start_offset, depth)
+    level = np.minimum(np.asarray(levels, dtype=int) + 1, depth)
     if np.any(level < 0):
         raise ValueError("negative codebook level")
     modes = np.asarray(modes, dtype=int)
@@ -357,7 +342,6 @@ def run_alignment(
     config: AdaptConfig,
     channels: Sequence[ChannelParams],
     rngs: Sequence[np.random.Generator],
-    codebook: HierarchicalCodebook | None = None,
 ) -> list[TrialRecord]:
     """Unknown-gain alignment of a batch of trials over all snapshot blocks.
 
@@ -371,7 +355,9 @@ def run_alignment(
 
     The dominant (first) path angle of each channel is the ground truth for
     its per-segment gain log and each final estimate is the posterior
-    argmax. Records are numbered by their position in the batch.
+    argmax. Records are numbered by their position in the batch. The
+    flexible controller starts from, and resets to, the region-wide beam;
+    the hierarchical one climbs a codebook log2(grid size) levels deep.
     """
     count = len(channels)
     power, channel_noise, truths, signals, gains = _batch_inputs(config, channels, rngs)
@@ -382,16 +368,15 @@ def run_alignment(
 
     hierarchical = config.codebook == "hierarchical"
     if hierarchical:
-        if codebook is None:
-            codebook = build_hierarchical_codebook(
-                config.roi, config.depth(), m, grid_size=config.grid_size
-            )
+        codebook = build_hierarchical_codebook(
+            config.roi, config.depth(), m, grid_size=config.grid_size
+        )
         levels = [0] * count
         beams = [codebook.node(0, 0).beamformer] * count
     else:
-        widths = [config.beamwidth_initial] * count
+        widths = [config.roi.width] * count
         beams = [
-            design_beamformer(BeamSpec(config.roi.center, config.beamwidth_initial), m)
+            design_beamformer(BeamSpec(config.roi.center, config.roi.width), m)
         ] * count
 
     combiners = BeamCache(lambda w: block_combiners(w, svam_cfg))
@@ -411,19 +396,14 @@ def run_alignment(
 
         if hierarchical:
             masses = node_masses(pmf, codebook.depth)
-            nodes = hier_beam_search(
-                levels, masses, modes, grid.size, config.p_thresh,
-                config.hier_start_offset,
-            )
+            nodes = hier_beam_search(levels, masses, modes, grid.size, config.p_thresh)
             peaks = [
                 float(masses[node.level][i, node.index])
                 for i, node in enumerate(nodes)
             ]
         else:
             picks = [
-                select_next_beam(
-                    pmf[i], widths[i], config.p_thresh, grid, config.beamwidth_initial
-                )
+                select_next_beam(pmf[i], widths[i], config.p_thresh, grid)
                 for i in range(count)
             ]
             peaks = [peak_prob for _, peak_prob in picks]

@@ -7,6 +7,7 @@ exp(j*pi*n*u) for n = 0..N-1 and u lives in [-1, 1).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,14 @@ def check_angle(u: float) -> float:
     if not (U_MIN <= u < U_MAX):
         raise ValueError(f"spatial angle u={u} outside [{U_MIN}, {U_MAX})")
     return u
+
+
+def check_integer(name: str, value) -> int:
+    """The int value of a size, count or seed: numpy integers pass; a bool
+    (n_v=True is no block size) or a float such as 16.0 raises."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_size(n: int) -> int:

@@ -23,26 +23,11 @@ from scipy.signal import remez
 from .arrays import U_MAX, U_MIN, RegionOfInterest, ula_manifold
 
 
-@dataclass(frozen=True)
-class FirDesignParams:
-    """Knobs of the prototype design.
-
-    transition_fraction: transition band width as a fraction of the beamwidth
-    grid_density: equiripple exchange grid density
-    max_remez_iterations: exchange iterations before falling back
-    """
-
-    transition_fraction: float = 0.2
-    grid_density: int = 16
-    max_remez_iterations: int = 40
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.transition_fraction < 1.0):
-            raise ValueError("transition_fraction must lie in (0, 1)")
-        if self.grid_density < 4:
-            raise ValueError("grid_density must be at least 4")
-        if self.max_remez_iterations < 1:
-            raise ValueError("max_remez_iterations must be positive")
+# Prototype design: transition band as a fraction of the beamwidth, exchange
+# grid density, and exchange iterations before the least-squares fallback.
+_TRANSITION_FRACTION = 0.2
+_GRID_DENSITY = 16
+_MAX_REMEZ_ITERATIONS = 40
 
 
 @dataclass(frozen=True)
@@ -135,9 +120,7 @@ def _ls_lowpass(m: int, pass_edge: float, stop_edge: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _prototype(
-    m: int, pass_edge: float, stop_edge: float, params: FirDesignParams
-) -> tuple[np.ndarray, str]:
+def _prototype(m: int, pass_edge: float, stop_edge: float) -> tuple[np.ndarray, str]:
     """Real lowpass prototype for one band shape, and the method that made it.
 
     The prototype does not depend on the beam direction, so every beam of a
@@ -150,8 +133,8 @@ def _prototype(
             [0.0, pass_edge, stop_edge, 1.0],
             [1.0, 0.0],
             fs=2.0,
-            maxiter=params.max_remez_iterations,
-            grid_density=params.grid_density,
+            maxiter=_MAX_REMEZ_ITERATIONS,
+            grid_density=_GRID_DENSITY,
         )
         if not np.all(np.isfinite(proto)) or np.linalg.norm(proto) < 1e-12:
             raise ValueError("degenerate equiripple solution")
@@ -165,10 +148,7 @@ def _prototype(
 
 @lru_cache(maxsize=None)
 def _design_weights(
-    band_lo: float,
-    band_hi: float,
-    m: int,
-    params: FirDesignParams,
+    band_lo: float, band_hi: float, m: int
 ) -> tuple[np.ndarray, str, tuple[float, float]]:
     """Design the steered, normalized taps for a clipped passband."""
     if m == 1:
@@ -197,9 +177,9 @@ def _design_weights(
         proto[(m - 1) // 2 if m % 2 else m // 2] = 1.0
         method = "allpass"
     else:
-        transition = params.transition_fraction * width
+        transition = _TRANSITION_FRACTION * width
         transition = min(transition, 0.5 * (1.0 - pass_edge))
-        proto, method = _prototype(m, pass_edge, pass_edge + transition, params)
+        proto, method = _prototype(m, pass_edge, pass_edge + transition)
 
     taps = proto * np.exp(1j * np.pi * center * np.arange(m))
     taps = taps / np.linalg.norm(taps)
@@ -207,9 +187,7 @@ def _design_weights(
     return taps, method, (band_lo, band_hi)
 
 
-def design_beamformer(
-    spec: BeamSpec, m: int, params: FirDesignParams = FirDesignParams()
-) -> Beamformer:
+def design_beamformer(spec: BeamSpec, m: int) -> Beamformer:
     """Design a unit-norm length-m combiner realizing the requested beam.
 
     Parameters
@@ -218,8 +196,6 @@ def design_beamformer(
         Beam direction and width; the band is clipped to [-1, 1).
     m : int
         Number of taps.
-    params : FirDesignParams
-        Prototype design knobs.
 
     Returns
     -------
@@ -230,7 +206,7 @@ def design_beamformer(
     if int(m) != m or m < 1:
         raise ValueError(f"tap count must be a positive integer, got {m}")
     lo, hi = spec.passband()
-    weights, method, band = _design_weights(lo, hi, int(m), params)
+    weights, method, band = _design_weights(lo, hi, int(m))
     return Beamformer(weights=weights, spec=spec, method=method, passband=band)
 
 
@@ -280,7 +256,6 @@ def build_hierarchical_codebook(
     roi: RegionOfInterest,
     depth: int,
     m: int,
-    params: FirDesignParams = FirDesignParams(),
     grid_size: int | None = None,
 ) -> HierarchicalCodebook:
     """Design beams for every node of a depth-level dyadic partition.
@@ -311,7 +286,7 @@ def build_hierarchical_codebook(
                     level=level,
                     index=k,
                     span=(float(lo), float(hi)),
-                    beamformer=design_beamformer(spec, m, params),
+                    beamformer=design_beamformer(spec, m),
                 )
             )
         levels.append(nodes)

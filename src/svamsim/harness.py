@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -28,7 +27,7 @@ from .adaptive import (
     run_alignment,
     run_hiepm_known_alpha,
 )
-from .arrays import AngularGrid, RegionOfInterest
+from .arrays import AngularGrid, RegionOfInterest, check_integer
 from .beams import BeamSpec, HierarchicalCodebook, design_beamformer
 from .channel import ChannelParams
 from .crb import (
@@ -112,12 +111,11 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; expected one of "
                 f"{', '.join(EXPERIMENT_KINDS)}"
             )
-        for name in ("trials", "seed"):
-            value = getattr(self, name)
-            # a bool is an Integral too, but trials=True is no trial count
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        for name in ("n", "total_snapshots", "trials", "seed"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
+        object.__setattr__(
+            self, "n_v", tuple(check_integer("n_v", n_v) for n_v in self.n_v)
+        )
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.seed < 0:  # the per-trial seed sequences take no negative seed
@@ -222,11 +220,10 @@ def run_adaptive_trials(
     snr_db: float,
     trials: int,
     seed: int,
-    codebook: HierarchicalCodebook | None = None,
 ) -> list[TrialRecord]:
     """All trials of one sweep point, advanced together by run_alignment."""
     rngs, channels = _draw_trials(config, snr_db, trials, seed)
-    return run_alignment(config, channels, rngs, codebook=codebook)
+    return run_alignment(config, channels, rngs)
 
 
 def run_hiepm_trials(

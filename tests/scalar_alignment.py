@@ -85,7 +85,6 @@ def hier_beam_search_scalar(
     grid_size: int,
     p_thresh: float,
     codebook: HierarchicalCodebook,
-    start_offset: int = 0,
 ) -> HierNode:
     """One trial's dyadic search: start one level below the current one at
     the node containing the posterior mode, then climb to the parent until
@@ -95,7 +94,7 @@ def hier_beam_search_scalar(
     pmf = np.asarray(pmf, dtype=float)
     if len(pmf) != grid_size:
         raise ValueError("pmf length must match the grid size")
-    level = min(level_current + 1 + start_offset, codebook.depth)
+    level = min(level_current + 1, codebook.depth)
     if level < 0:
         raise ValueError("negative codebook level")
     if grid_size % 2**level:
@@ -118,7 +117,6 @@ def run_alignment_scalar(
     channel: ChannelParams,
     rng: np.random.Generator,
     trial_index: int = 0,
-    codebook: HierarchicalCodebook | None = None,
 ) -> TrialRecord:
     grid = AngularGrid(config.roi, config.grid_size)
     svam_cfg = config.svam()
@@ -128,15 +126,14 @@ def run_alignment_scalar(
 
     hierarchical = config.codebook == "hierarchical"
     if hierarchical:
-        if codebook is None:
-            codebook = build_hierarchical_codebook(
-                config.roi, config.depth(), m, grid_size=config.grid_size
-            )
+        codebook = build_hierarchical_codebook(
+            config.roi, config.depth(), m, grid_size=config.grid_size
+        )
         level = 0
         beam = codebook.node(0, 0).beamformer
     else:
-        beam = design_beamformer(BeamSpec(config.roi.center, config.beamwidth_initial), m)
-        bw_current = config.beamwidth_initial
+        beam = design_beamformer(BeamSpec(config.roi.center, config.roi.width), m)
+        bw_current = config.roi.width
 
     history = ScalarHistory(svam_cfg, grid)
     logs: list[SegmentLog] = []
@@ -153,15 +150,12 @@ def run_alignment_scalar(
 
         if hierarchical:
             nxt = hier_beam_search_scalar(
-                level, pmf, grid.size, config.p_thresh, codebook,
-                config.hier_start_offset,
+                level, pmf, grid.size, config.p_thresh, codebook
             )
             peak_prob = node_mass(pmf, nxt, grid.size)
             next_beam = codebook.node(nxt.level, nxt.index).beamformer
         else:
-            spec, peak_prob = select_next_beam(
-                pmf, bw_current, config.p_thresh, grid, config.beamwidth_initial
-            )
+            spec, peak_prob = select_next_beam(pmf, bw_current, config.p_thresh, grid)
             next_beam = design_beamformer(spec, m)
 
         logs.append(

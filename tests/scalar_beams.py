@@ -3,8 +3,9 @@
 This is the design as it ran before the lowpass prototype was cached per
 band shape: every passband runs its own equiripple exchange (or
 least-squares fallback) and then steers and normalizes the result. It looks
-up remez and the fallback through svamsim.beams at call time, so a test
-that replaces beams.remez changes the oracle and the cached design alike.
+up remez, the fallback and the design constants through svamsim.beams at
+call time, so a test that replaces beams.remez changes the oracle and the
+cached design alike.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from svamsim.arrays import U_MAX, U_MIN
 
 
 def design_weights(
-    band_lo: float, band_hi: float, m: int, params: beams.FirDesignParams
+    band_lo: float, band_hi: float, m: int
 ) -> tuple[np.ndarray, str, tuple[float, float]]:
     """Steered, normalized taps for a clipped passband, designed afresh."""
     if m == 1:
@@ -40,7 +41,7 @@ def design_weights(
         proto[(m - 1) // 2 if m % 2 else m // 2] = 1.0
         method = "allpass"
     else:
-        transition = params.transition_fraction * width
+        transition = beams._TRANSITION_FRACTION * width
         transition = min(transition, 0.5 * (1.0 - pass_edge))
         stop_edge = pass_edge + transition
         try:
@@ -49,8 +50,8 @@ def design_weights(
                 [0.0, pass_edge, stop_edge, 1.0],
                 [1.0, 0.0],
                 fs=2.0,
-                maxiter=params.max_remez_iterations,
-                grid_density=params.grid_density,
+                maxiter=beams._MAX_REMEZ_ITERATIONS,
+                grid_density=beams._GRID_DENSITY,
             )
             if not np.all(np.isfinite(proto)) or np.linalg.norm(proto) < 1e-12:
                 raise ValueError("degenerate equiripple solution")

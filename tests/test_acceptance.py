@@ -23,7 +23,6 @@ from svamsim import (
     AdaptConfig,
     AngularGrid,
     ExperimentConfig,
-    FirDesignParams,
     RegionOfInterest,
     SvamConfig,
     alpha_posterior,
@@ -330,7 +329,6 @@ def test_criterion_07_known_gain_scheme_ordering():
     sizes 10 and 15 should trail 2..5."""
     trials = 500
     snr = -10.0
-    fir = FirDesignParams()
     results: dict[str, float] = {}
 
     def config(n_v: int) -> AdaptConfig:
@@ -344,7 +342,7 @@ def test_criterion_07_known_gain_scheme_ordering():
             codebook="hierarchical",
         )
 
-    full_book = build_hierarchical_codebook(ROI, 6, 64, fir, grid_size=64)
+    full_book = build_hierarchical_codebook(ROI, 6, 64, grid_size=64)
     results["baseline_1"] = records_rmse(
         run_hiepm_trials(config(1), snr, trials, 0, full_book, mode="svam")
     )
@@ -352,7 +350,7 @@ def test_criterion_07_known_gain_scheme_ordering():
         run_hiepm_trials(config(2), snr, trials, 0, full_book, mode="repeat")
     )
     for n_v in (2, 3, 4, 5, 10, 15):
-        book = build_hierarchical_codebook(ROI, 6, 65 - n_v, fir, grid_size=64)
+        book = build_hierarchical_codebook(ROI, 6, 65 - n_v, grid_size=64)
         results[f"sliding_{n_v}"] = records_rmse(
             run_hiepm_trials(config(n_v), snr, trials, 0, book, mode="svam")
         )

@@ -87,7 +87,7 @@ def test_select_halves_when_mass_is_concentrated():
     g = grid_of(64)
     pmf = np.full(64, 0.1 / 48)
     pmf[24:40] = 0.9 / 16  # 0.9 inside a quarter-width lump
-    spec, peak = select_next_beam(pmf, 0.5, 0.6, g, 1.0)
+    spec, peak = select_next_beam(pmf, 0.5, 0.6, g)
     assert spec.beamwidth == pytest.approx(0.25)
     assert peak >= 0.6
 
@@ -95,8 +95,8 @@ def test_select_halves_when_mass_is_concentrated():
 def test_select_resets_to_initial_on_uniform():
     g = grid_of(64)
     pmf = np.full(64, 1.0 / 64)
-    spec, peak = select_next_beam(pmf, 0.25, 0.6, g, 1.0)
-    assert spec.beamwidth == pytest.approx(1.0)
+    spec, peak = select_next_beam(pmf, 0.25, 0.6, g)
+    assert spec.beamwidth == pytest.approx(ROI.width)
     assert spec.direction == pytest.approx(ROI.center)
     assert peak == pytest.approx(1.0)
 
@@ -105,7 +105,7 @@ def test_select_rewidens_to_recover_spread_mass():
     g = grid_of(64)
     pmf = np.full(64, 0.3 / 48)
     pmf[16:32] = 0.7 / 16  # 0.7 spread over a quarter of the region
-    spec, peak = select_next_beam(pmf, 1.0 / 8, 0.6, g, 1.0)
+    spec, peak = select_next_beam(pmf, 1.0 / 8, 0.6, g)
     # half width (1/16) and the current width both fail; one doubling wins
     assert spec.beamwidth == pytest.approx(0.25)
     assert peak == pytest.approx(0.7)
@@ -115,9 +115,9 @@ def test_select_validates_inputs():
     g = grid_of(16)
     pmf = np.full(16, 1 / 16)
     with pytest.raises(ValueError):
-        select_next_beam(pmf, 0.5, 1.5, g, 1.0)
+        select_next_beam(pmf, 0.5, 1.5, g)
     with pytest.raises(ValueError):
-        select_next_beam(pmf, 0.0, 0.5, g, 1.0)
+        select_next_beam(pmf, 0.0, 0.5, g)
 
 
 # ---------------------------------------------------------- hier_beam_search
@@ -125,11 +125,11 @@ def test_select_validates_inputs():
 DEPTH_16 = 4  # dyadic levels over a 16-point grid
 
 
-def search_one(level, pmf, p_thresh, start_offset=0):
+def search_one(level, pmf, p_thresh):
     """The batched search on a batch of one trial."""
     (node,) = hier_beam_search(
         [level], node_masses(pmf[None], DEPTH_16), [int(np.argmax(pmf))],
-        len(pmf), p_thresh, start_offset,
+        len(pmf), p_thresh,
     )
     return node
 
@@ -156,18 +156,10 @@ def test_hier_search_terminates_at_root():
     assert node == HierNode(0, 0)
 
 
-def test_hier_search_start_offset_skips_levels():
-    pmf = np.zeros(16)
-    pmf[5] = 1.0
-    node = search_one(0, pmf, 0.6, start_offset=2)
-    assert node.level == 3
-    assert node == HierNode(3, 2)
-
-
 def test_hier_search_level_is_capped_at_depth():
     pmf = np.zeros(16)
     pmf[5] = 1.0
-    node = search_one(9, pmf, 0.6, start_offset=5)
+    node = search_one(9, pmf, 0.6)
     assert node == HierNode(4, 5)
 
 
@@ -246,11 +238,8 @@ def test_config_validation():
         make_config(p_thresh=0.0)
     with pytest.raises(ValueError):
         make_config(codebook="fancy")
-    with pytest.raises(ValueError):
-        make_config(beamwidth_initial=0.5)  # narrower than the region
     cfg = make_config()
     assert cfg.segments == 4
-    assert cfg.beamwidth_initial == ROI.width
     assert cfg.depth() == 4
     assert cfg.svam().combiner_length == 13
 
@@ -260,24 +249,31 @@ def test_config_validation():
     [
         dict(n=8, n_v=16, total_snapshots=16),  # virtual size beyond the aperture
         dict(grid_size=0),
-        dict(codebook_depth=-1),
-        dict(codebook_depth=-1, codebook="hierarchical"),
         dict(noise_scale=float("nan")),
         dict(noise_scale=float("inf")),
-        dict(beamwidth_initial=3.0),  # covers the region but no beam is that wide
-        dict(beamwidth_initial=float("nan")),
-        dict(beamwidth_initial=float("inf")),
+        dict(n=16.0),
+        dict(n=16.5),
+        dict(n_v=2.0),
+        dict(n_v=True),
+        dict(total_snapshots=16.0),
+        dict(n=np.float64(16.0)),
     ],
     ids=[
-        "n_v_beyond_aperture", "empty_grid", "negative_depth", "negative_depth_hier",
-        "noise_scale_nan", "noise_scale_inf", "beamwidth_above_two", "beamwidth_nan",
-        "beamwidth_inf",
+        "n_v_beyond_aperture", "empty_grid", "noise_scale_nan", "noise_scale_inf",
+        "n_float", "n_fraction", "n_v_float", "n_v_bool", "snapshots_float",
+        "n_numpy_float",
     ],
 )
 def test_config_rejects_unrunnable_sizes(overrides):
     # each used to be accepted and fail only once a run started, or never
     with pytest.raises(ValueError):
         make_config(**overrides)
+
+
+def test_numpy_integer_sizes_stored_as_int():
+    cfg = make_config(n=np.int64(16), n_v=np.int32(4), total_snapshots=np.uint8(16))
+    assert cfg == make_config()
+    assert all(type(v) is int for v in (cfg.n, cfg.n_v, cfg.total_snapshots))
 
 
 def test_noiseless_on_grid_recovery_flexible():

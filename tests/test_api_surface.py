@@ -3,6 +3,7 @@ must all exist: a deleted function would otherwise leave a benchmark layer
 reading zero while every other test passes."""
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import svamsim
@@ -33,3 +34,24 @@ def test_every_tracer_layer_target_resolves():
     finally:
         tracer.uninstall()
     assert tracing.installed_wrappers() == []
+
+
+# Lower this ceiling whenever a knob goes. Raise it only for a new option
+# that two callers outside the tests (the harness, the CLI, a config key, the
+# benchmark) need with different values; a value only tests set is a constant.
+SETTABLE_VALUE_CEILING = 218
+
+
+def test_settable_values_stay_under_the_ceiling():
+    # every parameter of every exported callable (a class counts its
+    # constructor's), plus the two bank helpers the bound dispatch shares
+    from svamsim import harness
+
+    targets = [getattr(svamsim, name) for name in svamsim.__all__]
+    targets += [harness.region_beam_bank, harness.expanded_combiners]
+    count = sum(
+        len(inspect.signature(target).parameters)
+        for target in targets
+        if callable(target)
+    )
+    assert count <= SETTABLE_VALUE_CEILING

@@ -6,7 +6,6 @@ from svamsim import beams, harness
 from svamsim.arrays import RegionOfInterest, manifold_matrix
 from svamsim.beams import (
     BeamSpec,
-    FirDesignParams,
     beam_gain,
     build_hierarchical_codebook,
     design_beamformer,
@@ -84,9 +83,8 @@ class TestDesignBeamformer:
 
     def test_stopband_rejection(self):
         spec = BeamSpec(0.0, 0.5)
-        params = FirDesignParams()
-        bf = design_beamformer(spec, 61, params)
-        edge = 0.25 + params.transition_fraction * 0.5
+        bf = design_beamformer(spec, 61)
+        edge = 0.25 + beams._TRANSITION_FRACTION * 0.5
         us = np.concatenate([np.linspace(-1, -edge, 800), np.linspace(edge, 1, 800)])
         worst = np.max(np.abs(bf.weights.conj() @ manifold_matrix(61, us)) ** 2)
         assert worst < 0.05 * spec.ideal_gain
@@ -128,14 +126,13 @@ class TestDesignBeamformer:
 
 
 class TestLeastSquaresFallback:
-    def test_fallback_matches_band_spec(self):
-        # starve the exchange of iterations to force the fallback
-        params = FirDesignParams(max_remez_iterations=1)
-        bf = design_beamformer(BeamSpec(0.5, 0.5), 61, params)
-        if bf.method == "least-squares":
-            spec = BeamSpec(0.5, 0.5)
-            gain = passband_power(bf, *spec.passband(), central_fraction=0.8).mean()
-            assert abs(10 * np.log10(gain / spec.ideal_gain)) < 1.5
+    def test_fallback_matches_band_spec(self, cold_design_cache, monkeypatch):
+        monkeypatch.setattr(beams, "remez", no_exchange)
+        spec = BeamSpec(0.5, 0.5)
+        bf = design_beamformer(spec, 61)
+        assert bf.method == "least-squares"
+        gain = passband_power(bf, *spec.passband(), central_fraction=0.8).mean()
+        assert abs(10 * np.log10(gain / spec.ideal_gain)) < 1.5
 
     def test_ls_designs_both_parities(self):
         from svamsim.beams import _ls_lowpass
@@ -161,6 +158,11 @@ def cold_design_cache():
     beams._prototype.cache_clear()
 
 
+def no_exchange(*args, **kwargs):
+    """Stands in for remez to force the least-squares fallback."""
+    raise RuntimeError("exchange disabled")
+
+
 # directions and widths that clip at -1 and at +1, fall under the 2/m
 # resolution floor, fill the whole space (allpass) or share a band shape
 # with another direction; m covers a single tap and both parities
@@ -171,16 +173,13 @@ ORACLE_TAPS = (1, 2, 16, 17, 61)
 
 def assert_designs_match_oracle() -> set[str]:
     """Compare every design of the grid with the oracle; return the methods."""
-    params = FirDesignParams()
     methods = set()
     for m in ORACLE_TAPS:
         for direction in ORACLE_DIRECTIONS:
             for width in ORACLE_WIDTHS:
                 spec = BeamSpec(direction, width)
-                bf = design_beamformer(spec, m, params)
-                taps, method, band = scalar_beams.design_weights(
-                    *spec.passband(), m, params
-                )
+                bf = design_beamformer(spec, m)
+                taps, method, band = scalar_beams.design_weights(*spec.passband(), m)
                 assert np.array_equal(bf.weights, taps), (m, direction, width)
                 assert (bf.method, bf.passband) == (method, band)
                 methods.add(bf.method)
@@ -194,9 +193,6 @@ class TestPrototypeCache:
     def test_forced_fallback_equals_the_uncached_oracle(
         self, cold_design_cache, monkeypatch
     ):
-        def no_exchange(*args, **kwargs):
-            raise RuntimeError("exchange disabled")
-
         monkeypatch.setattr(beams, "remez", no_exchange)
         methods = assert_designs_match_oracle()
         assert methods == {"single-tap", "allpass", "least-squares"}
@@ -206,7 +202,7 @@ class TestPrototypeCache:
         b = design_beamformer(BeamSpec(-0.25, 0.5), 61)
         assert a.weights is not b.weights
         assert beams._prototype.cache_info().currsize == 1
-        proto, method = beams._prototype(61, 0.25, 0.35, FirDesignParams())
+        proto, method = beams._prototype(61, 0.25, 0.35)
         assert method == "remez" and not proto.flags.writeable
 
     def test_one_exchange_per_band_shape_in_an_alignment_run(

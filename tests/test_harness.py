@@ -247,6 +247,17 @@ def test_invalid_configs_rejected():
         dict(trials=2.5),
         dict(trials=True),
         dict(trials=np.float64(2.0)),
+        dict(n=16.0),
+        dict(n=16.5),
+        dict(total_snapshots=16.0),
+        dict(n_v=(2.0,)),
+        dict(n_v=(True,)),
+        dict(n_v=(4, np.float64(2.0))),
+        dict(experiment="crb_sweep", n=16.0),
+        dict(experiment="crb_sweep", n=16.5),
+        dict(experiment="crb_sweep", total_snapshots=16.0),
+        dict(experiment="crb_sweep", n_v=(2.0,)),
+        dict(experiment="crb_sweep", n_v=(True,)),
     ],
     ids=[
         "p_thresh", "noise_scale", "codebook", "hier_grid", "compare_grid",
@@ -257,7 +268,9 @@ def test_invalid_configs_rejected():
         "snr_minus_inf", "crb_snr_minus_inf", "noise_scale_nan", "noise_scale_inf",
         "seed_negative", "crb_seed_negative", "seed_fraction", "seed_float",
         "crb_seed_fraction", "seed_bool", "trials_fraction", "trials_bool",
-        "trials_numpy_float",
+        "trials_numpy_float", "n_float", "n_fraction", "snapshots_float",
+        "n_v_float", "n_v_bool", "n_v_numpy_float", "crb_n_float", "crb_n_fraction",
+        "crb_snapshots_float", "crb_n_v_float", "crb_n_v_bool",
     ],
 )
 def test_bad_sweep_point_fails_at_construction(overrides):
@@ -271,6 +284,16 @@ def test_numpy_integer_seed_and_trials_accepted():
     config = tiny_config(seed=np.int64(3), trials=np.int32(2))
     assert config == tiny_config(seed=3, trials=2)
     assert type(config.seed) is int and type(config.trials) is int
+
+
+@pytest.mark.parametrize("experiment", ["rmse_vs_snr", "crb_sweep"])
+def test_numpy_integer_sizes_stored_as_int(experiment):
+    config = tiny_config(
+        experiment=experiment, n=np.int64(16), n_v=(np.int16(4),),
+        total_snapshots=np.uint32(16),
+    )
+    assert config == tiny_config(experiment=experiment)
+    assert all(type(v) is int for v in (config.n, *config.n_v, config.total_snapshots))
 
 
 # -------------------------------------------------------------- CSV output

@@ -31,17 +31,16 @@ def search_cases(draw):
         weights = rng.random((trials, grid_size)) ** (1 if kind == "random" else 30)
     pmf = weights / weights.sum(axis=1, keepdims=True)
     levels = draw(st.lists(st.integers(0, depth), min_size=trials, max_size=trials))
-    start_offset = draw(st.integers(0, depth + 2))  # up to and past the depth
     # a threshold equal to the mass of a node on trial 0's climb puts an
     # exact tie on the test that ends the climb
     masses = node_masses(pmf, depth)
-    start = min(levels[0] + 1 + start_offset, depth)
+    start = min(levels[0] + 1, depth)  # a level at the depth stays there
     index = int(np.argmax(pmf[0])) * 2**start // grid_size
     climb = [float(masses[l][0, index >> (start - l)]) for l in range(start, -1, -1)]
     thresholds = st.floats(0.001, 0.999)
     ties = [mass for mass in climb if 0.0 < mass < 1.0]
     p_thresh = draw(st.sampled_from(ties) | thresholds if ties else thresholds)
-    return pmf, depth, levels, start_offset, p_thresh
+    return pmf, depth, levels, p_thresh
 
 
 # On a failure, hypothesis's pytest plugin imports libcst to suggest a patch,
@@ -55,15 +54,15 @@ def search_cases(draw):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(search_cases())
 def test_batched_search_equals_the_oracle(case):
-    pmf, depth, levels, start_offset, p_thresh = case
+    pmf, depth, levels, p_thresh = case
     grid_size = pmf.shape[1]
     masses = node_masses(pmf, depth)
     nodes = hier_beam_search(
-        levels, masses, np.argmax(pmf, axis=-1), grid_size, p_thresh, start_offset
+        levels, masses, np.argmax(pmf, axis=-1), grid_size, p_thresh
     )
     book = types.SimpleNamespace(depth=depth)
     want = [
-        hier_beam_search_scalar(level, row, grid_size, p_thresh, book, start_offset)
+        hier_beam_search_scalar(level, row, grid_size, p_thresh, book)
         for level, row in zip(levels, pmf)
     ]
     assert nodes == want

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from svamsim import adaptive
+from svamsim.adaptive import AdaptConfig
 from svamsim.arrays import AngularGrid, RegionOfInterest, ula_manifold
 from svamsim.channel import ChannelParams
+from svamsim.harness import noise_variance_from_snr, run_adaptive_trials
 from svamsim.inference import (
     alpha_posterior,
     approx_log_likelihood,
@@ -48,6 +51,29 @@ def stacked_response(hist, grid, i):
     """Candidate i's stacked noiseless direction: kron(beta column, phi)."""
     phi = ula_manifold(hist.n_v, grid.points[i])
     return np.kron(hist.beta_matrix[:, i], phi)
+
+
+def assert_batch_matches_dense_solve(hist, grid, power, sigma2, points):
+    """Every trial's closed-form log-det and quadratic form at the given grid
+    points against a dense slogdet and solve on its whole stacked record.
+    Returns the fitted gain prior."""
+    gamma = gamma_mle(hist, grid, power, sigma2)
+    post = alpha_posterior(hist, grid, gamma, power, sigma2)
+    terms = likelihood_terms(hist, grid, post, power, sigma2)
+    y, beta = hist.stacked(), hist.beta_matrix
+    for k in range(len(y)):
+        for i in points:
+            v = np.kron(beta[k, :, i], ula_manifold(hist.n_v, grid.points[i]))
+            cov = power * post.variance[k, i] * np.outer(
+                v, v.conj()
+            ) + sigma2 * np.eye(len(v))
+            resid = y[k] - np.sqrt(power) * post.mean[k, i] * v
+            sign, logdet = np.linalg.slogdet(cov)
+            assert sign > 0
+            quad = float(np.vdot(resid, np.linalg.solve(cov, resid)).real)
+            assert terms.log_det[k, i] == pytest.approx(logdet, rel=1e-10)
+            assert terms.quad_form[k, i] == pytest.approx(quad, rel=1e-10)
+    return gamma
 
 
 class TestGammaMle:
@@ -207,24 +233,37 @@ class TestLikelihoodTerms:
                 for f, c in zip(beams, channels)
             ])
             hist.append(SegmentMeasurement(values, t), beams, grid)
-        gamma = gamma_mle(hist, grid, power, sigma2)
-        post = alpha_posterior(hist, grid, gamma, power, sigma2)
-        terms = likelihood_terms(hist, grid, post, power, sigma2)
-        y, beta = hist.stacked(), hist.beta_matrix
-        assert y.shape == (2, segments * cfg.n_v)
-        for k in range(2):
-            for i in (0, 11, 40, 63):
-                v = np.kron(beta[k, :, i], ula_manifold(cfg.n_v, grid.points[i]))
-                cov = power * post.variance[k, i] * np.outer(
-                    v, v.conj()
-                ) + sigma2 * np.eye(len(v))
-                resid = y[k] - np.sqrt(power) * post.mean[k, i] * v
-                sign, logdet = np.linalg.slogdet(cov)
-                assert sign > 0
-                quad = float(np.vdot(resid, np.linalg.solve(cov, resid)).real)
-                assert terms.log_det[k, i] == pytest.approx(logdet, rel=1e-10)
-                assert terms.quad_form[k, i] == pytest.approx(quad, rel=1e-10)
+        assert hist.stacked().shape == (2, segments * cfg.n_v)
+        gamma = assert_batch_matches_dense_solve(
+            hist, grid, power, sigma2, (0, 11, 40, 63)
+        )
         assert np.all(gamma[[0, 1], [11, 40]] > 0)
+
+    @pytest.mark.parametrize("codebook", ["flexible", "hierarchical"])
+    def test_controller_driven_run_matches_dense_solve_every_block(
+        self, codebook, monkeypatch
+    ):
+        # the same check after every block of a run whose beams the
+        # controller picks, through a history that checks itself on append
+        snr_db = -5.0
+        cfg = AdaptConfig(
+            n=16, n_v=2, total_snapshots=80, roi=RegionOfInterest(0.0, 1.0),
+            grid_size=16, p_thresh=0.6, codebook=codebook,
+        )
+        sigma2 = noise_variance_from_snr(snr_db)
+        checked = []
+
+        class DenseCheckedHistory(adaptive.MeasurementHistory):
+            def append(self, segment, beamformer, grid):
+                super().append(segment, beamformer, grid)
+                points = (0, 5, 10, 15)
+                assert_batch_matches_dense_solve(self, grid, 1.0, sigma2, points)
+                checked.append(self.segment_count)
+
+        plain = run_adaptive_trials(cfg, snr_db, trials=2, seed=0)
+        monkeypatch.setattr(adaptive, "MeasurementHistory", DenseCheckedHistory)
+        assert run_adaptive_trials(cfg, snr_db, trials=2, seed=0) == plain
+        assert checked == list(range(1, cfg.segments + 1))
 
     def test_zero_data_scores_all_candidates_equally(self):
         cfg = SvamConfig(n=10, n_v=2)

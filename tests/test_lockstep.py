@@ -131,11 +131,6 @@ def test_lockstep_matches_scalar_oracle(codebook, snr_db, noise_scale, n_v):
     assert_matches_oracle(cfg, single_path_trials(cfg, snr_db))
 
 
-def test_lockstep_matches_oracle_with_start_offset():
-    cfg = config(codebook="hierarchical", hier_start_offset=1, n_v=2)
-    assert_matches_oracle(cfg, single_path_trials(cfg, -5.0))
-
-
 @pytest.mark.parametrize("codebook", ["flexible", "hierarchical"])
 def test_lockstep_matches_oracle_on_two_paths(codebook):
     cfg = config(codebook=codebook)
