@@ -17,11 +17,13 @@ Two controllers share the measurement/inference loop:
 
 Both loops draw each trial's noise from that trial's own generator, one
 block at a time, in the order a lone run of the trial would, so a batch
-row reproduces the lone trial bit for bit. The inference takes the whole
-batch at once and checks every row; one bad row rejects the batch. Only
-the flexible controller step of run_alignment still runs trial by trial;
-the hierarchical search and posterior matching pick all trials' nodes from
-one table of node masses.
+row reproduces the lone trial bit for bit. The trials of a batch share
+their transmit power; run_alignment lets each trial have its own noise
+variance, so one batch can hold every SNR of a sweep point. The inference
+takes the whole batch at once and checks every row; one bad row rejects
+the batch. Only the flexible controller step of run_alignment still runs
+trial by trial; the hierarchical search and posterior matching pick all
+trials' nodes from one table of node masses.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ class AdaptConfig:
     noise_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("n", "n_v", "total_snapshots"):
+        for name in ("n", "n_v", "grid_size", "total_snapshots"):
             object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         self.svam()  # rejects n_v < 1 and a virtual size beyond the aperture
         if self.grid_size < 1:
@@ -307,21 +309,24 @@ def select_codeword_posterior_matching(masses: Sequence[np.ndarray]) -> list[Hie
     return [HierNode(int(l), int(k)) for l, k in zip(level, index)]
 
 
-def _inference_noise(config: AdaptConfig, channel: ChannelParams) -> float:
-    return max(config.noise_scale * channel.noise_variance, NOISELESS_VAR_FLOOR)
+def _inference_noise(config: AdaptConfig, noise_variance: np.ndarray) -> np.ndarray:
+    """Each trial's noise variance as the inference assumes it."""
+    return np.maximum(config.noise_scale * noise_variance, NOISELESS_VAR_FLOOR)
 
 
 def _batch_inputs(
     config: AdaptConfig, channels: Sequence[ChannelParams], rngs: Sequence
-) -> tuple[float, float, list[float], np.ndarray, list[BeamCache]]:
-    """Check a batch for one generator per channel and a shared transmit power
-    and noise variance; return those two, each trial's true (first-path)
-    angle, the noiseless snapshots and a |beta(truth)|^2 cache per trial."""
+) -> tuple[float, np.ndarray, list[float], np.ndarray, list[BeamCache]]:
+    """Check a batch for one generator per channel and a shared transmit
+    power; return that power, each trial's noise variance and true
+    (first-path) angle, the noiseless snapshots and a |beta(truth)|^2 cache
+    per trial."""
     if len(channels) < 1 or len(rngs) != len(channels):
         raise ValueError("need at least one channel and one generator per channel")
-    power, noise = channels[0].power, channels[0].noise_variance
-    if any(c.power != power or c.noise_variance != noise for c in channels):
-        raise ValueError("trials of one batch must share power and noise variance")
+    power = channels[0].power
+    if any(c.power != power for c in channels):
+        raise ValueError("trials of one batch must share transmit power")
+    noise = np.array([channel.noise_variance for channel in channels])
     truths = [channel.paths[0][1] for channel in channels]
     signals = np.stack([noiseless_snapshot(channel, config.n) for channel in channels])
     gains = [BeamCache(lambda w, u=u: abs(beam_gain(w, u)) ** 2) for u in truths]
@@ -351,7 +356,8 @@ def run_alignment(
     axis, so inference and the hierarchical search run once per block for
     the whole batch; only the flexible controller step is taken trial by
     trial. A single trial is a batch of one. The trials must share transmit
-    power and noise variance.
+    power; each may have its own noise variance, and a noiseless trial
+    draws nothing from its generator.
 
     The dominant (first) path angle of each channel is the ground truth for
     its per-segment gain log and each final estimate is the posterior
@@ -364,7 +370,7 @@ def run_alignment(
     grid = AngularGrid(config.roi, config.grid_size)
     svam_cfg = config.svam()
     m = svam_cfg.combiner_length
-    noise_var = _inference_noise(config, channels[0])
+    noise_var = _inference_noise(config, channel_noise)[:, None]
 
     hierarchical = config.codebook == "hierarchical"
     if hierarchical:
@@ -460,9 +466,13 @@ def run_hiepm_known_alpha(
     power, channel_noise, truths, signals, gains = _batch_inputs(config, channels, rngs)
     if any(len(channel.paths) != 1 for channel in channels):
         raise ValueError("known-gain controller assumes a single path")
+    # one shared variance keeps the snapshot and Bayes updates on scalars
+    if (channel_noise != channel_noise[0]).any():
+        raise ValueError("trials of one batch must share noise variance")
+    noise_var = float(_inference_noise(config, channel_noise)[0])
+    channel_noise = float(channel_noise[0])
     grid = AngularGrid(config.roi, config.grid_size)
     svam_cfg = config.svam()
-    noise_var = _inference_noise(config, channels[0])
     alphas = np.array([channel.paths[0][0] for channel in channels])
     expected_taps = svam_cfg.combiner_length if mode == "svam" else config.n
     if codebook.node(0, 0).beamformer.size != expected_taps:

@@ -65,27 +65,29 @@ def antenna_snapshot(
 
 def antenna_blocks(
     signals: np.ndarray,
-    noise_variance: float,
+    noise_variance: float | np.ndarray,
     rngs: Sequence[np.random.Generator],
     count: int,
 ) -> np.ndarray:
     """count consecutive observations for each trial of a batch.
 
     signals is the (trials, n) stack of the trials' noiseless snapshots; the
-    result is (trials, count, n). Trial i's noise is one
+    result is (trials, count, n). noise_variance is one variance for the
+    whole batch or one per trial. Trial i's noise is one
     standard_normal((count, 2, n)) draw from rngs[i]: real, then imaginary
     parts, observation by observation, the same numbers count
-    antenna_snapshot calls would take. Without noise no generator is used.
+    antenna_snapshot calls would take. A trial without noise draws nothing
+    from its generator.
     """
     signals = np.asarray(signals)
     if signals.ndim != 2 or len(rngs) != len(signals):
         raise ValueError("need a (trials, n) signal stack and one generator per trial")
-    if noise_variance == 0.0:
-        return np.repeat(signals[:, None, :], count, axis=1)
-    noise = np.empty((len(signals), count, 2, signals.shape[1]))
-    for rng, out in zip(rngs, noise):
-        rng.standard_normal(out=out)
-    scale = np.sqrt(noise_variance / 2.0)
+    variance = np.broadcast_to(np.asarray(noise_variance, dtype=float), len(signals))
+    noise = np.zeros((len(signals), count, 2, signals.shape[1]))
+    for rng, v, out in zip(rngs, variance, noise):
+        if v > 0.0:
+            rng.standard_normal(out=out)
+    scale = np.sqrt(variance / 2.0)[:, None, None]
     return signals[:, None, :] + scale * (noise[..., 0, :] + 1j * noise[..., 1, :])
 
 

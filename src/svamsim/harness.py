@@ -15,8 +15,8 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -111,7 +111,7 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; expected one of "
                 f"{', '.join(EXPERIMENT_KINDS)}"
             )
-        for name in ("n", "total_snapshots", "trials", "seed"):
+        for name in ("n", "grid_size", "total_snapshots", "trials", "seed"):
             object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         object.__setattr__(
             self, "n_v", tuple(check_integer("n_v", n_v) for n_v in self.n_v)
@@ -215,6 +215,28 @@ def _draw_trials(
     return rngs, [draw_channel(grid, snr_db, rng) for rng in rngs]
 
 
+def _run_snr_batch(
+    config: AdaptConfig, snrs: Sequence[float], trials: int, seed: int
+) -> list[list[TrialRecord]]:
+    """The trials of one sweep point per SNR, all advanced together by one
+    run_alignment batch; one record list per SNR, numbered from 0 as a lone
+    run of that SNR numbers them."""
+    rngs: list[np.random.Generator] = []
+    channels: list[ChannelParams] = []
+    for snr in snrs:
+        snr_rngs, snr_channels = _draw_trials(config, snr, trials, seed)
+        rngs += snr_rngs
+        channels += snr_channels
+    records = run_alignment(config, channels, rngs)
+    return [
+        [
+            replace(record, trial_index=record.trial_index - start) if start else record
+            for record in records[start : start + trials]
+        ]
+        for start in range(0, len(records), trials)
+    ]
+
+
 def run_adaptive_trials(
     config: AdaptConfig,
     snr_db: float,
@@ -222,8 +244,8 @@ def run_adaptive_trials(
     seed: int,
 ) -> list[TrialRecord]:
     """All trials of one sweep point, advanced together by run_alignment."""
-    rngs, channels = _draw_trials(config, snr_db, trials, seed)
-    return run_alignment(config, channels, rngs)
+    (records,) = _run_snr_batch(config, [snr_db], trials, seed)
+    return records
 
 
 def run_hiepm_trials(
@@ -306,19 +328,45 @@ _REDUCERS = {
 
 
 def _adaptive_rows(config: ExperimentConfig) -> list[MetricRow]:
+    """Metric rows of every alignment sweep point, in sweep order.
+
+    Sweep points with equal AdaptConfigs differ only in SNR; all their
+    trials run as one lockstep batch, each point's slice the records a run
+    of that point alone gives. A point is found by its position, so an SNR
+    listed twice gives two identical sets of rows. Each batch is reduced to
+    rows before the next one runs.
+    """
     reduce = _REDUCERS[config.experiment]
     grid = AngularGrid(config.roi, config.grid_size)
-    rows = []
-    for (snr, n_v, p, scale, book), adapt in config.sweep_points():
-        records = run_adaptive_trials(adapt, snr, config.trials, config.seed)
-        for t, name, value in reduce(records, grid):
-            rows.append(
-                MetricRow(
-                    config.experiment, snr, n_v, p, scale, t, config.trials,
-                    name if book is None else f"{name}_{book}", value,
-                )
+    points = list(config.sweep_points())
+    groups: dict[object, list[int]] = {}
+    for position, (_, adapt) in enumerate(points):
+        # a batch of one takes numpy's vector-matrix product for the
+        # history's matched rows, whose last bits differ from a row of the
+        # matrix product at most block sizes: one-trial points run alone
+        groups.setdefault(adapt if config.trials > 1 else position, []).append(
+            position
+        )
+
+    def point_rows(position: int, records: list[TrialRecord]) -> list[MetricRow]:
+        snr, n_v, p, scale, book = points[position][0]
+        return [
+            MetricRow(
+                config.experiment, snr, n_v, p, scale, t, config.trials,
+                name if book is None else f"{name}_{book}", value,
             )
-    return rows
+            for t, name, value in reduce(records, grid)
+        ]
+
+    rows: dict[int, list[MetricRow]] = {}
+    for positions in groups.values():
+        adapt = points[positions[0]][1]
+        snrs = [points[position][0][0] for position in positions]
+        for position, records in zip(
+            positions, _run_snr_batch(adapt, snrs, config.trials, config.seed)
+        ):
+            rows[position] = point_rows(position, records)
+    return [row for position in range(len(points)) for row in rows[position]]
 
 
 def region_beam_bank(beam: BeamSpec, taps: int, segments: int) -> np.ndarray:

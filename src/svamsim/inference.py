@@ -9,8 +9,10 @@ all per-candidate work closed-form. Likelihoods are handled in the log
 domain throughout; the pmf is produced by max-subtracted exponentiation.
 
 Every per-candidate array has the shape of the history's statistics: (grid,)
-for one trial, (trials, grid) for a batch advancing in lockstep. The
-formulas are elementwise, so a batch row equals the lone trial's vector.
+for one trial, (trials, grid) for a batch advancing in lockstep. The noise
+variance is one scalar, or for a batch a (trials, 1) column that gives each
+trial its own. The formulas are elementwise, so a batch row equals the lone
+trial's vector.
 """
 
 from __future__ import annotations
@@ -59,18 +61,30 @@ def _check_history(history: MeasurementHistory, grid: AngularGrid) -> None:
         raise ValueError("history was accumulated on a different grid")
 
 
-def _check_noise(power: float, noise_var: float) -> None:
+def _check_noise(
+    power: float, noise_var: float | np.ndarray, shape: tuple[int, ...] = ()
+) -> None:
+    """power is shared by the batch; noise_var is a scalar or, for a
+    (trials, grid) batch of the given shape, a (trials, 1) column. One
+    non-positive row rejects the batch."""
     if power <= 0:
         raise ValueError("power must be positive")
-    if noise_var <= 0:
-        raise ValueError("noise variance must be positive")
+    # no np.ndim here: the known-gain loop passes a float once per snapshot
+    if not isinstance(noise_var, np.ndarray) or noise_var.ndim == 0:
+        if noise_var <= 0:
+            raise ValueError("noise variance must be positive")
+        return
+    if len(shape) != 2 or noise_var.shape != (shape[0], 1):
+        raise ValueError("need one noise variance per trial as a (trials, 1) column")
+    if (noise_var <= 0).any():
+        raise ValueError("noise variance must be positive in every row")
 
 
 def gamma_mle(
     history: MeasurementHistory,
     grid: AngularGrid,
     power: float,
-    noise_var: float,
+    noise_var: float | np.ndarray,
 ) -> np.ndarray:
     """Maximum-likelihood prior variance of the path gain per candidate.
 
@@ -80,17 +94,19 @@ def gamma_mle(
         max{0, (|v^H y|^2 - noise_var) / (power * g * n_v)},
 
     clipped at zero because a variance cannot be negative. Candidates the
-    beams have never illuminated (g = 0) stay at zero.
+    beams have never illuminated (g = 0) stay at zero. A batch may pass
+    noise_var as a (trials, 1) column, one variance per trial.
     """
     _check_history(history, grid)
-    _check_noise(power, noise_var)
     n_v = history.n_v
     g = history.cumulative_gain
+    _check_noise(power, noise_var, g.shape)
     s = history.matched_statistic
     gamma = np.zeros(g.shape)
     lit = g > 0
     energy = np.abs(s[lit]) ** 2 / (g[lit] * n_v)
-    gamma[lit] = np.maximum(0.0, (energy - noise_var) / (power * g[lit] * n_v))
+    noise = np.broadcast_to(noise_var, g.shape)[lit]
+    gamma[lit] = np.maximum(0.0, (energy - noise) / (power * g[lit] * n_v))
     return gamma
 
 
@@ -99,17 +115,18 @@ def alpha_posterior(
     grid: AngularGrid,
     gamma: np.ndarray,
     power: float,
-    noise_var: float,
+    noise_var: float | np.ndarray,
 ) -> AlphaPosterior:
     """Gaussian posterior of the gain under the fitted prior variance.
 
     mean = sqrt(power) * gamma * v^H y / D and variance = gamma * noise / D
     with D = power * gamma * g * n_v + noise; the variance never exceeds the
     prior variance (strictly smaller wherever data actually arrived).
+    A batch may pass noise_var as a (trials, 1) column, one variance per trial.
     """
     _check_history(history, grid)
-    _check_noise(power, noise_var)
     g = history.cumulative_gain
+    _check_noise(power, noise_var, g.shape)
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != g.shape or np.any(gamma < 0):
         raise ValueError("gamma must be a nonnegative per-candidate vector")
@@ -125,7 +142,7 @@ def likelihood_terms(
     grid: AngularGrid,
     posterior: AlphaPosterior,
     power: float,
-    noise_var: float,
+    noise_var: float | np.ndarray,
 ) -> LikelihoodTerms:
     """Score every candidate with the Gaussian approximate marginal.
 
@@ -139,11 +156,12 @@ def likelihood_terms(
                   - power*var/noise * |v_e|^2 / (power*var*g*n_v + noise)
 
     with e the stacked residual and v_e its matched inner product.
+    A batch may pass noise_var as a (trials, 1) column, one variance per trial.
     """
     _check_history(history, grid)
-    _check_noise(power, noise_var)
     total = history.segment_count * history.n_v
     g = history.cumulative_gain
+    _check_noise(power, noise_var, g.shape)
     s = history.matched_statistic
     mean = posterior.mean
     var = posterior.variance
@@ -175,8 +193,10 @@ def approx_log_likelihood(
     grid: AngularGrid,
     posterior: AlphaPosterior,
     power: float,
-    noise_var: float,
+    noise_var: float | np.ndarray,
 ) -> np.ndarray:
+    """The log_likelihood of likelihood_terms; a batch may pass noise_var
+    as a (trials, 1) column, one variance per trial."""
     return likelihood_terms(history, grid, posterior, power, noise_var).log_likelihood
 
 

@@ -257,11 +257,13 @@ def test_config_validation():
         dict(n_v=True),
         dict(total_snapshots=16.0),
         dict(n=np.float64(16.0)),
+        dict(grid_size=16.5),
+        dict(grid_size=True),
     ],
     ids=[
         "n_v_beyond_aperture", "empty_grid", "noise_scale_nan", "noise_scale_inf",
         "n_float", "n_fraction", "n_v_float", "n_v_bool", "snapshots_float",
-        "n_numpy_float",
+        "n_numpy_float", "grid_float_fraction", "grid_bool",
     ],
 )
 def test_config_rejects_unrunnable_sizes(overrides):
@@ -271,9 +273,13 @@ def test_config_rejects_unrunnable_sizes(overrides):
 
 
 def test_numpy_integer_sizes_stored_as_int():
-    cfg = make_config(n=np.int64(16), n_v=np.int32(4), total_snapshots=np.uint8(16))
+    cfg = make_config(
+        n=np.int64(16), n_v=np.int32(4), grid_size=np.int16(16),
+        total_snapshots=np.uint8(16),
+    )
     assert cfg == make_config()
-    assert all(type(v) is int for v in (cfg.n, cfg.n_v, cfg.total_snapshots))
+    sizes = (cfg.n, cfg.n_v, cfg.grid_size, cfg.total_snapshots)
+    assert all(type(v) is int for v in sizes)
 
 
 def test_noiseless_on_grid_recovery_flexible():

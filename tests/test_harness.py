@@ -141,6 +141,32 @@ def test_noiseless_single_trial_recovers_exactly():
 # ------------------------------------------------------------- experiments
 
 
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("codebook", ["flexible", "hierarchical"])
+def test_snr_batch_records_equal_one_snr_sweeps(codebook, trials, monkeypatch):
+    # every SNR of a sweep point runs in one batch; each point must see the
+    # records of a sweep of its SNR alone, an SNR listed twice included.
+    # Block size 3 is one where a one-row batch and a batch row round
+    # differently, so the rows carry every record's numbering and peak mass
+    def every_record(records, grid):
+        for record in records:
+            for t, seg in enumerate(record.segments):
+                yield t, f"peak_{record.trial_index}", seg.peak_prob
+
+    monkeypatch.setitem(harness._REDUCERS, "gain_over_time", every_record)
+    snrs = (-5.0, 5.0, -5.0)
+    config = tiny_config(
+        experiment="gain_over_time", n_v=(2, 3), total_snapshots=12,
+        trials=trials, snr_db=snrs, codebook=codebook,
+    )
+    want = [
+        row
+        for snr in snrs
+        for row in run_experiment(dataclasses.replace(config, snr_db=(snr,)))
+    ]
+    assert run_experiment(config) == want
+
+
 def test_rmse_vs_snr_row_count_contract():
     cfg = tiny_config(snr_db=(0.0, 10.0), n_v=(2, 4), p_thresh=(0.5, 0.6))
     rows = run_experiment(cfg)
@@ -258,6 +284,8 @@ def test_invalid_configs_rejected():
         dict(experiment="crb_sweep", total_snapshots=16.0),
         dict(experiment="crb_sweep", n_v=(2.0,)),
         dict(experiment="crb_sweep", n_v=(True,)),
+        dict(grid_size=16.5),
+        dict(grid_size=True),
     ],
     ids=[
         "p_thresh", "noise_scale", "codebook", "hier_grid", "compare_grid",
@@ -271,6 +299,7 @@ def test_invalid_configs_rejected():
         "trials_numpy_float", "n_float", "n_fraction", "snapshots_float",
         "n_v_float", "n_v_bool", "n_v_numpy_float", "crb_n_float", "crb_n_fraction",
         "crb_snapshots_float", "crb_n_v_float", "crb_n_v_bool",
+        "grid_float_fraction", "grid_bool",
     ],
 )
 def test_bad_sweep_point_fails_at_construction(overrides):
@@ -290,10 +319,11 @@ def test_numpy_integer_seed_and_trials_accepted():
 def test_numpy_integer_sizes_stored_as_int(experiment):
     config = tiny_config(
         experiment=experiment, n=np.int64(16), n_v=(np.int16(4),),
-        total_snapshots=np.uint32(16),
+        grid_size=np.int32(16), total_snapshots=np.uint32(16),
     )
     assert config == tiny_config(experiment=experiment)
-    assert all(type(v) is int for v in (config.n, *config.n_v, config.total_snapshots))
+    sizes = (config.n, *config.n_v, config.grid_size, config.total_snapshots)
+    assert all(type(v) is int for v in sizes)
 
 
 # -------------------------------------------------------------- CSV output

@@ -295,6 +295,77 @@ class TestLikelihoodTerms:
             likelihood_terms(hist, grid, post, 1.0, 0.0)
 
 
+class TestNoiseColumn:
+    """A batch whose trials each carry their own noise variance."""
+
+    NOISE = np.array([[0.05], [0.4], [2.0], [1e-12]])
+
+    def _batch(self, power=1.3, segments=4):
+        # the last trial is noiseless and scored at the inference floor
+        cfg = SvamConfig(n=12, n_v=3)
+        grid = AngularGrid(RegionOfInterest(0.0, 1.0), 16)
+        channels = [
+            ChannelParams.single_path(
+                np.exp(0.4j * k), grid.points[3 + 2 * k], power=power,
+                noise_variance=0.0 if k == 3 else float(v),
+            )
+            for k, v in enumerate(self.NOISE[:, 0])
+        ]
+        rngs = [np.random.default_rng(30 + k) for k in range(len(channels))]
+        batch = MeasurementHistory(cfg, trials=len(channels))
+        for t in range(segments):
+            f = unit(cfg.combiner_length, 100 + t)
+            values = np.stack([
+                measure_segment(f, c, cfg, t, rng).values
+                for c, rng in zip(channels, rngs)
+            ])
+            batch.append(SegmentMeasurement(values, t), [f] * len(channels), grid)
+        return batch, grid
+
+    def test_rows_equal_scalar_calls_bit_for_bit(self):
+        power = 1.3
+        batch, grid = self._batch(power)
+        gamma = gamma_mle(batch, grid, power, self.NOISE)
+        post = alpha_posterior(batch, grid, gamma, power, self.NOISE)
+        terms = likelihood_terms(batch, grid, post, power, self.NOISE)
+        assert (gamma == 0).any() and (gamma > 0).any()
+        for i, noise in enumerate(self.NOISE[:, 0]):
+            noise = float(noise)
+            gamma_i = gamma_mle(batch, grid, power, noise)
+            post_i = alpha_posterior(batch, grid, gamma_i, power, noise)
+            terms_i = likelihood_terms(batch, grid, post_i, power, noise)
+            assert (gamma[i] == gamma_i[i]).all()
+            assert (post.mean[i] == post_i.mean[i]).all()
+            assert (post.variance[i] == post_i.variance[i]).all()
+            assert (terms.log_likelihood[i] == terms_i.log_likelihood[i]).all()
+            assert (terms.log_det[i] == terms_i.log_det[i]).all()
+            assert (terms.quad_form[i] == terms_i.quad_form[i]).all()
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1], ids=["zero", "negative"])
+    def test_one_bad_row_rejects_the_batch(self, bad):
+        batch, grid = self._batch()
+        gamma = gamma_mle(batch, grid, 1.0, self.NOISE)
+        post = alpha_posterior(batch, grid, gamma, 1.0, self.NOISE)
+        noise = self.NOISE.copy()
+        noise[2, 0] = bad
+        with pytest.raises(ValueError):
+            gamma_mle(batch, grid, 1.0, noise)
+        with pytest.raises(ValueError):
+            alpha_posterior(batch, grid, gamma, 1.0, noise)
+        with pytest.raises(ValueError):
+            likelihood_terms(batch, grid, post, 1.0, noise)
+
+    def test_rejects_a_column_of_the_wrong_shape(self):
+        batch, grid = self._batch()
+        with pytest.raises(ValueError):  # a row, not a column
+            gamma_mle(batch, grid, 1.0, self.NOISE[:, 0])
+        with pytest.raises(ValueError):  # one variance short
+            gamma_mle(batch, grid, 1.0, self.NOISE[1:])
+        lone, grid, _ = make_history()
+        with pytest.raises(ValueError):  # a lone trial takes a scalar
+            gamma_mle(lone, grid, 1.0, self.NOISE[:1])
+
+
 class TestPosteriorPmf:
     def test_uniform_for_equal_scores(self):
         pmf = posterior_pmf(np.full(5, -3.7))

@@ -2,6 +2,7 @@
 their one-trial oracles, block noise against single snapshots, and per-row
 validation."""
 
+import dataclasses
 import functools
 import gc
 import math
@@ -140,14 +141,46 @@ def test_lockstep_matches_oracle_on_two_paths(codebook):
 def test_batch_rejects_mismatched_inputs():
     cfg = config()
     chan = ChannelParams.single_path(1.0, 0.25, noise_variance=0.5)
-    quieter = ChannelParams.single_path(1.0, 0.25, noise_variance=0.1)
+    louder = ChannelParams.single_path(1.0, 0.25, power=2.0, noise_variance=0.5)
     rng = np.random.default_rng
     with pytest.raises(ValueError):
         run_alignment(cfg, [], [])
     with pytest.raises(ValueError):
         run_alignment(cfg, [chan, chan], [rng(0)])
-    with pytest.raises(ValueError):
-        run_alignment(cfg, [chan, quieter], [rng(0), rng(1)])
+    with pytest.raises(ValueError):  # the trials of a batch share power
+        run_alignment(cfg, [chan, louder], [rng(0), rng(1)])
+
+
+@pytest.mark.parametrize("noise_scale", [1.0, 0.5])
+@pytest.mark.parametrize("codebook", ["flexible", "hierarchical"])
+def test_mixed_snr_batch_equals_lone_batches(codebook, noise_scale):
+    # one batch holding several SNRs, one listed twice, as a sweep point's
+    # batch does: each SNR's slice is that SNR's lone batch, renumbered
+    cfg = config(codebook=codebook, noise_scale=noise_scale)
+    snrs = [-10.0, 0.0, math.inf, -10.0]
+    grid = AngularGrid(cfg.roi, cfg.grid_size)
+
+    def draw(snr):
+        rngs = [trial_generator(13, trial) for trial in range(TRIALS)]
+        return rngs, [draw_channel(grid, snr, rng) for rng in rngs]
+
+    draws = [draw(snr) for snr in snrs]
+    noiseless = draws[snrs.index(math.inf)][0][0]
+    state = noiseless.bit_generator.state
+    mixed = run_alignment(
+        cfg,
+        [channel for _, channels in draws for channel in channels],
+        [rng for rngs, _ in draws for rng in rngs],
+    )
+    assert noiseless.bit_generator.state == state
+    for k, snr in enumerate(snrs):
+        rngs, channels = draw(snr)
+        lone = run_alignment(cfg, channels, rngs)
+        got = [
+            dataclasses.replace(record, trial_index=record.trial_index - k * TRIALS)
+            for record in mixed[k * TRIALS : (k + 1) * TRIALS]
+        ]
+        assert_same_records(got, lone)
 
 
 # --------------------------------------------------------- known-gain hiePM
@@ -332,6 +365,32 @@ def test_noiseless_block_leaves_generator_untouched():
         block[0], np.tile(noiseless_snapshot(params, 6), (3, 1))
     )
     assert rng.standard_normal() == np.random.default_rng(3).standard_normal()
+
+
+@pytest.mark.parametrize(
+    "variances", [[0.5, 0.0, 2.0], [0.5, 1.0, 2.0]], ids=["one_noiseless", "all_noisy"]
+)
+def test_per_trial_noise_rows_equal_shared_noise_blocks(variances):
+    n, n_v = 8, 3
+    variances = np.array(variances)
+    signals = np.stack([
+        noiseless_snapshot(ChannelParams.single_path(np.exp(1j * k), 0.1 * k), n)
+        for k in range(3)
+    ])
+    rngs = [np.random.default_rng(60 + k) for k in range(3)]
+    blocks = antenna_blocks(signals, variances, rngs, n_v)
+    for k, variance in enumerate(variances):
+        rng = np.random.default_rng(60 + k)
+        (want,) = antenna_blocks(signals[k : k + 1], float(variance), [rng], n_v)
+        np.testing.assert_array_equal(blocks[k], want)
+        # each generator stands where its lone draw left it, and a
+        # noiseless row's never moved
+        assert rngs[k].bit_generator.state == rng.bit_generator.state
+        if variance == 0.0:
+            untouched = np.random.default_rng(60 + k).bit_generator.state
+            assert rng.bit_generator.state == untouched
+    with pytest.raises(ValueError):  # one variance short
+        antenna_blocks(signals, variances[:2], rngs, n_v)
 
 
 # ------------------------------------------------------ batched inference
