@@ -318,16 +318,16 @@ def _batch_inputs(
     config: AdaptConfig, channels: Sequence[ChannelParams], rngs: Sequence
 ) -> tuple[float, np.ndarray, list[float], np.ndarray, list[BeamCache]]:
     """Check a batch for one generator per channel and a shared transmit
-    power; return that power, each trial's noise variance and true
-    (first-path) angle, the noiseless snapshots and a |beta(truth)|^2 cache
-    per trial."""
+    power; return that power, each trial's noise variance and true angle
+    (its path's), the noiseless snapshots and a |beta(truth)|^2 cache per
+    trial."""
     if len(channels) < 1 or len(rngs) != len(channels):
         raise ValueError("need at least one channel and one generator per channel")
     power = channels[0].power
     if any(c.power != power for c in channels):
         raise ValueError("trials of one batch must share transmit power")
     noise = np.array([channel.noise_variance for channel in channels])
-    truths = [channel.paths[0][1] for channel in channels]
+    truths = [channel.u for channel in channels]
     signals = np.stack([noiseless_snapshot(channel, config.n) for channel in channels])
     gains = [BeamCache(lambda w, u=u: abs(beam_gain(w, u)) ** 2) for u in truths]
     return power, noise, truths, signals, gains
@@ -359,11 +359,11 @@ def run_alignment(
     power; each may have its own noise variance, and a noiseless trial
     draws nothing from its generator.
 
-    The dominant (first) path angle of each channel is the ground truth for
-    its per-segment gain log and each final estimate is the posterior
-    argmax. Records are numbered by their position in the batch. The
-    flexible controller starts from, and resets to, the region-wide beam;
-    the hierarchical one climbs a codebook log2(grid size) levels deep.
+    Each channel's path angle is the ground truth for its per-segment gain
+    log, and each final estimate is the posterior argmax. Records are
+    numbered by their position in the batch. The flexible controller starts
+    from, and resets to, the region-wide beam; the hierarchical one climbs a
+    codebook log2(grid size) levels deep.
     """
     count = len(channels)
     power, channel_noise, truths, signals, gains = _batch_inputs(config, channels, rngs)
@@ -457,15 +457,13 @@ def run_hiepm_known_alpha(
     (trials, grid) posterior is the lone trial's, and every input check
     applies to each row. Posterior matching then picks one codeword per
     trial from the node masses of all trials. A single trial is a batch of
-    one. The trials must share transmit power and noise variance and have a
-    single path each. Records are numbered by their position in the batch.
+    one. The trials must share transmit power and noise variance. Records
+    are numbered by their position in the batch.
     """
     if mode not in ("svam", "repeat"):
         raise ValueError(f"unknown combining mode {mode!r}")
     count = len(channels)
     power, channel_noise, truths, signals, gains = _batch_inputs(config, channels, rngs)
-    if any(len(channel.paths) != 1 for channel in channels):
-        raise ValueError("known-gain controller assumes a single path")
     # one shared variance keeps the snapshot and Bayes updates on scalars
     if (channel_noise != channel_noise[0]).any():
         raise ValueError("trials of one batch must share noise variance")
@@ -473,7 +471,7 @@ def run_hiepm_known_alpha(
     channel_noise = float(channel_noise[0])
     grid = AngularGrid(config.roi, config.grid_size)
     svam_cfg = config.svam()
-    alphas = np.array([channel.paths[0][0] for channel in channels])
+    alphas = np.array([channel.alpha for channel in channels])
     expected_taps = svam_cfg.combiner_length if mode == "svam" else config.n
     if codebook.node(0, 0).beamformer.size != expected_taps:
         raise ValueError(
@@ -489,7 +487,7 @@ def run_hiepm_known_alpha(
             rows = block_combiners(weights, svam_cfg)
         else:
             rows = np.tile(weights, (config.n_v, 1))
-        return rows, np.stack([row.conj() @ manifold for row in rows])
+        return rows, np.matmul(rows.conj()[..., None, :], manifold)[..., 0, :]
 
     blocks = BeamCache(block_rows)
     pmf = np.full((count, grid.size), 1.0 / grid.size)

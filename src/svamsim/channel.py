@@ -1,4 +1,4 @@
-"""Narrowband multipath snapshots at the antenna array."""
+"""Narrowband single-path snapshots at the antenna array."""
 
 from __future__ import annotations
 
@@ -12,11 +12,13 @@ from .arrays import check_angle, ula_manifold
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Transmit power, path list (gain, angle) and per-element noise power."""
+    """One propagation path: gain alpha at angle u, transmit power and
+    per-element noise power."""
 
-    power: float
-    paths: tuple[tuple[complex, float], ...]
-    noise_variance: float
+    alpha: complex
+    u: float
+    power: float = 1.0
+    noise_variance: float = 0.0
 
     def __post_init__(self) -> None:
         # written so that NaN, which compares false, is rejected too
@@ -26,24 +28,15 @@ class ChannelParams:
             raise ValueError(
                 f"noise variance must be nonnegative, got {self.noise_variance}"
             )
-        if len(self.paths) == 0:
-            raise ValueError("at least one propagation path is required")
-        paths = tuple((complex(a), check_angle(u)) for a, u in self.paths)
-        object.__setattr__(self, "paths", paths)
-
-    @classmethod
-    def single_path(
-        cls, alpha: complex, u: float, power: float = 1.0, noise_variance: float = 0.0
-    ) -> "ChannelParams":
-        return cls(power=power, paths=((alpha, u),), noise_variance=noise_variance)
+        object.__setattr__(self, "alpha", complex(self.alpha))
+        object.__setattr__(self, "u", check_angle(self.u))
 
 
 def noiseless_snapshot(params: ChannelParams, n: int) -> np.ndarray:
-    """The deterministic part of an observation: sqrt(power) times the sum
-    of alpha * phi_n(u) over the paths."""
+    """The deterministic part of an observation: sqrt(power) * alpha *
+    phi_n(u)."""
     x = np.zeros(n, dtype=complex)
-    for alpha, u in params.paths:
-        x += alpha * ula_manifold(n, u)
+    x += params.alpha * ula_manifold(n, params.u)
     x *= np.sqrt(params.power)
     return x
 
@@ -51,7 +44,7 @@ def noiseless_snapshot(params: ChannelParams, n: int) -> np.ndarray:
 def antenna_snapshot(
     params: ChannelParams, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """One length-n array observation: scaled path sum plus circular noise.
+    """One length-n array observation: scaled path plus circular noise.
 
     Noiseless parameters skip the generator entirely, so the output is
     deterministic and the stream is left untouched.

@@ -77,11 +77,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_crb(args) -> int:
-    grid = AngularGrid(args.roi, args.grid)
+    config = _base_config(args, "crb_sweep")
+    # like align: first value of every sweep axis
+    grid = AngularGrid(config.roi, config.grid_size)
     rows = crb_table(
-        args.scheme, args.n, args.nv, args.snapshots, grid, args.snr_db
+        args.scheme, config.n, config.n_v[0], config.total_snapshots, grid,
+        config.snr_db[0],
     )
-    out = args.out or "crb.csv"
+    out = config.out or "crb.csv"
     write_crb_csv(rows, out)
     print(f"{len(rows)} rows -> {out}")
     return 0
@@ -114,13 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_crb = sub.add_parser("crb", help="estimation bound table over the grid")
     p_crb.add_argument("--scheme", required=True, choices=CRB_SCHEMES)
-    p_crb.add_argument("--n", type=int, default=64)
-    p_crb.add_argument("--nv", type=int, default=4)
-    p_crb.add_argument("--snapshots", type=int, default=120)
-    p_crb.add_argument("--grid", type=int, default=64)
-    p_crb.add_argument("--snr-db", type=float, default=-10.0)
-    p_crb.add_argument("--roi", type=_parse_roi, default=RegionOfInterest(0.0, 1.0))
-    p_crb.add_argument("--out")
+    _add_common(p_crb)
     p_crb.set_defaults(run=_cmd_crb)
 
     p_book = sub.add_parser("codebook", help="export a dyadic beam codebook")

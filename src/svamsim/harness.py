@@ -64,17 +64,6 @@ CSV_COLUMNS = (
 )
 
 
-def u_from_theta(theta: float) -> float:
-    """Electrical angle for a physical direction of arrival in radians."""
-    if not -math.pi / 2 <= theta < math.pi / 2:
-        raise ValueError("physical angle must lie in [-pi/2, pi/2)")
-    return math.sin(theta)
-
-
-def theta_from_u(u: float) -> float:
-    return math.asin(u)
-
-
 def noise_variance_from_snr(snr_db: float) -> float:
     """Per-antenna noise power for unit signal power; +inf SNR means none.
 
@@ -201,7 +190,7 @@ def draw_channel(
     """Single-path channel for one trial: on-grid angle, unit-modulus gain."""
     u_true = float(grid.points[int(rng.integers(grid.size))])
     alpha = np.exp(2j * np.pi * rng.uniform())
-    return ChannelParams.single_path(
+    return ChannelParams(
         alpha, u_true, power=1.0, noise_variance=noise_variance_from_snr(snr_db)
     )
 
@@ -339,14 +328,9 @@ def _adaptive_rows(config: ExperimentConfig) -> list[MetricRow]:
     reduce = _REDUCERS[config.experiment]
     grid = AngularGrid(config.roi, config.grid_size)
     points = list(config.sweep_points())
-    groups: dict[object, list[int]] = {}
+    groups: dict[AdaptConfig, list[int]] = {}
     for position, (_, adapt) in enumerate(points):
-        # a batch of one takes numpy's vector-matrix product for the
-        # history's matched rows, whose last bits differ from a row of the
-        # matrix product at most block sizes: one-trial points run alone
-        groups.setdefault(adapt if config.trials > 1 else position, []).append(
-            position
-        )
+        groups.setdefault(adapt, []).append(position)
 
     def point_rows(position: int, records: list[TrialRecord]) -> list[MetricRow]:
         snr, n_v, p, scale, book = points[position][0]

@@ -201,9 +201,13 @@ class MeasurementHistory:
             beta = np.stack([self._beta(f) for f in beamformer])
         else:
             beta = self._beta(beamformer)
-        # the response rows stay one product per beam and the power one
-        # vdot per trial, so every batch row carries a lone trial's bits
-        matched_row = values @ grid.manifold(self.config.n_v).conj()
+        # one row-vector product per trial, the response rows one product
+        # per beam and the power one vdot per trial: a batch row carries a
+        # lone trial's bits at every block size, where a matrix product's
+        # rows would differ from a lone vector product's in the last bits
+        matched_row = np.matmul(
+            values[..., None, :], grid.manifold(self.config.n_v).conj()
+        )[..., 0, :]
         power = [np.vdot(v, v).real for v in values.reshape(-1, self.config.n_v)]
 
         self.segments.append(segment)

@@ -122,7 +122,7 @@ def run_alignment_scalar(
     svam_cfg = config.svam()
     m = svam_cfg.combiner_length
     noise_var = max(config.noise_scale * channel.noise_variance, NOISELESS_VAR_FLOOR)
-    truth = channel.paths[0][1]
+    truth = channel.u
 
     hierarchical = config.codebook == "hierarchical"
     if hierarchical:
@@ -229,7 +229,7 @@ def run_hiepm_scalar(
     grid = AngularGrid(config.roi, config.grid_size)
     svam_cfg = config.svam()
     noise_var = max(config.noise_scale * channel.noise_variance, NOISELESS_VAR_FLOOR)
-    alpha, truth = channel.paths[0]
+    alpha, truth = channel.alpha, channel.u
 
     pmf = np.full(grid.size, 1.0 / grid.size)
     node = select_codeword_scalar(pmf, codebook, grid.size)

@@ -146,7 +146,7 @@ def _random_history(
     cfg = SvamConfig(n=n, n_v=n_v)
     u_true = float(grid.points[int(rng.integers(grid.size))])
     alpha = np.exp(2j * np.pi * rng.uniform())
-    params = ChannelParams.single_path(alpha, u_true, power=power, noise_variance=noise)
+    params = ChannelParams(alpha, u_true, power=power, noise_variance=noise)
     history = MeasurementHistory(cfg)
     for t in range(segments):
         f = _unit_columns(rng, cfg.combiner_length, 1)[:, 0]

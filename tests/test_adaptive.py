@@ -286,7 +286,7 @@ def test_noiseless_on_grid_recovery_flexible():
     cfg = make_config(total_snapshots=24)
     grid = AngularGrid(ROI, 16)
     truth = float(grid.points[9])
-    chan = ChannelParams.single_path(np.exp(0.3j), truth)
+    chan = ChannelParams(np.exp(0.3j), truth)
     (rec,) = run_alignment(cfg, [chan], [np.random.default_rng(0)])
     assert rec.estimate == truth
     assert rec.squared_error == 0.0
@@ -300,7 +300,7 @@ def test_noiseless_on_grid_recovery_hierarchical():
     cfg = make_config(total_snapshots=24, codebook="hierarchical")
     grid = AngularGrid(ROI, 16)
     truth = float(grid.points[9])
-    chan = ChannelParams.single_path(1.0 + 0.0j, truth)
+    chan = ChannelParams(1.0 + 0.0j, truth)
     (rec,) = run_alignment(cfg, [chan], [np.random.default_rng(0)])
     assert rec.estimate == truth
     assert rec.segments[0].beam.beamwidth == pytest.approx(ROI.width)
@@ -308,7 +308,7 @@ def test_noiseless_on_grid_recovery_hierarchical():
 
 def test_alignment_is_deterministic():
     cfg = make_config()
-    chan = ChannelParams.single_path(1j, 0.4, noise_variance=0.5)
+    chan = ChannelParams(1j, 0.4, noise_variance=0.5)
     (rec1,) = run_alignment(cfg, [chan], [np.random.default_rng(7)])
     (rec2,) = run_alignment(cfg, [chan], [np.random.default_rng(7)])
     assert rec1 == rec2
@@ -316,7 +316,7 @@ def test_alignment_is_deterministic():
 
 def test_records_carry_one_log_per_segment():
     cfg = make_config()
-    chan = ChannelParams.single_path(1.0, 0.4, noise_variance=0.1)
+    chan = ChannelParams(1.0, 0.4, noise_variance=0.1)
     (rec,) = run_alignment(cfg, [chan], [np.random.default_rng(1)])
     assert len(rec.segments) == cfg.segments
     assert all(s.peak_prob >= 0 for s in rec.segments)
@@ -327,7 +327,7 @@ def test_hiepm_noiseless_recovery():
     cfg = make_config(n_v=1, total_snapshots=12)
     grid = AngularGrid(ROI, 16)
     truth = float(grid.points[6])
-    chan = ChannelParams.single_path(np.exp(-0.7j), truth)
+    chan = ChannelParams(np.exp(-0.7j), truth)
     book = build_hierarchical_codebook(ROI, 4, 16, grid_size=16)
     (rec,) = run_hiepm_known_alpha(cfg, [chan], [np.random.default_rng(0)], book)
     assert rec.estimate == truth
@@ -337,7 +337,7 @@ def test_hiepm_noiseless_recovery():
 def test_hiepm_block_size_one_makes_modes_agree():
     # with one snapshot per block, sliding and repeating are the same rule
     cfg = make_config(n_v=1, total_snapshots=8)
-    chan = ChannelParams.single_path(1.0, 0.37, noise_variance=0.3)
+    chan = ChannelParams(1.0, 0.37, noise_variance=0.3)
     book = build_hierarchical_codebook(ROI, 4, 16, grid_size=16)
     rec_a = run_hiepm_known_alpha(
         cfg, [chan], [np.random.default_rng(5)], book, "svam"
@@ -352,7 +352,7 @@ def test_hiepm_validations():
     cfg = make_config(n_v=4)
     book_13 = build_hierarchical_codebook(ROI, 4, 13, grid_size=16)
     book_16 = build_hierarchical_codebook(ROI, 4, 16, grid_size=16)
-    chan = ChannelParams.single_path(1.0, 0.4)
+    chan = ChannelParams(1.0, 0.4)
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):  # svam needs 13-tap codewords here
         run_hiepm_known_alpha(cfg, [chan], [rng], book_16, "svam")
@@ -360,8 +360,3 @@ def test_hiepm_validations():
         run_hiepm_known_alpha(cfg, [chan], [rng], book_13, "repeat")
     with pytest.raises(ValueError):
         run_hiepm_known_alpha(cfg, [chan], [rng], book_13, "sideways")
-    two_paths = ChannelParams(
-        power=1.0, paths=((1.0, 0.2), (0.5, 0.8)), noise_variance=0.0
-    )
-    with pytest.raises(ValueError):
-        run_hiepm_known_alpha(cfg, [two_paths], [rng], book_13, "svam")

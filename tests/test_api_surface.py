@@ -39,7 +39,7 @@ def test_every_tracer_layer_target_resolves():
 # Lower this ceiling whenever a knob goes. Raise it only for a new option
 # that two callers outside the tests (the harness, the CLI, a config key, the
 # benchmark) need with different values; a value only tests set is a constant.
-SETTABLE_VALUE_CEILING = 218
+SETTABLE_VALUE_CEILING = 214
 
 
 def test_settable_values_stay_under_the_ceiling():

@@ -27,8 +27,6 @@ from svamsim.harness import (
     run_adaptive_trials,
     run_experiment,
     run_hiepm_trials,
-    theta_from_u,
-    u_from_theta,
     write_crb_csv,
     write_trajectories,
 )
@@ -74,14 +72,6 @@ def test_snr_mapping():
     for meaningless in (math.nan, -math.inf):
         with pytest.raises(ValueError):
             noise_variance_from_snr(meaningless)
-
-
-def test_angle_conversions():
-    assert u_from_theta(0.0) == 0.0
-    assert u_from_theta(math.pi / 6) == pytest.approx(0.5)
-    assert theta_from_u(u_from_theta(0.7)) == pytest.approx(0.7)
-    with pytest.raises(ValueError):
-        u_from_theta(2.0)
 
 
 def test_bootstrap_interval_contains_point_rmse():
@@ -146,7 +136,8 @@ def test_noiseless_single_trial_recovers_exactly():
 def test_snr_batch_records_equal_one_snr_sweeps(codebook, trials, monkeypatch):
     # every SNR of a sweep point runs in one batch; each point must see the
     # records of a sweep of its SNR alone, an SNR listed twice included.
-    # Block size 3 is one where a one-row batch and a batch row round
+    # One-trial sweeps are grouped too. Block size 3 is one where a lone
+    # vector product and a row of a batch's matrix product round
     # differently, so the rows carry every record's numbering and peak mass
     def every_record(records, grid):
         for record in records:
@@ -577,3 +568,22 @@ def test_cli_crb_and_codebook(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 15  # 1 + 2 + 4 + 8 nodes
     assert rows[0]["beamwidth"] == "1"
+
+
+def test_cli_crb_reads_config_file(tmp_path):
+    # the file's experiment is replaced, and each axis gives its first value
+    cfgfile = tmp_path / "crb.cfg"
+    cfgfile.write_text(
+        "experiment = rmse_vs_snr\nn = 16\nn_v = 2, 4\ngrid_size = 8\n"
+        "total_snapshots = 8\nsnr_db = 0, 5\nroi = 0.25, 0.75\n"
+    )
+    from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+    assert cli_main(
+        ["crb", "--scheme", "svam", "--config", str(cfgfile), "--out", str(from_file)]
+    ) == 0
+    assert cli_main(
+        ["crb", "--scheme", "svam", "--n", "16", "--nv", "2", "--snapshots", "8",
+         "--grid", "8", "--snr-db", "0", "--roi", "0.25,0.75",
+         "--out", str(from_flags)]
+    ) == 0
+    assert from_file.read_bytes() == from_flags.read_bytes()

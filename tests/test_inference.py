@@ -36,7 +36,7 @@ def make_history(
 ):
     cfg = SvamConfig(n=n, n_v=n_v)
     grid = AngularGrid(RegionOfInterest(0.0, 1.0), grid_size)
-    params = ChannelParams.single_path(
+    params = ChannelParams(
         alpha, grid.points[path_index], power=power, noise_variance=noise
     )
     rng = np.random.default_rng(seed)
@@ -219,7 +219,7 @@ class TestLikelihoodTerms:
         grid = AngularGrid(RegionOfInterest(0.0, 1.0), 64)
         rng = np.random.default_rng(120)
         channels = [
-            ChannelParams.single_path(
+            ChannelParams(
                 np.exp(2j * np.pi * rng.uniform()), grid.points[k],
                 power=power, noise_variance=sigma2,
             )
@@ -305,7 +305,7 @@ class TestNoiseColumn:
         cfg = SvamConfig(n=12, n_v=3)
         grid = AngularGrid(RegionOfInterest(0.0, 1.0), 16)
         channels = [
-            ChannelParams.single_path(
+            ChannelParams(
                 np.exp(0.4j * k), grid.points[3 + 2 * k], power=power,
                 noise_variance=0.0 if k == 3 else float(v),
             )

@@ -37,7 +37,6 @@ from svamsim.channel import (
 )
 from svamsim.harness import (
     draw_channel,
-    noise_variance_from_snr,
     run_hiepm_trials,
     trial_generator,
 )
@@ -76,23 +75,6 @@ def single_path_trials(cfg: AdaptConfig, snr_db: float, seed: int = 5):
     ]
 
 
-def two_path_trials(cfg: AdaptConfig, snr_db: float, seed: int = 9):
-    grid = AngularGrid(cfg.roi, cfg.grid_size)
-    channels = []
-    for trial in range(TRIALS):
-        rng = trial_generator(seed, trial)
-        u1, u2 = (float(grid.points[k]) for k in rng.integers(grid.size, size=2))
-        a1, a2 = np.exp(2j * np.pi * rng.uniform(size=2))
-        channels.append(
-            ChannelParams(
-                power=1.0,
-                paths=((a1, u1), (0.4 * a2, u2)),
-                noise_variance=noise_variance_from_snr(snr_db),
-            )
-        )
-    return channels
-
-
 def assert_matches_oracle(cfg: AdaptConfig, channels, seed: int = 0) -> None:
     """The batch and the lone runs each start from the same per-trial
     generators; every TrialRecord and SegmentLog field must agree."""
@@ -123,7 +105,9 @@ def assert_same_records(batched, lone) -> None:
         assert got == want
 
 
-@pytest.mark.parametrize("n_v", [1, 4])
+# block sizes 3 and 6 are ones where a lone vector-matrix product and a row
+# of a batch's matrix product round differently
+@pytest.mark.parametrize("n_v", [1, 3, 4, 6])
 @pytest.mark.parametrize("noise_scale", [1.0, 0.5])
 @pytest.mark.parametrize("snr_db", [-10.0, math.inf])
 @pytest.mark.parametrize("codebook", ["flexible", "hierarchical"])
@@ -132,16 +116,10 @@ def test_lockstep_matches_scalar_oracle(codebook, snr_db, noise_scale, n_v):
     assert_matches_oracle(cfg, single_path_trials(cfg, snr_db))
 
 
-@pytest.mark.parametrize("codebook", ["flexible", "hierarchical"])
-def test_lockstep_matches_oracle_on_two_paths(codebook):
-    cfg = config(codebook=codebook)
-    assert_matches_oracle(cfg, two_path_trials(cfg, 0.0))
-
-
 def test_batch_rejects_mismatched_inputs():
     cfg = config()
-    chan = ChannelParams.single_path(1.0, 0.25, noise_variance=0.5)
-    louder = ChannelParams.single_path(1.0, 0.25, power=2.0, noise_variance=0.5)
+    chan = ChannelParams(1.0, 0.25, noise_variance=0.5)
+    louder = ChannelParams(1.0, 0.25, power=2.0, noise_variance=0.5)
     rng = np.random.default_rng
     with pytest.raises(ValueError):
         run_alignment(cfg, [], [])
@@ -233,9 +211,8 @@ def test_hiepm_batch_keeps_each_trial_stream(mode):
 def test_hiepm_batch_rejects_mismatched_inputs():
     cfg = hiepm_config(2)
     book = book_for(cfg, "svam")
-    chan = ChannelParams.single_path(1.0, 0.25, noise_variance=0.5)
-    quieter = ChannelParams.single_path(1.0, 0.25, noise_variance=0.1)
-    two_paths = ChannelParams(1.0, ((1.0, 0.2), (0.5, 0.8)), 0.5)
+    chan = ChannelParams(1.0, 0.25, noise_variance=0.5)
+    quieter = ChannelParams(1.0, 0.25, noise_variance=0.1)
     rng = np.random.default_rng
     with pytest.raises(ValueError):
         run_hiepm_known_alpha(cfg, [], [], book)
@@ -243,8 +220,6 @@ def test_hiepm_batch_rejects_mismatched_inputs():
         run_hiepm_known_alpha(cfg, [chan, chan], [rng(0)], book)
     with pytest.raises(ValueError):
         run_hiepm_known_alpha(cfg, [chan, quieter], [rng(0), rng(1)], book)
-    with pytest.raises(ValueError):  # one multipath trial spoils the batch
-        run_hiepm_known_alpha(cfg, [chan, two_paths], [rng(0), rng(1)], book)
 
 
 def _known_alpha_batch(trials=4, n=10, grid_size=16, seed=8):
@@ -339,7 +314,7 @@ def test_batched_matching_equals_scalar_rule():
 
 def test_noise_block_reproduces_consecutive_snapshots():
     n, n_v, seed = 8, 4, 21
-    params = ChannelParams.single_path(np.exp(0.7j), 0.3, noise_variance=2.0)
+    params = ChannelParams(np.exp(0.7j), 0.3, noise_variance=2.0)
     rng = np.random.default_rng(seed)
     singles = np.stack([antenna_snapshot(params, n, rng) for _ in range(n_v)])
     raw = np.random.default_rng(seed).standard_normal((n_v, 2, n))
@@ -358,7 +333,7 @@ def test_noise_block_reproduces_consecutive_snapshots():
 
 
 def test_noiseless_block_leaves_generator_untouched():
-    params = ChannelParams.single_path(1.0, 0.5)
+    params = ChannelParams(1.0, 0.5)
     rng = np.random.default_rng(3)
     block = antenna_blocks(noiseless_snapshot(params, 6)[None], 0.0, [rng], 3)
     np.testing.assert_array_equal(
@@ -374,7 +349,7 @@ def test_per_trial_noise_rows_equal_shared_noise_blocks(variances):
     n, n_v = 8, 3
     variances = np.array(variances)
     signals = np.stack([
-        noiseless_snapshot(ChannelParams.single_path(np.exp(1j * k), 0.1 * k), n)
+        noiseless_snapshot(ChannelParams(np.exp(1j * k), 0.1 * k), n)
         for k in range(3)
     ])
     rngs = [np.random.default_rng(60 + k) for k in range(3)]
@@ -408,7 +383,7 @@ def _histories(trials=3, n_v=2, segments=3):
             design_beamformer(BeamSpec(0.5, 1.0 / (1 + (i + t) % 3)), m)
             for i in range(trials)
         ]
-        params = ChannelParams.single_path(
+        params = ChannelParams(
             1j, float(grid.points[3]), noise_variance=0.7
         )
         segs = [
@@ -422,15 +397,20 @@ def _histories(trials=3, n_v=2, segments=3):
 
 
 def test_batched_history_rows_equal_lone_histories():
-    batch, lone, grid = _histories()
-    for i, hist in enumerate(lone):
-        np.testing.assert_array_equal(batch.cumulative_gain[i], hist.cumulative_gain)
-        np.testing.assert_array_equal(
-            batch.matched_statistic[i], hist.matched_statistic
-        )
-        assert batch.total_power[i] == hist.total_power
-        np.testing.assert_array_equal(batch.beta_matrix[i], hist.beta_matrix)
-        np.testing.assert_array_equal(batch.stacked()[i], hist.stacked())
+    # at block size 3 a lone vector-matrix product and a row of a batch's
+    # matrix product round differently
+    for n_v in (2, 3):
+        batch, lone, grid = _histories(n_v=n_v)
+        for i, hist in enumerate(lone):
+            np.testing.assert_array_equal(
+                batch.cumulative_gain[i], hist.cumulative_gain
+            )
+            np.testing.assert_array_equal(
+                batch.matched_statistic[i], hist.matched_statistic
+            )
+            assert batch.total_power[i] == hist.total_power
+            np.testing.assert_array_equal(batch.beta_matrix[i], hist.beta_matrix)
+            np.testing.assert_array_equal(batch.stacked()[i], hist.stacked())
 
 
 def test_finished_history_is_freed_by_reference_counting():

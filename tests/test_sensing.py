@@ -73,7 +73,7 @@ class TestMeasureSegment:
         cfg = SvamConfig(n=6, n_v=3)
         f = random_unit(4, 9)
         alpha, u, power = 0.7 - 0.2j, 0.35, 2.0
-        params = ChannelParams.single_path(alpha, u, power=power)
+        params = ChannelParams(alpha, u, power=power)
         seg = measure_segment(f, params, cfg, 0, np.random.default_rng(0))
         beta = np.vdot(f, ula_manifold(4, u))
         expected = (
@@ -84,22 +84,10 @@ class TestMeasureSegment:
     def test_broadside_gives_equal_snapshots(self):
         cfg = SvamConfig(n=5, n_v=2)
         f = random_unit(4, 10)
-        params = ChannelParams.single_path(1.0, 0.0)
+        params = ChannelParams(1.0, 0.0)
         seg = measure_segment(f, params, cfg, 3, np.random.default_rng(0))
         assert seg.index == 3
         np.testing.assert_allclose(seg.values[0], seg.values[1], atol=1e-12)
-
-    def test_two_paths_superpose_in_output(self):
-        cfg = SvamConfig(n=6, n_v=2)
-        f = random_unit(5, 11)
-        pa, pb = (0.3 + 1j, 0.1), (1.0, -0.6)
-        params = ChannelParams(power=1.0, paths=(pa, pb), noise_variance=0.0)
-        seg = measure_segment(f, params, cfg, 0, np.random.default_rng(0))
-        expected = np.zeros(2, dtype=complex)
-        for alpha, u in (pa, pb):
-            beta = np.vdot(f, ula_manifold(5, u))
-            expected += alpha * beta * np.exp(1j * np.pi * u * np.arange(2))
-        np.testing.assert_allclose(seg.values, expected, atol=1e-12)
 
 
 class TestMeasurementHistory:
@@ -109,7 +97,7 @@ class TestMeasurementHistory:
     def _history_with_segments(self, count, noise=0.0, seed=0):
         cfg = SvamConfig(n=12, n_v=3)
         grid = self._grid()
-        params = ChannelParams.single_path(
+        params = ChannelParams(
             np.exp(0.4j), grid.points[5], noise_variance=noise
         )
         rng = np.random.default_rng(seed)
@@ -122,7 +110,7 @@ class TestMeasurementHistory:
 
     def test_stacked_kron_structure_noiseless(self):
         hist, grid, params = self._history_with_segments(4)
-        alpha, u = params.paths[0]
+        alpha, u = params.alpha, params.u
         i = 5  # on-grid path index
         betas = hist.beta_matrix[:, i]
         expected = np.kron(betas, ula_manifold(3, u)) * alpha
