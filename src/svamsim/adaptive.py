@@ -37,7 +37,6 @@ import numpy as np
 from .arrays import AngularGrid, RegionOfInterest, check_integer
 from .beams import (
     BeamSpec,
-    Beamformer,
     HierarchicalCodebook,
     beam_gain,
     build_hierarchical_codebook,
@@ -54,7 +53,6 @@ from .inference import (
 from .sensing import (
     BeamCache,
     MeasurementHistory,
-    SegmentMeasurement,
     SvamConfig,
     block_combiners,
 )
@@ -386,18 +384,16 @@ def run_alignment(
         ] * count
 
     combiners = BeamCache(lambda w: block_combiners(w, svam_cfg))
-    history = MeasurementHistory(svam_cfg, trials=count)
+    history = MeasurementHistory(svam_cfg, grid, count)
     logs: list[list[SegmentLog]] = [[] for _ in range(count)]
     for t in range(config.segments):
         x = antenna_blocks(signals, channel_noise, rngs, config.n_v)
         # combine gives every row the bits a lone trial's product has
         values = combine(np.stack([combiners(beam) for beam in beams]), x)
-        history.append(SegmentMeasurement(values, t), beams, grid)
-        gamma = gamma_mle(history, grid, power, noise_var)
-        post = alpha_posterior(history, grid, gamma, power, noise_var)
-        pmf = posterior_pmf(
-            approx_log_likelihood(history, grid, post, power, noise_var)
-        )
+        history.append(values, beams)
+        gamma = gamma_mle(history, power, noise_var)
+        post = alpha_posterior(history, gamma, power, noise_var)
+        pmf = posterior_pmf(approx_log_likelihood(history, post, power, noise_var))
         modes = np.argmax(pmf, axis=-1)
 
         if hierarchical:

@@ -105,7 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_align = sub.add_parser("align", help="Monte Carlo alignment at one setting")
+    p_align = sub.add_parser(
+        "align",
+        help="Monte Carlo alignment at one setting",
+        description="Monte Carlo alignment at one setting. Only the first value "
+        "of each sweep axis (--nv, --snr-db, --p-thresh, --noise-scale) is read.",
+    )
     _add_common(p_align)
     p_align.add_argument("--trajectories", help="per-segment trace CSV path")
     p_align.set_defaults(run=_cmd_align)
@@ -115,7 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_sweep)
     p_sweep.set_defaults(run=_cmd_sweep)
 
-    p_crb = sub.add_parser("crb", help="estimation bound table over the grid")
+    p_crb = sub.add_parser(
+        "crb",
+        help="estimation bound table over the grid",
+        description="Estimation bound table over the grid. Only the first value "
+        "of --nv and --snr-db is read; --trials, --seed, --p-thresh, --noise-scale "
+        "and --codebook are accepted but ignored.",
+    )
     p_crb.add_argument("--scheme", required=True, choices=CRB_SCHEMES)
     _add_common(p_crb)
     p_crb.set_defaults(run=_cmd_crb)

@@ -8,11 +8,13 @@ Gaussian marginal likelihood whose rank-one-plus-identity structure keeps
 all per-candidate work closed-form. Likelihoods are handled in the log
 domain throughout; the pmf is produced by max-subtracted exponentiation.
 
-Every per-candidate array has the shape of the history's statistics: (grid,)
-for one trial, (trials, grid) for a batch advancing in lockstep. The noise
-variance is one scalar, or for a batch a (trials, 1) column that gives each
-trial its own. The formulas are elementwise, so a batch row equals the lone
-trial's vector.
+The unknown-gain functions take no grid: they read the block size and the
+running statistics of a history, which owns its grid. Those statistics are
+(trials, grid) for a batch advancing in lockstep, a lone trial being a
+batch of one, and every per-candidate array has that shape. The noise
+variance is one scalar, or a (trials, 1) column that gives each trial its
+own. The formulas are elementwise, so a batch row equals the lone trial's
+vector, and a history whose statistics are (grid,) rows works unchanged.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import AngularGrid, manifold_matrix, ula_manifold
+from .arrays import AngularGrid
 from .sensing import MeasurementHistory
 
 __all__ = [
@@ -54,11 +56,9 @@ class LikelihoodTerms:
     quad_form: np.ndarray
 
 
-def _check_history(history: MeasurementHistory, grid: AngularGrid) -> None:
+def _check_history(history: MeasurementHistory) -> None:
     if history.segment_count == 0:
         raise ValueError("history is empty")
-    if history.grid is not grid:
-        raise ValueError("history was accumulated on a different grid")
 
 
 def _check_noise(
@@ -82,7 +82,6 @@ def _check_noise(
 
 def gamma_mle(
     history: MeasurementHistory,
-    grid: AngularGrid,
     power: float,
     noise_var: float | np.ndarray,
 ) -> np.ndarray:
@@ -97,7 +96,7 @@ def gamma_mle(
     beams have never illuminated (g = 0) stay at zero. A batch may pass
     noise_var as a (trials, 1) column, one variance per trial.
     """
-    _check_history(history, grid)
+    _check_history(history)
     n_v = history.n_v
     g = history.cumulative_gain
     _check_noise(power, noise_var, g.shape)
@@ -112,7 +111,6 @@ def gamma_mle(
 
 def alpha_posterior(
     history: MeasurementHistory,
-    grid: AngularGrid,
     gamma: np.ndarray,
     power: float,
     noise_var: float | np.ndarray,
@@ -124,7 +122,7 @@ def alpha_posterior(
     prior variance (strictly smaller wherever data actually arrived).
     A batch may pass noise_var as a (trials, 1) column, one variance per trial.
     """
-    _check_history(history, grid)
+    _check_history(history)
     g = history.cumulative_gain
     _check_noise(power, noise_var, g.shape)
     gamma = np.asarray(gamma, dtype=float)
@@ -139,7 +137,6 @@ def alpha_posterior(
 
 def likelihood_terms(
     history: MeasurementHistory,
-    grid: AngularGrid,
     posterior: AlphaPosterior,
     power: float,
     noise_var: float | np.ndarray,
@@ -158,7 +155,7 @@ def likelihood_terms(
     with e the stacked residual and v_e its matched inner product.
     A batch may pass noise_var as a (trials, 1) column, one variance per trial.
     """
-    _check_history(history, grid)
+    _check_history(history)
     total = history.segment_count * history.n_v
     g = history.cumulative_gain
     _check_noise(power, noise_var, g.shape)
@@ -190,14 +187,13 @@ def likelihood_terms(
 
 def approx_log_likelihood(
     history: MeasurementHistory,
-    grid: AngularGrid,
     posterior: AlphaPosterior,
     power: float,
     noise_var: float | np.ndarray,
 ) -> np.ndarray:
     """The log_likelihood of likelihood_terms; a batch may pass noise_var
     as a (trials, 1) column, one variance per trial."""
-    return likelihood_terms(history, grid, posterior, power, noise_var).log_likelihood
+    return likelihood_terms(history, posterior, power, noise_var).log_likelihood
 
 
 def posterior_pmf(log_likelihood: np.ndarray) -> np.ndarray:
@@ -259,10 +255,7 @@ def known_alpha_posterior(
         raise ValueError(f"combiner norm {norm.max()} exceeds 1")
     if response is None:
         manifold = grid.manifold(w.shape[-1])
-        response = np.reshape(
-            [row.conj() @ manifold for row in w.reshape(-1, w.shape[-1])],
-            prior.shape,
-        )
+        response = np.matmul(w.conj()[..., None, :], manifold)[..., 0, :]
     elif np.shape(response) != prior.shape:
         raise ValueError("need one response row per trial over the grid")
     predicted = (np.sqrt(power) * alpha)[..., None] * response

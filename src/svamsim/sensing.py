@@ -9,6 +9,11 @@ by a virtual n_v-element array:
 
 with beta_t(u) = f_t^H phi_m(u). The virtual aperture is what restores
 angle sensitivity lost by scalar combining.
+
+MeasurementHistory keeps the blocks of a batch of trials that advance in
+lockstep, a lone trial being a batch of one. It owns the grid of candidate
+angles it was built on and folds every block into running (trials, grid)
+statistics, which the inference reads without taking the grid again.
 """
 
 from __future__ import annotations
@@ -93,60 +98,53 @@ class BeamCache:
         return item[1]
 
 
-@dataclass(frozen=True)
-class SegmentMeasurement:
-    """Scalar combiner outputs of one n_v-snapshot block; (trials, n_v) for
-    a batch of trials."""
-
-    values: np.ndarray
-    index: int
-
-
 def measure_segment(
     f: Beamformer | np.ndarray,
     params: ChannelParams,
     config: SvamConfig,
-    segment_index: int,
     rng: np.random.Generator,
-) -> SegmentMeasurement:
-    """Slide the combiner across one block of snapshots and collect outputs:
-    the block of a lone trial, built like each trial's block of a batch."""
-    if segment_index < 0:
-        raise ValueError("segment index must be nonnegative")
+) -> np.ndarray:
+    """Slide the combiner across one block of snapshots and return its
+    (n_v,) outputs: the block of a lone trial, built like each trial's
+    block of a batch."""
     (x,) = antenna_blocks(
         noiseless_snapshot(params, config.n)[None], params.noise_variance,
         [rng], config.n_v,
     )
-    return SegmentMeasurement(
-        values=combine(block_combiners(f, config), x), index=segment_index
-    )
+    return combine(block_combiners(f, config), x)
 
 
 class MeasurementHistory:
-    """Everything the inference engine needs about past segments.
+    """Everything the inference engine needs about past segments of a batch
+    of trials advancing in lockstep, scored on one grid.
 
-    A history follows one trial, or with trials=k a batch of k trials that
-    advance in lockstep: each segment then carries (k, n_v) values and one
-    beamformer per trial, and every statistic gains a leading trial axis.
-    It stores the raw segments and beamformer log, plus running per-grid
-    statistics that make posterior updates O(grid) per segment and trial:
-    the accumulated gain sum |beta|^2, the matched inner products
-    sum_t beta_t^*(u_i) phi^H y_t, and the total measured power. A response
-    row beta_t(u_i) is computed once per distinct designed beam.
+    The grid and the number of trials are fixed at construction; a lone
+    trial is a batch of one. Each segment carries (trials, n_v) values and
+    one beamformer per trial, and every statistic is (trials, grid) or
+    (trials,). The history stores the raw segments and beamformer log, plus
+    running per-grid statistics that make posterior updates O(grid) per
+    segment and trial: the accumulated gain sum |beta|^2, the matched inner
+    products sum_t beta_t^*(u_i) phi^H y_t, and the total measured power. A
+    response row beta_t(u_i) is computed once per distinct designed beam.
     """
 
-    def __init__(self, config: SvamConfig, trials: int | None = None):
-        if trials is not None and trials < 1:
+    def __init__(self, config: SvamConfig, grid: AngularGrid, trials: int):
+        if trials < 1:
             raise ValueError("a batch needs at least one trial")
         self.config = config
-        self.batch: tuple[int, ...] = () if trials is None else (trials,)
-        self.segments: list[SegmentMeasurement] = []
-        self.beamformers: list = []
-        self._grid: AngularGrid | None = None
-        self._beta: BeamCache | None = None
-        self._gain: np.ndarray | None = None
-        self._matched: np.ndarray | None = None
-        self._power = np.zeros(self.batch)
+        self.grid = grid
+        self.trials = trials
+        self.segments: list[np.ndarray] = []
+        self.beamformers: list[tuple] = []
+        # the closure holds the grid, not the history: no reference cycle
+        # keeps a finished history alive until the cyclic collector runs
+        self._beta = BeamCache(lambda w: w.conj() @ grid.manifold(len(w)))
+        # per-grid sum of |beta_t(u_i)|^2 over all stored segments
+        self.cumulative_gain = np.zeros((trials, grid.size))
+        # per-grid sum_t beta_t^*(u_i) * phi_{n_v}(u_i)^H y_t
+        self.matched_statistic = np.zeros((trials, grid.size), dtype=complex)
+        # squared norm of all stored measurements
+        self.total_power = np.zeros(trials)
 
     @property
     def segment_count(self) -> int:
@@ -156,99 +154,48 @@ class MeasurementHistory:
     def n_v(self) -> int:
         return self.config.n_v
 
-    @property
-    def grid(self) -> "AngularGrid":
-        if self._grid is None:
-            raise ValueError("history is empty; no grid bound yet")
-        return self._grid
-
     def append(
         self,
-        segment: SegmentMeasurement,
-        beamformer: Beamformer | np.ndarray | Sequence[Beamformer | np.ndarray],
-        grid: "AngularGrid",
-    ) -> "MeasurementHistory":
-        """Add one block; a batch takes a sequence with one beamformer per
-        trial."""
-        values = np.asarray(segment.values)
-        expected = self.batch + (self.config.n_v,)
+        values: np.ndarray,
+        beamformers: Sequence[Beamformer | np.ndarray],
+    ) -> MeasurementHistory:
+        """Add one block: (trials, n_v) values and one beamformer per trial."""
+        values = np.asarray(values)
+        expected = (self.trials, self.n_v)
         if values.shape != expected:
             raise ValueError(
                 f"segment values have shape {values.shape}, expected {expected}"
             )
-        if segment.index != self.segment_count:
+        beamformers = tuple(beamformers)
+        if len(beamformers) != self.trials:
             raise ValueError(
-                f"segment index {segment.index} out of order, "
-                f"expected {self.segment_count}"
+                f"{len(beamformers)} beamformers for {self.trials} trials"
             )
-        if self._grid is None:
-            self._grid = grid
-            # the closure holds the grid, not the history: no reference cycle
-            # keeps a finished history alive until the cyclic collector runs
-            self._beta = BeamCache(lambda w: w.conj() @ grid.manifold(len(w)))
-            shape = self.batch + (grid.size,)
-            self._gain = np.zeros(shape)
-            self._matched = np.zeros(shape, dtype=complex)
-        elif grid is not self._grid:
-            raise ValueError("history is bound to a different grid")
-
-        if self.batch:
-            beamformer = tuple(beamformer)
-            if len(beamformer) != len(values):
-                raise ValueError(
-                    f"{len(beamformer)} beamformers for {len(values)} trials"
-                )
-            beta = np.stack([self._beta(f) for f in beamformer])
-        else:
-            beta = self._beta(beamformer)
+        beta = np.stack([self._beta(f) for f in beamformers])
         # one row-vector product per trial, the response rows one product
         # per beam and the power one vdot per trial: a batch row carries a
         # lone trial's bits at every block size, where a matrix product's
         # rows would differ from a lone vector product's in the last bits
         matched_row = np.matmul(
-            values[..., None, :], grid.manifold(self.config.n_v).conj()
-        )[..., 0, :]
-        power = [np.vdot(v, v).real for v in values.reshape(-1, self.config.n_v)]
+            values[:, None, :], self.grid.manifold(self.n_v).conj()
+        )[:, 0, :]
 
-        self.segments.append(segment)
-        self.beamformers.append(beamformer)
-        self._gain += np.abs(beta) ** 2
-        self._matched += beta.conj() * matched_row
-        self._power = self._power + np.reshape(power, self.batch)
+        self.segments.append(values)
+        self.beamformers.append(beamformers)
+        self.cumulative_gain += np.abs(beta) ** 2
+        self.matched_statistic += beta.conj() * matched_row
+        self.total_power += [np.vdot(v, v).real for v in values]
         return self
 
     @property
     def beta_matrix(self) -> np.ndarray:
-        """(segments, grid) response values beta_t(u_i); (trials, segments,
-        grid) for a batch."""
-        if self.batch:
-            rows = [np.stack([self._beta(f) for f in fs]) for fs in self.beamformers]
-        else:
-            rows = [self._beta(f) for f in self.beamformers]
+        """(trials, segments, grid) response values beta_t(u_i)."""
+        rows = [np.stack([self._beta(f) for f in fs]) for fs in self.beamformers]
         return np.stack(rows, axis=-2)
 
-    @property
-    def cumulative_gain(self) -> np.ndarray:
-        """Per-grid sum of |beta_t(u_i)|^2 over all stored segments."""
-        if self._gain is None:
-            raise ValueError("history is empty")
-        return self._gain
-
-    @property
-    def matched_statistic(self) -> np.ndarray:
-        """Per-grid sum_t beta_t^*(u_i) * phi_{n_v}(u_i)^H y_t."""
-        if self._matched is None:
-            raise ValueError("history is empty")
-        return self._matched
-
-    @property
-    def total_power(self) -> float | np.ndarray:
-        """Squared norm of all stored measurements, per trial for a batch."""
-        return self._power if self.batch else float(self._power)
-
     def stacked(self) -> np.ndarray:
-        """All segment values concatenated in time order (along the last
-        axis for a batch)."""
+        """(trials, segments * n_v) segment values concatenated in time
+        order."""
         if not self.segments:
             raise ValueError("history is empty")
-        return np.concatenate([s.values for s in self.segments], axis=-1)
+        return np.concatenate(self.segments, axis=-1)

@@ -140,10 +140,10 @@ def run_alignment_scalar(
     pmf = np.full(grid.size, 1.0 / grid.size)
     for t in range(config.segments):
         history.append(measure_segment(beam, channel, svam_cfg, t, rng), beam)
-        gamma = gamma_mle(history, grid, channel.power, noise_var)
-        post = alpha_posterior(history, grid, gamma, channel.power, noise_var)
+        gamma = gamma_mle(history, channel.power, noise_var)
+        post = alpha_posterior(history, gamma, channel.power, noise_var)
         pmf = posterior_pmf(
-            approx_log_likelihood(history, grid, post, channel.power, noise_var)
+            approx_log_likelihood(history, post, channel.power, noise_var)
         )
         mode = int(np.argmax(pmf))
         gain = abs(beam_gain(beam, truth)) ** 2

@@ -147,20 +147,21 @@ def _random_history(
     u_true = float(grid.points[int(rng.integers(grid.size))])
     alpha = np.exp(2j * np.pi * rng.uniform())
     params = ChannelParams(alpha, u_true, power=power, noise_variance=noise)
-    history = MeasurementHistory(cfg)
+    history = MeasurementHistory(cfg, grid, 1)
     for t in range(segments):
         f = _unit_columns(rng, cfg.combiner_length, 1)[:, 0]
-        history.append(measure_segment(f, params, cfg, t, rng), f, grid)
+        history.append(measure_segment(f, params, cfg, rng)[None], [f])
     return history
 
 
 def _stacked_response(history: MeasurementHistory, u: float) -> np.ndarray:
-    """Model response of every stored snapshot at angle u, built from the
-    zero-padded combiners directly rather than the cached statistics."""
+    """Model response of every stored snapshot of a batch of one at angle u,
+    built from the zero-padded combiners directly rather than the cached
+    statistics."""
     cfg = history.config
     phi = ula_manifold(cfg.n, u)
     rows = []
-    for t, f in enumerate(history.beamformers):
+    for t, (f,) in enumerate(history.beamformers):
         for r in range(cfg.n_v):
             w = svam_combiner(f, t * cfg.n_v + r, cfg)
             rows.append(np.vdot(w, phi))
@@ -178,26 +179,28 @@ def test_criterion_03_rank_one_likelihood_matches_dense_solve():
         power = float(rng.uniform(0.5, 2.0))
         noise = float(rng.uniform(0.2, 1.0))
         history = _random_history(rng, 10, n_v, segments, grid, power, noise)
-        gamma = gamma_mle(history, grid, power, noise)
-        posterior = alpha_posterior(history, grid, gamma, power, noise)
-        terms = likelihood_terms(history, grid, posterior, power, noise)
+        gamma = gamma_mle(history, power, noise)
+        posterior = alpha_posterior(history, gamma, power, noise)
+        terms = likelihood_terms(history, posterior, power, noise)
 
         i = int(rng.integers(grid.size))
         h = _stacked_response(history, float(grid.points[i]))
         total = segments * n_v
-        sigma = power * posterior.variance[i] * np.outer(
+        sigma = power * posterior.variance[0, i] * np.outer(
             h, h.conj()
         ) + noise * np.eye(total)
         _, dense_logdet = np.linalg.slogdet(sigma)
-        residual = history.stacked() - math.sqrt(power) * posterior.mean[i] * h
+        residual = history.stacked()[0] - math.sqrt(power) * posterior.mean[0, i] * h
         dense_quad = float(np.vdot(residual, np.linalg.solve(sigma, residual)).real)
 
         # relative error of det equals absolute error of log det to first order
         worst_det = max(
             worst_det,
-            abs(terms.log_det[i] - dense_logdet) / max(1.0, abs(dense_logdet)),
+            abs(terms.log_det[0, i] - dense_logdet) / max(1.0, abs(dense_logdet)),
         )
-        worst_quad = max(worst_quad, abs(terms.quad_form[i] - dense_quad) / dense_quad)
+        worst_quad = max(
+            worst_quad, abs(terms.quad_form[0, i] - dense_quad) / dense_quad
+        )
     ok = worst_det < 1e-10 and worst_quad < 1e-10
     msg = _verdict(
         3,
@@ -218,14 +221,14 @@ def test_criterion_04_gain_posterior_matches_numerical_integration():
         segments = int(rng.integers(1, 3))
         noise = float(rng.uniform(0.05, 0.2))
         history = _random_history(rng, 8, n_v, segments, grid, 1.0, noise)
-        gamma = gamma_mle(history, grid, 1.0, noise)
-        posterior = alpha_posterior(history, grid, gamma, 1.0, noise)
-        i = int(np.argmax(gamma))
-        assert gamma[i] > 0
+        gamma = gamma_mle(history, 1.0, noise)
+        posterior = alpha_posterior(history, gamma, 1.0, noise)
+        i = int(np.argmax(gamma[0]))
+        assert gamma[0, i] > 0
 
         h = _stacked_response(history, float(grid.points[i]))
-        y = history.stacked()
-        half = 6.0 * math.sqrt(gamma[i])
+        y = history.stacked()[0]
+        half = 6.0 * math.sqrt(gamma[0, i])
         axis = np.linspace(-half, half, 401)
         re, im = np.meshgrid(axis, axis)
         alpha_grid = re + 1j * im
@@ -238,7 +241,7 @@ def test_criterion_04_gain_posterior_matches_numerical_integration():
                 + np.abs(alpha_grid) ** 2 * energy
             )
             / noise
-            - np.abs(alpha_grid) ** 2 / gamma[i]
+            - np.abs(alpha_grid) ** 2 / gamma[0, i]
         )
         w = np.exp(log_w - log_w.max())
         w /= w.sum()
@@ -246,10 +249,10 @@ def test_criterion_04_gain_posterior_matches_numerical_integration():
         var_num = float(np.sum(np.abs(alpha_grid - mean_num) ** 2 * w))
 
         worst_mean = max(
-            worst_mean, abs(posterior.mean[i] - mean_num) / abs(mean_num)
+            worst_mean, abs(posterior.mean[0, i] - mean_num) / abs(mean_num)
         )
         worst_var = max(
-            worst_var, abs(posterior.variance[i] - var_num) / var_num
+            worst_var, abs(posterior.variance[0, i] - var_num) / var_num
         )
     ok = worst_mean < 1e-3 and worst_var < 1e-3
     msg = _verdict(

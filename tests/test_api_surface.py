@@ -2,6 +2,7 @@
 must all exist: a deleted function would otherwise leave a benchmark layer
 reading zero while every other test passes."""
 
+import ast
 import importlib.util
 import inspect
 from pathlib import Path
@@ -9,7 +10,9 @@ from pathlib import Path
 import svamsim
 import svamsim.cli  # noqa: F401  (the tracer looks in every loaded module)
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
+PACKAGE_DIR = ROOT / "src" / "svamsim"
 
 
 def _load_tracer():
@@ -39,7 +42,7 @@ def test_every_tracer_layer_target_resolves():
 # Lower this ceiling whenever a knob goes. Raise it only for a new option
 # that two callers outside the tests (the harness, the CLI, a config key, the
 # benchmark) need with different values; a value only tests set is a constant.
-SETTABLE_VALUE_CEILING = 214
+SETTABLE_VALUE_CEILING = 208
 
 
 def test_settable_values_stay_under_the_ceiling():
@@ -55,3 +58,41 @@ def test_settable_values_stay_under_the_ceiling():
         if callable(target)
     )
     assert count <= SETTABLE_VALUE_CEILING
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports but never reads, in code, in a string
+    annotation or in its __all__."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # a quoted annotation or an __all__ entry
+            try:
+                expr = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    return [
+        f"{name} (line {line})" for name, line in imported.items() if name not in used
+    ]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # __init__.py imports only to re-export, which its __all__ test covers
+    unused = {
+        path.name: names
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name != "__init__.py"
+        and (names := _unused_imports(ast.parse(path.read_text())))
+    }
+    assert unused == {}

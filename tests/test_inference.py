@@ -7,6 +7,7 @@ from svamsim.arrays import AngularGrid, RegionOfInterest, ula_manifold
 from svamsim.channel import ChannelParams
 from svamsim.harness import noise_variance_from_snr, run_adaptive_trials
 from svamsim.inference import (
+    AlphaPosterior,
     alpha_posterior,
     approx_log_likelihood,
     gamma_mle,
@@ -14,7 +15,7 @@ from svamsim.inference import (
     likelihood_terms,
     posterior_pmf,
 )
-from svamsim.sensing import MeasurementHistory, SegmentMeasurement, SvamConfig, measure_segment
+from svamsim.sensing import MeasurementHistory, SvamConfig, measure_segment
 
 
 def unit(m, seed):
@@ -40,30 +41,31 @@ def make_history(
         alpha, grid.points[path_index], power=power, noise_variance=noise
     )
     rng = np.random.default_rng(seed)
-    hist = MeasurementHistory(cfg)
+    hist = MeasurementHistory(cfg, grid, 1)
     for t in range(segments):
         f = unit(cfg.combiner_length, 100 + t)
-        hist.append(measure_segment(f, params, cfg, t, rng), f, grid)
+        hist.append(measure_segment(f, params, cfg, rng)[None], [f])
     return hist, grid, params
 
 
 def stacked_response(hist, grid, i):
-    """Candidate i's stacked noiseless direction: kron(beta column, phi)."""
+    """Candidate i's stacked noiseless direction in a batch of one:
+    kron(beta column, phi)."""
     phi = ula_manifold(hist.n_v, grid.points[i])
-    return np.kron(hist.beta_matrix[:, i], phi)
+    return np.kron(hist.beta_matrix[0, :, i], phi)
 
 
-def assert_batch_matches_dense_solve(hist, grid, power, sigma2, points):
+def assert_batch_matches_dense_solve(hist, power, sigma2, points):
     """Every trial's closed-form log-det and quadratic form at the given grid
     points against a dense slogdet and solve on its whole stacked record.
     Returns the fitted gain prior."""
-    gamma = gamma_mle(hist, grid, power, sigma2)
-    post = alpha_posterior(hist, grid, gamma, power, sigma2)
-    terms = likelihood_terms(hist, grid, post, power, sigma2)
+    gamma = gamma_mle(hist, power, sigma2)
+    post = alpha_posterior(hist, gamma, power, sigma2)
+    terms = likelihood_terms(hist, post, power, sigma2)
     y, beta = hist.stacked(), hist.beta_matrix
     for k in range(len(y)):
         for i in points:
-            v = np.kron(beta[k, :, i], ula_manifold(hist.n_v, grid.points[i]))
+            v = np.kron(beta[k, :, i], ula_manifold(hist.n_v, hist.grid.points[i]))
             cov = power * post.variance[k, i] * np.outer(
                 v, v.conj()
             ) + sigma2 * np.eye(len(v))
@@ -76,22 +78,33 @@ def assert_batch_matches_dense_solve(hist, grid, power, sigma2, points):
     return gamma
 
 
+def test_every_unknown_gain_step_rejects_an_empty_history():
+    grid = AngularGrid(RegionOfInterest(0.0, 1.0), 8)
+    hist = MeasurementHistory(SvamConfig(n=8, n_v=2), grid, 1)
+    zeros = np.zeros((1, grid.size))
+    with pytest.raises(ValueError, match="empty"):
+        gamma_mle(hist, 1.0, 0.5)
+    with pytest.raises(ValueError, match="empty"):
+        alpha_posterior(hist, zeros, 1.0, 0.5)
+    with pytest.raises(ValueError, match="empty"):
+        likelihood_terms(hist, AlphaPosterior(zeros, zeros, zeros), 1.0, 0.5)
+
+
 class TestGammaMle:
     def test_zero_measurements_give_zero(self):
         cfg = SvamConfig(n=8, n_v=2)
         grid = AngularGrid(RegionOfInterest(0.0, 1.0), 8)
-        hist = MeasurementHistory(cfg)
+        hist = MeasurementHistory(cfg, grid, 1)
         for t in range(3):
-            seg = SegmentMeasurement(np.zeros(2, dtype=complex), t)
-            hist.append(seg, unit(cfg.combiner_length, t), grid)
-        np.testing.assert_array_equal(gamma_mle(hist, grid, 1.0, 0.5), 0.0)
+            hist.append(np.zeros((1, 2), dtype=complex), [unit(cfg.combiner_length, t)])
+        np.testing.assert_array_equal(gamma_mle(hist, 1.0, 0.5), 0.0)
 
     def test_noiseless_matched_closed_form(self):
         alpha, power, sigma2 = 0.8 - 0.3j, 2.0, 0.25
-        hist, grid, _ = make_history(alpha=alpha, power=power, noise=0.0, seed=1)
-        gamma = gamma_mle(hist, grid, power, sigma2)
+        hist, _, _ = make_history(alpha=alpha, power=power, noise=0.0, seed=1)
+        (gamma,) = gamma_mle(hist, power, sigma2)
         i = 5
-        g = hist.cumulative_gain[i]
+        g = hist.cumulative_gain[0, i]
         expected = abs(alpha) ** 2 - sigma2 / (power * g * hist.n_v)
         assert gamma[i] == pytest.approx(expected, rel=1e-10)
 
@@ -101,58 +114,56 @@ class TestGammaMle:
         cfg = SvamConfig(n=2, n_v=1)
         grid = AngularGrid(RegionOfInterest(0.0, 1.0), 4)
         f = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        hist = MeasurementHistory(cfg)
-        seg = SegmentMeasurement(np.ones(1, dtype=complex), 0)
-        hist.append(seg, f, grid)
-        assert hist.cumulative_gain[0] == 0.0
-        gamma = gamma_mle(hist, grid, 1.0, 0.1)
-        assert gamma[0] == 0.0
+        hist = MeasurementHistory(cfg, grid, 1)
+        hist.append(np.ones((1, 1), dtype=complex), [f])
+        assert hist.cumulative_gain[0, 0] == 0.0
+        gamma = gamma_mle(hist, 1.0, 0.1)
+        assert gamma[0, 0] == 0.0
 
     def test_monotone_in_measurement_scale(self):
         hist, grid, _ = make_history(noise=0.5, seed=7)
-        gamma = gamma_mle(hist, grid, 1.0, 0.5)
-        scaled = MeasurementHistory(hist.config)
-        for t, seg in enumerate(hist.segments):
-            scaled.append(
-                SegmentMeasurement(3.0 * seg.values, t), hist.beamformers[t], grid
-            )
-        gamma_scaled = gamma_mle(scaled, grid, 1.0, 0.5)
+        gamma = gamma_mle(hist, 1.0, 0.5)
+        scaled = MeasurementHistory(hist.config, grid, 1)
+        for values, beams in zip(hist.segments, hist.beamformers):
+            scaled.append(3.0 * values, beams)
+        gamma_scaled = gamma_mle(scaled, 1.0, 0.5)
         assert np.all(gamma_scaled >= gamma - 1e-15)
 
     def test_requires_positive_noise(self):
-        hist, grid, _ = make_history()
+        hist, _, _ = make_history()
         with pytest.raises(ValueError):
-            gamma_mle(hist, grid, 1.0, 0.0)
+            gamma_mle(hist, 1.0, 0.0)
 
 
 class TestAlphaPosterior:
     def test_zero_prior_variance_pins_gain_to_zero(self):
         hist, grid, _ = make_history(seed=2)
-        post = alpha_posterior(hist, grid, np.zeros(grid.size), 1.0, 0.5)
+        post = alpha_posterior(hist, np.zeros((1, grid.size)), 1.0, 0.5)
         np.testing.assert_array_equal(post.mean, 0.0)
         np.testing.assert_array_equal(post.variance, 0.0)
 
     def test_variance_contracts_below_prior(self):
-        hist, grid, _ = make_history(noise=0.3, seed=3)
-        gamma = gamma_mle(hist, grid, 1.0, 0.3)
-        post = alpha_posterior(hist, grid, gamma, 1.0, 0.3)
+        hist, _, _ = make_history(noise=0.3, seed=3)
+        gamma = gamma_mle(hist, 1.0, 0.3)
+        post = alpha_posterior(hist, gamma, 1.0, 0.3)
         lit = (gamma > 0) & (hist.cumulative_gain > 0)
         assert np.all(post.variance[lit] < gamma[lit])
         assert np.all(post.variance <= gamma + 1e-15)
 
     def test_noiseless_limit_recovers_alpha(self):
         alpha = 0.9 * np.exp(1.1j)
-        hist, grid, _ = make_history(alpha=alpha, noise=0.0, seed=4)
-        gamma = gamma_mle(hist, grid, 1.0, 1e-9)
-        post = alpha_posterior(hist, grid, gamma, 1.0, 1e-9)
-        assert post.mean[5] == pytest.approx(alpha, rel=1e-6)
+        hist, _, _ = make_history(alpha=alpha, noise=0.0, seed=4)
+        gamma = gamma_mle(hist, 1.0, 1e-9)
+        post = alpha_posterior(hist, gamma, 1.0, 1e-9)
+        assert post.mean[0, 5] == pytest.approx(alpha, rel=1e-6)
 
     def test_matches_brute_force_integration(self):
         hist, grid, _ = make_history(segments=2, noise=0.5, seed=5)
         power, sigma2 = 1.0, 0.5
-        gamma = gamma_mle(hist, grid, power, sigma2)
-        post = alpha_posterior(hist, grid, gamma, power, sigma2)
-        y = hist.stacked()
+        gamma = gamma_mle(hist, power, sigma2)
+        post = alpha_posterior(hist, gamma, power, sigma2)
+        (gamma,), (post_mean,), (post_var,) = gamma, post.mean, post.variance
+        (y,) = hist.stacked()
         for i in (4, 5, 6):
             if gamma[i] == 0:
                 continue
@@ -176,24 +187,24 @@ class TestAlphaPosterior:
             w /= w.sum()
             mean = np.sum(w * a)
             var = np.sum(w * np.abs(a - mean) ** 2)
-            assert abs(mean - post.mean[i]) <= 1e-3 * max(abs(post.mean[i]), 1e-12)
-            assert abs(var - post.variance[i]) <= 1e-3 * post.variance[i]
+            assert abs(mean - post_mean[i]) <= 1e-3 * max(abs(post_mean[i]), 1e-12)
+            assert abs(var - post_var[i]) <= 1e-3 * post_var[i]
 
     def test_rejects_negative_gamma(self):
         hist, grid, _ = make_history()
-        bad = np.full(grid.size, -0.1)
+        bad = np.full((1, grid.size), -0.1)
         with pytest.raises(ValueError):
-            alpha_posterior(hist, grid, bad, 1.0, 0.5)
+            alpha_posterior(hist, bad, 1.0, 0.5)
 
 
 class TestLikelihoodTerms:
     def _dense_reference(self, hist, grid, post, power, sigma2, i):
-        y = hist.stacked()
+        (y,) = hist.stacked()
         v = stacked_response(hist, grid, i)
-        cov = power * post.variance[i] * np.outer(v, v.conj()) + sigma2 * np.eye(
+        cov = power * post.variance[0, i] * np.outer(v, v.conj()) + sigma2 * np.eye(
             len(y)
         )
-        mean = np.sqrt(power) * post.mean[i] * v
+        mean = np.sqrt(power) * post.mean[0, i] * v
         resid = y - mean
         sign, logdet = np.linalg.slogdet(cov)
         assert sign > 0
@@ -203,13 +214,13 @@ class TestLikelihoodTerms:
     def test_closed_forms_match_dense_linear_algebra(self):
         power, sigma2 = 1.3, 0.45
         hist, grid, _ = make_history(power=power, noise=sigma2, seed=6)
-        gamma = gamma_mle(hist, grid, power, sigma2)
-        post = alpha_posterior(hist, grid, gamma, power, sigma2)
-        terms = likelihood_terms(hist, grid, post, power, sigma2)
+        gamma = gamma_mle(hist, power, sigma2)
+        post = alpha_posterior(hist, gamma, power, sigma2)
+        terms = likelihood_terms(hist, post, power, sigma2)
         for i in range(grid.size):
             logdet, quad = self._dense_reference(hist, grid, post, power, sigma2, i)
-            assert terms.log_det[i] == pytest.approx(logdet, rel=1e-10)
-            assert terms.quad_form[i] == pytest.approx(quad, rel=1e-8, abs=1e-9)
+            assert terms.log_det[0, i] == pytest.approx(logdet, rel=1e-10)
+            assert terms.quad_form[0, i] == pytest.approx(quad, rel=1e-8, abs=1e-9)
 
     def test_long_batched_run_matches_dense_solve(self):
         # 120 segments of running statistics against one dense slogdet and
@@ -225,17 +236,16 @@ class TestLikelihoodTerms:
             )
             for k in (11, 40)
         ]
-        hist = MeasurementHistory(cfg, trials=2)
+        hist = MeasurementHistory(cfg, grid, 2)
         for t in range(segments):
             beams = [unit(cfg.combiner_length, 2 * t + k) for k in range(2)]
             values = np.stack([
-                measure_segment(f, c, cfg, t, rng).values
-                for f, c in zip(beams, channels)
+                measure_segment(f, c, cfg, rng) for f, c in zip(beams, channels)
             ])
-            hist.append(SegmentMeasurement(values, t), beams, grid)
+            hist.append(values, beams)
         assert hist.stacked().shape == (2, segments * cfg.n_v)
         gamma = assert_batch_matches_dense_solve(
-            hist, grid, power, sigma2, (0, 11, 40, 63)
+            hist, power, sigma2, (0, 11, 40, 63)
         )
         assert np.all(gamma[[0, 1], [11, 40]] > 0)
 
@@ -254,10 +264,10 @@ class TestLikelihoodTerms:
         checked = []
 
         class DenseCheckedHistory(adaptive.MeasurementHistory):
-            def append(self, segment, beamformer, grid):
-                super().append(segment, beamformer, grid)
+            def append(self, values, beamformers):
+                super().append(values, beamformers)
                 points = (0, 5, 10, 15)
-                assert_batch_matches_dense_solve(self, grid, 1.0, sigma2, points)
+                assert_batch_matches_dense_solve(self, 1.0, sigma2, points)
                 checked.append(self.segment_count)
 
         plain = run_adaptive_trials(cfg, snr_db, trials=2, seed=0)
@@ -268,31 +278,30 @@ class TestLikelihoodTerms:
     def test_zero_data_scores_all_candidates_equally(self):
         cfg = SvamConfig(n=10, n_v=2)
         grid = AngularGrid(RegionOfInterest(0.0, 1.0), 8)
-        hist = MeasurementHistory(cfg)
+        hist = MeasurementHistory(cfg, grid, 1)
         for t in range(2):
-            seg = SegmentMeasurement(np.zeros(2, dtype=complex), t)
-            hist.append(seg, unit(cfg.combiner_length, t), grid)
-        gamma = gamma_mle(hist, grid, 1.0, 0.5)
-        post = alpha_posterior(hist, grid, gamma, 1.0, 0.5)
-        ll = approx_log_likelihood(hist, grid, post, 1.0, 0.5)
-        np.testing.assert_allclose(ll, ll[0], atol=1e-12)
+            hist.append(np.zeros((1, 2), dtype=complex), [unit(cfg.combiner_length, t)])
+        gamma = gamma_mle(hist, 1.0, 0.5)
+        post = alpha_posterior(hist, gamma, 1.0, 0.5)
+        ll = approx_log_likelihood(hist, post, 1.0, 0.5)
+        np.testing.assert_allclose(ll, ll[0, 0], atol=1e-12)
         np.testing.assert_allclose(posterior_pmf(ll), 1.0 / 8, atol=1e-12)
 
     def test_full_pipeline_peaks_at_true_angle(self):
-        hist, grid, params = make_history(
+        hist, _, _ = make_history(
             n=24, n_v=4, grid_size=32, segments=6, path_index=11, noise=0.01, seed=8
         )
-        gamma = gamma_mle(hist, grid, 1.0, 0.01)
-        post = alpha_posterior(hist, grid, gamma, 1.0, 0.01)
-        pmf = posterior_pmf(approx_log_likelihood(hist, grid, post, 1.0, 0.01))
-        assert np.argmax(pmf) == 11
+        gamma = gamma_mle(hist, 1.0, 0.01)
+        post = alpha_posterior(hist, gamma, 1.0, 0.01)
+        pmf = posterior_pmf(approx_log_likelihood(hist, post, 1.0, 0.01))
+        assert np.argmax(pmf[0]) == 11
 
     def test_rejects_zero_noise(self):
-        hist, grid, _ = make_history()
-        gamma = gamma_mle(hist, grid, 1.0, 0.5)
-        post = alpha_posterior(hist, grid, gamma, 1.0, 0.5)
+        hist, _, _ = make_history()
+        gamma = gamma_mle(hist, 1.0, 0.5)
+        post = alpha_posterior(hist, gamma, 1.0, 0.5)
         with pytest.raises(ValueError):
-            likelihood_terms(hist, grid, post, 1.0, 0.0)
+            likelihood_terms(hist, post, 1.0, 0.0)
 
 
 class TestNoiseColumn:
@@ -312,28 +321,27 @@ class TestNoiseColumn:
             for k, v in enumerate(self.NOISE[:, 0])
         ]
         rngs = [np.random.default_rng(30 + k) for k in range(len(channels))]
-        batch = MeasurementHistory(cfg, trials=len(channels))
+        batch = MeasurementHistory(cfg, grid, len(channels))
         for t in range(segments):
             f = unit(cfg.combiner_length, 100 + t)
             values = np.stack([
-                measure_segment(f, c, cfg, t, rng).values
-                for c, rng in zip(channels, rngs)
+                measure_segment(f, c, cfg, rng) for c, rng in zip(channels, rngs)
             ])
-            batch.append(SegmentMeasurement(values, t), [f] * len(channels), grid)
-        return batch, grid
+            batch.append(values, [f] * len(channels))
+        return batch
 
     def test_rows_equal_scalar_calls_bit_for_bit(self):
         power = 1.3
-        batch, grid = self._batch(power)
-        gamma = gamma_mle(batch, grid, power, self.NOISE)
-        post = alpha_posterior(batch, grid, gamma, power, self.NOISE)
-        terms = likelihood_terms(batch, grid, post, power, self.NOISE)
+        batch = self._batch(power)
+        gamma = gamma_mle(batch, power, self.NOISE)
+        post = alpha_posterior(batch, gamma, power, self.NOISE)
+        terms = likelihood_terms(batch, post, power, self.NOISE)
         assert (gamma == 0).any() and (gamma > 0).any()
         for i, noise in enumerate(self.NOISE[:, 0]):
             noise = float(noise)
-            gamma_i = gamma_mle(batch, grid, power, noise)
-            post_i = alpha_posterior(batch, grid, gamma_i, power, noise)
-            terms_i = likelihood_terms(batch, grid, post_i, power, noise)
+            gamma_i = gamma_mle(batch, power, noise)
+            post_i = alpha_posterior(batch, gamma_i, power, noise)
+            terms_i = likelihood_terms(batch, post_i, power, noise)
             assert (gamma[i] == gamma_i[i]).all()
             assert (post.mean[i] == post_i.mean[i]).all()
             assert (post.variance[i] == post_i.variance[i]).all()
@@ -343,27 +351,24 @@ class TestNoiseColumn:
 
     @pytest.mark.parametrize("bad", [0.0, -0.1], ids=["zero", "negative"])
     def test_one_bad_row_rejects_the_batch(self, bad):
-        batch, grid = self._batch()
-        gamma = gamma_mle(batch, grid, 1.0, self.NOISE)
-        post = alpha_posterior(batch, grid, gamma, 1.0, self.NOISE)
+        batch = self._batch()
+        gamma = gamma_mle(batch, 1.0, self.NOISE)
+        post = alpha_posterior(batch, gamma, 1.0, self.NOISE)
         noise = self.NOISE.copy()
         noise[2, 0] = bad
         with pytest.raises(ValueError):
-            gamma_mle(batch, grid, 1.0, noise)
+            gamma_mle(batch, 1.0, noise)
         with pytest.raises(ValueError):
-            alpha_posterior(batch, grid, gamma, 1.0, noise)
+            alpha_posterior(batch, gamma, 1.0, noise)
         with pytest.raises(ValueError):
-            likelihood_terms(batch, grid, post, 1.0, noise)
+            likelihood_terms(batch, post, 1.0, noise)
 
     def test_rejects_a_column_of_the_wrong_shape(self):
-        batch, grid = self._batch()
+        batch = self._batch()
         with pytest.raises(ValueError):  # a row, not a column
-            gamma_mle(batch, grid, 1.0, self.NOISE[:, 0])
+            gamma_mle(batch, 1.0, self.NOISE[:, 0])
         with pytest.raises(ValueError):  # one variance short
-            gamma_mle(batch, grid, 1.0, self.NOISE[1:])
-        lone, grid, _ = make_history()
-        with pytest.raises(ValueError):  # a lone trial takes a scalar
-            gamma_mle(lone, grid, 1.0, self.NOISE[:1])
+            gamma_mle(batch, 1.0, self.NOISE[1:])
 
 
 class TestPosteriorPmf:
@@ -388,15 +393,14 @@ class TestPosteriorPmf:
         hist, grid, _ = make_history(segments=5, noise=0.6, seed=9)
         power, sigma2 = 1.0, 0.6
         perm = [3, 0, 4, 2, 1]
-        reordered = MeasurementHistory(hist.config)
-        for new_index, old in enumerate(perm):
-            seg = SegmentMeasurement(hist.segments[old].values, new_index)
-            reordered.append(seg, hist.beamformers[old], grid)
+        reordered = MeasurementHistory(hist.config, grid, 1)
+        for old in perm:
+            reordered.append(hist.segments[old], hist.beamformers[old])
 
         def pipeline(h):
-            gamma = gamma_mle(h, grid, power, sigma2)
-            post = alpha_posterior(h, grid, gamma, power, sigma2)
-            return posterior_pmf(approx_log_likelihood(h, grid, post, power, sigma2))
+            gamma = gamma_mle(h, power, sigma2)
+            post = alpha_posterior(h, gamma, power, sigma2)
+            return posterior_pmf(approx_log_likelihood(h, post, power, sigma2))
 
         np.testing.assert_allclose(pipeline(hist), pipeline(reordered), atol=1e-12)
 

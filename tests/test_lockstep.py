@@ -50,7 +50,6 @@ from svamsim.inference import (
 from svamsim.sensing import (
     BeamCache,
     MeasurementHistory,
-    SegmentMeasurement,
     SvamConfig,
     measure_segment,
 )
@@ -375,8 +374,8 @@ def _histories(trials=3, n_v=2, segments=3):
     cfg = SvamConfig(n=10, n_v=n_v)
     grid = AngularGrid(ROI, 16)
     m = cfg.combiner_length
-    batch = MeasurementHistory(cfg, trials=trials)
-    lone = [MeasurementHistory(cfg) for _ in range(trials)]
+    batch = MeasurementHistory(cfg, grid, trials)
+    lone = [MeasurementHistory(cfg, grid, 1) for _ in range(trials)]
     rngs = [np.random.default_rng(40 + i) for i in range(trials)]
     for t in range(segments):
         beams = [
@@ -386,31 +385,32 @@ def _histories(trials=3, n_v=2, segments=3):
         params = ChannelParams(
             1j, float(grid.points[3]), noise_variance=0.7
         )
-        segs = [
-            measure_segment(f, params, cfg, t, rng) for f, rng in zip(beams, rngs)
-        ]
-        for hist, seg, f in zip(lone, segs, beams):
-            hist.append(seg, f, grid)
-        values = np.stack([seg.values for seg in segs])
-        batch.append(SegmentMeasurement(values, t), beams, grid)
+        values = np.stack(
+            [measure_segment(f, params, cfg, rng) for f, rng in zip(beams, rngs)]
+        )
+        for hist, row, f in zip(lone, values, beams):
+            hist.append(row[None], [f])
+        batch.append(values, beams)
     return batch, lone, grid
 
 
 def test_batched_history_rows_equal_lone_histories():
-    # at block size 3 a lone vector-matrix product and a row of a batch's
-    # matrix product round differently
+    # every row of a batch equals a batch of one; at block size 3 one
+    # matrix product over all rows would round differently
     for n_v in (2, 3):
-        batch, lone, grid = _histories(n_v=n_v)
+        batch, lone, _ = _histories(n_v=n_v)
         for i, hist in enumerate(lone):
             np.testing.assert_array_equal(
-                batch.cumulative_gain[i], hist.cumulative_gain
+                batch.cumulative_gain[i], hist.cumulative_gain[0]
             )
             np.testing.assert_array_equal(
-                batch.matched_statistic[i], hist.matched_statistic
+                batch.matched_statistic[i], hist.matched_statistic[0]
             )
-            assert batch.total_power[i] == hist.total_power
-            np.testing.assert_array_equal(batch.beta_matrix[i], hist.beta_matrix)
-            np.testing.assert_array_equal(batch.stacked()[i], hist.stacked())
+            assert batch.total_power[i] == hist.total_power[0]
+            np.testing.assert_array_equal(
+                batch.beta_matrix[i], hist.beta_matrix[0]
+            )
+            np.testing.assert_array_equal(batch.stacked()[i], hist.stacked()[0])
 
 
 def test_finished_history_is_freed_by_reference_counting():
@@ -428,48 +428,39 @@ def test_finished_history_is_freed_by_reference_counting():
 
 
 def test_batched_inference_rows_equal_lone_inference():
-    batch, lone, grid = _histories()
-
     def chain(hist):
-        gamma = gamma_mle(hist, grid, 1.0, 0.7)
-        post = alpha_posterior(hist, grid, gamma, 1.0, 0.7)
-        ll = approx_log_likelihood(hist, grid, post, 1.0, 0.7)
+        gamma = gamma_mle(hist, 1.0, 0.7)
+        post = alpha_posterior(hist, gamma, 1.0, 0.7)
+        ll = approx_log_likelihood(hist, post, 1.0, 0.7)
         return gamma, post.mean, post.variance, ll, posterior_pmf(ll)
 
-    for got, want in zip(chain(batch), zip(*(chain(h) for h in lone))):
-        np.testing.assert_array_equal(got, np.stack(want))
+    for n_v in (2, 3):
+        batch, lone, _ = _histories(n_v=n_v)
+        for got, want in zip(chain(batch), zip(*(chain(h) for h in lone))):
+            np.testing.assert_array_equal(got, np.concatenate(want))
 
 
 def test_batched_history_validates_each_block():
     batch, _, grid = _histories(trials=2, segments=1)
     f = design_beamformer(BeamSpec(0.5, 1.0), batch.config.combiner_length)
     with pytest.raises(ValueError):  # one trial's worth of values
-        batch.append(SegmentMeasurement(np.zeros(2, dtype=complex), 1), [f, f], grid)
+        batch.append(np.zeros(2, dtype=complex), [f, f])
     with pytest.raises(ValueError):  # wrong block size
-        batch.append(
-            SegmentMeasurement(np.zeros((2, 3), dtype=complex), 1), [f, f], grid
-        )
+        batch.append(np.zeros((2, 3), dtype=complex), [f, f])
     with pytest.raises(ValueError):  # one beamformer short
-        batch.append(
-            SegmentMeasurement(np.zeros((2, 2), dtype=complex), 1), [f], grid
-        )
-    with pytest.raises(ValueError):  # a different grid
-        batch.append(
-            SegmentMeasurement(np.zeros((2, 2), dtype=complex), 1), [f, f],
-            AngularGrid(ROI, 16),
-        )
+        batch.append(np.zeros((2, 2), dtype=complex), [f])
     with pytest.raises(ValueError):
-        MeasurementHistory(batch.config, trials=0)
+        MeasurementHistory(batch.config, grid, 0)
 
 
 def test_inference_checks_gamma_per_row():
-    batch, _, grid = _histories(trials=2)
-    gamma = gamma_mle(batch, grid, 1.0, 0.7)
+    batch, _, _ = _histories(trials=2)
+    gamma = gamma_mle(batch, 1.0, 0.7)
     with pytest.raises(ValueError):
-        alpha_posterior(batch, grid, gamma[0], 1.0, 0.7)  # one row for two trials
+        alpha_posterior(batch, gamma[0], 1.0, 0.7)  # one row for two trials
     gamma[1, 4] = -1.0
     with pytest.raises(ValueError):
-        alpha_posterior(batch, grid, gamma, 1.0, 0.7)
+        alpha_posterior(batch, gamma, 1.0, 0.7)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ from svamsim.beams import BeamSpec, design_beamformer
 from svamsim.channel import ChannelParams
 from svamsim.sensing import (
     MeasurementHistory,
-    SegmentMeasurement,
     SvamConfig,
     measure_segment,
     svam_combiner,
@@ -74,20 +73,19 @@ class TestMeasureSegment:
         f = random_unit(4, 9)
         alpha, u, power = 0.7 - 0.2j, 0.35, 2.0
         params = ChannelParams(alpha, u, power=power)
-        seg = measure_segment(f, params, cfg, 0, np.random.default_rng(0))
+        values = measure_segment(f, params, cfg, np.random.default_rng(0))
         beta = np.vdot(f, ula_manifold(4, u))
         expected = (
             np.sqrt(power) * alpha * beta * np.exp(1j * np.pi * u * np.arange(3))
         )
-        np.testing.assert_allclose(seg.values, expected, atol=1e-12)
+        np.testing.assert_allclose(values, expected, atol=1e-12)
 
     def test_broadside_gives_equal_snapshots(self):
         cfg = SvamConfig(n=5, n_v=2)
         f = random_unit(4, 10)
         params = ChannelParams(1.0, 0.0)
-        seg = measure_segment(f, params, cfg, 3, np.random.default_rng(0))
-        assert seg.index == 3
-        np.testing.assert_allclose(seg.values[0], seg.values[1], atol=1e-12)
+        values = measure_segment(f, params, cfg, np.random.default_rng(0))
+        np.testing.assert_allclose(values[0], values[1], atol=1e-12)
 
 
 class TestMeasurementHistory:
@@ -101,34 +99,33 @@ class TestMeasurementHistory:
             np.exp(0.4j), grid.points[5], noise_variance=noise
         )
         rng = np.random.default_rng(seed)
-        hist = MeasurementHistory(cfg)
+        hist = MeasurementHistory(cfg, grid, 1)
         for t in range(count):
             f = random_unit(cfg.combiner_length, 100 + t)
-            seg = measure_segment(f, params, cfg, t, rng)
-            hist.append(seg, f, grid)
+            hist.append(measure_segment(f, params, cfg, rng)[None], [f])
         return hist, grid, params
 
     def test_stacked_kron_structure_noiseless(self):
         hist, grid, params = self._history_with_segments(4)
         alpha, u = params.alpha, params.u
         i = 5  # on-grid path index
-        betas = hist.beta_matrix[:, i]
+        betas = hist.beta_matrix[0, :, i]
         expected = np.kron(betas, ula_manifold(3, u)) * alpha
-        np.testing.assert_allclose(hist.stacked(), expected, atol=1e-10)
+        np.testing.assert_allclose(hist.stacked()[0], expected, atol=1e-10)
 
     def test_beta_rows_match_direct_gain(self):
         hist, grid, _ = self._history_with_segments(2)
-        f = hist.beamformers[1]
+        (f,) = hist.beamformers[1]
         direct = np.array(
             [np.vdot(f, ula_manifold(10, u)) for u in grid.points]
         )
-        np.testing.assert_allclose(hist.beta_matrix[1], direct, atol=1e-12)
+        np.testing.assert_allclose(hist.beta_matrix[0, 1], direct, atol=1e-12)
 
     def test_cumulative_gain_is_running_sum(self):
         hist, _, _ = self._history_with_segments(3, noise=0.5, seed=3)
         np.testing.assert_allclose(
             hist.cumulative_gain,
-            np.sum(np.abs(hist.beta_matrix) ** 2, axis=0),
+            np.sum(np.abs(hist.beta_matrix) ** 2, axis=1),
             rtol=1e-12,
         )
 
@@ -136,36 +133,18 @@ class TestMeasurementHistory:
         hist, grid, _ = self._history_with_segments(3, noise=0.3, seed=4)
         phi = grid.manifold(3)
         expected = np.zeros(grid.size, dtype=complex)
-        for t, seg in enumerate(hist.segments):
-            expected += hist.beta_matrix[t].conj() * (phi.conj().T @ seg.values)
-        np.testing.assert_allclose(hist.matched_statistic, expected, atol=1e-10)
+        for t, (values,) in enumerate(hist.segments):
+            expected += hist.beta_matrix[0, t].conj() * (phi.conj().T @ values)
+        np.testing.assert_allclose(hist.matched_statistic[0], expected, atol=1e-10)
 
     def test_total_power(self):
         hist, _, _ = self._history_with_segments(2, noise=1.0, seed=5)
-        assert hist.total_power == pytest.approx(
+        assert hist.total_power[0] == pytest.approx(
             np.linalg.norm(hist.stacked()) ** 2
         )
 
-    def test_out_of_order_append_rejected(self):
-        cfg = SvamConfig(n=6, n_v=2)
-        hist = MeasurementHistory(cfg)
-        seg = SegmentMeasurement(values=np.zeros(2, dtype=complex), index=1)
-        with pytest.raises(ValueError):
-            hist.append(seg, random_unit(5, 0), self._grid())
-
     def test_wrong_block_size_rejected(self):
         cfg = SvamConfig(n=6, n_v=2)
-        hist = MeasurementHistory(cfg)
-        seg = SegmentMeasurement(values=np.zeros(3, dtype=complex), index=0)
+        hist = MeasurementHistory(cfg, self._grid(), 1)
         with pytest.raises(ValueError):
-            hist.append(seg, random_unit(5, 0), self._grid())
-
-    def test_grid_switch_rejected(self):
-        cfg = SvamConfig(n=6, n_v=2)
-        hist = MeasurementHistory(cfg)
-        f = random_unit(5, 1)
-        seg0 = SegmentMeasurement(values=np.ones(2, dtype=complex), index=0)
-        hist.append(seg0, f, self._grid())
-        seg1 = SegmentMeasurement(values=np.ones(2, dtype=complex), index=1)
-        with pytest.raises(ValueError):
-            hist.append(seg1, f, self._grid())  # fresh grid object
+            hist.append(np.zeros((1, 3), dtype=complex), [random_unit(5, 0)])
