@@ -17,13 +17,13 @@ Two controllers share the measurement/inference loop:
 
 Both loops draw each trial's noise from that trial's own generator, one
 block at a time, in the order a lone run of the trial would, so a batch
-row reproduces the lone trial bit for bit. The trials of a batch share
-their transmit power; run_alignment lets each trial have its own noise
-variance, so one batch can hold every SNR of a sweep point. The inference
-takes the whole batch at once and checks every row; one bad row rejects
-the batch. Only the flexible controller step of run_alignment still runs
-trial by trial; the hierarchical search and posterior matching pick all
-trials' nodes from one table of node masses.
+row reproduces the lone trial bit for bit. Each trial's channel carries
+its own received path gain; run_alignment also lets each trial have its
+own noise variance, so one batch can hold every SNR of a sweep point. The
+inference takes the whole batch at once and checks every row; one bad row
+rejects the batch. Only the flexible controller step of run_alignment still
+runs trial by trial; the hierarchical search and posterior matching pick
+all trials' nodes from one table of node masses.
 """
 
 from __future__ import annotations
@@ -314,21 +314,17 @@ def _inference_noise(config: AdaptConfig, noise_variance: np.ndarray) -> np.ndar
 
 def _batch_inputs(
     config: AdaptConfig, channels: Sequence[ChannelParams], rngs: Sequence
-) -> tuple[float, np.ndarray, list[float], np.ndarray, list[BeamCache]]:
-    """Check a batch for one generator per channel and a shared transmit
-    power; return that power, each trial's noise variance and true angle
-    (its path's), the noiseless snapshots and a |beta(truth)|^2 cache per
-    trial."""
+) -> tuple[np.ndarray, list[float], np.ndarray, list[BeamCache]]:
+    """Check a batch for one generator per channel; return each trial's
+    noise variance and true angle (its path's), the noiseless snapshots and
+    a |beta(truth)|^2 cache per trial."""
     if len(channels) < 1 or len(rngs) != len(channels):
         raise ValueError("need at least one channel and one generator per channel")
-    power = channels[0].power
-    if any(c.power != power for c in channels):
-        raise ValueError("trials of one batch must share transmit power")
     noise = np.array([channel.noise_variance for channel in channels])
     truths = [channel.u for channel in channels]
     signals = np.stack([noiseless_snapshot(channel, config.n) for channel in channels])
     gains = [BeamCache(lambda w, u=u: abs(beam_gain(w, u)) ** 2) for u in truths]
-    return power, noise, truths, signals, gains
+    return noise, truths, signals, gains
 
 
 def _records(
@@ -353,9 +349,8 @@ def run_alignment(
     of that trial would. The history and the posterior carry a leading trial
     axis, so inference and the hierarchical search run once per block for
     the whole batch; only the flexible controller step is taken trial by
-    trial. A single trial is a batch of one. The trials must share transmit
-    power; each may have its own noise variance, and a noiseless trial
-    draws nothing from its generator.
+    trial. A single trial is a batch of one. Each trial may have its own
+    noise variance, and a noiseless trial draws nothing from its generator.
 
     Each channel's path angle is the ground truth for its per-segment gain
     log, and each final estimate is the posterior argmax. Records are
@@ -364,7 +359,7 @@ def run_alignment(
     codebook log2(grid size) levels deep.
     """
     count = len(channels)
-    power, channel_noise, truths, signals, gains = _batch_inputs(config, channels, rngs)
+    channel_noise, truths, signals, gains = _batch_inputs(config, channels, rngs)
     grid = AngularGrid(config.roi, config.grid_size)
     svam_cfg = config.svam()
     m = svam_cfg.combiner_length
@@ -391,9 +386,9 @@ def run_alignment(
         # combine gives every row the bits a lone trial's product has
         values = combine(np.stack([combiners(beam) for beam in beams]), x)
         history.append(values, beams)
-        gamma = gamma_mle(history, power, noise_var)
-        post = alpha_posterior(history, gamma, power, noise_var)
-        pmf = posterior_pmf(approx_log_likelihood(history, post, power, noise_var))
+        gamma = gamma_mle(history, noise_var)
+        post = alpha_posterior(history, gamma, noise_var)
+        pmf = posterior_pmf(approx_log_likelihood(history, post, noise_var))
         modes = np.argmax(pmf, axis=-1)
 
         if hierarchical:
@@ -453,13 +448,13 @@ def run_hiepm_known_alpha(
     (trials, grid) posterior is the lone trial's, and every input check
     applies to each row. Posterior matching then picks one codeword per
     trial from the node masses of all trials. A single trial is a batch of
-    one. The trials must share transmit power and noise variance. Records
-    are numbered by their position in the batch.
+    one. The trials must share their noise variance. Records are numbered
+    by their position in the batch.
     """
     if mode not in ("svam", "repeat"):
         raise ValueError(f"unknown combining mode {mode!r}")
     count = len(channels)
-    power, channel_noise, truths, signals, gains = _batch_inputs(config, channels, rngs)
+    channel_noise, truths, signals, gains = _batch_inputs(config, channels, rngs)
     # one shared variance keeps the snapshot and Bayes updates on scalars
     if (channel_noise != channel_noise[0]).any():
         raise ValueError("trials of one batch must share noise variance")
@@ -500,8 +495,7 @@ def run_hiepm_known_alpha(
         values = combine(combiners, x)
         for r in range(config.n_v):
             pmf = known_alpha_posterior(
-                pmf, values[:, r], combiners[:, r], alphas, grid, power, noise_var,
-                response=responses[:, r],
+                pmf, values[:, r], combiners[:, r], alphas, responses[:, r], noise_var
             )
         masses = node_masses(pmf, codebook.depth)
         modes = np.argmax(pmf, axis=-1)

@@ -1,4 +1,10 @@
-"""Narrowband single-path snapshots at the antenna array."""
+"""Narrowband single-path snapshots at the antenna array.
+
+A snapshot is alpha * phi_n(u) plus circular Gaussian noise, with alpha the
+received path gain: the transmit power P and the fading coefficient enter
+every measurement only as the product sqrt(P) * alpha, so the channel holds
+that product and nothing else scales it.
+"""
 
 from __future__ import annotations
 
@@ -12,18 +18,15 @@ from .arrays import check_angle, ula_manifold
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """One propagation path: gain alpha at angle u, transmit power and
+    """One propagation path: received gain alpha at angle u, and the
     per-element noise power."""
 
     alpha: complex
     u: float
-    power: float = 1.0
     noise_variance: float = 0.0
 
     def __post_init__(self) -> None:
         # written so that NaN, which compares false, is rejected too
-        if not self.power >= 0:
-            raise ValueError(f"power must be nonnegative, got {self.power}")
         if not self.noise_variance >= 0:
             raise ValueError(
                 f"noise variance must be nonnegative, got {self.noise_variance}"
@@ -33,18 +36,14 @@ class ChannelParams:
 
 
 def noiseless_snapshot(params: ChannelParams, n: int) -> np.ndarray:
-    """The deterministic part of an observation: sqrt(power) * alpha *
-    phi_n(u)."""
-    x = np.zeros(n, dtype=complex)
-    x += params.alpha * ula_manifold(n, params.u)
-    x *= np.sqrt(params.power)
-    return x
+    """The deterministic part of an observation: alpha * phi_n(u)."""
+    return params.alpha * ula_manifold(n, params.u)
 
 
 def antenna_snapshot(
     params: ChannelParams, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """One length-n array observation: scaled path plus circular noise.
+    """One length-n array observation: the path plus circular noise.
 
     Noiseless parameters skip the generator entirely, so the output is
     deterministic and the stream is left untouched.

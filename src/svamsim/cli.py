@@ -27,21 +27,28 @@ from .harness import (
 
 _parse_roi = CONFIG_KEYS["roi"].parse
 
+# the config keys the bound table reads; crb registers no flag for the others
+_CRB_KEYS = ("n", "n_v", "grid_size", "total_snapshots", "snr_db", "roi", "out")
+
 
 def _base_config(args, experiment: str) -> ExperimentConfig:
-    overrides = {key: getattr(args, key) for key in CONFIG_KEYS if key != "experiment"}
+    overrides = {key: getattr(args, key, None) for key in CONFIG_KEYS}
     overrides["experiment"] = experiment
     if args.config:
         return config_from_file(args.config, **overrides)
     return ExperimentConfig(**{k: v for k, v in overrides.items() if v is not None})
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    """--config plus one flag per config key; the command fixes experiment."""
+def _add_common(
+    parser: argparse.ArgumentParser, names: tuple[str, ...] = tuple(CONFIG_KEYS)
+) -> None:
+    """--config plus one flag per named config key; the command fixes
+    experiment."""
     parser.add_argument("--config", help="key = value settings file")
-    for name, key in CONFIG_KEYS.items():
+    for name in names:
         if name == "experiment":
             continue
+        key = CONFIG_KEYS[name]
         parser.add_argument(
             key.flag or "--" + name.replace("_", "-"),
             dest=name, type=key.parse, choices=key.choices, help=key.help,
@@ -124,11 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
         "crb",
         help="estimation bound table over the grid",
         description="Estimation bound table over the grid. Only the first value "
-        "of --nv and --snr-db is read; --trials, --seed, --p-thresh, --noise-scale "
-        "and --codebook are accepted but ignored.",
+        "of --nv and --snr-db is read.",
     )
     p_crb.add_argument("--scheme", required=True, choices=CRB_SCHEMES)
-    _add_common(p_crb)
+    _add_common(p_crb, _CRB_KEYS)
     p_crb.set_defaults(run=_cmd_crb)
 
     p_book = sub.add_parser("codebook", help="export a dyadic beam codebook")

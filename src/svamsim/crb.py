@@ -1,9 +1,12 @@
 """Estimation-variance lower bounds for angle estimation through combiners.
 
-All bounds share the prefactor noise_var / (2 * power * |alpha|^2); what
-differs is the Fisher denominator each combining scheme produces. Singular
-geometries (no angle information in the measurements) yield an infinite
-bound, reported explicitly rather than raised.
+All bounds share the prefactor noise_var / 2; what differs is the Fisher
+denominator each combining scheme produces. noise_var is the per-element
+noise power relative to the received path gain's power P|alpha|^2: the
+measurements carry transmit power and fading only as sqrt(P) * alpha, so
+the bounds depend on them only through that ratio. Singular geometries
+(no angle information in the measurements) yield an infinite bound,
+reported explicitly rather than raised.
 
 Every bound, the gain term and the certificate take the angle u as a float
 or as a 1-D array of angles. A float returns one result, an array a list
@@ -46,12 +49,10 @@ class CrbResult:
         return math.isinf(self.bound)
 
 
-def _check_noise_terms(power: float, alpha_sq: float, noise_var: float) -> float:
-    if power <= 0 or alpha_sq <= 0:
-        raise ValueError("power and |alpha|^2 must be positive")
+def _check_noise_terms(noise_var: float) -> float:
     if noise_var <= 0:
         raise ValueError("noise variance must be positive for a finite bound")
-    return noise_var / (2.0 * power * alpha_sq)
+    return noise_var / 2.0
 
 
 def _finish(prefactor: float, denominator: float, scale: float,
@@ -112,9 +113,7 @@ def _responses(bank: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
     return [bank_h @ row for row in rows]
 
 
-def crb_general(
-    w: np.ndarray, u, power: float, alpha_sq: float, noise_var: float
-) -> CrbResult | list[CrbResult]:
+def crb_general(w: np.ndarray, u, noise_var: float) -> CrbResult | list[CrbResult]:
     """Bound for an arbitrary bank of full-length combiners (known gain).
 
     Parameters
@@ -123,11 +122,11 @@ def crb_general(
         One combiner per snapshot, stacked as columns.
     u : float or 1-D array
         True angle(s) the derivative is evaluated at.
-    power, alpha_sq, noise_var : float
-        Transmit power, squared path-gain magnitude, per-element noise power.
+    noise_var : float
+        Per-element noise power relative to the received path gain's power.
     """
     w = _bank(w)
-    prefactor = _check_noise_terms(power, alpha_sq, noise_var)
+    prefactor = _check_noise_terms(noise_var)
     us, single = _angles(u)
     _, d = _steering_rows(w.shape[0], us)
     w_energy = float(np.sum(np.abs(w) ** 2))
@@ -143,8 +142,6 @@ def crb_benchmark(
     f: np.ndarray,
     n_v: int,
     u,
-    power: float,
-    alpha_sq: float,
     noise_var: float,
 ) -> CrbResult | list[CrbResult]:
     """Bound for full-aperture combining with each beamformer held for n_v
@@ -153,7 +150,7 @@ def crb_benchmark(
     f = _bank(f)
     if n_v < 1:
         raise ValueError("block size must be positive")
-    prefactor = _check_noise_terms(power, alpha_sq, noise_var)
+    prefactor = _check_noise_terms(noise_var)
     us, single = _angles(u)
     _, d = _steering_rows(f.shape[0], us)
     f_energy = float(np.sum(np.abs(f) ** 2))
@@ -208,8 +205,6 @@ def crb_svam(
     f: np.ndarray,
     n_v: int,
     u,
-    power: float,
-    alpha_sq: float,
     noise_var: float,
 ) -> CrbResult | list[CrbResult]:
     """Bound for the sliding sub-aperture scheme (known gain) at the angle(s) u.
@@ -221,7 +216,7 @@ def crb_svam(
     f = _bank(f)
     if n_v < 1:
         raise ValueError("block size must be positive")
-    prefactor = _check_noise_terms(power, alpha_sq, noise_var)
+    prefactor = _check_noise_terms(noise_var)
     us, single = _angles(u)
     m = f.shape[0]
     f_energy = float(np.sum(np.abs(f) ** 2))
@@ -276,7 +271,7 @@ def gain_condition_sufficient(
 
 
 def crb_unknown_alpha(
-    w: np.ndarray, u, power: float, alpha_sq: float, noise_var: float
+    w: np.ndarray, u, noise_var: float
 ) -> CrbResult | list[CrbResult]:
     """Bound for the angle(s) u when the complex path gain must be estimated too.
 
@@ -294,7 +289,7 @@ def crb_unknown_alpha(
     changes it.
     """
     w = _bank(w)
-    prefactor = _check_noise_terms(power, alpha_sq, noise_var)
+    prefactor = _check_noise_terms(noise_var)
     us, single = _angles(u)
     n = w.shape[0]
     phi, d = _steering_rows(n, us)

@@ -1,13 +1,13 @@
 """Seeded Monte Carlo experiment drivers, metrics, and CSV emission.
 
-Conventions (not physics, just bookkeeping): the transmit power is 1 and
-the path gain has unit magnitude with phase uniform on [0, 2pi), so the
-per-antenna SNR in dB maps to the noise power as sigma^2 = 10^(-SNR/10)
-exactly. True angles are drawn uniformly from the candidate grid, so a
-perfect run has zero error. Per-trial generators are spawned from the
-experiment seed keyed by trial index alone; shrinking or growing the
-trial count never changes earlier trials, and paired comparisons across
-sweep points see identical channel realizations.
+Conventions (not physics, just bookkeeping): the received path gain
+sqrt(P) * alpha has unit magnitude with phase uniform on [0, 2pi), so the
+per-antenna SNR P|alpha|^2 / sigma^2 in dB maps to the noise power as
+sigma^2 = 10^(-SNR/10) exactly. True angles are drawn uniformly from the
+candidate grid, so a perfect run has zero error. Per-trial generators are
+spawned from the experiment seed keyed by trial index alone; shrinking or
+growing the trial count never changes earlier trials, and paired
+comparisons across sweep points see identical channel realizations.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ CSV_COLUMNS = (
 
 
 def noise_variance_from_snr(snr_db: float) -> float:
-    """Per-antenna noise power for unit signal power; +inf SNR means none.
+    """Per-antenna noise power for a unit received gain; +inf SNR means none.
 
     NaN and -inf dB have no such power and are rejected.
     """
@@ -190,9 +190,7 @@ def draw_channel(
     """Single-path channel for one trial: on-grid angle, unit-modulus gain."""
     u_true = float(grid.points[int(rng.integers(grid.size))])
     alpha = np.exp(2j * np.pi * rng.uniform())
-    return ChannelParams(
-        alpha, u_true, power=1.0, noise_variance=noise_variance_from_snr(snr_db)
-    )
+    return ChannelParams(alpha, u_true, noise_variance=noise_variance_from_snr(snr_db))
 
 
 def _draw_trials(
@@ -408,13 +406,13 @@ def _scheme_bounds(
     m = n if scheme == "benchmark" else SvamConfig(n=n, n_v=n_v).combiner_length
     bank = region_beam_bank(beam, m, total_snapshots // n_v)
     if scheme == "svam":
-        bounds = crb_svam(bank, n_v, grid.points, 1.0, 1.0, noise_var)
+        bounds = crb_svam(bank, n_v, grid.points, noise_var)
     elif scheme == "benchmark":
-        bounds = crb_benchmark(bank, n_v, grid.points, 1.0, 1.0, noise_var)
+        bounds = crb_benchmark(bank, n_v, grid.points, noise_var)
     else:
         w = expanded_combiners(bank, n, n_v)
         bound = crb_general if scheme == "general" else crb_unknown_alpha
-        bounds = bound(w, grid.points, 1.0, 1.0, noise_var)
+        bounds = bound(w, grid.points, noise_var)
     return bank, bounds
 
 

@@ -1,12 +1,14 @@
 """Posterior computation over a grid of candidate angles.
 
-The path gain is modeled per candidate angle as zero-mean complex Gaussian
-with an unknown prior variance. Each update first fits that variance by
-maximum likelihood from the accumulated measurements, then forms the
-Gaussian posterior of the gain, and finally scores every candidate with a
-Gaussian marginal likelihood whose rank-one-plus-identity structure keeps
-all per-candidate work closed-form. Likelihoods are handled in the log
-domain throughout; the pmf is produced by max-subtracted exponentiation.
+The gain is the received path gain sqrt(P) * alpha, the only form in
+which transmit power and fading enter the measurements. It is modeled per
+candidate angle as zero-mean complex Gaussian with an unknown prior
+variance. Each update first fits that variance by maximum likelihood from
+the accumulated measurements, then forms the Gaussian posterior of the
+gain, and finally scores every candidate with a Gaussian marginal
+likelihood whose rank-one-plus-identity structure keeps all per-candidate
+work closed-form. Likelihoods are handled in the log domain throughout;
+the pmf is produced by max-subtracted exponentiation.
 
 The unknown-gain functions take no grid: they read the block size and the
 running statistics of a history, which owns its grid. Those statistics are
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import AngularGrid
 from .sensing import MeasurementHistory
 
 __all__ = [
@@ -61,14 +62,9 @@ def _check_history(history: MeasurementHistory) -> None:
         raise ValueError("history is empty")
 
 
-def _check_noise(
-    power: float, noise_var: float | np.ndarray, shape: tuple[int, ...] = ()
-) -> None:
-    """power is shared by the batch; noise_var is a scalar or, for a
-    (trials, grid) batch of the given shape, a (trials, 1) column. One
-    non-positive row rejects the batch."""
-    if power <= 0:
-        raise ValueError("power must be positive")
+def _check_noise(noise_var: float | np.ndarray, shape: tuple[int, ...] = ()) -> None:
+    """noise_var is a scalar or, for a (trials, grid) batch of the given
+    shape, a (trials, 1) column. One non-positive row rejects the batch."""
     # no np.ndim here: the known-gain loop passes a float once per snapshot
     if not isinstance(noise_var, np.ndarray) or noise_var.ndim == 0:
         if noise_var <= 0:
@@ -81,16 +77,14 @@ def _check_noise(
 
 
 def gamma_mle(
-    history: MeasurementHistory,
-    power: float,
-    noise_var: float | np.ndarray,
+    history: MeasurementHistory, noise_var: float | np.ndarray
 ) -> np.ndarray:
     """Maximum-likelihood prior variance of the path gain per candidate.
 
     With g the accumulated beam gain at a candidate and v the matched unit
     vector of its stacked response, the estimate is
 
-        max{0, (|v^H y|^2 - noise_var) / (power * g * n_v)},
+        max{0, (|v^H y|^2 - noise_var) / (g * n_v)},
 
     clipped at zero because a variance cannot be negative. Candidates the
     beams have never illuminated (g = 0) stay at zero. A batch may pass
@@ -99,38 +93,37 @@ def gamma_mle(
     _check_history(history)
     n_v = history.n_v
     g = history.cumulative_gain
-    _check_noise(power, noise_var, g.shape)
+    _check_noise(noise_var, g.shape)
     s = history.matched_statistic
     gamma = np.zeros(g.shape)
     lit = g > 0
     energy = np.abs(s[lit]) ** 2 / (g[lit] * n_v)
     noise = np.broadcast_to(noise_var, g.shape)[lit]
-    gamma[lit] = np.maximum(0.0, (energy - noise) / (power * g[lit] * n_v))
+    gamma[lit] = np.maximum(0.0, (energy - noise) / (g[lit] * n_v))
     return gamma
 
 
 def alpha_posterior(
     history: MeasurementHistory,
     gamma: np.ndarray,
-    power: float,
     noise_var: float | np.ndarray,
 ) -> AlphaPosterior:
     """Gaussian posterior of the gain under the fitted prior variance.
 
-    mean = sqrt(power) * gamma * v^H y / D and variance = gamma * noise / D
-    with D = power * gamma * g * n_v + noise; the variance never exceeds the
+    mean = gamma * v^H y / D and variance = gamma * noise / D with
+    D = gamma * g * n_v + noise; the variance never exceeds the
     prior variance (strictly smaller wherever data actually arrived).
     A batch may pass noise_var as a (trials, 1) column, one variance per trial.
     """
     _check_history(history)
     g = history.cumulative_gain
-    _check_noise(power, noise_var, g.shape)
+    _check_noise(noise_var, g.shape)
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != g.shape or np.any(gamma < 0):
         raise ValueError("gamma must be a nonnegative per-candidate vector")
     s = history.matched_statistic
-    denom = power * gamma * g * history.n_v + noise_var
-    mean = np.sqrt(power) * gamma * s / denom
+    denom = gamma * g * history.n_v + noise_var
+    mean = gamma * s / denom
     variance = gamma * noise_var / denom
     return AlphaPosterior(mean=mean, variance=variance, prior_variance=gamma)
 
@@ -138,19 +131,17 @@ def alpha_posterior(
 def likelihood_terms(
     history: MeasurementHistory,
     posterior: AlphaPosterior,
-    power: float,
     noise_var: float | np.ndarray,
 ) -> LikelihoodTerms:
     """Score every candidate with the Gaussian approximate marginal.
 
     The approximating covariance is a rank-one update of the scaled
-    identity, power * var * (b b^H kron phi phi^H) + noise * I, so both the
+    identity, var * (b b^H kron phi phi^H) + noise * I, so both the
     determinant and the quadratic form of the residual collapse to scalar
     expressions in the cached history statistics:
 
-        log det = log(power*var*g*n_v + noise) + (T*n_v - 1) log noise
-        quad    = ||e||^2 / noise
-                  - power*var/noise * |v_e|^2 / (power*var*g*n_v + noise)
+        log det = log(var*g*n_v + noise) + (T*n_v - 1) log noise
+        quad    = ||e||^2 / noise - var/noise * |v_e|^2 / (var*g*n_v + noise)
 
     with e the stacked residual and v_e its matched inner product.
     A batch may pass noise_var as a (trials, 1) column, one variance per trial.
@@ -158,23 +149,22 @@ def likelihood_terms(
     _check_history(history)
     total = history.segment_count * history.n_v
     g = history.cumulative_gain
-    _check_noise(power, noise_var, g.shape)
+    _check_noise(noise_var, g.shape)
     s = history.matched_statistic
     mean = posterior.mean
     var = posterior.variance
 
-    gain_energy = power * var * g * history.n_v
+    gain_energy = var * g * history.n_v
     log_det = np.log(gain_energy + noise_var) + (total - 1) * np.log(noise_var)
 
-    root_power = np.sqrt(power)
     residual_sq = (
         np.expand_dims(history.total_power, -1)
-        - 2.0 * root_power * (mean.conj() * s).real
-        + power * np.abs(mean) ** 2 * g * history.n_v
+        - 2.0 * (mean.conj() * s).real
+        + np.abs(mean) ** 2 * g * history.n_v
     )
     residual_sq = np.maximum(residual_sq, 0.0)
-    matched_residual = s - root_power * mean * g * history.n_v
-    quad = residual_sq / noise_var - (power * var / noise_var) * np.abs(
+    matched_residual = s - mean * g * history.n_v
+    quad = residual_sq / noise_var - (var / noise_var) * np.abs(
         matched_residual
     ) ** 2 / (gain_energy + noise_var)
     quad = np.maximum(quad, 0.0)
@@ -188,12 +178,11 @@ def likelihood_terms(
 def approx_log_likelihood(
     history: MeasurementHistory,
     posterior: AlphaPosterior,
-    power: float,
     noise_var: float | np.ndarray,
 ) -> np.ndarray:
     """The log_likelihood of likelihood_terms; a batch may pass noise_var
     as a (trials, 1) column, one variance per trial."""
-    return likelihood_terms(history, posterior, power, noise_var).log_likelihood
+    return likelihood_terms(history, posterior, noise_var).log_likelihood
 
 
 def posterior_pmf(log_likelihood: np.ndarray) -> np.ndarray:
@@ -221,27 +210,26 @@ def known_alpha_posterior(
     y: complex | np.ndarray,
     w: np.ndarray,
     alpha: complex | np.ndarray,
-    grid: AngularGrid,
-    power: float,
+    response: np.ndarray,
     noise_var: float,
-    response: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact single-snapshot Bayes update when the path gain is known.
 
-    posterior(i) is proportional to prior(i) * CN(y; sqrt(power) * alpha *
-    w^H phi(u_i), noise_var); computed in the log domain and renormalized.
+    posterior(i) is proportional to prior(i) * CN(y; alpha * w^H phi(u_i),
+    noise_var); computed in the log domain and renormalized. response holds
+    the values w^H phi(u_i) over the grid, shaped like the prior.
 
     A (trials, grid) prior updates a batch of trials at once: y and alpha
-    then hold one value per trial and w one combiner row per trial, and
+    then hold one value per trial, and w and response one row per trial, and
     each row of the result equals that trial's lone update. Every check
-    applies to each row; one bad row rejects the whole batch. response is
-    the rows w^H phi(u_i) over the grid when the caller already holds them
-    (cached per beam); otherwise each row is one product computed here.
+    applies to each row; one bad row rejects the whole batch.
     """
-    _check_noise(power, noise_var)
+    _check_noise(noise_var)
     prior = np.asarray(prior, dtype=float)
-    if prior.ndim not in (1, 2) or prior.shape[-1] != grid.size:
-        raise ValueError("prior length must match the grid")
+    if prior.ndim not in (1, 2):
+        raise ValueError("prior must be a vector or a (trials, grid) stack")
+    if np.shape(response) != prior.shape:
+        raise ValueError("need one response row per trial over the grid")
     batch = prior.shape[:-1]
     if (prior < 0).any() or (prior.sum(axis=-1) <= 0).any():
         raise ValueError("prior must be a nonnegative vector with mass")
@@ -253,12 +241,7 @@ def known_alpha_posterior(
     norm = np.linalg.norm(w, axis=-1)
     if (norm > 1.0 + 1e-9).any():
         raise ValueError(f"combiner norm {norm.max()} exceeds 1")
-    if response is None:
-        manifold = grid.manifold(w.shape[-1])
-        response = np.matmul(w.conj()[..., None, :], manifold)[..., 0, :]
-    elif np.shape(response) != prior.shape:
-        raise ValueError("need one response row per trial over the grid")
-    predicted = (np.sqrt(power) * alpha)[..., None] * response
+    predicted = alpha[..., None] * response
     log_lik = -np.abs(y[..., None] - predicted) ** 2 / noise_var
     with np.errstate(divide="ignore"):
         log_post = np.log(prior) + log_lik

@@ -140,11 +140,9 @@ def run_alignment_scalar(
     pmf = np.full(grid.size, 1.0 / grid.size)
     for t in range(config.segments):
         history.append(measure_segment(beam, channel, svam_cfg, t, rng), beam)
-        gamma = gamma_mle(history, channel.power, noise_var)
-        post = alpha_posterior(history, gamma, channel.power, noise_var)
-        pmf = posterior_pmf(
-            approx_log_likelihood(history, post, channel.power, noise_var)
-        )
+        gamma = gamma_mle(history, noise_var)
+        post = alpha_posterior(history, gamma, noise_var)
+        pmf = posterior_pmf(approx_log_likelihood(history, post, noise_var))
         mode = int(np.argmax(pmf))
         gain = abs(beam_gain(beam, truth)) ** 2
 
@@ -188,10 +186,10 @@ def run_alignment_scalar(
 # matching read node by node through node_mass.
 
 
-def known_alpha_update(prior, y, w, alpha, grid, power, noise_var) -> np.ndarray:
+def known_alpha_update(prior, y, w, alpha, grid, noise_var) -> np.ndarray:
     """One trial's exact single-snapshot Bayes update."""
     response = w.conj() @ grid.manifold(len(w))
-    predicted = np.sqrt(power) * alpha * response
+    predicted = alpha * response
     log_lik = -np.abs(y - predicted) ** 2 / noise_var
     with np.errstate(divide="ignore"):
         log_post = np.log(prior) + log_lik
@@ -242,7 +240,7 @@ def run_hiepm_scalar(
             w = codeword.weights
         x = antenna_snapshot(channel, config.n, rng)
         y = combine(w, x)
-        pmf = known_alpha_update(pmf, y, w, alpha, grid, channel.power, noise_var)
+        pmf = known_alpha_update(pmf, y, w, alpha, grid, noise_var)
         if (snap + 1) % config.n_v == 0:
             logs.append(
                 SegmentLog(

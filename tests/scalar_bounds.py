@@ -42,13 +42,11 @@ def manifold_complement_and_projector(m: int, u: float) -> tuple[np.ndarray, np.
     return companion, proj
 
 
-def crb_general(
-    w: np.ndarray, u: float, power: float, alpha_sq: float, noise_var: float
-) -> CrbResult:
+def crb_general(w: np.ndarray, u: float, noise_var: float) -> CrbResult:
     w = np.atleast_2d(np.asarray(w, dtype=complex))
     if w.ndim != 2:
         raise ValueError("combiner bank must be a 2-D array")
-    prefactor = _check_noise_terms(power, alpha_sq, noise_var)
+    prefactor = _check_noise_terms(noise_var)
     d = ula_manifold_derivative(w.shape[0], u)
     projected = w.conj().T @ d
     denom = float(np.vdot(projected, projected).real)
@@ -60,14 +58,12 @@ def crb_benchmark(
     f: np.ndarray,
     n_v: int,
     u: float,
-    power: float,
-    alpha_sq: float,
     noise_var: float,
 ) -> CrbResult:
     f = np.atleast_2d(np.asarray(f, dtype=complex))
     if n_v < 1:
         raise ValueError("block size must be positive")
-    prefactor = _check_noise_terms(power, alpha_sq, noise_var)
+    prefactor = _check_noise_terms(noise_var)
     d = ula_manifold_derivative(f.shape[0], u)
     projected = f.conj().T @ d
     denom = n_v * float(np.vdot(projected, projected).real)
@@ -102,14 +98,12 @@ def crb_svam(
     f: np.ndarray,
     n_v: int,
     u: float,
-    power: float,
-    alpha_sq: float,
     noise_var: float,
 ) -> CrbResult:
     f = np.atleast_2d(np.asarray(f, dtype=complex))
     if n_v < 1:
         raise ValueError("block size must be positive")
-    prefactor = _check_noise_terms(power, alpha_sq, noise_var)
+    prefactor = _check_noise_terms(noise_var)
     derivative_energy, steering_energy, cross, d_scale = _svam_gram_terms(f, u)
     g = _virtual_gain(n_v, steering_energy, cross)
     denom = n_v * (derivative_energy + g)
@@ -134,11 +128,9 @@ def gain_condition_sufficient(f: np.ndarray, u: float) -> tuple[bool, float, flo
     return lhs >= rhs - slack, lhs, rhs
 
 
-def crb_unknown_alpha(
-    w: np.ndarray, u: float, power: float, alpha_sq: float, noise_var: float
-) -> CrbResult:
+def crb_unknown_alpha(w: np.ndarray, u: float, noise_var: float) -> CrbResult:
     w = np.atleast_2d(np.asarray(w, dtype=complex))
-    prefactor = _check_noise_terms(power, alpha_sq, noise_var)
+    prefactor = _check_noise_terms(noise_var)
     n = w.shape[0]
     a = w.conj().T @ ula_manifold(n, u)
     b = w.conj().T @ ula_manifold_derivative(n, u)
@@ -161,6 +153,16 @@ _BOUNDS = {
 }
 
 
+def grid_bounds(scheme, bank, n, n_v, us, noise_var):
+    """The scheme's bound at the angles us from one svamsim.crb call, on a
+    repeated-beam bank as crb_table passes it: expanded to full-length
+    combiners for general and unknown-alpha."""
+    fast = _BOUNDS[scheme][0]
+    if scheme in ("svam", "benchmark"):
+        return fast(bank, n_v, us, noise_var)
+    return fast(expanded_combiners(bank, n, n_v), us, noise_var)
+
+
 def grid_and_oracle(scheme, n, n_v, total_snapshots, grid, snr_db, beam):
     """The bank crb_table builds for the scheme, the scheme's bound over the
     whole grid in one svamsim.crb call, and this module's bound at each
@@ -168,11 +170,10 @@ def grid_and_oracle(scheme, n, n_v, total_snapshots, grid, snr_db, beam):
     noise_var = noise_variance_from_snr(snr_db)
     m = n if scheme == "benchmark" else n - n_v + 1
     bank = region_beam_bank(beam, m, total_snapshots // n_v)
-    fast, slow = _BOUNDS[scheme]
+    on_grid = grid_bounds(scheme, bank, n, n_v, grid.points, noise_var)
+    slow = _BOUNDS[scheme][1]
     us = [float(u) for u in grid.points]
     if scheme in ("svam", "benchmark"):
-        on_grid = fast(bank, n_v, grid.points, 1.0, 1.0, noise_var)
-        return bank, on_grid, [slow(bank, n_v, u, 1.0, 1.0, noise_var) for u in us]
+        return bank, on_grid, [slow(bank, n_v, u, noise_var) for u in us]
     w = expanded_combiners(bank, n, n_v)
-    on_grid = fast(w, grid.points, 1.0, 1.0, noise_var)
-    return bank, on_grid, [slow(w, u, 1.0, 1.0, noise_var) for u in us]
+    return bank, on_grid, [slow(w, u, noise_var) for u in us]

@@ -88,17 +88,19 @@ def test_criterion_01_closed_forms_match_expanded_general_bound():
         power = float(rng.uniform(0.5, 2.0))
         alpha_sq = float(rng.uniform(0.5, 2.0))
         noise = float(rng.uniform(0.1, 1.0))
+        # the bounds see the noise relative to the received gain's power
+        relative_noise = noise / (power * alpha_sq)
 
         f_small = _unit_columns(rng, n - n_v + 1, t_count)
         expanded = _expand_sliding(f_small, n, n_v)
-        fast = crb_svam(f_small, n_v, u, power, alpha_sq, noise).bound
-        slow = crb_general(expanded, u, power, alpha_sq, noise).bound
+        fast = crb_svam(f_small, n_v, u, relative_noise).bound
+        slow = crb_general(expanded, u, relative_noise).bound
         worst = max(worst, abs(fast - slow) / slow)
 
         f_full = _unit_columns(rng, n, t_count)
         repeated = np.repeat(f_full, n_v, axis=1)
-        fast = crb_benchmark(f_full, n_v, u, power, alpha_sq, noise).bound
-        slow = crb_general(repeated, u, power, alpha_sq, noise).bound
+        fast = crb_benchmark(f_full, n_v, u, relative_noise).bound
+        slow = crb_general(repeated, u, relative_noise).bound
         worst = max(worst, abs(fast - slow) / slow)
     ok = worst < 1e-9
     msg = _verdict(1, ok, f"max rel err {worst:.3e} over 200 tuples (< 1e-9)")
@@ -120,14 +122,15 @@ def test_criterion_02_general_bound_matches_finite_difference_fisher():
         alpha_sq = float(rng.uniform(0.5, 2.0))
         noise = float(rng.uniform(0.1, 1.0))
         alpha = math.sqrt(alpha_sq) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        gain = math.sqrt(power) * alpha  # the received path gain
 
         def mean(at: float) -> np.ndarray:
-            return math.sqrt(power) * alpha * (w.conj().T @ ula_manifold(n, at))
+            return gain * (w.conj().T @ ula_manifold(n, at))
 
         d_mean = (mean(u + step) - mean(u - step)) / (2 * step)
         fisher = 2.0 * float(np.vdot(d_mean, d_mean).real) / noise
         oracle = 1.0 / fisher
-        bound = crb_general(w, u, power, alpha_sq, noise).bound
+        bound = crb_general(w, u, noise / (power * alpha_sq)).bound
         worst = max(worst, abs(bound - oracle) / oracle)
     ok = worst < 1e-4
     msg = _verdict(2, ok, f"max rel err {worst:.3e} over 20 configs (< 1e-4)")
@@ -140,13 +143,15 @@ def _random_history(
     n_v: int,
     segments: int,
     grid: AngularGrid,
-    power: float,
+    magnitude: float,
     noise: float,
 ) -> MeasurementHistory:
+    """A history of random beams on a path whose received gain has the
+    given magnitude and a random phase."""
     cfg = SvamConfig(n=n, n_v=n_v)
     u_true = float(grid.points[int(rng.integers(grid.size))])
-    alpha = np.exp(2j * np.pi * rng.uniform())
-    params = ChannelParams(alpha, u_true, power=power, noise_variance=noise)
+    alpha = magnitude * np.exp(2j * np.pi * rng.uniform())
+    params = ChannelParams(alpha, u_true, noise_variance=noise)
     history = MeasurementHistory(cfg, grid, 1)
     for t in range(segments):
         f = _unit_columns(rng, cfg.combiner_length, 1)[:, 0]
@@ -178,19 +183,19 @@ def test_criterion_03_rank_one_likelihood_matches_dense_solve():
         segments = int(rng.integers(1, 5))
         power = float(rng.uniform(0.5, 2.0))
         noise = float(rng.uniform(0.2, 1.0))
-        history = _random_history(rng, 10, n_v, segments, grid, power, noise)
-        gamma = gamma_mle(history, power, noise)
-        posterior = alpha_posterior(history, gamma, power, noise)
-        terms = likelihood_terms(history, posterior, power, noise)
+        history = _random_history(
+            rng, 10, n_v, segments, grid, math.sqrt(power), noise
+        )
+        gamma = gamma_mle(history, noise)
+        posterior = alpha_posterior(history, gamma, noise)
+        terms = likelihood_terms(history, posterior, noise)
 
         i = int(rng.integers(grid.size))
         h = _stacked_response(history, float(grid.points[i]))
         total = segments * n_v
-        sigma = power * posterior.variance[0, i] * np.outer(
-            h, h.conj()
-        ) + noise * np.eye(total)
+        sigma = posterior.variance[0, i] * np.outer(h, h.conj()) + noise * np.eye(total)
         _, dense_logdet = np.linalg.slogdet(sigma)
-        residual = history.stacked()[0] - math.sqrt(power) * posterior.mean[0, i] * h
+        residual = history.stacked()[0] - posterior.mean[0, i] * h
         dense_quad = float(np.vdot(residual, np.linalg.solve(sigma, residual)).real)
 
         # relative error of det equals absolute error of log det to first order
@@ -221,8 +226,8 @@ def test_criterion_04_gain_posterior_matches_numerical_integration():
         segments = int(rng.integers(1, 3))
         noise = float(rng.uniform(0.05, 0.2))
         history = _random_history(rng, 8, n_v, segments, grid, 1.0, noise)
-        gamma = gamma_mle(history, 1.0, noise)
-        posterior = alpha_posterior(history, gamma, 1.0, noise)
+        gamma = gamma_mle(history, noise)
+        posterior = alpha_posterior(history, gamma, noise)
         i = int(np.argmax(gamma[0]))
         assert gamma[0, i] > 0
 
@@ -300,15 +305,15 @@ def test_criterion_06_gain_nuisance_singularities():
     n = 8
     u = 0.3
     single = _unit_columns(rng, n, 1)
-    one_snapshot = crb_unknown_alpha(single, u, 1.0, 1.0, 0.5)
-    rank_one = crb_unknown_alpha(np.tile(single, (1, 4)), u, 1.0, 1.0, 0.5)
+    one_snapshot = crb_unknown_alpha(single, u, 0.5)
+    rank_one = crb_unknown_alpha(np.tile(single, (1, 4)), u, 0.5)
 
     cfg = SvamConfig(n=n, n_v=2)
     f = _unit_columns(rng, cfg.combiner_length, 1)[:, 0]
     sliding = np.column_stack(
         [svam_combiner(f, 0, cfg), svam_combiner(f, 1, cfg)]
     )
-    two_shifts = crb_unknown_alpha(sliding, u, 1.0, 1.0, 0.5)
+    two_shifts = crb_unknown_alpha(sliding, u, 0.5)
 
     ok = (
         one_snapshot.is_singular

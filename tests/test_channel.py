@@ -8,21 +8,16 @@ from svamsim.channel import ChannelParams, antenna_snapshot, combine
 class TestChannelParams:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ChannelParams(1.0, 0.1, power=-1.0, noise_variance=0.0)
+            ChannelParams(1.0, 1.0, noise_variance=0.0)
         with pytest.raises(ValueError):
-            ChannelParams(1.0, 1.0, power=1.0, noise_variance=0.0)
+            ChannelParams(1.0, 0.0, noise_variance=-0.1)
         with pytest.raises(ValueError):
-            ChannelParams(1.0, 0.0, power=1.0, noise_variance=-0.1)
-        with pytest.raises(ValueError):
-            ChannelParams(1.0, 0.1, power=np.nan, noise_variance=0.5)
-        with pytest.raises(ValueError):
-            ChannelParams(1.0, 0.1, power=1.0, noise_variance=np.nan)
+            ChannelParams(1.0, 0.1, noise_variance=np.nan)
 
     def test_single_path_helper(self):
         params = ChannelParams(1j, 0.25, noise_variance=0.5)
         assert (params.alpha, params.u) == (1j, 0.25)
         assert type(params.alpha) is complex and type(params.u) is float
-        assert params.power == 1.0
         assert params.noise_variance == 0.5
         assert ChannelParams(1, 0).noise_variance == 0.0
 
@@ -30,7 +25,7 @@ class TestChannelParams:
 class TestAntennaSnapshot:
     def test_noiseless_single_path_formula(self):
         rng = np.random.default_rng(0)
-        params = ChannelParams(0.5 - 0.5j, 0.3, power=4.0)
+        params = ChannelParams(2.0 * (0.5 - 0.5j), 0.3)
         x = antenna_snapshot(params, 6, rng)
         np.testing.assert_allclose(
             x, 2.0 * (0.5 - 0.5j) * ula_manifold(6, 0.3), atol=1e-12
@@ -44,7 +39,7 @@ class TestAntennaSnapshot:
         assert rng.bit_generator.state == before
 
     def test_noise_moments(self):
-        params = ChannelParams(0.0, 0.0, power=0.0, noise_variance=2.0)
+        params = ChannelParams(0.0, 0.0, noise_variance=2.0)
         rng = np.random.default_rng(123)
         draws = np.array([antenna_snapshot(params, 3, rng) for _ in range(100_000)])
         mean = draws.mean()
@@ -123,7 +118,7 @@ class TestCombine:
                     )
 
     def test_unit_norm_noise_variance_preserved(self):
-        params = ChannelParams(0.0, 0.0, power=0.0, noise_variance=1.5)
+        params = ChannelParams(0.0, 0.0, noise_variance=1.5)
         rng = np.random.default_rng(77)
         w = np.random.default_rng(1).standard_normal(6) + 1j * np.random.default_rng(
             2

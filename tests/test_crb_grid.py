@@ -50,14 +50,14 @@ def test_grid_bounds_equal_the_oracle_at_every_point(scheme, n_v, beam):
 
 def test_single_angle_returns_one_result():
     bank = region_beam_bank(BeamSpec(0.5, 1.0), 13, 3)
-    many = crb_svam(bank, 4, [0.3], 1.0, 1.0, 0.5)
-    one = crb_svam(bank, 4, 0.3, 1.0, 1.0, 0.5)
-    assert many == [one] and one == scalar_bounds.crb_svam(bank, 4, 0.3, 1.0, 1.0, 0.5)
+    many = crb_svam(bank, 4, [0.3], 0.5)
+    one = crb_svam(bank, 4, 0.3, 0.5)
+    assert many == [one] and one == scalar_bounds.crb_svam(bank, 4, 0.3, 0.5)
     assert gain_condition_sufficient(bank, np.float64(0.3)) == (
         gain_condition_sufficient(bank, [0.3])[0]
     )
     with pytest.raises(ValueError):
-        crb_general(bank, np.zeros((2, 2)), 1.0, 1.0, 1.0)
+        crb_general(bank, np.zeros((2, 2)), 1.0)
 
 
 def test_rank_two_certificate_matches_eigvalsh_on_general_banks():

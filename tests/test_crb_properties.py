@@ -1,15 +1,25 @@
-"""Property test: on small random sizes, regions and SNRs, crb_table and the
-grid bounds equal the one-angle oracles in scalar_bounds at every point."""
+"""Property test: on small random sizes, regions and SNRs, and on the
+benchmark's bound banks, crb_table and the grid bounds equal the one-angle
+oracles in scalar_bounds at every point, and every bound is exactly
+proportional to the noise variance."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import scalar_bounds  # noqa: E402
 from svamsim.arrays import AngularGrid, RegionOfInterest  # noqa: E402
 from svamsim.beams import BeamSpec  # noqa: E402
-from svamsim.harness import CRB_SCHEMES, crb_table  # noqa: E402
+from svamsim.harness import (  # noqa: E402
+    CRB_SCHEMES,
+    crb_table,
+    noise_variance_from_snr,
+)
+
+# the crb benchmark workload: N=64, L=120, -10 dB on a 128-point grid
+WORKLOAD_GRID = AngularGrid(RegionOfInterest(0.0, 1.0), 128)
+WORKLOAD_CASES = [(64, n_v, 120, WORKLOAD_GRID, -10.0) for n_v in (1, 2, 4, 8)]
 
 
 @st.composite
@@ -34,15 +44,28 @@ def bound_tables(draw):
 # from the last one
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(bound_tables())
+@example(WORKLOAD_CASES[0])
+@example(WORKLOAD_CASES[1])
+@example(WORKLOAD_CASES[2])
+@example(WORKLOAD_CASES[3])
 def test_grid_tables_equal_the_oracle(case):
     n, n_v, total_snapshots, grid, snr_db = case
     beam = BeamSpec(grid.roi.center, grid.roi.width)
+    noise_var = noise_variance_from_snr(snr_db)
     for scheme in CRB_SCHEMES:
         bank, on_grid, oracle = scalar_bounds.grid_and_oracle(
             scheme, n, n_v, total_snapshots, grid, snr_db, beam
         )
         assert on_grid == oracle
         assert all(res.bound > 0 for res in on_grid)  # inf included
+        # noise_var is the noise relative to P|alpha|^2, and each bound is
+        # noise_var / 2 over a denominator free of it; scaling by a power of
+        # two is exact in floating point, so the products must match to the bit
+        for k in (0.5, 2.0, 4.0):
+            scaled = scalar_bounds.grid_bounds(
+                scheme, bank, n, n_v, grid.points, k * noise_var
+            )
+            assert [res.bound for res in scaled] == [k * res.bound for res in on_grid]
         rows = crb_table(scheme, n, n_v, total_snapshots, grid, snr_db)
         assert [row["bound"] for row in rows] == [res.bound for res in oracle]
         if scheme != "svam":

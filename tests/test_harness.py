@@ -570,6 +570,18 @@ def test_cli_crb_and_codebook(tmp_path):
     assert rows[0]["beamwidth"] == "1"
 
 
+@pytest.mark.parametrize(
+    "flag", [["--trials", "5"], ["--seed", "1"], ["--p-thresh", "0.6"],
+             ["--noise-scale", "0.5"], ["--codebook", "flexible"]],
+    ids=["trials", "seed", "p_thresh", "noise_scale", "codebook"],
+)
+def test_cli_crb_rejects_flags_the_table_does_not_read(flag, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["crb", "--scheme", "svam", "--out", str(tmp_path / "x.csv")] + flag)
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cli_crb_reads_config_file(tmp_path):
     # the file's experiment is replaced, and each axis gives its first value
     cfgfile = tmp_path / "crb.cfg"

@@ -71,13 +71,11 @@ class TestMeasureSegment:
     def test_noiseless_phase_progression(self):
         cfg = SvamConfig(n=6, n_v=3)
         f = random_unit(4, 9)
-        alpha, u, power = 0.7 - 0.2j, 0.35, 2.0
-        params = ChannelParams(alpha, u, power=power)
+        alpha, u = np.sqrt(2.0) * (0.7 - 0.2j), 0.35
+        params = ChannelParams(alpha, u)
         values = measure_segment(f, params, cfg, np.random.default_rng(0))
         beta = np.vdot(f, ula_manifold(4, u))
-        expected = (
-            np.sqrt(power) * alpha * beta * np.exp(1j * np.pi * u * np.arange(3))
-        )
+        expected = alpha * beta * np.exp(1j * np.pi * u * np.arange(3))
         np.testing.assert_allclose(values, expected, atol=1e-12)
 
     def test_broadside_gives_equal_snapshots(self):
