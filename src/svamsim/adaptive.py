@@ -23,7 +23,8 @@ own noise variance, so one batch can hold every SNR of a sweep point. The
 inference takes the whole batch at once and checks every row; one bad row
 rejects the batch. Only the flexible controller step of run_alignment still
 runs trial by trial; the hierarchical search and posterior matching pick
-all trials' nodes from one table of node masses.
+all trials' nodes, as arrays of levels and indices, from one table of node
+masses. Records come in batch order: a trial's number is its position.
 """
 
 from __future__ import annotations
@@ -50,12 +51,7 @@ from .inference import (
     known_alpha_posterior,
     posterior_pmf,
 )
-from .sensing import (
-    BeamCache,
-    MeasurementHistory,
-    SvamConfig,
-    block_combiners,
-)
+from .sensing import BeamCache, MeasurementHistory, block_combiners
 
 # Noiseless channels are allowed as a sentinel (infinite SNR); the Gaussian
 # scoring still needs a positive variance, so inference falls back to this
@@ -81,7 +77,8 @@ class AdaptConfig:
     def __post_init__(self) -> None:
         for name in ("n", "n_v", "grid_size", "total_snapshots"):
             object.__setattr__(self, name, check_integer(name, getattr(self, name)))
-        self.svam()  # rejects n_v < 1 and a virtual size beyond the aperture
+        if not (1 <= self.n_v <= self.n):
+            raise ValueError(f"virtual size {self.n_v} outside [1, aperture {self.n}]")
         if self.grid_size < 1:
             raise ValueError(f"grid size must be positive, got {self.grid_size}")
         if self.total_snapshots < 1:
@@ -108,24 +105,14 @@ class AdaptConfig:
     def segments(self) -> int:
         return self.total_snapshots // self.n_v
 
-    def svam(self) -> SvamConfig:
-        return SvamConfig(n=self.n, n_v=self.n_v)
+    @property
+    def combiner_length(self) -> int:
+        """Taps m = n - n_v + 1 of the sliding sub-aperture combiner."""
+        return self.n - self.n_v + 1
 
     def depth(self) -> int:
         """Levels of the hierarchical codebook: log2 of the grid size."""
         return int(np.log2(self.grid_size))
-
-
-@dataclass(frozen=True)
-class HierNode:
-    """Address of a codebook node: dyadic level and index within it."""
-
-    level: int
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.level < 0 or not (0 <= self.index < 2**self.level):
-            raise ValueError(f"node ({self.level}, {self.index}) is not dyadic")
 
 
 @dataclass(frozen=True)
@@ -140,7 +127,8 @@ class SegmentLog:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    trial_index: int
+    """One trial's outcome; a trial's number is its position in the list."""
+
     true_angle: float
     estimate: float
     segments: tuple[SegmentLog, ...]
@@ -213,15 +201,16 @@ def hier_beam_search(
     modes: Sequence[int],
     grid_size: int,
     p_thresh: float,
-) -> list[HierNode]:
-    """Codebook node for each trial's next block: start one level below the
-    trial's current one at the node containing its posterior mode, then
-    climb to the parent until enough mass is captured. Level 0 always
-    terminates the climb.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Codebook node (level, index) for each trial's next block: start one
+    level below the trial's current one at the node containing its posterior
+    mode, then climb to the parent until enough mass is captured. Level 0
+    always terminates the climb.
 
     levels and modes hold one entry per trial; masses is node_masses of the
     (trials, grid) pmf stack, and the codebook depth is len(masses) - 1.
     Every mass is read from that table, so a node's mass is node_mass's.
+    Returns the levels and the indices as integer arrays, one entry per trial.
     """
     if not (0.0 < p_thresh < 1.0):
         raise ValueError("confidence threshold must lie in (0, 1)")
@@ -249,15 +238,17 @@ def hier_beam_search(
         climb = rows[~(masses[at_level][rows, index[rows]] >= p_thresh)]
         level[climb] -= 1
         index[climb] //= 2
-    return [HierNode(int(l), int(k)) for l, k in zip(level, index)]
+    return level, index
 
 
-def node_mass(pmf: np.ndarray, node: HierNode, grid_size: int) -> float:
-    """Posterior mass inside one dyadic node."""
-    per_node = grid_size // 2**node.level
-    if per_node * 2**node.level != grid_size:
+def node_mass(pmf: np.ndarray, level: int, index: int) -> float:
+    """Posterior mass inside dyadic node (level, index) of the pmf's grid."""
+    if level < 0 or not (0 <= index < 2**level):
+        raise ValueError(f"node ({level}, {index}) is not dyadic")
+    per_node = len(pmf) // 2**level
+    if per_node * 2**level != len(pmf):
         raise ValueError("grid does not tile the node's level")
-    return float(np.sum(pmf[node.index * per_node : (node.index + 1) * per_node]))
+    return float(np.sum(pmf[index * per_node : (index + 1) * per_node]))
 
 
 def node_masses(pmf: np.ndarray, depth: int) -> list[np.ndarray]:
@@ -276,8 +267,10 @@ def node_masses(pmf: np.ndarray, depth: int) -> list[np.ndarray]:
     ]
 
 
-def select_codeword_posterior_matching(masses: Sequence[np.ndarray]) -> list[HierNode]:
-    """Known-gain codeword rule, one node per trial: walk down the
+def select_codeword_posterior_matching(
+    masses: Sequence[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Known-gain codeword rule, one (level, index) per trial: walk down the
     larger-mass child while the mass stays at least 1/2, then choose between
     the deepest such node and its better child whichever mass is closer to
     1/2. masses is node_masses of a (trials, grid) pmf stack; the codebook
@@ -304,7 +297,7 @@ def select_codeword_posterior_matching(masses: Sequence[np.ndarray]) -> list[Hie
         index[moved] = child[moved]
         mass[descend] = child_mass[descend]
         walking = descend
-    return [HierNode(int(l), int(k)) for l, k in zip(level, index)]
+    return level, index
 
 
 def _inference_noise(config: AdaptConfig, noise_variance: np.ndarray) -> np.ndarray:
@@ -330,10 +323,10 @@ def _batch_inputs(
 def _records(
     grid: AngularGrid, truths: list[float], modes: np.ndarray, logs: list
 ) -> list[TrialRecord]:
-    """Records numbered by batch position; each estimate is the final mode."""
+    """One record per trial in batch order; each estimate is the final mode."""
     return [
-        TrialRecord(index, truth, float(grid.points[mode]), tuple(log))
-        for index, (truth, mode, log) in enumerate(zip(truths, modes, logs))
+        TrialRecord(truth, float(grid.points[mode]), tuple(log))
+        for truth, mode, log in zip(truths, modes, logs)
     ]
 
 
@@ -353,16 +346,15 @@ def run_alignment(
     noise variance, and a noiseless trial draws nothing from its generator.
 
     Each channel's path angle is the ground truth for its per-segment gain
-    log, and each final estimate is the posterior argmax. Records are
-    numbered by their position in the batch. The flexible controller starts
+    log, and each final estimate is the posterior argmax. Records come in
+    batch order. The flexible controller starts
     from, and resets to, the region-wide beam; the hierarchical one climbs a
     codebook log2(grid size) levels deep.
     """
     count = len(channels)
     channel_noise, truths, signals, gains = _batch_inputs(config, channels, rngs)
     grid = AngularGrid(config.roi, config.grid_size)
-    svam_cfg = config.svam()
-    m = svam_cfg.combiner_length
+    m = config.combiner_length
     noise_var = _inference_noise(config, channel_noise)[:, None]
 
     hierarchical = config.codebook == "hierarchical"
@@ -378,8 +370,8 @@ def run_alignment(
             design_beamformer(BeamSpec(config.roi.center, config.roi.width), m)
         ] * count
 
-    combiners = BeamCache(lambda w: block_combiners(w, svam_cfg))
-    history = MeasurementHistory(svam_cfg, grid, count)
+    combiners = BeamCache(lambda w: block_combiners(w, config.n))
+    history = MeasurementHistory(config.n_v, grid, count)
     logs: list[list[SegmentLog]] = [[] for _ in range(count)]
     for t in range(config.segments):
         x = antenna_blocks(signals, channel_noise, rngs, config.n_v)
@@ -393,11 +385,10 @@ def run_alignment(
 
         if hierarchical:
             masses = node_masses(pmf, codebook.depth)
-            nodes = hier_beam_search(levels, masses, modes, grid.size, config.p_thresh)
-            peaks = [
-                float(masses[node.level][i, node.index])
-                for i, node in enumerate(nodes)
-            ]
+            levels, indices = hier_beam_search(
+                levels, masses, modes, grid.size, config.p_thresh
+            )
+            peaks = [float(masses[levels[i]][i, indices[i]]) for i in range(count)]
         else:
             picks = [
                 select_next_beam(pmf[i], widths[i], config.p_thresh, grid)
@@ -417,8 +408,7 @@ def run_alignment(
         if t == config.segments - 1:
             break  # the beams chosen after the last block are never used
         if hierarchical:
-            levels = [node.level for node in nodes]
-            beams = [codebook.node(node.level, node.index).beamformer for node in nodes]
+            beams = [codebook.node(*node).beamformer for node in zip(levels, indices)]
         else:
             widths = [spec.beamwidth for spec, _ in picks]
             beams = [design_beamformer(spec, m) for spec, _ in picks]
@@ -448,8 +438,8 @@ def run_hiepm_known_alpha(
     (trials, grid) posterior is the lone trial's, and every input check
     applies to each row. Posterior matching then picks one codeword per
     trial from the node masses of all trials. A single trial is a batch of
-    one. The trials must share their noise variance. Records are numbered
-    by their position in the batch.
+    one. The trials must share their noise variance. Records come in batch
+    order.
     """
     if mode not in ("svam", "repeat"):
         raise ValueError(f"unknown combining mode {mode!r}")
@@ -461,9 +451,8 @@ def run_hiepm_known_alpha(
     noise_var = float(_inference_noise(config, channel_noise)[0])
     channel_noise = float(channel_noise[0])
     grid = AngularGrid(config.roi, config.grid_size)
-    svam_cfg = config.svam()
     alphas = np.array([channel.alpha for channel in channels])
-    expected_taps = svam_cfg.combiner_length if mode == "svam" else config.n
+    expected_taps = config.combiner_length if mode == "svam" else config.n
     if codebook.node(0, 0).beamformer.size != expected_taps:
         raise ValueError(
             f"codebook carries {codebook.node(0, 0).beamformer.size}-tap beams, "
@@ -473,19 +462,24 @@ def run_hiepm_known_alpha(
 
     def block_rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # one block's full-length combiners and, by the product a lone
-        # update takes, each combiner's response over the grid
+        # update takes, each combiner's response over the grid; every row
+        # carries the codeword's taps, so one norm check covers the block
+        norm = np.linalg.norm(weights)
+        if norm > 1.0 + 1e-9:
+            raise ValueError(f"codeword norm {norm} exceeds 1")
         if mode == "svam":
-            rows = block_combiners(weights, svam_cfg)
+            rows = block_combiners(weights, config.n)
         else:
             rows = np.tile(weights, (config.n_v, 1))
         return rows, np.matmul(rows.conj()[..., None, :], manifold)[..., 0, :]
 
     blocks = BeamCache(block_rows)
     pmf = np.full((count, grid.size), 1.0 / grid.size)
-    nodes = select_codeword_posterior_matching(node_masses(pmf, codebook.depth))
+    masses = node_masses(pmf, codebook.depth)
+    levels, indices = select_codeword_posterior_matching(masses)
     logs: list[list[SegmentLog]] = [[] for _ in range(count)]
     for t in range(config.segments):
-        codewords = [codebook.node(nd.level, nd.index).beamformer for nd in nodes]
+        codewords = [codebook.node(*node).beamformer for node in zip(levels, indices)]
         cached = [blocks(codeword) for codeword in codewords]
         combiners = np.stack([rows for rows, _ in cached])
         responses = np.stack([response for _, response in cached])
@@ -495,20 +489,20 @@ def run_hiepm_known_alpha(
         values = combine(combiners, x)
         for r in range(config.n_v):
             pmf = known_alpha_posterior(
-                pmf, values[:, r], combiners[:, r], alphas, responses[:, r], noise_var
+                pmf, values[:, r], alphas, responses[:, r], noise_var
             )
         masses = node_masses(pmf, codebook.depth)
         modes = np.argmax(pmf, axis=-1)
-        for i, (node, codeword) in enumerate(zip(nodes, codewords)):
+        for i, codeword in enumerate(codewords):
             logs[i].append(
                 SegmentLog(
                     beam=codeword.spec,
                     gain_at_truth=gains[i](codeword),
                     mode_index=int(modes[i]),
-                    peak_prob=float(masses[node.level][i, node.index]),
+                    peak_prob=float(masses[levels[i]][i, indices[i]]),
                 )
             )
         if t < config.segments - 1:
-            nodes = select_codeword_posterior_matching(masses)
+            levels, indices = select_codeword_posterior_matching(masses)
 
     return _records(grid, truths, modes, logs)

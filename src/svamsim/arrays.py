@@ -70,13 +70,6 @@ def ula_manifold(n: int, u: float) -> np.ndarray:
     return np.exp(1j * np.pi * u * np.arange(n))
 
 
-def ula_manifold_derivative(n: int, u: float) -> np.ndarray:
-    """Entrywise derivative of ula_manifold with respect to u."""
-    n = _check_size(n)
-    k = np.arange(n)
-    return 1j * np.pi * k * np.exp(1j * np.pi * u * k)
-
-
 def manifold_matrix(n: int, us: np.ndarray) -> np.ndarray:
     """Stack steering vectors for many angles into an (n, len(us)) matrix."""
     n = _check_size(n)

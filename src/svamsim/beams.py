@@ -235,8 +235,7 @@ class HierarchicalCodebook:
     k-th span and carries a beam of matching width centered on it.
     """
 
-    def __init__(self, roi: RegionOfInterest, levels: list[list[CodebookNode]]):
-        self.roi = roi
+    def __init__(self, levels: list[list[CodebookNode]]):
         self.levels = levels
 
     @property
@@ -290,4 +289,4 @@ def build_hierarchical_codebook(
                 )
             )
         levels.append(nodes)
-    return HierarchicalCodebook(roi, levels)
+    return HierarchicalCodebook(levels)

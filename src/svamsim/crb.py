@@ -94,9 +94,9 @@ def _per_angle(results: list, single: bool):
 def _steering_rows(m: int, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Length-m steering vectors and their u-derivatives, one row per angle.
 
-    Row g is bit-equal to ula_manifold(m, us[g]) and
-    ula_manifold_derivative(m, us[g]); manifold_matrix rounds its phases
-    differently.
+    Row g of phi is bit-equal to ula_manifold(m, us[g]), and row g of the
+    derivative is j*pi*k times it, entry by entry; manifold_matrix rounds
+    its phases differently.
     """
     k = np.arange(m)
     phi = np.exp((1j * np.pi * us)[:, None] * k)

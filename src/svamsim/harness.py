@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -38,7 +38,7 @@ from .crb import (
     crb_unknown_alpha,
     gain_condition_sufficient,
 )
-from .sensing import SvamConfig, block_combiners
+from .sensing import block_combiners
 
 EXPERIMENT_KINDS = (
     "rmse_vs_snr",
@@ -67,13 +67,18 @@ CSV_COLUMNS = (
 def noise_variance_from_snr(snr_db: float) -> float:
     """Per-antenna noise power for a unit received gain; +inf SNR means none.
 
-    NaN and -inf dB have no such power and are rejected.
+    NaN and -inf dB have no such power and are rejected, and so is a finite
+    SNR so far out that its power overflows or underflows to zero.
     """
-    if math.isnan(snr_db) or snr_db == -math.inf:
-        raise ValueError(f"SNR must be finite or +inf dB, got {snr_db}")
     if snr_db == math.inf:
         return 0.0
-    return 10.0 ** (-snr_db / 10.0)
+    try:
+        noise_var = 10.0 ** (-float(snr_db) / 10.0)
+    except OverflowError:
+        noise_var = math.inf
+    if not (0.0 < noise_var < math.inf):  # NaN compares false
+        raise ValueError(f"SNR {snr_db} dB gives no positive finite noise power")
+    return noise_var
 
 
 @dataclass(frozen=True)
@@ -206,8 +211,8 @@ def _run_snr_batch(
     config: AdaptConfig, snrs: Sequence[float], trials: int, seed: int
 ) -> list[list[TrialRecord]]:
     """The trials of one sweep point per SNR, all advanced together by one
-    run_alignment batch; one record list per SNR, numbered from 0 as a lone
-    run of that SNR numbers them."""
+    run_alignment batch; one record list per SNR, the records a lone run of
+    that SNR gives."""
     rngs: list[np.random.Generator] = []
     channels: list[ChannelParams] = []
     for snr in snrs:
@@ -215,13 +220,7 @@ def _run_snr_batch(
         rngs += snr_rngs
         channels += snr_channels
     records = run_alignment(config, channels, rngs)
-    return [
-        [
-            replace(record, trial_index=record.trial_index - start) if start else record
-            for record in records[start : start + trials]
-        ]
-        for start in range(0, len(records), trials)
-    ]
+    return [records[start : start + trials] for start in range(0, len(records), trials)]
 
 
 def run_adaptive_trials(
@@ -357,10 +356,9 @@ def region_beam_bank(beam: BeamSpec, taps: int, segments: int) -> np.ndarray:
     return np.tile(f.weights[:, None], (1, segments))
 
 
-def expanded_combiners(bank: np.ndarray, n: int, n_v: int) -> np.ndarray:
+def expanded_combiners(bank: np.ndarray, n: int) -> np.ndarray:
     """Full N x L combiner matrix from a per-segment sub-aperture bank."""
-    cfg = SvamConfig(n=n, n_v=n_v)
-    blocks = [block_combiners(column, cfg) for column in bank.T]
+    blocks = [block_combiners(column, n) for column in bank.T]
     # C order, as the bound products expect: the bounds cancel digits, and
     # BLAS rounds a Fortran-ordered matrix differently
     return np.ascontiguousarray(np.concatenate(blocks).T)
@@ -370,7 +368,8 @@ def _bound_noise_variance(
     n: int, n_v: int, total_snapshots: int, snr_db: float
 ) -> float:
     """Check the sizes and SNR of one bound point; its noise variance."""
-    SvamConfig(n=n, n_v=n_v)  # rejects n_v < 1 and a block beyond the aperture
+    if not (1 <= n_v <= n):
+        raise ValueError(f"virtual size {n_v} outside [1, aperture {n}]")
     if total_snapshots < 1:
         raise ValueError("need at least one snapshot")
     if total_snapshots % n_v:
@@ -403,14 +402,14 @@ def _scheme_bounds(
     noise_var = _bound_noise_variance(n, n_v, total_snapshots, snr_db)
     if beam is None:
         beam = BeamSpec(grid.roi.center, grid.roi.width)
-    m = n if scheme == "benchmark" else SvamConfig(n=n, n_v=n_v).combiner_length
+    m = n if scheme == "benchmark" else n - n_v + 1
     bank = region_beam_bank(beam, m, total_snapshots // n_v)
     if scheme == "svam":
         bounds = crb_svam(bank, n_v, grid.points, noise_var)
     elif scheme == "benchmark":
         bounds = crb_benchmark(bank, n_v, grid.points, noise_var)
     else:
-        w = expanded_combiners(bank, n, n_v)
+        w = expanded_combiners(bank, n)
         bound = crb_general if scheme == "general" else crb_unknown_alpha
         bounds = bound(w, grid.points, noise_var)
     return bank, bounds
@@ -487,11 +486,11 @@ def write_trajectories(records: list[TrialRecord], path: str) -> None:
         path, "trajectory", header,
         (
             [
-                rec.trial_index, rec.true_angle, t, seg.beam.direction,
+                trial, rec.true_angle, t, seg.beam.direction,
                 seg.beam.beamwidth, _db(seg.gain_at_truth), seg.peak_prob,
                 seg.mode_index, rec.estimate,
             ]
-            for rec in records
+            for trial, rec in enumerate(records)
             for t, seg in enumerate(rec.segments)
         ),
     )

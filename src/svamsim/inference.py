@@ -41,11 +41,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AlphaPosterior:
-    """Per-candidate Gaussian posterior of the path gain."""
+    """Per-candidate Gaussian posterior of the path gain; its prior variance
+    is the gamma the caller fitted and passed in."""
 
     mean: np.ndarray
     variance: np.ndarray
-    prior_variance: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def alpha_posterior(
     denom = gamma * g * history.n_v + noise_var
     mean = gamma * s / denom
     variance = gamma * noise_var / denom
-    return AlphaPosterior(mean=mean, variance=variance, prior_variance=gamma)
+    return AlphaPosterior(mean=mean, variance=variance)
 
 
 def likelihood_terms(
@@ -208,7 +208,6 @@ def posterior_pmf(log_likelihood: np.ndarray) -> np.ndarray:
 def known_alpha_posterior(
     prior: np.ndarray,
     y: complex | np.ndarray,
-    w: np.ndarray,
     alpha: complex | np.ndarray,
     response: np.ndarray,
     noise_var: float,
@@ -217,12 +216,13 @@ def known_alpha_posterior(
 
     posterior(i) is proportional to prior(i) * CN(y; alpha * w^H phi(u_i),
     noise_var); computed in the log domain and renormalized. response holds
-    the values w^H phi(u_i) over the grid, shaped like the prior.
+    the values w^H phi(u_i) of the snapshot's combiner w over the grid,
+    shaped like the prior; the caller checks that ||w|| <= 1.
 
     A (trials, grid) prior updates a batch of trials at once: y and alpha
-    then hold one value per trial, and w and response one row per trial, and
-    each row of the result equals that trial's lone update. Every check
-    applies to each row; one bad row rejects the whole batch.
+    then hold one value per trial, and response one row per trial, and each
+    row of the result equals that trial's lone update. Every check applies
+    to each row; one bad row rejects the whole batch.
     """
     _check_noise(noise_var)
     prior = np.asarray(prior, dtype=float)
@@ -235,12 +235,8 @@ def known_alpha_posterior(
         raise ValueError("prior must be a nonnegative vector with mass")
     y = np.asarray(y)
     alpha = np.asarray(alpha)
-    w = np.asarray(w)
-    if y.shape != batch or alpha.shape != batch or w.shape[:-1] != batch:
-        raise ValueError("need one measurement, gain and combiner per trial")
-    norm = np.linalg.norm(w, axis=-1)
-    if (norm > 1.0 + 1e-9).any():
-        raise ValueError(f"combiner norm {norm.max()} exceeds 1")
+    if y.shape != batch or alpha.shape != batch:
+        raise ValueError("need one measurement and gain per trial")
     predicted = alpha[..., None] * response
     log_lik = -np.abs(y[..., None] - predicted) ** 2 / noise_var
     with np.errstate(divide="ignore"):

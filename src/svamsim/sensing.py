@@ -1,14 +1,15 @@
 """Sliding sub-aperture combining across snapshots.
 
 A length-m combiner f is shifted one element per snapshot across the
-physical array. Over a block of n_v consecutive snapshots the scalar
-outputs then behave, for a single path at angle u, like measurements taken
-by a virtual n_v-element array:
+n-element physical array. Over a block of n_v = n - m + 1 consecutive
+snapshots the scalar outputs then behave, for a single path at angle u and
+received gain alpha, like measurements taken by a virtual n_v-element array:
 
-    y_t = sqrt(P) * alpha * beta_t(u) * phi_{n_v}(u) + noise,
+    y_t = alpha * beta_t(u) * phi_{n_v}(u) + noise,
 
 with beta_t(u) = f_t^H phi_m(u). The virtual aperture is what restores
-angle sensitivity lost by scalar combining.
+angle sensitivity lost by scalar combining. The functions take the
+aperture n and read m from the beam's taps.
 
 MeasurementHistory keeps the blocks of a batch of trials that advance in
 lockstep, a lone trial being a batch of one. It owns the grid of candidate
@@ -18,7 +19,6 @@ statistics, which the inference reads without taking the grid again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
@@ -30,48 +30,31 @@ if TYPE_CHECKING:
     from .arrays import AngularGrid
 
 
-@dataclass(frozen=True)
-class SvamConfig:
-    """Physical aperture n and virtual size n_v of the sliding layout.
-
-    Snapshot r of every block places the length-m combiner at elements
-    r..r+m-1 of the aperture, so m = n - n_v + 1 and the block's outputs
-    see a contiguous n_v-element virtual array.
-    """
-
-    n: int
-    n_v: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.n_v < 1:
-            raise ValueError("array and virtual sizes must be positive")
-        if self.n_v > self.n:
-            raise ValueError(f"virtual size {self.n_v} exceeds aperture {self.n}")
-
-    @property
-    def combiner_length(self) -> int:
-        return self.n - self.n_v + 1
+def _virtual_size(taps: int, n: int) -> int:
+    """Virtual size n_v = n - m + 1 of an m-tap beam on n elements."""
+    if not (1 <= taps <= n):
+        raise ValueError(f"a {taps}-tap beam does not fit a {n}-element aperture")
+    return n - taps + 1
 
 
 def svam_combiner(
-    f: Beamformer | np.ndarray, snapshot_index: int, config: SvamConfig
+    f: Beamformer | np.ndarray, snapshot_index: int, n: int
 ) -> np.ndarray:
     """Full-length combiner for a snapshot: the sub-aperture beamformer
-    zero-padded at shift snapshot_index % n_v."""
+    zero-padded at shift snapshot_index % n_v on an n-element aperture."""
     weights = _weights_of(f)
-    m = config.combiner_length
-    if len(weights) != m:
-        raise ValueError(f"beamformer has {len(weights)} taps, the layout needs {m}")
-    shift = snapshot_index % config.n_v
-    w = np.zeros(config.n, dtype=complex)
+    m = len(weights)
+    shift = snapshot_index % _virtual_size(m, n)
+    w = np.zeros(n, dtype=complex)
     w[shift : shift + m] = weights
     return w
 
 
-def block_combiners(f: Beamformer | np.ndarray, config: SvamConfig) -> np.ndarray:
+def block_combiners(f: Beamformer | np.ndarray, n: int) -> np.ndarray:
     """(n_v, n) full-length combiners of one block, one row per snapshot;
     every block slides the beamformer through the same rows."""
-    return np.stack([svam_combiner(f, r, config) for r in range(config.n_v)])
+    n_v = _virtual_size(len(_weights_of(f)), n)
+    return np.stack([svam_combiner(f, r, n) for r in range(n_v)])
 
 
 class BeamCache:
@@ -101,17 +84,17 @@ class BeamCache:
 def measure_segment(
     f: Beamformer | np.ndarray,
     params: ChannelParams,
-    config: SvamConfig,
+    n: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Slide the combiner across one block of snapshots and return its
-    (n_v,) outputs: the block of a lone trial, built like each trial's
-    block of a batch."""
+    """Slide the combiner across one block of snapshots on an n-element
+    aperture and return its (n_v,) outputs: the block of a lone trial, built
+    like each trial's block of a batch."""
+    w = block_combiners(f, n)
     (x,) = antenna_blocks(
-        noiseless_snapshot(params, config.n)[None], params.noise_variance,
-        [rng], config.n_v,
+        noiseless_snapshot(params, n)[None], params.noise_variance, [rng], len(w)
     )
-    return combine(block_combiners(f, config), x)
+    return combine(w, x)
 
 
 class MeasurementHistory:
@@ -128,10 +111,10 @@ class MeasurementHistory:
     response row beta_t(u_i) is computed once per distinct designed beam.
     """
 
-    def __init__(self, config: SvamConfig, grid: AngularGrid, trials: int):
+    def __init__(self, n_v: int, grid: AngularGrid, trials: int):
         if trials < 1:
             raise ValueError("a batch needs at least one trial")
-        self.config = config
+        self.n_v = n_v
         self.grid = grid
         self.trials = trials
         self.segments: list[np.ndarray] = []
@@ -149,10 +132,6 @@ class MeasurementHistory:
     @property
     def segment_count(self) -> int:
         return len(self.segments)
-
-    @property
-    def n_v(self) -> int:
-        return self.config.n_v
 
     def append(
         self,

@@ -17,7 +17,6 @@ import numpy as np
 
 from svamsim.adaptive import (
     AdaptConfig,
-    HierNode,
     SegmentLog,
     TrialRecord,
     node_mass,
@@ -38,17 +37,17 @@ from svamsim.inference import (
     gamma_mle,
     posterior_pmf,
 )
-from svamsim.sensing import SvamConfig, svam_combiner
+from svamsim.sensing import svam_combiner
 
 NOISELESS_VAR_FLOOR = 1e-12
 
 
-def measure_segment(f, params, config: SvamConfig, segment_index, rng) -> np.ndarray:
+def measure_segment(f, params, config: AdaptConfig, segment_index, rng) -> np.ndarray:
     """One block, snapshot by snapshot: pad, synthesize, combine."""
     values = np.empty(config.n_v, dtype=complex)
     base = segment_index * config.n_v
     for r in range(config.n_v):
-        w = svam_combiner(f, base + r, config)
+        w = svam_combiner(f, base + r, config.n)
         x = antenna_snapshot(params, config.n, rng)
         values[r] = combine(w, x)
     return values
@@ -57,17 +56,13 @@ def measure_segment(f, params, config: SvamConfig, segment_index, rng) -> np.nda
 class ScalarHistory:
     """The running statistics the inference reads, for one trial."""
 
-    def __init__(self, config: SvamConfig, grid: AngularGrid):
-        self.config = config
+    def __init__(self, n_v: int, grid: AngularGrid):
+        self.n_v = n_v
         self.grid = grid
         self.segment_count = 0
         self.cumulative_gain = np.zeros(grid.size)
         self.matched_statistic = np.zeros(grid.size, dtype=complex)
         self.total_power = 0.0
-
-    @property
-    def n_v(self) -> int:
-        return self.config.n_v
 
     def append(self, values: np.ndarray, beamformer) -> None:
         weights = beamformer.weights
@@ -85,10 +80,11 @@ def hier_beam_search_scalar(
     grid_size: int,
     p_thresh: float,
     codebook: HierarchicalCodebook,
-) -> HierNode:
-    """One trial's dyadic search: start one level below the current one at
-    the node containing the posterior mode, then climb to the parent until
-    enough mass is captured. Level 0 always terminates the climb."""
+) -> tuple[int, int]:
+    """One trial's dyadic search, as a (level, index) pair: start one level
+    below the current one at the node containing the posterior mode, then
+    climb to the parent until enough mass is captured. Level 0 always
+    terminates the climb."""
     if not (0.0 < p_thresh < 1.0):
         raise ValueError("confidence threshold must lie in (0, 1)")
     pmf = np.asarray(pmf, dtype=float)
@@ -107,7 +103,7 @@ def hier_beam_search_scalar(
         per_node = grid_size // 2**level
         mass = float(pmf[k * per_node : (k + 1) * per_node].sum())
         if mass >= p_thresh or level == 0:
-            return HierNode(level=level, index=k)
+            return level, k
         k //= 2
         level -= 1
 
@@ -116,11 +112,9 @@ def run_alignment_scalar(
     config: AdaptConfig,
     channel: ChannelParams,
     rng: np.random.Generator,
-    trial_index: int = 0,
 ) -> TrialRecord:
     grid = AngularGrid(config.roi, config.grid_size)
-    svam_cfg = config.svam()
-    m = svam_cfg.combiner_length
+    m = config.combiner_length
     noise_var = max(config.noise_scale * channel.noise_variance, NOISELESS_VAR_FLOOR)
     truth = channel.u
 
@@ -135,11 +129,11 @@ def run_alignment_scalar(
         beam = design_beamformer(BeamSpec(config.roi.center, config.roi.width), m)
         bw_current = config.roi.width
 
-    history = ScalarHistory(svam_cfg, grid)
+    history = ScalarHistory(config.n_v, grid)
     logs: list[SegmentLog] = []
     pmf = np.full(grid.size, 1.0 / grid.size)
     for t in range(config.segments):
-        history.append(measure_segment(beam, channel, svam_cfg, t, rng), beam)
+        history.append(measure_segment(beam, channel, config, t, rng), beam)
         gamma = gamma_mle(history, noise_var)
         post = alpha_posterior(history, gamma, noise_var)
         pmf = posterior_pmf(approx_log_likelihood(history, post, noise_var))
@@ -147,11 +141,11 @@ def run_alignment_scalar(
         gain = abs(beam_gain(beam, truth)) ** 2
 
         if hierarchical:
-            nxt = hier_beam_search_scalar(
+            next_level, next_index = hier_beam_search_scalar(
                 level, pmf, grid.size, config.p_thresh, codebook
             )
-            peak_prob = node_mass(pmf, nxt, grid.size)
-            next_beam = codebook.node(nxt.level, nxt.index).beamformer
+            peak_prob = node_mass(pmf, next_level, next_index)
+            next_beam = codebook.node(next_level, next_index).beamformer
         else:
             spec, peak_prob = select_next_beam(pmf, bw_current, config.p_thresh, grid)
             next_beam = design_beamformer(spec, m)
@@ -167,12 +161,11 @@ def run_alignment_scalar(
         if t < config.segments - 1:
             beam = next_beam
             if hierarchical:
-                level = nxt.level
+                level = next_level
             else:
                 bw_current = spec.beamwidth
 
     return TrialRecord(
-        trial_index=trial_index,
         true_angle=truth,
         estimate=float(grid.points[int(np.argmax(pmf))]),
         segments=tuple(logs),
@@ -197,23 +190,22 @@ def known_alpha_update(prior, y, w, alpha, grid, noise_var) -> np.ndarray:
 
 
 def select_codeword_scalar(
-    pmf: np.ndarray, codebook: HierarchicalCodebook, grid_size: int
-) -> HierNode:
+    pmf: np.ndarray, codebook: HierarchicalCodebook
+) -> tuple[int, int]:
+    """One trial's posterior matching, as a (level, index) pair."""
     level, k = 0, 0
     mass = 1.0
     while level < codebook.depth:
-        left = HierNode(level + 1, 2 * k)
-        right = HierNode(level + 1, 2 * k + 1)
-        lm = node_mass(pmf, left, grid_size)
-        rm = node_mass(pmf, right, grid_size)
-        child, child_mass = (left, lm) if lm >= rm else (right, rm)
+        lm = node_mass(pmf, level + 1, 2 * k)
+        rm = node_mass(pmf, level + 1, 2 * k + 1)
+        child, child_mass = (2 * k, lm) if lm >= rm else (2 * k + 1, rm)
         if child_mass >= 0.5:
-            level, k, mass = child.level, child.index, child_mass
+            level, k, mass = level + 1, child, child_mass
             continue
         if abs(child_mass - 0.5) < abs(mass - 0.5):
-            return child
-        return HierNode(level, k)
-    return HierNode(level, k)
+            return level + 1, child
+        return level, k
+    return level, k
 
 
 def run_hiepm_scalar(
@@ -222,20 +214,18 @@ def run_hiepm_scalar(
     codebook: HierarchicalCodebook,
     rng: np.random.Generator,
     mode: str = "svam",
-    trial_index: int = 0,
 ) -> TrialRecord:
     grid = AngularGrid(config.roi, config.grid_size)
-    svam_cfg = config.svam()
     noise_var = max(config.noise_scale * channel.noise_variance, NOISELESS_VAR_FLOOR)
     alpha, truth = channel.alpha, channel.u
 
     pmf = np.full(grid.size, 1.0 / grid.size)
-    node = select_codeword_scalar(pmf, codebook, grid.size)
+    level, index = select_codeword_scalar(pmf, codebook)
     logs: list[SegmentLog] = []
     for snap in range(config.total_snapshots):
-        codeword = codebook.node(node.level, node.index).beamformer
+        codeword = codebook.node(level, index).beamformer
         if mode == "svam":
-            w = svam_combiner(codeword, snap, svam_cfg)
+            w = svam_combiner(codeword, snap, config.n)
         else:
             w = codeword.weights
         x = antenna_snapshot(channel, config.n, rng)
@@ -247,14 +237,13 @@ def run_hiepm_scalar(
                     beam=codeword.spec,
                     gain_at_truth=abs(beam_gain(codeword, truth)) ** 2,
                     mode_index=int(np.argmax(pmf)),
-                    peak_prob=node_mass(pmf, node, grid.size),
+                    peak_prob=node_mass(pmf, level, index),
                 )
             )
             if snap + 1 < config.total_snapshots:
-                node = select_codeword_scalar(pmf, codebook, grid.size)
+                level, index = select_codeword_scalar(pmf, codebook)
 
     return TrialRecord(
-        trial_index=trial_index,
         true_angle=truth,
         estimate=float(grid.points[int(np.argmax(pmf))]),
         segments=tuple(logs),

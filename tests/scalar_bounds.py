@@ -13,9 +13,16 @@ from __future__ import annotations
 import numpy as np
 
 from svamsim import crb
-from svamsim.arrays import ula_manifold, ula_manifold_derivative
+from svamsim.arrays import ula_manifold
 from svamsim.crb import _SINGULAR_RTOL, CrbResult, _check_noise_terms, _finish
 from svamsim.harness import expanded_combiners, noise_variance_from_snr, region_beam_bank
+
+
+def ula_manifold_derivative(n: int, u: float) -> np.ndarray:
+    """Entrywise derivative of ula_manifold with respect to u: entry k is
+    j*pi*k * exp(j*pi*k*u)."""
+    k = np.arange(n)
+    return 1j * np.pi * k * np.exp(1j * np.pi * u * k)
 
 
 def manifold_complement_and_projector(m: int, u: float) -> tuple[np.ndarray, np.ndarray]:
@@ -160,7 +167,7 @@ def grid_bounds(scheme, bank, n, n_v, us, noise_var):
     fast = _BOUNDS[scheme][0]
     if scheme in ("svam", "benchmark"):
         return fast(bank, n_v, us, noise_var)
-    return fast(expanded_combiners(bank, n, n_v), us, noise_var)
+    return fast(expanded_combiners(bank, n), us, noise_var)
 
 
 def grid_and_oracle(scheme, n, n_v, total_snapshots, grid, snr_db, beam):
@@ -175,5 +182,5 @@ def grid_and_oracle(scheme, n, n_v, total_snapshots, grid, snr_db, beam):
     us = [float(u) for u in grid.points]
     if scheme in ("svam", "benchmark"):
         return bank, on_grid, [slow(bank, n_v, u, noise_var) for u in us]
-    w = expanded_combiners(bank, n, n_v)
+    w = expanded_combiners(bank, n)
     return bank, on_grid, [slow(w, u, noise_var) for u in us]

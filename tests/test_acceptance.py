@@ -24,7 +24,6 @@ from svamsim import (
     AngularGrid,
     ExperimentConfig,
     RegionOfInterest,
-    SvamConfig,
     alpha_posterior,
     build_hierarchical_codebook,
     bootstrap_rmse_interval,
@@ -148,27 +147,26 @@ def _random_history(
 ) -> MeasurementHistory:
     """A history of random beams on a path whose received gain has the
     given magnitude and a random phase."""
-    cfg = SvamConfig(n=n, n_v=n_v)
     u_true = float(grid.points[int(rng.integers(grid.size))])
     alpha = magnitude * np.exp(2j * np.pi * rng.uniform())
     params = ChannelParams(alpha, u_true, noise_variance=noise)
-    history = MeasurementHistory(cfg, grid, 1)
+    history = MeasurementHistory(n_v, grid, 1)
     for t in range(segments):
-        f = _unit_columns(rng, cfg.combiner_length, 1)[:, 0]
-        history.append(measure_segment(f, params, cfg, rng)[None], [f])
+        f = _unit_columns(rng, n - n_v + 1, 1)[:, 0]
+        history.append(measure_segment(f, params, n, rng)[None], [f])
     return history
 
 
-def _stacked_response(history: MeasurementHistory, u: float) -> np.ndarray:
-    """Model response of every stored snapshot of a batch of one at angle u,
-    built from the zero-padded combiners directly rather than the cached
-    statistics."""
-    cfg = history.config
-    phi = ula_manifold(cfg.n, u)
+def _stacked_response(history: MeasurementHistory, n: int, u: float) -> np.ndarray:
+    """Model response of every stored snapshot of a batch of one on an
+    n-element aperture at angle u, built from the zero-padded combiners
+    directly rather than the cached statistics."""
+    n_v = history.n_v
+    phi = ula_manifold(n, u)
     rows = []
     for t, (f,) in enumerate(history.beamformers):
-        for r in range(cfg.n_v):
-            w = svam_combiner(f, t * cfg.n_v + r, cfg)
+        for r in range(n_v):
+            w = svam_combiner(f, t * n_v + r, n)
             rows.append(np.vdot(w, phi))
     return np.array(rows)
 
@@ -191,7 +189,7 @@ def test_criterion_03_rank_one_likelihood_matches_dense_solve():
         terms = likelihood_terms(history, posterior, noise)
 
         i = int(rng.integers(grid.size))
-        h = _stacked_response(history, float(grid.points[i]))
+        h = _stacked_response(history, 10, float(grid.points[i]))
         total = segments * n_v
         sigma = posterior.variance[0, i] * np.outer(h, h.conj()) + noise * np.eye(total)
         _, dense_logdet = np.linalg.slogdet(sigma)
@@ -231,7 +229,7 @@ def test_criterion_04_gain_posterior_matches_numerical_integration():
         i = int(np.argmax(gamma[0]))
         assert gamma[0, i] > 0
 
-        h = _stacked_response(history, float(grid.points[i]))
+        h = _stacked_response(history, 8, float(grid.points[i]))
         y = history.stacked()[0]
         half = 6.0 * math.sqrt(gamma[0, i])
         axis = np.linspace(-half, half, 401)
@@ -308,11 +306,8 @@ def test_criterion_06_gain_nuisance_singularities():
     one_snapshot = crb_unknown_alpha(single, u, 0.5)
     rank_one = crb_unknown_alpha(np.tile(single, (1, 4)), u, 0.5)
 
-    cfg = SvamConfig(n=n, n_v=2)
-    f = _unit_columns(rng, cfg.combiner_length, 1)[:, 0]
-    sliding = np.column_stack(
-        [svam_combiner(f, 0, cfg), svam_combiner(f, 1, cfg)]
-    )
+    f = _unit_columns(rng, n - 1, 1)[:, 0]  # blocks of n_v = 2
+    sliding = np.column_stack([svam_combiner(f, 0, n), svam_combiner(f, 1, n)])
     two_shifts = crb_unknown_alpha(sliding, u, 0.5)
 
     ok = (

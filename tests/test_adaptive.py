@@ -1,12 +1,13 @@
 """Controller tests: windowed-mass beam selection, dyadic search,
 posterior-matching codeword choice, and full closed-loop runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from svamsim.adaptive import (
     AdaptConfig,
-    HierNode,
     cumul_peak,
     hier_beam_search,
     node_mass,
@@ -17,7 +18,7 @@ from svamsim.adaptive import (
     select_next_beam,
 )
 from svamsim.arrays import AngularGrid, RegionOfInterest
-from svamsim.beams import build_hierarchical_codebook
+from svamsim.beams import HierarchicalCodebook, build_hierarchical_codebook
 from svamsim.channel import ChannelParams
 
 ROI = RegionOfInterest(0.0, 1.0)
@@ -126,19 +127,18 @@ DEPTH_16 = 4  # dyadic levels over a 16-point grid
 
 
 def search_one(level, pmf, p_thresh):
-    """The batched search on a batch of one trial."""
-    (node,) = hier_beam_search(
+    """The batched search on a batch of one trial: its (level, index)."""
+    (level,), (index,) = hier_beam_search(
         [level], node_masses(pmf[None], DEPTH_16), [int(np.argmax(pmf))],
         len(pmf), p_thresh,
     )
-    return node
+    return level, index
 
 
 def test_hier_search_descends_to_confident_leaf():
     pmf = np.full(16, 0.1 / 15)
     pmf[5] = 0.9
-    node = search_one(3, pmf, 0.6)
-    assert node == HierNode(4, 5)
+    assert search_one(3, pmf, 0.6) == (4, 5)
 
 
 def test_hier_search_climbs_to_parent():
@@ -146,21 +146,19 @@ def test_hier_search_climbs_to_parent():
     pmf[5] = 0.55
     pmf[4] = 0.45
     node = search_one(3, pmf, 0.6)
-    assert node == HierNode(3, 2)
-    assert node_mass(pmf, node, 16) == pytest.approx(1.0)
+    assert node == (3, 2)
+    assert node_mass(pmf, *node) == pytest.approx(1.0)
 
 
 def test_hier_search_terminates_at_root():
     pmf = np.full(16, 1 / 16)
-    node = search_one(0, pmf, 0.99)
-    assert node == HierNode(0, 0)
+    assert search_one(0, pmf, 0.99) == (0, 0)
 
 
 def test_hier_search_level_is_capped_at_depth():
     pmf = np.zeros(16)
     pmf[5] = 1.0
-    node = search_one(9, pmf, 0.6)
-    assert node == HierNode(4, 5)
+    assert search_one(9, pmf, 0.6) == (4, 5)
 
 
 def test_hier_search_rejects_uneven_grid():
@@ -187,32 +185,47 @@ def test_hier_search_rejects_bad_batch(levels, modes, p_thresh):
 DEPTH_8 = 3  # dyadic levels over an 8-point grid
 
 
+def match_one(pmf):
+    """Posterior matching on a batch of one trial: its (level, index)."""
+    (level,), (index,) = select_codeword_posterior_matching(
+        node_masses(pmf[None], DEPTH_8)
+    )
+    return level, index
+
+
 def test_matching_walks_to_leaf_on_delta():
     pmf = np.zeros(8)
     pmf[4] = 1.0
-    (node,) = select_codeword_posterior_matching(node_masses(pmf[None], DEPTH_8))
-    assert node == HierNode(3, 4)
+    assert match_one(pmf) == (3, 4)
 
 
 def test_matching_keeps_node_closer_to_half():
     # right half holds 0.52 (close to 1/2); its children hold 0.22 and 0.3
     pmf = np.array([0.48, 0.0, 0.0, 0.0, 0.22, 0.0, 0.3, 0.0])
-    (node,) = select_codeword_posterior_matching(node_masses(pmf[None], DEPTH_8))
-    assert node == HierNode(1, 1)
-    assert node_mass(pmf, node, 8) == pytest.approx(0.52)
+    node = match_one(pmf)
+    assert node == (1, 1)
+    assert node_mass(pmf, *node) == pytest.approx(0.52)
 
 
 def test_matching_takes_child_closer_to_half():
     pmf = np.array([0.25, 0.24, 0.03, 0.0, 0.48, 0.0, 0.0, 0.0])
-    (node,) = select_codeword_posterior_matching(node_masses(pmf[None], DEPTH_8))
-    assert node == HierNode(2, 0)
-    assert node_mass(pmf, node, 8) == pytest.approx(0.49)
+    node = match_one(pmf)
+    assert node == (2, 0)
+    assert node_mass(pmf, *node) == pytest.approx(0.49)
 
 
 def test_matching_uniform_picks_half_region():
-    uniform = np.full((1, 8), 1 / 8)
-    (node,) = select_codeword_posterior_matching(node_masses(uniform, DEPTH_8))
-    assert node.level == 1
+    level, _ = match_one(np.full(8, 1 / 8))
+    assert level == 1
+
+
+@pytest.mark.parametrize(
+    "level, index", [(-1, 0), (2, 4), (2, -1), (4, 0)],
+    ids=["negative_level", "index_past_level", "negative_index", "finer_than_grid"],
+)
+def test_node_mass_rejects_a_node_off_the_grid(level, index):
+    with pytest.raises(ValueError):
+        node_mass(np.full(8, 1 / 8), level, index)
 
 
 # -------------------------------------------------------------- full trials
@@ -241,7 +254,13 @@ def test_config_validation():
     cfg = make_config()
     assert cfg.segments == 4
     assert cfg.depth() == 4
-    assert cfg.svam().combiner_length == 13
+    assert cfg.combiner_length == 13
+
+
+def test_combiner_length_is_aperture_minus_block_plus_one():
+    for n, n_v, m in [(6, 3, 4), (64, 4, 61), (8, 1, 8), (8, 8, 1)]:
+        cfg = make_config(n=n, n_v=n_v, total_snapshots=8 * n_v)
+        assert cfg.combiner_length == m
 
 
 @pytest.mark.parametrize(
@@ -320,7 +339,6 @@ def test_records_carry_one_log_per_segment():
     (rec,) = run_alignment(cfg, [chan], [np.random.default_rng(1)])
     assert len(rec.segments) == cfg.segments
     assert all(s.peak_prob >= 0 for s in rec.segments)
-    assert rec.trial_index == 0
 
 
 def test_hiepm_noiseless_recovery():
@@ -360,3 +378,27 @@ def test_hiepm_validations():
         run_hiepm_known_alpha(cfg, [chan], [rng], book_13, "repeat")
     with pytest.raises(ValueError):
         run_hiepm_known_alpha(cfg, [chan], [rng], book_13, "sideways")
+
+
+@pytest.mark.parametrize(
+    "mode, taps", [("svam", 13), ("repeat", 16)], ids=["svam", "repeat"]
+)
+def test_hiepm_rejects_codewords_beyond_unit_norm(mode, taps):
+    # the known-gain update assumes combiners of norm at most 1; a codebook
+    # from the caller with scaled taps fails before any update runs
+    cfg = make_config(n_v=4)
+    book = build_hierarchical_codebook(ROI, 4, taps, grid_size=16)
+    loud = HierarchicalCodebook([
+        [
+            dataclasses.replace(node, beamformer=dataclasses.replace(
+                node.beamformer, weights=1.01 * node.beamformer.weights
+            ))
+            for node in level
+        ]
+        for level in book.levels
+    ])
+    chan = ChannelParams(1.0, 0.4, noise_variance=0.1)
+    rng = np.random.default_rng(0)
+    run_hiepm_known_alpha(cfg, [chan], [rng], book, mode)  # unit norm passes
+    with pytest.raises(ValueError):
+        run_hiepm_known_alpha(cfg, [chan], [rng], loud, mode)

@@ -11,7 +11,8 @@ import svamsim
 import svamsim.cli  # noqa: F401  (the tracer looks in every loaded module)
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACER_PATH = ROOT / "perfbench" / "tracer.py"
+BENCH_DIR = ROOT / "perfbench"
+TRACER_PATH = BENCH_DIR / "tracer.py"
 PACKAGE_DIR = ROOT / "src" / "svamsim"
 TESTS_DIR = ROOT / "tests"
 
@@ -40,10 +41,45 @@ def test_every_tracer_layer_target_resolves():
     assert tracing.installed_wrappers() == []
 
 
+# Exported names that nothing outside the tests reads yet, each with the
+# reason it stays exported. Empty this list rather than grow it.
+EXPORTED_WITHOUT_A_CALLER = {
+    # oracles the benchmark tracer still wraps; they move to tests/ together
+    # with the tracer change of ROADMAP item 4
+    "antenna_snapshot",
+    "measure_segment",
+    # the interval the run record of ROADMAP item 3 will report
+    "bootstrap_rmse_interval",
+}
+
+
+def _names_read(path: Path) -> set[str]:
+    """Every name a module reads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    # a public name only tests read belongs in the test oracles; the tracer's
+    # target strings do not count as reads
+    paths = sorted(PACKAGE_DIR.glob("*.py")) + sorted(BENCH_DIR.glob("*.py"))
+    read = set().union(
+        *(_names_read(path) for path in paths if path != PACKAGE_DIR / "__init__.py")
+    )
+    unread = set(svamsim.__all__) - read - EXPORTED_WITHOUT_A_CALLER
+    assert sorted(unread) == []
+    assert sorted(EXPORTED_WITHOUT_A_CALLER - set(svamsim.__all__)) == []
+
+
 # Lower this ceiling whenever a knob goes. Raise it only for a new option
 # that two callers outside the tests (the harness, the CLI, a config key, the
 # benchmark) need with different values; a value only tests set is a constant.
-SETTABLE_VALUE_CEILING = 193
+SETTABLE_VALUE_CEILING = 182
 
 
 def test_settable_values_stay_under_the_ceiling():

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from scalar_bounds import manifold_complement_and_projector
+from scalar_bounds import manifold_complement_and_projector, ula_manifold_derivative
 from svamsim.arrays import (
     AngularGrid,
     RegionOfInterest,
     check_angle,
     manifold_matrix,
     ula_manifold,
-    ula_manifold_derivative,
 )
 
 

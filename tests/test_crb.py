@@ -235,13 +235,10 @@ class TestUnknownGainBound:
         assert math.isinf(res.bound)
 
     def test_two_distinct_shifts_are_informative(self):
-        from svamsim.sensing import SvamConfig, svam_combiner
+        from svamsim.sensing import svam_combiner
 
-        cfg = SvamConfig(n=16, n_v=2)
-        f = random_bank(cfg.combiner_length, 1, 43)[:, 0]
-        w = np.stack(
-            [svam_combiner(f, 0, cfg), svam_combiner(f, 1, cfg)], axis=1
-        )
+        f = random_bank(15, 1, 43)[:, 0]  # blocks of n_v = 2 on 16 elements
+        w = np.stack([svam_combiner(f, 0, 16), svam_combiner(f, 1, 16)], axis=1)
         res = crb_unknown_alpha(w, 0.2, 1.0)
         assert math.isfinite(res.bound)
         assert res.bound > 0

@@ -72,6 +72,11 @@ def test_snr_mapping():
     for meaningless in (math.nan, -math.inf):
         with pytest.raises(ValueError):
             noise_variance_from_snr(meaningless)
+    # finite, but the power overflows or underflows to zero: the error
+    # names the SNR instead of an OverflowError or a silently noiseless run
+    for extreme in (-4000.0, 4000.0, np.float64(-4000.0)):
+        with pytest.raises(ValueError, match=f"SNR {float(extreme)} dB"):
+            noise_variance_from_snr(extreme)
 
 
 def test_bootstrap_interval_contains_point_rmse():
@@ -104,7 +109,6 @@ def test_lockstep_batch_keeps_each_trial_stream(codebook):
     many = run_adaptive_trials(adapt, -5.0, 7, cfg.seed)
     assert len(few) == 3 and len(many) == 7
     for got, want in zip(many[:3], few):
-        assert got.trial_index == want.trial_index
         assert got.true_angle == want.true_angle
         assert got.estimate == want.estimate
         assert got.segments == want.segments
@@ -138,11 +142,11 @@ def test_snr_batch_records_equal_one_snr_sweeps(codebook, trials, monkeypatch):
     # records of a sweep of its SNR alone, an SNR listed twice included.
     # One-trial sweeps are grouped too. Block size 3 is one where a lone
     # vector product and a row of a batch's matrix product round
-    # differently, so the rows carry every record's numbering and peak mass
+    # differently, so the rows carry every record's position and peak mass
     def every_record(records, grid):
-        for record in records:
+        for trial, record in enumerate(records):
             for t, seg in enumerate(record.segments):
-                yield t, f"peak_{record.trial_index}", seg.peak_prob
+                yield t, f"peak_{trial}", seg.peak_prob
 
     monkeypatch.setitem(harness._REDUCERS, "gain_over_time", every_record)
     snrs = (-5.0, 5.0, -5.0)
@@ -213,7 +217,7 @@ def test_hiepm_trials_run_and_reproduce():
 
     cfg = tiny_config(n_v=(2,), total_snapshots=8)
     adapt = cfg.adapt(2, 0.6)
-    book = build_hierarchical_codebook(ROI, 4, adapt.svam().combiner_length,
+    book = build_hierarchical_codebook(ROI, 4, adapt.combiner_length,
                                        grid_size=16)
     recs = run_hiepm_trials(adapt, math.inf, 2, 5, book, mode="svam")
     assert all(r.estimate == r.true_angle for r in recs)
@@ -277,6 +281,10 @@ def test_invalid_configs_rejected():
         dict(experiment="crb_sweep", n_v=(True,)),
         dict(grid_size=16.5),
         dict(grid_size=True),
+        dict(snr_db=(-10.0, -4000.0)),
+        dict(snr_db=(-10.0, 4000.0)),
+        dict(experiment="crb_sweep", snr_db=(-4000.0,)),
+        dict(experiment="crb_sweep", snr_db=(4000.0,)),
     ],
     ids=[
         "p_thresh", "noise_scale", "codebook", "hier_grid", "compare_grid",
@@ -290,7 +298,8 @@ def test_invalid_configs_rejected():
         "trials_numpy_float", "n_float", "n_fraction", "snapshots_float",
         "n_v_float", "n_v_bool", "n_v_numpy_float", "crb_n_float", "crb_n_fraction",
         "crb_snapshots_float", "crb_n_v_float", "crb_n_v_bool",
-        "grid_float_fraction", "grid_bool",
+        "grid_float_fraction", "grid_bool", "snr_overflow", "snr_underflow",
+        "crb_snr_overflow", "crb_snr_underflow",
     ],
 )
 def test_bad_sweep_point_fails_at_construction(overrides):

@@ -57,7 +57,7 @@ def test_batched_search_equals_the_oracle(case):
     pmf, depth, levels, p_thresh = case
     grid_size = pmf.shape[1]
     masses = node_masses(pmf, depth)
-    nodes = hier_beam_search(
+    got_levels, got_indices = hier_beam_search(
         levels, masses, np.argmax(pmf, axis=-1), grid_size, p_thresh
     )
     book = types.SimpleNamespace(depth=depth)
@@ -65,7 +65,7 @@ def test_batched_search_equals_the_oracle(case):
         hier_beam_search_scalar(level, row, grid_size, p_thresh, book)
         for level, row in zip(levels, pmf)
     ]
-    assert nodes == want
-    for i, (row, node) in enumerate(zip(pmf, want)):
-        peak = float(masses[node.level][i, node.index])
-        assert peak == node_mass(row, node, grid_size)
+    assert list(zip(got_levels.tolist(), got_indices.tolist())) == want
+    for i, (row, (level, index)) in enumerate(zip(pmf, want)):
+        peak = float(masses[level][i, index])
+        assert peak == node_mass(row, level, index)

@@ -15,7 +15,7 @@ from svamsim.inference import (
     likelihood_terms,
     posterior_pmf,
 )
-from svamsim.sensing import MeasurementHistory, SvamConfig, measure_segment
+from svamsim.sensing import MeasurementHistory, measure_segment
 
 
 def unit(m, seed):
@@ -34,14 +34,13 @@ def make_history(
     noise=0.4,
     seed=0,
 ):
-    cfg = SvamConfig(n=n, n_v=n_v)
     grid = AngularGrid(RegionOfInterest(0.0, 1.0), grid_size)
     params = ChannelParams(alpha, grid.points[path_index], noise_variance=noise)
     rng = np.random.default_rng(seed)
-    hist = MeasurementHistory(cfg, grid, 1)
+    hist = MeasurementHistory(n_v, grid, 1)
     for t in range(segments):
-        f = unit(cfg.combiner_length, 100 + t)
-        hist.append(measure_segment(f, params, cfg, rng)[None], [f])
+        f = unit(n - n_v + 1, 100 + t)
+        hist.append(measure_segment(f, params, n, rng)[None], [f])
     return hist, grid, params
 
 
@@ -75,23 +74,22 @@ def assert_batch_matches_dense_solve(hist, sigma2, points):
 
 def test_every_unknown_gain_step_rejects_an_empty_history():
     grid = AngularGrid(RegionOfInterest(0.0, 1.0), 8)
-    hist = MeasurementHistory(SvamConfig(n=8, n_v=2), grid, 1)
+    hist = MeasurementHistory(2, grid, 1)
     zeros = np.zeros((1, grid.size))
     with pytest.raises(ValueError, match="empty"):
         gamma_mle(hist, 0.5)
     with pytest.raises(ValueError, match="empty"):
         alpha_posterior(hist, zeros, 0.5)
     with pytest.raises(ValueError, match="empty"):
-        likelihood_terms(hist, AlphaPosterior(zeros, zeros, zeros), 0.5)
+        likelihood_terms(hist, AlphaPosterior(zeros, zeros), 0.5)
 
 
 class TestGammaMle:
     def test_zero_measurements_give_zero(self):
-        cfg = SvamConfig(n=8, n_v=2)
         grid = AngularGrid(RegionOfInterest(0.0, 1.0), 8)
-        hist = MeasurementHistory(cfg, grid, 1)
-        for t in range(3):
-            hist.append(np.zeros((1, 2), dtype=complex), [unit(cfg.combiner_length, t)])
+        hist = MeasurementHistory(2, grid, 1)
+        for t in range(3):  # 7 taps on 8 elements: blocks of 2
+            hist.append(np.zeros((1, 2), dtype=complex), [unit(7, t)])
         np.testing.assert_array_equal(gamma_mle(hist, 0.5), 0.0)
 
     def test_noiseless_matched_closed_form(self):
@@ -106,10 +104,9 @@ class TestGammaMle:
     def test_unlit_candidate_stays_zero(self):
         # difference beam nulls broadside exactly, so candidate 0 (u = 0)
         # accumulates exactly zero gain and must keep a zero variance
-        cfg = SvamConfig(n=2, n_v=1)
         grid = AngularGrid(RegionOfInterest(0.0, 1.0), 4)
         f = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        hist = MeasurementHistory(cfg, grid, 1)
+        hist = MeasurementHistory(1, grid, 1)
         hist.append(np.ones((1, 1), dtype=complex), [f])
         assert hist.cumulative_gain[0, 0] == 0.0
         gamma = gamma_mle(hist, 0.1)
@@ -118,7 +115,7 @@ class TestGammaMle:
     def test_monotone_in_measurement_scale(self):
         hist, grid, _ = make_history(noise=0.5, seed=7)
         gamma = gamma_mle(hist, 0.5)
-        scaled = MeasurementHistory(hist.config, grid, 1)
+        scaled = MeasurementHistory(hist.n_v, grid, 1)
         for values, beams in zip(hist.segments, hist.beamformers):
             scaled.append(3.0 * values, beams)
         gamma_scaled = gamma_mle(scaled, 0.5)
@@ -219,7 +216,6 @@ class TestLikelihoodTerms:
         # 120 segments of running statistics against one dense slogdet and
         # solve on the whole stacked record: the O(grid) updates do not drift
         sigma2, segments = 0.5, 120
-        cfg = SvamConfig(n=64, n_v=4)
         grid = AngularGrid(RegionOfInterest(0.0, 1.0), 64)
         rng = np.random.default_rng(120)
         channels = [
@@ -229,14 +225,14 @@ class TestLikelihoodTerms:
             )
             for k in (11, 40)
         ]
-        hist = MeasurementHistory(cfg, grid, 2)
-        for t in range(segments):
-            beams = [unit(cfg.combiner_length, 2 * t + k) for k in range(2)]
+        hist = MeasurementHistory(4, grid, 2)
+        for t in range(segments):  # 61 taps on 64 elements: blocks of 4
+            beams = [unit(61, 2 * t + k) for k in range(2)]
             values = np.stack([
-                measure_segment(f, c, cfg, rng) for f, c in zip(beams, channels)
+                measure_segment(f, c, 64, rng) for f, c in zip(beams, channels)
             ])
             hist.append(values, beams)
-        assert hist.stacked().shape == (2, segments * cfg.n_v)
+        assert hist.stacked().shape == (2, segments * 4)
         gamma = assert_batch_matches_dense_solve(hist, sigma2, (0, 11, 40, 63))
         assert np.all(gamma[[0, 1], [11, 40]] > 0)
 
@@ -267,11 +263,10 @@ class TestLikelihoodTerms:
         assert checked == list(range(1, cfg.segments + 1))
 
     def test_zero_data_scores_all_candidates_equally(self):
-        cfg = SvamConfig(n=10, n_v=2)
         grid = AngularGrid(RegionOfInterest(0.0, 1.0), 8)
-        hist = MeasurementHistory(cfg, grid, 1)
-        for t in range(2):
-            hist.append(np.zeros((1, 2), dtype=complex), [unit(cfg.combiner_length, t)])
+        hist = MeasurementHistory(2, grid, 1)
+        for t in range(2):  # 9 taps on 10 elements: blocks of 2
+            hist.append(np.zeros((1, 2), dtype=complex), [unit(9, t)])
         gamma = gamma_mle(hist, 0.5)
         post = alpha_posterior(hist, gamma, 0.5)
         ll = approx_log_likelihood(hist, post, 0.5)
@@ -302,7 +297,6 @@ class TestNoiseColumn:
 
     def _batch(self, segments=4):
         # the last trial is noiseless and scored at the inference floor
-        cfg = SvamConfig(n=12, n_v=3)
         grid = AngularGrid(RegionOfInterest(0.0, 1.0), 16)
         channels = [
             ChannelParams(
@@ -312,11 +306,11 @@ class TestNoiseColumn:
             for k, v in enumerate(self.NOISE[:, 0])
         ]
         rngs = [np.random.default_rng(30 + k) for k in range(len(channels))]
-        batch = MeasurementHistory(cfg, grid, len(channels))
-        for t in range(segments):
-            f = unit(cfg.combiner_length, 100 + t)
+        batch = MeasurementHistory(3, grid, len(channels))
+        for t in range(segments):  # 10 taps on 12 elements: blocks of 3
+            f = unit(10, 100 + t)
             values = np.stack([
-                measure_segment(f, c, cfg, rng) for c, rng in zip(channels, rngs)
+                measure_segment(f, c, 12, rng) for c, rng in zip(channels, rngs)
             ])
             batch.append(values, [f] * len(channels))
         return batch
@@ -383,7 +377,7 @@ class TestPosteriorPmf:
         hist, grid, _ = make_history(segments=5, noise=0.6, seed=9)
         sigma2 = 0.6
         perm = [3, 0, 4, 2, 1]
-        reordered = MeasurementHistory(hist.config, grid, 1)
+        reordered = MeasurementHistory(hist.n_v, grid, 1)
         for old in perm:
             reordered.append(hist.segments[old], hist.beamformers[old])
 
@@ -410,7 +404,7 @@ class TestKnownAlphaPosterior:
         prior /= prior.sum()
         w = np.zeros(8, dtype=complex)
         w[0] = 1.0  # responds identically to every candidate
-        post = known_alpha_posterior(prior, 1.2 - 0.3j, w, 1.0, response(w, grid), 0.5)
+        post = known_alpha_posterior(prior, 1.2 - 0.3j, 1.0, response(w, grid), 0.5)
         np.testing.assert_allclose(post, prior, atol=1e-12)
 
     def test_delta_prior_is_fixed_point(self):
@@ -418,7 +412,7 @@ class TestKnownAlphaPosterior:
         prior = np.zeros(grid.size)
         prior[3] = 1.0
         w = unit(8, 1)
-        post = known_alpha_posterior(prior, 0.1 + 0.2j, w, 1.0, response(w, grid), 0.5)
+        post = known_alpha_posterior(prior, 0.1 + 0.2j, 1.0, response(w, grid), 0.5)
         np.testing.assert_allclose(post, prior, atol=1e-15)
 
     def test_matched_snapshot_raises_mass_at_truth(self):
@@ -429,7 +423,7 @@ class TestKnownAlphaPosterior:
         w = ula_manifold(8, u) / np.sqrt(8)
         y = complex(alpha * np.vdot(w, ula_manifold(8, u)))
         prior = np.full(grid.size, 1.0 / grid.size)
-        post = known_alpha_posterior(prior, y, w, alpha, response(w, grid), 0.05)
+        post = known_alpha_posterior(prior, y, alpha, response(w, grid), 0.05)
         assert np.argmax(post) == i
         assert post[i] > prior[i]
 
@@ -448,7 +442,7 @@ class TestKnownAlphaPosterior:
         uniform = np.full(grid.size, 1.0 / grid.size)
         seq = uniform
         for w, y in snaps:
-            seq = known_alpha_posterior(seq, y, w, alpha, response(w, grid), 0.3)
+            seq = known_alpha_posterior(seq, y, alpha, response(w, grid), 0.3)
         joint_log = np.zeros(grid.size)
         for w, y in snaps:
             resp = np.array(
@@ -464,10 +458,10 @@ class TestKnownAlphaPosterior:
         w = unit(4, 0)
         rows = response(w, grid)
         with pytest.raises(ValueError):
-            known_alpha_posterior(np.zeros(4), 0j, w, 1.0, rows, 0.5)
+            known_alpha_posterior(np.zeros(4), 0j, 1.0, rows, 0.5)
         with pytest.raises(ValueError):
-            known_alpha_posterior(ok_prior, 0j, 2.0 * w, 1.0, 2.0 * rows, 0.5)
-        with pytest.raises(ValueError):
-            known_alpha_posterior(ok_prior, 0j, w, 1.0, rows, 0.0)
+            known_alpha_posterior(ok_prior, 0j, 1.0, rows, 0.0)
         with pytest.raises(ValueError):  # one response value per candidate
-            known_alpha_posterior(ok_prior, 0j, w, 1.0, rows[:-1], 0.5)
+            known_alpha_posterior(ok_prior, 0j, 1.0, rows[:-1], 0.5)
+        with pytest.raises(ValueError):  # one measurement per trial
+            known_alpha_posterior(ok_prior, np.zeros(2, complex), 1.0, rows, 0.5)

@@ -4,12 +4,7 @@ import pytest
 from svamsim.arrays import AngularGrid, RegionOfInterest, ula_manifold
 from svamsim.beams import BeamSpec, design_beamformer
 from svamsim.channel import ChannelParams
-from svamsim.sensing import (
-    MeasurementHistory,
-    SvamConfig,
-    measure_segment,
-    svam_combiner,
-)
+from svamsim.sensing import MeasurementHistory, measure_segment, svam_combiner
 
 
 def random_unit(m, seed):
@@ -18,71 +13,56 @@ def random_unit(m, seed):
     return v / np.linalg.norm(v)
 
 
-class TestSvamConfig:
-    def test_dense_combiner_length(self):
-        assert SvamConfig(n=6, n_v=3).combiner_length == 4
-        assert SvamConfig(n=64, n_v=4).combiner_length == 61
-        assert SvamConfig(n=8, n_v=1).combiner_length == 8
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SvamConfig(n=4, n_v=5)
-
-
 class TestSvamCombiner:
     def test_dense_shift_layout(self):
-        cfg = SvamConfig(n=6, n_v=3)
+        # a 4-tap beam on 6 elements slides through n_v = 3 shifts
         f = random_unit(4, 1)
-        w0 = svam_combiner(f, 0, cfg)
-        w1 = svam_combiner(f, 1, cfg)
-        w2 = svam_combiner(f, 2, cfg)
+        w0 = svam_combiner(f, 0, 6)
+        w1 = svam_combiner(f, 1, 6)
+        w2 = svam_combiner(f, 2, 6)
         np.testing.assert_allclose(w0, np.concatenate([f, [0, 0]]))
         np.testing.assert_allclose(w1, np.concatenate([[0], f, [0]]))
         np.testing.assert_allclose(w2, np.concatenate([[0, 0], f]))
         # block periodicity
-        np.testing.assert_allclose(svam_combiner(f, 3, cfg), w0)
-        np.testing.assert_allclose(svam_combiner(f, 7, cfg), w1)
+        np.testing.assert_allclose(svam_combiner(f, 3, 6), w0)
+        np.testing.assert_allclose(svam_combiner(f, 7, 6), w1)
 
     def test_single_snapshot_block_never_shifts(self):
-        cfg = SvamConfig(n=8, n_v=1)
         f = random_unit(8, 2)
         for snap in range(4):
-            np.testing.assert_allclose(svam_combiner(f, snap, cfg), f)
+            np.testing.assert_allclose(svam_combiner(f, snap, 8), f)
 
     def test_norm_preserved(self):
-        cfg = SvamConfig(n=10, n_v=4)
         f = random_unit(7, 5)
         for snap in range(4):
-            assert np.linalg.norm(svam_combiner(f, snap, cfg)) == pytest.approx(1.0)
+            assert np.linalg.norm(svam_combiner(f, snap, 10)) == pytest.approx(1.0)
 
     def test_wrong_length_rejected(self):
-        cfg = SvamConfig(n=6, n_v=3)
-        with pytest.raises(ValueError):
-            svam_combiner(random_unit(5, 6), 0, cfg)
+        # a beam longer than the aperture (n_v = 0) or with no taps at all
+        for taps in (random_unit(5, 6), np.zeros(0, dtype=complex)):
+            with pytest.raises(ValueError):
+                svam_combiner(taps, 0, 4)
 
     def test_accepts_beamformer_objects(self):
-        cfg = SvamConfig(n=10, n_v=3)
-        bf = design_beamformer(BeamSpec(0.25, 0.5), cfg.combiner_length)
-        w = svam_combiner(bf, 2, cfg)
+        bf = design_beamformer(BeamSpec(0.25, 0.5), 8)
+        w = svam_combiner(bf, 2, 10)
         np.testing.assert_allclose(w[2:], bf.weights)
 
 
 class TestMeasureSegment:
     def test_noiseless_phase_progression(self):
-        cfg = SvamConfig(n=6, n_v=3)
         f = random_unit(4, 9)
         alpha, u = np.sqrt(2.0) * (0.7 - 0.2j), 0.35
         params = ChannelParams(alpha, u)
-        values = measure_segment(f, params, cfg, np.random.default_rng(0))
+        values = measure_segment(f, params, 6, np.random.default_rng(0))
         beta = np.vdot(f, ula_manifold(4, u))
         expected = alpha * beta * np.exp(1j * np.pi * u * np.arange(3))
         np.testing.assert_allclose(values, expected, atol=1e-12)
 
     def test_broadside_gives_equal_snapshots(self):
-        cfg = SvamConfig(n=5, n_v=2)
         f = random_unit(4, 10)
         params = ChannelParams(1.0, 0.0)
-        values = measure_segment(f, params, cfg, np.random.default_rng(0))
+        values = measure_segment(f, params, 5, np.random.default_rng(0))
         np.testing.assert_allclose(values[0], values[1], atol=1e-12)
 
 
@@ -91,16 +71,16 @@ class TestMeasurementHistory:
         return AngularGrid(RegionOfInterest(0.0, 1.0), 16)
 
     def _history_with_segments(self, count, noise=0.0, seed=0):
-        cfg = SvamConfig(n=12, n_v=3)
         grid = self._grid()
         params = ChannelParams(
             np.exp(0.4j), grid.points[5], noise_variance=noise
         )
         rng = np.random.default_rng(seed)
-        hist = MeasurementHistory(cfg, grid, 1)
+        hist = MeasurementHistory(3, grid, 1)
         for t in range(count):
-            f = random_unit(cfg.combiner_length, 100 + t)
-            hist.append(measure_segment(f, params, cfg, rng)[None], [f])
+            # 10 taps on 12 elements: blocks of n_v = 3
+            f = random_unit(10, 100 + t)
+            hist.append(measure_segment(f, params, 12, rng)[None], [f])
         return hist, grid, params
 
     def test_stacked_kron_structure_noiseless(self):
@@ -142,7 +122,6 @@ class TestMeasurementHistory:
         )
 
     def test_wrong_block_size_rejected(self):
-        cfg = SvamConfig(n=6, n_v=2)
-        hist = MeasurementHistory(cfg, self._grid(), 1)
+        hist = MeasurementHistory(2, self._grid(), 1)
         with pytest.raises(ValueError):
             hist.append(np.zeros((1, 3), dtype=complex), [random_unit(5, 0)])
