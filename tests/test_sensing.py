@@ -38,10 +38,14 @@ class TestSvamCombiner:
             assert np.linalg.norm(svam_combiner(f, snap, 10)) == pytest.approx(1.0)
 
     def test_wrong_length_rejected(self):
-        # a beam longer than the aperture (n_v = 0) or with no taps at all
-        for taps in (random_unit(5, 6), np.zeros(0, dtype=complex)):
-            with pytest.raises(ValueError):
-                svam_combiner(taps, 0, 4)
+        # a beam longer than the aperture leaves n_v = 0 shifts
+        with pytest.raises(ValueError):
+            svam_combiner(random_unit(5, 6), 0, 4)
+
+    def test_virtual_array_beyond_aperture_rejected(self):
+        # a beam with no taps would ask for n_v = 5 > n = 4
+        with pytest.raises(ValueError):
+            svam_combiner(np.zeros(0, dtype=complex), 0, 4)
 
     def test_accepts_beamformer_objects(self):
         bf = design_beamformer(BeamSpec(0.25, 0.5), 8)
