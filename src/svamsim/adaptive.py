@@ -21,22 +21,31 @@ row reproduces the lone trial bit for bit. Each trial's channel carries
 its own received path gain; run_alignment also lets each trial have its
 own noise variance, so one batch can hold every SNR of a sweep point. The
 inference takes the whole batch at once and checks every row; one bad row
-rejects the batch. Only the flexible controller step of run_alignment still
-runs trial by trial; the hierarchical search and posterior matching pick
-all trials' nodes, as arrays of levels and indices, from one table of node
-masses. Records come in batch order: a trial's number is its position.
+rejects the batch. No step runs trial by trial. The flexible step takes all
+trials' pmfs and widths and returns arrays of directions, widths and
+masses; the hierarchical search and posterior matching pick all trials'
+nodes, as arrays of levels and indices, from one table of node masses. A
+block designs each distinct (direction, width) pair once and looks each
+distinct beam up once for its combiners and response rows. The one
+per-trial call left in a block is the flexible step's np.convolve of each
+trial's pmf, once per width tried: its dot order fixes the bits of windows
+of 16 points and up. The records are built after the last block; each
+trial's gains at its truth are then one product of its stacked beams
+against its steering vector, bit-equal to one vdot per block. Records come
+in batch order: a trial's number is its position.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .arrays import AngularGrid, RegionOfInterest, check_integer
 from .beams import (
+    Beamformer,
     BeamSpec,
     HierarchicalCodebook,
     beam_gain,
@@ -138,61 +147,96 @@ class TrialRecord:
         return (self.estimate - self.true_angle) ** 2
 
 
-def cumul_peak(
-    pmf: np.ndarray, bw_check: float, grid: AngularGrid
-) -> tuple[float, BeamSpec]:
-    """Best windowed posterior mass around the mode.
+def _check_widths(widths: np.ndarray, trials: int) -> np.ndarray:
+    """One positive, finite beamwidth per trial, as a float array."""
+    widths = np.asarray(widths, dtype=float)
+    if widths.shape != (trials,):
+        raise ValueError(f"need one beamwidth per trial, got shape {widths.shape}")
+    # written so that a NaN width, which compares false, is rejected too
+    bad = ~((widths > 0) & (widths < math.inf))
+    if bad.any():
+        raise ValueError(f"beamwidth must be positive and finite, got {widths[bad]}")
+    return widths
 
-    Slides a window of round(bw_check/spacing) grid points (at least one;
-    placements may hang off the grid edges, where they collect nothing)
-    over the pmf, keeps only placements containing the mode, and returns
-    the winning mass together with a beam covering that window: direction
-    at the midpoint of the window's grid points, clamped so the beam stays
-    inside the region, width bw_check.
+
+def cumul_peak(
+    pmf: np.ndarray, widths: np.ndarray, grid: AngularGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best windowed posterior mass around each trial's mode.
+
+    pmf is the (trials, grid) stack and widths holds one beamwidth per
+    trial. Trial i slides a window of round(widths[i]/spacing) grid points
+    (at least one; placements may hang off the grid edges, where they
+    collect nothing) over its pmf and keeps only placements containing its
+    mode. Returns the winning masses and the beam directions, one per trial:
+    each direction is the midpoint of the winning window's grid points,
+    clamped so a beam of that width stays inside the region.
+
+    Each trial's window sums are one np.convolve(pmf[i], ones(window)): its
+    dot order fixes the bits of windows of 16 points and up, where a
+    left-to-right running sum would round differently.
     """
     pmf = np.asarray(pmf, dtype=float)
-    if pmf.shape != (grid.size,):
-        raise ValueError("pmf length must match the grid")
-    window = max(1, int(round(bw_check / grid.spacing)))
-    sums = np.convolve(pmf, np.ones(window))  # sums[e] = window ending at e
-    mode = int(np.argmax(pmf))
-    candidates = sums[mode : mode + window]
-    k = int(np.argmax(candidates))  # ties: widest overlap to the left wins
-    peak_prob = float(candidates[k])
-    end = mode + k
-    start = end - window + 1
+    if pmf.ndim != 2 or pmf.shape[1] != grid.size:
+        raise ValueError("need a (trials, grid) pmf stack on the grid")
+    widths = _check_widths(widths, len(pmf))
+    windows = np.maximum(np.rint(widths / grid.spacing).astype(int), 1)
+    modes = np.argmax(pmf, axis=-1)
+    # candidates[i, k]: the window of trial i ending k points past its mode
+    longest = windows.max(initial=1)
+    candidates = np.full((len(pmf), longest), -np.inf)
+    ones = np.ones(longest)
+    for row, p, window, mode in zip(candidates, pmf, windows.tolist(), modes.tolist()):
+        row[:window] = np.convolve(p, ones[:window])[mode : mode + window]
+    k = np.argmax(candidates, axis=-1)  # ties: widest overlap to the left wins
+    peaks = candidates[np.arange(len(pmf)), k]
+    end = modes + k
+    start = end - windows + 1
     center = grid.roi.u_left + 0.5 * (start + end) * grid.spacing
-    low = grid.roi.u_left + 0.5 * bw_check
-    high = grid.roi.u_right - 0.5 * bw_check
-    if low > high:
-        center = grid.roi.center
-    else:
-        center = min(max(center, low), high)
-    return peak_prob, BeamSpec(direction=center, beamwidth=bw_check)
+    low = grid.roi.u_left + 0.5 * widths
+    high = grid.roi.u_right - 0.5 * widths
+    directions = np.where(
+        low > high, grid.roi.center, np.minimum(np.maximum(center, low), high)
+    )
+    return peaks, directions
 
 
 def select_next_beam(
     pmf: np.ndarray,
-    bw_current: float,
+    widths: np.ndarray,
     p_thresh: float,
     grid: AngularGrid,
-) -> tuple[BeamSpec, float]:
-    """Pick the next flexible beam: try half the current width and double
-    until the windowed mass clears the threshold; at the region's width the
-    search gives up and resets to the region-wide beam."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pick each trial's next flexible beam: try half its current width and
+    double until the windowed mass clears the threshold; at the region's
+    width the search gives up and resets to the region-wide beam.
+
+    pmf is the (trials, grid) stack and widths holds each trial's current
+    beamwidth. Returns the directions, widths and windowed masses, one per
+    trial. Every try takes all trials still searching at once.
+    """
     if not (0.0 < p_thresh < 1.0):
         raise ValueError("confidence threshold must lie in (0, 1)")
-    if bw_current <= 0:
-        raise ValueError("beamwidth must be positive")
+    pmf = np.asarray(pmf, dtype=float)
     widest = grid.roi.width
-    bw = 0.5 * bw_current
-    while bw < widest:
-        peak_prob, spec = cumul_peak(pmf, bw, grid)
-        if peak_prob >= p_thresh:
-            return spec, peak_prob
-        bw *= 2.0
-    peak_prob, spec = cumul_peak(pmf, widest, grid)
-    return spec, peak_prob
+    bw = 0.5 * _check_widths(widths, len(pmf))
+    peaks = np.empty(len(bw))
+    directions = np.empty(len(bw))
+    searching = np.flatnonzero(bw < widest)
+    while searching.size:
+        peak, direction = cumul_peak(pmf[searching], bw[searching], grid)
+        won = peak >= p_thresh
+        peaks[searching[won]] = peak[won]
+        directions[searching[won]] = direction[won]
+        lost = searching[~won]  # a NaN mass fails the test too
+        bw[lost] *= 2.0
+        searching = lost[bw[lost] < widest]
+    # every try failed, or the first was already as wide as the region
+    reset = np.flatnonzero(bw >= widest)
+    if reset.size:
+        bw[reset] = widest
+        peaks[reset], directions[reset] = cumul_peak(pmf[reset], bw[reset], grid)
+    return directions, bw, peaks
 
 
 def hier_beam_search(
@@ -307,27 +351,62 @@ def _inference_noise(config: AdaptConfig, noise_variance: np.ndarray) -> np.ndar
 
 def _batch_inputs(
     config: AdaptConfig, channels: Sequence[ChannelParams], rngs: Sequence
-) -> tuple[np.ndarray, list[float], np.ndarray, list[BeamCache]]:
+) -> tuple[np.ndarray, list[float], np.ndarray]:
     """Check a batch for one generator per channel; return each trial's
-    noise variance and true angle (its path's), the noiseless snapshots and
-    a |beta(truth)|^2 cache per trial."""
+    noise variance and true angle (its path's) and the noiseless snapshots."""
     if len(channels) < 1 or len(rngs) != len(channels):
         raise ValueError("need at least one channel and one generator per channel")
     noise = np.array([channel.noise_variance for channel in channels])
     truths = [channel.u for channel in channels]
     signals = np.stack([noiseless_snapshot(channel, config.n) for channel in channels])
-    gains = [BeamCache(lambda w, u=u: abs(beam_gain(w, u)) ** 2) for u in truths]
-    return noise, truths, signals, gains
+    return noise, truths, signals
+
+
+def _beam_per_trial(
+    first: np.ndarray, second: np.ndarray, beam: Callable[..., Beamformer]
+) -> list[Beamformer]:
+    """beam(first[i], second[i]) for every trial i, called once per distinct
+    pair: a (direction, width) to design or a (level, index) to look up."""
+    keys = list(zip(first.tolist(), second.tolist()))
+    beams = {key: beam(*key) for key in dict.fromkeys(keys)}
+    return [beams[key] for key in keys]
+
+
+def _node_peaks(
+    masses: Sequence[np.ndarray], levels: np.ndarray, indices: np.ndarray
+) -> np.ndarray:
+    """Each trial's mass of its (level, index) node, gathered from the
+    node_masses tables laid side by side: node (l, k) is column 2**l - 1 + k."""
+    table = np.concatenate(masses, axis=-1)
+    return table[np.arange(len(table)), 2**levels - 1 + indices]
 
 
 def _records(
-    grid: AngularGrid, truths: list[float], modes: np.ndarray, logs: list
+    grid: AngularGrid,
+    truths: list[float],
+    beams: list[Sequence[Beamformer]],
+    modes: list[np.ndarray],
+    peaks: list[np.ndarray],
 ) -> list[TrialRecord]:
-    """One record per trial in batch order; each estimate is the final mode."""
-    return [
-        TrialRecord(truth, float(grid.points[mode]), tuple(log))
-        for truth, mode, log in zip(truths, modes, logs)
-    ]
+    """One record per trial in batch order, from the run's per-block beams,
+    posterior modes and captured masses; each estimate is the final mode.
+
+    A trial's gains at its truth are one beam_gain of its stacked beams, so
+    its steering vector is built once; |beta|^2 is taken on Python complex
+    numbers, as a lone trial takes it.
+    """
+    modes = np.array(modes).tolist()
+    peaks = np.array(peaks).tolist()
+    records = []
+    for i, truth in enumerate(truths):
+        mine = [block[i] for block in beams]
+        gains = beam_gain(np.stack([beam.weights for beam in mine]), truth)
+        segments = tuple(
+            SegmentLog(beam.spec, abs(gain) ** 2, mode[i], peak[i])
+            for beam, gain, mode, peak in zip(mine, gains.tolist(), modes, peaks)
+        )
+        records.append(TrialRecord(truth, float(grid.points[modes[-1][i]]), segments))
+    return records
 
 
 def run_alignment(
@@ -340,9 +419,9 @@ def run_alignment(
     The trials advance in lockstep. Trial i observes channels[i] and draws
     only from rngs[i], one noise block per segment, in the order a lone run
     of that trial would. The history and the posterior carry a leading trial
-    axis, so inference and the hierarchical search run once per block for
-    the whole batch; only the flexible controller step is taken trial by
-    trial. A single trial is a batch of one. Each trial may have its own
+    axis, so inference, the controller step, beam design and every lookup
+    run once per block for the whole batch. A single trial is a batch of
+    one. Each trial may have its own
     noise variance, and a noiseless trial draws nothing from its generator.
 
     Each channel's path angle is the ground truth for its per-segment gain
@@ -352,7 +431,7 @@ def run_alignment(
     codebook log2(grid size) levels deep.
     """
     count = len(channels)
-    channel_noise, truths, signals, gains = _batch_inputs(config, channels, rngs)
+    channel_noise, truths, signals = _batch_inputs(config, channels, rngs)
     grid = AngularGrid(config.roi, config.grid_size)
     m = config.combiner_length
     noise_var = _inference_noise(config, channel_noise)[:, None]
@@ -365,18 +444,18 @@ def run_alignment(
         levels = [0] * count
         beams = [codebook.node(0, 0).beamformer] * count
     else:
-        widths = [config.roi.width] * count
+        widths = np.full(count, config.roi.width)
         beams = [
             design_beamformer(BeamSpec(config.roi.center, config.roi.width), m)
         ] * count
 
     combiners = BeamCache(lambda w: block_combiners(w, config.n))
     history = MeasurementHistory(config.n_v, grid, count)
-    logs: list[list[SegmentLog]] = [[] for _ in range(count)]
+    block_modes, block_peaks = [], []
     for t in range(config.segments):
         x = antenna_blocks(signals, channel_noise, rngs, config.n_v)
         # combine gives every row the bits a lone trial's product has
-        values = combine(np.stack([combiners(beam) for beam in beams]), x)
+        values = combine(combiners.stack(beams), x)
         history.append(values, beams)
         gamma = gamma_mle(history, noise_var)
         post = alpha_posterior(history, gamma, noise_var)
@@ -388,32 +467,26 @@ def run_alignment(
             levels, indices = hier_beam_search(
                 levels, masses, modes, grid.size, config.p_thresh
             )
-            peaks = [float(masses[levels[i]][i, indices[i]]) for i in range(count)]
+            peaks = _node_peaks(masses, levels, indices)
         else:
-            picks = [
-                select_next_beam(pmf[i], widths[i], config.p_thresh, grid)
-                for i in range(count)
-            ]
-            peaks = [peak_prob for _, peak_prob in picks]
-
-        for i, beam in enumerate(beams):
-            logs[i].append(
-                SegmentLog(
-                    beam=beam.spec,
-                    gain_at_truth=gains[i](beam),
-                    mode_index=int(modes[i]),
-                    peak_prob=peaks[i],
-                )
+            directions, widths, peaks = select_next_beam(
+                pmf, widths, config.p_thresh, grid
             )
+
+        block_modes.append(modes)
+        block_peaks.append(peaks)
         if t == config.segments - 1:
             break  # the beams chosen after the last block are never used
         if hierarchical:
-            beams = [codebook.node(*node).beamformer for node in zip(levels, indices)]
+            beams = _beam_per_trial(
+                levels, indices, lambda level, k: codebook.node(level, k).beamformer
+            )
         else:
-            widths = [spec.beamwidth for spec, _ in picks]
-            beams = [design_beamformer(spec, m) for spec, _ in picks]
+            beams = _beam_per_trial(
+                directions, widths, lambda u, bw: design_beamformer(BeamSpec(u, bw), m)
+            )
 
-    return _records(grid, truths, modes, logs)
+    return _records(grid, truths, history.beamformers, block_modes, block_peaks)
 
 
 def run_hiepm_known_alpha(
@@ -444,7 +517,7 @@ def run_hiepm_known_alpha(
     if mode not in ("svam", "repeat"):
         raise ValueError(f"unknown combining mode {mode!r}")
     count = len(channels)
-    channel_noise, truths, signals, gains = _batch_inputs(config, channels, rngs)
+    channel_noise, truths, signals = _batch_inputs(config, channels, rngs)
     # one shared variance keeps the snapshot and Bayes updates on scalars
     if (channel_noise != channel_noise[0]).any():
         raise ValueError("trials of one batch must share noise variance")
@@ -477,9 +550,11 @@ def run_hiepm_known_alpha(
     pmf = np.full((count, grid.size), 1.0 / grid.size)
     masses = node_masses(pmf, codebook.depth)
     levels, indices = select_codeword_posterior_matching(masses)
-    logs: list[list[SegmentLog]] = [[] for _ in range(count)]
+    block_codewords, block_modes, block_peaks = [], [], []
     for t in range(config.segments):
-        codewords = [codebook.node(*node).beamformer for node in zip(levels, indices)]
+        codewords = _beam_per_trial(
+            levels, indices, lambda level, k: codebook.node(level, k).beamformer
+        )
         cached = [blocks(codeword) for codeword in codewords]
         combiners = np.stack([rows for rows, _ in cached])
         responses = np.stack([response for _, response in cached])
@@ -492,17 +567,10 @@ def run_hiepm_known_alpha(
                 pmf, values[:, r], alphas, responses[:, r], noise_var
             )
         masses = node_masses(pmf, codebook.depth)
-        modes = np.argmax(pmf, axis=-1)
-        for i, codeword in enumerate(codewords):
-            logs[i].append(
-                SegmentLog(
-                    beam=codeword.spec,
-                    gain_at_truth=gains[i](codeword),
-                    mode_index=int(modes[i]),
-                    peak_prob=float(masses[levels[i]][i, indices[i]]),
-                )
-            )
+        block_codewords.append(codewords)
+        block_modes.append(np.argmax(pmf, axis=-1))
+        block_peaks.append(_node_peaks(masses, levels, indices))
         if t < config.segments - 1:
             levels, indices = select_codeword_posterior_matching(masses)
 
-    return _records(grid, truths, modes, logs)
+    return _records(grid, truths, block_codewords, block_modes, block_peaks)

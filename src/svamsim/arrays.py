@@ -61,13 +61,14 @@ class RegionOfInterest:
         return 0.5 * (self.u_left + self.u_right)
 
 
-def ula_manifold(n: int, u: float) -> np.ndarray:
+def ula_manifold(n: int, u: float | np.ndarray) -> np.ndarray:
     """Steering vector of an n-element half-wavelength ULA at angle u.
 
-    Entry k is exp(j*pi*k*u).
+    Entry k is exp(j*pi*k*u). An array of angles gives one row per angle,
+    each with the bits of that angle's own steering vector.
     """
     n = _check_size(n)
-    return np.exp(1j * np.pi * u * np.arange(n))
+    return np.exp(1j * np.pi * np.asarray(u, dtype=float)[..., None] * np.arange(n))
 
 
 def manifold_matrix(n: int, us: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.signal import remez
 
 from .arrays import U_MAX, U_MIN, RegionOfInterest, ula_manifold
+from .channel import combine
 
 
 # Prototype design: transition band as a fraction of the beamwidth, exchange
@@ -146,27 +147,38 @@ def _prototype(m: int, pass_edge: float, stop_edge: float) -> tuple[np.ndarray, 
     return proto, method
 
 
-@lru_cache(maxsize=None)
-def _design_weights(
+def _design_band(
     band_lo: float, band_hi: float, m: int
-) -> tuple[np.ndarray, str, tuple[float, float]]:
-    """Design the steered, normalized taps for a clipped passband."""
-    if m == 1:
-        taps = np.ones(1, dtype=complex)
-        taps.flags.writeable = False
-        return taps, "single-tap", (band_lo, band_hi)
-
+) -> tuple[float, float, float]:
+    """The band a length-m design realizes for a clipped passband, and its
+    width."""
+    width = band_hi - band_lo
     # Passbands narrower than the aperture resolution 2/m are unrealizable;
     # the minimax compromise then spreads energy into the stopband and the
     # in-band gain collapses, so the design band is floored there.
-    width = band_hi - band_lo
     floor = min(2.0 / m, U_MAX - U_MIN)
-    if width < floor:
+    if m > 1 and width < floor:
         center = 0.5 * (band_lo + band_hi)
         band_lo = max(center - 0.5 * floor, U_MIN)
         band_hi = min(band_lo + floor, U_MAX)
         band_lo = band_hi - floor
         width = floor
+    return band_lo, band_hi, width
+
+
+@lru_cache(maxsize=None)
+def _design_weights(
+    band_lo: float, band_hi: float, width: float, m: int
+) -> tuple[np.ndarray, str]:
+    """Design the steered, normalized taps for a design band of _design_band.
+
+    Keyed on the design band, so every requested band that floors to the
+    same one shares one read-only taps array.
+    """
+    if m == 1:
+        taps = np.ones(1, dtype=complex)
+        taps.flags.writeable = False
+        return taps, "single-tap"
 
     center = 0.5 * (band_lo + band_hi)
     pass_edge = 0.5 * width
@@ -184,7 +196,7 @@ def _design_weights(
     taps = proto * np.exp(1j * np.pi * center * np.arange(m))
     taps = taps / np.linalg.norm(taps)
     taps.flags.writeable = False
-    return taps, method, (band_lo, band_hi)
+    return taps, method
 
 
 def design_beamformer(spec: BeamSpec, m: int) -> Beamformer:
@@ -205,19 +217,28 @@ def design_beamformer(spec: BeamSpec, m: int) -> Beamformer:
     """
     if int(m) != m or m < 1:
         raise ValueError(f"tap count must be a positive integer, got {m}")
-    lo, hi = spec.passband()
-    weights, method, band = _design_weights(lo, hi, int(m))
-    return Beamformer(weights=weights, spec=spec, method=method, passband=band)
+    band_lo, band_hi, width = _design_band(*spec.passband(), int(m))
+    weights, method = _design_weights(band_lo, band_hi, width, int(m))
+    return Beamformer(
+        weights=weights, spec=spec, method=method, passband=(band_lo, band_hi)
+    )
 
 
 def _weights_of(f: Beamformer | np.ndarray) -> np.ndarray:
     return f.weights if isinstance(f, Beamformer) else np.asarray(f)
 
 
-def beam_gain(f: Beamformer | np.ndarray, u: float) -> complex:
-    """Complex response beta(u) = f^H phi(u) of a combiner at angle u."""
+def beam_gain(
+    f: Beamformer | np.ndarray, u: float | np.ndarray
+) -> complex | np.ndarray:
+    """Complex response beta(u) = f^H phi(u) of a combiner at angle u.
+
+    A (..., m) stack of weights gives one response per row, each with the
+    bits of that row's own vdot; u is one angle for every row, or angles
+    that broadcast against the stack's leading axes.
+    """
     w = _weights_of(f)
-    return complex(np.vdot(w, ula_manifold(len(w), u)))
+    return combine(w, np.broadcast_to(ula_manifold(w.shape[-1], u), w.shape))
 
 
 @dataclass(frozen=True, eq=False)

@@ -70,6 +70,10 @@ def antenna_blocks(
     parts, observation by observation, the same numbers count
     antenna_snapshot calls would take. A trial without noise draws nothing
     from its generator.
+
+    The scaled parts are written straight into the output's real and
+    imaginary planes before the signal is added; that sum has the bits of
+    signal + scale * (real + 1j * imaginary), noiseless rows included.
     """
     signals = np.asarray(signals)
     if signals.ndim != 2 or len(rngs) != len(signals):
@@ -80,7 +84,11 @@ def antenna_blocks(
         if v > 0.0:
             rng.standard_normal(out=out)
     scale = np.sqrt(variance / 2.0)[:, None, None]
-    return signals[:, None, :] + scale * (noise[..., 0, :] + 1j * noise[..., 1, :])
+    x = np.empty((len(signals), count, signals.shape[1]), dtype=complex)
+    np.multiply(scale, noise[..., 0, :], out=x.real)
+    np.multiply(scale, noise[..., 1, :], out=x.imag)
+    x += signals[:, None, :]
+    return x
 
 
 def combine(w: np.ndarray, x: np.ndarray) -> complex | np.ndarray:

@@ -148,8 +148,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.run(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.run(args)
+    except ValueError as exc:
+        # a configuration the library rejects ends like a bad flag: one
+        # line on stderr and exit status 2, not a traceback
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -80,6 +80,16 @@ class BeamCache:
                 self._items[id(weights)] = item
         return item[1]
 
+    def stack(self, beams: Sequence[Beamformer | np.ndarray]) -> np.ndarray:
+        """np.stack of the values of many beams: each distinct weights array
+        is looked up once and its value gathered into every row that uses
+        it."""
+        weights = [_weights_of(f) for f in beams]
+        distinct = {id(w): w for w in weights}
+        slot = {key: k for k, key in enumerate(distinct)}
+        values = np.stack([self(w) for w in distinct.values()])
+        return values[[slot[id(w)] for w in weights]]
+
 
 def measure_segment(
     f: Beamformer | np.ndarray,
@@ -108,7 +118,8 @@ class MeasurementHistory:
     running per-grid statistics that make posterior updates O(grid) per
     segment and trial: the accumulated gain sum |beta|^2, the matched inner
     products sum_t beta_t^*(u_i) phi^H y_t, and the total measured power. A
-    response row beta_t(u_i) is computed once per distinct designed beam.
+    response row beta_t(u_i) is computed once per distinct designed beam,
+    and a block looks each distinct beam up once.
     """
 
     def __init__(self, n_v: int, grid: AngularGrid, trials: int):
@@ -150,11 +161,12 @@ class MeasurementHistory:
             raise ValueError(
                 f"{len(beamformers)} beamformers for {self.trials} trials"
             )
-        beta = np.stack([self._beta(f) for f in beamformers])
+        beta = self._beta.stack(beamformers)
         # one row-vector product per trial, the response rows one product
-        # per beam and the power one vdot per trial: a batch row carries a
-        # lone trial's bits at every block size, where a matrix product's
-        # rows would differ from a lone vector product's in the last bits
+        # per beam and the power one conjugate-row product per trial: a
+        # batch row carries a lone trial's bits at every block size, where a
+        # matrix product's rows would differ from a lone vector product's in
+        # the last bits
         matched_row = np.matmul(
             values[:, None, :], self.grid.manifold(self.n_v).conj()
         )[:, 0, :]
@@ -163,13 +175,13 @@ class MeasurementHistory:
         self.beamformers.append(beamformers)
         self.cumulative_gain += np.abs(beta) ** 2
         self.matched_statistic += beta.conj() * matched_row
-        self.total_power += [np.vdot(v, v).real for v in values]
+        self.total_power += combine(values, values).real
         return self
 
     @property
     def beta_matrix(self) -> np.ndarray:
         """(trials, segments, grid) response values beta_t(u_i)."""
-        rows = [np.stack([self._beta(f) for f in fs]) for fs in self.beamformers]
+        rows = [self._beta.stack(fs) for fs in self.beamformers]
         return np.stack(rows, axis=-2)
 
     def stacked(self) -> np.ndarray:

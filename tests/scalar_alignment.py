@@ -4,9 +4,11 @@ These are the loops as they ran before trials advanced in lockstep. In the
 unknown-gain loop every snapshot is synthesized and combined on its own,
 the running statistics live in a one-trial history that computes each
 response row afresh, and the inference and controller functions are called
-once per trial and block; the dyadic search reads one trial's pmf slice by
-slice (hier_beam_search_scalar). The known-gain loop (at the end) takes one
-trial's Bayes update and posterior matching snapshot by snapshot. The
+once per trial and block; the flexible step windows one trial's pmf
+(select_next_beam_scalar, cumul_peak_scalar) and the dyadic search reads
+one trial's pmf slice by slice (hier_beam_search_scalar). The known-gain
+loop (at the end) takes one trial's Bayes update and posterior matching
+snapshot by snapshot. The
 batched run_alignment and run_hiepm_known_alpha must reproduce their
 records exactly, field by field.
 """
@@ -20,7 +22,6 @@ from svamsim.adaptive import (
     SegmentLog,
     TrialRecord,
     node_mass,
-    select_next_beam,
 )
 from svamsim.arrays import AngularGrid
 from svamsim.beams import (
@@ -72,6 +73,63 @@ class ScalarHistory:
         self.cumulative_gain += np.abs(beta) ** 2
         self.matched_statistic += beta.conj() * matched_row
         self.total_power += float(np.vdot(values, values).real)
+
+
+def cumul_peak_scalar(
+    pmf: np.ndarray, bw_check: float, grid: AngularGrid
+) -> tuple[float, BeamSpec]:
+    """One trial's best windowed posterior mass around the mode.
+
+    Slides a window of round(bw_check/spacing) grid points (at least one;
+    placements may hang off the grid edges, where they collect nothing)
+    over the pmf, keeps only placements containing the mode, and returns
+    the winning mass together with a beam covering that window: direction
+    at the midpoint of the window's grid points, clamped so the beam stays
+    inside the region, width bw_check.
+    """
+    pmf = np.asarray(pmf, dtype=float)
+    if pmf.shape != (grid.size,):
+        raise ValueError("pmf length must match the grid")
+    window = max(1, int(round(bw_check / grid.spacing)))
+    sums = np.convolve(pmf, np.ones(window))  # sums[e] = window ending at e
+    mode = int(np.argmax(pmf))
+    candidates = sums[mode : mode + window]
+    k = int(np.argmax(candidates))  # ties: widest overlap to the left wins
+    peak_prob = float(candidates[k])
+    end = mode + k
+    start = end - window + 1
+    center = grid.roi.u_left + 0.5 * (start + end) * grid.spacing
+    low = grid.roi.u_left + 0.5 * bw_check
+    high = grid.roi.u_right - 0.5 * bw_check
+    if low > high:
+        center = grid.roi.center
+    else:
+        center = min(max(center, low), high)
+    return peak_prob, BeamSpec(direction=center, beamwidth=bw_check)
+
+
+def select_next_beam_scalar(
+    pmf: np.ndarray,
+    bw_current: float,
+    p_thresh: float,
+    grid: AngularGrid,
+) -> tuple[BeamSpec, float]:
+    """One trial's next flexible beam: try half the current width and double
+    until the windowed mass clears the threshold; at the region's width the
+    search gives up and resets to the region-wide beam."""
+    if not (0.0 < p_thresh < 1.0):
+        raise ValueError("confidence threshold must lie in (0, 1)")
+    if bw_current <= 0:
+        raise ValueError("beamwidth must be positive")
+    widest = grid.roi.width
+    bw = 0.5 * bw_current
+    while bw < widest:
+        peak_prob, spec = cumul_peak_scalar(pmf, bw, grid)
+        if peak_prob >= p_thresh:
+            return spec, peak_prob
+        bw *= 2.0
+    peak_prob, spec = cumul_peak_scalar(pmf, widest, grid)
+    return spec, peak_prob
 
 
 def hier_beam_search_scalar(
@@ -147,7 +205,9 @@ def run_alignment_scalar(
             peak_prob = node_mass(pmf, next_level, next_index)
             next_beam = codebook.node(next_level, next_index).beamformer
         else:
-            spec, peak_prob = select_next_beam(pmf, bw_current, config.p_thresh, grid)
+            spec, peak_prob = select_next_beam_scalar(
+                pmf, bw_current, config.p_thresh, grid
+            )
             next_beam = design_beamformer(spec, m)
 
         logs.append(

@@ -18,7 +18,7 @@ from svamsim.adaptive import (
     select_next_beam,
 )
 from svamsim.arrays import AngularGrid, RegionOfInterest
-from svamsim.beams import HierarchicalCodebook, build_hierarchical_codebook
+from svamsim.beams import BeamSpec, HierarchicalCodebook, build_hierarchical_codebook
 from svamsim.channel import ChannelParams
 
 ROI = RegionOfInterest(0.0, 1.0)
@@ -31,10 +31,24 @@ def grid_of(size: int) -> AngularGrid:
 # ---------------------------------------------------------------- cumul_peak
 
 
+def peak_one(pmf, bw_check, g):
+    """The batched cumul_peak on a batch of one: its mass and beam."""
+    peaks, directions = cumul_peak(np.asarray(pmf)[None], [bw_check], g)
+    return float(peaks[0]), BeamSpec(float(directions[0]), bw_check)
+
+
+def select_one(pmf, bw_current, p_thresh, g):
+    """The batched select_next_beam on a batch of one: its beam and mass."""
+    directions, widths, peaks = select_next_beam(
+        np.asarray(pmf)[None], [bw_current], p_thresh, g
+    )
+    return BeamSpec(float(directions[0]), float(widths[0])), float(peaks[0])
+
+
 def test_cumul_peak_uniform_quarter_window():
     g = grid_of(64)
     pmf = np.full(64, 1.0 / 64)
-    peak, spec = cumul_peak(pmf, 0.25, g)
+    peak, spec = peak_one(pmf, 0.25, g)
     assert peak == pytest.approx(0.25)
     assert spec.beamwidth == 0.25
 
@@ -43,7 +57,7 @@ def test_cumul_peak_delta_captures_everything():
     g = grid_of(64)
     pmf = np.zeros(64)
     pmf[40] = 1.0
-    peak, spec = cumul_peak(pmf, 1.0 / 64, g)
+    peak, spec = peak_one(pmf, 1.0 / 64, g)
     assert peak == pytest.approx(1.0)
     # single-point window centered on the point itself
     assert spec.direction == pytest.approx(g.points[40])
@@ -54,7 +68,7 @@ def test_cumul_peak_window_must_contain_mode():
     pmf = np.zeros(64)
     pmf[10] = 0.3  # the mode
     pmf[40:48] = 0.06  # lump holding more windowed mass (0.48) off-mode
-    peak, spec = cumul_peak(pmf, 8 / 64, g)
+    peak, spec = peak_one(pmf, 8 / 64, g)
     assert peak == pytest.approx(0.3)
     half = spec.beamwidth / 2
     assert spec.direction - half <= g.points[10] <= spec.direction + half
@@ -64,7 +78,7 @@ def test_cumul_peak_clamps_to_region_edge():
     g = grid_of(64)
     pmf = np.zeros(64)
     pmf[0] = 1.0
-    peak, spec = cumul_peak(pmf, 0.25, g)
+    peak, spec = peak_one(pmf, 0.25, g)
     assert peak == pytest.approx(1.0)
     assert spec.direction == pytest.approx(ROI.u_left + 0.125)
 
@@ -72,13 +86,13 @@ def test_cumul_peak_clamps_to_region_edge():
 def test_cumul_peak_wider_than_region_centers():
     g = grid_of(16)
     pmf = np.full(16, 1 / 16)
-    _, spec = cumul_peak(pmf, 2.0, g)
+    _, spec = peak_one(pmf, 2.0, g)
     assert spec.direction == pytest.approx(ROI.center)
 
 
 def test_cumul_peak_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        cumul_peak(np.ones(8) / 8, 0.5, grid_of(16))
+        peak_one(np.ones(8) / 8, 0.5, grid_of(16))
 
 
 # ---------------------------------------------------------- select_next_beam
@@ -88,7 +102,7 @@ def test_select_halves_when_mass_is_concentrated():
     g = grid_of(64)
     pmf = np.full(64, 0.1 / 48)
     pmf[24:40] = 0.9 / 16  # 0.9 inside a quarter-width lump
-    spec, peak = select_next_beam(pmf, 0.5, 0.6, g)
+    spec, peak = select_one(pmf, 0.5, 0.6, g)
     assert spec.beamwidth == pytest.approx(0.25)
     assert peak >= 0.6
 
@@ -96,7 +110,7 @@ def test_select_halves_when_mass_is_concentrated():
 def test_select_resets_to_initial_on_uniform():
     g = grid_of(64)
     pmf = np.full(64, 1.0 / 64)
-    spec, peak = select_next_beam(pmf, 0.25, 0.6, g)
+    spec, peak = select_one(pmf, 0.25, 0.6, g)
     assert spec.beamwidth == pytest.approx(ROI.width)
     assert spec.direction == pytest.approx(ROI.center)
     assert peak == pytest.approx(1.0)
@@ -106,7 +120,7 @@ def test_select_rewidens_to_recover_spread_mass():
     g = grid_of(64)
     pmf = np.full(64, 0.3 / 48)
     pmf[16:32] = 0.7 / 16  # 0.7 spread over a quarter of the region
-    spec, peak = select_next_beam(pmf, 1.0 / 8, 0.6, g)
+    spec, peak = select_one(pmf, 1.0 / 8, 0.6, g)
     # half width (1/16) and the current width both fail; one doubling wins
     assert spec.beamwidth == pytest.approx(0.25)
     assert peak == pytest.approx(0.7)
@@ -116,9 +130,25 @@ def test_select_validates_inputs():
     g = grid_of(16)
     pmf = np.full(16, 1 / 16)
     with pytest.raises(ValueError):
-        select_next_beam(pmf, 0.5, 1.5, g)
+        select_one(pmf, 0.5, 1.5, g)
     with pytest.raises(ValueError):
-        select_next_beam(pmf, 0.0, 0.5, g)
+        select_one(pmf, 0.0, 0.5, g)
+
+
+@pytest.mark.parametrize(
+    "width", [np.nan, np.inf, -0.25], ids=["nan", "inf", "negative"]
+)
+def test_select_rejects_a_width_that_is_not_positive_and_finite(width):
+    # a NaN width used to fail every "bw < widest" test and reset silently
+    # to the region-wide beam
+    g = grid_of(16)
+    pmf = np.full((2, 16), 1 / 16)
+    with pytest.raises(ValueError, match="positive and finite"):
+        select_next_beam(pmf, [0.5, width], 0.6, g)
+    with pytest.raises(ValueError, match="positive and finite"):
+        cumul_peak(pmf, [width, 0.5], g)
+    with pytest.raises(ValueError, match="one beamwidth per trial"):
+        select_next_beam(pmf, [0.5], 0.6, g)
 
 
 # ---------------------------------------------------------- hier_beam_search

@@ -20,6 +20,16 @@ class TestUlaManifold:
     def test_broadside_is_all_ones(self):
         assert np.array_equal(ula_manifold(4, 0.0), np.ones(4))
 
+    def test_rows_of_many_angles_equal_lone_vectors_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        us = np.concatenate([rng.uniform(-1, 1, 200), np.arange(-64, 64) / 64])
+        for n in (1, 7, 61, 64):
+            rows = ula_manifold(n, us)
+            assert rows.shape == (len(us), n)
+            for row, u in zip(rows, us.tolist()):
+                assert row.tobytes() == ula_manifold(n, u).tobytes()
+                assert row.tobytes() == np.exp(1j * np.pi * u * np.arange(n)).tobytes()
+
     def test_known_quarter_turn_entries(self):
         phi = ula_manifold(3, 0.5)
         expected = np.array([1.0, 1j, -1.0])

@@ -3,7 +3,7 @@ import pytest
 
 import scalar_beams
 from svamsim import beams, harness
-from svamsim.arrays import RegionOfInterest, manifold_matrix
+from svamsim.arrays import RegionOfInterest, manifold_matrix, ula_manifold
 from svamsim.beams import (
     BeamSpec,
     beam_gain,
@@ -99,11 +99,20 @@ class TestDesignBeamformer:
 
     def test_matched_beam_gain_sqrt_m(self):
         m, u0 = 16, 0.3
-        from svamsim.arrays import ula_manifold
-
         matched = ula_manifold(m, u0) / np.sqrt(m)
         assert beam_gain(matched, u0) == pytest.approx(np.sqrt(m))
         np.testing.assert_allclose(beam_gain(np.array([1.0 + 0j]), 0.7), 1.0)
+
+    def test_stacked_gains_equal_lone_vdot_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for m in (1, 3, 15, 16, 61, 64):
+            w = rng.standard_normal((40, m)) + 1j * rng.standard_normal((40, m))
+            us = rng.uniform(-1, 1, 40)
+            got = beam_gain(w, us)
+            assert got.shape == (40,)
+            for z, row, u in zip(got.tolist(), w, us):
+                assert abs(z) ** 2 == abs(np.vdot(row, ula_manifold(m, u))) ** 2
+                assert z == beam_gain(row, float(u))
 
     def test_sub_resolution_width_floors_at_aperture_limit(self):
         bf = design_beamformer(BeamSpec(0.5, 1.0 / 256), 61)
@@ -204,6 +213,15 @@ class TestPrototypeCache:
         assert beams._prototype.cache_info().currsize == 1
         proto, method = beams._prototype(61, 0.25, 0.35)
         assert method == "remez" and not proto.flags.writeable
+
+    def test_beams_under_the_floor_share_one_taps_array(self, cold_design_cache):
+        # both requests floor to the design band [0.5 - 1/61, 0.5 + 1/61):
+        # one design, one array for every per-beam cache keyed on it
+        a = design_beamformer(BeamSpec(0.5, 1.0 / 256), 61)
+        b = design_beamformer(BeamSpec(0.5, 1.0 / 1024), 61)
+        assert a.weights is b.weights
+        assert a.passband == b.passband and a.spec != b.spec
+        assert beams._design_weights.cache_info().currsize == 1
 
     def test_one_exchange_per_band_shape_in_an_alignment_run(
         self, cold_design_cache, monkeypatch

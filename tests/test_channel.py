@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from svamsim.arrays import ula_manifold
-from svamsim.channel import ChannelParams, antenna_snapshot, combine
+from svamsim.channel import (
+    ChannelParams,
+    antenna_blocks,
+    antenna_snapshot,
+    combine,
+    noiseless_snapshot,
+)
 
 
 class TestChannelParams:
@@ -128,3 +134,27 @@ class TestCombine:
             [combine(w, antenna_snapshot(params, 6, rng)) for _ in range(60_000)]
         )
         assert abs(np.mean(np.abs(outs) ** 2) - 1.5) < 0.05
+
+
+class TestAntennaBlocks:
+    def test_in_place_noise_equals_the_complex_expression_bit_for_bit(self):
+        # signal + scale * (real + 1j * imaginary), built from the same
+        # draws; the noiseless middle row adds an exact zero to its signal
+        n, count = 9, 4
+        variances = np.array([0.7, 0.0, 2.5])
+        signals = np.stack([
+            noiseless_snapshot(ChannelParams((k - 1.5) * np.exp(1j * k), 0.2 * k), n)
+            for k in range(3)
+        ])
+        signals[1, 0] = -0.0  # a negative zero meets the noiseless zero
+        got = antenna_blocks(
+            signals, variances, [np.random.default_rng(5 + k) for k in range(3)], count
+        )
+        noise = np.zeros((3, count, 2, n))
+        for k, variance in enumerate(variances):
+            if variance > 0.0:
+                np.random.default_rng(5 + k).standard_normal(out=noise[k])
+        scale = np.sqrt(variances / 2.0)[:, None, None]
+        want = signals[:, None, :] + scale * (noise[..., 0, :] + 1j * noise[..., 1, :])
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()

@@ -428,12 +428,13 @@ def test_crb_table_rejects_bad_sizes(scheme, n_v, total_snapshots, tmp_path):
     grid = AngularGrid(ROI, 8)
     with pytest.raises(ValueError):
         crb_table(scheme, 16, n_v, total_snapshots, grid, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemExit) as exc:
         cli_main(
             ["crb", "--scheme", scheme, "--n", "16", "--nv", str(n_v),
              "--snapshots", str(total_snapshots), "--grid", "8",
              "--out", str(tmp_path / "crb.csv")]
         )
+    assert exc.value.code == 2
 
 
 def _count_expansions(monkeypatch) -> list:
@@ -537,6 +538,22 @@ def test_cli_align_smoke(tmp_path, capsys):
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["trial_count"] == "2"
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [(["--nv", "0"], "virtual size 0 outside [1, aperture 64]"),
+     (["--snr-db=-4000"], "SNR -4000.0 dB gives no positive finite noise power")],
+    ids=["nv_zero", "snr_underflow"],
+)
+def test_cli_reports_a_rejected_config_in_one_line(flag, message, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["sweep", "--experiment", "rmse_vs_snr", "--trials", "1",
+                  "--out", str(out)] + flag)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"svamsim: error: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_sweep_with_config_file(tmp_path):
