@@ -70,6 +70,17 @@ NOISELESS_VAR_FLOOR = 1e-12
 CODEBOOK_MODES = ("flexible", "hierarchical")
 
 
+def check_blocks(n: int, n_v: int, total_snapshots: int) -> None:
+    """Reject a block layout that cannot run: n_v outside [1, n], no
+    snapshot, or blocks of n_v that do not tile the snapshots."""
+    if not (1 <= n_v <= n):
+        raise ValueError(f"virtual size {n_v} outside [1, aperture {n}]")
+    if total_snapshots < 1:
+        raise ValueError("need at least one snapshot")
+    if total_snapshots % n_v:
+        raise ValueError(f"block size {n_v} must divide {total_snapshots} snapshots")
+
+
 @dataclass(frozen=True)
 class AdaptConfig:
     """Static description of one alignment run."""
@@ -86,16 +97,9 @@ class AdaptConfig:
     def __post_init__(self) -> None:
         for name in ("n", "n_v", "grid_size", "total_snapshots"):
             object.__setattr__(self, name, check_integer(name, getattr(self, name)))
-        if not (1 <= self.n_v <= self.n):
-            raise ValueError(f"virtual size {self.n_v} outside [1, aperture {self.n}]")
+        check_blocks(self.n, self.n_v, self.total_snapshots)
         if self.grid_size < 1:
             raise ValueError(f"grid size must be positive, got {self.grid_size}")
-        if self.total_snapshots < 1:
-            raise ValueError("need at least one snapshot")
-        if self.total_snapshots % self.n_v:
-            raise ValueError(
-                f"block size {self.n_v} must divide {self.total_snapshots} snapshots"
-            )
         if not (0.0 < self.p_thresh < 1.0):
             raise ValueError("confidence threshold must lie in (0, 1)")
         if self.codebook not in CODEBOOK_MODES:

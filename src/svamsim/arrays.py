@@ -33,9 +33,10 @@ def check_integer(name: str, value) -> int:
 
 
 def _check_size(n: int) -> int:
-    if int(n) != n or n < 1:
-        raise ValueError(f"array size must be a positive integer, got {n}")
-    return int(n)
+    n = check_integer("array size", n)
+    if n < 1:
+        raise ValueError(f"array size must be positive, got {n}")
+    return n
 
 
 @dataclass(frozen=True)

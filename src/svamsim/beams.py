@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.signal import remez
 
-from .arrays import U_MAX, U_MIN, RegionOfInterest, ula_manifold
+from .arrays import U_MAX, U_MIN, RegionOfInterest, check_integer, ula_manifold
 from .channel import combine
 
 
@@ -215,10 +215,11 @@ def design_beamformer(spec: BeamSpec, m: int) -> Beamformer:
         Steered, normalized taps plus the method actually used ("remez",
         or "least-squares" when the exchange fails to converge).
     """
-    if int(m) != m or m < 1:
-        raise ValueError(f"tap count must be a positive integer, got {m}")
-    band_lo, band_hi, width = _design_band(*spec.passband(), int(m))
-    weights, method = _design_weights(band_lo, band_hi, width, int(m))
+    m = check_integer("tap count", m)
+    if m < 1:
+        raise ValueError(f"tap count must be positive, got {m}")
+    band_lo, band_hi, width = _design_band(*spec.passband(), m)
+    weights, method = _design_weights(band_lo, band_hi, width, m)
     return Beamformer(
         weights=weights, spec=spec, method=method, passband=(band_lo, band_hi)
     )
@@ -284,8 +285,9 @@ def build_hierarchical_codebook(
     of each level tile the region without gaps or overlap. When grid_size is
     given, the deepest level must still be resolvable on that grid.
     """
-    if int(depth) != depth or depth < 0:
-        raise ValueError(f"depth must be a nonnegative integer, got {depth}")
+    depth = check_integer("depth", depth)
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
     if grid_size is not None and 2**depth > grid_size:
         raise ValueError(
             f"depth {depth} needs {2**depth} leaf nodes but the grid has "

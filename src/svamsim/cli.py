@@ -7,7 +7,7 @@ import argparse
 import sys
 
 from .arrays import AngularGrid, RegionOfInterest
-from .beams import build_hierarchical_codebook
+from .beams import HierarchicalCodebook, build_hierarchical_codebook
 from .harness import (
     CONFIG_KEYS,
     CRB_SCHEMES,
@@ -31,9 +31,8 @@ _parse_roi = CONFIG_KEYS["roi"].parse
 _CRB_KEYS = ("n", "n_v", "grid_size", "total_snapshots", "snr_db", "roi", "out")
 
 
-def _base_config(args, experiment: str) -> ExperimentConfig:
+def _base_config(args) -> ExperimentConfig:
     overrides = {key: getattr(args, key, None) for key in CONFIG_KEYS}
-    overrides["experiment"] = experiment
     if args.config:
         return config_from_file(args.config, **overrides)
     return ExperimentConfig(**{k: v for k, v in overrides.items() if v is not None})
@@ -55,8 +54,7 @@ def _add_common(
         )
 
 
-def _cmd_align(args) -> int:
-    config = _base_config(args, "rmse_vs_snr")
+def _cmd_align(args, config: ExperimentConfig) -> int:
     # a single operating point: first value of every sweep axis
     adapt = config.adapt(config.n_v[0], config.p_thresh[0], config.noise_scale[0])
     snr = config.snr_db[0]
@@ -74,8 +72,7 @@ def _cmd_align(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    config = _base_config(args, args.experiment)
+def _cmd_sweep(args, config: ExperimentConfig) -> int:
     rows = run_experiment(config)
     out = config.out or f"{config.experiment}.csv"
     emit_csv(rows, out)
@@ -83,8 +80,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_crb(args) -> int:
-    config = _base_config(args, "crb_sweep")
+def _cmd_crb(args, config: ExperimentConfig) -> int:
     # like align: first value of every sweep axis
     grid = AngularGrid(config.roi, config.grid_size)
     rows = crb_table(
@@ -97,8 +93,11 @@ def _cmd_crb(args) -> int:
     return 0
 
 
-def _cmd_codebook(args) -> int:
-    book = build_hierarchical_codebook(args.roi, args.depth, args.m)
+def _design_codebook(args) -> HierarchicalCodebook:
+    return build_hierarchical_codebook(args.roi, args.depth, args.m)
+
+
+def _cmd_codebook(args, book: HierarchicalCodebook) -> int:
     out = args.out or "codebook.csv"
     write_codebook(book, out)
     print(f"{2**(book.depth + 1) - 1} beams -> {out}")
@@ -120,12 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p_align)
     p_align.add_argument("--trajectories", help="per-segment trace CSV path")
-    p_align.set_defaults(run=_cmd_align)
+    p_align.set_defaults(experiment="rmse_vs_snr", setup=_base_config, run=_cmd_align)
 
     p_sweep = sub.add_parser("sweep", help="full experiment sweep to CSV")
     p_sweep.add_argument("--experiment", required=True, choices=EXPERIMENT_KINDS)
     _add_common(p_sweep)
-    p_sweep.set_defaults(run=_cmd_sweep)
+    p_sweep.set_defaults(setup=_base_config, run=_cmd_sweep)
 
     p_crb = sub.add_parser(
         "crb",
@@ -135,14 +134,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_crb.add_argument("--scheme", required=True, choices=CRB_SCHEMES)
     _add_common(p_crb, _CRB_KEYS)
-    p_crb.set_defaults(run=_cmd_crb)
+    p_crb.set_defaults(experiment="crb_sweep", setup=_base_config, run=_cmd_crb)
 
     p_book = sub.add_parser("codebook", help="export a dyadic beam codebook")
     p_book.add_argument("--depth", type=int, required=True)
     p_book.add_argument("--m", type=int, default=61, help="taps per beam")
     p_book.add_argument("--roi", type=_parse_roi, default=RegionOfInterest(0.0, 1.0))
     p_book.add_argument("--out")
-    p_book.set_defaults(run=_cmd_codebook)
+    p_book.set_defaults(setup=_design_codebook, run=_cmd_codebook)
 
     return parser
 
@@ -151,11 +150,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        setup = args.setup(args)
     except ValueError as exc:
         # a configuration the library rejects ends like a bad flag: one
-        # line on stderr and exit status 2, not a traceback
+        # line on stderr and exit status 2, not a traceback; a fault while
+        # the command runs keeps its traceback and exit status 1
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    return args.run(args, setup)
 
 
 if __name__ == "__main__":

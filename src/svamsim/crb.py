@@ -8,10 +8,10 @@ the bounds depend on them only through that ratio. Singular geometries
 (no angle information in the measurements) yield an infinite bound,
 reported explicitly rather than raised.
 
-Every bound, the gain term and the certificate take the angle u as a float
-or as a 1-D array of angles. A float returns one result, an array a list
-with one result per angle. One call builds the steering vectors and
-derivatives of all its angles once, and the bank's energy once.
+Every bound and the certificate take the angle u as a float or as a 1-D
+array of angles. A float returns one result, an array a list with one
+result per angle. One call builds the steering vectors and derivatives of
+all its angles once, and the bank's energy once.
 
 A practical caveat: the adaptive estimators in this package pick the
 posterior argmax on a finite grid and are therefore biased; for them these
@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrays import ula_manifold
+
 # Relative level below which a Fisher denominator is considered exactly
 # singular: rank-deficient geometries hit zero only up to roundoff.
 _SINGULAR_RTOL = 1e-12
@@ -32,16 +34,13 @@ _SINGULAR_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class CrbResult:
-    """Variance bound plus the pieces it was assembled from.
+    """Variance bound, infinite iff the Fisher denominator vanishes.
 
-    bound = prefactor / fisher_denominator, infinite iff the denominator
-    vanishes. gain_term carries the virtual-aperture contribution for the
-    sliding scheme and is None otherwise.
+    gain_term carries the virtual-aperture contribution for the sliding
+    scheme and is None otherwise.
     """
 
     bound: float
-    fisher_denominator: float
-    prefactor: float
     gain_term: float | None = None
 
     @property
@@ -58,18 +57,8 @@ def _check_noise_terms(noise_var: float) -> float:
 def _finish(prefactor: float, denominator: float, scale: float,
             gain_term: float | None = None) -> CrbResult:
     if denominator <= _SINGULAR_RTOL * max(scale, 1e-300):
-        return CrbResult(
-            bound=math.inf,
-            fisher_denominator=0.0,
-            prefactor=prefactor,
-            gain_term=gain_term,
-        )
-    return CrbResult(
-        bound=prefactor / denominator,
-        fisher_denominator=denominator,
-        prefactor=prefactor,
-        gain_term=gain_term,
-    )
+        return CrbResult(bound=math.inf, gain_term=gain_term)
+    return CrbResult(bound=prefactor / denominator, gain_term=gain_term)
 
 
 def _bank(w: np.ndarray) -> np.ndarray:
@@ -94,13 +83,12 @@ def _per_angle(results: list, single: bool):
 def _steering_rows(m: int, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Length-m steering vectors and their u-derivatives, one row per angle.
 
-    Row g of phi is bit-equal to ula_manifold(m, us[g]), and row g of the
-    derivative is j*pi*k times it, entry by entry; manifold_matrix rounds
-    its phases differently.
+    Row g of phi is ula_manifold(m, us[g]), and row g of the derivative is
+    j*pi*k times it, entry by entry; manifold_matrix rounds its phases
+    differently.
     """
-    k = np.arange(m)
-    phi = np.exp((1j * np.pi * us)[:, None] * k)
-    return phi, (1j * np.pi * k) * phi
+    phi = ula_manifold(m, us)
+    return phi, (1j * np.pi * np.arange(m)) * phi
 
 
 def _responses(bank: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
@@ -111,6 +99,25 @@ def _responses(bank: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
     """
     bank_h = bank.conj().T
     return [bank_h @ row for row in rows]
+
+
+def _known_gain_bounds(
+    bank: np.ndarray, repeats: int, u, noise_var: float
+) -> CrbResult | list[CrbResult]:
+    """Known-gain bound of full-length combiners, each column held for
+    `repeats` snapshots, at the angle(s) u: the repetition multiplies the
+    projected derivative energy."""
+    bank = _bank(bank)
+    prefactor = _check_noise_terms(noise_var)
+    us, single = _angles(u)
+    _, d = _steering_rows(bank.shape[0], us)
+    energy = float(np.sum(np.abs(bank) ** 2))
+    results = []
+    for d_row, projected in zip(d, _responses(bank, d)):
+        denom = repeats * float(np.vdot(projected, projected).real)
+        scale = repeats * float(np.vdot(d_row, d_row).real) * energy
+        results.append(_finish(prefactor, denom, scale))
+    return _per_angle(results, single)
 
 
 def crb_general(w: np.ndarray, u, noise_var: float) -> CrbResult | list[CrbResult]:
@@ -125,17 +132,7 @@ def crb_general(w: np.ndarray, u, noise_var: float) -> CrbResult | list[CrbResul
     noise_var : float
         Per-element noise power relative to the received path gain's power.
     """
-    w = _bank(w)
-    prefactor = _check_noise_terms(noise_var)
-    us, single = _angles(u)
-    _, d = _steering_rows(w.shape[0], us)
-    w_energy = float(np.sum(np.abs(w) ** 2))
-    results = []
-    for d_row, projected in zip(d, _responses(w, d)):
-        denom = float(np.vdot(projected, projected).real)
-        scale = float(np.vdot(d_row, d_row).real) * w_energy
-        results.append(_finish(prefactor, denom, scale))
-    return _per_angle(results, single)
+    return _known_gain_bounds(w, 1, u, noise_var)
 
 
 def crb_benchmark(
@@ -147,19 +144,9 @@ def crb_benchmark(
     """Bound for full-aperture combining with each beamformer held for n_v
     snapshots, at the angle(s) u. Works on the per-segment beamformers
     directly; the block repetition contributes the factor n_v."""
-    f = _bank(f)
     if n_v < 1:
         raise ValueError("block size must be positive")
-    prefactor = _check_noise_terms(noise_var)
-    us, single = _angles(u)
-    _, d = _steering_rows(f.shape[0], us)
-    f_energy = float(np.sum(np.abs(f) ** 2))
-    results = []
-    for d_row, projected in zip(d, _responses(f, d)):
-        denom = n_v * float(np.vdot(projected, projected).real)
-        scale = n_v * float(np.vdot(d_row, d_row).real) * f_energy
-        results.append(_finish(prefactor, denom, scale))
-    return _per_angle(results, single)
+    return _known_gain_bounds(f, n_v, u, noise_var)
 
 
 def _svam_gram_terms(
@@ -181,13 +168,7 @@ def _svam_gram_terms(
 
 
 def _virtual_gain(n_v: int, steering_energy: float, cross: complex) -> float:
-    quad = np.pi**2 * (n_v - 1) * (2 * n_v - 1) / 6.0 * steering_energy
-    return quad - np.pi * (n_v - 1) * cross.imag
-
-
-def gain_term(f: np.ndarray, n_v: int, u) -> float | list[float]:
-    """Virtual-aperture contribution to the sliding-scheme Fisher denominator
-    at the angle(s) u:
+    """Virtual-aperture contribution to the sliding-scheme Fisher denominator:
 
         pi^2 (n_v-1)(2 n_v-1)/6 * ||F^H phi||^2
             - pi (n_v-1) * Im{ (d phi)^H F F^H phi }.
@@ -195,10 +176,8 @@ def gain_term(f: np.ndarray, n_v: int, u) -> float | list[float]:
     Can be negative for adversarial beamformers; see
     gain_condition_sufficient for a certificate of nonnegativity.
     """
-    us, single = _angles(u)
-    terms = _svam_gram_terms(_bank(f), us)
-    gains = [_virtual_gain(n_v, se, cross) for _, se, cross, _ in terms]
-    return _per_angle(gains, single)
+    quad = np.pi**2 * (n_v - 1) * (2 * n_v - 1) / 6.0 * steering_energy
+    return quad - np.pi * (n_v - 1) * cross.imag
 
 
 def crb_svam(
@@ -211,7 +190,9 @@ def crb_svam(
 
     f stacks the per-segment length-m beamformers as columns. Equals
     crb_general on the expanded full-length combiner bank, but is computed
-    from m-sized Gram products without materializing the expansion.
+    from m-sized Gram products without materializing the expansion. Each
+    result's gain_term is the virtual-aperture contribution in its Fisher
+    denominator (see _virtual_gain).
     """
     f = _bank(f)
     if n_v < 1:

@@ -24,6 +24,7 @@ from .adaptive import (
     CODEBOOK_MODES,
     AdaptConfig,
     TrialRecord,
+    check_blocks,
     run_alignment,
     run_hiepm_known_alpha,
 )
@@ -270,6 +271,10 @@ def bootstrap_rmse_interval(
     sq = np.asarray(squared_errors, dtype=float)
     if sq.ndim != 1 or len(sq) == 0:
         raise ValueError("need a nonempty vector of squared errors")
+    if not np.isfinite(sq).all():
+        raise ValueError("squared errors must be finite")
+    if check_integer("resamples", resamples) < 1:
+        raise ValueError(f"need at least one resample, got {resamples}")
     if not (0.0 < confidence < 1.0):
         raise ValueError("confidence must lie in (0, 1)")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xB007,)))
@@ -368,12 +373,7 @@ def _bound_noise_variance(
     n: int, n_v: int, total_snapshots: int, snr_db: float
 ) -> float:
     """Check the sizes and SNR of one bound point; its noise variance."""
-    if not (1 <= n_v <= n):
-        raise ValueError(f"virtual size {n_v} outside [1, aperture {n}]")
-    if total_snapshots < 1:
-        raise ValueError("need at least one snapshot")
-    if total_snapshots % n_v:
-        raise ValueError(f"block size {n_v} must divide {total_snapshots} snapshots")
+    check_blocks(n, n_v, total_snapshots)
     noise_var = noise_variance_from_snr(snr_db)
     if noise_var <= 0:
         raise ValueError("noise variance must be positive for a finite bound")
@@ -387,7 +387,6 @@ def _scheme_bounds(
     total_snapshots: int,
     grid: AngularGrid,
     snr_db: float,
-    beam: BeamSpec | None = None,
 ) -> tuple[np.ndarray, list[CrbResult]]:
     """The scheme's repeated-beam bank and its bound at every grid point,
     from one bound call over the whole grid.
@@ -395,13 +394,12 @@ def _scheme_bounds(
     The bank is designed once: full-aperture taps for benchmark,
     sub-aperture taps otherwise. general and unknown-alpha work on the
     sliding combiners, expanded once to N x L; svam and benchmark need no
-    expansion. The beam defaults to one covering the grid's region.
+    expansion. The beam covers the grid's region.
     """
     if scheme not in CRB_SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     noise_var = _bound_noise_variance(n, n_v, total_snapshots, snr_db)
-    if beam is None:
-        beam = BeamSpec(grid.roi.center, grid.roi.width)
+    beam = BeamSpec(grid.roi.center, grid.roi.width)
     m = n if scheme == "benchmark" else n - n_v + 1
     bank = region_beam_bank(beam, m, total_snapshots // n_v)
     if scheme == "svam":
@@ -503,16 +501,16 @@ def crb_table(
     total_snapshots: int,
     grid: AngularGrid,
     snr_db: float,
-    beam: BeamSpec | None = None,
 ) -> list[dict]:
-    """Bound sweep over the grid for one scheme and a fixed (repeated) beam.
+    """Bound sweep over the grid for one scheme and a fixed (repeated) beam
+    covering the grid's region.
 
     general expands the sliding combiners explicitly and must match svam;
     benchmark repeats a full-aperture beam; unknown-alpha drops the
     known-gain assumption on the expanded combiners. svam rows add the
     virtual-aperture gain term and its nonnegativity certificate.
     """
-    bank, bounds = _scheme_bounds(scheme, n, n_v, total_snapshots, grid, snr_db, beam)
+    bank, bounds = _scheme_bounds(scheme, n, n_v, total_snapshots, grid, snr_db)
     if scheme == "svam":
         holds = [h for h, _, _ in gain_condition_sufficient(bank, grid.points)]
     else:

@@ -95,12 +95,6 @@ def _virtual_gain(n_v: int, steering_energy: float, cross: complex) -> float:
     return quad - np.pi * (n_v - 1) * cross.imag
 
 
-def gain_term(f: np.ndarray, n_v: int, u: float) -> float:
-    f = np.atleast_2d(np.asarray(f, dtype=complex))
-    _, steering_energy, cross, _ = _svam_gram_terms(f, u)
-    return _virtual_gain(n_v, steering_energy, cross)
-
-
 def crb_svam(
     f: np.ndarray,
     n_v: int,

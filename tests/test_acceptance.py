@@ -33,7 +33,6 @@ from svamsim import (
     crb_unknown_alpha,
     emit_csv,
     gain_condition_sufficient,
-    gain_term,
     gamma_mle,
     likelihood_terms,
     measure_segment,
@@ -280,7 +279,7 @@ def test_criterion_05_nonnegativity_certificate_is_sound():
         u = float(rng.uniform(-1.0, 1.0))
         f = _unit_columns(rng, m, t_count)
         holds, _, _ = gain_condition_sufficient(f, u)
-        g = gain_term(f, n_v, u)
+        g = crb_svam(f, n_v, u, 1.0).gain_term
         if holds:
             certified += 1
             if g < -1e-9:

@@ -5,6 +5,7 @@ reading zero while every other test passes."""
 import ast
 import importlib.util
 import inspect
+import symtable
 from pathlib import Path
 
 import svamsim
@@ -53,15 +54,55 @@ EXPORTED_WITHOUT_A_CALLER = {
 }
 
 
+# what `from svamsim import ...` or `from . import ...` may bind to a module
+MODULE_NAMES = {"svamsim"} | {path.stem for path in PACKAGE_DIR.glob("*.py")}
+
+
+def _global_reads(table: symtable.SymbolTable) -> set[str]:
+    """Names read at module level, or read in a nested scope that resolves
+    them to the module's globals; a parameter or local of the same
+    spelling does not count."""
+    names = {
+        symbol.get_name()
+        for symbol in table.get_symbols()
+        if symbol.is_referenced()
+        and (table.get_type() == "module" or symbol.is_global())
+    }
+    return names.union(*(_global_reads(child) for child in table.get_children()))
+
+
+def _module_aliases(tree: ast.Module) -> set[str]:
+    """Names a module binds to an imported module."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {
+                alias.asname or alias.name.split(".")[0] for alias in node.names
+            }
+        elif isinstance(node, ast.ImportFrom):
+            aliases |= {
+                alias.asname or alias.name
+                for alias in node.names
+                if alias.name in MODULE_NAMES
+            }
+    return aliases
+
+
 def _names_read(path: Path) -> set[str]:
-    """Every name a module reads, bare or as an attribute."""
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+    """Every global name a module reads, and every attribute it reads off an
+    imported module (harness.crb_table); an attribute of any other object
+    (res.gain_term) is not a read of the exported name."""
+    source = path.read_text()
+    tree = ast.parse(source)
+    aliases = _module_aliases(tree)
+    attributes = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in aliases
+    }
+    return _global_reads(symtable.symtable(source, str(path), "exec")) | attributes
 
 
 def test_every_exported_name_has_a_caller_outside_the_tests():
@@ -79,7 +120,7 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
 # Lower this ceiling whenever a knob goes. Raise it only for a new option
 # that two callers outside the tests (the harness, the CLI, a config key, the
 # benchmark) need with different values; a value only tests set is a constant.
-SETTABLE_VALUE_CEILING = 182
+SETTABLE_VALUE_CEILING = 176
 
 
 def test_settable_values_stay_under_the_ceiling():

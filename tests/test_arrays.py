@@ -48,6 +48,14 @@ class TestUlaManifold:
     def test_zero_size_rejected(self):
         with pytest.raises(ValueError):
             ula_manifold(0, 0.1)
+        # a bool or a float is no size, even when it equals a valid one
+        for size in (True, 16.0):
+            with pytest.raises(ValueError, match="must be an integer"):
+                ula_manifold(size, 0.1)
+            with pytest.raises(ValueError, match="must be an integer"):
+                manifold_matrix(size, [0.1])
+            with pytest.raises(ValueError, match="must be an integer"):
+                AngularGrid(RegionOfInterest(0.0, 1.0), size)
 
     def test_matrix_matches_columns(self):
         us = np.array([-0.4, 0.0, 0.7])

@@ -132,6 +132,9 @@ class TestDesignBeamformer:
     def test_bad_tap_count_rejected(self):
         with pytest.raises(ValueError):
             design_beamformer(BeamSpec(0.0, 0.5), 0)
+        for taps in (True, 16.0):
+            with pytest.raises(ValueError, match="must be an integer"):
+                design_beamformer(BeamSpec(0.0, 0.5), taps)
 
 
 class TestLeastSquaresFallback:
@@ -293,6 +296,10 @@ class TestHierarchicalCodebook:
             build_hierarchical_codebook(
                 RegionOfInterest(0.0, 1.0), depth=7, m=8, grid_size=64
             )
+        # neither a bool nor a float is a depth or a tap count
+        for depth, m in ((True, 8), (2.0, 8), (2, True), (2, 8.0)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                build_hierarchical_codebook(RegionOfInterest(0.0, 1.0), depth, m)
 
     def test_root_is_region_wide_beam(self):
         roi = RegionOfInterest(0.0, 1.0)

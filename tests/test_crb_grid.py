@@ -9,8 +9,8 @@ import pytest
 import scalar_bounds
 from svamsim.arrays import AngularGrid, RegionOfInterest
 from svamsim.beams import BeamSpec
-from svamsim.crb import crb_general, crb_svam, gain_condition_sufficient, gain_term
-from svamsim.harness import CRB_SCHEMES, crb_table, region_beam_bank
+from svamsim.crb import crb_general, crb_svam, gain_condition_sufficient
+from svamsim.harness import CRB_SCHEMES, region_beam_bank
 
 ROI = RegionOfInterest(0.0, 1.0)
 N, SNAPSHOTS, SNR_DB = 32, 24, -10.0  # every block size below divides 24
@@ -30,19 +30,11 @@ def test_grid_bounds_equal_the_oracle_at_every_point(scheme, n_v, beam):
     assert grid == oracle
     if scheme == "unknown-alpha" and n_v == 1:
         assert all(math.isinf(res.bound) for res in grid)
-    rows = crb_table(scheme, N, n_v, SNAPSHOTS, GRID, SNR_DB, beam)
-    assert [row["bound"] for row in rows] == [res.bound for res in oracle]
-    assert [row["g_term"] for row in rows] == [res.gain_term for res in oracle]
     if scheme != "svam":
-        assert all(row["condition_holds"] is None for row in rows)
         return
     us = [float(u) for u in GRID.points]
-    assert gain_term(bank, n_v, GRID.points) == [
-        scalar_bounds.gain_term(bank, n_v, u) for u in us
-    ]
     certificates = gain_condition_sufficient(bank, GRID.points)
     expected = [scalar_bounds.gain_condition_sufficient(bank, u) for u in us]
-    assert [row["condition_holds"] for row in rows] == [c[0] for c in expected]
     for (holds, lhs, rhs), (ref_holds, ref_lhs, ref_rhs) in zip(certificates, expected):
         assert (holds, lhs) == (ref_holds, ref_lhs)
         assert rhs == pytest.approx(ref_rhs, rel=1e-13)

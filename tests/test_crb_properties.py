@@ -68,7 +68,9 @@ def test_grid_tables_equal_the_oracle(case):
             assert [res.bound for res in scaled] == [k * res.bound for res in on_grid]
         rows = crb_table(scheme, n, n_v, total_snapshots, grid, snr_db)
         assert [row["bound"] for row in rows] == [res.bound for res in oracle]
+        assert [row["g_term"] for row in rows] == [res.gain_term for res in oracle]
         if scheme != "svam":
+            assert all(row["condition_holds"] is None for row in rows)
             continue
         holds = [row["condition_holds"] for row in rows]
         if bank.shape[0] == 1:  # the projector oracle needs two taps

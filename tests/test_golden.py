@@ -12,7 +12,6 @@ import hashlib
 import pytest
 
 from svamsim.arrays import AngularGrid, RegionOfInterest
-from svamsim.beams import BeamSpec
 from svamsim.cli import main as cli_main
 from svamsim.harness import (
     ExperimentConfig,
@@ -84,10 +83,6 @@ GOLDEN = {
     "crb_unknown-alpha": (
         "78627d89a47bb89a5fd36ad57b88fc84"
         "8bef809d84794c238c8bf8cf23211e4d"
-    ),
-    "crb_svam_offset_beam": (
-        "0b4b8ad295e9003a054d7b38e5419bd2"
-        "02e3ef0dc64386ba0f1a6bbf27b245d7"
     ),
     "trajectories": (
         "1875e3d384467f1cd751ae2c8bb2f16b"
@@ -161,14 +156,6 @@ def test_bound_table_csv_bytes(scheme, tmp_path):
     path = tmp_path / "crb.csv"
     write_crb_csv(rows, str(path))
     assert _sha(path) == GOLDEN[f"crb_{scheme}"]
-
-
-def test_bound_table_with_explicit_beam_csv_bytes(tmp_path):
-    grid = AngularGrid(ROI, 8)
-    rows = crb_table("svam", 16, 2, 8, grid, -5.0, beam=BeamSpec(0.25, 0.5))
-    path = tmp_path / "crb.csv"
-    write_crb_csv(rows, str(path))
-    assert _sha(path) == GOLDEN["crb_svam_offset_beam"]
 
 
 def test_trajectory_csv_bytes(tmp_path):

@@ -86,6 +86,14 @@ def test_bootstrap_interval_contains_point_rmse():
     point = math.sqrt(np.mean(sq))
     assert lo < point < hi
     assert (lo, hi) == bootstrap_rmse_interval(sq, resamples=500, seed=1)
+    # no resample or a non-finite error has no interval: a ValueError, not
+    # numpy's IndexError or a silent (nan, nan)
+    for resamples in (0, -1):
+        with pytest.raises(ValueError, match="resample"):
+            bootstrap_rmse_interval(sq, resamples=resamples)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            bootstrap_rmse_interval(np.append(sq, bad))
 
 
 # ------------------------------------------------------------------ seeding
@@ -554,6 +562,27 @@ def test_cli_reports_a_rejected_config_in_one_line(flag, message, tmp_path, caps
     assert exc.value.code == 2
     assert capsys.readouterr().err == f"svamsim: error: {message}\n"
     assert not out.exists()
+
+
+def test_cli_run_fault_keeps_its_traceback(monkeypatch, tmp_path):
+    # only a rejected configuration exits 2; a ValueError raised while an
+    # accepted one runs is a fault and propagates (exit status 1)
+    def broken(config):
+        raise ValueError("fault inside the run")
+
+    monkeypatch.setattr("svamsim.cli.run_experiment", broken)
+    with pytest.raises(ValueError, match="fault inside the run"):
+        cli_main(["sweep", "--experiment", "rmse_vs_snr", "--trials", "1",
+                  "--out", str(tmp_path / "x.csv")])
+
+
+def test_cli_codebook_reports_a_rejected_design_in_one_line(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["codebook", "--depth", "-1", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "svamsim: error: depth must be nonnegative, got -1\n"
+    )
 
 
 def test_cli_sweep_with_config_file(tmp_path):
