@@ -146,10 +146,6 @@ class TrialRecord:
     estimate: float
     segments: tuple[SegmentLog, ...]
 
-    @property
-    def squared_error(self) -> float:
-        return (self.estimate - self.true_angle) ** 2
-
 
 def _check_widths(widths: np.ndarray, trials: int) -> np.ndarray:
     """One positive, finite beamwidth per trial, as a float array."""

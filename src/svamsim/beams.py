@@ -42,7 +42,7 @@ class BeamSpec:
         if not (0.0 < self.beamwidth <= U_MAX - U_MIN):
             raise ValueError(f"beamwidth {self.beamwidth} outside (0, 2]")
         lo, hi = self.passband()
-        if hi - lo <= 0.0:
+        if not (hi - lo > 0.0):  # a NaN direction compares false
             raise ValueError(
                 f"beam at {self.direction} width {self.beamwidth} misses [-1, 1)"
             )
@@ -53,27 +53,18 @@ class BeamSpec:
         hi = min(self.direction + 0.5 * self.beamwidth, U_MAX)
         return lo, hi
 
-    @property
-    def ideal_gain(self) -> float:
-        """Power gain a lossless unit-norm beam concentrates on the
-        (clipped) passband: 2 / width."""
-        lo, hi = self.passband()
-        return 2.0 / (hi - lo)
-
 
 @dataclass(frozen=True, eq=False)
 class Beamformer:
     """Designed unit-norm combiner together with its provenance.
 
-    method is one of "remez", "least-squares", "allpass", "single-tap";
-    passband records the effective (clipped, resolution-floored) band the
-    prototype was designed for. weights are read-only.
+    method is one of "remez", "least-squares", "allpass", "single-tap".
+    weights are read-only.
     """
 
     weights: np.ndarray
     spec: BeamSpec
     method: str
-    passband: tuple[float, float]
 
     @property
     def size(self) -> int:
@@ -220,9 +211,7 @@ def design_beamformer(spec: BeamSpec, m: int) -> Beamformer:
         raise ValueError(f"tap count must be positive, got {m}")
     band_lo, band_hi, width = _design_band(*spec.passband(), m)
     weights, method = _design_weights(band_lo, band_hi, width, m)
-    return Beamformer(
-        weights=weights, spec=spec, method=method, passband=(band_lo, band_hi)
-    )
+    return Beamformer(weights=weights, spec=spec, method=method)
 
 
 def _weights_of(f: Beamformer | np.ndarray) -> np.ndarray:

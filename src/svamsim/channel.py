@@ -8,6 +8,7 @@ that product and nothing else scales it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,9 +28,9 @@ class ChannelParams:
 
     def __post_init__(self) -> None:
         # written so that NaN, which compares false, is rejected too
-        if not self.noise_variance >= 0:
+        if not (0 <= self.noise_variance < math.inf):
             raise ValueError(
-                f"noise variance must be nonnegative, got {self.noise_variance}"
+                f"noise variance {self.noise_variance} must be finite and nonnegative"
             )
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "u", check_angle(self.u))

@@ -43,14 +43,10 @@ class CrbResult:
     bound: float
     gain_term: float | None = None
 
-    @property
-    def is_singular(self) -> bool:
-        return math.isinf(self.bound)
-
 
 def _check_noise_terms(noise_var: float) -> float:
-    if noise_var <= 0:
-        raise ValueError("noise variance must be positive for a finite bound")
+    if not (0 < noise_var < math.inf):  # NaN compares false
+        raise ValueError(f"noise variance {noise_var} must be positive and finite")
     return noise_var / 2.0
 
 

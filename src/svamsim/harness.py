@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -41,28 +41,10 @@ from .crb import (
 )
 from .sensing import block_combiners
 
-EXPERIMENT_KINDS = (
-    "rmse_vs_snr",
-    "rmse_vs_snapshots",
-    "gain_over_time",
-    "noise_mismatch",
-    "codebook_compare",
-    "crb_sweep",
-)
-
 CRB_SCHEMES = ("general", "benchmark", "svam", "unknown-alpha")
 
-CSV_COLUMNS = (
-    "experiment",
-    "snr_db",
-    "n_v",
-    "p_thresh",
-    "noise_scale",
-    "t",
-    "trial_count",
-    "metric_name",
-    "value",
-)
+# the columns of a crb_table row, in the order write_crb_csv writes them
+CRB_COLUMNS = ("u", "N", "N_v", "L", "scheme", "bound", "g_term", "condition_holds")
 
 
 def noise_variance_from_snr(snr_db: float) -> float:
@@ -183,6 +165,9 @@ class MetricRow:
     trial_count: int
     metric_name: str
     value: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(MetricRow))
 
 
 def trial_generator(seed: int, trial: int) -> np.random.Generator:
@@ -316,6 +301,8 @@ _REDUCERS = {
     "noise_mismatch": _final_rmse,
     "codebook_compare": _final_rmse,
 }
+
+EXPERIMENT_KINDS = (*_REDUCERS, "crb_sweep")
 
 
 def _adaptive_rows(config: ExperimentConfig) -> list[MetricRow]:
@@ -515,24 +502,17 @@ def crb_table(
         holds = [h for h, _, _ in gain_condition_sufficient(bank, grid.points)]
     else:
         holds = [None] * len(grid)
-    return [
-        {
-            "u": u,
-            "N": n,
-            "N_v": n_v,
-            "L": total_snapshots,
-            "scheme": scheme,
-            "bound": res.bound,
-            "g_term": res.gain_term,
-            "condition_holds": h,
-        }
+    rows = [
+        (u, n, n_v, total_snapshots, scheme, res.bound, res.gain_term, h)
         for u, res, h in zip(map(float, grid.points), bounds, holds)
     ]
+    return [dict(zip(CRB_COLUMNS, row)) for row in rows]
 
 
 def write_crb_csv(rows: list[dict], path: str) -> None:
-    columns = ["u", "N", "N_v", "L", "scheme", "bound", "g_term", "condition_holds"]
-    _write_csv(path, "CRB", columns, ([row[col] for col in columns] for row in rows))
+    _write_csv(
+        path, "CRB", CRB_COLUMNS, ([row[col] for col in CRB_COLUMNS] for row in rows)
+    )
 
 
 def write_codebook(book: HierarchicalCodebook, path: str) -> None:
@@ -607,6 +587,7 @@ def parse_config_file(path: str) -> dict:
     offending path:line.
     """
     kwargs: dict = {}
+    first_line: dict[str, int] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -618,6 +599,12 @@ def parse_config_file(path: str) -> dict:
             key, value = key.strip(), value.strip()
             if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in first_line:
+                raise ValueError(
+                    f"{path}:{lineno}: repeated key {key!r}, "
+                    f"first set on line {first_line[key]}"
+                )
+            first_line[key] = lineno
             try:
                 kwargs[key] = CONFIG_KEYS[key].parse(value)
             except ValueError as exc:

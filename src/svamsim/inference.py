@@ -21,6 +21,7 @@ vector, and a history whose statistics are (grid,) rows works unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,16 +65,17 @@ def _check_history(history: MeasurementHistory) -> None:
 
 def _check_noise(noise_var: float | np.ndarray, shape: tuple[int, ...] = ()) -> None:
     """noise_var is a scalar or, for a (trials, grid) batch of the given
-    shape, a (trials, 1) column. One non-positive row rejects the batch."""
+    shape, a (trials, 1) column. One row that is not positive and finite
+    rejects the batch."""
     # no np.ndim here: the known-gain loop passes a float once per snapshot
     if not isinstance(noise_var, np.ndarray) or noise_var.ndim == 0:
-        if noise_var <= 0:
-            raise ValueError("noise variance must be positive")
+        if not (0 < noise_var < math.inf):  # NaN compares false
+            raise ValueError(f"noise variance {noise_var} must be positive and finite")
         return
     if len(shape) != 2 or noise_var.shape != (shape[0], 1):
         raise ValueError("need one noise variance per trial as a (trials, 1) column")
-    if (noise_var <= 0).any():
-        raise ValueError("noise variance must be positive in every row")
+    if not ((noise_var > 0) & (noise_var < math.inf)).all():
+        raise ValueError("noise variance must be positive and finite in every row")
 
 
 def gamma_mle(

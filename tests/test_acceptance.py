@@ -35,7 +35,6 @@ from svamsim import (
     gain_condition_sufficient,
     gamma_mle,
     likelihood_terms,
-    measure_segment,
     run_experiment,
     svam_combiner,
     ula_manifold,
@@ -46,7 +45,7 @@ from svamsim.harness import (
     run_adaptive_trials,
     run_hiepm_trials,
 )
-from svamsim.sensing import MeasurementHistory
+from svamsim.sensing import MeasurementHistory, measure_segment
 
 ROI = RegionOfInterest(0.0, 1.0)
 
@@ -310,15 +309,15 @@ def test_criterion_06_gain_nuisance_singularities():
     two_shifts = crb_unknown_alpha(sliding, u, 0.5)
 
     ok = (
-        one_snapshot.is_singular
-        and rank_one.is_singular
-        and not two_shifts.is_singular
+        math.isinf(one_snapshot.bound)
+        and math.isinf(rank_one.bound)
+        and not math.isinf(two_shifts.bound)
     )
     msg = _verdict(
         6,
         ok,
-        f"single snapshot inf={one_snapshot.is_singular}, "
-        f"rank-one inf={rank_one.is_singular}, "
+        f"single snapshot inf={math.isinf(one_snapshot.bound)}, "
+        f"rank-one inf={math.isinf(rank_one.bound)}, "
         f"two shifts bound={two_shifts.bound:.3e}",
     )
     assert ok, msg
@@ -454,7 +453,7 @@ def test_criterion_11_codebook_parity_across_snr_sweep():
                 codebook=codebook,
             )
             records = run_adaptive_trials(cfg, snr, 200, 0)
-            sq = np.array([r.squared_error for r in records])
+            sq = np.array([(r.estimate - r.true_angle) ** 2 for r in records])
             intervals.append(bootstrap_rmse_interval(sq))
         (lo_f, hi_f), (lo_h, hi_h) = intervals
         overlap = not (lo_h > hi_f or lo_f > hi_h)

@@ -338,7 +338,7 @@ def test_noiseless_on_grid_recovery_flexible():
     chan = ChannelParams(np.exp(0.3j), truth)
     (rec,) = run_alignment(cfg, [chan], [np.random.default_rng(0)])
     assert rec.estimate == truth
-    assert rec.squared_error == 0.0
+    assert (rec.estimate - rec.true_angle) ** 2 == 0.0
     assert rec.segments[-1].mode_index == 9
     # narrowing beams concentrate energy on the true angle
     assert rec.segments[-1].gain_at_truth > 3 * rec.segments[0].gain_at_truth

@@ -19,6 +19,8 @@ class TestChannelParams:
             ChannelParams(1.0, 0.0, noise_variance=-0.1)
         with pytest.raises(ValueError):
             ChannelParams(1.0, 0.1, noise_variance=np.nan)
+        with pytest.raises(ValueError):
+            ChannelParams(1.0, 0.2, noise_variance=np.inf)
 
     def test_single_path_helper(self):
         params = ChannelParams(1j, 0.25, noise_variance=0.5)

@@ -66,7 +66,6 @@ class TestGeneralBound:
         w[0, 0] = 1.0
         res = crb_general(w, 0.2, 1.0)
         assert math.isinf(res.bound)
-        assert res.is_singular
 
     def test_matches_finite_difference_fisher(self):
         rng = np.random.default_rng(42)
@@ -96,8 +95,18 @@ class TestGeneralBound:
 
     def test_invalid_parameters_rejected(self):
         w = random_bank(4, 1, 1)
-        with pytest.raises(ValueError):
-            crb_general(w, 0.1, 0.0)
+        # a NaN noise once gave a NaN bound, and an infinite one an infinite
+        # bound that reads as a singular geometry
+        bounds = (
+            lambda v: crb_general(w, 0.1, v),
+            lambda v: crb_unknown_alpha(w, 0.1, v),
+            lambda v: crb_benchmark(w, 2, 0.1, v),
+            lambda v: crb_svam(w, 2, 0.1, v),
+        )
+        for noise_var in (0.0, -1.0, math.nan, math.inf):
+            for bound in bounds:
+                with pytest.raises(ValueError, match="positive and finite"):
+                    bound(noise_var)
 
 
 class TestRepeatedBound:
@@ -124,6 +133,13 @@ class TestRepeatedBound:
         assert crb_benchmark(f, 1, -0.2, 1.0).bound == pytest.approx(
             crb_general(f, -0.2, 1.0).bound, rel=1e-12
         )
+
+
+def test_both_gram_forms_reject_an_empty_block():
+    f = random_bank(8, 2, 3)
+    for bound in (crb_svam, crb_benchmark):
+        with pytest.raises(ValueError, match="block size"):
+            bound(f, 0, 0.1, 1.0)
 
 
 class TestSlidingBound:
@@ -230,6 +246,20 @@ class TestUnknownGainBound:
         w = np.tile(f, (1, 5))
         res = crb_unknown_alpha(w, -0.1, 1.0)
         assert math.isinf(res.bound)
+
+    def test_bank_blind_to_the_steering_vector_keeps_the_full_derivative(self):
+        # columns projected orthogonal to phi(u): the gain nuisance removes
+        # nothing, so the bound is the known-gain one
+        import scalar_bounds
+
+        n, u = 8, 0.3
+        w = random_bank(n, 5, 47)
+        phi = ula_manifold(n, u)[:, None]
+        w = w - phi @ (phi.conj().T @ w) / n
+        res = crb_unknown_alpha(w, u, 1.0)
+        assert math.isfinite(res.bound)
+        assert res.bound == crb_general(w, u, 1.0).bound
+        assert res.bound == scalar_bounds.crb_unknown_alpha(w, u, 1.0).bound
 
     def test_two_distinct_shifts_are_informative(self):
         from svamsim.sensing import svam_combiner

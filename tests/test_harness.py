@@ -519,6 +519,10 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         path.write_text(f"n = 16\n{bad}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:2:")):
             config_from_file(str(path))
+    # a repeated key once silently kept its last value
+    path.write_text("experiment = rmse_vs_snr\ntrials = 5\n# a comment\ntrials = 7\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:4:") + ".*line 2"):
+        config_from_file(str(path))
 
 
 def test_config_keys_cover_every_field():

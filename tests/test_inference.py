@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -123,8 +125,9 @@ class TestGammaMle:
 
     def test_requires_positive_noise(self):
         hist, _, _ = make_history()
-        with pytest.raises(ValueError):
-            gamma_mle(hist, 0.0)
+        for noise_var in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                gamma_mle(hist, noise_var)
 
 
 class TestAlphaPosterior:
@@ -286,8 +289,9 @@ class TestLikelihoodTerms:
         hist, _, _ = make_history()
         gamma = gamma_mle(hist, 0.5)
         post = alpha_posterior(hist, gamma, 0.5)
-        with pytest.raises(ValueError):
-            likelihood_terms(hist, post, 0.0)
+        for noise_var in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                likelihood_terms(hist, post, noise_var)
 
 
 class TestNoiseColumn:
@@ -333,7 +337,9 @@ class TestNoiseColumn:
             assert (terms.log_det[i] == terms_i.log_det[i]).all()
             assert (terms.quad_form[i] == terms_i.quad_form[i]).all()
 
-    @pytest.mark.parametrize("bad", [0.0, -0.1], ids=["zero", "negative"])
+    @pytest.mark.parametrize(
+        "bad", [0.0, -0.1, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"]
+    )
     def test_one_bad_row_rejects_the_batch(self, bad):
         batch = self._batch()
         gamma = gamma_mle(batch, self.NOISE)
