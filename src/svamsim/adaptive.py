@@ -29,16 +29,14 @@ block designs each distinct (direction, width) pair once and looks each
 distinct beam up once for its combiners and response rows. The one
 per-trial call left in a block is the flexible step's np.convolve of each
 trial's pmf, once per width tried: its dot order fixes the bits of windows
-of 16 points and up. The records are built after the last block; each
-trial's gains at its truth are then one product of its stacked beams
-against its steering vector, bit-equal to one vdot per block. Records come
-in batch order: a trial's number is its position.
+of 16 points and up. Both loops return one Trials outcome, a row per
+trial in batch order; gains at the truth are computed only when asked for.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -128,23 +126,36 @@ class AdaptConfig:
         return int(np.log2(self.grid_size))
 
 
-@dataclass(frozen=True)
-class SegmentLog:
-    """What the controller did and saw during one snapshot block."""
+@dataclass(frozen=True, eq=False)
+class Trials:
+    """What a batch of trials did and saw, a row per trial in batch order.
 
-    beam: BeamSpec
-    gain_at_truth: float  # |beta_t(u_true)|^2, linear
-    mode_index: int
-    peak_prob: float
+    true_angle and estimate (the final posterior mode) hold one angle per
+    trial; mode_index and peak_prob are (trials, blocks) arrays of each
+    block's posterior mode and the mass its chosen beam or node captured;
+    beams[i][t] is the Beamformer trial i sensed block t with.
+    """
 
+    true_angle: np.ndarray
+    estimate: np.ndarray
+    mode_index: np.ndarray
+    peak_prob: np.ndarray
+    beams: tuple[tuple[Beamformer, ...], ...]
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One trial's outcome; a trial's number is its position in the list."""
+    def __getitem__(self, rows: slice) -> Trials:
+        """The outcome of the trials in the given row slice."""
+        return Trials(*(getattr(self, f.name)[rows] for f in fields(self)))
 
-    true_angle: float
-    estimate: float
-    segments: tuple[SegmentLog, ...]
+    def gain_at_truth(self) -> np.ndarray:
+        """(trials, blocks) linear gain |beta_t(u_true)|^2 of each block's
+        beam at the trial's true angle.
+
+        One beam_gain of all stacked beams, each row bit-equal to one vdot;
+        |beta|^2 is taken on Python complex numbers, as a lone trial takes it.
+        """
+        weights = np.stack([[beam.weights for beam in row] for row in self.beams])
+        beta = beam_gain(weights, self.true_angle[:, None])
+        return np.array([[abs(b) ** 2 for b in row] for row in beta.tolist()])
 
 
 def _check_widths(widths: np.ndarray, trials: int) -> np.ndarray:
@@ -381,39 +392,20 @@ def _node_peaks(
     return table[np.arange(len(table)), 2**levels - 1 + indices]
 
 
-def _records(
-    grid: AngularGrid,
-    truths: list[float],
-    beams: list[Sequence[Beamformer]],
-    modes: list[np.ndarray],
-    peaks: list[np.ndarray],
-) -> list[TrialRecord]:
-    """One record per trial in batch order, from the run's per-block beams,
-    posterior modes and captured masses; each estimate is the final mode.
-
-    A trial's gains at its truth are one beam_gain of its stacked beams, so
-    its steering vector is built once; |beta|^2 is taken on Python complex
-    numbers, as a lone trial takes it.
-    """
-    modes = np.array(modes).tolist()
-    peaks = np.array(peaks).tolist()
-    records = []
-    for i, truth in enumerate(truths):
-        mine = [block[i] for block in beams]
-        gains = beam_gain(np.stack([beam.weights for beam in mine]), truth)
-        segments = tuple(
-            SegmentLog(beam.spec, abs(gain) ** 2, mode[i], peak[i])
-            for beam, gain, mode, peak in zip(mine, gains.tolist(), modes, peaks)
-        )
-        records.append(TrialRecord(truth, float(grid.points[modes[-1][i]]), segments))
-    return records
+def _trials(grid: AngularGrid, truths: list[float], beams, modes, peaks) -> Trials:
+    """The outcome from a run's per-block lists of beams, posterior modes and
+    captured masses; each estimate is the final mode."""
+    return Trials(
+        np.array(truths), grid.points[modes[-1]], np.stack(modes, axis=-1),
+        np.stack(peaks, axis=-1), tuple(zip(*beams)),
+    )
 
 
 def run_alignment(
     config: AdaptConfig,
     channels: Sequence[ChannelParams],
     rngs: Sequence[np.random.Generator],
-) -> list[TrialRecord]:
+) -> Trials:
     """Unknown-gain alignment of a batch of trials over all snapshot blocks.
 
     The trials advance in lockstep. Trial i observes channels[i] and draws
@@ -424,9 +416,8 @@ def run_alignment(
     one. Each trial may have its own
     noise variance, and a noiseless trial draws nothing from its generator.
 
-    Each channel's path angle is the ground truth for its per-segment gain
-    log, and each final estimate is the posterior argmax. Records come in
-    batch order. The flexible controller starts
+    Each channel's path angle is the trial's true angle, and each final
+    estimate is the posterior argmax. The flexible controller starts
     from, and resets to, the region-wide beam; the hierarchical one climbs a
     codebook log2(grid size) levels deep.
     """
@@ -486,7 +477,7 @@ def run_alignment(
                 directions, widths, lambda u, bw: design_beamformer(BeamSpec(u, bw), m)
             )
 
-    return _records(grid, truths, history.beamformers, block_modes, block_peaks)
+    return _trials(grid, truths, history.beamformers, block_modes, block_peaks)
 
 
 def run_hiepm_known_alpha(
@@ -495,7 +486,7 @@ def run_hiepm_known_alpha(
     rngs: Sequence[np.random.Generator],
     codebook: HierarchicalCodebook,
     mode: str = "svam",
-) -> list[TrialRecord]:
+) -> Trials:
     """Known-gain hierarchical alignment of a batch of trials over all
     snapshot blocks.
 
@@ -511,8 +502,8 @@ def run_hiepm_known_alpha(
     (trials, grid) posterior is the lone trial's, and every input check
     applies to each row. Posterior matching then picks one codeword per
     trial from the node masses of all trials. A single trial is a batch of
-    one. The trials must share their noise variance. Records come in batch
-    order.
+    one. The trials must share their noise variance. The codebook must
+    cover the config's region.
     """
     if mode not in ("svam", "repeat"):
         raise ValueError(f"unknown combining mode {mode!r}")
@@ -525,11 +516,13 @@ def run_hiepm_known_alpha(
     channel_noise = float(channel_noise[0])
     grid = AngularGrid(config.roi, config.grid_size)
     alphas = np.array([channel.alpha for channel in channels])
-    expected_taps = config.combiner_length if mode == "svam" else config.n
-    if codebook.node(0, 0).beamformer.size != expected_taps:
+    taps = config.combiner_length if mode == "svam" else config.n
+    region = (config.roi.u_left, config.roi.u_right)
+    root = codebook.node(0, 0)
+    if (root.beamformer.size, root.span) != (taps, region):
         raise ValueError(
-            f"codebook carries {codebook.node(0, 0).beamformer.size}-tap beams, "
-            f"mode {mode!r} needs {expected_taps}"
+            f"codebook of {root.beamformer.size}-tap beams over {root.span}; "
+            f"mode {mode!r} needs {taps} taps over the region {region}"
         )
     manifold = grid.manifold(config.n)
 
@@ -573,4 +566,4 @@ def run_hiepm_known_alpha(
         if t < config.segments - 1:
             levels, indices = select_codeword_posterior_matching(masses)
 
-    return _records(grid, truths, block_codewords, block_modes, block_peaks)
+    return _trials(grid, truths, block_codewords, block_modes, block_peaks)

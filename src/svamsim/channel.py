@@ -8,6 +8,7 @@ that product and nothing else scales it.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -33,6 +34,8 @@ class ChannelParams:
                 f"noise variance {self.noise_variance} must be finite and nonnegative"
             )
         object.__setattr__(self, "alpha", complex(self.alpha))
+        if not cmath.isfinite(self.alpha):
+            raise ValueError(f"path gain {self.alpha} must be finite")
         object.__setattr__(self, "u", check_angle(self.u))
 
 

@@ -35,6 +35,8 @@ def _base_config(args) -> ExperimentConfig:
     overrides = {key: getattr(args, key, None) for key in CONFIG_KEYS}
     if args.config:
         return config_from_file(args.config, **overrides)
+    if args.experiment is None:  # only sweep leaves the kind to the user
+        raise ValueError("need --experiment or a --config that sets experiment")
     return ExperimentConfig(**{k: v for k, v in overrides.items() if v is not None})
 
 
@@ -58,16 +60,16 @@ def _cmd_align(args, config: ExperimentConfig) -> int:
     # a single operating point: first value of every sweep axis
     adapt = config.adapt(config.n_v[0], config.p_thresh[0], config.noise_scale[0])
     snr = config.snr_db[0]
-    records = run_adaptive_trials(adapt, snr, config.trials, config.seed)
+    outcome = run_adaptive_trials(adapt, snr, config.trials, config.seed)
     row = MetricRow(
         "rmse_vs_snr", snr, adapt.n_v, adapt.p_thresh, config.noise_scale[0],
-        None, config.trials, "rmse", records_rmse(records),
+        None, config.trials, "rmse", records_rmse(outcome),
     )
     out = config.out or "align_metrics.csv"
     emit_csv([row], out)
     print(f"rmse {row.value:.6g} over {config.trials} trials -> {out}")
     if args.trajectories:
-        write_trajectories(records, args.trajectories)
+        write_trajectories(outcome, args.trajectories)
         print(f"trajectories -> {args.trajectories}")
     return 0
 
@@ -122,7 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_align.set_defaults(experiment="rmse_vs_snr", setup=_base_config, run=_cmd_align)
 
     p_sweep = sub.add_parser("sweep", help="full experiment sweep to CSV")
-    p_sweep.add_argument("--experiment", required=True, choices=EXPERIMENT_KINDS)
+    p_sweep.add_argument(
+        "--experiment", choices=EXPERIMENT_KINDS, help="experiment kind, or --config's"
+    )
     _add_common(p_sweep)
     p_sweep.set_defaults(setup=_base_config, run=_cmd_sweep)
 

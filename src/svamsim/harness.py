@@ -23,7 +23,7 @@ import numpy as np
 from .adaptive import (
     CODEBOOK_MODES,
     AdaptConfig,
-    TrialRecord,
+    Trials,
     check_blocks,
     run_alignment,
     run_hiepm_known_alpha,
@@ -112,6 +112,9 @@ class ExperimentConfig:
         else:
             for _ in self.sweep_points():
                 pass
+            # align reads a noise scale whatever the kind, so every one is checked
+            for scale in self.noise_scale:
+                self.adapt(self.n_v[0], self.p_thresh[0], scale)
 
     def adapt(
         self,
@@ -195,18 +198,15 @@ def _draw_trials(
 
 def _run_snr_batch(
     config: AdaptConfig, snrs: Sequence[float], trials: int, seed: int
-) -> list[list[TrialRecord]]:
+) -> list[Trials]:
     """The trials of one sweep point per SNR, all advanced together by one
-    run_alignment batch; one record list per SNR, the records a lone run of
+    run_alignment batch; one row slice per SNR, the outcome a lone run of
     that SNR gives."""
-    rngs: list[np.random.Generator] = []
-    channels: list[ChannelParams] = []
-    for snr in snrs:
-        snr_rngs, snr_channels = _draw_trials(config, snr, trials, seed)
-        rngs += snr_rngs
-        channels += snr_channels
-    records = run_alignment(config, channels, rngs)
-    return [records[start : start + trials] for start in range(0, len(records), trials)]
+    draws = [_draw_trials(config, snr, trials, seed) for snr in snrs]
+    batch = run_alignment(
+        config, [c for _, cs in draws for c in cs], [r for rs, _ in draws for r in rs]
+    )
+    return [batch[k * trials : (k + 1) * trials] for k in range(len(snrs))]
 
 
 def run_adaptive_trials(
@@ -214,10 +214,10 @@ def run_adaptive_trials(
     snr_db: float,
     trials: int,
     seed: int,
-) -> list[TrialRecord]:
+) -> Trials:
     """All trials of one sweep point, advanced together by run_alignment."""
-    (records,) = _run_snr_batch(config, [snr_db], trials, seed)
-    return records
+    rngs, channels = _draw_trials(config, snr_db, trials, seed)
+    return run_alignment(config, channels, rngs)
 
 
 def run_hiepm_trials(
@@ -227,7 +227,7 @@ def run_hiepm_trials(
     seed: int,
     codebook: HierarchicalCodebook,
     mode: str = "svam",
-) -> list[TrialRecord]:
+) -> Trials:
     """All trials of one known-gain scheme, advanced together by
     run_hiepm_known_alpha."""
     rngs, channels = _draw_trials(config, snr_db, trials, seed)
@@ -242,8 +242,8 @@ def rmse(estimates, truths) -> float:
     return float(np.sqrt(np.mean((estimates - truths) ** 2)))
 
 
-def records_rmse(records: list[TrialRecord]) -> float:
-    return rmse([r.estimate for r in records], [r.true_angle for r in records])
+def records_rmse(trials: Trials) -> float:
+    return rmse(trials.estimate, trials.true_angle)
 
 
 def bootstrap_rmse_interval(
@@ -274,26 +274,23 @@ def _db(x: float) -> float:
     return 10.0 * math.log10(x) if x > 0 else -math.inf
 
 
-def _final_rmse(records: list[TrialRecord], grid: AngularGrid):
-    yield None, "rmse", records_rmse(records)
+def _final_rmse(trials: Trials, grid: AngularGrid):
+    yield None, "rmse", records_rmse(trials)
 
 
-def _segment_rmse(records: list[TrialRecord], grid: AngularGrid):
-    truths = [r.true_angle for r in records]
-    for t in range(len(records[0].segments)):
-        ests = [grid.points[r.segments[t].mode_index] for r in records]
-        yield t, "rmse", rmse(ests, truths)
+def _segment_rmse(trials: Trials, grid: AngularGrid):
+    for t, modes in enumerate(trials.mode_index.T):
+        yield t, "rmse", rmse(grid.points[modes], trials.true_angle)
 
 
-def _gain_stats(records: list[TrialRecord], grid: AngularGrid):
-    for t in range(len(records[0].segments)):
-        gains = [r.segments[t].gain_at_truth for r in records]
+def _gain_stats(trials: Trials, grid: AngularGrid):
+    for t, gains in enumerate(trials.gain_at_truth().T):
         yield t, "mean_gain_db", _db(float(np.mean(gains)))
         yield t, "min_gain_db", _db(float(np.min(gains)))
         yield t, "max_gain_db", _db(float(np.max(gains)))
 
 
-# per alignment experiment: records of one sweep point -> (t, metric, value)
+# per alignment experiment: the trials of one sweep point -> (t, metric, value)
 _REDUCERS = {
     "rmse_vs_snr": _final_rmse,
     "rmse_vs_snapshots": _segment_rmse,
@@ -309,8 +306,8 @@ def _adaptive_rows(config: ExperimentConfig) -> list[MetricRow]:
     """Metric rows of every alignment sweep point, in sweep order.
 
     Sweep points with equal AdaptConfigs differ only in SNR; all their
-    trials run as one lockstep batch, each point's slice the records a run
-    of that point alone gives. A point is found by its position, so an SNR
+    trials run as one lockstep batch, each point's row slice the outcome a
+    run of that point alone gives. A point is found by its position, so an SNR
     listed twice gives two identical sets of rows. Each batch is reduced to
     rows before the next one runs.
     """
@@ -321,24 +318,24 @@ def _adaptive_rows(config: ExperimentConfig) -> list[MetricRow]:
     for position, (_, adapt) in enumerate(points):
         groups.setdefault(adapt, []).append(position)
 
-    def point_rows(position: int, records: list[TrialRecord]) -> list[MetricRow]:
+    def point_rows(position: int, trials: Trials) -> list[MetricRow]:
         snr, n_v, p, scale, book = points[position][0]
         return [
             MetricRow(
                 config.experiment, snr, n_v, p, scale, t, config.trials,
                 name if book is None else f"{name}_{book}", value,
             )
-            for t, name, value in reduce(records, grid)
+            for t, name, value in reduce(trials, grid)
         ]
 
     rows: dict[int, list[MetricRow]] = {}
     for positions in groups.values():
         adapt = points[positions[0]][1]
         snrs = [points[position][0][0] for position in positions]
-        for position, records in zip(
+        for position, trials in zip(
             positions, _run_snr_batch(adapt, snrs, config.trials, config.seed)
         ):
-            rows[position] = point_rows(position, records)
+            rows[position] = point_rows(position, trials)
     return [row for position in range(len(points)) for row in rows[position]]
 
 
@@ -461,22 +458,23 @@ def emit_csv(rows: list[MetricRow], path: str) -> None:
     )
 
 
-def write_trajectories(records: list[TrialRecord], path: str) -> None:
+def write_trajectories(trials: Trials, path: str) -> None:
     """Per-segment trace of each trial: beam, gain at truth, confidence."""
     header = [
         "trial", "true_angle", "t", "beam_direction", "beamwidth",
         "gain_db_at_truth", "peak_prob", "mode_index", "estimate",
     ]
+    gains = trials.gain_at_truth()
     _write_csv(
         path, "trajectory", header,
         (
             [
-                trial, rec.true_angle, t, seg.beam.direction,
-                seg.beam.beamwidth, _db(seg.gain_at_truth), seg.peak_prob,
-                seg.mode_index, rec.estimate,
+                i, trials.true_angle[i], t, beam.spec.direction, beam.spec.beamwidth,
+                _db(gains[i, t]), trials.peak_prob[i, t], trials.mode_index[i, t],
+                trials.estimate[i],
             ]
-            for trial, rec in enumerate(records)
-            for t, seg in enumerate(rec.segments)
+            for i, row in enumerate(trials.beams)
+            for t, beam in enumerate(row)
         ),
     )
 
@@ -615,4 +613,6 @@ def parse_config_file(path: str) -> dict:
 def config_from_file(path: str, **overrides) -> ExperimentConfig:
     kwargs = parse_config_file(path)
     kwargs.update({k: v for k, v in overrides.items() if v is not None})
+    if "experiment" not in kwargs:
+        raise ValueError(f"{path}: no experiment kind set")
     return ExperimentConfig(**kwargs)

@@ -8,21 +8,19 @@ once per trial and block; the flexible step windows one trial's pmf
 (select_next_beam_scalar, cumul_peak_scalar) and the dyadic search reads
 one trial's pmf slice by slice (hier_beam_search_scalar). The known-gain
 loop (at the end) takes one trial's Bayes update and posterior matching
-snapshot by snapshot. The
-batched run_alignment and run_hiepm_known_alpha must reproduce their
-records exactly, field by field.
+snapshot by snapshot. Each oracle keeps its own per-trial log
+(TrialRecord, one SegmentLog per block, the gain at the truth computed as
+the block runs). The batched run_alignment and run_hiepm_known_alpha must
+reproduce every column of it exactly (columns below).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from svamsim.adaptive import (
-    AdaptConfig,
-    SegmentLog,
-    TrialRecord,
-    node_mass,
-)
+from svamsim.adaptive import AdaptConfig, Trials, node_mass
 from svamsim.arrays import AngularGrid
 from svamsim.beams import (
     BeamSpec,
@@ -41,6 +39,47 @@ from svamsim.inference import (
 from svamsim.sensing import svam_combiner
 
 NOISELESS_VAR_FLOOR = 1e-12
+
+
+@dataclass(frozen=True)
+class SegmentLog:
+    """What a lone trial's controller did and saw during one block."""
+
+    beam: BeamSpec
+    gain_at_truth: float  # |beta_t(u_true)|^2, linear
+    mode_index: int
+    peak_prob: float
+
+
+@dataclass(frozen=True)
+class TrialRecord:
+    true_angle: float
+    estimate: float
+    segments: tuple[SegmentLog, ...]
+
+
+def columns(outcome: Trials | list[TrialRecord]) -> dict[str, list]:
+    """Every column of a batch outcome, or of a list of oracle records, as
+    plain lists: one entry per trial, one inner entry per block. Equal
+    dicts mean bit-equal runs, gains at the truth included."""
+    if isinstance(outcome, Trials):
+        return {
+            "true_angle": outcome.true_angle.tolist(),
+            "estimate": outcome.estimate.tolist(),
+            "beam": [[beam.spec for beam in row] for row in outcome.beams],
+            "gain_at_truth": outcome.gain_at_truth().tolist(),
+            "mode_index": outcome.mode_index.tolist(),
+            "peak_prob": outcome.peak_prob.tolist(),
+        }
+    logs = [record.segments for record in outcome]
+    return {
+        "true_angle": [record.true_angle for record in outcome],
+        "estimate": [record.estimate for record in outcome],
+        "beam": [[s.beam for s in segments] for segments in logs],
+        "gain_at_truth": [[s.gain_at_truth for s in segments] for segments in logs],
+        "mode_index": [[s.mode_index for s in segments] for segments in logs],
+        "peak_prob": [[s.peak_prob for s in segments] for segments in logs],
+    }
 
 
 def measure_segment(f, params, config: AdaptConfig, segment_index, rng) -> np.ndarray:

@@ -384,13 +384,9 @@ def test_criterion_08_gain_trajectory_rises_from_3_to_13_db():
         p_thresh=0.6,
         codebook="flexible",
     )
-    records = run_adaptive_trials(cfg, -10.0, 100, 0)
-    start = 10 * math.log10(
-        float(np.mean([r.segments[0].gain_at_truth for r in records]))
-    )
-    end = 10 * math.log10(
-        float(np.mean([r.segments[-1].gain_at_truth for r in records]))
-    )
+    gains = run_adaptive_trials(cfg, -10.0, 100, 0).gain_at_truth()
+    start = 10 * math.log10(float(np.mean(gains[:, 0])))
+    end = 10 * math.log10(float(np.mean(gains[:, -1])))
     ok = 2.0 <= start <= 4.0 and end >= 13.0
     msg = _verdict(
         8, ok, f"mean gain starts {start:.2f} dB (3 +/- 1), ends {end:.2f} dB (>= 13)"
@@ -452,8 +448,8 @@ def test_criterion_11_codebook_parity_across_snr_sweep():
                 p_thresh=0.6,
                 codebook=codebook,
             )
-            records = run_adaptive_trials(cfg, snr, 200, 0)
-            sq = np.array([(r.estimate - r.true_angle) ** 2 for r in records])
+            out = run_adaptive_trials(cfg, snr, 200, 0)
+            sq = (out.estimate - out.true_angle) ** 2
             intervals.append(bootstrap_rmse_interval(sq))
         (lo_f, hi_f), (lo_h, hi_h) = intervals
         overlap = not (lo_h > hi_f or lo_f > hi_h)

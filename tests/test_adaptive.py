@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from scalar_alignment import columns
 from svamsim.adaptive import (
     AdaptConfig,
     cumul_peak,
@@ -336,13 +337,14 @@ def test_noiseless_on_grid_recovery_flexible():
     grid = AngularGrid(ROI, 16)
     truth = float(grid.points[9])
     chan = ChannelParams(np.exp(0.3j), truth)
-    (rec,) = run_alignment(cfg, [chan], [np.random.default_rng(0)])
-    assert rec.estimate == truth
-    assert (rec.estimate - rec.true_angle) ** 2 == 0.0
-    assert rec.segments[-1].mode_index == 9
+    out = run_alignment(cfg, [chan], [np.random.default_rng(0)])
+    assert out.estimate.tolist() == [truth]
+    assert out.true_angle.tolist() == [truth]
+    assert out.mode_index[0, -1] == 9
     # narrowing beams concentrate energy on the true angle
-    assert rec.segments[-1].gain_at_truth > 3 * rec.segments[0].gain_at_truth
-    assert rec.segments[-1].peak_prob > 0.99
+    (gains,) = out.gain_at_truth()
+    assert gains[-1] > 3 * gains[0]
+    assert out.peak_prob[0, -1] > 0.99
 
 
 def test_noiseless_on_grid_recovery_hierarchical():
@@ -350,25 +352,28 @@ def test_noiseless_on_grid_recovery_hierarchical():
     grid = AngularGrid(ROI, 16)
     truth = float(grid.points[9])
     chan = ChannelParams(1.0 + 0.0j, truth)
-    (rec,) = run_alignment(cfg, [chan], [np.random.default_rng(0)])
-    assert rec.estimate == truth
-    assert rec.segments[0].beam.beamwidth == pytest.approx(ROI.width)
+    out = run_alignment(cfg, [chan], [np.random.default_rng(0)])
+    assert out.estimate.tolist() == [truth]
+    assert out.beams[0][0].spec.beamwidth == pytest.approx(ROI.width)
 
 
 def test_alignment_is_deterministic():
     cfg = make_config()
     chan = ChannelParams(1j, 0.4, noise_variance=0.5)
-    (rec1,) = run_alignment(cfg, [chan], [np.random.default_rng(7)])
-    (rec2,) = run_alignment(cfg, [chan], [np.random.default_rng(7)])
-    assert rec1 == rec2
+    out1 = run_alignment(cfg, [chan], [np.random.default_rng(7)])
+    out2 = run_alignment(cfg, [chan], [np.random.default_rng(7)])
+    assert columns(out1) == columns(out2)
 
 
 def test_records_carry_one_log_per_segment():
     cfg = make_config()
     chan = ChannelParams(1.0, 0.4, noise_variance=0.1)
-    (rec,) = run_alignment(cfg, [chan], [np.random.default_rng(1)])
-    assert len(rec.segments) == cfg.segments
-    assert all(s.peak_prob >= 0 for s in rec.segments)
+    out = run_alignment(cfg, [chan], [np.random.default_rng(1)])
+    blocks = (1, cfg.segments)
+    assert out.mode_index.shape == out.peak_prob.shape == blocks
+    assert out.gain_at_truth().shape == blocks
+    assert len(out.beams) == 1 and len(out.beams[0]) == cfg.segments
+    assert (out.peak_prob >= 0).all()
 
 
 def test_hiepm_noiseless_recovery():
@@ -377,9 +382,9 @@ def test_hiepm_noiseless_recovery():
     truth = float(grid.points[6])
     chan = ChannelParams(np.exp(-0.7j), truth)
     book = build_hierarchical_codebook(ROI, 4, 16, grid_size=16)
-    (rec,) = run_hiepm_known_alpha(cfg, [chan], [np.random.default_rng(0)], book)
-    assert rec.estimate == truth
-    assert len(rec.segments) == 12
+    out = run_hiepm_known_alpha(cfg, [chan], [np.random.default_rng(0)], book)
+    assert out.estimate.tolist() == [truth]
+    assert out.peak_prob.shape == (1, 12)
 
 
 def test_hiepm_block_size_one_makes_modes_agree():
@@ -393,7 +398,7 @@ def test_hiepm_block_size_one_makes_modes_agree():
     rec_b = run_hiepm_known_alpha(
         cfg, [chan], [np.random.default_rng(5)], book, "repeat"
     )
-    assert rec_a == rec_b
+    assert columns(rec_a) == columns(rec_b)
 
 
 def test_hiepm_validations():
@@ -408,6 +413,13 @@ def test_hiepm_validations():
         run_hiepm_known_alpha(cfg, [chan], [rng], book_13, "repeat")
     with pytest.raises(ValueError):
         run_hiepm_known_alpha(cfg, [chan], [rng], book_13, "sideways")
+    # the right tap count over another region would score beams pointing
+    # elsewhere
+    elsewhere = build_hierarchical_codebook(
+        RegionOfInterest(-1.0, 0.0), 4, 13, grid_size=16
+    )
+    with pytest.raises(ValueError, match="region"):
+        run_hiepm_known_alpha(cfg, [chan], [rng], elsewhere, "svam")
 
 
 @pytest.mark.parametrize(

@@ -158,7 +158,7 @@ def test_every_public_member_of_an_exported_class_has_a_caller_outside_the_tests
 # Lower this ceiling whenever a knob goes. Raise it only for a new option
 # that two callers outside the tests (the harness, the CLI, a config key, the
 # benchmark) need with different values; a value only tests set is a constant.
-SETTABLE_VALUE_CEILING = 168
+SETTABLE_VALUE_CEILING = 166
 
 
 def test_settable_values_stay_under_the_ceiling():

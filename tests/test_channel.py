@@ -21,6 +21,9 @@ class TestChannelParams:
             ChannelParams(1.0, 0.1, noise_variance=np.nan)
         with pytest.raises(ValueError):
             ChannelParams(1.0, 0.2, noise_variance=np.inf)
+        for alpha in (np.nan, np.inf, complex(1.0, np.nan), complex(-np.inf, 0.0)):
+            with pytest.raises(ValueError):
+                ChannelParams(alpha, 0.3, 0.1)
 
     def test_single_path_helper(self):
         params = ChannelParams(1j, 0.25, noise_variance=0.5)

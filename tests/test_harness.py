@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from scalar_alignment import columns
 from svamsim.arrays import AngularGrid, RegionOfInterest
 from svamsim import harness
 from svamsim.cli import main as cli_main
@@ -104,7 +105,7 @@ def test_first_trials_unchanged_when_count_grows():
     adapt = cfg.adapt(4, 0.6)
     few = run_adaptive_trials(adapt, 0.0, 3, cfg.seed)
     many = run_adaptive_trials(adapt, 0.0, 6, cfg.seed)
-    assert many[:3] == few
+    assert columns(many[:3]) == columns(few)
 
 
 @pytest.mark.parametrize("codebook", ["flexible", "hierarchical"])
@@ -115,12 +116,8 @@ def test_lockstep_batch_keeps_each_trial_stream(codebook):
     adapt = cfg.adapt(4, 0.6)
     few = run_adaptive_trials(adapt, -5.0, 3, cfg.seed)
     many = run_adaptive_trials(adapt, -5.0, 7, cfg.seed)
-    assert len(few) == 3 and len(many) == 7
-    for got, want in zip(many[:3], few):
-        assert got.true_angle == want.true_angle
-        assert got.estimate == want.estimate
-        assert got.segments == want.segments
-    assert many[:3] == few
+    assert len(few.true_angle) == 3 and len(many.true_angle) == 7
+    assert columns(many[:3]) == columns(few)
 
 
 def test_trials_are_reproducible_and_distinct():
@@ -128,16 +125,16 @@ def test_trials_are_reproducible_and_distinct():
     adapt = cfg.adapt(4, 0.6)
     a = run_adaptive_trials(adapt, 0.0, 4, cfg.seed)
     b = run_adaptive_trials(adapt, 0.0, 4, cfg.seed)
-    assert a == b
-    angles = {r.true_angle for r in a} | {r.estimate for r in a}
+    assert columns(a) == columns(b)
+    angles = set(a.true_angle.tolist()) | set(a.estimate.tolist())
     assert len(angles) > 1  # trials see different channels
 
 
 def test_noiseless_single_trial_recovers_exactly():
     cfg = tiny_config(trials=1)
     adapt = cfg.adapt(4, 0.6)
-    (record,) = run_adaptive_trials(adapt, math.inf, 1, cfg.seed)
-    assert record.estimate == record.true_angle
+    out = run_adaptive_trials(adapt, math.inf, 1, cfg.seed)
+    assert out.estimate.tolist() == out.true_angle.tolist()
 
 
 # ------------------------------------------------------------- experiments
@@ -150,13 +147,13 @@ def test_snr_batch_records_equal_one_snr_sweeps(codebook, trials, monkeypatch):
     # records of a sweep of its SNR alone, an SNR listed twice included.
     # One-trial sweeps are grouped too. Block size 3 is one where a lone
     # vector product and a row of a batch's matrix product round
-    # differently, so the rows carry every record's position and peak mass
-    def every_record(records, grid):
-        for trial, record in enumerate(records):
-            for t, seg in enumerate(record.segments):
-                yield t, f"peak_{trial}", seg.peak_prob
+    # differently, so the rows carry every trial's position and peak mass
+    def every_peak(outcome, grid):
+        for trial, peaks in enumerate(outcome.peak_prob.tolist()):
+            for t, peak in enumerate(peaks):
+                yield t, f"peak_{trial}", peak
 
-    monkeypatch.setitem(harness._REDUCERS, "gain_over_time", every_record)
+    monkeypatch.setitem(harness._REDUCERS, "gain_over_time", every_peak)
     snrs = (-5.0, 5.0, -5.0)
     config = tiny_config(
         experiment="gain_over_time", n_v=(2, 3), total_snapshots=12,
@@ -227,9 +224,10 @@ def test_hiepm_trials_run_and_reproduce():
     adapt = cfg.adapt(2, 0.6)
     book = build_hierarchical_codebook(ROI, 4, adapt.combiner_length,
                                        grid_size=16)
-    recs = run_hiepm_trials(adapt, math.inf, 2, 5, book, mode="svam")
-    assert all(r.estimate == r.true_angle for r in recs)
-    assert recs == run_hiepm_trials(adapt, math.inf, 2, 5, book, mode="svam")
+    out = run_hiepm_trials(adapt, math.inf, 2, 5, book, mode="svam")
+    assert out.estimate.tolist() == out.true_angle.tolist()
+    again = run_hiepm_trials(adapt, math.inf, 2, 5, book, mode="svam")
+    assert columns(out) == columns(again)
 
 
 def test_invalid_configs_rejected():
@@ -566,6 +564,45 @@ def test_cli_reports_a_rejected_config_in_one_line(flag, message, tmp_path, caps
     assert exc.value.code == 2
     assert capsys.readouterr().err == f"svamsim: error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+def test_every_alignment_kind_rejects_a_bad_noise_scale(scale, tmp_path, capsys):
+    # align reads the first noise scale whatever the experiment kind, so
+    # every alignment kind checks it when the config is built
+    for kind in EXPERIMENT_KINDS:
+        if kind == "crb_sweep":
+            continue
+        with pytest.raises(ValueError, match="noise scale"):
+            tiny_config(experiment=kind, noise_scale=(scale,))
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(
+            ["align", "--trials", "1", f"--noise-scale={scale}", "--out", str(out)]
+        )
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"svamsim: error: noise scale must be positive and finite, got {scale}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("with_file", [True, False], ids=["file", "no_file"])
+def test_cli_sweep_without_an_experiment_kind_exits_in_one_line(
+    with_file, tmp_path, capsys
+):
+    argv = ["sweep", "--trials", "1", "--out", str(tmp_path / "x.csv")]
+    if with_file:
+        cfgfile = tmp_path / "nokind.cfg"
+        cfgfile.write_text("snr_db = 0\n")
+        argv += ["--config", str(cfgfile)]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("svamsim: error: ") and err.count("\n") == 1
+    assert "experiment" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_run_fault_keeps_its_traceback(monkeypatch, tmp_path):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from scalar_alignment import (
+    columns,
     known_alpha_update,
     run_alignment_scalar,
     run_hiepm_scalar,
@@ -69,7 +70,8 @@ def single_path_trials(cfg: AdaptConfig, snr_db: float, seed: int = 5):
 
 def assert_matches_oracle(cfg: AdaptConfig, channels, seed: int = 0) -> None:
     """The batch and the lone runs each start from the same per-trial
-    generators; every TrialRecord and SegmentLog field must agree."""
+    generators; every column of the outcome must agree with the lone
+    runs' logs, gains at the truth included."""
 
     def generators():
         return [np.random.default_rng((seed, trial)) for trial in range(len(channels))]
@@ -79,21 +81,13 @@ def assert_matches_oracle(cfg: AdaptConfig, channels, seed: int = 0) -> None:
         run_alignment_scalar(cfg, channel, rng)
         for channel, rng in zip(channels, generators())
     ]
-    assert_same_records(batched, lone)
+    assert_same_outcome(batched, lone)
 
 
-def assert_same_records(batched, lone) -> None:
-    assert len(batched) == len(lone)
-    for got, want in zip(batched, lone):
-        assert got.true_angle == want.true_angle
-        assert got.estimate == want.estimate
-        assert len(got.segments) == len(want.segments)
-        for seg_got, seg_want in zip(got.segments, want.segments):
-            assert seg_got.beam == seg_want.beam
-            assert seg_got.gain_at_truth == seg_want.gain_at_truth
-            assert seg_got.mode_index == seg_want.mode_index
-            assert seg_got.peak_prob == seg_want.peak_prob
-        assert got == want
+def assert_same_outcome(batched, lone) -> None:
+    got, want = columns(batched), columns(lone)
+    for name in want:
+        assert got[name] == want[name], name
 
 
 # block sizes 3 and 6 are ones where a lone vector-matrix product and a row
@@ -142,7 +136,7 @@ def test_mixed_snr_batch_equals_lone_batches(codebook, noise_scale):
     for k, snr in enumerate(snrs):
         rngs, channels = draw(snr)
         lone = run_alignment(cfg, channels, rngs)
-        assert_same_records(mixed[k * TRIALS : (k + 1) * TRIALS], lone)
+        assert_same_outcome(mixed[k * TRIALS : (k + 1) * TRIALS], lone)
 
 
 # --------------------------------------------------------- known-gain hiePM
@@ -178,7 +172,7 @@ def test_hiepm_lockstep_matches_scalar_oracle(mode, n_v, snr_db):
         run_hiepm_scalar(cfg, channel, book, rng, mode)
         for channel, rng in zip(channels, generators())
     ]
-    assert_same_records(batched, lone)
+    assert_same_outcome(batched, lone)
 
 
 @pytest.mark.parametrize("mode", ["svam", "repeat"])
@@ -188,8 +182,8 @@ def test_hiepm_batch_keeps_each_trial_stream(mode):
     book = book_for(cfg, mode)
     few = run_hiepm_trials(cfg, -5.0, 3, 11, book, mode)
     many = run_hiepm_trials(cfg, -5.0, 7, 11, book, mode)
-    assert len(few) == 3 and len(many) == 7
-    assert_same_records(many[:3], few)
+    assert len(few.true_angle) == 3 and len(many.true_angle) == 7
+    assert_same_outcome(many[:3], few)
 
 
 def test_hiepm_batch_rejects_mismatched_inputs():
