@@ -225,12 +225,16 @@ def select_next_beam(
     pmf is the (trials, grid) stack and widths holds each trial's current
     beamwidth. Returns the directions, widths and windowed masses, one per
     trial. Every try takes all trials still searching at once.
+
+    Halved widths stop at 2^-52, the narrowest width whose band edges stay
+    distinct floats at every direction in [-1, 1); a physical floor (grid
+    spacing or beam design's 2/m) would change recorded outputs.
     """
     if not (0.0 < p_thresh < 1.0):
         raise ValueError("confidence threshold must lie in (0, 1)")
     pmf = np.asarray(pmf, dtype=float)
     widest = grid.roi.width
-    bw = 0.5 * _check_widths(widths, len(pmf))
+    bw = np.maximum(0.5 * _check_widths(widths, len(pmf)), np.finfo(float).eps)
     peaks = np.empty(len(bw))
     directions = np.empty(len(bw))
     searching = np.flatnonzero(bw < widest)

@@ -12,6 +12,7 @@ from .harness import (
     CONFIG_KEYS,
     CRB_SCHEMES,
     EXPERIMENT_KINDS,
+    UNREAD_SETTINGS,
     ExperimentConfig,
     MetricRow,
     config_from_file,
@@ -28,7 +29,7 @@ from .harness import (
 _parse_roi = CONFIG_KEYS["roi"].parse
 
 # the config keys the bound table reads; crb registers no flag for the others
-_CRB_KEYS = ("n", "n_v", "grid_size", "total_snapshots", "snr_db", "roi", "out")
+_CRB_KEYS = tuple(k for k in CONFIG_KEYS if k not in UNREAD_SETTINGS["crb_sweep"])
 
 
 def _base_config(args) -> ExperimentConfig:
@@ -57,13 +58,12 @@ def _add_common(
 
 
 def _cmd_align(args, config: ExperimentConfig) -> int:
-    # a single operating point: first value of every sweep axis
-    adapt = config.adapt(config.n_v[0], config.p_thresh[0], config.noise_scale[0])
-    snr = config.snr_db[0]
+    # one operating point: the first noise_mismatch point (it reads every setting)
+    (snr, n_v, p, scale, _), adapt = next(config.sweep_points())
     outcome = run_adaptive_trials(adapt, snr, config.trials, config.seed)
     row = MetricRow(
-        "rmse_vs_snr", snr, adapt.n_v, adapt.p_thresh, config.noise_scale[0],
-        None, config.trials, "rmse", records_rmse(outcome),
+        "rmse_vs_snr", snr, n_v, p, scale, None, config.trials, "rmse",
+        records_rmse(outcome),
     )
     out = config.out or "align_metrics.csv"
     emit_csv([row], out)
@@ -121,7 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p_align)
     p_align.add_argument("--trajectories", help="per-segment trace CSV path")
-    p_align.set_defaults(experiment="rmse_vs_snr", setup=_base_config, run=_cmd_align)
+    p_align.set_defaults(
+        experiment="noise_mismatch", setup=_base_config, run=_cmd_align
+    )
 
     p_sweep = sub.add_parser("sweep", help="full experiment sweep to CSV")
     p_sweep.add_argument(

@@ -93,6 +93,10 @@ class ExperimentConfig:
         object.__setattr__(
             self, "n_v", tuple(check_integer("n_v", n_v) for n_v in self.n_v)
         )
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in UNREAD_SETTINGS[self.experiment] and value != f.default:
+                raise ValueError(f"{self.experiment} does not read {f.name}: {value!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.seed < 0:  # the per-trial seed sequences take no negative seed
@@ -100,21 +104,16 @@ class ExperimentConfig:
         for axis in ("n_v", "snr_db", "p_thresh", "noise_scale"):
             if len(getattr(self, axis)) == 0:
                 raise ValueError(f"sweep axis {axis} is empty")
-        for snr in self.snr_db:
-            noise_variance_from_snr(snr)
-        # check every sweep point now so a bad one fails here, not after
-        # the points before it have run: a bound point with the bound
-        # dispatch's checks, an alignment point by building its AdaptConfig
+        # check every sweep point now so a bad one fails here, not after the
+        # points before it have run: a bound point with the bound dispatch's
+        # checks, an alignment point by building its AdaptConfig and noise power
         if self.experiment == "crb_sweep":
             AngularGrid(self.roi, self.grid_size)  # rejects an empty grid
             for snr, n_v in itertools.product(self.snr_db, self.n_v):
                 _bound_noise_variance(self.n, n_v, self.total_snapshots, snr)
         else:
-            for _ in self.sweep_points():
-                pass
-            # align reads a noise scale whatever the kind, so every one is checked
-            for scale in self.noise_scale:
-                self.adapt(self.n_v[0], self.p_thresh[0], scale)
+            for (snr, *_), _ in self.sweep_points():
+                noise_variance_from_snr(snr)
 
     def adapt(
         self,
@@ -188,25 +187,14 @@ def draw_channel(
 
 
 def _draw_trials(
-    config: AdaptConfig, snr_db: float, trials: int, seed: int
-) -> tuple[list[np.random.Generator], list[ChannelParams]]:
-    """Each trial's generator and the channel it draws first."""
-    grid = AngularGrid(config.roi, config.grid_size)
-    rngs = [trial_generator(seed, trial) for trial in range(trials)]
-    return rngs, [draw_channel(grid, snr_db, rng) for rng in rngs]
-
-
-def _run_snr_batch(
     config: AdaptConfig, snrs: Sequence[float], trials: int, seed: int
-) -> list[Trials]:
-    """The trials of one sweep point per SNR, all advanced together by one
-    run_alignment batch; one row slice per SNR, the outcome a lone run of
-    that SNR gives."""
-    draws = [_draw_trials(config, snr, trials, seed) for snr in snrs]
-    batch = run_alignment(
-        config, [c for _, cs in draws for c in cs], [r for rs, _ in draws for r in rs]
-    )
-    return [batch[k * trials : (k + 1) * trials] for k in range(len(snrs))]
+) -> tuple[list[ChannelParams], list[np.random.Generator]]:
+    """The channels and generators of every SNR's trials in batch order,
+    SNR by SNR; trial i's generator trial_generator(seed, i) draws its
+    channel first, as a lone run of that SNR draws it."""
+    grid = AngularGrid(config.roi, config.grid_size)
+    draws = [(snr, trial_generator(seed, i)) for snr in snrs for i in range(trials)]
+    return [draw_channel(grid, snr, rng) for snr, rng in draws], [r for _, r in draws]
 
 
 def run_adaptive_trials(
@@ -216,8 +204,7 @@ def run_adaptive_trials(
     seed: int,
 ) -> Trials:
     """All trials of one sweep point, advanced together by run_alignment."""
-    rngs, channels = _draw_trials(config, snr_db, trials, seed)
-    return run_alignment(config, channels, rngs)
+    return run_alignment(config, *_draw_trials(config, [snr_db], trials, seed))
 
 
 def run_hiepm_trials(
@@ -230,7 +217,7 @@ def run_hiepm_trials(
 ) -> Trials:
     """All trials of one known-gain scheme, advanced together by
     run_hiepm_known_alpha."""
-    rngs, channels = _draw_trials(config, snr_db, trials, seed)
+    channels, rngs = _draw_trials(config, [snr_db], trials, seed)
     return run_hiepm_known_alpha(config, channels, rngs, codebook, mode=mode)
 
 
@@ -301,15 +288,21 @@ _REDUCERS = {
 
 EXPERIMENT_KINDS = (*_REDUCERS, "crb_sweep")
 
+# the fields each kind never reads: ExperimentConfig rejects a non-default one
+UNREAD_SETTINGS = {kind: ("noise_scale",) for kind in EXPERIMENT_KINDS} | {
+    "noise_mismatch": (),
+    "codebook_compare": ("noise_scale", "codebook"),  # runs both controllers
+    "crb_sweep": ("trials", "seed", "p_thresh", "noise_scale", "codebook"),
+}
+
 
 def _adaptive_rows(config: ExperimentConfig) -> list[MetricRow]:
     """Metric rows of every alignment sweep point, in sweep order.
 
     Sweep points with equal AdaptConfigs differ only in SNR; all their
-    trials run as one lockstep batch, each point's row slice the outcome a
-    run of that point alone gives. A point is found by its position, so an SNR
-    listed twice gives two identical sets of rows. Each batch is reduced to
-    rows before the next one runs.
+    trials run as one lockstep batch. Each point's row slice, the outcome a
+    run of that point alone gives, is reduced into the point's own slot
+    before the next batch runs, so a repeated SNR repeats its rows.
     """
     reduce = _REDUCERS[config.experiment]
     grid = AngularGrid(config.roi, config.grid_size)
@@ -317,26 +310,22 @@ def _adaptive_rows(config: ExperimentConfig) -> list[MetricRow]:
     groups: dict[AdaptConfig, list[int]] = {}
     for position, (_, adapt) in enumerate(points):
         groups.setdefault(adapt, []).append(position)
-
-    def point_rows(position: int, trials: Trials) -> list[MetricRow]:
-        snr, n_v, p, scale, book = points[position][0]
-        return [
-            MetricRow(
-                config.experiment, snr, n_v, p, scale, t, config.trials,
-                name if book is None else f"{name}_{book}", value,
-            )
-            for t, name, value in reduce(trials, grid)
-        ]
-
-    rows: dict[int, list[MetricRow]] = {}
-    for positions in groups.values():
-        adapt = points[positions[0]][1]
+    rows: list[list[MetricRow]] = [[] for _ in points]
+    for adapt, positions in groups.items():
         snrs = [points[position][0][0] for position in positions]
-        for position, trials in zip(
-            positions, _run_snr_batch(adapt, snrs, config.trials, config.seed)
-        ):
-            rows[position] = point_rows(position, trials)
-    return [row for position in range(len(points)) for row in rows[position]]
+        draws = _draw_trials(adapt, snrs, config.trials, config.seed)
+        batch = run_alignment(adapt, *draws)
+        for k, position in enumerate(positions):
+            snr, n_v, p, scale, book = points[position][0]
+            trials = batch[k * config.trials : (k + 1) * config.trials]
+            rows[position] = [
+                MetricRow(
+                    config.experiment, snr, n_v, p, scale, t, config.trials,
+                    name if book is None else f"{name}_{book}", value,
+                )
+                for t, name, value in reduce(trials, grid)
+            ]
+    return [row for point_rows in rows for row in point_rows]
 
 
 def region_beam_bank(beam: BeamSpec, taps: int, segments: int) -> np.ndarray:
@@ -582,31 +571,35 @@ def parse_config_file(path: str) -> dict:
     """key = value experiment settings; '#' comments; lists comma-separated.
 
     Returns keyword arguments for ExperimentConfig. Every error names the
-    offending path:line.
+    path, and the offending line where there is one.
     """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
     kwargs: dict = {}
     first_line: dict[str, int] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in first_line:
-                raise ValueError(
-                    f"{path}:{lineno}: repeated key {key!r}, "
-                    f"first set on line {first_line[key]}"
-                )
-            first_line[key] = lineno
-            try:
-                kwargs[key] = CONFIG_KEYS[key].parse(value)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad {key} {value!r}: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ValueError(
+                f"{path}:{lineno}: repeated key {key!r}, "
+                f"first set on line {first_line[key]}"
+            )
+        first_line[key] = lineno
+        try:
+            kwargs[key] = CONFIG_KEYS[key].parse(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad {key} {value!r}: {exc}") from exc
     return kwargs
 
 

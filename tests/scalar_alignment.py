@@ -153,15 +153,15 @@ def select_next_beam_scalar(
     p_thresh: float,
     grid: AngularGrid,
 ) -> tuple[BeamSpec, float]:
-    """One trial's next flexible beam: try half the current width and double
-    until the windowed mass clears the threshold; at the region's width the
-    search gives up and resets to the region-wide beam."""
+    """One trial's next flexible beam: try half the current width (at least
+    2^-52) and double until the windowed mass clears the threshold; at the
+    region's width the search gives up and resets to the region-wide beam."""
     if not (0.0 < p_thresh < 1.0):
         raise ValueError("confidence threshold must lie in (0, 1)")
     if bw_current <= 0:
         raise ValueError("beamwidth must be positive")
     widest = grid.roi.width
-    bw = 0.5 * bw_current
+    bw = max(0.5 * bw_current, np.finfo(float).eps)
     while bw < widest:
         peak_prob, spec = cumul_peak_scalar(pmf, bw, grid)
         if peak_prob >= p_thresh:

@@ -152,6 +152,30 @@ def test_select_rejects_a_width_that_is_not_positive_and_finite(width):
         select_next_beam(pmf, [0.5], 0.6, g)
 
 
+def test_select_floors_the_halved_width_at_machine_epsilon():
+    # a confident trial at 2^-60 asks for 2^-61; the band edges of a beam
+    # that narrow are one float, so the width stops at 2^-52
+    g = grid_of(16)
+    pmf = np.zeros((2, 16))
+    pmf[:, 9] = 1.0
+    _, widths, peaks = select_next_beam(pmf, [2.0**-60, 2.0**-51], 0.6, g)
+    assert widths.tolist() == [np.finfo(float).eps, 2.0**-52]
+    assert peaks.tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("snr_db", [10.0, -10.0, np.inf])
+def test_long_flexible_run_completes(snr_db):
+    # 60 blocks of n_v = 2: confident blocks used to halve the width to
+    # 2^-53, whose band BeamSpec rejects, and the run raised midway
+    from svamsim.harness import run_adaptive_trials
+
+    cfg = make_config(n_v=2, total_snapshots=120)
+    out = run_adaptive_trials(cfg, snr_db, 4, 3)
+    widths = np.array([[beam.spec.beamwidth for beam in row] for row in out.beams])
+    assert widths.min() == np.finfo(float).eps
+    assert np.isin(out.estimate, grid_of(16).points).all()
+
+
 # ---------------------------------------------------------- hier_beam_search
 
 DEPTH_16 = 4  # dyadic levels over a 16-point grid

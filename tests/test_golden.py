@@ -14,6 +14,7 @@ import pytest
 from svamsim.arrays import AngularGrid, RegionOfInterest
 from svamsim.cli import main as cli_main
 from svamsim.harness import (
+    UNREAD_SETTINGS,
     ExperimentConfig,
     crb_table,
     emit_csv,
@@ -25,7 +26,8 @@ from svamsim.harness import (
 
 ROI = RegionOfInterest(0.0, 1.0)
 
-# every sweep axis has two values so the row order of each kind is pinned
+# every sweep axis has two values so the row order of each kind is pinned;
+# each kind is given only the settings it reads (see _settings)
 SWEEP = dict(
     n=16,
     n_v=(2, 4),
@@ -115,8 +117,18 @@ def _sha(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _settings(kind) -> dict:
+    """SWEEP without the settings the kind never reads, which it rejects.
+
+    The digests were recorded while every kind was still handed all of
+    SWEEP; that they still match shows the dropped values never mattered.
+    """
+    unread = UNREAD_SETTINGS[kind]
+    return {k: v for k, v in SWEEP.items() if k not in unread} | {"experiment": kind}
+
+
 def _experiment(kind, tmp_path, **overrides):
-    kwargs = dict(SWEEP, experiment=kind)
+    kwargs = _settings(kind)
     if kind == "crb_sweep":
         kwargs["grid_size"] = 8
     kwargs.update(overrides)
@@ -159,7 +171,7 @@ def test_bound_table_csv_bytes(scheme, tmp_path):
 
 
 def test_trajectory_csv_bytes(tmp_path):
-    cfg = ExperimentConfig(**dict(SWEEP, experiment="rmse_vs_snr"))
+    cfg = ExperimentConfig(**_settings("rmse_vs_snr"))
     records = run_adaptive_trials(cfg.adapt(4, 0.6), 0.0, 3, cfg.seed)
     path = tmp_path / "traj.csv"
     write_trajectories(records, str(path))

@@ -17,6 +17,7 @@ from svamsim.harness import (
     CONFIG_KEYS,
     CRB_SCHEMES,
     EXPERIMENT_KINDS,
+    UNREAD_SETTINGS,
     ExperimentConfig,
     MetricRow,
     bootstrap_rmse_interval,
@@ -49,6 +50,10 @@ def tiny_config(**overrides) -> ExperimentConfig:
         seed=11,
     )
     base.update(overrides)
+    if base["experiment"] == "crb_sweep":  # it rejects the trial settings
+        for name in UNREAD_SETTINGS["crb_sweep"]:
+            if name not in overrides:
+                base.pop(name, None)
     return ExperimentConfig(**base)
 
 
@@ -568,12 +573,17 @@ def test_cli_reports_a_rejected_config_in_one_line(flag, message, tmp_path, caps
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
 def test_every_alignment_kind_rejects_a_bad_noise_scale(scale, tmp_path, capsys):
-    # align reads the first noise scale whatever the experiment kind, so
-    # every alignment kind checks it when the config is built
+    # noise_mismatch checks every scale it sweeps; the other kinds read no
+    # scale and reject any but the default. align runs a noise_mismatch
+    # point, so its scale is checked too
     for kind in EXPERIMENT_KINDS:
         if kind == "crb_sweep":
             continue
-        with pytest.raises(ValueError, match="noise scale"):
+        message = (
+            "noise scale must be positive" if kind == "noise_mismatch"
+            else f"{kind} does not read noise_scale"
+        )
+        with pytest.raises(ValueError, match=message):
             tiny_config(experiment=kind, noise_scale=(scale,))
     out = tmp_path / "x.csv"
     with pytest.raises(SystemExit) as exc:
@@ -585,6 +595,70 @@ def test_every_alignment_kind_rejects_a_bad_noise_scale(scale, tmp_path, capsys)
         f"svamsim: error: noise scale must be positive and finite, got {scale}\n"
     )
     assert not out.exists()
+
+
+UNREAD_VALUES = dict(
+    trials=9, seed=1, p_thresh=(0.3,), noise_scale=(0.5,), codebook="hierarchical"
+)
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [(kind, name) for kind, names in UNREAD_SETTINGS.items() for name in names],
+)
+def test_a_setting_the_kind_never_reads_is_rejected(kind, name):
+    # such a value used to be accepted and ignored: the CSV came out the
+    # same as with the default
+    with pytest.raises(ValueError, match=f"^{kind} does not read {name}: "):
+        tiny_config(experiment=kind, **{name: UNREAD_VALUES[name]})
+    default = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    tiny_config(experiment=kind, **{name: default[name]})
+
+
+def test_every_setting_is_read_by_some_kind():
+    assert set(UNREAD_SETTINGS) == set(EXPERIMENT_KINDS)
+    assert set.intersection(*map(set, UNREAD_SETTINGS.values())) == set()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--experiment", "rmse_vs_snr", "--noise-scale", "0.5"],
+         "rmse_vs_snr does not read noise_scale: (0.5,)"),
+        (["--experiment", "crb_sweep", "--p-thresh", "0.3", "--noise-scale", "7",
+          "--codebook", "hierarchical", "--trials", "9"],
+         "crb_sweep does not read trials: 9"),
+    ],
+    ids=["noise_scale", "crb_trial_settings"],
+)
+def test_cli_sweep_rejects_an_unread_setting_in_one_line(
+    argv, message, tmp_path, capsys
+):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["sweep", "--out", str(out)] + argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"svamsim: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("problem", ["missing", "directory", "not_utf8"])
+def test_cli_reports_an_unreadable_config_file_in_one_line(
+    problem, tmp_path, capsys
+):
+    path = tmp_path / "exp.cfg"
+    reason = {"missing": "No such file or directory", "directory": "Is a directory"}
+    if problem == "directory":
+        path.mkdir()
+    elif problem == "not_utf8":
+        path.write_bytes(b"experiment = rmse_vs_snr\nroi = 0,\xff1\n")
+        reason["not_utf8"] = "'utf-8' codec can't decode byte 0xff"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"svamsim: error: {path}: {reason[problem]}")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("with_file", [True, False], ids=["file", "no_file"])

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from svamsim.cli import main as cli_main
-from svamsim.harness import CRB_COLUMNS, CSV_COLUMNS
+from svamsim.harness import CONFIG_KEYS, CRB_COLUMNS, CSV_COLUMNS
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -31,6 +31,13 @@ CLI_LINES = [
     for block in _blocks(CLI, "sh")
     for line in block.splitlines()
     if line.startswith("svamsim ")
+]
+
+# the body rows of the "file key | flag | value" table, each as its cells
+_, _KEY_TABLE_TEXT = CLI.split("| file key | flag | value |\n| --- | --- | --- |\n", 1)
+KEY_TABLE = [
+    [cell.strip() for cell in line.strip("|").split("|")]
+    for line in _KEY_TABLE_TEXT.split("\n\n", 1)[0].splitlines()
 ]
 
 HEADERS = {
@@ -75,3 +82,16 @@ def test_cli_line_runs_and_writes_its_header(line, tmp_path, monkeypatch):
             header = tuple(next(csv.reader(fh)))
         want = TRAJECTORY_HEADER if path.name == trajectories else HEADERS[command]
         assert header == want, path.name
+
+
+def test_config_key_table_spells_every_key_and_flag():
+    # experiment has no shared flag: only sweep sets it, with --experiment
+    want = [
+        (
+            f"`{name}`",
+            "(`sweep --experiment`)" if name == "experiment"
+            else f"`{key.flag or '--' + name.replace('_', '-')}`",
+        )
+        for name, key in CONFIG_KEYS.items()
+    ]
+    assert [(key, flag) for key, flag, _ in KEY_TABLE] == want
