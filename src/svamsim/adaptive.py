@@ -1,36 +1,28 @@
 """Closed-loop beam controllers driving the posterior toward the path angle.
 
-Two controllers share the measurement/inference loop:
+One loop runs every alignment. Each block measures a batch of trials in
+lockstep, appends the outputs to the measurement history, scores the grid
+and takes one of three controller steps: flexible (re-design a beam around
+the posterior mass, halving or doubling its width against a confidence
+threshold), hierarchical (climb a dyadic codebook from the node holding the
+mode), or posterior matching (the codebook node whose mass is closest to
+1/2). run_alignment fits the unknown gain and runs the first two;
+run_hiepm_known_alpha, the known-gain hiePM case study, scores with each
+channel's gain and runs the third. Its codewords slide across the aperture
+within a block (n - n_v + 1 taps) or, with n taps and so one shift, repeat.
 
-* run_alignment treats the path gain as unknown and after every
-  snapshot block either re-designs a flexible beam around the posterior
-  mass (halving or doubling its width against a confidence threshold) or
-  picks a node of a dyadic codebook by climbing from the posterior mode.
-  It advances a whole batch of trials in lockstep.
-
-* run_hiepm_known_alpha is the known-gain case study: an exact
-  per-snapshot Bayes update drives codeword selection by posterior
-  matching (the node whose mass is closest to 1/2), with the codeword
-  either slid across the aperture as a sub-beam or repeated at full
-  aperture for the block. It too advances a whole batch of trials in
-  lockstep.
-
-Both loops draw each trial's noise from that trial's own generator, one
-block at a time, in the order a lone run of the trial would, so a batch
-row reproduces the lone trial bit for bit. Each trial's channel carries
-its own received path gain; run_alignment also lets each trial have its
-own noise variance, so one batch can hold every SNR of a sweep point. The
-inference takes the whole batch at once and checks every row; one bad row
-rejects the batch. No step runs trial by trial. The flexible step takes all
-trials' pmfs and widths and returns arrays of directions, widths and
-masses; the hierarchical search and posterior matching pick all trials'
-nodes, as arrays of levels and indices, from one table of node masses. A
-block designs each distinct (direction, width) pair once and looks each
-distinct beam up once for its combiners and response rows. The one
-per-trial call left in a block is the flexible step's np.convolve of each
-trial's pmf, once per width tried: its dot order fixes the bits of windows
-of 16 points and up. Both loops return one Trials outcome, a row per
-trial in batch order; gains at the truth are computed only when asked for.
+Each trial's noise is drawn from its own generator, one block at a time,
+in the order a lone run of the trial would, so a batch row reproduces the
+lone trial bit for bit. Each trial has its own received gain and noise
+variance, so one batch can hold every SNR of a sweep point. The inference
+checks every row; one bad row rejects the batch. No step runs trial by
+trial: the controllers take all trials' pmfs and return arrays of beams or
+(level, index) nodes. A block designs each distinct (direction, width)
+pair once and looks each distinct beam up once for its combiners and
+response rows. The one per-trial call left is the flexible step's
+np.convolve of each trial's pmf, once per width tried: its dot order fixes
+the bits of windows of 16 points and up. The loop returns one Trials
+outcome, a row per trial; gains at the truth are computed only when asked.
 """
 
 from __future__ import annotations
@@ -52,10 +44,10 @@ from .beams import (
 )
 from .channel import ChannelParams, antenna_blocks, combine, noiseless_snapshot
 from .inference import (
+    AlphaPosterior,
     alpha_posterior,
     approx_log_likelihood,
     gamma_mle,
-    known_alpha_posterior,
     posterior_pmf,
 )
 from .sensing import BeamCache, MeasurementHistory, block_combiners
@@ -359,24 +351,6 @@ def select_codeword_posterior_matching(
     return level, index
 
 
-def _inference_noise(config: AdaptConfig, noise_variance: np.ndarray) -> np.ndarray:
-    """Each trial's noise variance as the inference assumes it."""
-    return np.maximum(config.noise_scale * noise_variance, NOISELESS_VAR_FLOOR)
-
-
-def _batch_inputs(
-    config: AdaptConfig, channels: Sequence[ChannelParams], rngs: Sequence
-) -> tuple[np.ndarray, list[float], np.ndarray]:
-    """Check a batch for one generator per channel; return each trial's
-    noise variance and true angle (its path's) and the noiseless snapshots."""
-    if len(channels) < 1 or len(rngs) != len(channels):
-        raise ValueError("need at least one channel and one generator per channel")
-    noise = np.array([channel.noise_variance for channel in channels])
-    truths = [channel.u for channel in channels]
-    signals = np.stack([noiseless_snapshot(channel, config.n) for channel in channels])
-    return noise, truths, signals
-
-
 def _beam_per_trial(
     first: np.ndarray, second: np.ndarray, beam: Callable[..., Beamformer]
 ) -> list[Beamformer]:
@@ -387,21 +361,95 @@ def _beam_per_trial(
     return [beams[key] for key in keys]
 
 
-def _node_peaks(
-    masses: Sequence[np.ndarray], levels: np.ndarray, indices: np.ndarray
-) -> np.ndarray:
-    """Each trial's mass of its (level, index) node, gathered from the
-    node_masses tables laid side by side: node (l, k) is column 2**l - 1 + k."""
-    table = np.concatenate(masses, axis=-1)
-    return table[np.arange(len(table)), 2**levels - 1 + indices]
+def _align(
+    config: AdaptConfig,
+    channels: Sequence[ChannelParams],
+    rngs: Sequence[np.random.Generator],
+    codebook: HierarchicalCodebook | None,
+    gains: np.ndarray | None,
+) -> Trials:
+    """The one alignment loop. The controller is posterior matching over the
+    codebook when the trials' gains are given, the hierarchical search when
+    only a codebook is, and the flexible step otherwise. A known gain is
+    scored as AlphaPosterior(gain, 0): the known-gain Gaussian log density."""
+    count = len(channels)
+    if count < 1 or len(rngs) != count:
+        raise ValueError("need at least one channel and one generator per channel")
+    channel_noise = np.array([channel.noise_variance for channel in channels])
+    signals = np.stack([noiseless_snapshot(channel, config.n) for channel in channels])
+    noise_var = np.maximum(config.noise_scale * channel_noise, NOISELESS_VAR_FLOOR)
+    noise_var = noise_var[:, None]  # the variance the inference assumes
+    grid = AngularGrid(config.roi, config.grid_size)
+    m = config.combiner_length
+    if gains is not None:
+        post = AlphaPosterior(mean=gains[:, None], variance=0.0)
 
+    def node(level, k):
+        return codebook.node(level, k).beamformer
 
-def _trials(grid: AngularGrid, truths: list[float], beams, modes, peaks) -> Trials:
-    """The outcome from a run's per-block lists of beams, posterior modes and
-    captured masses; each estimate is the final mode."""
+    if codebook is None:
+        widths = np.full(count, config.roi.width)
+        beams = [
+            design_beamformer(BeamSpec(config.roi.center, config.roi.width), m)
+        ] * count
+    else:
+        levels = indices = np.zeros(count, dtype=int)
+        if gains is not None:
+            uniform = np.full((count, grid.size), 1.0 / grid.size)
+            levels, indices = select_codeword_posterior_matching(
+                node_masses(uniform, codebook.depth)
+            )
+        beams = _beam_per_trial(levels, indices, node)
+
+    combiners = BeamCache(lambda w: block_combiners(w, config.n, config.n_v))
+    history = MeasurementHistory(config.n, config.n_v, grid, count)
+    block_modes, block_peaks = [], []
+    for t in range(config.segments):
+        x = antenna_blocks(signals, channel_noise, rngs, config.n_v)
+        # combine gives every row the bits a lone trial's product has
+        values = combine(combiners.stack(beams), x)
+        history.append(values, beams)
+        if gains is None:
+            gamma = gamma_mle(history, noise_var)
+            post = alpha_posterior(history, gamma, noise_var)
+        pmf = posterior_pmf(approx_log_likelihood(history, post, noise_var))
+        modes = np.argmax(pmf, axis=-1)
+
+        if codebook is None:
+            directions, widths, peaks = select_next_beam(
+                pmf, widths, config.p_thresh, grid
+            )
+        else:
+            masses = node_masses(pmf, codebook.depth)
+            if gains is None:
+                levels, indices = hier_beam_search(
+                    levels, masses, modes, grid.size, config.p_thresh
+                )
+            # the mass of each trial's node (posterior matching: the one it
+            # sensed with); node (l, k) is column 2**l - 1 + k of the tables
+            # laid side by side
+            table = np.concatenate(masses, axis=-1)
+            peaks = table[np.arange(count), 2**levels - 1 + indices]
+
+        block_modes.append(modes)
+        block_peaks.append(peaks)
+        if t == config.segments - 1:
+            break  # the beams chosen after the last block are never used
+        if codebook is None:
+            beams = _beam_per_trial(
+                directions, widths, lambda u, bw: design_beamformer(BeamSpec(u, bw), m)
+            )
+            continue
+        if gains is not None:
+            levels, indices = select_codeword_posterior_matching(masses)
+        beams = _beam_per_trial(levels, indices, node)
+
     return Trials(
-        np.array(truths), grid.points[modes[-1]], np.stack(modes, axis=-1),
-        np.stack(peaks, axis=-1), tuple(zip(*beams)),
+        np.array([channel.u for channel in channels]),
+        grid.points[block_modes[-1]],  # each estimate is the final mode
+        np.stack(block_modes, axis=-1),
+        np.stack(block_peaks, axis=-1),
+        tuple(zip(*history.beamformers)),
     )
 
 
@@ -425,63 +473,13 @@ def run_alignment(
     from, and resets to, the region-wide beam; the hierarchical one climbs a
     codebook log2(grid size) levels deep.
     """
-    count = len(channels)
-    channel_noise, truths, signals = _batch_inputs(config, channels, rngs)
-    grid = AngularGrid(config.roi, config.grid_size)
-    m = config.combiner_length
-    noise_var = _inference_noise(config, channel_noise)[:, None]
-
-    hierarchical = config.codebook == "hierarchical"
-    if hierarchical:
+    codebook = None
+    if config.codebook == "hierarchical":
         codebook = build_hierarchical_codebook(
-            config.roi, config.depth(), m, grid_size=config.grid_size
+            config.roi, config.depth(), config.combiner_length,
+            grid_size=config.grid_size,
         )
-        levels = [0] * count
-        beams = [codebook.node(0, 0).beamformer] * count
-    else:
-        widths = np.full(count, config.roi.width)
-        beams = [
-            design_beamformer(BeamSpec(config.roi.center, config.roi.width), m)
-        ] * count
-
-    combiners = BeamCache(lambda w: block_combiners(w, config.n))
-    history = MeasurementHistory(config.n_v, grid, count)
-    block_modes, block_peaks = [], []
-    for t in range(config.segments):
-        x = antenna_blocks(signals, channel_noise, rngs, config.n_v)
-        # combine gives every row the bits a lone trial's product has
-        values = combine(combiners.stack(beams), x)
-        history.append(values, beams)
-        gamma = gamma_mle(history, noise_var)
-        post = alpha_posterior(history, gamma, noise_var)
-        pmf = posterior_pmf(approx_log_likelihood(history, post, noise_var))
-        modes = np.argmax(pmf, axis=-1)
-
-        if hierarchical:
-            masses = node_masses(pmf, codebook.depth)
-            levels, indices = hier_beam_search(
-                levels, masses, modes, grid.size, config.p_thresh
-            )
-            peaks = _node_peaks(masses, levels, indices)
-        else:
-            directions, widths, peaks = select_next_beam(
-                pmf, widths, config.p_thresh, grid
-            )
-
-        block_modes.append(modes)
-        block_peaks.append(peaks)
-        if t == config.segments - 1:
-            break  # the beams chosen after the last block are never used
-        if hierarchical:
-            beams = _beam_per_trial(
-                levels, indices, lambda level, k: codebook.node(level, k).beamformer
-            )
-        else:
-            beams = _beam_per_trial(
-                directions, widths, lambda u, bw: design_beamformer(BeamSpec(u, bw), m)
-            )
-
-    return _trials(grid, truths, history.beamformers, block_modes, block_peaks)
+    return _align(config, channels, rngs, codebook, None)
 
 
 def run_hiepm_known_alpha(
@@ -489,85 +487,31 @@ def run_hiepm_known_alpha(
     channels: Sequence[ChannelParams],
     rngs: Sequence[np.random.Generator],
     codebook: HierarchicalCodebook,
-    mode: str = "svam",
 ) -> Trials:
-    """Known-gain hierarchical alignment of a batch of trials over all
-    snapshot blocks.
+    """Known-gain hierarchical alignment (hiePM) of a batch of trials over
+    all snapshot blocks: the loop of run_alignment, scored with each
+    channel's gain and stepped by posterior matching over the codebook.
 
-    mode "svam" slides a length-m codeword across the aperture within each
-    block; mode "repeat" uses a full-length codeword for the whole block.
-    With a block size of one the two are the same controller. The codebook
-    passed in must match the codeword length of the chosen mode.
-
-    The trials advance in lockstep. Trial i observes channels[i] and draws
-    only from rngs[i], one noise block per segment, in the order a lone run
-    of that trial would. The Bayes update still runs once per snapshot, in
-    time order, but for the whole batch at once: each row of the
-    (trials, grid) posterior is the lone trial's, and every input check
-    applies to each row. Posterior matching then picks one codeword per
-    trial from the node masses of all trials. A single trial is a batch of
-    one. The trials must share their noise variance. The codebook must
-    cover the config's region.
+    The codewords' tap count sets the combining: m = n - n_v + 1 taps slide
+    across the aperture within each block, n taps are repeated at full
+    aperture for the whole block. With a block size of one the two are the
+    same. Any other tap count is rejected, and so is a codebook whose root
+    does not span the config's region or a codeword of norm above 1. Each
+    trial may have its own noise variance.
     """
-    if mode not in ("svam", "repeat"):
-        raise ValueError(f"unknown combining mode {mode!r}")
-    count = len(channels)
-    channel_noise, truths, signals = _batch_inputs(config, channels, rngs)
-    # one shared variance keeps the snapshot and Bayes updates on scalars
-    if (channel_noise != channel_noise[0]).any():
-        raise ValueError("trials of one batch must share noise variance")
-    noise_var = float(_inference_noise(config, channel_noise)[0])
-    channel_noise = float(channel_noise[0])
-    grid = AngularGrid(config.roi, config.grid_size)
-    alphas = np.array([channel.alpha for channel in channels])
-    taps = config.combiner_length if mode == "svam" else config.n
-    region = (config.roi.u_left, config.roi.u_right)
     root = codebook.node(0, 0)
-    if (root.beamformer.size, root.span) != (taps, region):
+    taps = root.beamformer.size
+    region = (config.roi.u_left, config.roi.u_right)
+    if taps not in (config.combiner_length, config.n) or root.span != region:
         raise ValueError(
-            f"codebook of {root.beamformer.size}-tap beams over {root.span}; "
-            f"mode {mode!r} needs {taps} taps over the region {region}"
+            f"codebook of {taps}-tap beams over {root.span}; blocks of "
+            f"{config.n_v} on {config.n} elements need {config.combiner_length} "
+            f"(sliding) or {config.n} (repeated) taps over the region {region}"
         )
-    manifold = grid.manifold(config.n)
-
-    def block_rows(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # one block's full-length combiners and, by the product a lone
-        # update takes, each combiner's response over the grid; every row
-        # carries the codeword's taps, so one norm check covers the block
-        norm = np.linalg.norm(weights)
-        if norm > 1.0 + 1e-9:
-            raise ValueError(f"codeword norm {norm} exceeds 1")
-        if mode == "svam":
-            rows = block_combiners(weights, config.n)
-        else:
-            rows = np.tile(weights, (config.n_v, 1))
-        return rows, np.matmul(rows.conj()[..., None, :], manifold)[..., 0, :]
-
-    blocks = BeamCache(block_rows)
-    pmf = np.full((count, grid.size), 1.0 / grid.size)
-    masses = node_masses(pmf, codebook.depth)
-    levels, indices = select_codeword_posterior_matching(masses)
-    block_codewords, block_modes, block_peaks = [], [], []
-    for t in range(config.segments):
-        codewords = _beam_per_trial(
-            levels, indices, lambda level, k: codebook.node(level, k).beamformer
-        )
-        cached = [blocks(codeword) for codeword in codewords]
-        combiners = np.stack([rows for rows, _ in cached])
-        responses = np.stack([response for _, response in cached])
-        x = antenna_blocks(signals, channel_noise, rngs, config.n_v)
-        # one vdot per row, and one update per snapshot in time order:
-        # merging a block's log-likelihoods would round differently
-        values = combine(combiners, x)
-        for r in range(config.n_v):
-            pmf = known_alpha_posterior(
-                pmf, values[:, r], alphas, responses[:, r], noise_var
-            )
-        masses = node_masses(pmf, codebook.depth)
-        block_codewords.append(codewords)
-        block_modes.append(np.argmax(pmf, axis=-1))
-        block_peaks.append(_node_peaks(masses, levels, indices))
-        if t < config.segments - 1:
-            levels, indices = select_codeword_posterior_matching(masses)
-
-    return _trials(grid, truths, block_codewords, block_modes, block_peaks)
+    words = np.stack([node.beamformer.weights for level in codebook.levels
+                      for node in level])
+    norm = np.linalg.norm(words, axis=-1).max()
+    if norm > 1.0 + 1e-9:
+        raise ValueError(f"codeword norm {norm} exceeds 1")
+    gains = np.array([channel.alpha for channel in channels], dtype=complex)
+    return _align(config, channels, rngs, codebook, gains)

@@ -39,7 +39,7 @@ from .crb import (
     crb_unknown_alpha,
     gain_condition_sufficient,
 )
-from .sensing import block_combiners
+from .sensing import _virtual_size, block_combiners
 
 CRB_SCHEMES = ("general", "benchmark", "svam", "unknown-alpha")
 
@@ -216,9 +216,13 @@ def run_hiepm_trials(
     mode: str = "svam",
 ) -> Trials:
     """All trials of one known-gain scheme, advanced together by
-    run_hiepm_known_alpha."""
+    run_hiepm_known_alpha. The codewords' taps set the combining; mode must
+    name it: "svam" for n - n_v + 1 taps, "repeat" for n."""
+    taps = codebook.node(0, 0).beamformer.size
+    if taps != {"svam": config.combiner_length, "repeat": config.n}.get(mode):
+        raise ValueError(f"combining mode {mode!r} does not fit {taps}-tap codewords")
     channels, rngs = _draw_trials(config, [snr_db], trials, seed)
-    return run_hiepm_known_alpha(config, channels, rngs, codebook, mode=mode)
+    return run_hiepm_known_alpha(config, channels, rngs, codebook)
 
 
 def rmse(estimates, truths) -> float:
@@ -336,7 +340,8 @@ def region_beam_bank(beam: BeamSpec, taps: int, segments: int) -> np.ndarray:
 
 def expanded_combiners(bank: np.ndarray, n: int) -> np.ndarray:
     """Full N x L combiner matrix from a per-segment sub-aperture bank."""
-    blocks = [block_combiners(column, n) for column in bank.T]
+    n_v = _virtual_size(len(bank), n)
+    blocks = [block_combiners(column, n, n_v) for column in bank.T]
     # C order, as the bound products expect: the bounds cancel digits, and
     # BLAS rounds a Fortran-ordered matrix differently
     return np.ascontiguousarray(np.concatenate(blocks).T)
@@ -604,8 +609,16 @@ def parse_config_file(path: str) -> dict:
 
 
 def config_from_file(path: str, **overrides) -> ExperimentConfig:
+    """The file's settings under the overrides that are not None; a rejected
+    configuration names the file and the keys the overrides replaced."""
     kwargs = parse_config_file(path)
-    kwargs.update({k: v for k, v in overrides.items() if v is not None})
+    given = {k: v for k, v in overrides.items() if v is not None}
+    replaced = ", ".join(k for k in kwargs if k in given)
+    kwargs.update(given)
     if "experiment" not in kwargs:
         raise ValueError(f"{path}: no experiment kind set")
-    return ExperimentConfig(**kwargs)
+    try:
+        return ExperimentConfig(**kwargs)
+    except ValueError as exc:
+        note = f" (command-line flags override {replaced})" if replaced else ""
+        raise ValueError(f"{path}: {exc}{note}") from exc

@@ -36,7 +36,6 @@ __all__ = [
     "likelihood_terms",
     "approx_log_likelihood",
     "posterior_pmf",
-    "known_alpha_posterior",
 ]
 
 
@@ -67,7 +66,6 @@ def _check_noise(noise_var: float | np.ndarray, shape: tuple[int, ...] = ()) -> 
     """noise_var is a scalar or, for a (trials, grid) batch of the given
     shape, a (trials, 1) column. One row that is not positive and finite
     rejects the batch."""
-    # no np.ndim here: the known-gain loop passes a float once per snapshot
     if not isinstance(noise_var, np.ndarray) or noise_var.ndim == 0:
         if not (0 < noise_var < math.inf):  # NaN compares false
             raise ValueError(f"noise variance {noise_var} must be positive and finite")
@@ -145,7 +143,9 @@ def likelihood_terms(
         log det = log(var*g*n_v + noise) + (T*n_v - 1) log noise
         quad    = ||e||^2 / noise - var/noise * |v_e|^2 / (var*g*n_v + noise)
 
-    with e the stacked residual and v_e its matched inner product.
+    with e the stacked residual and v_e its matched inner product. A known
+    gain is a posterior of zero variance: the score is then the Gaussian log
+    density of the measurements given that gain.
     A batch may pass noise_var as a (trials, 1) column, one variance per trial.
     """
     _check_history(history)
@@ -196,8 +196,6 @@ def posterior_pmf(log_likelihood: np.ndarray) -> np.ndarray:
     ll = np.asarray(log_likelihood, dtype=float)
     if ll.size == 0:
         raise ValueError("empty likelihood vector")
-    # array methods, not np.max/np.any: the known-gain loop calls this once
-    # per snapshot, where the function wrappers' overhead shows
     if np.isnan(ll).any():
         raise ValueError("likelihoods contain NaN")
     top = ll.max(axis=-1, keepdims=True)
@@ -207,6 +205,9 @@ def posterior_pmf(log_likelihood: np.ndarray) -> np.ndarray:
     return weights / weights.sum(axis=-1, keepdims=True)
 
 
+# No run calls this: the alignment loop scores a known gain through the
+# history. It stays for perfbench/tracer.py's inference.known_alpha layer
+# until that layer is dropped (ROADMAP item 9).
 def known_alpha_posterior(
     prior: np.ndarray,
     y: complex | np.ndarray,

@@ -9,7 +9,9 @@ received gain alpha, like measurements taken by a virtual n_v-element array:
 
 with beta_t(u) = f_t^H phi_m(u). The virtual aperture is what restores
 angle sensitivity lost by scalar combining. The functions take the
-aperture n and read m from the beam's taps.
+aperture n and read m from the beam's taps. Snapshot r of a block holds the
+beam at shift r mod (n - m + 1): a full-aperture beam (m = n) has one shift
+and is repeated for the whole block, whose virtual rows are then all ones.
 
 MeasurementHistory keeps the blocks of a batch of trials that advance in
 lockstep, a lone trial being a batch of one. It owns the grid of candidate
@@ -50,10 +52,9 @@ def svam_combiner(
     return w
 
 
-def block_combiners(f: Beamformer | np.ndarray, n: int) -> np.ndarray:
-    """(n_v, n) full-length combiners of one block, one row per snapshot;
-    every block slides the beamformer through the same rows."""
-    n_v = _virtual_size(len(_weights_of(f)), n)
+def block_combiners(f: Beamformer | np.ndarray, n: int, n_v: int) -> np.ndarray:
+    """(n_v, n) full-length combiners of a block of n_v snapshots, one row
+    per snapshot, each svam_combiner's; every block takes the same rows."""
     return np.stack([svam_combiner(f, r, n) for r in range(n_v)])
 
 
@@ -84,11 +85,16 @@ class BeamCache:
         """np.stack of the values of many beams: each distinct weights array
         is looked up once and its value gathered into every row that uses
         it."""
-        weights = [_weights_of(f) for f in beams]
-        distinct = {id(w): w for w in weights}
-        slot = {key: k for k, key in enumerate(distinct)}
-        values = np.stack([self(w) for w in distinct.values()])
-        return values[[slot[id(w)] for w in weights]]
+        seen: dict[int, tuple[int, np.ndarray]] = {}  # held: no id reused
+        values, rows = [], []
+        for f in beams:
+            weights = _weights_of(f)
+            hit = seen.get(id(weights))
+            if hit is None:
+                hit = seen[id(weights)] = (len(values), weights)
+                values.append(self(weights))
+            rows.append(hit[0])
+        return np.stack(values)[rows]
 
 
 def measure_segment(
@@ -100,7 +106,7 @@ def measure_segment(
     """Slide the combiner across one block of snapshots on an n-element
     aperture and return its (n_v,) outputs: the block of a lone trial, built
     like each trial's block of a batch."""
-    w = block_combiners(f, n)
+    w = block_combiners(f, n, _virtual_size(len(_weights_of(f)), n))
     (x,) = antenna_blocks(
         noiseless_snapshot(params, n)[None], params.noise_variance, [rng], len(w)
     )
@@ -111,20 +117,22 @@ class MeasurementHistory:
     """Everything the inference engine needs about past segments of a batch
     of trials advancing in lockstep, scored on one grid.
 
-    The grid and the number of trials are fixed at construction; a lone
-    trial is a batch of one. Each segment carries (trials, n_v) values and
-    one beamformer per trial, and every statistic is (trials, grid) or
-    (trials,). The history stores the raw segments and beamformer log, plus
-    running per-grid statistics that make posterior updates O(grid) per
-    segment and trial: the accumulated gain sum |beta|^2, the matched inner
-    products sum_t beta_t^*(u_i) phi^H y_t, and the total measured power. A
-    response row beta_t(u_i) is computed once per distinct designed beam,
-    and a block looks each distinct beam up once.
+    The aperture n, the block size, the grid and the number of trials are
+    fixed at construction; a lone trial is a batch of one. Each segment
+    carries (trials, n_v) values and one beamformer per trial, and every
+    statistic is (trials, grid) or (trials,). The history stores the raw
+    segments and beamformer log, plus running per-grid statistics that make
+    posterior updates O(grid) per segment and trial: the accumulated gain
+    sum |beta|^2, the matched inner products sum_t beta_t^*(u_i) v^H y_t
+    (v: phi_{n_v} for a sliding beam, ones for a repeated one), and the
+    total measured power. A response row beta_t(u_i) is computed once per
+    distinct designed beam, and a block looks each distinct beam up once.
     """
 
-    def __init__(self, n_v: int, grid: AngularGrid, trials: int):
+    def __init__(self, n: int, n_v: int, grid: AngularGrid, trials: int):
         if trials < 1:
             raise ValueError("a batch needs at least one trial")
+        self.n = n
         self.n_v = n_v
         self.grid = grid
         self.trials = trials
@@ -135,7 +143,7 @@ class MeasurementHistory:
         self._beta = BeamCache(lambda w: w.conj() @ grid.manifold(len(w)))
         # per-grid sum of |beta_t(u_i)|^2 over all stored segments
         self.cumulative_gain = np.zeros((trials, grid.size))
-        # per-grid sum_t beta_t^*(u_i) * phi_{n_v}(u_i)^H y_t
+        # per-grid sum_t beta_t^*(u_i) * v(u_i)^H y_t
         self.matched_statistic = np.zeros((trials, grid.size), dtype=complex)
         # squared norm of all stored measurements
         self.total_power = np.zeros(trials)
@@ -161,15 +169,22 @@ class MeasurementHistory:
             raise ValueError(
                 f"{len(beamformers)} beamformers for {self.trials} trials"
             )
+        taps = {_weights_of(f).size for f in beamformers}
+        if len(taps) != 1:
+            raise ValueError(f"one block's beams differ in tap count: {taps}")
+        # the phases v the snapshots see: snapshot r holds its beam at shift
+        # r mod (n - taps + 1), so v is phi_{n_v}, or ones for n taps
+        shifts = _virtual_size(taps.pop(), self.n)
+        virtual = self.grid.manifold(shifts)
+        if shifts != self.n_v:
+            virtual = virtual[np.arange(self.n_v) % shifts]
         beta = self._beta.stack(beamformers)
         # one row-vector product per trial, the response rows one product
         # per beam and the power one conjugate-row product per trial: a
         # batch row carries a lone trial's bits at every block size, where a
         # matrix product's rows would differ from a lone vector product's in
         # the last bits
-        matched_row = np.matmul(
-            values[:, None, :], self.grid.manifold(self.n_v).conj()
-        )[:, 0, :]
+        matched_row = np.matmul(values[:, None, :], virtual.conj())[:, 0, :]
 
         self.segments.append(values)
         self.beamformers.append(beamformers)

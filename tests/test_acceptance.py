@@ -148,7 +148,7 @@ def _random_history(
     u_true = float(grid.points[int(rng.integers(grid.size))])
     alpha = magnitude * np.exp(2j * np.pi * rng.uniform())
     params = ChannelParams(alpha, u_true, noise_variance=noise)
-    history = MeasurementHistory(n_v, grid, 1)
+    history = MeasurementHistory(n, n_v, grid, 1)
     for t in range(segments):
         f = _unit_columns(rng, n - n_v + 1, 1)[:, 0]
         history.append(measure_segment(f, params, n, rng)[None], [f])

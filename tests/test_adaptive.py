@@ -21,6 +21,7 @@ from svamsim.adaptive import (
 from svamsim.arrays import AngularGrid, RegionOfInterest
 from svamsim.beams import BeamSpec, HierarchicalCodebook, build_hierarchical_codebook
 from svamsim.channel import ChannelParams
+from svamsim.harness import run_hiepm_trials
 
 ROI = RegionOfInterest(0.0, 1.0)
 
@@ -412,16 +413,12 @@ def test_hiepm_noiseless_recovery():
 
 
 def test_hiepm_block_size_one_makes_modes_agree():
-    # with one snapshot per block, sliding and repeating are the same rule
+    # with one snapshot per block, sliding and repeating are the same rule,
+    # so a full-aperture codebook satisfies both modes
     cfg = make_config(n_v=1, total_snapshots=8)
-    chan = ChannelParams(1.0, 0.37, noise_variance=0.3)
     book = build_hierarchical_codebook(ROI, 4, 16, grid_size=16)
-    rec_a = run_hiepm_known_alpha(
-        cfg, [chan], [np.random.default_rng(5)], book, "svam"
-    )
-    rec_b = run_hiepm_known_alpha(
-        cfg, [chan], [np.random.default_rng(5)], book, "repeat"
-    )
+    rec_a = run_hiepm_trials(cfg, 5.0, 2, 5, book, "svam")
+    rec_b = run_hiepm_trials(cfg, 5.0, 2, 5, book, "repeat")
     assert columns(rec_a) == columns(rec_b)
 
 
@@ -431,25 +428,28 @@ def test_hiepm_validations():
     book_16 = build_hierarchical_codebook(ROI, 4, 16, grid_size=16)
     chan = ChannelParams(1.0, 0.4)
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):  # svam needs 13-tap codewords here
-        run_hiepm_known_alpha(cfg, [chan], [rng], book_16, "svam")
-    with pytest.raises(ValueError):  # repeat needs full-length codewords
-        run_hiepm_known_alpha(cfg, [chan], [rng], book_13, "repeat")
+    # the taps set the combining: 13 slide and 16 repeat on 16 elements,
+    # and a mode naming the other one is rejected
+    with pytest.raises(ValueError, match="'svam' does not fit 16-tap"):
+        run_hiepm_trials(cfg, 0.0, 1, 0, book_16, "svam")
+    with pytest.raises(ValueError, match="'repeat' does not fit 13-tap"):
+        run_hiepm_trials(cfg, 0.0, 1, 0, book_13, "repeat")
     with pytest.raises(ValueError):
-        run_hiepm_known_alpha(cfg, [chan], [rng], book_13, "sideways")
+        run_hiepm_trials(cfg, 0.0, 1, 0, book_13, "sideways")
+    book_10 = build_hierarchical_codebook(ROI, 4, 10, grid_size=16)
+    with pytest.raises(ValueError, match="13 .sliding. or 16 .repeated."):
+        run_hiepm_known_alpha(cfg, [chan], [rng], book_10)
     # the right tap count over another region would score beams pointing
     # elsewhere
     elsewhere = build_hierarchical_codebook(
         RegionOfInterest(-1.0, 0.0), 4, 13, grid_size=16
     )
     with pytest.raises(ValueError, match="region"):
-        run_hiepm_known_alpha(cfg, [chan], [rng], elsewhere, "svam")
+        run_hiepm_known_alpha(cfg, [chan], [rng], elsewhere)
 
 
-@pytest.mark.parametrize(
-    "mode, taps", [("svam", 13), ("repeat", 16)], ids=["svam", "repeat"]
-)
-def test_hiepm_rejects_codewords_beyond_unit_norm(mode, taps):
+@pytest.mark.parametrize("taps", [13, 16], ids=["svam", "repeat"])
+def test_hiepm_rejects_codewords_beyond_unit_norm(taps):
     # the known-gain update assumes combiners of norm at most 1; a codebook
     # from the caller with scaled taps fails before any update runs
     cfg = make_config(n_v=4)
@@ -465,6 +465,6 @@ def test_hiepm_rejects_codewords_beyond_unit_norm(mode, taps):
     ])
     chan = ChannelParams(1.0, 0.4, noise_variance=0.1)
     rng = np.random.default_rng(0)
-    run_hiepm_known_alpha(cfg, [chan], [rng], book, mode)  # unit norm passes
-    with pytest.raises(ValueError):
-        run_hiepm_known_alpha(cfg, [chan], [rng], loud, mode)
+    run_hiepm_known_alpha(cfg, [chan], [rng], book)  # unit norm passes
+    with pytest.raises(ValueError, match="norm"):
+        run_hiepm_known_alpha(cfg, [chan], [rng], loud)

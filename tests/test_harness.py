@@ -642,6 +642,30 @@ def test_cli_sweep_rejects_an_unread_setting_in_one_line(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, flags, message",
+    [
+        ("noise_scale = 0.5\n", [], "rmse_vs_snr does not read noise_scale: (0.5,)"),
+        ("n_v = 7\n", [], "block size 7 must divide 120 snapshots"),
+        ("n_v = 4\ntrials = 2\n", ["--nv", "7", "--trials", "3"],
+         "block size 7 must divide 120 snapshots "
+         "(command-line flags override n_v, trials)"),
+    ],
+    ids=["unread_value", "bad_block", "flag_override"],
+)
+def test_cli_names_the_config_file_of_a_rejected_value(
+    text, flags, message, tmp_path, capsys
+):
+    path = tmp_path / "f.cfg"
+    path.write_text("experiment = rmse_vs_snr\n" + text)
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["sweep", "--config", str(path), "--out", str(out)] + flags)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"svamsim: error: {path}: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("problem", ["missing", "directory", "not_utf8"])
 def test_cli_reports_an_unreadable_config_file_in_one_line(
     problem, tmp_path, capsys

@@ -18,7 +18,7 @@ from svamsim.inference import (
     likelihood_terms,
     posterior_pmf,
 )
-from svamsim.sensing import MeasurementHistory, measure_segment
+from svamsim.sensing import MeasurementHistory, block_combiners, measure_segment
 
 
 def unit(m, seed):
@@ -40,7 +40,7 @@ def make_history(
     grid = AngularGrid(RegionOfInterest(0.0, 1.0), grid_size)
     params = ChannelParams(alpha, grid.points[path_index], noise_variance=noise)
     rng = np.random.default_rng(seed)
-    hist = MeasurementHistory(n_v, grid, 1)
+    hist = MeasurementHistory(n, n_v, grid, 1)
     for t in range(segments):
         f = unit(n - n_v + 1, 100 + t)
         hist.append(measure_segment(f, params, n, rng)[None], [f])
@@ -77,7 +77,7 @@ def assert_batch_matches_dense_solve(hist, sigma2, points):
 
 def test_every_unknown_gain_step_rejects_an_empty_history():
     grid = AngularGrid(RegionOfInterest(0.0, 1.0), 8)
-    hist = MeasurementHistory(2, grid, 1)
+    hist = MeasurementHistory(3, 2, grid, 1)
     zeros = np.zeros((1, grid.size))
     with pytest.raises(ValueError, match="empty"):
         gamma_mle(hist, 0.5)
@@ -90,7 +90,7 @@ def test_every_unknown_gain_step_rejects_an_empty_history():
 class TestGammaMle:
     def test_zero_measurements_give_zero(self):
         grid = AngularGrid(RegionOfInterest(0.0, 1.0), 8)
-        hist = MeasurementHistory(2, grid, 1)
+        hist = MeasurementHistory(8, 2, grid, 1)
         for t in range(3):  # 7 taps on 8 elements: blocks of 2
             hist.append(np.zeros((1, 2), dtype=complex), [unit(7, t)])
         np.testing.assert_array_equal(gamma_mle(hist, 0.5), 0.0)
@@ -109,7 +109,7 @@ class TestGammaMle:
         # accumulates exactly zero gain and must keep a zero variance
         grid = AngularGrid(RegionOfInterest(0.0, 1.0), 4)
         f = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        hist = MeasurementHistory(1, grid, 1)
+        hist = MeasurementHistory(2, 1, grid, 1)
         hist.append(np.ones((1, 1), dtype=complex), [f])
         assert hist.cumulative_gain[0, 0] == 0.0
         gamma = gamma_mle(hist, 0.1)
@@ -118,7 +118,7 @@ class TestGammaMle:
     def test_monotone_in_measurement_scale(self):
         hist, grid, _ = make_history(noise=0.5, seed=7)
         gamma = gamma_mle(hist, 0.5)
-        scaled = MeasurementHistory(hist.n_v, grid, 1)
+        scaled = MeasurementHistory(hist.n, hist.n_v, grid, 1)
         for values, beams in zip(hist.segments, hist.beamformers):
             scaled.append(3.0 * values, beams)
         gamma_scaled = gamma_mle(scaled, 0.5)
@@ -229,7 +229,7 @@ class TestLikelihoodTerms:
             )
             for k in (11, 40)
         ]
-        hist = MeasurementHistory(4, grid, 2)
+        hist = MeasurementHistory(64, 4, grid, 2)
         for t in range(segments):  # 61 taps on 64 elements: blocks of 4
             beams = [unit(61, 2 * t + k) for k in range(2)]
             values = np.stack([
@@ -269,7 +269,7 @@ class TestLikelihoodTerms:
 
     def test_zero_data_scores_all_candidates_equally(self):
         grid = AngularGrid(RegionOfInterest(0.0, 1.0), 8)
-        hist = MeasurementHistory(2, grid, 1)
+        hist = MeasurementHistory(10, 2, grid, 1)
         for t in range(2):  # 9 taps on 10 elements: blocks of 2
             hist.append(np.zeros((1, 2), dtype=complex), [unit(9, t)])
         gamma = gamma_mle(hist, 0.5)
@@ -312,7 +312,7 @@ class TestNoiseColumn:
             for k, v in enumerate(self.NOISE[:, 0])
         ]
         rngs = [np.random.default_rng(30 + k) for k in range(len(channels))]
-        batch = MeasurementHistory(3, grid, len(channels))
+        batch = MeasurementHistory(12, 3, grid, len(channels))
         for t in range(segments):  # 10 taps on 12 elements: blocks of 3
             f = unit(10, 100 + t)
             values = np.stack([
@@ -385,7 +385,7 @@ class TestPosteriorPmf:
         hist, grid, _ = make_history(segments=5, noise=0.6, seed=9)
         sigma2 = 0.6
         perm = [3, 0, 4, 2, 1]
-        reordered = MeasurementHistory(hist.n_v, grid, 1)
+        reordered = MeasurementHistory(hist.n, hist.n_v, grid, 1)
         for old in perm:
             reordered.append(hist.segments[old], hist.beamformers[old])
 
@@ -400,6 +400,62 @@ class TestPosteriorPmf:
 def response(w, grid):
     """The combiner's response w^H phi(u_i) over the grid."""
     return w.conj() @ grid.manifold(len(w))
+
+
+def known_gain_history(n, n_v, taps, segments=3, seed=0):
+    """Three trials sensing random taps-tap beams on n elements in blocks of
+    n_v: the history, the trials' gains, one noise variance per trial as a
+    column, and the dense (trials, snapshots, grid) responses w_s^H phi_n(u)
+    of every snapshot's full-length combiner."""
+    grid = AngularGrid(RegionOfInterest(0.0, 1.0), 16)
+    rng = np.random.default_rng(seed)
+    noise = np.array([[0.3], [0.6], [1.0]])
+    gains = np.sqrt(1.5) * np.exp(2j * np.pi * rng.uniform(size=3))
+    truths = grid.points[rng.integers(grid.size, size=3)]
+    hist = MeasurementHistory(n, n_v, grid, 3)
+    dense = []
+    for t in range(segments):
+        beams = [unit(taps, 10 * t + k + seed) for k in range(3)]
+        rows = [block_combiners(f, n, n_v) for f in beams]
+        x = gains[:, None, None] * ula_manifold(n, truths)[:, None, :] + np.sqrt(
+            noise[:, :, None] / 2
+        ) * (rng.standard_normal((3, n_v, n)) + 1j * rng.standard_normal((3, n_v, n)))
+        hist.append(np.einsum("krn,krn->kr", np.conj(rows), x), beams)
+        dense.append(np.conj(rows) @ grid.manifold(n))
+    return hist, gains, noise, np.concatenate(dense, axis=1)
+
+
+# sliding (n - n_v + 1 taps), repeated (n taps), and one snapshot per block
+KNOWN_GAIN_LAYOUTS = [(8, 3, 6), (16, 4, 13), (8, 3, 8), (16, 4, 16), (12, 1, 12)]
+
+
+class TestKnownGainScore:
+    """The known-gain score is likelihood_terms under AlphaPosterior(gain, 0),
+    built from the history's running statistics."""
+
+    @pytest.mark.parametrize("n, n_v, taps", KNOWN_GAIN_LAYOUTS)
+    def test_equals_the_dense_gaussian_log_density(self, n, n_v, taps):
+        hist, gains, noise, dense = known_gain_history(n, n_v, taps)
+        terms = likelihood_terms(hist, AlphaPosterior(gains[:, None], 0.0), noise)
+        y = hist.stacked()
+        misfit = np.abs(y[:, :, None] - gains[:, None, None] * dense) ** 2
+        # -||y - alpha r||^2 / noise plus one constant per trial
+        expected = -misfit.sum(axis=1) / noise - y.shape[1] * np.log(np.pi * noise)
+        np.testing.assert_allclose(terms.log_likelihood, expected, rtol=1e-10)
+
+    @pytest.mark.parametrize("n, n_v, taps", KNOWN_GAIN_LAYOUTS)
+    def test_pmf_equals_the_per_snapshot_chain(self, n, n_v, taps):
+        hist, gains, noise, dense = known_gain_history(n, n_v, taps, seed=5)
+        known = AlphaPosterior(gains[:, None], 0.0)
+        pmf = posterior_pmf(approx_log_likelihood(hist, known, noise))
+        y = hist.stacked()
+        for k in range(len(y)):
+            chain = np.full(hist.grid.size, 1.0 / hist.grid.size)
+            for s in range(y.shape[1]):
+                chain = known_alpha_posterior(
+                    chain, y[k, s], gains[k], dense[k, s], float(noise[k, 0])
+                )
+            np.testing.assert_allclose(pmf[k], chain, rtol=1e-12, atol=0)
 
 
 class TestKnownAlphaPosterior:
