@@ -88,6 +88,8 @@ class AdaptConfig:
         for name in ("n", "n_v", "grid_size", "total_snapshots"):
             object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         check_blocks(self.n, self.n_v, self.total_snapshots)
+        if not isinstance(self.roi, RegionOfInterest):
+            raise ValueError(f"roi must be a RegionOfInterest, got {self.roi!r}")
         if self.grid_size < 1:
             raise ValueError(f"grid size must be positive, got {self.grid_size}")
         if not (0.0 < self.p_thresh < 1.0):
@@ -377,8 +379,8 @@ def _align(
         raise ValueError("need at least one channel and one generator per channel")
     channel_noise = np.array([channel.noise_variance for channel in channels])
     signals = np.stack([noiseless_snapshot(channel, config.n) for channel in channels])
+    # the variance the inference assumes
     noise_var = np.maximum(config.noise_scale * channel_noise, NOISELESS_VAR_FLOOR)
-    noise_var = noise_var[:, None]  # the variance the inference assumes
     grid = AngularGrid(config.roi, config.grid_size)
     m = config.combiner_length
     if gains is not None:
@@ -402,7 +404,7 @@ def _align(
         beams = _beam_per_trial(levels, indices, node)
 
     combiners = BeamCache(lambda w: block_combiners(w, config.n, config.n_v))
-    history = MeasurementHistory(config.n, config.n_v, grid, count)
+    history = MeasurementHistory(config.n, config.n_v, grid, count, noise_var)
     block_modes, block_peaks = [], []
     for t in range(config.segments):
         x = antenna_blocks(signals, channel_noise, rngs, config.n_v)
@@ -410,9 +412,8 @@ def _align(
         values = combine(combiners.stack(beams), x)
         history.append(values, beams)
         if gains is None:
-            gamma = gamma_mle(history, noise_var)
-            post = alpha_posterior(history, gamma, noise_var)
-        pmf = posterior_pmf(approx_log_likelihood(history, post, noise_var))
+            post = alpha_posterior(history, gamma_mle(history))
+        pmf = posterior_pmf(approx_log_likelihood(history, post))
         modes = np.argmax(pmf, axis=-1)
 
         if codebook is None:

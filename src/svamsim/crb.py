@@ -58,9 +58,9 @@ def _finish(prefactor: float, denominator: float, scale: float,
 
 
 def _bank(w: np.ndarray) -> np.ndarray:
-    w = np.atleast_2d(np.asarray(w, dtype=complex))
-    if w.ndim != 2:
-        raise ValueError("combiner bank must be a 2-D array")
+    w = np.asarray(w, dtype=complex)
+    if w.ndim != 2:  # a 1-D beam is a column, w[:, None], not a row of 1-tap beams
+        raise ValueError(f"bank must be a 2-D (taps, segments) array, not {w.shape}")
     return w
 
 

@@ -93,6 +93,8 @@ class ExperimentConfig:
         object.__setattr__(
             self, "n_v", tuple(check_integer("n_v", n_v) for n_v in self.n_v)
         )
+        if not isinstance(self.roi, RegionOfInterest):
+            raise ValueError(f"roi must be a RegionOfInterest, got {self.roi!r}")
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name in UNREAD_SETTINGS[self.experiment] and value != f.default:

@@ -10,13 +10,13 @@ likelihood whose rank-one-plus-identity structure keeps all per-candidate
 work closed-form. Likelihoods are handled in the log domain throughout;
 the pmf is produced by max-subtracted exponentiation.
 
-The unknown-gain functions take no grid: they read the block size and the
-running statistics of a history, which owns its grid. Those statistics are
-(trials, grid) for a batch advancing in lockstep, a lone trial being a
-batch of one, and every per-candidate array has that shape. The noise
-variance is one scalar, or a (trials, 1) column that gives each trial its
-own. The formulas are elementwise, so a batch row equals the lone trial's
-vector, and a history whose statistics are (grid,) rows works unchanged.
+The unknown-gain functions take the history alone: its block size, its
+running statistics and the (trials, 1) column of noise variances it was
+built with, one per trial. The statistics are (trials, grid) for a batch
+advancing in lockstep, a lone trial being a batch of one, and every
+per-candidate array has that shape. The formulas are elementwise, so a
+batch row equals the lone trial's vector, and a history whose statistics
+are (grid,) rows and whose noise variance is a scalar works unchanged.
 """
 
 from __future__ import annotations
@@ -62,23 +62,7 @@ def _check_history(history: MeasurementHistory) -> None:
         raise ValueError("history is empty")
 
 
-def _check_noise(noise_var: float | np.ndarray, shape: tuple[int, ...] = ()) -> None:
-    """noise_var is a scalar or, for a (trials, grid) batch of the given
-    shape, a (trials, 1) column. One row that is not positive and finite
-    rejects the batch."""
-    if not isinstance(noise_var, np.ndarray) or noise_var.ndim == 0:
-        if not (0 < noise_var < math.inf):  # NaN compares false
-            raise ValueError(f"noise variance {noise_var} must be positive and finite")
-        return
-    if len(shape) != 2 or noise_var.shape != (shape[0], 1):
-        raise ValueError("need one noise variance per trial as a (trials, 1) column")
-    if not ((noise_var > 0) & (noise_var < math.inf)).all():
-        raise ValueError("noise variance must be positive and finite in every row")
-
-
-def gamma_mle(
-    history: MeasurementHistory, noise_var: float | np.ndarray
-) -> np.ndarray:
+def gamma_mle(history: MeasurementHistory) -> np.ndarray:
     """Maximum-likelihood prior variance of the path gain per candidate.
 
     With g the accumulated beam gain at a candidate and v the matched unit
@@ -87,37 +71,32 @@ def gamma_mle(
         max{0, (|v^H y|^2 - noise_var) / (g * n_v)},
 
     clipped at zero because a variance cannot be negative. Candidates the
-    beams have never illuminated (g = 0) stay at zero. A batch may pass
-    noise_var as a (trials, 1) column, one variance per trial.
+    beams have never illuminated (g = 0) stay at zero. noise_var is the
+    history's.
     """
     _check_history(history)
     n_v = history.n_v
     g = history.cumulative_gain
-    _check_noise(noise_var, g.shape)
     s = history.matched_statistic
     gamma = np.zeros(g.shape)
     lit = g > 0
     energy = np.abs(s[lit]) ** 2 / (g[lit] * n_v)
-    noise = np.broadcast_to(noise_var, g.shape)[lit]
+    noise = np.broadcast_to(history.noise_var, g.shape)[lit]
     gamma[lit] = np.maximum(0.0, (energy - noise) / (g[lit] * n_v))
     return gamma
 
 
-def alpha_posterior(
-    history: MeasurementHistory,
-    gamma: np.ndarray,
-    noise_var: float | np.ndarray,
-) -> AlphaPosterior:
+def alpha_posterior(history: MeasurementHistory, gamma: np.ndarray) -> AlphaPosterior:
     """Gaussian posterior of the gain under the fitted prior variance.
 
     mean = gamma * v^H y / D and variance = gamma * noise / D with
     D = gamma * g * n_v + noise; the variance never exceeds the
     prior variance (strictly smaller wherever data actually arrived).
-    A batch may pass noise_var as a (trials, 1) column, one variance per trial.
+    noise is the history's noise_var.
     """
     _check_history(history)
     g = history.cumulative_gain
-    _check_noise(noise_var, g.shape)
+    noise_var = history.noise_var
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != g.shape or np.any(gamma < 0):
         raise ValueError("gamma must be a nonnegative per-candidate vector")
@@ -129,9 +108,7 @@ def alpha_posterior(
 
 
 def likelihood_terms(
-    history: MeasurementHistory,
-    posterior: AlphaPosterior,
-    noise_var: float | np.ndarray,
+    history: MeasurementHistory, posterior: AlphaPosterior
 ) -> LikelihoodTerms:
     """Score every candidate with the Gaussian approximate marginal.
 
@@ -143,15 +120,15 @@ def likelihood_terms(
         log det = log(var*g*n_v + noise) + (T*n_v - 1) log noise
         quad    = ||e||^2 / noise - var/noise * |v_e|^2 / (var*g*n_v + noise)
 
-    with e the stacked residual and v_e its matched inner product. A known
-    gain is a posterior of zero variance: the score is then the Gaussian log
-    density of the measurements given that gain.
-    A batch may pass noise_var as a (trials, 1) column, one variance per trial.
+    with e the stacked residual, v_e its matched inner product and noise the
+    history's noise_var. A known gain is a posterior of zero variance: the
+    score is then the Gaussian log density of the measurements given that
+    gain.
     """
     _check_history(history)
     total = history.segment_count * history.n_v
     g = history.cumulative_gain
-    _check_noise(noise_var, g.shape)
+    noise_var = history.noise_var
     s = history.matched_statistic
     mean = posterior.mean
     var = posterior.variance
@@ -178,13 +155,10 @@ def likelihood_terms(
 
 
 def approx_log_likelihood(
-    history: MeasurementHistory,
-    posterior: AlphaPosterior,
-    noise_var: float | np.ndarray,
+    history: MeasurementHistory, posterior: AlphaPosterior
 ) -> np.ndarray:
-    """The log_likelihood of likelihood_terms; a batch may pass noise_var
-    as a (trials, 1) column, one variance per trial."""
-    return likelihood_terms(history, posterior, noise_var).log_likelihood
+    """The log_likelihood of likelihood_terms."""
+    return likelihood_terms(history, posterior).log_likelihood
 
 
 def posterior_pmf(log_likelihood: np.ndarray) -> np.ndarray:
@@ -227,7 +201,8 @@ def known_alpha_posterior(
     row of the result equals that trial's lone update. Every check applies
     to each row; one bad row rejects the whole batch.
     """
-    _check_noise(noise_var)
+    if not (0 < noise_var < math.inf):  # NaN compares false
+        raise ValueError(f"noise variance {noise_var} must be positive and finite")
     prior = np.asarray(prior, dtype=float)
     if prior.ndim not in (1, 2):
         raise ValueError("prior must be a vector or a (trials, grid) stack")

@@ -15,21 +15,21 @@ and is repeated for the whole block, whose virtual rows are then all ones.
 
 MeasurementHistory keeps the blocks of a batch of trials that advance in
 lockstep, a lone trial being a batch of one. It owns the grid of candidate
-angles it was built on and folds every block into running (trials, grid)
-statistics, which the inference reads without taking the grid again.
+angles it was built on and the noise variance the inference assumes, and
+folds every block into running (trials, grid) statistics. The inference
+reads all of these from the history alone.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+import math
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from .arrays import AngularGrid, check_integer
 from .beams import Beamformer, _weights_of
 from .channel import ChannelParams, antenna_blocks, combine, noiseless_snapshot
-
-if TYPE_CHECKING:
-    from .arrays import AngularGrid
 
 
 def _virtual_size(taps: int, n: int) -> int:
@@ -127,15 +127,32 @@ class MeasurementHistory:
     (v: phi_{n_v} for a sliding beam, ones for a repeated one), and the
     total measured power. A response row beta_t(u_i) is computed once per
     distinct designed beam, and a block looks each distinct beam up once.
+    noise_var, the noise variance the inference assumes, is one positive
+    finite value for all trials or one per trial, kept as a read-only
+    (trials, 1) column.
     """
 
-    def __init__(self, n: int, n_v: int, grid: AngularGrid, trials: int):
+    def __init__(
+        self, n: int, n_v: int, grid: AngularGrid, trials: int,
+        noise_var: float | np.ndarray,
+    ):
+        n = check_integer("aperture", n)
+        n_v = check_integer("n_v", n_v)
+        trials = check_integer("trials", trials)
+        if not (1 <= n_v <= n):
+            raise ValueError(f"virtual size {n_v} outside [1, aperture {n}]")
         if trials < 1:
             raise ValueError("a batch needs at least one trial")
+        noise = np.array(noise_var, dtype=float)  # a copy the caller cannot edit
+        if noise.shape not in ((), (trials,)):
+            raise ValueError(f"need one noise variance or {trials}, got {noise.shape}")
+        if not ((noise > 0) & (noise < math.inf)).all():  # NaN compares false
+            raise ValueError("noise variance must be positive and finite in every row")
         self.n = n
         self.n_v = n_v
         self.grid = grid
         self.trials = trials
+        self.noise_var = np.broadcast_to(noise[..., None], (trials, 1))  # read-only
         self.segments: list[np.ndarray] = []
         self.beamformers: list[tuple] = []
         # the closure holds the grid, not the history: no reference cycle

@@ -96,9 +96,10 @@ def measure_segment(f, params, config: AdaptConfig, segment_index, rng) -> np.nd
 class ScalarHistory:
     """The running statistics the inference reads, for one trial."""
 
-    def __init__(self, n_v: int, grid: AngularGrid):
+    def __init__(self, n_v: int, grid: AngularGrid, noise_var: float):
         self.n_v = n_v
         self.grid = grid
+        self.noise_var = noise_var
         self.segment_count = 0
         self.cumulative_gain = np.zeros(grid.size)
         self.matched_statistic = np.zeros(grid.size, dtype=complex)
@@ -226,14 +227,14 @@ def run_alignment_scalar(
         beam = design_beamformer(BeamSpec(config.roi.center, config.roi.width), m)
         bw_current = config.roi.width
 
-    history = ScalarHistory(config.n_v, grid)
+    history = ScalarHistory(config.n_v, grid, noise_var)
     logs: list[SegmentLog] = []
     pmf = np.full(grid.size, 1.0 / grid.size)
     for t in range(config.segments):
         history.append(measure_segment(beam, channel, config, t, rng), beam)
-        gamma = gamma_mle(history, noise_var)
-        post = alpha_posterior(history, gamma, noise_var)
-        pmf = posterior_pmf(approx_log_likelihood(history, post, noise_var))
+        gamma = gamma_mle(history)
+        post = alpha_posterior(history, gamma)
+        pmf = posterior_pmf(approx_log_likelihood(history, post))
         mode = int(np.argmax(pmf))
         gain = abs(beam_gain(beam, truth)) ** 2
 

@@ -148,7 +148,7 @@ def _random_history(
     u_true = float(grid.points[int(rng.integers(grid.size))])
     alpha = magnitude * np.exp(2j * np.pi * rng.uniform())
     params = ChannelParams(alpha, u_true, noise_variance=noise)
-    history = MeasurementHistory(n, n_v, grid, 1)
+    history = MeasurementHistory(n, n_v, grid, 1, noise)
     for t in range(segments):
         f = _unit_columns(rng, n - n_v + 1, 1)[:, 0]
         history.append(measure_segment(f, params, n, rng)[None], [f])
@@ -182,9 +182,9 @@ def test_criterion_03_rank_one_likelihood_matches_dense_solve():
         history = _random_history(
             rng, 10, n_v, segments, grid, math.sqrt(power), noise
         )
-        gamma = gamma_mle(history, noise)
-        posterior = alpha_posterior(history, gamma, noise)
-        terms = likelihood_terms(history, posterior, noise)
+        gamma = gamma_mle(history)
+        posterior = alpha_posterior(history, gamma)
+        terms = likelihood_terms(history, posterior)
 
         i = int(rng.integers(grid.size))
         h = _stacked_response(history, 10, float(grid.points[i]))
@@ -222,8 +222,8 @@ def test_criterion_04_gain_posterior_matches_numerical_integration():
         segments = int(rng.integers(1, 3))
         noise = float(rng.uniform(0.05, 0.2))
         history = _random_history(rng, 8, n_v, segments, grid, 1.0, noise)
-        gamma = gamma_mle(history, noise)
-        posterior = alpha_posterior(history, gamma, noise)
+        gamma = gamma_mle(history)
+        posterior = alpha_posterior(history, gamma)
         i = int(np.argmax(gamma[0]))
         assert gamma[0, i] > 0
 

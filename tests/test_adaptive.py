@@ -334,11 +334,12 @@ def test_combiner_length_is_aperture_minus_block_plus_one():
         dict(n=np.float64(16.0)),
         dict(grid_size=16.5),
         dict(grid_size=True),
+        dict(roi=(0.0, 1.0)),
     ],
     ids=[
         "n_v_beyond_aperture", "empty_grid", "noise_scale_nan", "noise_scale_inf",
         "n_float", "n_fraction", "n_v_float", "n_v_bool", "snapshots_float",
-        "n_numpy_float", "grid_float_fraction", "grid_bool",
+        "n_numpy_float", "grid_float_fraction", "grid_bool", "roi_tuple",
     ],
 )
 def test_config_rejects_unrunnable_sizes(overrides):

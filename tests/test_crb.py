@@ -142,6 +142,23 @@ def test_both_gram_forms_reject_an_empty_block():
             bound(f, 0, 0.1, 1.0)
 
 
+def test_every_bound_rejects_a_bank_that_is_not_2d():
+    # a 1-D m-tap beam was once read as one row of m one-tap beams: crb_svam
+    # read 3.62e-3 for a 13-tap beam whose (13, 1) column reads 2.64e-5
+    bounds = (
+        lambda w: crb_general(w, 0.1, 1.0),
+        lambda w: crb_unknown_alpha(w, 0.1, 1.0),
+        lambda w: crb_benchmark(w, 2, 0.1, 1.0),
+        lambda w: crb_svam(w, 2, 0.1, 1.0),
+        lambda w: gain_condition_sufficient(w, 0.1),
+    )
+    bank = random_bank(13, 2, 5)
+    for bad in (bank[:, 0], bank[None]):
+        for bound in bounds:
+            with pytest.raises(ValueError, match=r"\(taps, segments\)"):
+                bound(bad)
+
+
 class TestSlidingBound:
     def test_equals_expanded_general(self):
         rng = np.random.default_rng(17)

@@ -296,6 +296,8 @@ def test_invalid_configs_rejected():
         dict(snr_db=(-10.0, 4000.0)),
         dict(experiment="crb_sweep", snr_db=(-4000.0,)),
         dict(experiment="crb_sweep", snr_db=(4000.0,)),
+        dict(roi=(0.0, 1.0)),
+        dict(experiment="crb_sweep", roi=(0.0, 1.0)),
     ],
     ids=[
         "p_thresh", "noise_scale", "codebook", "hier_grid", "compare_grid",
@@ -310,7 +312,7 @@ def test_invalid_configs_rejected():
         "n_v_float", "n_v_bool", "n_v_numpy_float", "crb_n_float", "crb_n_fraction",
         "crb_snapshots_float", "crb_n_v_float", "crb_n_v_bool",
         "grid_float_fraction", "grid_bool", "snr_overflow", "snr_underflow",
-        "crb_snr_overflow", "crb_snr_underflow",
+        "crb_snr_overflow", "crb_snr_underflow", "roi_tuple", "crb_roi_tuple",
     ],
 )
 def test_bad_sweep_point_fails_at_construction(overrides):

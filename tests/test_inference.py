@@ -8,7 +8,7 @@ from svamsim import adaptive
 from svamsim.adaptive import AdaptConfig
 from svamsim.arrays import AngularGrid, RegionOfInterest, ula_manifold
 from svamsim.channel import ChannelParams
-from svamsim.harness import noise_variance_from_snr, run_adaptive_trials
+from svamsim.harness import run_adaptive_trials
 from svamsim.inference import (
     AlphaPosterior,
     alpha_posterior,
@@ -36,11 +36,15 @@ def make_history(
     alpha=np.exp(0.4j),
     noise=0.4,
     seed=0,
+    noise_var=None,
 ):
+    """A lone trial's history on a channel of the given noise; the history
+    assumes noise_var, by default the channel's."""
     grid = AngularGrid(RegionOfInterest(0.0, 1.0), grid_size)
     params = ChannelParams(alpha, grid.points[path_index], noise_variance=noise)
     rng = np.random.default_rng(seed)
-    hist = MeasurementHistory(n, n_v, grid, 1)
+    assumed = noise if noise_var is None else noise_var
+    hist = MeasurementHistory(n, n_v, grid, 1, assumed)
     for t in range(segments):
         f = unit(n - n_v + 1, 100 + t)
         hist.append(measure_segment(f, params, n, rng)[None], [f])
@@ -54,15 +58,17 @@ def stacked_response(hist, grid, i):
     return np.kron(hist.beta_matrix[0, :, i], phi)
 
 
-def assert_batch_matches_dense_solve(hist, sigma2, points):
+def assert_batch_matches_dense_solve(hist, points):
     """Every trial's closed-form log-det and quadratic form at the given grid
-    points against a dense slogdet and solve on its whole stacked record.
-    Returns the fitted gain prior."""
-    gamma = gamma_mle(hist, sigma2)
-    post = alpha_posterior(hist, gamma, sigma2)
-    terms = likelihood_terms(hist, post, sigma2)
+    points against a dense slogdet and solve on its whole stacked record,
+    under the noise variance the history assumes for that trial. Returns
+    the fitted gain prior."""
+    gamma = gamma_mle(hist)
+    post = alpha_posterior(hist, gamma)
+    terms = likelihood_terms(hist, post)
     y, beta = hist.stacked(), hist.beta_matrix
     for k in range(len(y)):
+        sigma2 = hist.noise_var[k, 0]
         for i in points:
             v = np.kron(beta[k, :, i], ula_manifold(hist.n_v, hist.grid.points[i]))
             cov = post.variance[k, i] * np.outer(v, v.conj()) + sigma2 * np.eye(len(v))
@@ -77,28 +83,28 @@ def assert_batch_matches_dense_solve(hist, sigma2, points):
 
 def test_every_unknown_gain_step_rejects_an_empty_history():
     grid = AngularGrid(RegionOfInterest(0.0, 1.0), 8)
-    hist = MeasurementHistory(3, 2, grid, 1)
+    hist = MeasurementHistory(3, 2, grid, 1, 0.5)
     zeros = np.zeros((1, grid.size))
     with pytest.raises(ValueError, match="empty"):
-        gamma_mle(hist, 0.5)
+        gamma_mle(hist)
     with pytest.raises(ValueError, match="empty"):
-        alpha_posterior(hist, zeros, 0.5)
+        alpha_posterior(hist, zeros)
     with pytest.raises(ValueError, match="empty"):
-        likelihood_terms(hist, AlphaPosterior(zeros, zeros), 0.5)
+        likelihood_terms(hist, AlphaPosterior(zeros, zeros))
 
 
 class TestGammaMle:
     def test_zero_measurements_give_zero(self):
         grid = AngularGrid(RegionOfInterest(0.0, 1.0), 8)
-        hist = MeasurementHistory(8, 2, grid, 1)
+        hist = MeasurementHistory(8, 2, grid, 1, 0.5)
         for t in range(3):  # 7 taps on 8 elements: blocks of 2
             hist.append(np.zeros((1, 2), dtype=complex), [unit(7, t)])
-        np.testing.assert_array_equal(gamma_mle(hist, 0.5), 0.0)
+        np.testing.assert_array_equal(gamma_mle(hist), 0.0)
 
     def test_noiseless_matched_closed_form(self):
         alpha, sigma2 = np.sqrt(2.0) * (0.8 - 0.3j), 0.25
-        hist, _, _ = make_history(alpha=alpha, noise=0.0, seed=1)
-        (gamma,) = gamma_mle(hist, sigma2)
+        hist, _, _ = make_history(alpha=alpha, noise=0.0, seed=1, noise_var=sigma2)
+        (gamma,) = gamma_mle(hist)
         i = 5
         g = hist.cumulative_gain[0, i]
         expected = abs(alpha) ** 2 - sigma2 / (g * hist.n_v)
@@ -109,55 +115,49 @@ class TestGammaMle:
         # accumulates exactly zero gain and must keep a zero variance
         grid = AngularGrid(RegionOfInterest(0.0, 1.0), 4)
         f = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        hist = MeasurementHistory(2, 1, grid, 1)
+        hist = MeasurementHistory(2, 1, grid, 1, 0.1)
         hist.append(np.ones((1, 1), dtype=complex), [f])
         assert hist.cumulative_gain[0, 0] == 0.0
-        gamma = gamma_mle(hist, 0.1)
+        gamma = gamma_mle(hist)
         assert gamma[0, 0] == 0.0
 
     def test_monotone_in_measurement_scale(self):
         hist, grid, _ = make_history(noise=0.5, seed=7)
-        gamma = gamma_mle(hist, 0.5)
-        scaled = MeasurementHistory(hist.n, hist.n_v, grid, 1)
+        gamma = gamma_mle(hist)
+        scaled = MeasurementHistory(hist.n, hist.n_v, grid, 1, 0.5)
         for values, beams in zip(hist.segments, hist.beamformers):
             scaled.append(3.0 * values, beams)
-        gamma_scaled = gamma_mle(scaled, 0.5)
+        gamma_scaled = gamma_mle(scaled)
         assert np.all(gamma_scaled >= gamma - 1e-15)
-
-    def test_requires_positive_noise(self):
-        hist, _, _ = make_history()
-        for noise_var in (0.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                gamma_mle(hist, noise_var)
 
 
 class TestAlphaPosterior:
     def test_zero_prior_variance_pins_gain_to_zero(self):
         hist, grid, _ = make_history(seed=2)
-        post = alpha_posterior(hist, np.zeros((1, grid.size)), 0.5)
+        post = alpha_posterior(hist, np.zeros((1, grid.size)))
         np.testing.assert_array_equal(post.mean, 0.0)
         np.testing.assert_array_equal(post.variance, 0.0)
 
     def test_variance_contracts_below_prior(self):
         hist, _, _ = make_history(noise=0.3, seed=3)
-        gamma = gamma_mle(hist, 0.3)
-        post = alpha_posterior(hist, gamma, 0.3)
+        gamma = gamma_mle(hist)
+        post = alpha_posterior(hist, gamma)
         lit = (gamma > 0) & (hist.cumulative_gain > 0)
         assert np.all(post.variance[lit] < gamma[lit])
         assert np.all(post.variance <= gamma + 1e-15)
 
     def test_noiseless_limit_recovers_alpha(self):
         alpha = 0.9 * np.exp(1.1j)
-        hist, _, _ = make_history(alpha=alpha, noise=0.0, seed=4)
-        gamma = gamma_mle(hist, 1e-9)
-        post = alpha_posterior(hist, gamma, 1e-9)
+        hist, _, _ = make_history(alpha=alpha, noise=0.0, seed=4, noise_var=1e-9)
+        gamma = gamma_mle(hist)
+        post = alpha_posterior(hist, gamma)
         assert post.mean[0, 5] == pytest.approx(alpha, rel=1e-6)
 
     def test_matches_brute_force_integration(self):
         hist, grid, _ = make_history(segments=2, noise=0.5, seed=5)
         sigma2 = 0.5
-        gamma = gamma_mle(hist, sigma2)
-        post = alpha_posterior(hist, gamma, sigma2)
+        gamma = gamma_mle(hist)
+        post = alpha_posterior(hist, gamma)
         (gamma,), (post_mean,), (post_var,) = gamma, post.mean, post.variance
         (y,) = hist.stacked()
         for i in (4, 5, 6):
@@ -190,11 +190,12 @@ class TestAlphaPosterior:
         hist, grid, _ = make_history()
         bad = np.full((1, grid.size), -0.1)
         with pytest.raises(ValueError):
-            alpha_posterior(hist, bad, 0.5)
+            alpha_posterior(hist, bad)
 
 
 class TestLikelihoodTerms:
-    def _dense_reference(self, hist, grid, post, sigma2, i):
+    def _dense_reference(self, hist, grid, post, i):
+        sigma2 = hist.noise_var[0, 0]
         (y,) = hist.stacked()
         v = stacked_response(hist, grid, i)
         cov = post.variance[0, i] * np.outer(v, v.conj()) + sigma2 * np.eye(len(y))
@@ -208,11 +209,11 @@ class TestLikelihoodTerms:
     def test_closed_forms_match_dense_linear_algebra(self):
         alpha, sigma2 = np.sqrt(1.3) * np.exp(0.4j), 0.45
         hist, grid, _ = make_history(alpha=alpha, noise=sigma2, seed=6)
-        gamma = gamma_mle(hist, sigma2)
-        post = alpha_posterior(hist, gamma, sigma2)
-        terms = likelihood_terms(hist, post, sigma2)
+        gamma = gamma_mle(hist)
+        post = alpha_posterior(hist, gamma)
+        terms = likelihood_terms(hist, post)
         for i in range(grid.size):
-            logdet, quad = self._dense_reference(hist, grid, post, sigma2, i)
+            logdet, quad = self._dense_reference(hist, grid, post, i)
             assert terms.log_det[0, i] == pytest.approx(logdet, rel=1e-10)
             assert terms.quad_form[0, i] == pytest.approx(quad, rel=1e-8, abs=1e-9)
 
@@ -229,7 +230,7 @@ class TestLikelihoodTerms:
             )
             for k in (11, 40)
         ]
-        hist = MeasurementHistory(64, 4, grid, 2)
+        hist = MeasurementHistory(64, 4, grid, 2, sigma2)
         for t in range(segments):  # 61 taps on 64 elements: blocks of 4
             beams = [unit(61, 2 * t + k) for k in range(2)]
             values = np.stack([
@@ -237,7 +238,7 @@ class TestLikelihoodTerms:
             ])
             hist.append(values, beams)
         assert hist.stacked().shape == (2, segments * 4)
-        gamma = assert_batch_matches_dense_solve(hist, sigma2, (0, 11, 40, 63))
+        gamma = assert_batch_matches_dense_solve(hist, (0, 11, 40, 63))
         assert np.all(gamma[[0, 1], [11, 40]] > 0)
 
     @pytest.mark.parametrize("codebook", ["flexible", "hierarchical"])
@@ -251,14 +252,13 @@ class TestLikelihoodTerms:
             n=16, n_v=2, total_snapshots=80, roi=RegionOfInterest(0.0, 1.0),
             grid_size=16, p_thresh=0.6, codebook=codebook,
         )
-        sigma2 = noise_variance_from_snr(snr_db)
         checked = []
 
         class DenseCheckedHistory(adaptive.MeasurementHistory):
             def append(self, values, beamformers):
                 super().append(values, beamformers)
                 points = (0, 5, 10, 15)
-                assert_batch_matches_dense_solve(self, sigma2, points)
+                assert_batch_matches_dense_solve(self, points)
                 checked.append(self.segment_count)
 
         plain = run_adaptive_trials(cfg, snr_db, trials=2, seed=0)
@@ -269,12 +269,12 @@ class TestLikelihoodTerms:
 
     def test_zero_data_scores_all_candidates_equally(self):
         grid = AngularGrid(RegionOfInterest(0.0, 1.0), 8)
-        hist = MeasurementHistory(10, 2, grid, 1)
+        hist = MeasurementHistory(10, 2, grid, 1, 0.5)
         for t in range(2):  # 9 taps on 10 elements: blocks of 2
             hist.append(np.zeros((1, 2), dtype=complex), [unit(9, t)])
-        gamma = gamma_mle(hist, 0.5)
-        post = alpha_posterior(hist, gamma, 0.5)
-        ll = approx_log_likelihood(hist, post, 0.5)
+        gamma = gamma_mle(hist)
+        post = alpha_posterior(hist, gamma)
+        ll = approx_log_likelihood(hist, post)
         np.testing.assert_allclose(ll, ll[0, 0], atol=1e-12)
         np.testing.assert_allclose(posterior_pmf(ll), 1.0 / 8, atol=1e-12)
 
@@ -282,26 +282,29 @@ class TestLikelihoodTerms:
         hist, _, _ = make_history(
             n=24, n_v=4, grid_size=32, segments=6, path_index=11, noise=0.01, seed=8
         )
-        gamma = gamma_mle(hist, 0.01)
-        post = alpha_posterior(hist, gamma, 0.01)
-        pmf = posterior_pmf(approx_log_likelihood(hist, post, 0.01))
+        gamma = gamma_mle(hist)
+        post = alpha_posterior(hist, gamma)
+        pmf = posterior_pmf(approx_log_likelihood(hist, post))
         assert np.argmax(pmf[0]) == 11
 
-    def test_rejects_zero_noise(self):
-        hist, _, _ = make_history()
-        gamma = gamma_mle(hist, 0.5)
-        post = alpha_posterior(hist, gamma, 0.5)
-        for noise_var in (0.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                likelihood_terms(hist, post, noise_var)
+
+def scored(hist):
+    """Every array the unknown-gain chain computes from a history."""
+    gamma = gamma_mle(hist)
+    post = alpha_posterior(hist, gamma)
+    terms = likelihood_terms(hist, post)
+    return (
+        gamma, post.mean, post.variance,
+        terms.log_likelihood, terms.log_det, terms.quad_form,
+    )
 
 
 class TestNoiseColumn:
     """A batch whose trials each carry their own noise variance."""
 
-    NOISE = np.array([[0.05], [0.4], [2.0], [1e-12]])
+    NOISE = np.array([0.05, 0.4, 2.0, 1e-12])
 
-    def _batch(self, segments=4):
+    def _batch(self, noise=NOISE, segments=4):
         # the last trial is noiseless and scored at the inference floor
         grid = AngularGrid(RegionOfInterest(0.0, 1.0), 16)
         channels = [
@@ -309,10 +312,10 @@ class TestNoiseColumn:
                 np.sqrt(1.3) * np.exp(0.4j * k), grid.points[3 + 2 * k],
                 noise_variance=0.0 if k == 3 else float(v),
             )
-            for k, v in enumerate(self.NOISE[:, 0])
+            for k, v in enumerate(self.NOISE)
         ]
         rngs = [np.random.default_rng(30 + k) for k in range(len(channels))]
-        batch = MeasurementHistory(12, 3, grid, len(channels))
+        batch = MeasurementHistory(12, 3, grid, len(channels), noise)
         for t in range(segments):  # 10 taps on 12 elements: blocks of 3
             f = unit(10, 100 + t)
             values = np.stack([
@@ -323,44 +326,38 @@ class TestNoiseColumn:
 
     def test_rows_equal_scalar_calls_bit_for_bit(self):
         batch = self._batch()
-        gamma = gamma_mle(batch, self.NOISE)
-        post = alpha_posterior(batch, gamma, self.NOISE)
-        terms = likelihood_terms(batch, post, self.NOISE)
-        assert (gamma == 0).any() and (gamma > 0).any()
-        for i, noise in enumerate(self.NOISE[:, 0]):
-            noise = float(noise)
-            gamma_i = gamma_mle(batch, noise)
-            post_i = alpha_posterior(batch, gamma_i, noise)
-            terms_i = likelihood_terms(batch, post_i, noise)
-            assert (gamma[i] == gamma_i[i]).all()
-            assert (post.mean[i] == post_i.mean[i]).all()
-            assert (post.variance[i] == post_i.variance[i]).all()
-            assert (terms.log_likelihood[i] == terms_i.log_likelihood[i]).all()
-            assert (terms.log_det[i] == terms_i.log_det[i]).all()
-            assert (terms.quad_form[i] == terms_i.quad_form[i]).all()
+        assert batch.noise_var.shape == (4, 1)
+        assert not batch.noise_var.flags.writeable
+        got = scored(batch)
+        assert (got[0] == 0).any() and (got[0] > 0).any()
+        for i, noise in enumerate(self.NOISE):
+            lone = MeasurementHistory(12, 3, batch.grid, 1, noise)
+            for values, beams in zip(batch.segments, batch.beamformers):
+                lone.append(values[i : i + 1], beams[i : i + 1])
+            for batch_array, lone_array in zip(got, scored(lone)):
+                assert (batch_array[i] == lone_array[0]).all()
+
+    def test_one_value_equals_that_value_per_trial(self):
+        shared = scored(self._batch(0.4))
+        for got, want in zip(shared, scored(self._batch(np.full(4, 0.4)))):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "bad", [0.0, -0.1, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"]
     )
     def test_one_bad_row_rejects_the_batch(self, bad):
-        batch = self._batch()
-        gamma = gamma_mle(batch, self.NOISE)
-        post = alpha_posterior(batch, gamma, self.NOISE)
+        grid = AngularGrid(RegionOfInterest(0.0, 1.0), 16)
         noise = self.NOISE.copy()
-        noise[2, 0] = bad
-        with pytest.raises(ValueError):
-            gamma_mle(batch, noise)
-        with pytest.raises(ValueError):
-            alpha_posterior(batch, gamma, noise)
-        with pytest.raises(ValueError):
-            likelihood_terms(batch, post, noise)
+        noise[2] = bad
+        for value in (bad, noise):  # one value for all trials, or one per trial
+            with pytest.raises(ValueError, match="positive and finite"):
+                MeasurementHistory(12, 3, grid, 4, value)
 
-    def test_rejects_a_column_of_the_wrong_shape(self):
-        batch = self._batch()
-        with pytest.raises(ValueError):  # a row, not a column
-            gamma_mle(batch, self.NOISE[:, 0])
-        with pytest.raises(ValueError):  # one variance short
-            gamma_mle(batch, self.NOISE[1:])
+    def test_rejects_variances_of_the_wrong_length(self):
+        grid = AngularGrid(RegionOfInterest(0.0, 1.0), 16)
+        for noise in (self.NOISE[1:], np.append(self.NOISE, 0.4), self.NOISE[:, None]):
+            with pytest.raises(ValueError, match="need one noise variance"):
+                MeasurementHistory(12, 3, grid, 4, noise)
 
 
 class TestPosteriorPmf:
@@ -385,14 +382,14 @@ class TestPosteriorPmf:
         hist, grid, _ = make_history(segments=5, noise=0.6, seed=9)
         sigma2 = 0.6
         perm = [3, 0, 4, 2, 1]
-        reordered = MeasurementHistory(hist.n, hist.n_v, grid, 1)
+        reordered = MeasurementHistory(hist.n, hist.n_v, grid, 1, sigma2)
         for old in perm:
             reordered.append(hist.segments[old], hist.beamformers[old])
 
         def pipeline(h):
-            gamma = gamma_mle(h, sigma2)
-            post = alpha_posterior(h, gamma, sigma2)
-            return posterior_pmf(approx_log_likelihood(h, post, sigma2))
+            gamma = gamma_mle(h)
+            post = alpha_posterior(h, gamma)
+            return posterior_pmf(approx_log_likelihood(h, post))
 
         np.testing.assert_allclose(pipeline(hist), pipeline(reordered), atol=1e-12)
 
@@ -412,7 +409,7 @@ def known_gain_history(n, n_v, taps, segments=3, seed=0):
     noise = np.array([[0.3], [0.6], [1.0]])
     gains = np.sqrt(1.5) * np.exp(2j * np.pi * rng.uniform(size=3))
     truths = grid.points[rng.integers(grid.size, size=3)]
-    hist = MeasurementHistory(n, n_v, grid, 3)
+    hist = MeasurementHistory(n, n_v, grid, 3, noise[:, 0])
     dense = []
     for t in range(segments):
         beams = [unit(taps, 10 * t + k + seed) for k in range(3)]
@@ -436,7 +433,7 @@ class TestKnownGainScore:
     @pytest.mark.parametrize("n, n_v, taps", KNOWN_GAIN_LAYOUTS)
     def test_equals_the_dense_gaussian_log_density(self, n, n_v, taps):
         hist, gains, noise, dense = known_gain_history(n, n_v, taps)
-        terms = likelihood_terms(hist, AlphaPosterior(gains[:, None], 0.0), noise)
+        terms = likelihood_terms(hist, AlphaPosterior(gains[:, None], 0.0))
         y = hist.stacked()
         misfit = np.abs(y[:, :, None] - gains[:, None, None] * dense) ** 2
         # -||y - alpha r||^2 / noise plus one constant per trial
@@ -447,7 +444,7 @@ class TestKnownGainScore:
     def test_pmf_equals_the_per_snapshot_chain(self, n, n_v, taps):
         hist, gains, noise, dense = known_gain_history(n, n_v, taps, seed=5)
         known = AlphaPosterior(gains[:, None], 0.0)
-        pmf = posterior_pmf(approx_log_likelihood(hist, known, noise))
+        pmf = posterior_pmf(approx_log_likelihood(hist, known))
         y = hist.stacked()
         for k in range(len(y)):
             chain = np.full(hist.grid.size, 1.0 / hist.grid.size)

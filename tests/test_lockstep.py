@@ -387,8 +387,8 @@ def _histories(trials=3, n_v=2, segments=3):
     n = 10
     grid = AngularGrid(ROI, 16)
     m = n - n_v + 1
-    batch = MeasurementHistory(n, n_v, grid, trials)
-    lone = [MeasurementHistory(n, n_v, grid, 1) for _ in range(trials)]
+    batch = MeasurementHistory(n, n_v, grid, trials, 0.7)
+    lone = [MeasurementHistory(n, n_v, grid, 1, 0.7) for _ in range(trials)]
     rngs = [np.random.default_rng(40 + i) for i in range(trials)]
     for t in range(segments):
         beams = [
@@ -442,9 +442,9 @@ def test_finished_history_is_freed_by_reference_counting():
 
 def test_batched_inference_rows_equal_lone_inference():
     def chain(hist):
-        gamma = gamma_mle(hist, 0.7)
-        post = alpha_posterior(hist, gamma, 0.7)
-        ll = approx_log_likelihood(hist, post, 0.7)
+        gamma = gamma_mle(hist)
+        post = alpha_posterior(hist, gamma)
+        ll = approx_log_likelihood(hist, post)
         return gamma, post.mean, post.variance, ll, posterior_pmf(ll)
 
     for n_v in (2, 3):
@@ -465,18 +465,24 @@ def test_batched_history_validates_each_block():
     full = design_beamformer(BeamSpec(0.5, 1.0), 10)  # repeats on 10 elements
     with pytest.raises(ValueError, match="tap count"):  # sliding and repeated
         batch.append(np.zeros((2, 2), dtype=complex), [f, full])
-    with pytest.raises(ValueError):
-        MeasurementHistory(batch.n, batch.n_v, grid, 0)
+    # sizes are checked once, when the history is built: no trial, a block
+    # size outside [1, n] (n_v = 0 would make gamma_mle divide by zero), bool
+    # or float sizes
+    for n, n_v, trials in [
+        (10, 2, 0), (10, 0, 1), (10, 11, 1), (10, True, 1), (10.0, 2, 1), (10, 2, 2.0)
+    ]:
+        with pytest.raises(ValueError):
+            MeasurementHistory(n, n_v, grid, trials, 0.7)
 
 
 def test_inference_checks_gamma_per_row():
     batch, _, _ = _histories(trials=2)
-    gamma = gamma_mle(batch, 0.7)
+    gamma = gamma_mle(batch)
     with pytest.raises(ValueError):
-        alpha_posterior(batch, gamma[0], 0.7)  # one row for two trials
+        alpha_posterior(batch, gamma[0])  # one row for two trials
     gamma[1, 4] = -1.0
     with pytest.raises(ValueError):
-        alpha_posterior(batch, gamma, 0.7)
+        alpha_posterior(batch, gamma)
 
 
 @pytest.mark.parametrize(

@@ -85,7 +85,7 @@ class TestMeasurementHistory:
             np.exp(0.4j), grid.points[5], noise_variance=noise
         )
         rng = np.random.default_rng(seed)
-        hist = MeasurementHistory(12, 3, grid, 1)
+        hist = MeasurementHistory(12, 3, grid, 1, 0.5)
         for t in range(count):
             # 10 taps on 12 elements: blocks of n_v = 3
             f = random_unit(10, 100 + t)
@@ -135,13 +135,13 @@ class TestMeasurementHistory:
         grid = self._grid()
         for n_v in (1, 2, 3, 4, 5, 8, 17):
             values = rng.standard_normal((6, n_v)) + 1j * rng.standard_normal((6, n_v))
-            hist = MeasurementHistory(n_v + 3, n_v, grid, 6)
+            hist = MeasurementHistory(n_v + 3, n_v, grid, 6, 0.5)
             hist.append(values, [random_unit(4, k) for k in range(6)])
             for got, row in zip(hist.total_power, values):
                 assert got == np.vdot(row, row).real
 
     def test_wrong_block_size_rejected(self):
-        hist = MeasurementHistory(6, 2, self._grid(), 1)
+        hist = MeasurementHistory(6, 2, self._grid(), 1, 0.5)
         with pytest.raises(ValueError):
             hist.append(np.zeros((1, 3), dtype=complex), [random_unit(5, 0)])
 
