@@ -1,28 +1,21 @@
 """Closed-loop beam controllers driving the posterior toward the path angle.
 
-One loop runs every alignment. Each block measures a batch of trials in
+One loop runs every alignment. Each block senses a batch of trials in
 lockstep, appends the outputs to the measurement history, scores the grid
-and takes one of three controller steps: flexible (re-design a beam around
-the posterior mass, halving or doubling its width against a confidence
-threshold), hierarchical (climb a dyadic codebook from the node holding the
-mode), or posterior matching (the codebook node whose mass is closest to
-1/2). run_alignment fits the unknown gain and runs the first two;
-run_hiepm_known_alpha, the known-gain hiePM case study, scores with each
-channel's gain and runs the third. Its codewords slide across the aperture
-within a block (n - n_v + 1 taps) or, with n taps and so one shift, repeat.
+with the fitted gain or each channel's known gain, and takes a controller
+step. The step is an argument of the loop, apart from the score: flexible
+(re-design a beam around the posterior mass, halving or doubling its width
+against a confidence threshold), hierarchical (climb a dyadic codebook from
+the node holding the mode) or posterior matching (the codebook node whose
+mass is closest to 1/2). run_alignment fits the gain and takes one of the
+first two; run_hiepm_known_alpha, the known-gain hiePM case study, takes the
+third with codewords that slide across the aperture within a block
+(n - n_v + 1 taps) or, with n taps and so one shift, repeat.
 
-Each trial's noise is drawn from its own generator, one block at a time,
-in the order a lone run of the trial would, so a batch row reproduces the
-lone trial bit for bit. Each trial has its own received gain and noise
-variance, so one batch can hold every SNR of a sweep point. The inference
-checks every row; one bad row rejects the batch. No step runs trial by
-trial: the controllers take all trials' pmfs and return arrays of beams or
-(level, index) nodes. A block designs each distinct (direction, width)
-pair once and looks each distinct beam up once for its combiners and
-response rows. The one per-trial call left is the flexible step's
+A batch row reproduces a lone run of its trial bit for bit; one bad row
+rejects the batch. The one per-trial call is the flexible step's
 np.convolve of each trial's pmf, once per width tried: its dot order fixes
-the bits of windows of 16 points and up. The loop returns one Trials
-outcome, a row per trial; gains at the truth are computed only when asked.
+the bits of windows of 16 points and up.
 """
 
 from __future__ import annotations
@@ -33,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .arrays import AngularGrid, RegionOfInterest, check_integer
+from .arrays import AngularGrid, RegionOfInterest, check_integer, check_roi
 from .beams import (
     Beamformer,
     BeamSpec,
@@ -88,8 +81,7 @@ class AdaptConfig:
         for name in ("n", "n_v", "grid_size", "total_snapshots"):
             object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         check_blocks(self.n, self.n_v, self.total_snapshots)
-        if not isinstance(self.roi, RegionOfInterest):
-            raise ValueError(f"roi must be a RegionOfInterest, got {self.roi!r}")
+        check_roi(self.roi)
         if self.grid_size < 1:
             raise ValueError(f"grid size must be positive, got {self.grid_size}")
         if not (0.0 < self.p_thresh < 1.0):
@@ -126,8 +118,9 @@ class Trials:
 
     true_angle and estimate (the final posterior mode) hold one angle per
     trial; mode_index and peak_prob are (trials, blocks) arrays of each
-    block's posterior mode and the mass its chosen beam or node captured;
-    beams[i][t] is the Beamformer trial i sensed block t with.
+    block's posterior mode and the mass its step recorded (flexible and
+    hierarchical: the next beam's or node's; posterior matching: the sensed
+    node's); beams[i][t] is the Beamformer trial i sensed block t with.
     """
 
     true_angle: np.ndarray
@@ -248,6 +241,16 @@ def select_next_beam(
     return directions, bw, peaks
 
 
+def _mass_table(masses: Sequence[np.ndarray]) -> tuple[int, int]:
+    """(trials, depth) of a node_masses table: (trials, 2**l) masses per level l."""
+    if not len(masses):
+        raise ValueError("mass table is missing the root level's masses")
+    count = len(masses[0])
+    if any(np.shape(m) != (count, 2**level) for level, m in enumerate(masses)):
+        raise ValueError("need a (trials, 2**level) mass table per level")
+    return count, len(masses) - 1
+
+
 def hier_beam_search(
     levels: Sequence[int],
     masses: Sequence[np.ndarray],
@@ -267,12 +270,9 @@ def hier_beam_search(
     """
     if not (0.0 < p_thresh < 1.0):
         raise ValueError("confidence threshold must lie in (0, 1)")
-    depth = len(masses) - 1
-    count = len(levels)
-    if len(modes) != count or any(
-        np.shape(m) != (count, 2**level) for level, m in enumerate(masses)
-    ):
-        raise ValueError("need one level and mode per trial and a mass table row")
+    count, depth = _mass_table(masses)
+    if len(levels) != count or len(modes) != count:
+        raise ValueError("need one level and mode per trial of the mass table")
     if grid_size % 2**depth:
         raise ValueError(
             f"grid size {grid_size} cannot resolve {2**depth} nodes evenly"
@@ -328,9 +328,7 @@ def select_codeword_posterior_matching(
     the deepest such node and its better child whichever mass is closer to
     1/2. masses is node_masses of a (trials, grid) pmf stack; the codebook
     depth is len(masses) - 1."""
-    count = len(masses[0])
-    if any(np.shape(m) != (count, 2**level) for level, m in enumerate(masses)):
-        raise ValueError("need a (trials, 2**level) mass table per level")
+    count, _ = _mass_table(masses)
     rows = np.arange(count)
     level = np.zeros(count, dtype=int)
     index = np.zeros(count, dtype=int)
@@ -353,6 +351,13 @@ def select_codeword_posterior_matching(
     return level, index
 
 
+def _node_peaks(masses: Sequence[np.ndarray], levels, indices) -> np.ndarray:
+    """Mass of node (levels[i], indices[i]) in row i of a node_masses table:
+    node (l, k) is column 2**l - 1 + k of the levels laid side by side."""
+    table = np.concatenate(masses, axis=-1)
+    return table[np.arange(len(table)), 2**levels - 1 + indices]
+
+
 def _beam_per_trial(
     first: np.ndarray, second: np.ndarray, beam: Callable[..., Beamformer]
 ) -> list[Beamformer]:
@@ -367,13 +372,15 @@ def _align(
     config: AdaptConfig,
     channels: Sequence[ChannelParams],
     rngs: Sequence[np.random.Generator],
-    codebook: HierarchicalCodebook | None,
     gains: np.ndarray | None,
+    keys: tuple[np.ndarray, np.ndarray],
+    beam: Callable[..., Beamformer],
+    step: Callable[..., tuple],
 ) -> Trials:
-    """The one alignment loop. The controller is posterior matching over the
-    codebook when the trials' gains are given, the hierarchical search when
-    only a codebook is, and the flexible step otherwise. A known gain is
-    scored as AlphaPosterior(gain, 0): the known-gain Gaussian log density."""
+    """The one alignment loop. The controller is keys, each trial's first
+    beam key as two arrays; beam(*key) -> Beamformer; and step(pmf, modes,
+    keys) -> (peaks, next keys). Known gains score as AlphaPosterior(gain,
+    0), the known-gain Gaussian log density; else each block fits the gain."""
     count = len(channels)
     if count < 1 or len(rngs) != count:
         raise ValueError("need at least one channel and one generator per channel")
@@ -382,69 +389,25 @@ def _align(
     # the variance the inference assumes
     noise_var = np.maximum(config.noise_scale * channel_noise, NOISELESS_VAR_FLOOR)
     grid = AngularGrid(config.roi, config.grid_size)
-    m = config.combiner_length
-    if gains is not None:
-        post = AlphaPosterior(mean=gains[:, None], variance=0.0)
-
-    def node(level, k):
-        return codebook.node(level, k).beamformer
-
-    if codebook is None:
-        widths = np.full(count, config.roi.width)
-        beams = [
-            design_beamformer(BeamSpec(config.roi.center, config.roi.width), m)
-        ] * count
-    else:
-        levels = indices = np.zeros(count, dtype=int)
-        if gains is not None:
-            uniform = np.full((count, grid.size), 1.0 / grid.size)
-            levels, indices = select_codeword_posterior_matching(
-                node_masses(uniform, codebook.depth)
-            )
-        beams = _beam_per_trial(levels, indices, node)
-
     combiners = BeamCache(lambda w: block_combiners(w, config.n, config.n_v))
     history = MeasurementHistory(config.n, config.n_v, grid, count, noise_var)
     block_modes, block_peaks = [], []
-    for t in range(config.segments):
+    for _ in range(config.segments):
+        # looked up here, so no beam is designed after the last block
+        beams = _beam_per_trial(*keys, beam)
         x = antenna_blocks(signals, channel_noise, rngs, config.n_v)
         # combine gives every row the bits a lone trial's product has
         values = combine(combiners.stack(beams), x)
         history.append(values, beams)
         if gains is None:
             post = alpha_posterior(history, gamma_mle(history))
+        else:
+            post = AlphaPosterior(mean=gains[:, None], variance=0.0)
         pmf = posterior_pmf(approx_log_likelihood(history, post))
         modes = np.argmax(pmf, axis=-1)
-
-        if codebook is None:
-            directions, widths, peaks = select_next_beam(
-                pmf, widths, config.p_thresh, grid
-            )
-        else:
-            masses = node_masses(pmf, codebook.depth)
-            if gains is None:
-                levels, indices = hier_beam_search(
-                    levels, masses, modes, grid.size, config.p_thresh
-                )
-            # the mass of each trial's node (posterior matching: the one it
-            # sensed with); node (l, k) is column 2**l - 1 + k of the tables
-            # laid side by side
-            table = np.concatenate(masses, axis=-1)
-            peaks = table[np.arange(count), 2**levels - 1 + indices]
-
+        peaks, keys = step(pmf, modes, keys)
         block_modes.append(modes)
         block_peaks.append(peaks)
-        if t == config.segments - 1:
-            break  # the beams chosen after the last block are never used
-        if codebook is None:
-            beams = _beam_per_trial(
-                directions, widths, lambda u, bw: design_beamformer(BeamSpec(u, bw), m)
-            )
-            continue
-        if gains is not None:
-            levels, indices = select_codeword_posterior_matching(masses)
-        beams = _beam_per_trial(levels, indices, node)
-
     return Trials(
         np.array([channel.u for channel in channels]),
         grid.points[block_modes[-1]],  # each estimate is the final mode
@@ -461,26 +424,41 @@ def run_alignment(
 ) -> Trials:
     """Unknown-gain alignment of a batch of trials over all snapshot blocks.
 
-    The trials advance in lockstep. Trial i observes channels[i] and draws
-    only from rngs[i], one noise block per segment, in the order a lone run
-    of that trial would. The history and the posterior carry a leading trial
-    axis, so inference, the controller step, beam design and every lookup
-    run once per block for the whole batch. A single trial is a batch of
-    one. Each trial may have its own
-    noise variance, and a noiseless trial draws nothing from its generator.
-
-    Each channel's path angle is the trial's true angle, and each final
-    estimate is the posterior argmax. The flexible controller starts
-    from, and resets to, the region-wide beam; the hierarchical one climbs a
-    codebook log2(grid size) levels deep.
+    Trial i observes channels[i] with its own noise variance and draws only
+    from rngs[i], one noise block per segment, in the order a lone run of
+    that trial would; a noiseless trial draws nothing. A single trial is a
+    batch of one. The flexible controller starts from, and resets to, the
+    region-wide beam; the hierarchical one climbs a codebook log2(grid size)
+    levels deep from its root. Each records the mass of the beam or node it
+    picks for the next block.
     """
-    codebook = None
-    if config.codebook == "hierarchical":
-        codebook = build_hierarchical_codebook(
-            config.roi, config.depth(), config.combiner_length,
-            grid_size=config.grid_size,
-        )
-    return _align(config, channels, rngs, codebook, None)
+    count, m, p_thresh = len(channels), config.combiner_length, config.p_thresh
+    if config.codebook == "flexible":
+        grid = AngularGrid(config.roi, config.grid_size)
+
+        def flexible(pmf, modes, keys):
+            u, bw, peaks = select_next_beam(pmf, keys[1], p_thresh, grid)
+            return peaks, (u, bw)
+
+        region = (np.full(count, config.roi.center), np.full(count, config.roi.width))
+
+        def design(u, bw):
+            return design_beamformer(BeamSpec(u, bw), m)
+
+        return _align(config, channels, rngs, None, region, design, flexible)
+
+    book = build_hierarchical_codebook(config.roi, config.depth(), m)
+
+    def hierarchical(pmf, modes, keys):
+        masses = node_masses(pmf, book.depth)
+        nodes = hier_beam_search(keys[0], masses, modes, config.grid_size, p_thresh)
+        return _node_peaks(masses, *nodes), nodes
+
+    root = np.zeros(count, dtype=int)
+    return _align(
+        config, channels, rngs, None, (root, root),
+        lambda level, k: book.node(level, k).beamformer, hierarchical,
+    )
 
 
 def run_hiepm_known_alpha(
@@ -491,7 +469,9 @@ def run_hiepm_known_alpha(
 ) -> Trials:
     """Known-gain hierarchical alignment (hiePM) of a batch of trials over
     all snapshot blocks: the loop of run_alignment, scored with each
-    channel's gain and stepped by posterior matching over the codebook.
+    channel's gain and stepped by posterior matching over the codebook from
+    the node a uniform pmf picks. Each block records the mass of the node it
+    sensed with.
 
     The codewords' tap count sets the combining: m = n - n_v + 1 taps slide
     across the aperture within each block, n taps are repeated at full
@@ -515,4 +495,14 @@ def run_hiepm_known_alpha(
     if norm > 1.0 + 1e-9:
         raise ValueError(f"codeword norm {norm} exceeds 1")
     gains = np.array([channel.alpha for channel in channels], dtype=complex)
-    return _align(config, channels, rngs, codebook, gains)
+
+    def posterior_matching(pmf, modes, keys):
+        masses = node_masses(pmf, codebook.depth)
+        return _node_peaks(masses, *keys), select_codeword_posterior_matching(masses)
+
+    uniform = np.full((len(channels), config.grid_size), 1.0 / config.grid_size)
+    first = select_codeword_posterior_matching(node_masses(uniform, codebook.depth))
+    return _align(
+        config, channels, rngs, gains, first,
+        lambda level, k: codebook.node(level, k).beamformer, posterior_matching,
+    )

@@ -62,6 +62,14 @@ class RegionOfInterest:
         return 0.5 * (self.u_left + self.u_right)
 
 
+def check_roi(roi) -> RegionOfInterest:
+    """Reject a region that is not a RegionOfInterest, such as a (u_left,
+    u_right) tuple, which would fail later on a missing attribute."""
+    if not isinstance(roi, RegionOfInterest):
+        raise ValueError(f"roi must be a RegionOfInterest, got {roi!r}")
+    return roi
+
+
 def ula_manifold(n: int, u: float | np.ndarray) -> np.ndarray:
     """Steering vector of an n-element half-wavelength ULA at angle u.
 
@@ -89,7 +97,7 @@ class AngularGrid:
 
     def __init__(self, roi: RegionOfInterest, size: int):
         size = _check_size(size)
-        self.roi = roi
+        self.roi = check_roi(roi)
         self.size = size
         self.spacing = roi.width / size
         points = roi.u_left + self.spacing * np.arange(size)

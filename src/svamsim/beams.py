@@ -20,7 +20,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.signal import remez
 
-from .arrays import U_MAX, U_MIN, RegionOfInterest, check_integer, ula_manifold
+from .arrays import (
+    U_MAX, U_MIN, RegionOfInterest, check_integer, check_roi, ula_manifold
+)
 from .channel import combine
 
 
@@ -274,6 +276,7 @@ def build_hierarchical_codebook(
     of each level tile the region without gaps or overlap. When grid_size is
     given, the deepest level must still be resolvable on that grid.
     """
+    check_roi(roi)
     depth = check_integer("depth", depth)
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")

@@ -28,7 +28,7 @@ from .adaptive import (
     run_alignment,
     run_hiepm_known_alpha,
 )
-from .arrays import AngularGrid, RegionOfInterest, check_integer
+from .arrays import AngularGrid, RegionOfInterest, check_integer, check_roi
 from .beams import BeamSpec, HierarchicalCodebook, design_beamformer
 from .channel import ChannelParams
 from .crb import (
@@ -88,13 +88,20 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; expected one of "
                 f"{', '.join(EXPERIMENT_KINDS)}"
             )
+        for axis in ("n_v", "snr_db", "p_thresh", "noise_scale"):
+            values = getattr(self, axis)
+            if np.ndim(values) != 1:  # a scalar or a str is no axis
+                raise ValueError(
+                    f"sweep axis {axis} must be a sequence of values, got {values!r}"
+                )
+            if len(values) == 0:
+                raise ValueError(f"sweep axis {axis} is empty")
         for name in ("n", "grid_size", "total_snapshots", "trials", "seed"):
             object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         object.__setattr__(
             self, "n_v", tuple(check_integer("n_v", n_v) for n_v in self.n_v)
         )
-        if not isinstance(self.roi, RegionOfInterest):
-            raise ValueError(f"roi must be a RegionOfInterest, got {self.roi!r}")
+        check_roi(self.roi)
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name in UNREAD_SETTINGS[self.experiment] and value != f.default:
@@ -103,9 +110,6 @@ class ExperimentConfig:
             raise ValueError("need at least one trial")
         if self.seed < 0:  # the per-trial seed sequences take no negative seed
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        for axis in ("n_v", "snr_db", "p_thresh", "noise_scale"):
-            if len(getattr(self, axis)) == 0:
-                raise ValueError(f"sweep axis {axis} is empty")
         # check every sweep point now so a bad one fails here, not after the
         # points before it have run: a bound point with the bound dispatch's
         # checks, an alignment point by building its AdaptConfig and noise power

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from scalar_alignment import columns
+from svamsim import adaptive
 from svamsim.adaptive import (
     AdaptConfig,
     cumul_peak,
@@ -19,7 +20,12 @@ from svamsim.adaptive import (
     select_next_beam,
 )
 from svamsim.arrays import AngularGrid, RegionOfInterest
-from svamsim.beams import BeamSpec, HierarchicalCodebook, build_hierarchical_codebook
+from svamsim.beams import (
+    BeamSpec,
+    HierarchicalCodebook,
+    build_hierarchical_codebook,
+    design_beamformer,
+)
 from svamsim.channel import ChannelParams
 from svamsim.harness import run_hiepm_trials
 
@@ -236,6 +242,13 @@ def test_hier_search_rejects_bad_batch(levels, modes, p_thresh):
         hier_beam_search(levels, masses, modes, 16, p_thresh)
 
 
+def test_both_codebook_steps_reject_a_table_without_the_root_level():
+    with pytest.raises(ValueError, match="root level"):
+        hier_beam_search([0], [], [0], 8, 0.6)
+    with pytest.raises(ValueError, match="root level"):
+        select_codeword_posterior_matching([])
+
+
 # ---------------------------------------- posterior-matching codeword choice
 
 DEPTH_8 = 3  # dyadic levels over an 8-point grid
@@ -400,6 +413,28 @@ def test_records_carry_one_log_per_segment():
     assert out.gain_at_truth().shape == blocks
     assert len(out.beams) == 1 and len(out.beams[0]) == cfg.segments
     assert (out.peak_prob >= 0).all()
+
+
+def test_no_beam_is_designed_after_the_last_block(monkeypatch):
+    # each block designs its own distinct beams; none is designed for a
+    # block that never runs
+    designed = []
+
+    def counting(spec, m):
+        designed.append(spec)
+        return design_beamformer(spec, m)
+
+    monkeypatch.setattr(adaptive, "design_beamformer", counting)
+    cfg = make_config(total_snapshots=24)
+    rngs = [np.random.default_rng(seed) for seed in range(3)]
+    chans = [ChannelParams(1.0, u, noise_variance=0.3) for u in (0.1, 0.45, 0.8)]
+    out = run_alignment(cfg, chans, rngs)
+    distinct = sum(
+        len({(beam.spec.direction, beam.spec.beamwidth) for beam in block})
+        for block in zip(*out.beams)
+    )
+    assert len(designed) == distinct
+    assert distinct > cfg.segments  # the trials do not all sense alike
 
 
 def test_hiepm_noiseless_recovery():

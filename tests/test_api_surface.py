@@ -123,6 +123,35 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
     assert sorted(EXPORTED_WITHOUT_A_CALLER - set(svamsim.__all__)) == []
 
 
+def _private_names(table: symtable.SymbolTable) -> set[str]:
+    """Module-level names a module binds itself with a leading underscore:
+    its private functions, classes and constants, not its imports."""
+    return {
+        symbol.get_name()
+        for symbol in table.get_symbols()
+        if symbol.is_assigned()
+        and not symbol.is_imported()
+        and symbol.get_name().startswith("_")
+        and not symbol.get_name().startswith("__")
+    }
+
+
+def test_every_private_module_name_is_read_in_src():
+    # a private helper that only its own definition reads is a leftover: a
+    # loop refactor that stops calling it would otherwise keep it for good
+    paths = sorted(PACKAGE_DIR.glob("*.py"))
+    unread = []
+    for path in paths:
+        table = symtable.symtable(path.read_text(), str(path), "exec")
+        read = set().union(*(_names_read(other) for other in paths if other != path))
+        read |= {s.get_name() for s in table.get_symbols() if s.is_referenced()}
+        for name in _private_names(table):
+            bodies = [c for c in table.get_children() if c.get_name() != name]
+            if name not in read.union(*map(_global_reads, bodies)):
+                unread.append(f"{path.stem}.{name}")
+    assert sorted(unread) == []
+
+
 def _attributes_read(path: Path) -> set[str]:
     """Every attribute name a module reads, off any object."""
     return {

@@ -167,3 +167,7 @@ class TestAngularGrid:
             RegionOfInterest(-1.2, 0.0)
         with pytest.raises(ValueError):
             RegionOfInterest(0.0, 1.1)
+
+    def test_rejects_a_region_that_is_not_a_region_of_interest(self):
+        with pytest.raises(ValueError, match="roi must be a RegionOfInterest"):
+            AngularGrid((0.0, 1.0), 8)

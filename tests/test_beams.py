@@ -315,6 +315,10 @@ class TestHierarchicalCodebook:
             with pytest.raises(ValueError, match="must be an integer"):
                 build_hierarchical_codebook(RegionOfInterest(0.0, 1.0), depth, m)
 
+    def test_rejects_a_region_that_is_not_a_region_of_interest(self):
+        with pytest.raises(ValueError, match="roi must be a RegionOfInterest"):
+            build_hierarchical_codebook((0.0, 1.0), 3, 13)
+
     def test_root_is_region_wide_beam(self):
         roi = RegionOfInterest(0.0, 1.0)
         cb = build_hierarchical_codebook(roi, depth=1, m=33)

@@ -298,6 +298,11 @@ def test_invalid_configs_rejected():
         dict(experiment="crb_sweep", snr_db=(4000.0,)),
         dict(roi=(0.0, 1.0)),
         dict(experiment="crb_sweep", roi=(0.0, 1.0)),
+        dict(experiment="noise_mismatch", n_v=4),
+        dict(experiment="noise_mismatch", p_thresh=0.6),
+        dict(experiment="noise_mismatch", snr_db=-10.0),
+        dict(experiment="noise_mismatch", noise_scale=1.0),
+        dict(experiment="noise_mismatch", snr_db="-10"),
     ],
     ids=[
         "p_thresh", "noise_scale", "codebook", "hier_grid", "compare_grid",
@@ -313,6 +318,8 @@ def test_invalid_configs_rejected():
         "crb_snapshots_float", "crb_n_v_float", "crb_n_v_bool",
         "grid_float_fraction", "grid_bool", "snr_overflow", "snr_underflow",
         "crb_snr_overflow", "crb_snr_underflow", "roi_tuple", "crb_roi_tuple",
+        "n_v_scalar", "p_thresh_scalar", "snr_scalar", "noise_scale_scalar",
+        "snr_str",
     ],
 )
 def test_bad_sweep_point_fails_at_construction(overrides):
@@ -320,6 +327,13 @@ def test_bad_sweep_point_fails_at_construction(overrides):
     # points had run their trials
     with pytest.raises(ValueError):
         tiny_config(**overrides)
+
+
+def test_a_scalar_sweep_axis_is_named_in_the_error():
+    for axis, value in (("n_v", 4), ("snr_db", -10.0), ("p_thresh", 0.6),
+                        ("noise_scale", 1.0), ("snr_db", "-10")):
+        with pytest.raises(ValueError, match=f"sweep axis {axis} must be a sequence"):
+            tiny_config(experiment="noise_mismatch", **{axis: value})
 
 
 def test_numpy_integer_seed_and_trials_accepted():
