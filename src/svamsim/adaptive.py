@@ -13,9 +13,10 @@ third with codewords that slide across the aperture within a block
 (n - n_v + 1 taps) or, with n taps and so one shift, repeat.
 
 A batch row reproduces a lone run of its trial bit for bit; one bad row
-rejects the batch. The one per-trial call is the flexible step's
-np.convolve of each trial's pmf, once per width tried: its dot order fixes
-the bits of windows of 16 points and up.
+rejects the batch. Two calls still run row by row in each block: the noise
+draw of antenna_blocks, once per distinct noisy generator, and the flexible
+step's np.convolve of each trial's pmf, once per width tried, whose dot
+order fixes the bits of windows of 16 points and up.
 """
 
 from __future__ import annotations
@@ -426,11 +427,14 @@ def run_alignment(
 
     Trial i observes channels[i] with its own noise variance and draws only
     from rngs[i], one noise block per segment, in the order a lone run of
-    that trial would; a noiseless trial draws nothing. A single trial is a
-    batch of one. The flexible controller starts from, and resets to, the
-    region-wide beam; the hierarchical one climbs a codebook log2(grid size)
-    levels deep from its root. Each records the mass of the beam or node it
-    picks for the next block.
+    that trial would; a noiseless trial draws nothing. Rows that hold the
+    same generator object share its draw (antenna_blocks), as a sweep's rows
+    of one trial at several SNRs do: the generator moves one block per
+    segment, and each row sees the numbers a lone run on a fresh copy of it
+    sees. A single trial is a batch of one. The flexible controller starts
+    from, and resets to, the region-wide beam; the hierarchical one climbs
+    a codebook log2(grid size) levels deep from its root. Each records the
+    mass of the beam or node it picks for the next block.
     """
     count, m, p_thresh = len(channels), config.combiner_length, config.p_thresh
     if config.codebook == "flexible":

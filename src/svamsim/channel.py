@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import check_angle, ula_manifold
+from .arrays import check_angle, check_integer, ula_manifold
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,18 @@ def antenna_blocks(
     """count consecutive observations for each trial of a batch.
 
     signals is the (trials, n) stack of the trials' noiseless snapshots; the
-    result is (trials, count, n). noise_variance is one variance for the
-    whole batch or one per trial. Trial i's noise is one
+    result is (trials, count, n). noise_variance is one finite, nonnegative
+    variance for the whole batch or one per trial. Trial i's noise is one
     standard_normal((count, 2, n)) draw from rngs[i]: real, then imaginary
     parts, observation by observation, the same numbers count
     antenna_snapshot calls would take. A trial without noise draws nothing
     from its generator.
+
+    Rows that hold the same generator object share its draw: the first
+    noisy one draws, later ones copy that draw, and each scales it by its
+    own variance. So a generator advances one block per call however many
+    rows hold it, and every row sees the numbers a lone call on a fresh
+    copy of the generator gives it.
 
     The scaled parts are written straight into the output's real and
     imaginary planes before the signal is added; that sum has the bits of
@@ -82,11 +88,24 @@ def antenna_blocks(
     signals = np.asarray(signals)
     if signals.ndim != 2 or len(rngs) != len(signals):
         raise ValueError("need a (trials, n) signal stack and one generator per trial")
+    if check_integer("observation count", count) < 1:
+        raise ValueError(f"need at least one observation, got {count}")
     variance = np.broadcast_to(np.asarray(noise_variance, dtype=float), len(signals))
+    # written so that NaN, which compares false, is rejected too
+    bad = ~((variance >= 0.0) & (variance < math.inf))
+    if bad.any():
+        raise ValueError(
+            f"noise variance {variance[bad][0]} must be finite and nonnegative"
+        )
     noise = np.zeros((len(signals), count, 2, signals.shape[1]))
+    drawn: dict[int, np.ndarray] = {}  # id of a generator -> its block's draw
     for rng, v, out in zip(rngs, variance, noise):
-        if v > 0.0:
-            rng.standard_normal(out=out)
+        if v <= 0.0:
+            continue
+        if id(rng) in drawn:
+            out[...] = drawn[id(rng)]
+        else:
+            drawn[id(rng)] = rng.standard_normal(out=out)
     scale = np.sqrt(variance / 2.0)[:, None, None]
     x = np.empty((len(signals), count, signals.shape[1]), dtype=complex)
     np.multiply(scale, noise[..., 0, :], out=x.real)

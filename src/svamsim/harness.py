@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -196,11 +196,18 @@ def _draw_trials(
     config: AdaptConfig, snrs: Sequence[float], trials: int, seed: int
 ) -> tuple[list[ChannelParams], list[np.random.Generator]]:
     """The channels and generators of every SNR's trials in batch order,
-    SNR by SNR; trial i's generator trial_generator(seed, i) draws its
-    channel first, as a lone run of that SNR draws it."""
+    SNR by SNR. Trial i has one generator, trial_generator(seed, i), and
+    its row at every SNR holds that same object. The generator draws the
+    trial's path first, as a lone run of any SNR draws it; each SNR's
+    channel is that path with the SNR's noise variance. The rows then share
+    the generator's noise draws (antenna_blocks), so each block is drawn
+    once per trial, not once per SNR."""
     grid = AngularGrid(config.roi, config.grid_size)
-    draws = [(snr, trial_generator(seed, i)) for snr in snrs for i in range(trials)]
-    return [draw_channel(grid, snr, rng) for snr, rng in draws], [r for _, r in draws]
+    rngs = [trial_generator(seed, i) for i in range(trials)]
+    paths = [draw_channel(grid, math.inf, rng) for rng in rngs]
+    variances = [noise_variance_from_snr(snr) for snr in snrs]
+    channels = [replace(path, noise_variance=v) for v in variances for path in paths]
+    return channels, rngs * len(snrs)
 
 
 def run_adaptive_trials(

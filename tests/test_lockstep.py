@@ -2,6 +2,7 @@
 their one-trial oracles, block noise against single snapshots, and per-row
 validation."""
 
+import copy
 import functools
 import gc
 import math
@@ -35,6 +36,7 @@ from svamsim.channel import (
     noiseless_snapshot,
 )
 from svamsim.harness import (
+    _draw_trials,
     draw_channel,
     run_hiepm_trials,
     trial_generator,
@@ -137,6 +139,34 @@ def test_mixed_snr_batch_equals_lone_batches(codebook, noise_scale):
         rngs, channels = draw(snr)
         lone = run_alignment(cfg, channels, rngs)
         assert_same_outcome(mixed[k * TRIALS : (k + 1) * TRIALS], lone)
+
+
+@pytest.mark.parametrize("codebook", ["flexible", "hierarchical"])
+def test_sweep_batch_draws_each_trial_once_per_block(codebook):
+    # a sweep batch's rows of one trial hold one generator: each row's
+    # channel is the one a lone draw at its SNR gives, the generator moves
+    # one noise block per segment however many SNRs hold it, and the run
+    # equals the same batch on a distinct copy of the generator per row
+    cfg = config(codebook=codebook)
+    snrs, seed = [-10.0, math.inf, 0.0, -10.0], 17
+    grid = AngularGrid(cfg.roi, cfg.grid_size)
+    channels, rngs = _draw_trials(cfg, snrs, TRIALS, seed)
+    assert len(channels) == len(rngs) == len(snrs) * TRIALS
+    assert len({id(rng) for rng in rngs}) == TRIALS
+    for k, snr in enumerate(snrs):
+        for i in range(TRIALS):
+            assert rngs[k * TRIALS + i] is rngs[i]
+            lone = draw_channel(grid, snr, trial_generator(seed, i))
+            assert channels[k * TRIALS + i] == lone
+    copies = [copy.deepcopy(rng) for rng in rngs]
+    shared = run_alignment(cfg, channels, rngs)
+    for i, rng in enumerate(rngs[:TRIALS]):
+        fresh = trial_generator(seed, i)
+        draw_channel(grid, snrs[0], fresh)
+        for _ in range(cfg.segments):
+            fresh.standard_normal((cfg.n_v, 2, cfg.n))
+        assert rng.bit_generator.state == fresh.bit_generator.state
+    assert_same_outcome(shared, run_alignment(cfg, channels, copies))
 
 
 # --------------------------------------------------------- known-gain hiePM
@@ -378,6 +408,48 @@ def test_per_trial_noise_rows_equal_shared_noise_blocks(variances):
             assert rng.bit_generator.state == untouched
     with pytest.raises(ValueError):  # one variance short
         antenna_blocks(signals, variances[:2], rngs, n_v)
+
+
+@pytest.mark.parametrize(
+    "shared",
+    [(0.5, 2.0), (0.0, 2.0), (0.0, 0.0)],
+    ids=["both_noisy", "noiseless_first", "both_noiseless"],
+)
+def test_rows_on_one_generator_share_its_draw(shared):
+    # rows 0 and 2 hold one generator, row 1 another; each row is the row a
+    # fresh copy of its generator gives at that row's variance, and the
+    # shared generator moves one block if any of its rows is noisy
+    n, n_v = 8, 3
+    variances = np.array([shared[0], 1.0, shared[1]])
+    signals = np.stack([
+        noiseless_snapshot(ChannelParams(np.exp(1j * k), 0.1 * k), n)
+        for k in range(3)
+    ])
+    seeds = [70, 71, 70]
+    one, other = np.random.default_rng(70), np.random.default_rng(71)
+    blocks = antenna_blocks(signals, variances, [one, other, one], n_v)
+    for k, (seed, variance) in enumerate(zip(seeds, variances)):
+        fresh = np.random.default_rng(seed)
+        (want,) = antenna_blocks(signals[k : k + 1], float(variance), [fresh], n_v)
+        np.testing.assert_array_equal(blocks[k], want)
+    moved = np.random.default_rng(70)
+    if max(shared) > 0.0:
+        moved.standard_normal((n_v, 2, n))
+    assert one.bit_generator.state == moved.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "variance, count",
+    [(-1.0, 2), (math.nan, 2), (math.inf, 2), ([0.5, -1.0], 2), (0.5, 0), (0.5, -1)],
+    ids=["negative", "nan", "inf", "one_bad_row", "no_observation", "negative_count"],
+)
+def test_blocks_reject_bad_variance_or_count(variance, count):
+    signals = np.ones((2, 4), dtype=complex)
+    rngs = [np.random.default_rng(5), np.random.default_rng(6)]
+    with pytest.raises(ValueError):
+        antenna_blocks(signals, variance, rngs, count)
+    # rejected before any row draws
+    assert rngs[0].bit_generator.state == np.random.default_rng(5).bit_generator.state
 
 
 # ------------------------------------------------------ batched inference
