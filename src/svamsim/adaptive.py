@@ -13,10 +13,18 @@ third with codewords that slide across the aperture within a block
 (n - n_v + 1 taps) or, with n taps and so one shift, repeat.
 
 A batch row reproduces a lone run of its trial bit for bit; one bad row
-rejects the batch. Two calls still run row by row in each block: the noise
-draw of antenna_blocks, once per distinct noisy generator, and the flexible
-step's np.convolve of each trial's pmf, once per width tried, whose dot
-order fixes the bits of windows of 16 points and up.
+rejects the batch. The noise is drawn once per run, not per block: each
+distinct noisy generator draws all its snapshots' normals up front
+(channel.BatchNoise, total_snapshots * 2 * n floats per generator), and
+each block scales its slice. Each beam's block combiners and grid
+responses are built once per run into a table (sensing.BeamTable) that
+every block reads by row: node (l, k) of a codebook is row 2**l - 1 + k,
+and the flexible controller numbers its designs as it makes them. What
+still runs row by row in a block is bookkeeping (the flexible controller's
+lookup of each trial's (direction, width) row, and the per-trial beam log
+the history keeps) and the flexible step's np.convolve of each trial's
+pmf, once per width tried, whose dot order fixes the bits of windows of 16
+points and up.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from .beams import (
     build_hierarchical_codebook,
     design_beamformer,
 )
-from .channel import ChannelParams, antenna_blocks, combine, noiseless_snapshot
+from .channel import BatchNoise, ChannelParams, combine, noiseless_snapshot
 from .inference import (
     AlphaPosterior,
     alpha_posterior,
@@ -44,7 +52,7 @@ from .inference import (
     gamma_mle,
     posterior_pmf,
 )
-from .sensing import BeamCache, MeasurementHistory, block_combiners
+from .sensing import BeamTable, MeasurementHistory
 
 # Noiseless channels are allowed as a sentinel (infinite SNR); the Gaussian
 # scoring still needs a positive variance, so inference falls back to this
@@ -325,48 +333,51 @@ def select_codeword_posterior_matching(
     masses: Sequence[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Known-gain codeword rule, one (level, index) per trial: walk down the
-    larger-mass child while the mass stays at least 1/2, then choose between
-    the deepest such node and its better child whichever mass is closer to
-    1/2. masses is node_masses of a (trials, grid) pmf stack; the codebook
-    depth is len(masses) - 1."""
-    count, _ = _mass_table(masses)
+    larger-mass child (the left one on ties) while the mass stays at least
+    1/2, then choose between the deepest such node and its better child
+    whichever mass is closer to 1/2; the root counts as mass 1. masses is
+    node_masses of a (trials, grid) pmf stack; the codebook depth is
+    len(masses) - 1.
+
+    The whole batch at once: the larger-child path is followed to the
+    leaves with one gather per level, then each trial stops at the deepest
+    level whose path masses all stay at least 1/2 and makes one closer test.
+    """
+    count, depth = _mass_table(masses)
     rows = np.arange(count)
-    level = np.zeros(count, dtype=int)
-    index = np.zeros(count, dtype=int)
-    mass = np.ones(count)
-    walking = np.ones(count, dtype=bool)
-    for depth, below in enumerate(masses[1:], start=1):
-        left, right = below[rows, 2 * index], below[rows, 2 * index + 1]
-        take_left = left >= right
-        child = np.where(take_left, 2 * index, 2 * index + 1)
-        child_mass = np.where(take_left, left, right)
-        descend = walking & (child_mass >= 0.5)
-        # a walk that stops here still ends on the child if it is closer
-        moved = descend | (
-            walking & ~descend & (np.abs(child_mass - 0.5) < np.abs(mass - 0.5))
-        )
-        level[moved] = depth
-        index[moved] = child[moved]
-        mass[descend] = child_mass[descend]
-        walking = descend
-    return level, index
+    # at: the path node's position row * 2**level + k in its level's table
+    at = rows
+    path, mass = [at], [np.ones(count)]
+    for level in range(1, depth + 1):
+        nodes = masses[level].reshape(-1)
+        left, right = nodes.reshape(-1, 2)[at].T
+        at = 2 * at + ~(left >= right)  # a NaN pair takes the right child
+        path.append(at)
+        mass.append(nodes[at])
+    # below the leaves a NaN mass, which fails both tests below, as a NaN
+    # mass on the path does
+    mass.append(np.full(count, np.nan))
+    path, mass = np.array(path), np.array(mass)
+    level = (mass[1:] >= 0.5).argmin(axis=0)
+    # a walk that stops above the leaves still ends on the child if it is closer
+    level += np.abs(mass[level + 1, rows] - 0.5) < np.abs(mass[level, rows] - 0.5)
+    return level, path[level, rows] - (rows << level)
+
+
+def _node_rows(levels: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Row 2**l - 1 + k of node (l, k) in the levels laid side by side."""
+    return 2**levels - 1 + indices
 
 
 def _node_peaks(masses: Sequence[np.ndarray], levels, indices) -> np.ndarray:
-    """Mass of node (levels[i], indices[i]) in row i of a node_masses table:
-    node (l, k) is column 2**l - 1 + k of the levels laid side by side."""
+    """Mass of node (levels[i], indices[i]) in row i of a node_masses table."""
     table = np.concatenate(masses, axis=-1)
-    return table[np.arange(len(table)), 2**levels - 1 + indices]
+    return table[np.arange(len(table)), _node_rows(levels, indices)]
 
 
-def _beam_per_trial(
-    first: np.ndarray, second: np.ndarray, beam: Callable[..., Beamformer]
-) -> list[Beamformer]:
-    """beam(first[i], second[i]) for every trial i, called once per distinct
-    pair: a (direction, width) to design or a (level, index) to look up."""
-    keys = list(zip(first.tolist(), second.tolist()))
-    beams = {key: beam(*key) for key in dict.fromkeys(keys)}
-    return [beams[key] for key in keys]
+def _codebook_beams(book: HierarchicalCodebook) -> list[Beamformer]:
+    """The codebook's beams in node-row order (_node_rows)."""
+    return [node.beamformer for level in book.levels for node in level]
 
 
 def _align(
@@ -375,13 +386,16 @@ def _align(
     rngs: Sequence[np.random.Generator],
     gains: np.ndarray | None,
     keys: tuple[np.ndarray, np.ndarray],
-    beam: Callable[..., Beamformer],
+    locate: Callable[..., np.ndarray],
+    beams: Sequence[Beamformer],
     step: Callable[..., tuple],
 ) -> Trials:
     """The one alignment loop. The controller is keys, each trial's first
-    beam key as two arrays; beam(*key) -> Beamformer; and step(pmf, modes,
-    keys) -> (peaks, next keys). Known gains score as AlphaPosterior(gain,
-    0), the known-gain Gaussian log density; else each block fits the gain."""
+    beam key as two arrays; locate(*keys) -> each trial's row of beams, the
+    run's row-numbered beam list, which locate may extend; and step(pmf,
+    modes, keys) -> (peaks, next keys).
+    Known gains score as AlphaPosterior(gain, 0), the known-gain Gaussian
+    log density; else each block fits the gain."""
     count = len(channels)
     if count < 1 or len(rngs) != count:
         raise ValueError("need at least one channel and one generator per channel")
@@ -390,16 +404,18 @@ def _align(
     # the variance the inference assumes
     noise_var = np.maximum(config.noise_scale * channel_noise, NOISELESS_VAR_FLOOR)
     grid = AngularGrid(config.roi, config.grid_size)
-    combiners = BeamCache(lambda w: block_combiners(w, config.n, config.n_v))
+    noise = BatchNoise(rngs, channel_noise, config.total_snapshots, config.n)
+    table = BeamTable(beams, config.n, config.n_v, grid)
     history = MeasurementHistory(config.n, config.n_v, grid, count, noise_var)
     block_modes, block_peaks = [], []
-    for _ in range(config.segments):
-        # looked up here, so no beam is designed after the last block
-        beams = _beam_per_trial(*keys, beam)
-        x = antenna_blocks(signals, channel_noise, rngs, config.n_v)
+    for start in range(0, config.total_snapshots, config.n_v):
+        # located here, so no beam is designed after the last block
+        rows = locate(*keys)
+        combiners, responses = table.gather(rows)
+        x = noise.observe(signals, start, start + config.n_v)
         # combine gives every row the bits a lone trial's product has
-        values = combine(combiners.stack(beams), x)
-        history.append(values, beams)
+        values = combine(combiners, x)
+        history.append(values, [beams[row] for row in rows.tolist()], responses)
         if gains is None:
             post = alpha_posterior(history, gamma_mle(history))
         else:
@@ -426,12 +442,14 @@ def run_alignment(
     """Unknown-gain alignment of a batch of trials over all snapshot blocks.
 
     Trial i observes channels[i] with its own noise variance and draws only
-    from rngs[i], one noise block per segment, in the order a lone run of
-    that trial would; a noiseless trial draws nothing. Rows that hold the
-    same generator object share its draw (antenna_blocks), as a sweep's rows
-    of one trial at several SNRs do: the generator moves one block per
-    segment, and each row sees the numbers a lone run on a fresh copy of it
-    sees. A single trial is a batch of one. The flexible controller starts
+    from rngs[i]: one standard_normal((total_snapshots, 2, n)) before the
+    first block, the numbers a lone run of that trial draws block by block;
+    a noiseless trial draws nothing. Rows that hold the same generator
+    object share its draw (BatchNoise), as a sweep's rows of one trial at
+    several SNRs do: the generator moves total_snapshots observations per
+    run, and each row sees the numbers a lone run on a fresh copy of it
+    sees. The draw holds total_snapshots * 2 * n floats per distinct noisy
+    generator. A single trial is a batch of one. The flexible controller starts
     from, and resets to, the region-wide beam; the hierarchical one climbs
     a codebook log2(grid size) levels deep from its root. Each records the
     mass of the beam or node it picks for the next block.
@@ -445,11 +463,21 @@ def run_alignment(
             return peaks, (u, bw)
 
         region = (np.full(count, config.roi.center), np.full(count, config.roi.width))
+        designed: list[Beamformer] = []
+        row_of: dict[tuple[float, float], int] = {}  # (direction, width) -> row
 
         def design(u, bw):
-            return design_beamformer(BeamSpec(u, bw), m)
+            rows = []
+            for key in zip(u.tolist(), bw.tolist()):
+                if key not in row_of:
+                    row_of[key] = len(designed)
+                    designed.append(design_beamformer(BeamSpec(*key), m))
+                rows.append(row_of[key])
+            return np.array(rows)
 
-        return _align(config, channels, rngs, None, region, design, flexible)
+        return _align(
+            config, channels, rngs, None, region, design, designed, flexible
+        )
 
     book = build_hierarchical_codebook(config.roi, config.depth(), m)
 
@@ -460,8 +488,8 @@ def run_alignment(
 
     root = np.zeros(count, dtype=int)
     return _align(
-        config, channels, rngs, None, (root, root),
-        lambda level, k: book.node(level, k).beamformer, hierarchical,
+        config, channels, rngs, None, (root, root), _node_rows,
+        _codebook_beams(book), hierarchical,
     )
 
 
@@ -493,9 +521,8 @@ def run_hiepm_known_alpha(
             f"{config.n_v} on {config.n} elements need {config.combiner_length} "
             f"(sliding) or {config.n} (repeated) taps over the region {region}"
         )
-    words = np.stack([node.beamformer.weights for level in codebook.levels
-                      for node in level])
-    norm = np.linalg.norm(words, axis=-1).max()
+    beams = _codebook_beams(codebook)
+    norm = np.linalg.norm(np.stack([f.weights for f in beams]), axis=-1).max()
     if norm > 1.0 + 1e-9:
         raise ValueError(f"codeword norm {norm} exceeds 1")
     gains = np.array([channel.alpha for channel in channels], dtype=complex)
@@ -507,6 +534,5 @@ def run_hiepm_known_alpha(
     uniform = np.full((len(channels), config.grid_size), 1.0 / config.grid_size)
     first = select_codeword_posterior_matching(node_masses(uniform, codebook.depth))
     return _align(
-        config, channels, rngs, gains, first,
-        lambda level, k: codebook.node(level, k).beamformer, posterior_matching,
+        config, channels, rngs, gains, first, _node_rows, beams, posterior_matching
     )

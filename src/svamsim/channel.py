@@ -59,6 +59,76 @@ def antenna_snapshot(
     return x
 
 
+class BatchNoise:
+    """The noise of count consecutive observations of n elements for each
+    trial of a batch, drawn up front; observe() adds any run of them to the
+    trials' signals.
+
+    noise_variance is one finite, nonnegative variance for the whole batch
+    or one per trial. Each distinct generator object among the noisy rows
+    draws one standard_normal((count, 2, n)) into its own slot of
+    ``normals``: real, then imaginary parts, observation by observation, the
+    numbers count antenna_snapshot calls would take, and the numbers any
+    split of them into consecutive smaller draws takes. Rows that hold the
+    same generator read its one slot, each scaled by its own variance, so a
+    generator advances count observations however many rows hold it. A
+    noiseless row reads zeros, and a generator that only noiseless rows
+    hold draws nothing. The draw holds slots * count * 2 * n floats.
+    Distinct generator objects must not share a bit generator.
+    """
+
+    def __init__(
+        self,
+        rngs: Sequence[np.random.Generator],
+        noise_variance: float | np.ndarray,
+        count: int,
+        n: int,
+    ):
+        if check_integer("observation count", count) < 1:
+            raise ValueError(f"need at least one observation, got {count}")
+        variance = np.broadcast_to(np.asarray(noise_variance, dtype=float), len(rngs))
+        # written so that NaN, which compares false, is rejected too
+        bad = ~((variance >= 0.0) & (variance < math.inf))
+        if bad.any():
+            raise ValueError(
+                f"noise variance {variance[bad][0]} must be finite and nonnegative"
+            )
+        slots: dict[int, int] = {}  # id of a generator -> its slot
+        drawers = []
+        self.slot = np.full(len(rngs), -1)  # -1: a noiseless row
+        for row, (rng, v) in enumerate(zip(rngs, variance)):
+            if v > 0.0:
+                if id(rng) not in slots:
+                    slots[id(rng)] = len(drawers)
+                    drawers.append(rng)
+                self.slot[row] = slots[id(rng)]
+        self.normals = np.empty((len(drawers), count, 2, n))
+        for rng, out in zip(drawers, self.normals):
+            rng.standard_normal(out=out)
+        self._quiet = self.slot < 0
+        self._scale = np.sqrt(variance / 2.0)[:, None, None]
+
+    def observe(self, signals: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """(trials, stop - start, n) observations start to stop - 1: each
+        trial's (n,) signal in the (trials, n) stack plus its scaled noise.
+
+        The scaled parts are written straight into the output's real and
+        imaginary planes before the signal is added; that sum has the bits
+        of signal + scale * (real + 1j * imaginary), noiseless rows included.
+        """
+        if self._quiet.any():
+            noise = np.zeros((len(self.slot), stop - start) + self.normals.shape[2:])
+            noisy = ~self._quiet
+            noise[noisy] = self.normals[self.slot[noisy], start:stop]
+        else:
+            noise = self.normals[self.slot, start:stop]
+        x = np.empty((len(signals), stop - start, signals.shape[1]), dtype=complex)
+        np.multiply(self._scale, noise[..., 0, :], out=x.real)
+        np.multiply(self._scale, noise[..., 1, :], out=x.imag)
+        x += signals[:, None, :]
+        return x
+
+
 def antenna_blocks(
     signals: np.ndarray,
     noise_variance: float | np.ndarray,
@@ -68,50 +138,17 @@ def antenna_blocks(
     """count consecutive observations for each trial of a batch.
 
     signals is the (trials, n) stack of the trials' noiseless snapshots; the
-    result is (trials, count, n). noise_variance is one finite, nonnegative
-    variance for the whole batch or one per trial. Trial i's noise is one
-    standard_normal((count, 2, n)) draw from rngs[i]: real, then imaginary
-    parts, observation by observation, the same numbers count
-    antenna_snapshot calls would take. A trial without noise draws nothing
-    from its generator.
-
-    Rows that hold the same generator object share its draw: the first
-    noisy one draws, later ones copy that draw, and each scales it by its
-    own variance. So a generator advances one block per call however many
-    rows hold it, and every row sees the numbers a lone call on a fresh
-    copy of the generator gives it.
-
-    The scaled parts are written straight into the output's real and
-    imaginary planes before the signal is added; that sum has the bits of
-    signal + scale * (real + 1j * imaginary), noiseless rows included.
+    result is (trials, count, n). Trial i's noise is one
+    standard_normal((count, 2, n)) draw from rngs[i], shared by every row
+    that holds the same generator object, and a trial without noise draws
+    nothing (BatchNoise). So every row sees the numbers a lone call on a
+    fresh copy of its generator gives it.
     """
     signals = np.asarray(signals)
     if signals.ndim != 2 or len(rngs) != len(signals):
         raise ValueError("need a (trials, n) signal stack and one generator per trial")
-    if check_integer("observation count", count) < 1:
-        raise ValueError(f"need at least one observation, got {count}")
-    variance = np.broadcast_to(np.asarray(noise_variance, dtype=float), len(signals))
-    # written so that NaN, which compares false, is rejected too
-    bad = ~((variance >= 0.0) & (variance < math.inf))
-    if bad.any():
-        raise ValueError(
-            f"noise variance {variance[bad][0]} must be finite and nonnegative"
-        )
-    noise = np.zeros((len(signals), count, 2, signals.shape[1]))
-    drawn: dict[int, np.ndarray] = {}  # id of a generator -> its block's draw
-    for rng, v, out in zip(rngs, variance, noise):
-        if v <= 0.0:
-            continue
-        if id(rng) in drawn:
-            out[...] = drawn[id(rng)]
-        else:
-            drawn[id(rng)] = rng.standard_normal(out=out)
-    scale = np.sqrt(variance / 2.0)[:, None, None]
-    x = np.empty((len(signals), count, signals.shape[1]), dtype=complex)
-    np.multiply(scale, noise[..., 0, :], out=x.real)
-    np.multiply(scale, noise[..., 1, :], out=x.imag)
-    x += signals[:, None, :]
-    return x
+    noise = BatchNoise(rngs, noise_variance, count, signals.shape[1])
+    return noise.observe(signals, 0, count)
 
 
 def combine(w: np.ndarray, x: np.ndarray) -> complex | np.ndarray:

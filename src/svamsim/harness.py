@@ -200,8 +200,9 @@ def _draw_trials(
     its row at every SNR holds that same object. The generator draws the
     trial's path first, as a lone run of any SNR draws it; each SNR's
     channel is that path with the SNR's noise variance. The rows then share
-    the generator's noise draws (antenna_blocks), so each block is drawn
-    once per trial, not once per SNR."""
+    the generator's one noise draw per run (channel.BatchNoise), so each
+    trial's noise is drawn and held once, total_snapshots * 2 * n floats,
+    not once per SNR."""
     grid = AngularGrid(config.roi, config.grid_size)
     rngs = [trial_generator(seed, i) for i in range(trials)]
     paths = [draw_channel(grid, math.inf, rng) for rng in rngs]

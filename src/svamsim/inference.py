@@ -165,16 +165,19 @@ def posterior_pmf(log_likelihood: np.ndarray) -> np.ndarray:
     """Normalize log scores into a pmf via max subtraction, along the last
     axis: a (trials, grid) stack gives one pmf per row.
 
-    Rejects inputs where any row has no usable mass (all -inf) or a NaN.
+    Rejects inputs where any row has no usable mass (all -inf), a NaN or a
+    +inf, which would normalize to NaN.
     """
     ll = np.asarray(log_likelihood, dtype=float)
     if ll.size == 0:
         raise ValueError("empty likelihood vector")
-    if np.isnan(ll).any():
+    top = ll.max(axis=-1, keepdims=True)  # NaN if the row holds one
+    if np.isnan(top).any():
         raise ValueError("likelihoods contain NaN")
-    top = ll.max(axis=-1, keepdims=True)
     if (top == -np.inf).any():
         raise ValueError("all likelihoods are zero; nothing to normalize")
+    if (top == np.inf).any():
+        raise ValueError("a likelihood is infinite; nothing to normalize")
     weights = np.exp(ll - top)
     return weights / weights.sum(axis=-1, keepdims=True)
 

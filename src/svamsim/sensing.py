@@ -23,7 +23,7 @@ reads all of these from the history alone.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,43 +58,66 @@ def block_combiners(f: Beamformer | np.ndarray, n: int, n_v: int) -> np.ndarray:
     return np.stack([svam_combiner(f, r, n) for r in range(n_v)])
 
 
-class BeamCache:
-    """A value derived from a beam's taps, computed once per distinct beam.
+def beam_responses(f: Beamformer | np.ndarray, grid: AngularGrid) -> np.ndarray:
+    """(grid,) responses beta(u_i) = f^H phi_m(u_i) of an m-tap beam."""
+    w = _weights_of(f)
+    return w.conj() @ grid.manifold(len(w))
 
-    Entries are keyed by the identity of read-only weight arrays: the design
-    cache and codebook nodes hand out the same array every time a beam
-    recurs, and the entry holds that array so its identity cannot be
-    reused. Writeable arrays could change in place and are rebuilt on every
-    call.
+
+def _doubled(a: np.ndarray) -> np.ndarray:
+    """a with twice its rows (at least one); the new rows are left unwritten."""
+    out = np.empty((max(2 * len(a), 1),) + a.shape[1:], dtype=a.dtype)
+    out[: len(a)] = a
+    return out
+
+
+class BeamTable:
+    """A run's table of what sensing reads from each beam: its (n_v, n)
+    block_combiners and its (grid,) beam_responses.
+
+    Row r belongs to beams[r]. The caller may extend beams as a run designs
+    new ones, and numbers them so that a beam keeps its row: node (l, k) of
+    a codebook is row 2**l - 1 + k. The first time a block reads a row, the
+    row is given the slot of its weights array, and a weights array met for
+    the first time is built into a new slot. So each weights array is built
+    once per run, beams that share one (designs whose bands floor alike)
+    share its slot, and every block gathers its rows' slots by index.
+    Beams' weights must not change during the run (a Beamformer's are
+    read-only).
     """
 
-    def __init__(self, build: Callable[[np.ndarray], Any]):
-        self._build = build
-        self._items: dict[int, tuple[np.ndarray, Any]] = {}
+    def __init__(self, beams: Sequence[Beamformer], n: int, n_v: int, grid: AngularGrid):
+        self._beams = beams
+        self._n = n
+        self._n_v = n_v
+        self._grid = grid
+        self._slot = np.full(len(beams), -1)  # -1: not read yet
+        # id of a weights array -> its slot; beams holds the arrays, so no
+        # id is reused during the run
+        self._slot_of: dict[int, int] = {}
+        self._combiners = np.empty((0, n_v, n), dtype=complex)
+        self._responses = np.empty((0, grid.size), dtype=complex)
 
-    def __call__(self, f: Beamformer | np.ndarray) -> Any:
-        weights = _weights_of(f)
-        item = self._items.get(id(weights))
-        if item is None:
-            item = (weights, self._build(weights))
-            if not weights.flags.writeable:
-                self._items[id(weights)] = item
-        return item[1]
-
-    def stack(self, beams: Sequence[Beamformer | np.ndarray]) -> np.ndarray:
-        """np.stack of the values of many beams: each distinct weights array
-        is looked up once and its value gathered into every row that uses
-        it."""
-        seen: dict[int, tuple[int, np.ndarray]] = {}  # held: no id reused
-        values, rows = [], []
-        for f in beams:
-            weights = _weights_of(f)
-            hit = seen.get(id(weights))
-            if hit is None:
-                hit = seen[id(weights)] = (len(values), weights)
-                values.append(self(weights))
-            rows.append(hit[0])
-        return np.stack(values)[rows]
+    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (trials, n_v, n) combiners and (trials, grid) responses of
+        the beams in the given rows, one row per trial."""
+        if rows.max() >= len(self._slot):
+            more = len(self._beams) - len(self._slot)
+            self._slot = np.concatenate([self._slot, np.full(more, -1)])
+        new = rows[self._slot[rows] < 0]
+        for row in np.unique(new).tolist() if new.size else ():
+            w = _weights_of(self._beams[row])
+            slot = self._slot_of.get(id(w))
+            if slot is None:
+                slot = self._slot_of[id(w)] = len(self._slot_of)
+                if slot == len(self._combiners):
+                    self._combiners = _doubled(self._combiners)
+                    self._responses = _doubled(self._responses)
+                self._combiners[slot] = block_combiners(w, self._n, self._n_v)
+                self._responses[slot] = beam_responses(w, self._grid)
+            self._slot[row] = slot
+        slots = self._slot[rows]
+        return self._combiners[slots], self._responses[slots]
 
 
 def measure_segment(
@@ -125,8 +148,9 @@ class MeasurementHistory:
     posterior updates O(grid) per segment and trial: the accumulated gain
     sum |beta|^2, the matched inner products sum_t beta_t^*(u_i) v^H y_t
     (v: phi_{n_v} for a sliding beam, ones for a repeated one), and the
-    total measured power. A response row beta_t(u_i) is computed once per
-    distinct designed beam, and a block looks each distinct beam up once.
+    total measured power. A block's response rows beta_t(u_i) are
+    beam_responses of its beams: the caller may hand them in, gathered from
+    a BeamTable, or the history computes them.
     noise_var, the noise variance the inference assumes, is one positive
     finite value for all trials or one per trial, kept as a read-only
     (trials, 1) column.
@@ -155,9 +179,6 @@ class MeasurementHistory:
         self.noise_var = np.broadcast_to(noise[..., None], (trials, 1))  # read-only
         self.segments: list[np.ndarray] = []
         self.beamformers: list[tuple] = []
-        # the closure holds the grid, not the history: no reference cycle
-        # keeps a finished history alive until the cyclic collector runs
-        self._beta = BeamCache(lambda w: w.conj() @ grid.manifold(len(w)))
         # per-grid sum of |beta_t(u_i)|^2 over all stored segments
         self.cumulative_gain = np.zeros((trials, grid.size))
         # per-grid sum_t beta_t^*(u_i) * v(u_i)^H y_t
@@ -173,8 +194,13 @@ class MeasurementHistory:
         self,
         values: np.ndarray,
         beamformers: Sequence[Beamformer | np.ndarray],
+        responses: np.ndarray | None = None,
     ) -> MeasurementHistory:
-        """Add one block: (trials, n_v) values and one beamformer per trial."""
+        """Add one block: (trials, n_v) values and one beamformer per trial.
+
+        responses, if given, is the (trials, grid) stack of each trial's
+        beam_responses, which the history otherwise computes.
+        """
         values = np.asarray(values)
         expected = (self.trials, self.n_v)
         if values.shape != expected:
@@ -195,7 +221,12 @@ class MeasurementHistory:
         virtual = self.grid.manifold(shifts)
         if shifts != self.n_v:
             virtual = virtual[np.arange(self.n_v) % shifts]
-        beta = self._beta.stack(beamformers)
+        if responses is None:
+            beta = self._responses(beamformers)
+        elif responses.shape != (self.trials, self.grid.size):
+            raise ValueError(f"need ({self.trials}, grid) responses, got {responses.shape}")
+        else:
+            beta = responses
         # one row-vector product per trial, the response rows one product
         # per beam and the power one conjugate-row product per trial: a
         # batch row carries a lone trial's bits at every block size, where a
@@ -213,8 +244,10 @@ class MeasurementHistory:
     @property
     def beta_matrix(self) -> np.ndarray:
         """(trials, segments, grid) response values beta_t(u_i)."""
-        rows = [self._beta.stack(fs) for fs in self.beamformers]
-        return np.stack(rows, axis=-2)
+        return np.stack([self._responses(fs) for fs in self.beamformers], axis=-2)
+
+    def _responses(self, beamformers: Sequence[Beamformer | np.ndarray]) -> np.ndarray:
+        return np.stack([beam_responses(f, self.grid) for f in beamformers])
 
     def stacked(self) -> np.ndarray:
         """(trials, segments * n_v) segment values concatenated in time

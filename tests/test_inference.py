@@ -255,8 +255,8 @@ class TestLikelihoodTerms:
         checked = []
 
         class DenseCheckedHistory(adaptive.MeasurementHistory):
-            def append(self, values, beamformers):
-                super().append(values, beamformers)
+            def append(self, values, beamformers, responses=None):
+                super().append(values, beamformers, responses)
                 points = (0, 5, 10, 15)
                 assert_batch_matches_dense_solve(self, points)
                 checked.append(self.segment_count)

@@ -19,6 +19,7 @@ from scalar_alignment import (
     run_hiepm_scalar,
     select_codeword_scalar,
 )
+from svamsim import sensing
 from svamsim.adaptive import (
     AdaptConfig,
     node_mass,
@@ -30,6 +31,7 @@ from svamsim.adaptive import (
 from svamsim.arrays import AngularGrid, RegionOfInterest
 from svamsim.beams import BeamSpec, build_hierarchical_codebook, design_beamformer
 from svamsim.channel import (
+    BatchNoise,
     ChannelParams,
     antenna_blocks,
     antenna_snapshot,
@@ -48,7 +50,7 @@ from svamsim.inference import (
     known_alpha_posterior,
     posterior_pmf,
 )
-from svamsim.sensing import BeamCache, MeasurementHistory, measure_segment
+from svamsim.sensing import MeasurementHistory, block_combiners, measure_segment
 
 ROI = RegionOfInterest(0.0, 1.0)
 TRIALS = 6
@@ -340,13 +342,36 @@ def test_node_masses_equal_node_mass_bit_for_bit():
         node_masses(np.full((1, 12), 1 / 12), 3)
 
 
+def _tied_pmfs(grid_size=64):
+    """pmfs whose node masses tie: uniform, one-hot, equal siblings at
+    every level, and nodes of mass exactly 1/2 (all sums of powers of two,
+    so exact)."""
+    pmfs = [np.full(grid_size, 1.0 / grid_size)]
+    pmfs += [np.eye(grid_size)[k] for k in (0, 31, 32, 63)]
+    for first, second in [(10, 11), (0, 63), (20, 24), (5, 37)]:
+        pmfs.append(np.zeros(grid_size))  # two equal point masses
+        pmfs[-1][[first, second]] = 0.5
+    for lo, hi in [(0, 32), (16, 48), (0, 16), (40, 44)]:
+        pmfs.append(np.zeros(grid_size))  # flat over an aligned span or not
+        pmfs[-1][lo:hi] = 1.0 / (hi - lo)
+    half = np.zeros(grid_size)
+    half[7], half[40:48] = 0.5, 0.5 / 8
+    quarters = np.repeat([0.25, 0.125, 0.125, 0.5], grid_size // 4) / (grid_size // 4)
+    # node (1, 0) holds 5/8 and its better child 3/8: equally far from 1/2
+    level_tie = np.repeat([0.375, 0.25, 0.375, 0.0], grid_size // 4) / (grid_size // 4)
+    return np.stack(pmfs + [half, quarters, level_tie])
+
+
 def test_batched_matching_equals_scalar_rule():
-    pmf = _peaky_pmfs()
-    depth_6 = types.SimpleNamespace(depth=6)
-    want = [select_codeword_scalar(row, depth_6) for row in pmf]
-    levels, indices = select_codeword_posterior_matching(node_masses(pmf, 6))
-    assert list(zip(levels.tolist(), indices.tolist())) == want
-    assert len({level for level, _ in want}) > 2  # walks of several lengths
+    for pmf in (_peaky_pmfs(), _tied_pmfs()):
+        for depth in range(7):  # depth 0: every trial takes the root
+            book = types.SimpleNamespace(depth=depth)
+            want = [select_codeword_scalar(row, book) for row in pmf]
+            levels, indices = select_codeword_posterior_matching(
+                node_masses(pmf, depth)
+            )
+            assert list(zip(levels.tolist(), indices.tolist())) == want, depth
+        assert len({level for level, _ in want}) > 2  # walks of several lengths
     with pytest.raises(ValueError):  # a level table of the wrong width
         select_codeword_posterior_matching([np.ones((2, 1)), np.ones((2, 3))])
 
@@ -450,6 +475,93 @@ def test_blocks_reject_bad_variance_or_count(variance, count):
         antenna_blocks(signals, variance, rngs, count)
     # rejected before any row draws
     assert rngs[0].bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+
+def _run_noise_batch(variances, seeds=(80, 81, 80, 82)):
+    """Rows on generators by seed, the first and third holding one object:
+    the signals, variances and a maker of fresh generators for each row."""
+    n = 8
+    signals = np.stack([
+        noiseless_snapshot(ChannelParams(np.exp(1j * k), 0.1 * k), n)
+        for k in range(len(seeds))
+    ])
+
+    def generators():
+        made = {seed: np.random.default_rng(seed) for seed in seeds}
+        return [made[seed] for seed in seeds]
+
+    return signals, np.array(variances), generators
+
+
+@pytest.mark.parametrize(
+    "variances",
+    [(0.5, 1.0, 2.0, 0.3), (0.0, 1.0, 2.0, 0.0), (0.0, 0.0, 0.0, 0.0)],
+    ids=["all_noisy", "noiseless_first", "all_noiseless"],
+)
+def test_run_draw_equals_per_block_draws(variances):
+    # one draw of the whole run per generator gives every block the bits,
+    # and leaves every generator in the state, of one antenna_blocks call
+    # per block
+    n_v, blocks = 3, 4
+    signals, variances, generators = _run_noise_batch(variances)
+    run_rngs, block_rngs = generators(), generators()
+    noise = BatchNoise(run_rngs, variances, blocks * n_v, signals.shape[1])
+    for t in range(blocks):
+        got = noise.observe(signals, t * n_v, (t + 1) * n_v)
+        want = antenna_blocks(signals, variances, block_rngs, n_v)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for run_rng, block_rng in zip(run_rngs, block_rngs):
+        assert run_rng.bit_generator.state == block_rng.bit_generator.state
+
+
+def test_run_draw_holds_one_slot_per_noisy_generator():
+    # rows 0 and 2 share a generator; row 0 and the last row are noiseless,
+    # so the last row's generator draws nothing and gets no slot
+    signals, variances, generators = _run_noise_batch((0.0, 1.0, 2.0, 0.0))
+    rngs = generators()
+    untouched = rngs[3].bit_generator.state
+    noise = BatchNoise(rngs, variances, 6, signals.shape[1])
+    assert noise.normals.shape == (2, 6, 2, signals.shape[1])
+    assert noise.slot.tolist() == [-1, 0, 1, -1]
+    assert rngs[3].bit_generator.state == untouched
+
+
+# ------------------------------------------------------------ beam tables
+
+
+@pytest.mark.parametrize("controller", ["flexible", "hierarchical", "hiepm"])
+def test_beam_table_builds_each_weights_array_once(controller, monkeypatch):
+    # a run builds the block combiners of each distinct weights array once,
+    # n_v svam_combiner calls, and every block's rows equal block_combiners
+    # and the beam's own responses bit for bit
+    cfg = config(codebook="flexible" if controller == "flexible" else "hierarchical")
+    grid = AngularGrid(cfg.roi, cfg.grid_size)
+    calls, gathered = [], []
+    combiner = sensing.svam_combiner
+    monkeypatch.setattr(
+        sensing, "svam_combiner", lambda *args: calls.append(1) or combiner(*args)
+    )
+    gather = sensing.BeamTable.gather
+    monkeypatch.setattr(
+        sensing.BeamTable, "gather",
+        lambda table, rows: gathered.append(gather(table, rows)) or gathered[-1],
+    )
+    channels = single_path_trials(cfg, -5.0)
+    rngs = [np.random.default_rng((4, k)) for k in range(len(channels))]
+    if controller == "hiepm":
+        out = run_hiepm_known_alpha(cfg, channels, rngs, book_for(cfg, "svam"))
+    else:
+        out = run_alignment(cfg, channels, rngs)
+    monkeypatch.undo()
+    distinct = {id(beam.weights) for row in out.beams for beam in row}
+    assert 1 < len(distinct) and len(calls) == cfg.n_v * len(distinct)
+    assert len(gathered) == cfg.segments
+    for t, (combiners, responses) in enumerate(gathered):
+        for i, row in enumerate(out.beams):
+            w = row[t].weights
+            want = block_combiners(w, cfg.n, cfg.n_v)
+            assert combiners[i].tobytes() == want.tobytes()
+            assert responses[i].tobytes() == (w.conj() @ grid.manifold(len(w))).tobytes()
 
 
 # ------------------------------------------------------ batched inference
@@ -559,8 +671,8 @@ def test_inference_checks_gamma_per_row():
 
 @pytest.mark.parametrize(
     "bad_row",
-    [[0.0, np.nan, -1.0], [-np.inf, -np.inf, -np.inf]],
-    ids=["nan", "all_inf"],
+    [[0.0, np.nan, -1.0], [-np.inf, -np.inf, -np.inf], [0.0, np.inf, -1.0]],
+    ids=["nan", "all_inf", "plus_inf"],
 )
 def test_pmf_rejects_any_bad_row(bad_row):
     good = [-1.0, -2.0, -3.0]
@@ -569,17 +681,3 @@ def test_pmf_rejects_any_bad_row(bad_row):
     pmf = posterior_pmf(np.array([good, [-np.inf, 0.0, -np.inf]]))
     np.testing.assert_array_equal(pmf[0], posterior_pmf(np.array(good)))
     np.testing.assert_array_equal(pmf[1], [0.0, 1.0, 0.0])
-
-
-def test_beam_cache_keys_read_only_weights_only():
-    calls = []
-    cache = BeamCache(lambda w: calls.append(1) or w.sum())
-    frozen = np.ones(3, dtype=complex)
-    frozen.flags.writeable = False
-    assert cache(frozen) == cache(frozen) == 3
-    assert len(calls) == 1
-    loose = np.ones(3, dtype=complex)
-    assert cache(loose) == 3
-    loose[0] = 5.0  # an in-place change must not be served stale
-    assert cache(loose) == 7
-    assert len(calls) == 3

@@ -5,7 +5,6 @@ from svamsim.arrays import AngularGrid, RegionOfInterest, ula_manifold
 from svamsim.beams import BeamSpec, design_beamformer
 from svamsim.channel import ChannelParams
 from svamsim.sensing import (
-    BeamCache,
     MeasurementHistory,
     measure_segment,
     svam_combiner,
@@ -144,34 +143,3 @@ class TestMeasurementHistory:
         hist = MeasurementHistory(6, 2, self._grid(), 1, 0.5)
         with pytest.raises(ValueError):
             hist.append(np.zeros((1, 3), dtype=complex), [random_unit(5, 0)])
-
-
-class TestBeamCacheStack:
-    def test_stack_equals_per_beam_calls_bit_for_bit(self):
-        calls = []
-        cache = BeamCache(lambda w: calls.append(1) or np.outer(w, w.conj()))
-        frozen, other = random_unit(3, 1), random_unit(3, 2)
-        frozen.flags.writeable = False
-        other.flags.writeable = False
-        loose = random_unit(3, 3)
-        beams = [frozen, loose, frozen, other, loose, frozen]
-        got = cache.stack(beams)
-        want = np.stack([cache(f) for f in beams])
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        # one lookup per distinct array: the read-only ones are served from
-        # the cache, the writeable one is rebuilt once
-        calls.clear()
-        np.testing.assert_array_equal(cache.stack(beams), want)
-        assert len(calls) == 1
-        # a Beamformer and its own weights are one beam
-        bf = design_beamformer(BeamSpec(0.5, 0.5), 3)
-        calls.clear()
-        pair = cache.stack([bf, bf.weights])
-        assert len(calls) == 1 and pair[0].tobytes() == pair[1].tobytes()
-
-    def test_stack_never_serves_a_changed_writeable_array_stale(self):
-        cache = BeamCache(lambda w: w.sum())
-        loose = np.ones(3, dtype=complex)
-        assert cache.stack([loose, loose]).tolist() == [3, 3]
-        loose[0] = 5.0
-        assert cache.stack([loose]).tolist() == [7]
