@@ -19,12 +19,11 @@ distinct noisy generator draws all its snapshots' normals up front
 each block scales its slice. Each beam's block combiners and grid
 responses are built once per run into a table (sensing.BeamTable) that
 every block reads by row: node (l, k) of a codebook is row 2**l - 1 + k,
-and the flexible controller numbers its designs as it makes them. What
-still runs row by row in a block is bookkeeping (the flexible controller's
-lookup of each trial's (direction, width) row, and the per-trial beam log
-the history keeps) and the flexible step's np.convolve of each trial's
-pmf, once per width tried, whose dot order fixes the bits of windows of 16
-points and up.
+and the flexible controller numbers its designs as it makes them. A block
+keeps its beams as those rows. What still runs row by row in a block is
+the flexible controller's lookup of each trial's (direction, width) row
+and the flexible step's np.convolve of each trial's pmf, once per width
+tried, whose dot order fixes the bits of windows of 16 points and up.
 """
 
 from __future__ import annotations
@@ -129,14 +128,15 @@ class Trials:
     trial; mode_index and peak_prob are (trials, blocks) arrays of each
     block's posterior mode and the mass its step recorded (flexible and
     hierarchical: the next beam's or node's; posterior matching: the sensed
-    node's); beams[i][t] is the Beamformer trial i sensed block t with.
+    node's); beams is the (trials, blocks) object array whose entry
+    beams[i, t] is the Beamformer trial i sensed block t with.
     """
 
     true_angle: np.ndarray
     estimate: np.ndarray
     mode_index: np.ndarray
     peak_prob: np.ndarray
-    beams: tuple[tuple[Beamformer, ...], ...]
+    beams: np.ndarray
 
     def __getitem__(self, rows: slice) -> Trials:
         """The outcome of the trials in the given row slice."""
@@ -393,7 +393,8 @@ def _align(
     """The one alignment loop. The controller is keys, each trial's first
     beam key as two arrays; locate(*keys) -> each trial's row of beams, the
     run's row-numbered beam list, which locate may extend; and step(pmf,
-    modes, keys) -> (peaks, next keys).
+    modes, keys) -> (peaks, next keys). Trials.beams is the beam list
+    indexed by the blocks' rows, once, after the last block.
     Known gains score as AlphaPosterior(gain, 0), the known-gain Gaussian
     log density; else each block fits the gain."""
     count = len(channels)
@@ -407,7 +408,7 @@ def _align(
     noise = BatchNoise(rngs, channel_noise, config.total_snapshots, config.n)
     table = BeamTable(beams, config.n, config.n_v, grid)
     history = MeasurementHistory(config.n, config.n_v, grid, count, noise_var)
-    block_modes, block_peaks = [], []
+    block_rows, block_modes, block_peaks = [], [], []
     for start in range(0, config.total_snapshots, config.n_v):
         # located here, so no beam is designed after the last block
         rows = locate(*keys)
@@ -415,7 +416,7 @@ def _align(
         x = noise.observe(signals, start, start + config.n_v)
         # combine gives every row the bits a lone trial's product has
         values = combine(combiners, x)
-        history.append(values, [beams[row] for row in rows.tolist()], responses)
+        history.append(values, responses, table.taps)
         if gains is None:
             post = alpha_posterior(history, gamma_mle(history))
         else:
@@ -423,6 +424,7 @@ def _align(
         pmf = posterior_pmf(approx_log_likelihood(history, post))
         modes = np.argmax(pmf, axis=-1)
         peaks, keys = step(pmf, modes, keys)
+        block_rows.append(rows)
         block_modes.append(modes)
         block_peaks.append(peaks)
     return Trials(
@@ -430,7 +432,7 @@ def _align(
         grid.points[block_modes[-1]],  # each estimate is the final mode
         np.stack(block_modes, axis=-1),
         np.stack(block_peaks, axis=-1),
-        tuple(zip(*history.beamformers)),
+        np.array(beams, dtype=object)[np.stack(block_rows, axis=-1)],
     )
 
 
@@ -508,9 +510,9 @@ def run_hiepm_known_alpha(
     The codewords' tap count sets the combining: m = n - n_v + 1 taps slide
     across the aperture within each block, n taps are repeated at full
     aperture for the whole block. With a block size of one the two are the
-    same. Any other tap count is rejected, and so is a codebook whose root
-    does not span the config's region or a codeword of norm above 1. Each
-    trial may have its own noise variance.
+    same. Any other tap count is rejected, and so is a codebook that mixes
+    tap counts, whose root does not span the config's region or that has
+    a codeword of norm above 1. Each trial may have its own noise variance.
     """
     root = codebook.node(0, 0)
     taps = root.beamformer.size
@@ -522,6 +524,9 @@ def run_hiepm_known_alpha(
             f"(sliding) or {config.n} (repeated) taps over the region {region}"
         )
     beams = _codebook_beams(codebook)
+    other = {f.size for f in beams} - {taps}
+    if other:
+        raise ValueError(f"codebook mixes {taps}-tap and {min(other)}-tap codewords")
     norm = np.linalg.norm(np.stack([f.weights for f in beams]), axis=-1).max()
     if norm > 1.0 + 1e-9:
         raise ValueError(f"codeword norm {norm} exceeds 1")

@@ -16,8 +16,9 @@ and is repeated for the whole block, whose virtual rows are then all ones.
 MeasurementHistory keeps the blocks of a batch of trials that advance in
 lockstep, a lone trial being a batch of one. It owns the grid of candidate
 angles it was built on and the noise variance the inference assumes, and
-folds every block into running (trials, grid) statistics. The inference
-reads all of these from the history alone.
+folds every block's values and its beams' response rows into running
+(trials, grid) statistics; it keeps no beam. The inference reads all of
+these from the history alone.
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ class BeamTable:
     once per run, beams that share one (designs whose bands floor alike)
     share its slot, and every block gathers its rows' slots by index.
     Beams' weights must not change during the run (a Beamformer's are
-    read-only).
+    read-only). The first weights array built fixes taps, the run's one tap
+    count, and a later array of another count is rejected.
     """
 
     def __init__(self, beams: Sequence[Beamformer], n: int, n_v: int, grid: AngularGrid):
@@ -95,6 +97,7 @@ class BeamTable:
         # id of a weights array -> its slot; beams holds the arrays, so no
         # id is reused during the run
         self._slot_of: dict[int, int] = {}
+        self.taps = 0  # no weights array built yet
         self._combiners = np.empty((0, n_v, n), dtype=complex)
         self._responses = np.empty((0, grid.size), dtype=complex)
 
@@ -109,6 +112,11 @@ class BeamTable:
             w = _weights_of(self._beams[row])
             slot = self._slot_of.get(id(w))
             if slot is None:
+                if self._slot_of and w.size != self.taps:
+                    raise ValueError(
+                        f"a {w.size}-tap beam in a run of {self.taps}-tap beams"
+                    )
+                self.taps = w.size
                 slot = self._slot_of[id(w)] = len(self._slot_of)
                 if slot == len(self._combiners):
                     self._combiners = _doubled(self._combiners)
@@ -142,15 +150,14 @@ class MeasurementHistory:
 
     The aperture n, the block size, the grid and the number of trials are
     fixed at construction; a lone trial is a batch of one. Each segment
-    carries (trials, n_v) values and one beamformer per trial, and every
-    statistic is (trials, grid) or (trials,). The history stores the raw
-    segments and beamformer log, plus running per-grid statistics that make
-    posterior updates O(grid) per segment and trial: the accumulated gain
-    sum |beta|^2, the matched inner products sum_t beta_t^*(u_i) v^H y_t
-    (v: phi_{n_v} for a sliding beam, ones for a repeated one), and the
-    total measured power. A block's response rows beta_t(u_i) are
-    beam_responses of its beams: the caller may hand them in, gathered from
-    a BeamTable, or the history computes them.
+    carries (trials, n_v) values, the (trials, grid) response rows
+    beta_t(u_i) of each trial's beam (its beam_responses) and the one tap
+    count of the block's beams, and every statistic is (trials, grid) or
+    (trials,). The history stores the raw segments, not the beams, plus
+    running per-grid statistics that make posterior updates O(grid) per
+    segment and trial: the accumulated gain sum |beta|^2, the matched inner
+    products sum_t beta_t^*(u_i) v^H y_t (v: phi_{n_v} for a sliding beam,
+    ones for a repeated one), and the total measured power.
     noise_var, the noise variance the inference assumes, is one positive
     finite value for all trials or one per trial, kept as a read-only
     (trials, 1) column.
@@ -178,7 +185,6 @@ class MeasurementHistory:
         self.trials = trials
         self.noise_var = np.broadcast_to(noise[..., None], (trials, 1))  # read-only
         self.segments: list[np.ndarray] = []
-        self.beamformers: list[tuple] = []
         # per-grid sum of |beta_t(u_i)|^2 over all stored segments
         self.cumulative_gain = np.zeros((trials, grid.size))
         # per-grid sum_t beta_t^*(u_i) * v(u_i)^H y_t
@@ -191,15 +197,10 @@ class MeasurementHistory:
         return len(self.segments)
 
     def append(
-        self,
-        values: np.ndarray,
-        beamformers: Sequence[Beamformer | np.ndarray],
-        responses: np.ndarray | None = None,
+        self, values: np.ndarray, responses: np.ndarray, taps: int
     ) -> MeasurementHistory:
-        """Add one block: (trials, n_v) values and one beamformer per trial.
-
-        responses, if given, is the (trials, grid) stack of each trial's
-        beam_responses, which the history otherwise computes.
+        """Add one block: (trials, n_v) values, the (trials, grid) stack of
+        each trial's beam_responses, and the tap count of the block's beams.
         """
         values = np.asarray(values)
         expected = (self.trials, self.n_v)
@@ -207,47 +208,26 @@ class MeasurementHistory:
             raise ValueError(
                 f"segment values have shape {values.shape}, expected {expected}"
             )
-        beamformers = tuple(beamformers)
-        if len(beamformers) != self.trials:
-            raise ValueError(
-                f"{len(beamformers)} beamformers for {self.trials} trials"
-            )
-        taps = {_weights_of(f).size for f in beamformers}
-        if len(taps) != 1:
-            raise ValueError(f"one block's beams differ in tap count: {taps}")
+        responses = np.asarray(responses)
+        if responses.shape != (self.trials, self.grid.size):
+            raise ValueError(f"need ({self.trials}, grid) responses, got {responses.shape}")
         # the phases v the snapshots see: snapshot r holds its beam at shift
         # r mod (n - taps + 1), so v is phi_{n_v}, or ones for n taps
-        shifts = _virtual_size(taps.pop(), self.n)
+        shifts = _virtual_size(check_integer("taps", taps), self.n)
         virtual = self.grid.manifold(shifts)
         if shifts != self.n_v:
             virtual = virtual[np.arange(self.n_v) % shifts]
-        if responses is None:
-            beta = self._responses(beamformers)
-        elif responses.shape != (self.trials, self.grid.size):
-            raise ValueError(f"need ({self.trials}, grid) responses, got {responses.shape}")
-        else:
-            beta = responses
-        # one row-vector product per trial, the response rows one product
-        # per beam and the power one conjugate-row product per trial: a
-        # batch row carries a lone trial's bits at every block size, where a
-        # matrix product's rows would differ from a lone vector product's in
-        # the last bits
+        # one row-vector product per trial and the power one conjugate-row
+        # product per trial: a batch row carries a lone trial's bits at every
+        # block size, where a matrix product's rows would differ from a lone
+        # vector product's in the last bits
         matched_row = np.matmul(values[:, None, :], virtual.conj())[:, 0, :]
 
         self.segments.append(values)
-        self.beamformers.append(beamformers)
-        self.cumulative_gain += np.abs(beta) ** 2
-        self.matched_statistic += beta.conj() * matched_row
+        self.cumulative_gain += np.abs(responses) ** 2
+        self.matched_statistic += responses.conj() * matched_row
         self.total_power += combine(values, values).real
         return self
-
-    @property
-    def beta_matrix(self) -> np.ndarray:
-        """(trials, segments, grid) response values beta_t(u_i)."""
-        return np.stack([self._responses(fs) for fs in self.beamformers], axis=-2)
-
-    def _responses(self, beamformers: Sequence[Beamformer | np.ndarray]) -> np.ndarray:
-        return np.stack([beam_responses(f, self.grid) for f in beamformers])
 
     def stacked(self) -> np.ndarray:
         """(trials, segments * n_v) segment values concatenated in time

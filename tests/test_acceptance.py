@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+from history_helpers import append_beams
 from svamsim import (
     AdaptConfig,
     AngularGrid,
@@ -142,27 +143,31 @@ def _random_history(
     grid: AngularGrid,
     magnitude: float,
     noise: float,
-) -> MeasurementHistory:
+) -> tuple[MeasurementHistory, list[np.ndarray]]:
     """A history of random beams on a path whose received gain has the
-    given magnitude and a random phase."""
+    given magnitude and a random phase, and the beams, one per segment."""
     u_true = float(grid.points[int(rng.integers(grid.size))])
     alpha = magnitude * np.exp(2j * np.pi * rng.uniform())
     params = ChannelParams(alpha, u_true, noise_variance=noise)
     history = MeasurementHistory(n, n_v, grid, 1, noise)
+    beams = []
     for t in range(segments):
         f = _unit_columns(rng, n - n_v + 1, 1)[:, 0]
-        history.append(measure_segment(f, params, n, rng)[None], [f])
-    return history
+        append_beams(history, measure_segment(f, params, n, rng)[None], [f])
+        beams.append(f)
+    return history, beams
 
 
-def _stacked_response(history: MeasurementHistory, n: int, u: float) -> np.ndarray:
-    """Model response of every stored snapshot of a batch of one on an
-    n-element aperture at angle u, built from the zero-padded combiners
-    directly rather than the cached statistics."""
-    n_v = history.n_v
+def _stacked_response(
+    beams: list[np.ndarray], n: int, n_v: int, u: float
+) -> np.ndarray:
+    """Model response of every snapshot a batch of one sensed with the
+    given beams, one per block of n_v, on an n-element aperture at angle u,
+    built from the zero-padded combiners directly rather than the cached
+    statistics."""
     phi = ula_manifold(n, u)
     rows = []
-    for t, (f,) in enumerate(history.beamformers):
+    for t, f in enumerate(beams):
         for r in range(n_v):
             w = svam_combiner(f, t * n_v + r, n)
             rows.append(np.vdot(w, phi))
@@ -179,7 +184,7 @@ def test_criterion_03_rank_one_likelihood_matches_dense_solve():
         segments = int(rng.integers(1, 5))
         power = float(rng.uniform(0.5, 2.0))
         noise = float(rng.uniform(0.2, 1.0))
-        history = _random_history(
+        history, beams = _random_history(
             rng, 10, n_v, segments, grid, math.sqrt(power), noise
         )
         gamma = gamma_mle(history)
@@ -187,7 +192,7 @@ def test_criterion_03_rank_one_likelihood_matches_dense_solve():
         terms = likelihood_terms(history, posterior)
 
         i = int(rng.integers(grid.size))
-        h = _stacked_response(history, 10, float(grid.points[i]))
+        h = _stacked_response(beams, 10, n_v, float(grid.points[i]))
         total = segments * n_v
         sigma = posterior.variance[0, i] * np.outer(h, h.conj()) + noise * np.eye(total)
         _, dense_logdet = np.linalg.slogdet(sigma)
@@ -221,13 +226,13 @@ def test_criterion_04_gain_posterior_matches_numerical_integration():
         n_v = int(rng.integers(1, 3))
         segments = int(rng.integers(1, 3))
         noise = float(rng.uniform(0.05, 0.2))
-        history = _random_history(rng, 8, n_v, segments, grid, 1.0, noise)
+        history, beams = _random_history(rng, 8, n_v, segments, grid, 1.0, noise)
         gamma = gamma_mle(history)
         posterior = alpha_posterior(history, gamma)
         i = int(np.argmax(gamma[0]))
         assert gamma[0, i] > 0
 
-        h = _stacked_response(history, 8, float(grid.points[i]))
+        h = _stacked_response(beams, 8, n_v, float(grid.points[i]))
         y = history.stacked()[0]
         half = 6.0 * math.sqrt(gamma[0, i])
         axis = np.linspace(-half, half, 401)

@@ -504,3 +504,15 @@ def test_hiepm_rejects_codewords_beyond_unit_norm(taps):
     run_hiepm_known_alpha(cfg, [chan], [rng], book)  # unit norm passes
     with pytest.raises(ValueError, match="norm"):
         run_hiepm_known_alpha(cfg, [chan], [rng], loud)
+
+
+def test_hiepm_rejects_codewords_of_another_tap_count():
+    # every codeword is checked against the root before the first block: a
+    # 15-tap root fits n = 16, n_v = 2, its 16-tap deeper levels do not
+    cfg = make_config(n_v=2)
+    root = build_hierarchical_codebook(ROI, 4, 15, grid_size=16)
+    deeper = build_hierarchical_codebook(ROI, 4, 16, grid_size=16)
+    mixed = HierarchicalCodebook(root.levels[:1] + deeper.levels[1:])
+    chan = ChannelParams(1.0, 0.4, noise_variance=0.1)
+    with pytest.raises(ValueError, match="15-tap and 16-tap"):
+        run_hiepm_known_alpha(cfg, [chan], [np.random.default_rng(0)], mixed)

@@ -53,9 +53,8 @@ EXPORTED_WITHOUT_A_CALLER = {
 # tests reads yet, each with the reason it stays. Empty this list rather
 # than grow it.
 MEMBERS_WITHOUT_A_CALLER = {
-    # the fine-grid rescoring of ROADMAP item 2 reads the stored history
-    # through these, and so do the dense-solve oracles
-    "MeasurementHistory.beta_matrix",
+    # the fine-grid rescoring of ROADMAP item 2 reads the stored values
+    # through this, and so do the dense-solve oracles
     "MeasurementHistory.stacked",
 }
 

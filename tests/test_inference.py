@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from history_helpers import append_beams
 from scalar_alignment import columns
 from svamsim import adaptive
 from svamsim.adaptive import AdaptConfig
@@ -38,35 +39,38 @@ def make_history(
     seed=0,
     noise_var=None,
 ):
-    """A lone trial's history on a channel of the given noise; the history
-    assumes noise_var, by default the channel's."""
+    """A lone trial's history on a channel of the given noise, its grid and
+    the (1, segments, grid) response rows of its beams; the history assumes
+    noise_var, by default the channel's."""
     grid = AngularGrid(RegionOfInterest(0.0, 1.0), grid_size)
     params = ChannelParams(alpha, grid.points[path_index], noise_variance=noise)
     rng = np.random.default_rng(seed)
     assumed = noise if noise_var is None else noise_var
     hist = MeasurementHistory(n, n_v, grid, 1, assumed)
+    beta = []
     for t in range(segments):
         f = unit(n - n_v + 1, 100 + t)
-        hist.append(measure_segment(f, params, n, rng)[None], [f])
-    return hist, grid, params
+        beta.append(append_beams(hist, measure_segment(f, params, n, rng)[None], [f]))
+    return hist, grid, np.stack(beta, axis=-2)
 
 
-def stacked_response(hist, grid, i):
+def stacked_response(hist, beta, i):
     """Candidate i's stacked noiseless direction in a batch of one:
     kron(beta column, phi)."""
-    phi = ula_manifold(hist.n_v, grid.points[i])
-    return np.kron(hist.beta_matrix[0, :, i], phi)
+    phi = ula_manifold(hist.n_v, hist.grid.points[i])
+    return np.kron(beta[0, :, i], phi)
 
 
-def assert_batch_matches_dense_solve(hist, points):
+def assert_batch_matches_dense_solve(hist, beta, points):
     """Every trial's closed-form log-det and quadratic form at the given grid
     points against a dense slogdet and solve on its whole stacked record,
-    under the noise variance the history assumes for that trial. Returns
+    under the noise variance the history assumes for that trial; beta holds
+    the (trials, segments, grid) response rows of the trials' beams. Returns
     the fitted gain prior."""
     gamma = gamma_mle(hist)
     post = alpha_posterior(hist, gamma)
     terms = likelihood_terms(hist, post)
-    y, beta = hist.stacked(), hist.beta_matrix
+    y = hist.stacked()
     for k in range(len(y)):
         sigma2 = hist.noise_var[k, 0]
         for i in points:
@@ -98,7 +102,7 @@ class TestGammaMle:
         grid = AngularGrid(RegionOfInterest(0.0, 1.0), 8)
         hist = MeasurementHistory(8, 2, grid, 1, 0.5)
         for t in range(3):  # 7 taps on 8 elements: blocks of 2
-            hist.append(np.zeros((1, 2), dtype=complex), [unit(7, t)])
+            append_beams(hist, np.zeros((1, 2), dtype=complex), [unit(7, t)])
         np.testing.assert_array_equal(gamma_mle(hist), 0.0)
 
     def test_noiseless_matched_closed_form(self):
@@ -116,17 +120,17 @@ class TestGammaMle:
         grid = AngularGrid(RegionOfInterest(0.0, 1.0), 4)
         f = np.array([1.0, -1.0]) / np.sqrt(2.0)
         hist = MeasurementHistory(2, 1, grid, 1, 0.1)
-        hist.append(np.ones((1, 1), dtype=complex), [f])
+        append_beams(hist, np.ones((1, 1), dtype=complex), [f])
         assert hist.cumulative_gain[0, 0] == 0.0
         gamma = gamma_mle(hist)
         assert gamma[0, 0] == 0.0
 
     def test_monotone_in_measurement_scale(self):
-        hist, grid, _ = make_history(noise=0.5, seed=7)
+        hist, grid, beta = make_history(noise=0.5, seed=7)
         gamma = gamma_mle(hist)
         scaled = MeasurementHistory(hist.n, hist.n_v, grid, 1, 0.5)
-        for values, beams in zip(hist.segments, hist.beamformers):
-            scaled.append(3.0 * values, beams)
+        for t, values in enumerate(hist.segments):
+            scaled.append(3.0 * values, beta[:, t], hist.n - hist.n_v + 1)
         gamma_scaled = gamma_mle(scaled)
         assert np.all(gamma_scaled >= gamma - 1e-15)
 
@@ -154,7 +158,7 @@ class TestAlphaPosterior:
         assert post.mean[0, 5] == pytest.approx(alpha, rel=1e-6)
 
     def test_matches_brute_force_integration(self):
-        hist, grid, _ = make_history(segments=2, noise=0.5, seed=5)
+        hist, grid, beta = make_history(segments=2, noise=0.5, seed=5)
         sigma2 = 0.5
         gamma = gamma_mle(hist)
         post = alpha_posterior(hist, gamma)
@@ -163,7 +167,7 @@ class TestAlphaPosterior:
         for i in (4, 5, 6):
             if gamma[i] == 0:
                 continue
-            v = stacked_response(hist, grid, i)
+            v = stacked_response(hist, beta, i)
             half = 6.0 * np.sqrt(gamma[i])
             axis = np.linspace(-half, half, 401)
             re, im = np.meshgrid(axis, axis, indexing="ij")
@@ -194,10 +198,10 @@ class TestAlphaPosterior:
 
 
 class TestLikelihoodTerms:
-    def _dense_reference(self, hist, grid, post, i):
+    def _dense_reference(self, hist, beta, post, i):
         sigma2 = hist.noise_var[0, 0]
         (y,) = hist.stacked()
-        v = stacked_response(hist, grid, i)
+        v = stacked_response(hist, beta, i)
         cov = post.variance[0, i] * np.outer(v, v.conj()) + sigma2 * np.eye(len(y))
         mean = post.mean[0, i] * v
         resid = y - mean
@@ -208,12 +212,12 @@ class TestLikelihoodTerms:
 
     def test_closed_forms_match_dense_linear_algebra(self):
         alpha, sigma2 = np.sqrt(1.3) * np.exp(0.4j), 0.45
-        hist, grid, _ = make_history(alpha=alpha, noise=sigma2, seed=6)
+        hist, grid, beta = make_history(alpha=alpha, noise=sigma2, seed=6)
         gamma = gamma_mle(hist)
         post = alpha_posterior(hist, gamma)
         terms = likelihood_terms(hist, post)
         for i in range(grid.size):
-            logdet, quad = self._dense_reference(hist, grid, post, i)
+            logdet, quad = self._dense_reference(hist, beta, post, i)
             assert terms.log_det[0, i] == pytest.approx(logdet, rel=1e-10)
             assert terms.quad_form[0, i] == pytest.approx(quad, rel=1e-8, abs=1e-9)
 
@@ -231,14 +235,16 @@ class TestLikelihoodTerms:
             for k in (11, 40)
         ]
         hist = MeasurementHistory(64, 4, grid, 2, sigma2)
+        beta = []
         for t in range(segments):  # 61 taps on 64 elements: blocks of 4
             beams = [unit(61, 2 * t + k) for k in range(2)]
             values = np.stack([
                 measure_segment(f, c, 64, rng) for f, c in zip(beams, channels)
             ])
-            hist.append(values, beams)
+            beta.append(append_beams(hist, values, beams))
         assert hist.stacked().shape == (2, segments * 4)
-        gamma = assert_batch_matches_dense_solve(hist, (0, 11, 40, 63))
+        beta = np.stack(beta, axis=-2)
+        gamma = assert_batch_matches_dense_solve(hist, beta, (0, 11, 40, 63))
         assert np.all(gamma[[0, 1], [11, 40]] > 0)
 
     @pytest.mark.parametrize("codebook", ["flexible", "hierarchical"])
@@ -255,10 +261,15 @@ class TestLikelihoodTerms:
         checked = []
 
         class DenseCheckedHistory(adaptive.MeasurementHistory):
-            def append(self, values, beamformers, responses=None):
-                super().append(values, beamformers, responses)
+            beta = ()  # the response rows appended so far
+
+            def append(self, values, responses, taps):
+                super().append(values, responses, taps)
+                self.beta += (responses,)
                 points = (0, 5, 10, 15)
-                assert_batch_matches_dense_solve(self, points)
+                assert_batch_matches_dense_solve(
+                    self, np.stack(self.beta, axis=-2), points
+                )
                 checked.append(self.segment_count)
 
         plain = run_adaptive_trials(cfg, snr_db, trials=2, seed=0)
@@ -271,7 +282,7 @@ class TestLikelihoodTerms:
         grid = AngularGrid(RegionOfInterest(0.0, 1.0), 8)
         hist = MeasurementHistory(10, 2, grid, 1, 0.5)
         for t in range(2):  # 9 taps on 10 elements: blocks of 2
-            hist.append(np.zeros((1, 2), dtype=complex), [unit(9, t)])
+            append_beams(hist, np.zeros((1, 2), dtype=complex), [unit(9, t)])
         gamma = gamma_mle(hist)
         post = alpha_posterior(hist, gamma)
         ll = approx_log_likelihood(hist, post)
@@ -305,7 +316,8 @@ class TestNoiseColumn:
     NOISE = np.array([0.05, 0.4, 2.0, 1e-12])
 
     def _batch(self, noise=NOISE, segments=4):
-        # the last trial is noiseless and scored at the inference floor
+        """The batch and its beams, one per block, which every trial shares;
+        the last trial is noiseless and scored at the inference floor."""
         grid = AngularGrid(RegionOfInterest(0.0, 1.0), 16)
         channels = [
             ChannelParams(
@@ -316,30 +328,30 @@ class TestNoiseColumn:
         ]
         rngs = [np.random.default_rng(30 + k) for k in range(len(channels))]
         batch = MeasurementHistory(12, 3, grid, len(channels), noise)
-        for t in range(segments):  # 10 taps on 12 elements: blocks of 3
-            f = unit(10, 100 + t)
+        beams = [unit(10, 100 + t) for t in range(segments)]
+        for f in beams:  # 10 taps on 12 elements: blocks of 3
             values = np.stack([
                 measure_segment(f, c, 12, rng) for c, rng in zip(channels, rngs)
             ])
-            batch.append(values, [f] * len(channels))
-        return batch
+            append_beams(batch, values, [f] * len(channels))
+        return batch, beams
 
     def test_rows_equal_scalar_calls_bit_for_bit(self):
-        batch = self._batch()
+        batch, beams = self._batch()
         assert batch.noise_var.shape == (4, 1)
         assert not batch.noise_var.flags.writeable
         got = scored(batch)
         assert (got[0] == 0).any() and (got[0] > 0).any()
         for i, noise in enumerate(self.NOISE):
             lone = MeasurementHistory(12, 3, batch.grid, 1, noise)
-            for values, beams in zip(batch.segments, batch.beamformers):
-                lone.append(values[i : i + 1], beams[i : i + 1])
+            for values, f in zip(batch.segments, beams):
+                append_beams(lone, values[i : i + 1], [f])
             for batch_array, lone_array in zip(got, scored(lone)):
                 assert (batch_array[i] == lone_array[0]).all()
 
     def test_one_value_equals_that_value_per_trial(self):
-        shared = scored(self._batch(0.4))
-        for got, want in zip(shared, scored(self._batch(np.full(4, 0.4)))):
+        shared = scored(self._batch(0.4)[0])
+        for got, want in zip(shared, scored(self._batch(np.full(4, 0.4))[0])):
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
@@ -379,12 +391,12 @@ class TestPosteriorPmf:
             posterior_pmf(np.array([0.0, np.nan]))
 
     def test_permutation_of_segments_is_irrelevant(self):
-        hist, grid, _ = make_history(segments=5, noise=0.6, seed=9)
+        hist, grid, beta = make_history(segments=5, noise=0.6, seed=9)
         sigma2 = 0.6
         perm = [3, 0, 4, 2, 1]
         reordered = MeasurementHistory(hist.n, hist.n_v, grid, 1, sigma2)
         for old in perm:
-            reordered.append(hist.segments[old], hist.beamformers[old])
+            reordered.append(hist.segments[old], beta[:, old], hist.n - hist.n_v + 1)
 
         def pipeline(h):
             gamma = gamma_mle(h)
@@ -417,7 +429,7 @@ def known_gain_history(n, n_v, taps, segments=3, seed=0):
         x = gains[:, None, None] * ula_manifold(n, truths)[:, None, :] + np.sqrt(
             noise[:, :, None] / 2
         ) * (rng.standard_normal((3, n_v, n)) + 1j * rng.standard_normal((3, n_v, n)))
-        hist.append(np.einsum("krn,krn->kr", np.conj(rows), x), beams)
+        append_beams(hist, np.einsum("krn,krn->kr", np.conj(rows), x), beams)
         dense.append(np.conj(rows) @ grid.manifold(n))
     return hist, gains, noise, np.concatenate(dense, axis=1)
 

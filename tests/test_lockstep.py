@@ -12,6 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
+from history_helpers import append_beams
 from scalar_alignment import (
     columns,
     known_alpha_update,
@@ -22,6 +23,7 @@ from scalar_alignment import (
 from svamsim import sensing
 from svamsim.adaptive import (
     AdaptConfig,
+    _align,
     node_mass,
     node_masses,
     run_alignment,
@@ -564,6 +566,31 @@ def test_beam_table_builds_each_weights_array_once(controller, monkeypatch):
             assert responses[i].tobytes() == (w.conj() @ grid.manifold(len(w))).tobytes()
 
 
+def test_beam_table_keeps_the_first_tap_count():
+    # the first weights array fixes the run's tap count: a beam of another
+    # count is rejected, naming both, in the block of the first beam or in
+    # a later one
+    cfg = config()  # 13 taps slide on 16 elements
+    grid = AngularGrid(cfg.roi, cfg.grid_size)
+    sliding = design_beamformer(BeamSpec(0.5, 1.0), 13)
+    full = design_beamformer(BeamSpec(0.5, 1.0), 16)
+    table = sensing.BeamTable([sliding, full], cfg.n, cfg.n_v, grid)
+    with pytest.raises(ValueError, match="16-tap beam in a run of 13-tap"):
+        table.gather(np.array([0, 1]))
+    channels = single_path_trials(cfg, -5.0)
+    rngs = [np.random.default_rng((6, k)) for k in range(len(channels))]
+    first = np.zeros(len(channels), dtype=int)
+
+    def locate(block, _):  # the sliding beam, then the full one
+        return np.minimum(block, 1)
+
+    def step(pmf, modes, keys):
+        return pmf.max(axis=-1), (keys[0] + 1, keys[1])
+
+    with pytest.raises(ValueError, match="16-tap beam in a run of 13-tap"):
+        _align(cfg, channels, rngs, None, (first, first), locate, [sliding, full], step)
+
+
 # ------------------------------------------------------ batched inference
 
 
@@ -586,8 +613,8 @@ def _histories(trials=3, n_v=2, segments=3):
             [measure_segment(f, params, n, rng) for f, rng in zip(beams, rngs)]
         )
         for hist, row, f in zip(lone, values, beams):
-            hist.append(row[None], [f])
-        batch.append(values, beams)
+            append_beams(hist, row[None], [f])
+        append_beams(batch, values, beams)
     return batch, lone, grid
 
 
@@ -604,9 +631,6 @@ def test_batched_history_rows_equal_lone_histories():
                 batch.matched_statistic[i], hist.matched_statistic[0]
             )
             assert batch.total_power[i] == hist.total_power[0]
-            np.testing.assert_array_equal(
-                batch.beta_matrix[i], hist.beta_matrix[0]
-            )
             np.testing.assert_array_equal(batch.stacked()[i], hist.stacked()[0])
 
 
@@ -639,16 +663,20 @@ def test_batched_inference_rows_equal_lone_inference():
 
 def test_batched_history_validates_each_block():
     batch, _, grid = _histories(trials=2, segments=1)
-    f = design_beamformer(BeamSpec(0.5, 1.0), 9)  # n_v = 2 on 10 elements
+    values = np.zeros((2, 2), dtype=complex)
+    responses = np.zeros((2, grid.size), dtype=complex)
+    # 9 taps slide through n_v = 2 shifts on 10 elements
     with pytest.raises(ValueError):  # one trial's worth of values
-        batch.append(np.zeros(2, dtype=complex), [f, f])
+        batch.append(values[0], responses, 9)
     with pytest.raises(ValueError):  # wrong block size
-        batch.append(np.zeros((2, 3), dtype=complex), [f, f])
-    with pytest.raises(ValueError):  # one beamformer short
-        batch.append(np.zeros((2, 2), dtype=complex), [f])
-    full = design_beamformer(BeamSpec(0.5, 1.0), 10)  # repeats on 10 elements
-    with pytest.raises(ValueError, match="tap count"):  # sliding and repeated
-        batch.append(np.zeros((2, 2), dtype=complex), [f, full])
+        batch.append(np.zeros((2, 3), dtype=complex), responses, 9)
+    with pytest.raises(ValueError, match="responses"):  # one trial's row short
+        batch.append(values, responses[:1], 9)
+    with pytest.raises(ValueError, match="11-tap"):  # wider than the aperture
+        batch.append(values, responses, 11)
+    with pytest.raises(ValueError, match="integer"):
+        batch.append(values, responses, 9.0)
+    assert batch.segment_count == 1
     # sizes are checked once, when the history is built: no trial, a block
     # size outside [1, n] (n_v = 0 would make gamma_mle divide by zero), bool
     # or float sizes

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from history_helpers import append_beams
 from svamsim.arrays import AngularGrid, RegionOfInterest, ula_manifold
 from svamsim.beams import BeamSpec, design_beamformer
 from svamsim.channel import ChannelParams
@@ -85,46 +86,49 @@ class TestMeasurementHistory:
         )
         rng = np.random.default_rng(seed)
         hist = MeasurementHistory(12, 3, grid, 1, 0.5)
+        beta = []
         for t in range(count):
             # 10 taps on 12 elements: blocks of n_v = 3
             f = random_unit(10, 100 + t)
-            hist.append(measure_segment(f, params, 12, rng)[None], [f])
-        return hist, grid, params
+            values = measure_segment(f, params, 12, rng)[None]
+            beta.append(append_beams(hist, values, [f]))
+        # the (trials, segments, grid) response rows the history folded
+        return hist, grid, params, np.stack(beta, axis=-2)
 
     def test_stacked_kron_structure_noiseless(self):
-        hist, grid, params = self._history_with_segments(4)
+        hist, grid, params, beta = self._history_with_segments(4)
         alpha, u = params.alpha, params.u
         i = 5  # on-grid path index
-        betas = hist.beta_matrix[0, :, i]
+        betas = beta[0, :, i]
         expected = np.kron(betas, ula_manifold(3, u)) * alpha
         np.testing.assert_allclose(hist.stacked()[0], expected, atol=1e-10)
 
     def test_beta_rows_match_direct_gain(self):
-        hist, grid, _ = self._history_with_segments(2)
-        (f,) = hist.beamformers[1]
+        hist, grid, _, beta = self._history_with_segments(2)
+        f = random_unit(10, 101)  # the second segment's beam
         direct = np.array(
             [np.vdot(f, ula_manifold(10, u)) for u in grid.points]
         )
-        np.testing.assert_allclose(hist.beta_matrix[0, 1], direct, atol=1e-12)
+        np.testing.assert_allclose(beta[0, 1], direct, atol=1e-12)
 
     def test_cumulative_gain_is_running_sum(self):
-        hist, _, _ = self._history_with_segments(3, noise=0.5, seed=3)
+        hist, _, _, beta = self._history_with_segments(3, noise=0.5, seed=3)
         np.testing.assert_allclose(
             hist.cumulative_gain,
-            np.sum(np.abs(hist.beta_matrix) ** 2, axis=1),
+            np.sum(np.abs(beta) ** 2, axis=1),
             rtol=1e-12,
         )
 
     def test_matched_statistic_explicit_sum(self):
-        hist, grid, _ = self._history_with_segments(3, noise=0.3, seed=4)
+        hist, grid, _, beta = self._history_with_segments(3, noise=0.3, seed=4)
         phi = grid.manifold(3)
         expected = np.zeros(grid.size, dtype=complex)
         for t, (values,) in enumerate(hist.segments):
-            expected += hist.beta_matrix[0, t].conj() * (phi.conj().T @ values)
+            expected += beta[0, t].conj() * (phi.conj().T @ values)
         np.testing.assert_allclose(hist.matched_statistic[0], expected, atol=1e-10)
 
     def test_total_power(self):
-        hist, _, _ = self._history_with_segments(2, noise=1.0, seed=5)
+        hist, _, _, _ = self._history_with_segments(2, noise=1.0, seed=5)
         assert hist.total_power[0] == pytest.approx(
             np.linalg.norm(hist.stacked()) ** 2
         )
@@ -135,11 +139,11 @@ class TestMeasurementHistory:
         for n_v in (1, 2, 3, 4, 5, 8, 17):
             values = rng.standard_normal((6, n_v)) + 1j * rng.standard_normal((6, n_v))
             hist = MeasurementHistory(n_v + 3, n_v, grid, 6, 0.5)
-            hist.append(values, [random_unit(4, k) for k in range(6)])
+            append_beams(hist, values, [random_unit(4, k) for k in range(6)])
             for got, row in zip(hist.total_power, values):
                 assert got == np.vdot(row, row).real
 
     def test_wrong_block_size_rejected(self):
         hist = MeasurementHistory(6, 2, self._grid(), 1, 0.5)
         with pytest.raises(ValueError):
-            hist.append(np.zeros((1, 3), dtype=complex), [random_unit(5, 0)])
+            append_beams(hist, np.zeros((1, 3), dtype=complex), [random_unit(5, 0)])
