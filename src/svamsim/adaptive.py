@@ -16,14 +16,16 @@ A batch row reproduces a lone run of its trial bit for bit; one bad row
 rejects the batch. The noise is drawn once per run, not per block: each
 distinct noisy generator draws all its snapshots' normals up front
 (channel.BatchNoise, total_snapshots * 2 * n floats per generator), and
-each block scales its slice. Each beam's block combiners and grid
-responses are built once per run into a table (sensing.BeamTable) that
-every block reads by row: node (l, k) of a codebook is row 2**l - 1 + k,
-and the flexible controller numbers its designs as it makes them. A block
-keeps its beams as those rows. What still runs row by row in a block is
-the flexible controller's lookup of each trial's (direction, width) row
-and the flexible step's np.convolve of each trial's pmf, once per width
-tried, whose dot order fixes the bits of windows of 16 points and up.
+each block scales its slice; a run on the last run's generator states,
+as in a paired comparison, reuses its draw. Each beam's block combiners
+and grid responses are built once per run into a table (sensing.BeamTable)
+that every block reads by row: node (l, k) of a codebook is row
+2**l - 1 + k, and the flexible controller numbers its designs as it makes
+them. A block keeps its beams as those rows. What still runs row by row in
+a block is the flexible controller's lookup of each trial's (direction,
+width) row and the flexible step's np.convolve of each trial's pmf, once
+per width tried, whose dot order fixes the bits of windows of 16 points
+and up.
 """
 
 from __future__ import annotations
@@ -451,10 +453,12 @@ def run_alignment(
     several SNRs do: the generator moves total_snapshots observations per
     run, and each row sees the numbers a lone run on a fresh copy of it
     sees. The draw holds total_snapshots * 2 * n floats per distinct noisy
-    generator. A single trial is a batch of one. The flexible controller starts
-    from, and resets to, the region-wide beam; the hierarchical one climbs
-    a codebook log2(grid size) levels deep from its root. Each records the
-    mass of the beam or node it picks for the next block.
+    generator; a later run whose generators stand where this run's stood
+    reuses it, with the same bits and end states. A single trial is a
+    batch of one. The flexible controller starts from, and resets to, the
+    region-wide beam; the hierarchical one climbs a codebook log2(grid
+    size) levels deep from its root. Each records the mass of the beam or
+    node it picks for the next block.
     """
     count, m, p_thresh = len(channels), config.combiner_length, config.p_thresh
     if config.codebook == "flexible":

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import pickle
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -59,6 +61,24 @@ def antenna_snapshot(
     return x
 
 
+class _Run(tuple):
+    """A draw's key, (states, count, n), the states pickled in slot order.
+    Its drawers are the generators a miss draws on; the cache drops them."""
+
+
+@lru_cache(maxsize=1)
+def _run_draw(run: _Run) -> tuple[np.ndarray, tuple[dict, ...]]:
+    """One run's read-only draw and the states it leaves its generators."""
+    _, count, n = run
+    normals = np.empty((len(run.drawers), count, 2, n))
+    for rng, out in zip(run.drawers, normals):
+        rng.standard_normal(out=out)
+    normals.flags.writeable = False
+    states = tuple(rng.bit_generator.state for rng in run.drawers)
+    run.drawers = []
+    return normals, states
+
+
 class BatchNoise:
     """The noise of count consecutive observations of n elements for each
     trial of a batch, drawn up front; observe() adds any run of them to the
@@ -75,6 +95,11 @@ class BatchNoise:
     noiseless row reads zeros, and a generator that only noiseless rows
     hold draws nothing. The draw holds slots * count * 2 * n floats.
     Distinct generator objects must not share a bit generator.
+
+    The last draw is cached, keyed on the drawing generators' full states
+    in slot order, count and n. A run on generators that stand where the
+    last run's stood, as each scheme of a paired comparison does, reuses its
+    read-only ``normals`` and sets each generator to the state it left.
     """
 
     def __init__(
@@ -86,7 +111,10 @@ class BatchNoise:
     ):
         if check_integer("observation count", count) < 1:
             raise ValueError(f"need at least one observation, got {count}")
-        variance = np.broadcast_to(np.asarray(noise_variance, dtype=float), len(rngs))
+        variance = np.asarray(noise_variance, dtype=float)
+        if variance.ndim > 1 or variance.size not in (1, len(rngs)):
+            raise ValueError(f"need 1 or {len(rngs)} variances, got {variance.size}")
+        variance = np.broadcast_to(variance, len(rngs))
         # written so that NaN, which compares false, is rejected too
         bad = ~((variance >= 0.0) & (variance < math.inf))
         if bad.any():
@@ -102,9 +130,12 @@ class BatchNoise:
                     slots[id(rng)] = len(drawers)
                     drawers.append(rng)
                 self.slot[row] = slots[id(rng)]
-        self.normals = np.empty((len(drawers), count, 2, n))
-        for rng, out in zip(drawers, self.normals):
-            rng.standard_normal(out=out)
+        states = tuple(pickle.dumps(rng.bit_generator.state) for rng in drawers)
+        run = _Run((states, count, n))
+        run.drawers = drawers
+        self.normals, ends = _run_draw(run)
+        for rng, state in zip(drawers, ends):
+            rng.bit_generator.state = state
         self._quiet = self.slot < 0
         self._scale = np.sqrt(variance / 2.0)[:, None, None]
 
@@ -116,6 +147,11 @@ class BatchNoise:
         imaginary planes before the signal is added; that sum has the bits
         of signal + scale * (real + 1j * imaginary), noiseless rows included.
         """
+        (trials,), (_, count, _, n) = self.slot.shape, self.normals.shape
+        if not 0 <= start < stop <= count:
+            raise ValueError(f"observations {start}:{stop} lie outside 0:{count}")
+        if np.shape(signals) != (trials, n):
+            raise ValueError(f"need ({trials}, {n}) signals, got {np.shape(signals)}")
         if self._quiet.any():
             noise = np.zeros((len(self.slot), stop - start) + self.normals.shape[2:])
             noisy = ~self._quiet

@@ -202,7 +202,8 @@ def _draw_trials(
     channel is that path with the SNR's noise variance. The rows then share
     the generator's one noise draw per run (channel.BatchNoise), so each
     trial's noise is drawn and held once, total_snapshots * 2 * n floats,
-    not once per SNR."""
+    not once per SNR. Equal arguments give generators in equal states, so
+    the next scheme or controller on these trials reuses that draw."""
     grid = AngularGrid(config.roi, config.grid_size)
     rngs = [trial_generator(seed, i) for i in range(trials)]
     paths = [draw_channel(grid, math.inf, rng) for rng in rngs]

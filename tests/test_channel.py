@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from svamsim import channel
 from svamsim.arrays import ula_manifold
 from svamsim.channel import (
+    BatchNoise,
     ChannelParams,
     antenna_blocks,
     antenna_snapshot,
@@ -163,3 +165,136 @@ class TestAntennaBlocks:
         want = signals[:, None, :] + scale * (noise[..., 0, :] + 1j * noise[..., 1, :])
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+
+def _states(rngs):
+    return [rng.bit_generator.state for rng in rngs]
+
+
+def _generators(seeds, bit_generator=np.random.PCG64):
+    """One generator per distinct seed, held by every row of that seed."""
+    made = {seed: np.random.Generator(bit_generator(seed)) for seed in seeds}
+    return [made[seed] for seed in seeds]
+
+
+def _equal_states(a, b):
+    """Bit generator states compared with their arrays by value."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_equal_states(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+@pytest.fixture
+def cold():
+    """The run-draw cache, emptied before and after the test."""
+    channel._run_draw.cache_clear()
+    yield channel._run_draw
+    channel._run_draw.cache_clear()
+
+
+class TestSharedRunDraw:
+    def test_equal_states_reuse_the_read_only_draw(self, cold):
+        seeds = [3, 4, 5]
+        first = _generators(seeds)
+        drawn = BatchNoise(first, 0.5, 6, 8)
+        again = _generators(seeds)
+        shared = BatchNoise(again, 0.5, 6, 8)
+        assert cold.cache_info()[:2] == (1, 1)  # hits, misses
+        assert shared.normals is drawn.normals
+        with pytest.raises(ValueError, match="read-only"):
+            shared.normals[0, 0, 0, 0] = 1.0
+        # the reused draw left each generator where a real draw leaves it
+        real = _generators(seeds)
+        for rng in real:
+            rng.standard_normal((6, 2, 8))
+        assert _states(again) == _states(first) == _states(real)
+        assert [g.standard_normal() for g in again] == [
+            g.standard_normal() for g in real
+        ]
+
+    @pytest.mark.parametrize("change", ["count", "n", "advanced"])
+    def test_another_count_size_or_state_draws_anew(self, cold, change):
+        drawn = BatchNoise(_generators([3, 4]), 0.5, 6, 8)
+        rngs = _generators([3, 4])
+        count, n = {"count": (7, 8), "n": (6, 9)}.get(change, (6, 8))
+        if change == "advanced":
+            rngs[1].standard_normal()
+        want = [np.random.Generator(np.random.PCG64(0)) for _ in rngs]
+        for rng, copy in zip(rngs, want):
+            copy.bit_generator.state = rng.bit_generator.state
+            copy.standard_normal((count, 2, n))
+        fresh = BatchNoise(rngs, 0.5, count, n)
+        assert cold.cache_info()[:2] == (0, 2)
+        assert fresh.normals is not drawn.normals
+        assert _states(rngs) == _states(want)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_shared_and_noiseless_rows_keep_their_draws(self, cold, warm):
+        # rows 0 and 2 hold one generator, and the last row's generator is
+        # held only by a noiseless row: it draws nothing and gets no slot
+        seeds, variances = [80, 81, 80, 82], np.array([0.0, 1.0, 2.0, 0.0])
+        signals = np.ones((4, 8), dtype=complex)
+        if warm:
+            BatchNoise(_generators(seeds), variances, 6, 8)
+        rngs = _generators(seeds)
+        untouched = rngs[3].bit_generator.state
+        noise = BatchNoise(rngs, variances, 6, 8)
+        assert cold.cache_info()[:2] == ((1, 1) if warm else (0, 1))
+        assert noise.slot.tolist() == [-1, 0, 1, -1]
+        assert rngs[3].bit_generator.state == untouched
+        got = noise.observe(signals, 0, 6)
+        np.testing.assert_array_equal(got[0], signals[0, None].repeat(6, axis=0))
+        for k in (1, 2):
+            (want,) = antenna_blocks(
+                signals[k : k + 1], variances[k], _generators([seeds[k]]), 6
+            )
+            assert got[k].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64]
+    )
+    def test_states_holding_arrays_key_the_draw(self, cold, bit_generator):
+        first = _generators([3, 4], bit_generator)
+        drawn = BatchNoise(first, 0.5, 6, 8)
+        again = _generators([3, 4], bit_generator)
+        assert BatchNoise(again, 0.5, 6, 8).normals is drawn.normals
+        for rng, done in zip(again, first):
+            assert _equal_states(rng.bit_generator.state, done.bit_generator.state)
+        # one advanced generator changes an array in its state: a miss
+        moved = _generators([3, 4], bit_generator)
+        moved[0].standard_normal()
+        assert BatchNoise(moved, 0.5, 6, 8).normals is not drawn.normals
+        assert cold.cache_info()[:2] == (1, 2)
+
+    def test_two_bit_generator_types_never_share_a_draw(self, cold):
+        # PCG64 and PCG64DXSM seeded alike differ in their states only by
+        # the bit generator's name, and draw different numbers
+        kinds = [np.random.PCG64, np.random.PCG64DXSM]
+        drawn = [BatchNoise(_generators([3], k), 0.5, 6, 8).normals for k in kinds]
+        assert cold.cache_info()[:2] == (0, 2)
+        for kind, normals in zip(kinds, drawn):
+            want = np.random.Generator(kind(3)).standard_normal((1, 6, 2, 8))
+            np.testing.assert_array_equal(normals, want)
+
+
+class TestBatchNoiseArguments:
+    def test_variance_count_must_be_one_or_one_per_generator(self):
+        rngs = _generators([1, 2, 3])
+        with pytest.raises(ValueError, match="need 1 or 3 variances, got 2"):
+            BatchNoise(rngs, [0.5, 1.0], 4, 8)
+        with pytest.raises(ValueError, match="got 4"):
+            BatchNoise(rngs, np.full((2, 2), 0.5), 4, 8)
+        # rejected before any generator draws
+        assert _states(rngs) == _states(_generators([1, 2, 3]))
+
+    @pytest.mark.parametrize("start, stop", [(-1, 2), (2, 2), (3, 1), (0, 5), (4, 6)])
+    def test_observe_window_must_lie_in_the_draw(self, start, stop):
+        noise = BatchNoise(_generators([1, 2]), 0.5, 4, 8)
+        with pytest.raises(ValueError, match=f"{start}:{stop} lie outside 0:4"):
+            noise.observe(np.ones((2, 8), dtype=complex), start, stop)
+
+    @pytest.mark.parametrize("shape", [(3, 8), (2, 7), (8,), (2, 8, 1)])
+    def test_signal_stack_must_be_trials_by_elements(self, shape):
+        noise = BatchNoise(_generators([1, 2]), 0.5, 4, 8)
+        with pytest.raises(ValueError, match=r"need \(2, 8\) signals"):
+            noise.observe(np.ones(shape, dtype=complex), 0, 4)
