@@ -3,7 +3,8 @@
 A snapshot is alpha * phi_n(u) plus circular Gaussian noise, with alpha the
 received path gain: the transmit power P and the fading coefficient enter
 every measurement only as the product sqrt(P) * alpha, so the channel holds
-that product and nothing else scales it.
+that product and nothing else scales it. The noise is the one random step:
+BatchNoise draws a run's noise once, and a noiseless row reads zeros.
 """
 
 from __future__ import annotations
@@ -61,22 +62,18 @@ def antenna_snapshot(
     return x
 
 
-class _Run(tuple):
-    """A draw's key, (states, count, n), the states pickled in slot order.
-    Its drawers are the generators a miss draws on; the cache drops them."""
-
-
 @lru_cache(maxsize=1)
-def _run_draw(run: _Run) -> tuple[np.ndarray, tuple[dict, ...]]:
-    """One run's read-only draw and the states it leaves its generators."""
-    _, count, n = run
-    normals = np.empty((len(run.drawers), count, 2, n))
-    for rng, out in zip(run.drawers, normals):
-        rng.standard_normal(out=out)
+def _run_draw(key: tuple, count: int, n: int) -> tuple[np.ndarray, tuple[dict, ...]]:
+    """A run's read-only normals, one slot drawn per (bit-generator class,
+    pickled state) pair of key on a generator rebuilt from it, then a slot
+    of zeros; and the states the draw leaves the rebuilt generators in."""
+    normals = np.zeros((len(key) + 1, count, 2, n))
+    drawers = [kind() for kind, _ in key]
+    for bits, (_, state), out in zip(drawers, key, normals):
+        bits.state = pickle.loads(state)
+        np.random.Generator(bits).standard_normal(out=out)
     normals.flags.writeable = False
-    states = tuple(rng.bit_generator.state for rng in run.drawers)
-    run.drawers = []
-    return normals, states
+    return normals, tuple(bits.state for bits in drawers)
 
 
 class BatchNoise:
@@ -92,14 +89,15 @@ class BatchNoise:
     split of them into consecutive smaller draws takes. Rows that hold the
     same generator read its one slot, each scaled by its own variance, so a
     generator advances count observations however many rows hold it. A
-    noiseless row reads zeros, and a generator that only noiseless rows
-    hold draws nothing. The draw holds slots * count * 2 * n floats.
-    Distinct generator objects must not share a bit generator.
+    noiseless row reads the last slot, of zeros, and a generator that only
+    noiseless rows hold draws nothing. The draw holds (slots + 1) * count *
+    2 * n floats. Distinct generator objects must not share a bit generator.
 
-    The last draw is cached, keyed on the drawing generators' full states
-    in slot order, count and n. A run on generators that stand where the
-    last run's stood, as each scheme of a paired comparison does, reuses its
-    read-only ``normals`` and sets each generator to the state it left.
+    The last draw is cached (_run_draw), keyed on each drawing bit
+    generator's class and pickled state in slot order, count and n: a run
+    on generators that stand where the last run's stood, as each scheme of
+    a paired comparison does, reuses its read-only ``normals``. Hit or miss,
+    each generator is then set to the state the draw left it in.
     """
 
     def __init__(
@@ -111,6 +109,8 @@ class BatchNoise:
     ):
         if check_integer("observation count", count) < 1:
             raise ValueError(f"need at least one observation, got {count}")
+        if check_integer("element count", n) < 1:
+            raise ValueError(f"need at least one element, got {n}")
         variance = np.asarray(noise_variance, dtype=float)
         if variance.ndim > 1 or variance.size not in (1, len(rngs)):
             raise ValueError(f"need 1 or {len(rngs)} variances, got {variance.size}")
@@ -122,21 +122,18 @@ class BatchNoise:
                 f"noise variance {variance[bad][0]} must be finite and nonnegative"
             )
         slots: dict[int, int] = {}  # id of a generator -> its slot
-        drawers = []
-        self.slot = np.full(len(rngs), -1)  # -1: a noiseless row
+        drawers = []  # the drawing generators' bit generators, in slot order
+        self.slot = np.full(len(rngs), -1)  # -1: a noiseless row, the zero slot
         for row, (rng, v) in enumerate(zip(rngs, variance)):
             if v > 0.0:
                 if id(rng) not in slots:
                     slots[id(rng)] = len(drawers)
-                    drawers.append(rng)
+                    drawers.append(rng.bit_generator)
                 self.slot[row] = slots[id(rng)]
-        states = tuple(pickle.dumps(rng.bit_generator.state) for rng in drawers)
-        run = _Run((states, count, n))
-        run.drawers = drawers
-        self.normals, ends = _run_draw(run)
-        for rng, state in zip(drawers, ends):
-            rng.bit_generator.state = state
-        self._quiet = self.slot < 0
+        key = tuple((type(bits), pickle.dumps(bits.state)) for bits in drawers)
+        self.normals, ends = _run_draw(key, count, n)
+        for bits, state in zip(drawers, ends):
+            bits.state = state
         self._scale = np.sqrt(variance / 2.0)[:, None, None]
 
     def observe(self, signals: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -152,39 +149,12 @@ class BatchNoise:
             raise ValueError(f"observations {start}:{stop} lie outside 0:{count}")
         if np.shape(signals) != (trials, n):
             raise ValueError(f"need ({trials}, {n}) signals, got {np.shape(signals)}")
-        if self._quiet.any():
-            noise = np.zeros((len(self.slot), stop - start) + self.normals.shape[2:])
-            noisy = ~self._quiet
-            noise[noisy] = self.normals[self.slot[noisy], start:stop]
-        else:
-            noise = self.normals[self.slot, start:stop]
+        noise = self.normals[self.slot, start:stop]
         x = np.empty((len(signals), stop - start, signals.shape[1]), dtype=complex)
         np.multiply(self._scale, noise[..., 0, :], out=x.real)
         np.multiply(self._scale, noise[..., 1, :], out=x.imag)
         x += signals[:, None, :]
         return x
-
-
-def antenna_blocks(
-    signals: np.ndarray,
-    noise_variance: float | np.ndarray,
-    rngs: Sequence[np.random.Generator],
-    count: int,
-) -> np.ndarray:
-    """count consecutive observations for each trial of a batch.
-
-    signals is the (trials, n) stack of the trials' noiseless snapshots; the
-    result is (trials, count, n). Trial i's noise is one
-    standard_normal((count, 2, n)) draw from rngs[i], shared by every row
-    that holds the same generator object, and a trial without noise draws
-    nothing (BatchNoise). So every row sees the numbers a lone call on a
-    fresh copy of its generator gives it.
-    """
-    signals = np.asarray(signals)
-    if signals.ndim != 2 or len(rngs) != len(signals):
-        raise ValueError("need a (trials, n) signal stack and one generator per trial")
-    noise = BatchNoise(rngs, noise_variance, count, signals.shape[1])
-    return noise.observe(signals, 0, count)
 
 
 def combine(w: np.ndarray, x: np.ndarray) -> complex | np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .arrays import AngularGrid, check_integer
 from .beams import Beamformer, _weights_of
-from .channel import ChannelParams, antenna_blocks, combine, noiseless_snapshot
+from .channel import BatchNoise, ChannelParams, combine, noiseless_snapshot
 
 
 def _virtual_size(taps: int, n: int) -> int:
@@ -138,9 +138,8 @@ def measure_segment(
     aperture and return its (n_v,) outputs: the block of a lone trial, built
     like each trial's block of a batch."""
     w = block_combiners(f, n, _virtual_size(len(_weights_of(f)), n))
-    (x,) = antenna_blocks(
-        noiseless_snapshot(params, n)[None], params.noise_variance, [rng], len(w)
-    )
+    noise = BatchNoise([rng], params.noise_variance, len(w), n)
+    (x,) = noise.observe(noiseless_snapshot(params, n)[None], 0, len(w))
     return combine(w, x)
 
 
@@ -214,9 +213,7 @@ class MeasurementHistory:
         # the phases v the snapshots see: snapshot r holds its beam at shift
         # r mod (n - taps + 1), so v is phi_{n_v}, or ones for n taps
         shifts = _virtual_size(check_integer("taps", taps), self.n)
-        virtual = self.grid.manifold(shifts)
-        if shifts != self.n_v:
-            virtual = virtual[np.arange(self.n_v) % shifts]
+        virtual = self.grid.manifold(shifts)[np.arange(self.n_v) % shifts]
         # one row-vector product per trial and the power one conjugate-row
         # product per trial: a batch row carries a lone trial's bits at every
         # block size, where a matrix product's rows would differ from a lone

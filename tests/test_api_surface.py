@@ -236,6 +236,67 @@ def test_settable_values_stay_under_the_ceiling():
     assert count <= SETTABLE_VALUE_CEILING
 
 
+# the functools decorators whose cache_clear() clear_caches() calls
+FUNCTOOLS_CACHES = {"cache", "lru_cache"}
+
+
+def _misplaced_caches(tree: ast.Module) -> list[int]:
+    """Lines that name a functools cache anywhere but in the decorators of a
+    module-level function."""
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names |= {
+                alias.asname or alias.name
+                for alias in node.names
+                if alias.name in FUNCTOOLS_CACHES
+            }
+        elif isinstance(node, ast.Import):
+            modules |= {
+                alias.asname or alias.name
+                for alias in node.names
+                if alias.name == "functools"
+            }
+    placed = {
+        id(inner)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for decorator in node.decorator_list
+        for inner in ast.walk(decorator)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in placed
+        and (
+            (isinstance(node, ast.Name) and node.id in names)
+            or (
+                isinstance(node, ast.Attribute)
+                and node.attr in FUNCTOOLS_CACHES
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+            )
+        )
+    )
+
+
+def test_every_functools_cache_sits_on_a_module_level_function():
+    # the benchmark's clear_caches() empties the caches it finds in module
+    # namespaces, so each repetition starts cold; a cache on a method or a
+    # closure would outlive the clear and inflate throughput
+    misplaced = {
+        path.stem: lines
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (lines := _misplaced_caches(ast.parse(path.read_text())))
+    }
+    assert misplaced == {}
+    # the check sees a cache on a method and one made inside a function
+    method = "from functools import lru_cache\nclass A:\n  @lru_cache\n  def f(s): pass"
+    closure = "import functools\ndef g():\n    return functools.cache(len)"
+    assert _misplaced_caches(ast.parse(method)) == [3]
+    assert _misplaced_caches(ast.parse(closure)) == [3]
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
     """Names a module imports but never reads, in code, in a string
     annotation or in its __all__."""

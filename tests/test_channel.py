@@ -6,7 +6,6 @@ from svamsim.arrays import ula_manifold
 from svamsim.channel import (
     BatchNoise,
     ChannelParams,
-    antenna_blocks,
     antenna_snapshot,
     combine,
     noiseless_snapshot,
@@ -154,9 +153,8 @@ class TestAntennaBlocks:
             for k in range(3)
         ])
         signals[1, 0] = -0.0  # a negative zero meets the noiseless zero
-        got = antenna_blocks(
-            signals, variances, [np.random.default_rng(5 + k) for k in range(3)], count
-        )
+        rngs = [np.random.default_rng(5 + k) for k in range(3)]
+        got = BatchNoise(rngs, variances, count, n).observe(signals, 0, count)
         noise = np.zeros((3, count, 2, n))
         for k, variance in enumerate(variances):
             if variance > 0.0:
@@ -192,7 +190,34 @@ def cold():
     channel._run_draw.cache_clear()
 
 
+class _PCG64Subclass(np.random.PCG64):
+    """A bit generator numpy does not know by name: only its class
+    rebuilds it."""
+
+
 class TestSharedRunDraw:
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            np.random.PCG64,
+            np.random.PCG64DXSM,
+            np.random.MT19937,
+            np.random.Philox,
+            np.random.SFC64,
+            _PCG64Subclass,
+        ],
+        ids=lambda kind: kind.__name__,
+    )
+    def test_a_cold_draw_rebuilds_the_generator_from_its_class(self, cold, kind):
+        count, n = 5, 7
+        rng = np.random.Generator(kind(11))
+        want = np.random.Generator(kind(11))
+        normals = BatchNoise([rng], 0.5, count, n).normals
+        assert cold.cache_info()[:2] == (0, 1)
+        assert normals[0].tobytes() == want.standard_normal((count, 2, n)).tobytes()
+        assert type(rng.bit_generator) is kind
+        assert _equal_states(rng.bit_generator.state, want.bit_generator.state)
+
     def test_equal_states_reuse_the_read_only_draw(self, cold):
         seeds = [3, 4, 5]
         first = _generators(seeds)
@@ -245,9 +270,8 @@ class TestSharedRunDraw:
         got = noise.observe(signals, 0, 6)
         np.testing.assert_array_equal(got[0], signals[0, None].repeat(6, axis=0))
         for k in (1, 2):
-            (want,) = antenna_blocks(
-                signals[k : k + 1], variances[k], _generators([seeds[k]]), 6
-            )
+            lone = BatchNoise(_generators([seeds[k]]), variances[k], 6, 8)
+            (want,) = lone.observe(signals[k : k + 1], 0, 6)
             assert got[k].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
@@ -273,8 +297,10 @@ class TestSharedRunDraw:
         drawn = [BatchNoise(_generators([3], k), 0.5, 6, 8).normals for k in kinds]
         assert cold.cache_info()[:2] == (0, 2)
         for kind, normals in zip(kinds, drawn):
-            want = np.random.Generator(kind(3)).standard_normal((1, 6, 2, 8))
-            np.testing.assert_array_equal(normals, want)
+            assert normals.shape == (2, 6, 2, 8)  # the draw and the zero slot
+            want = np.random.Generator(kind(3)).standard_normal((6, 2, 8))
+            np.testing.assert_array_equal(normals[0], want)
+            assert not normals[-1].any()
 
 
 class TestBatchNoiseArguments:
@@ -286,6 +312,21 @@ class TestBatchNoiseArguments:
             BatchNoise(rngs, np.full((2, 2), 0.5), 4, 8)
         # rejected before any generator draws
         assert _states(rngs) == _states(_generators([1, 2, 3]))
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize(
+        "n", [8.0, True, 0, -1], ids=["float", "bool", "zero", "negative"]
+    )
+    def test_element_count_must_be_a_positive_integer(self, cold, warm, n):
+        # a warm cache holding the draw of the int n (or of one element)
+        # must not answer for a float or bool that equals it
+        if warm:
+            BatchNoise(_generators([1, 2]), 0.5, 4, max(int(n), 1))
+        rngs = _generators([1, 2])
+        with pytest.raises(ValueError, match="element"):
+            BatchNoise(rngs, 0.5, 4, n)
+        # rejected before any generator draws
+        assert _states(rngs) == _states(_generators([1, 2]))
 
     @pytest.mark.parametrize("start, stop", [(-1, 2), (2, 2), (3, 1), (0, 5), (4, 6)])
     def test_observe_window_must_lie_in_the_draw(self, start, stop):

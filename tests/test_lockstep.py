@@ -35,7 +35,6 @@ from svamsim.beams import BeamSpec, build_hierarchical_codebook, design_beamform
 from svamsim.channel import (
     BatchNoise,
     ChannelParams,
-    antenna_blocks,
     antenna_snapshot,
     noiseless_snapshot,
 )
@@ -391,9 +390,8 @@ def test_noise_block_reproduces_consecutive_snapshots():
     np.testing.assert_array_equal(singles, noiseless_snapshot(params, n) + noise)
 
     rng_block, rng_single = np.random.default_rng(seed), np.random.default_rng(seed)
-    (block,) = antenna_blocks(
-        noiseless_snapshot(params, n)[None], params.noise_variance, [rng_block], n_v
-    )
+    noise = BatchNoise([rng_block], params.noise_variance, n_v, n)
+    (block,) = noise.observe(noiseless_snapshot(params, n)[None], 0, n_v)
     np.testing.assert_array_equal(
         block, [antenna_snapshot(params, n, rng_single) for _ in range(n_v)]
     )
@@ -404,10 +402,9 @@ def test_noise_block_reproduces_consecutive_snapshots():
 def test_noiseless_block_leaves_generator_untouched():
     params = ChannelParams(1.0, 0.5)
     rng = np.random.default_rng(3)
-    block = antenna_blocks(noiseless_snapshot(params, 6)[None], 0.0, [rng], 3)
-    np.testing.assert_array_equal(
-        block[0], np.tile(noiseless_snapshot(params, 6), (3, 1))
-    )
+    signal = noiseless_snapshot(params, 6)
+    block = BatchNoise([rng], 0.0, 3, 6).observe(signal[None], 0, 3)
+    np.testing.assert_array_equal(block[0], np.tile(signal, (3, 1)))
     assert rng.standard_normal() == np.random.default_rng(3).standard_normal()
 
 
@@ -422,10 +419,11 @@ def test_per_trial_noise_rows_equal_shared_noise_blocks(variances):
         for k in range(3)
     ])
     rngs = [np.random.default_rng(60 + k) for k in range(3)]
-    blocks = antenna_blocks(signals, variances, rngs, n_v)
+    blocks = BatchNoise(rngs, variances, n_v, n).observe(signals, 0, n_v)
     for k, variance in enumerate(variances):
         rng = np.random.default_rng(60 + k)
-        (want,) = antenna_blocks(signals[k : k + 1], float(variance), [rng], n_v)
+        lone = BatchNoise([rng], float(variance), n_v, n)
+        (want,) = lone.observe(signals[k : k + 1], 0, n_v)
         np.testing.assert_array_equal(blocks[k], want)
         # each generator stands where its lone draw left it, and a
         # noiseless row's never moved
@@ -434,7 +432,7 @@ def test_per_trial_noise_rows_equal_shared_noise_blocks(variances):
             untouched = np.random.default_rng(60 + k).bit_generator.state
             assert rng.bit_generator.state == untouched
     with pytest.raises(ValueError):  # one variance short
-        antenna_blocks(signals, variances[:2], rngs, n_v)
+        BatchNoise(rngs, variances[:2], n_v, n)
 
 
 @pytest.mark.parametrize(
@@ -454,10 +452,12 @@ def test_rows_on_one_generator_share_its_draw(shared):
     ])
     seeds = [70, 71, 70]
     one, other = np.random.default_rng(70), np.random.default_rng(71)
-    blocks = antenna_blocks(signals, variances, [one, other, one], n_v)
+    noise = BatchNoise([one, other, one], variances, n_v, n)
+    blocks = noise.observe(signals, 0, n_v)
     for k, (seed, variance) in enumerate(zip(seeds, variances)):
         fresh = np.random.default_rng(seed)
-        (want,) = antenna_blocks(signals[k : k + 1], float(variance), [fresh], n_v)
+        lone = BatchNoise([fresh], float(variance), n_v, n)
+        (want,) = lone.observe(signals[k : k + 1], 0, n_v)
         np.testing.assert_array_equal(blocks[k], want)
     moved = np.random.default_rng(70)
     if max(shared) > 0.0:
@@ -471,10 +471,9 @@ def test_rows_on_one_generator_share_its_draw(shared):
     ids=["negative", "nan", "inf", "one_bad_row", "no_observation", "negative_count"],
 )
 def test_blocks_reject_bad_variance_or_count(variance, count):
-    signals = np.ones((2, 4), dtype=complex)
     rngs = [np.random.default_rng(5), np.random.default_rng(6)]
     with pytest.raises(ValueError):
-        antenna_blocks(signals, variance, rngs, count)
+        BatchNoise(rngs, variance, count, 4)
     # rejected before any row draws
     assert rngs[0].bit_generator.state == np.random.default_rng(5).bit_generator.state
 
@@ -502,15 +501,16 @@ def _run_noise_batch(variances, seeds=(80, 81, 80, 82)):
 )
 def test_run_draw_equals_per_block_draws(variances):
     # one draw of the whole run per generator gives every block the bits,
-    # and leaves every generator in the state, of one antenna_blocks call
-    # per block
+    # and leaves every generator in the state, of one block-sized
+    # BatchNoise per block
     n_v, blocks = 3, 4
     signals, variances, generators = _run_noise_batch(variances)
     run_rngs, block_rngs = generators(), generators()
     noise = BatchNoise(run_rngs, variances, blocks * n_v, signals.shape[1])
     for t in range(blocks):
         got = noise.observe(signals, t * n_v, (t + 1) * n_v)
-        want = antenna_blocks(signals, variances, block_rngs, n_v)
+        block = BatchNoise(block_rngs, variances, n_v, signals.shape[1])
+        want = block.observe(signals, 0, n_v)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     for run_rng, block_rng in zip(run_rngs, block_rngs):
         assert run_rng.bit_generator.state == block_rng.bit_generator.state
@@ -518,12 +518,14 @@ def test_run_draw_equals_per_block_draws(variances):
 
 def test_run_draw_holds_one_slot_per_noisy_generator():
     # rows 0 and 2 share a generator; row 0 and the last row are noiseless,
-    # so the last row's generator draws nothing and gets no slot
+    # so the last row's generator draws nothing and gets no slot; the
+    # noiseless rows read the zero slot after the two drawn ones
     signals, variances, generators = _run_noise_batch((0.0, 1.0, 2.0, 0.0))
     rngs = generators()
     untouched = rngs[3].bit_generator.state
     noise = BatchNoise(rngs, variances, 6, signals.shape[1])
-    assert noise.normals.shape == (2, 6, 2, signals.shape[1])
+    assert noise.normals.shape == (3, 6, 2, signals.shape[1])
+    assert not noise.normals[-1].any()
     assert noise.slot.tolist() == [-1, 0, 1, -1]
     assert rngs[3].bit_generator.state == untouched
 
