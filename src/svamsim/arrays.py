@@ -104,6 +104,7 @@ class AngularGrid:
         points.flags.writeable = False
         self.points = points
         self._manifolds: dict[int, np.ndarray] = {}
+        self._cycled: dict[tuple[int, int], np.ndarray] = {}
 
     def manifold(self, m: int) -> np.ndarray:
         """Cached (m, size) matrix of steering vectors over the grid."""
@@ -112,6 +113,16 @@ class AngularGrid:
             mat = manifold_matrix(m, self.points)
             mat.flags.writeable = False
             self._manifolds[m] = mat
+        return mat
+
+    def cycled_conjugate(self, m: int, rows: int) -> np.ndarray:
+        """Cached read-only (rows, size) matrix whose row r is the conjugate
+        of manifold(m)'s row r mod m."""
+        mat = self._cycled.get((m, rows))
+        if mat is None:
+            mat = self.manifold(m)[np.arange(rows) % m].conj()
+            mat.flags.writeable = False
+            self._cycled[m, rows] = mat
         return mat
 
     def __len__(self) -> int:

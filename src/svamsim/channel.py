@@ -66,9 +66,13 @@ def antenna_snapshot(
 def _run_draw(key: tuple, count: int, n: int) -> tuple[np.ndarray, tuple[dict, ...]]:
     """A run's read-only normals, one slot drawn per (bit-generator class,
     pickled state) pair of key on a generator rebuilt from it, then a slot
-    of zeros; and the states the draw leaves the rebuilt generators in."""
+    of zeros; and the states the draw leaves the rebuilt generators in.
+
+    Each generator is built from one fixed seed sequence before its state is
+    set: kind() alone would first read OS entropy for a state it discards."""
     normals = np.zeros((len(key) + 1, count, 2, n))
-    drawers = [kind() for kind, _ in key]
+    seed = np.random.SeedSequence(0)
+    drawers = [kind(seed) for kind, _ in key]
     for bits, (_, state), out in zip(drawers, key, normals):
         bits.state = pickle.loads(state)
         np.random.Generator(bits).standard_normal(out=out)

@@ -10,8 +10,13 @@ reported explicitly rather than raised.
 
 Every bound and the certificate take the angle u as a float or as a 1-D
 array of angles. A float returns one result, an array a list with one
-result per angle. One call builds the steering vectors and derivatives of
-all its angles once, and the bank's energy once.
+result per angle. One call computes all its angles at once, with each
+angle's bits: every projection is a batched matrix-vector product and
+every Gram product a batched dot (channel.combine); one matrix-matrix
+product would round differently. A squared modulus that reaches a printed
+bound or a verdict is np.float_power(np.hypot(re, im), 2.0): one complex
+number's abs and one float's ** 2 (libm pow); np.abs, x * x and np.power
+round differently.
 
 A practical caveat: the adaptive estimators in this package pick the
 posterior argmax on a finite grid and are therefore biased; for them these
@@ -26,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import ula_manifold
+from .channel import combine
 
 # Relative level below which a Fisher denominator is considered exactly
 # singular: rank-deficient geometries hit zero only up to roundoff.
@@ -50,11 +56,13 @@ def _check_noise_terms(noise_var: float) -> float:
     return noise_var / 2.0
 
 
-def _finish(prefactor: float, denominator: float, scale: float,
-            gain_term: float | None = None) -> CrbResult:
-    if denominator <= _SINGULAR_RTOL * max(scale, 1e-300):
-        return CrbResult(bound=math.inf, gain_term=gain_term)
-    return CrbResult(bound=prefactor / denominator, gain_term=gain_term)
+def _finish(prefactor: float, denominator: np.ndarray, scale: np.ndarray,
+            gain_term: np.ndarray | None = None) -> list[CrbResult]:
+    singular = denominator <= _SINGULAR_RTOL * np.maximum(scale, 1e-300)
+    bound = np.full(len(denominator), math.inf)
+    np.divide(prefactor, denominator, out=bound, where=~singular)
+    gains = [None] * len(bound) if gain_term is None else gain_term.tolist()
+    return list(map(CrbResult, bound.tolist(), gains))
 
 
 def _bank(w: np.ndarray) -> np.ndarray:
@@ -87,14 +95,14 @@ def _steering_rows(m: int, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phi, (1j * np.pi * np.arange(m)) * phi
 
 
-def _responses(bank: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
-    """bank^H row for every row, one matrix-vector product each.
-
-    One matrix-matrix product over all rows would round differently, and
-    crb_unknown_alpha's cancellation would carry that into the printed bounds.
+def _responses(bank: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(angles, segments) bank^H row for every row: one matmul of the rows
+    as stacked column vectors runs one matrix-vector product per row, with
+    the bits of that row's own bank^H @ row. One matrix-matrix product would
+    round differently, and crb_unknown_alpha's cancellation would carry
+    that into the printed bounds.
     """
-    bank_h = bank.conj().T
-    return [bank_h @ row for row in rows]
+    return np.matmul(bank.conj().T, rows[..., None])[..., 0]
 
 
 def _known_gain_bounds(
@@ -108,12 +116,10 @@ def _known_gain_bounds(
     us, single = _angles(u)
     _, d = _steering_rows(bank.shape[0], us)
     energy = float(np.sum(np.abs(bank) ** 2))
-    results = []
-    for d_row, projected in zip(d, _responses(bank, d)):
-        denom = repeats * float(np.vdot(projected, projected).real)
-        scale = repeats * float(np.vdot(d_row, d_row).real) * energy
-        results.append(_finish(prefactor, denom, scale))
-    return _per_angle(results, single)
+    projected = _responses(bank, d)
+    denom = repeats * combine(projected, projected).real
+    scale = repeats * combine(d, d).real * energy
+    return _per_angle(_finish(prefactor, denom, scale), single)
 
 
 def crb_general(w: np.ndarray, u, noise_var: float) -> CrbResult | list[CrbResult]:
@@ -147,23 +153,19 @@ def crb_benchmark(
 
 def _svam_gram_terms(
     f: np.ndarray, us: np.ndarray
-) -> list[tuple[float, float, complex, float]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gram products of the sub-aperture bank against the length-m manifold,
-    per angle: derivative energy, steering energy, their cross term, and the
-    squared norm of the derivative itself."""
+    one entry per angle: derivative energy, steering energy, their cross
+    term, and the squared norm of the derivative itself."""
     phi, d = _steering_rows(f.shape[0], us)
-    return [
-        (
-            float(np.vdot(fd, fd).real),
-            float(np.vdot(fp, fp).real),
-            complex(np.vdot(fd, fp)),
-            float(np.vdot(d_row, d_row).real),
-        )
-        for d_row, fd, fp in zip(d, _responses(f, d), _responses(f, phi))
-    ]
+    fd, fp = _responses(f, d), _responses(f, phi)
+    return (combine(fd, fd).real, combine(fp, fp).real, combine(fd, fp),
+            combine(d, d).real)
 
 
-def _virtual_gain(n_v: int, steering_energy: float, cross: complex) -> float:
+def _virtual_gain(
+    n_v: int, steering_energy: np.ndarray, cross: np.ndarray
+) -> np.ndarray:
     """Virtual-aperture contribution to the sliding-scheme Fisher denominator:
 
         pi^2 (n_v-1)(2 n_v-1)/6 * ||F^H phi||^2
@@ -197,13 +199,11 @@ def crb_svam(
     us, single = _angles(u)
     m = f.shape[0]
     f_energy = float(np.sum(np.abs(f) ** 2))
-    results = []
-    for derivative_energy, steering_energy, cross, d_scale in _svam_gram_terms(f, us):
-        g = _virtual_gain(n_v, steering_energy, cross)
-        denom = n_v * (derivative_energy + g)
-        scale = n_v * (d_scale + np.pi**2 * n_v**2 * m) * f_energy
-        results.append(_finish(prefactor, denom, scale, gain_term=float(g)))
-    return _per_angle(results, single)
+    derivative_energy, steering_energy, cross, d_scale = _svam_gram_terms(f, us)
+    g = _virtual_gain(n_v, steering_energy, cross)
+    denom = n_v * (derivative_energy + g)
+    scale = n_v * (d_scale + np.pi**2 * n_v**2 * m) * f_energy
+    return _per_angle(_finish(prefactor, denom, scale, gain_term=g), single)
 
 
 def gain_condition_sufficient(
@@ -236,15 +236,15 @@ def gain_condition_sufficient(
     kappa = 12.0 / (m * (m * m - 1)) if m > 1 else 0.0
     # slack keeps boundary cases (lhs = rhs = 0 in exact arithmetic) holding
     slack = 1e-12 * float(np.sum(np.abs(f) ** 2))
-    results = []
-    for fp, fc in zip(_responses(f, phi), _responses(f, companion)):
-        lhs = float(np.vdot(fp, fp).real) / m
-        q = kappa * float(np.vdot(fc, fc).real)
-        r = abs(complex(np.vdot(fp, fc))) * math.sqrt(kappa / m)
-        top = 0.5 * (lhs + q) + math.sqrt((0.5 * (lhs - q)) ** 2 + r * r)
-        rhs = top / 4.0
-        results.append((lhs >= rhs - slack, lhs, rhs))
-    return _per_angle(results, single)
+    fp, fc = _responses(f, phi), _responses(f, companion)
+    lhs = combine(fp, fp).real / m
+    q = kappa * combine(fc, fc).real
+    cross = combine(fp, fc)
+    r = np.hypot(cross.real, cross.imag) * math.sqrt(kappa / m)
+    top = 0.5 * (lhs + q) + np.sqrt(np.float_power(0.5 * (lhs - q), 2.0) + r * r)
+    rhs = top / 4.0
+    holds = lhs >= rhs - slack
+    return _per_angle(list(zip(holds.tolist(), lhs.tolist(), rhs.tolist())), single)
 
 
 def crb_unknown_alpha(
@@ -271,14 +271,12 @@ def crb_unknown_alpha(
     n = w.shape[0]
     phi, d = _steering_rows(n, us)
     blind_level = _SINGULAR_RTOL * float(np.sum(np.abs(w) ** 2)) * n
-    results = []
-    for a, b in zip(_responses(w, phi), _responses(w, d)):
-        steering_energy = float(np.vdot(a, a).real)
-        derivative_energy = float(np.vdot(b, b).real)
-        if steering_energy <= blind_level:
-            # combiners blind to the steering vector: projection is vacuous
-            denom = derivative_energy
-        else:
-            denom = derivative_energy - abs(np.vdot(a, b)) ** 2 / steering_energy
-        results.append(_finish(prefactor, denom, derivative_energy))
-    return _per_angle(results, single)
+    a, b = _responses(w, phi), _responses(w, d)
+    steering_energy, derivative_energy = combine(a, a).real, combine(b, b).real
+    cross = combine(a, b)
+    # combiners blind to the steering vector: the projection is vacuous
+    explained = np.zeros(len(us))
+    np.divide(np.float_power(np.hypot(cross.real, cross.imag), 2.0), steering_energy,
+              out=explained, where=steering_energy > blind_level)
+    denom = derivative_energy - explained
+    return _per_angle(_finish(prefactor, denom, derivative_energy), single)

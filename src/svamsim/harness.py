@@ -356,10 +356,10 @@ def region_beam_bank(beam: BeamSpec, taps: int, segments: int) -> np.ndarray:
 def expanded_combiners(bank: np.ndarray, n: int) -> np.ndarray:
     """Full N x L combiner matrix from a per-segment sub-aperture bank."""
     n_v = _virtual_size(len(bank), n)
-    blocks = [block_combiners(column, n, n_v) for column in bank.T]
+    blocks = block_combiners(bank.T, n, n_v)  # (L, n_v, n), one block per column
     # C order, as the bound products expect: the bounds cancel digits, and
     # BLAS rounds a Fortran-ordered matrix differently
-    return np.ascontiguousarray(np.concatenate(blocks).T)
+    return np.ascontiguousarray(blocks.reshape(-1, n).T)
 
 
 def _bound_noise_variance(
@@ -436,16 +436,39 @@ def run_experiment(config: ExperimentConfig) -> list[MetricRow]:
     return _adaptive_rows(config)
 
 
+def _bool_cell(value) -> str:
+    return "true" if value else "false"
+
+
+def _float_cell(value) -> str:
+    return format(float(value), ".12g")
+
+
+# _cell by exact type for the values records hold, one lookup each
+_CELLS: dict[type, Callable[[object], str]] = {
+    type(None): lambda value: "",
+    str: str,
+    bool: _bool_cell,
+    np.bool_: _bool_cell,
+    int: str,
+    np.int64: str,
+    float: _float_cell,
+    np.float64: _float_cell,
+}
+
+
 def _cell(value) -> str:
-    if value is None:
-        return ""
+    """A CSV cell: empty for None, true/false for a bool, digits for an
+    integer and 12 significant digits for anything else."""
+    cell = _CELLS.get(type(value))
+    if cell is not None:
+        return cell(value)
+    # subclasses, other numpy widths; None and both bool types are final
     if isinstance(value, str):
         return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return format(float(value), ".12g")
+    return _float_cell(value)
 
 
 def _write_csv(path: str, what: str, header, records) -> None:

@@ -44,19 +44,23 @@ def svam_combiner(
     f: Beamformer | np.ndarray, snapshot_index: int, n: int
 ) -> np.ndarray:
     """Full-length combiner for a snapshot: the sub-aperture beamformer
-    zero-padded at shift snapshot_index % n_v on an n-element aperture."""
+    zero-padded at shift snapshot_index % n_v on an n-element aperture. A
+    (..., m) stack of weights gives the (..., n) combiners of every beam."""
     weights = _weights_of(f)
-    m = len(weights)
+    m = weights.shape[-1]
     shift = snapshot_index % _virtual_size(m, n)
-    w = np.zeros(n, dtype=complex)
-    w[shift : shift + m] = weights
+    w = np.zeros(weights.shape[:-1] + (n,), dtype=complex)
+    w[..., shift : shift + m] = weights
     return w
 
 
 def block_combiners(f: Beamformer | np.ndarray, n: int, n_v: int) -> np.ndarray:
     """(n_v, n) full-length combiners of a block of n_v snapshots, one row
-    per snapshot, each svam_combiner's; every block takes the same rows."""
-    return np.stack([svam_combiner(f, r, n) for r in range(n_v)])
+    per snapshot, each svam_combiner's; every block takes the same rows. A
+    (..., m) stack of weights gives (..., n_v, n), one block per beam."""
+    rows = [svam_combiner(f, r, n) for r in range(n_v)]
+    # one concatenation and a view: np.stack costs more than the rows
+    return np.concatenate(rows, axis=-1).reshape(*rows[0].shape[:-1], n_v, n)
 
 
 def beam_responses(f: Beamformer | np.ndarray, grid: AngularGrid) -> np.ndarray:
@@ -213,12 +217,13 @@ class MeasurementHistory:
         # the phases v the snapshots see: snapshot r holds its beam at shift
         # r mod (n - taps + 1), so v is phi_{n_v}, or ones for n taps
         shifts = _virtual_size(check_integer("taps", taps), self.n)
-        virtual = self.grid.manifold(shifts)[np.arange(self.n_v) % shifts]
         # one row-vector product per trial and the power one conjugate-row
         # product per trial: a batch row carries a lone trial's bits at every
         # block size, where a matrix product's rows would differ from a lone
         # vector product's in the last bits
-        matched_row = np.matmul(values[:, None, :], virtual.conj())[:, 0, :]
+        matched_row = np.matmul(
+            values[:, None, :], self.grid.cycled_conjugate(shifts, self.n_v)
+        )[:, 0, :]
 
         self.segments.append(values)
         self.cumulative_gain += np.abs(responses) ** 2

@@ -10,12 +10,23 @@ grid_and_oracle runs both on the bank crb_table builds.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from svamsim import crb
 from svamsim.arrays import ula_manifold
-from svamsim.crb import _SINGULAR_RTOL, CrbResult, _check_noise_terms, _finish
+from svamsim.crb import _SINGULAR_RTOL, CrbResult, _check_noise_terms
 from svamsim.harness import expanded_combiners, noise_variance_from_snr, region_beam_bank
+
+
+def _finish(prefactor: float, denominator: float, scale: float,
+            gain_term: float | None = None) -> CrbResult:
+    """One angle's result: infinite where the denominator is at most
+    _SINGULAR_RTOL times its scale."""
+    if denominator <= _SINGULAR_RTOL * max(scale, 1e-300):
+        return CrbResult(bound=math.inf, gain_term=gain_term)
+    return CrbResult(bound=prefactor / denominator, gain_term=gain_term)
 
 
 def ula_manifold_derivative(n: int, u: float) -> np.ndarray:

@@ -160,6 +160,15 @@ class TestAngularGrid:
         assert grid.manifold(6) is mat
         np.testing.assert_allclose(mat[:, 3], ula_manifold(6, grid.points[3]))
 
+    @pytest.mark.parametrize("m, rows", [(4, 4), (1, 4), (3, 7), (6, 2)])
+    def test_cycled_conjugate_is_a_cached_read_only_gather(self, m, rows):
+        grid = AngularGrid(RegionOfInterest(-0.5, 0.5), 8)
+        mat = grid.cycled_conjugate(m, rows)
+        want = grid.manifold(m)[np.arange(rows) % m].conj()
+        assert mat.shape == (rows, 8) and mat.tobytes() == want.tobytes()
+        assert grid.cycled_conjugate(m, rows) is mat
+        assert not mat.flags.writeable
+
     def test_region_validation(self):
         with pytest.raises(ValueError):
             RegionOfInterest(0.5, 0.5)

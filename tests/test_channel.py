@@ -303,6 +303,23 @@ class TestSharedRunDraw:
             assert not normals[-1].any()
 
 
+    def test_a_cold_draw_reads_no_os_entropy(self, cold, monkeypatch):
+        # the rebuilt generators' states are overwritten at once, so seeding
+        # them from OS entropy first would be wasted work
+        rngs = _generators([3, 4, 3])
+        want = _generators([3, 4])
+
+        def no_entropy(*args):
+            raise AssertionError("a rebuilt generator read OS entropy")
+
+        monkeypatch.setattr(np.random.bit_generator, "randbits", no_entropy)
+        normals = BatchNoise(rngs, 0.5, 6, 8).normals
+        assert cold.cache_info()[:2] == (0, 1)
+        for slot, rng in zip(normals, want):
+            assert slot.tobytes() == rng.standard_normal((6, 2, 8)).tobytes()
+        assert _states(rngs[:2]) == _states(want)
+
+
 class TestBatchNoiseArguments:
     def test_variance_count_must_be_one_or_one_per_generator(self):
         rngs = _generators([1, 2, 3])

@@ -376,6 +376,58 @@ def test_emit_csv_header_and_format(tmp_path):
     assert math.isinf(float(parsed[1]["value"]))
 
 
+def _chain_cell(value) -> str:
+    """harness._cell as a chain of isinstance tests, before its type lookup."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".12g")
+
+
+def test_numpy_bools_print_as_words():
+    # np.bool_ is neither bool nor an integer type: a vectorised verdict
+    # must not print as 1/0 where a Python bool prints true/false
+    assert [harness._cell(v) for v in (np.bool_(True), np.bool_(False))] == [
+        "true", "false",
+    ]
+    assert [harness._cell(v) for v in (True, False)] == ["true", "false"]
+
+
+_CELL_VALUES = (
+    [None, "", "svam", "crb_unknown_alpha"]
+    + [0, 1, -7, 2**63 - 1, -(2**63), 10**30]
+    + [
+        kind(v)
+        for kind in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint32, np.uint64)
+        for v in (0, 1, 100, np.iinfo(kind).max, np.iinfo(kind).min)
+    ]
+    + [
+        kind(v)
+        for kind in (float, np.float64)
+        for v in (
+            0.0, -0.0, 1.0, -2.5, 0.1, 1 / 3, 123456789.123456789, 1e-300, 1e300,
+            5e-324, 2.2250738585072014e-308 / 3, math.inf, -math.inf, math.nan,
+        )
+    ]
+    + [
+        np.float32(v)  # 1e-40 and 1e-45 are float32 subnormals
+        for v in (0.0, -0.0, 0.1, -2.5, 3e38, 1e-40, 1e-45, math.inf, -math.inf, math.nan)
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "value", _CELL_VALUES, ids=[f"{type(v).__name__}-{v!r}" for v in _CELL_VALUES]
+)
+def test_cell_type_lookup_prints_what_the_chain_printed(value):
+    assert harness._cell(value) == _chain_cell(value)
+
+
 def test_emit_csv_empty_rows_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     emit_csv([], str(path))

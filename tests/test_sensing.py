@@ -7,6 +7,7 @@ from svamsim.beams import BeamSpec, design_beamformer
 from svamsim.channel import ChannelParams
 from svamsim.sensing import (
     MeasurementHistory,
+    block_combiners,
     measure_segment,
     svam_combiner,
 )
@@ -56,6 +57,20 @@ class TestSvamCombiner:
         bf = design_beamformer(BeamSpec(0.25, 0.5), 8)
         w = svam_combiner(bf, 2, 10)
         np.testing.assert_allclose(w[2:], bf.weights)
+
+
+    @pytest.mark.parametrize("taps, n, n_v", [(4, 6, 3), (6, 6, 4), (1, 5, 5), (3, 8, 2)])
+    def test_a_stack_of_weights_gives_each_beam_its_own_combiners(self, taps, n, n_v):
+        rng = np.random.default_rng(10 * taps + n)
+        stack = rng.standard_normal((2, 3, taps)) + 1j * rng.standard_normal((2, 3, taps))
+        blocks = block_combiners(stack, n, n_v)
+        assert blocks.shape == (2, 3, n_v, n)
+        for i in np.ndindex(2, 3):
+            assert blocks[i].tobytes() == block_combiners(stack[i], n, n_v).tobytes()
+            for r in range(n_v):
+                lone = svam_combiner(stack[i], r, n)
+                assert svam_combiner(stack, r, n)[i].tobytes() == lone.tobytes()
+                assert blocks[i + (r,)].tobytes() == lone.tobytes()
 
 
 class TestMeasureSegment:
@@ -142,6 +157,23 @@ class TestMeasurementHistory:
             append_beams(hist, values, [random_unit(4, k) for k in range(6)])
             for got, row in zip(hist.total_power, values):
                 assert got == np.vdot(row, row).real
+
+    @pytest.mark.parametrize("taps", [7, 10, 12], ids=["sliding", "sliding-cycled", "repeated"])
+    def test_matched_rows_keep_the_gathered_rows_bits(self, taps):
+        # 12 elements, n_v = 3: 10 taps slide through 3 shifts, 7 taps
+        # through 6 (rows 0-2 of phi_6) and 12 taps repeat (ones)
+        rng = np.random.default_rng(taps)
+        grid = self._grid()
+        hist = MeasurementHistory(12, 3, grid, 4, 0.5)
+        shifts = 12 - taps + 1
+        virtual = grid.manifold(shifts)[np.arange(3) % shifts]
+        want = np.zeros((4, grid.size), dtype=complex)
+        for _ in range(3):
+            values = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+            responses = rng.standard_normal((4, grid.size)) + 0j
+            hist.append(values, responses, taps)
+            want += responses.conj() * np.matmul(values[:, None, :], virtual.conj())[:, 0, :]
+        assert hist.matched_statistic.tobytes() == want.tobytes()
 
     def test_wrong_block_size_rejected(self):
         hist = MeasurementHistory(6, 2, self._grid(), 1, 0.5)
