@@ -15,8 +15,9 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -156,12 +157,12 @@ class ExperimentConfig:
             yield point, self.adapt(n_v, p, 1.0 if scale is None else scale, book)
 
 
-@dataclass(frozen=True)
-class MetricRow:
+class MetricRow(NamedTuple):
     """One CSV record: sweep coordinates plus a named metric value.
 
-    Coordinates that do not apply to a metric are None and serialize to
-    empty cells; infinite values serialize to the literal token inf.
+    A tuple of its cells in CSV_COLUMNS order, which emit_csv writes as it
+    is. Coordinates that do not apply to a metric are None and serialize
+    to empty cells; infinite values serialize to the literal token inf.
     """
 
     experiment: str
@@ -175,7 +176,7 @@ class MetricRow:
     value: float
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(MetricRow))
+CSV_COLUMNS = MetricRow._fields
 
 
 def trial_generator(seed: int, trial: int) -> np.random.Generator:
@@ -436,58 +437,74 @@ def run_experiment(config: ExperimentConfig) -> list[MetricRow]:
     return _adaptive_rows(config)
 
 
-def _bool_cell(value) -> str:
-    return "true" if value else "false"
-
-
-def _float_cell(value) -> str:
-    return format(float(value), ".12g")
-
-
-# _cell by exact type for the values records hold, one lookup each
-_CELLS: dict[type, Callable[[object], str]] = {
-    type(None): lambda value: "",
-    str: str,
-    bool: _bool_cell,
-    np.bool_: _bool_cell,
-    int: str,
-    np.int64: str,
-    float: _float_cell,
-    np.float64: _float_cell,
-}
-
-
 def _cell(value) -> str:
-    """A CSV cell: empty for None, true/false for a bool, digits for an
-    integer and 12 significant digits for anything else."""
-    cell = _CELLS.get(type(value))
-    if cell is not None:
-        return cell(value)
-    # subclasses, other numpy widths; None and both bool types are final
+    """A CSV cell: empty for None, true/false for a bool (numpy's too),
+    digits for an integer and 12 significant digits for anything else."""
+    if value is None:
+        return ""
     if isinstance(value, str):
         return value
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return _float_cell(value)
+    return _float_text(value)
+
+
+def _float_text(value) -> str:
+    return "" if value is None else format(float(value), ".12g")
+
+
+# cell types one formatter writes as _cell does: str, or 12 digits (None empty)
+_TEXT_TYPES = {str, int, np.int64}
+_FLOAT_TYPES = {float, np.float64, type(None)}
+
+
+def _column_cells(column: tuple) -> list[str]:
+    """Every cell of one column, through the one formatter its types need:
+    str for integers and strings, 12 significant digits for floats (None
+    empty), and _cell for any other mix. The first two format each
+    distinct value once, except a zero: -0.0 == 0.0 would share a text."""
+    types = set(map(type, column))
+    if types <= _TEXT_TYPES:
+        texts = {v: str(v) for v in set(column)}
+        return [texts[v] for v in column]
+    if types <= _FLOAT_TYPES:
+        texts = {v: _float_text(v) for v in set(column)}
+        return [texts[v] if v else _float_text(v) for v in column]
+    return list(map(_cell, column))
 
 
 def _write_csv(path: str, what: str, header, records) -> None:
-    """The one CSV writer: a header, then each record's cells through _cell."""
+    """The one CSV writer: a header, then the records, each column
+    formatted in one pass with the bytes _cell gives each cell.
+
+    Where no cell holds a comma, a quote or a line break and a row has two
+    cells or more, csv.writer's minimal quoting quotes nothing, and the
+    rows are joined as they are; any other file goes through csv.writer.
+    """
+    rows = [header, *zip(*map(_column_cells, zip(*records)))]
+    text = "".join([",".join(row) + "\n" for row in rows])
+    plain = (
+        len(header) > 1
+        and text.count(",") == len(rows) * (len(header) - 1)
+        and text.count("\n") == len(rows)
+        and '"' not in text
+        and "\r" not in text
+    )
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows([_cell(v) for v in record] for record in records)
+            if plain:
+                fh.write(text)
+            else:
+                csv.writer(fh, lineterminator="\n").writerows(rows)
     except OSError as exc:
         raise OSError(f"cannot write {what} CSV to {path!r}: {exc}") from exc
 
 
 def emit_csv(rows: list[MetricRow], path: str) -> None:
     """Write metric rows with a fixed column order and 12-digit floats."""
-    _write_csv(
-        path, "metrics", CSV_COLUMNS,
-        ([getattr(row, col) for col in CSV_COLUMNS] for row in rows),
-    )
+    _write_csv(path, "metrics", CSV_COLUMNS, rows)
 
 
 def write_trajectories(trials: Trials, path: str) -> None:
@@ -540,9 +557,7 @@ def crb_table(
 
 
 def write_crb_csv(rows: list[dict], path: str) -> None:
-    _write_csv(
-        path, "CRB", CRB_COLUMNS, ([row[col] for col in CRB_COLUMNS] for row in rows)
-    )
+    _write_csv(path, "CRB", CRB_COLUMNS, map(operator.itemgetter(*CRB_COLUMNS), rows))
 
 
 def write_codebook(book: HierarchicalCodebook, path: str) -> None:

@@ -1,6 +1,7 @@
 """Grid bounds: one call over every angle against the one-angle oracles in
 scalar_bounds, and the rank-two certificate against eigvalsh."""
 
+import dataclasses
 import math
 import warnings
 
@@ -191,3 +192,75 @@ def test_expanded_combiners_stack_each_columns_block(taps, segments):
     want = np.concatenate([block_combiners(column, n, n_v) for column in bank.T]).T
     got = expanded_combiners(bank, n)
     assert got.flags.c_contiguous and got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def _bits(results) -> list[tuple]:
+    """Each result's fields, every float as its hex spelling: -0.0 is not
+    0.0, and a nan equals itself."""
+    if not isinstance(results, list):
+        results = [results]
+    return [
+        tuple(v.hex() if isinstance(v, float) else v
+              for v in (dataclasses.astuple(r) if dataclasses.is_dataclass(r) else r))
+        for r in results
+    ]
+
+
+@pytest.mark.parametrize("m", [1, 2, 13, 57, 64])
+def test_cached_steering_rows_are_a_fresh_builds_bits(m):
+    rng = np.random.default_rng(m)
+    grids = [
+        np.array([0.0]), np.array([-1.0, -0.0, 0.5]), rng.uniform(-1.0, 1.0, 33),
+        np.asarray(GRID.points), np.asarray(AngularGrid(ROI, 128).points),
+    ]
+    crb._steering_rows.cache_clear()
+    for us in grids:
+        phi, d = crb._steering_rows(m, us.tobytes())
+        fresh = ula_manifold(m, us)
+        assert phi.tobytes() == fresh.tobytes()
+        assert d.tobytes() == ((1j * np.pi * np.arange(m)) * fresh).tobytes()
+        # each row is that angle's own steering vector
+        assert [row.tobytes() for row in phi] == [
+            ula_manifold(m, u).tobytes() for u in us.tolist()
+        ]
+        for rows in (phi, d):
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 1.0
+        again = crb._steering_rows(m, us.tobytes())
+        assert again[0] is phi and again[1] is d
+    assert crb._steering_rows.cache_info()[:2] == (len(grids), len(grids))
+
+
+def test_negative_zero_angles_are_their_own_cache_entry():
+    crb._steering_rows.cache_clear()
+    pos = crb._steering_rows(5, np.array([0.0, 0.25]).tobytes())
+    neg = crb._steering_rows(5, np.array([-0.0, 0.25]).tobytes())
+    # the key is the angles' bytes, not their values, which compare equal
+    assert crb._steering_rows.cache_info()[:2] == (0, 2)
+    for us, (phi, _) in (([0.0, 0.25], pos), ([-0.0, 0.25], neg)):
+        assert phi.tobytes() == ula_manifold(5, np.array(us)).tobytes()
+    bank = region_beam_bank(BeamSpec(0.5, 1.0), 5, 3)
+    for u in (0.0, -0.0):
+        crb._steering_rows.cache_clear()
+        cold = _bits(crb_svam(bank, 2, u, 0.3))
+        crb._steering_rows.cache_clear()
+        crb_svam(bank, 2, -u, 0.3)  # the other zero's entry only
+        assert _bits(crb_svam(bank, 2, u, 0.3)) == cold
+        assert crb._steering_rows.cache_info()[:2] == (0, 2)
+
+
+@pytest.mark.parametrize("bank", [
+    pytest.param(region_beam_bank(BeamSpec(0.5, 1.0), 61, 30), id="roi-beam-61x30"),
+    pytest.param(np.random.default_rng(4).standard_normal((24, 7)) + 0j, id="random-24x7"),
+])
+def test_a_warm_steering_cache_gives_a_cold_ones_bits(bank):
+    us = np.concatenate([[-0.0, 0.0], np.asarray(GRID.points)])
+    cold = {}
+    for name, bound in _GRID_FUNCTIONS.items():
+        crb._steering_rows.cache_clear()
+        cold[name] = _bits(bound(bank, us))
+    # the last cold call left the entry every function now finds
+    for name, bound in _GRID_FUNCTIONS.items():
+        assert _bits(bound(bank, us)) == cold[name], name
+    assert crb._steering_rows.cache_info()[:2] == (len(_GRID_FUNCTIONS), 1)

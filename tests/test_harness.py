@@ -428,6 +428,82 @@ def test_cell_type_lookup_prints_what_the_chain_printed(value):
     assert harness._cell(value) == _chain_cell(value)
 
 
+def _write_cell_by_cell(path, header, records) -> None:
+    """harness._write_csv as it was before it formatted whole columns."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([harness._cell(v) for v in record] for record in records)
+
+
+# On a failure, hypothesis's pytest plugin imports libcst to suggest a patch,
+# and that import warns; with warnings as errors the warning would abort the
+# session instead of reporting the failing example.
+@pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
+)
+def test_column_writer_prints_what_the_cell_writer_printed(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    specials = st.sampled_from(
+        [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308 / 3]
+    )
+    floats = st.floats() | specials
+    int64 = np.iinfo(np.int64)
+    int32 = np.iinfo(np.int32)
+    # one strategy per cell type the records of the package's writers hold
+    kinds = {
+        "None": st.none(),
+        # commas, quotes and line breaks send a file through csv.writer
+        "str": st.text(st.characters(min_codepoint=32, max_codepoint=126)
+                       | st.sampled_from("\n\r"), max_size=4),
+        "bool": st.booleans(),
+        "np.bool_": st.booleans().map(np.bool_),
+        "int": st.integers(),
+        "np.int64": st.integers(int64.min, int64.max).map(np.int64),
+        "np.int32": st.integers(int32.min, int32.max).map(np.int32),
+        "float": floats,
+        "np.float64": floats.map(np.float64),
+        # 1e-40 and 1e-45 are float32 subnormals
+        "np.float32": (st.floats(width=32) | st.sampled_from([-0.0, 1e-40, 1e-45]))
+        .map(np.float32),
+    }
+
+    @st.composite
+    def records(draw):
+        width = draw(st.integers(1, 4))
+        column_kinds = [
+            draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=3,
+                          unique=True))
+            for _ in range(width)
+        ]
+        return [
+            [draw(st.one_of(*(kinds[k] for k in column))) for column in column_kinds]
+            for _ in range(draw(st.integers(0, 6)))
+        ]
+
+    zeros = [[0.0, -0.0], [-0.0, 0.0], [np.float64(-0.0), None], [None, np.float64(0.0)]]
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(records())
+    @hypothesis.example(zeros)
+    @hypothesis.example([[1, 2**70, np.int64(-3), "x"], [np.int32(7), 0, True, None]])
+    @hypothesis.example([["a,b", 1]])
+    @hypothesis.example([['say "hi"', 1.0]])
+    @hypothesis.example([["z\n", None], ["x\ry", 0]])
+    @hypothesis.example([[""], [None], [1.5]])  # one empty cell is written ""
+    def check(rows):
+        header = [f"c{i}" for i in range(len(rows[0]) if rows else 2)]
+        harness._write_csv(str(tmp_path / "columns.csv"), "test", header, rows)
+        _write_cell_by_cell(tmp_path / "cells.csv", header, rows)
+        assert (tmp_path / "columns.csv").read_bytes() == (
+            tmp_path / "cells.csv"
+        ).read_bytes()
+
+    check()
+
+
 def test_emit_csv_empty_rows_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     emit_csv([], str(path))
