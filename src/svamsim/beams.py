@@ -13,12 +13,15 @@ the unit-norm constraint fixes the mean passband power gain near 2/bw.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from importlib import machinery, util
+from types import ModuleType
 
 import numpy as np
-from scipy.signal import remez
+import scipy
 
 from .arrays import (
     U_MAX, U_MIN, RegionOfInterest, check_integer, check_roi, ula_manifold
@@ -31,6 +34,41 @@ from .channel import combine
 _TRANSITION_FRACTION = 0.2
 _GRID_DENSITY = 16
 _MAX_REMEZ_ITERATIONS = 40
+
+
+def _load_exchange() -> ModuleType:
+    """scipy's compiled Parks-McClellan module, without the rest of
+    scipy.signal: importing that package pulls in scipy.stats and about 660
+    other modules, most of the package's start-up time."""
+    name = "scipy.signal._sigtools"
+    if name in sys.modules:
+        return sys.modules[name]
+    finder = machinery.FileFinder(
+        scipy.__path__[0] + "/signal",
+        (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES),
+    )
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no {name}")
+    module = util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_EXCHANGE = _load_exchange()
+
+
+def remez(
+    numtaps: int, bands: list[float], desired: list[float], *,
+    fs: float, maxiter: int, grid_density: int,
+) -> np.ndarray:
+    """Equiripple bandpass FIR taps with unit band weights: the exchange
+    scipy.signal.remez runs for these arguments, bit for bit. The routine
+    rescales the band edges in place, so it gets a float copy."""
+    return _EXCHANGE._remez(
+        numtaps, np.array(bands, dtype=float), desired, [1] * len(desired),
+        1, fs, maxiter, grid_density,
+    )
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,10 @@ reading zero while every other test passes."""
 import ast
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 import symtable
 from pathlib import Path
 
@@ -335,3 +339,28 @@ def test_no_module_imports_a_name_it_does_not_use():
         and (names := _unused_imports(ast.parse(path.read_text())))
     }
     assert unused == {}
+
+
+# what importing the package may add to the top-level scipy package's own
+# modules: the compiled Parks-McClellan exchange and nothing else
+SCIPY_MODULES_ALLOWED = {"scipy.signal._sigtools"}
+
+
+def test_import_loads_no_scipy_subpackage():
+    # scipy.signal pulls in scipy.stats and scipy.special, most of the
+    # start-up time; a helper that needs one imports it inside the function
+    code = (
+        "import json, sys\n"
+        "def loaded(): return {n for n in sys.modules if n.split('.')[0] == 'scipy'}\n"
+        "import scipy\n"
+        "own = loaded()\n"
+        "import svamsim, svamsim.cli\n"
+        "print(json.dumps([sorted(own), sorted(loaded())]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+    )
+    own, loaded = map(set, json.loads(result.stdout))
+    assert not {"scipy.signal", "scipy.stats", "scipy.special"} & loaded
+    assert sorted(loaded - own - SCIPY_MODULES_ALLOWED) == []

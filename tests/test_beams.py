@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,6 +267,110 @@ class TestPrototypeCache:
         # pass edges 1/2 down to 1/32, and the 2/61 resolution floor
         assert len(shapes) == 6
         assert {m for m, _, _ in shapes} == {61}
+
+
+# the exchange settings of every design, as scipy.signal.remez takes them
+EXCHANGE_SETTINGS = dict(
+    fs=2.0, maxiter=beams._MAX_REMEZ_ITERATIONS, grid_density=beams._GRID_DENSITY
+)
+
+
+def exchange_outcome(remez, numtaps, bands, desired):
+    """Bits, dtype and shape of one exchange, or the error it raised."""
+    try:
+        taps = remez(numtaps, bands, desired, **EXCHANGE_SETTINGS)
+    except Exception as error:  # a failed exchange must fail the same way
+        return type(error), str(error)
+    return taps.tobytes(), taps.dtype, taps.shape
+
+
+def package_exchanges(monkeypatch) -> list[tuple]:
+    """The (numtaps, bands, desired) of every exchange the package's band
+    shapes need: the depth-6 codebooks of the hiepm schemes (50, 55 and
+    60-64 taps; at 61 taps these are also the six shapes an alignment run
+    designs) and the region beams of the bound table (57, 61, 63, 64)."""
+    calls = []
+    real = beams.remez
+
+    def recording_remez(numtaps, bands, desired, **kwargs):
+        calls.append((numtaps, list(bands), list(desired)))
+        return real(numtaps, bands, desired, **kwargs)
+
+    monkeypatch.setattr(beams, "remez", recording_remez)
+    roi = RegionOfInterest(0.0, 1.0)
+    for taps in (50, 55, 60, 61, 62, 63, 64):
+        build_hierarchical_codebook(roi, 6, taps, grid_size=64)
+    for taps in (57, 61, 63, 64):
+        harness.region_beam_bank(BeamSpec(roi.center, roi.width), taps, 30)
+    monkeypatch.undo()
+    return calls
+
+
+def random_exchanges(count: int, seed: int) -> list[tuple]:
+    """Seeded lowpass band specs over every tap count and pass edge the
+    designs can reach, with stop edges from _design_weights' rule."""
+    rng = np.random.default_rng(seed)
+    calls = []
+    for _ in range(count):
+        m = int(rng.integers(2, 71))
+        pass_edge = float(rng.uniform(0.01, 0.95))
+        transition = min(
+            beams._TRANSITION_FRACTION * 2.0 * pass_edge, 0.5 * (1.0 - pass_edge)
+        )
+        calls.append((m, [0.0, pass_edge, pass_edge + transition, 1.0], [1.0, 0.0]))
+    return calls
+
+
+class TestExchange:
+    """beams.remez runs scipy's compiled exchange without scipy.signal; it
+    must give scipy.signal.remez's bits on every design."""
+
+    def test_package_band_shapes_equal_scipy_signal(
+        self, cold_design_cache, monkeypatch
+    ):
+        import scipy.signal
+
+        calls = package_exchanges(monkeypatch)
+        assert {m for m, _, _ in calls} == {50, 55, 57, 60, 61, 62, 63, 64}
+        assert sum(m == 61 for m, _, _ in calls) == 6
+        for call in calls:
+            ours = exchange_outcome(beams.remez, *call)
+            assert ours == exchange_outcome(scipy.signal.remez, *call), call
+            assert ours[1] == np.float64 and ours[2] == (call[0],)
+
+    def test_random_designs_equal_scipy_signal(self):
+        import scipy.signal
+
+        for call in random_exchanges(500, seed=0):
+            ours = exchange_outcome(beams.remez, *call)
+            assert ours == exchange_outcome(scipy.signal.remez, *call), call
+
+    @pytest.mark.parametrize(
+        "imports",
+        [
+            # scipy.signal first: the exchange is the module it loaded
+            "import scipy.signal\nfrom svamsim import beams\n"
+            "assert beams._EXCHANGE is sys.modules['scipy.signal._sigtools']",
+            # svamsim first: a later scipy.signal still loads and agrees
+            "from svamsim import beams\n"
+            "assert 'scipy.signal' not in sys.modules\nimport scipy.signal",
+        ],
+        ids=["scipy-signal-first", "svamsim-first"],
+    )
+    def test_either_import_order_gives_the_same_bits(self, imports):
+        # a fresh interpreter each, since this one has loaded both already
+        code = "\n".join([
+            "import sys",
+            imports,
+            "for m in (50, 61, 64):",
+            "    args = (m, [0.0, 0.25, 0.35, 1.0], [1.0, 0.0])",
+            "    kw = dict(fs=2.0, maxiter=40, grid_density=16)",
+            "    a, b = beams.remez(*args, **kw), scipy.signal.remez(*args, **kw)",
+            "    assert a.tobytes() == b.tobytes() and a.dtype == b.dtype",
+        ])
+        src = str(Path(beams.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestHierarchicalCodebook:
