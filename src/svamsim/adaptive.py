@@ -2,15 +2,16 @@
 
 One loop runs every alignment. Each block senses a batch of trials in
 lockstep, appends the outputs to the measurement history, scores the grid
-with the fitted gain or each channel's known gain, and takes a controller
-step. The step is an argument of the loop, apart from the score: flexible
-(re-design a beam around the posterior mass, halving or doubling its width
-against a confidence threshold), hierarchical (climb a dyadic codebook from
-the node holding the mode) or posterior matching (the codebook node whose
-mass is closest to 1/2). run_alignment fits the gain and takes one of the
-first two; run_hiepm_known_alpha, the known-gain hiePM case study, takes the
-third with codewords that slide across the aperture within a block
-(n - n_v + 1 taps) or, with n taps and so one shift, repeat.
+and takes a controller step. The score and the step are arguments of the
+loop. The score is the fitted gain's (inference.fitted_log_likelihood) or
+each channel's known gain's (inference.known_gain_log_likelihood). The step
+is flexible (re-design a beam around the posterior mass, halving or
+doubling its width against a confidence threshold), hierarchical (climb a
+dyadic codebook from the node holding the mode) or posterior matching (the
+codebook node whose mass is closest to 1/2). run_alignment fits the gain
+and takes one of the first two; run_hiepm_known_alpha, the known-gain hiePM
+case study, takes the third with codewords that slide across the aperture
+within a block (n - n_v + 1 taps) or, with n taps and so one shift, repeat.
 
 A batch row reproduces a lone run of its trial bit for bit; one bad row
 rejects the batch. The noise is drawn once per run, not per block: each
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,10 +49,8 @@ from .beams import (
 )
 from .channel import BatchNoise, ChannelParams, combine, noiseless_snapshot
 from .inference import (
-    AlphaPosterior,
-    alpha_posterior,
-    approx_log_likelihood,
-    gamma_mle,
+    fitted_log_likelihood,
+    known_gain_log_likelihood,
     posterior_pmf,
 )
 from .sensing import BeamTable, MeasurementHistory
@@ -341,29 +341,33 @@ def select_codeword_posterior_matching(
     node_masses of a (trials, grid) pmf stack; the codebook depth is
     len(masses) - 1.
 
-    The whole batch at once: the larger-child path is followed to the
-    leaves with one gather per level, then each trial stops at the deepest
-    level whose path masses all stay at least 1/2 and makes one closer test.
+    The whole batch at once, on the levels laid side by side as a heap:
+    node (l, k) is column 2**l - 1 + k (_node_rows) and node h's children
+    are 2h + 1 and 2h + 2. One comparison of all sibling pairs decides
+    every node's larger child, the path follows them to the leaves with one
+    gather per level, and each trial stops at the deepest level whose path
+    masses all stay at least 1/2 and makes one closer test.
     """
     count, depth = _mass_table(masses)
+    table = np.concatenate(masses, axis=-1)
+    inner = table.shape[1] // 2  # nodes with children
+    # child[i * inner + h]: node h's larger child in row i; a NaN pair takes
+    # the right one
+    child = np.arange(1, 2 * inner, 2) + ~(table[:, 1::2] >= table[:, 2::2])
+    child = child.reshape(-1)
     rows = np.arange(count)
-    # at: the path node's position row * 2**level + k in its level's table
-    at = rows
-    path, mass = [at], [np.ones(count)]
+    path = np.zeros((depth + 1, count), dtype=int)
     for level in range(1, depth + 1):
-        nodes = masses[level].reshape(-1)
-        left, right = nodes.reshape(-1, 2)[at].T
-        at = 2 * at + ~(left >= right)  # a NaN pair takes the right child
-        path.append(at)
-        mass.append(nodes[at])
-    # below the leaves a NaN mass, which fails both tests below, as a NaN
-    # mass on the path does
-    mass.append(np.full(count, np.nan))
-    path, mass = np.array(path), np.array(mass)
+        path[level] = child[rows * inner + path[level - 1]]
+    # the root counts as mass 1; below the leaves a NaN mass, which fails
+    # both tests below, as a NaN mass on the path does
+    mass = np.empty((depth + 2, count))
+    mass[0], mass[-1] = 1.0, np.nan
+    mass[1:-1] = table.reshape(-1)[rows * table.shape[1] + path[1:]]
     level = (mass[1:] >= 0.5).argmin(axis=0)
     # a walk that stops above the leaves still ends on the child if it is closer
     level += np.abs(mass[level + 1, rows] - 0.5) < np.abs(mass[level, rows] - 0.5)
-    return level, path[level, rows] - (rows << level)
+    return level, path[level, rows] - _node_rows(level, 0)
 
 
 def _node_rows(levels: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -386,19 +390,19 @@ def _align(
     config: AdaptConfig,
     channels: Sequence[ChannelParams],
     rngs: Sequence[np.random.Generator],
-    gains: np.ndarray | None,
+    score: Callable[[MeasurementHistory], np.ndarray],
     keys: tuple[np.ndarray, np.ndarray],
     locate: Callable[..., np.ndarray],
     beams: Sequence[Beamformer],
     step: Callable[..., tuple],
 ) -> Trials:
-    """The one alignment loop. The controller is keys, each trial's first
-    beam key as two arrays; locate(*keys) -> each trial's row of beams, the
-    run's row-numbered beam list, which locate may extend; and step(pmf,
-    modes, keys) -> (peaks, next keys). Trials.beams is the beam list
-    indexed by the blocks' rows, once, after the last block.
-    Known gains score as AlphaPosterior(gain, 0), the known-gain Gaussian
-    log density; else each block fits the gain."""
+    """The one alignment loop, without a branch. score(history) -> the
+    (trials, grid) log-likelihood of the grid points. The controller is
+    keys, each trial's first beam key as two arrays; locate(*keys) -> each
+    trial's row of beams, the run's row-numbered beam list, which locate
+    may extend; and step(pmf, modes, keys) -> (peaks, next keys).
+    Trials.beams is the beam list indexed by the blocks' rows, once, after
+    the last block."""
     count = len(channels)
     if count < 1 or len(rngs) != count:
         raise ValueError("need at least one channel and one generator per channel")
@@ -419,11 +423,7 @@ def _align(
         # combine gives every row the bits a lone trial's product has
         values = combine(combiners, x)
         history.append(values, responses, table.taps)
-        if gains is None:
-            post = alpha_posterior(history, gamma_mle(history))
-        else:
-            post = AlphaPosterior(mean=gains[:, None], variance=0.0)
-        pmf = posterior_pmf(approx_log_likelihood(history, post))
+        pmf = posterior_pmf(score(history))
         modes = np.argmax(pmf, axis=-1)
         peaks, keys = step(pmf, modes, keys)
         block_rows.append(rows)
@@ -482,7 +482,8 @@ def run_alignment(
             return np.array(rows)
 
         return _align(
-            config, channels, rngs, None, region, design, designed, flexible
+            config, channels, rngs, fitted_log_likelihood, region, design,
+            designed, flexible,
         )
 
     book = build_hierarchical_codebook(config.roi, config.depth(), m)
@@ -494,7 +495,7 @@ def run_alignment(
 
     root = np.zeros(count, dtype=int)
     return _align(
-        config, channels, rngs, None, (root, root), _node_rows,
+        config, channels, rngs, fitted_log_likelihood, (root, root), _node_rows,
         _codebook_beams(book), hierarchical,
     )
 
@@ -507,9 +508,10 @@ def run_hiepm_known_alpha(
 ) -> Trials:
     """Known-gain hierarchical alignment (hiePM) of a batch of trials over
     all snapshot blocks: the loop of run_alignment, scored with each
-    channel's gain and stepped by posterior matching over the codebook from
-    the node a uniform pmf picks. Each block records the mass of the node it
-    sensed with.
+    channel's gain (known_gain_log_likelihood, the Gaussian log density of
+    the measurements given that gain) and stepped by posterior matching
+    over the codebook from the node a uniform pmf picks. Each block records
+    the mass of the node it sensed with.
 
     The codewords' tap count sets the combining: m = n - n_v + 1 taps slide
     across the aperture within each block, n taps are repeated at full
@@ -534,7 +536,7 @@ def run_hiepm_known_alpha(
     norm = np.linalg.norm(np.stack([f.weights for f in beams]), axis=-1).max()
     if norm > 1.0 + 1e-9:
         raise ValueError(f"codeword norm {norm} exceeds 1")
-    gains = np.array([channel.alpha for channel in channels], dtype=complex)
+    gains = np.array([[channel.alpha] for channel in channels], dtype=complex)
 
     def posterior_matching(pmf, modes, keys):
         masses = node_masses(pmf, codebook.depth)
@@ -542,6 +544,7 @@ def run_hiepm_known_alpha(
 
     uniform = np.full((len(channels), config.grid_size), 1.0 / config.grid_size)
     first = select_codeword_posterior_matching(node_masses(uniform, codebook.depth))
+    score = partial(known_gain_log_likelihood, gains=gains)
     return _align(
-        config, channels, rngs, gains, first, _node_rows, beams, posterior_matching
+        config, channels, rngs, score, first, _node_rows, beams, posterior_matching
     )

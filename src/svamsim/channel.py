@@ -171,10 +171,10 @@ def combine(w: np.ndarray, x: np.ndarray) -> complex | np.ndarray:
         raise ValueError(f"combiner shape {w.shape} != snapshot shape {x.shape}")
     if w.ndim == 1:
         return complex(np.vdot(w, x))
-    # one batched row-times-column product over contiguous rows runs the
-    # BLAS dot kernel np.vdot runs on a contiguous row, so each output keeps
-    # a lone row's bits; vdot itself can take another kernel on a row that
-    # is not contiguous
+    # np.vecdot over contiguous rows runs the BLAS dot kernel np.vdot runs
+    # on a contiguous row, conjugating w in the kernel, so each output keeps
+    # a lone row's bits without a conjugate copy of w; vdot itself can take
+    # another kernel on a row that is not contiguous
     w = np.ascontiguousarray(w)
     x = np.ascontiguousarray(x)
-    return np.matmul(w.conj()[..., None, :], x[..., :, None])[..., 0, 0]
+    return np.vecdot(w, x)

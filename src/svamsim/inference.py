@@ -10,6 +10,12 @@ likelihood whose rank-one-plus-identity structure keeps all per-candidate
 work closed-form. Likelihoods are handled in the log domain throughout;
 the pmf is produced by max-subtracted exponentiation.
 
+The alignment loop takes its score as an argument, a function of the
+history alone that returns the (trials, grid) log-likelihood:
+fitted_log_likelihood is the paper's chain above, and a known gain scores
+with known_gain_log_likelihood, the same Gaussian density at zero
+posterior variance, where only the terms that stay nonzero are computed.
+
 The unknown-gain functions take the history alone: its block size, its
 running statistics and the (trials, 1) column of noise variances it was
 built with, one per trial. The statistics are (trials, grid) for a batch
@@ -123,7 +129,7 @@ def likelihood_terms(
     with e the stacked residual, v_e its matched inner product and noise the
     history's noise_var. A known gain is a posterior of zero variance: the
     score is then the Gaussian log density of the measurements given that
-    gain.
+    gain, which known_gain_log_likelihood computes without the zero terms.
     """
     _check_history(history)
     total = history.segment_count * history.n_v
@@ -161,6 +167,45 @@ def approx_log_likelihood(
     return likelihood_terms(history, posterior).log_likelihood
 
 
+def fitted_log_likelihood(history: MeasurementHistory) -> np.ndarray:
+    """The unknown-gain score: approx_log_likelihood under the posterior of
+    the gain whose prior variance gamma_mle fits to the history."""
+    posterior = alpha_posterior(history, gamma_mle(history))
+    return approx_log_likelihood(history, posterior)
+
+
+def known_gain_log_likelihood(
+    history: MeasurementHistory, gains: np.ndarray
+) -> np.ndarray:
+    """The known-gain score: likelihood_terms' log_likelihood under
+    AlphaPosterior(gains, 0), bit for bit, from only the terms that stay
+    nonzero at zero posterior variance.
+
+    gains holds each trial's gain as a (trials, 1) column, or as anything
+    else that broadcasts against the statistics as AlphaPosterior's mean
+    does. With P the total power, s the matched statistic and g the
+    accumulated gain,
+
+        log det = log noise + (T*n_v - 1) log noise, one value per trial
+        quad    = max(max(P - 2 Re(conj(alpha) s) + |alpha|^2 g n_v, 0) / noise, 0)
+
+    evaluated in likelihood_terms' order, whose rank-one terms are exact
+    zeros here.
+    """
+    _check_history(history)
+    total = history.segment_count * history.n_v
+    noise_var = history.noise_var
+    log_noise = np.log(noise_var)
+    log_det = log_noise + (total - 1) * log_noise
+    residual_sq = (
+        history.total_power[..., None]
+        - 2.0 * (gains.conj() * history.matched_statistic).real
+        + np.abs(gains) ** 2 * history.cumulative_gain * history.n_v
+    )
+    quad = np.maximum(np.maximum(residual_sq, 0.0) / noise_var, 0.0)
+    return -total * np.log(np.pi) - log_det - quad
+
+
 def posterior_pmf(log_likelihood: np.ndarray) -> np.ndarray:
     """Normalize log scores into a pmf via max subtraction, along the last
     axis: a (trials, grid) stack gives one pmf per row.
@@ -172,11 +217,12 @@ def posterior_pmf(log_likelihood: np.ndarray) -> np.ndarray:
     if ll.size == 0:
         raise ValueError("empty likelihood vector")
     top = ll.max(axis=-1, keepdims=True)  # NaN if the row holds one
-    if np.isnan(top).any():
-        raise ValueError("likelihoods contain NaN")
-    if (top == -np.inf).any():
-        raise ValueError("all likelihoods are zero; nothing to normalize")
-    if (top == np.inf).any():
+    if not np.isfinite(top).all():
+        # in this order over all rows: a NaN anywhere names NaN
+        if np.isnan(top).any():
+            raise ValueError("likelihoods contain NaN")
+        if (top == -np.inf).any():
+            raise ValueError("all likelihoods are zero; nothing to normalize")
         raise ValueError("a likelihood is infinite; nothing to normalize")
     weights = np.exp(ll - top)
     return weights / weights.sum(axis=-1, keepdims=True)

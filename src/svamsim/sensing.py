@@ -108,7 +108,11 @@ class BeamTable:
     def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (trials, n_v, n) combiners and (trials, grid) responses of
         the beams in the given rows, one row per trial."""
-        if rows.max() >= len(self._slot):
+        if rows.max() < len(self._slot):
+            slots = self._slot[rows]
+            if slots.min() >= 0:  # every row built, as after the first blocks
+                return self._combiners[slots], self._responses[slots]
+        else:
             more = len(self._beams) - len(self._slot)
             self._slot = np.concatenate([self._slot, np.full(more, -1)])
         new = rows[self._slot[rows] < 0]

@@ -124,7 +124,7 @@ class TestCombine:
                     assert got.shape == want.shape
                     assert np.array_equal(got, want), (
                         f"stacked combine of a {name} {w.shape} stack differs "
-                        "from per-row np.vdot: numpy's batched matmul no longer "
+                        "from per-row np.vdot: numpy's vecdot no longer "
                         "runs the BLAS dot kernel vdot runs, so lockstep "
                         "batches would stop reproducing lone trials"
                     )

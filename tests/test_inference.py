@@ -6,7 +6,7 @@ import pytest
 from history_helpers import append_beams
 from scalar_alignment import columns
 from svamsim import adaptive
-from svamsim.adaptive import AdaptConfig
+from svamsim.adaptive import NOISELESS_VAR_FLOOR, AdaptConfig
 from svamsim.arrays import AngularGrid, RegionOfInterest, ula_manifold
 from svamsim.channel import ChannelParams
 from svamsim.harness import run_adaptive_trials
@@ -14,8 +14,10 @@ from svamsim.inference import (
     AlphaPosterior,
     alpha_posterior,
     approx_log_likelihood,
+    fitted_log_likelihood,
     gamma_mle,
     known_alpha_posterior,
+    known_gain_log_likelihood,
     likelihood_terms,
     posterior_pmf,
 )
@@ -390,6 +392,16 @@ class TestPosteriorPmf:
         with pytest.raises(ValueError):
             posterior_pmf(np.array([0.0, np.nan]))
 
+    def test_names_the_first_failed_check_over_all_rows(self):
+        # NaN before all -inf before +inf, whichever row holds each
+        nan, dead, infinite = [0.0, np.nan], [-np.inf, -np.inf], [0.0, np.inf]
+        with pytest.raises(ValueError, match="NaN"):
+            posterior_pmf(np.array([dead, nan]))
+        with pytest.raises(ValueError, match="all likelihoods are zero"):
+            posterior_pmf(np.array([infinite, dead]))
+        with pytest.raises(ValueError, match="infinite"):
+            posterior_pmf(np.array([[0.0, -1.0], infinite]))
+
     def test_permutation_of_segments_is_irrelevant(self):
         hist, grid, beta = make_history(segments=5, noise=0.6, seed=9)
         sigma2 = 0.6
@@ -411,17 +423,19 @@ def response(w, grid):
     return w.conj() @ grid.manifold(len(w))
 
 
-def known_gain_history(n, n_v, taps, segments=3, seed=0):
+def known_gain_history(n, n_v, taps, segments=3, seed=0, noise=(0.3, 0.6, 1.0)):
     """Three trials sensing random taps-tap beams on n elements in blocks of
     n_v: the history, the trials' gains, one noise variance per trial as a
     column, and the dense (trials, snapshots, grid) responses w_s^H phi_n(u)
-    of every snapshot's full-length combiner."""
+    of every snapshot's full-length combiner. A noiseless trial is scored at
+    the inference floor, as the alignment loop scores it."""
     grid = AngularGrid(RegionOfInterest(0.0, 1.0), 16)
     rng = np.random.default_rng(seed)
-    noise = np.array([[0.3], [0.6], [1.0]])
+    noise = np.array(noise)[:, None]
     gains = np.sqrt(1.5) * np.exp(2j * np.pi * rng.uniform(size=3))
     truths = grid.points[rng.integers(grid.size, size=3)]
-    hist = MeasurementHistory(n, n_v, grid, 3, noise[:, 0])
+    floored = np.maximum(noise[:, 0], NOISELESS_VAR_FLOOR)
+    hist = MeasurementHistory(n, n_v, grid, 3, floored)
     dense = []
     for t in range(segments):
         beams = [unit(taps, 10 * t + k + seed) for k in range(3)]
@@ -441,6 +455,27 @@ KNOWN_GAIN_LAYOUTS = [(8, 3, 6), (16, 4, 13), (8, 3, 8), (16, 4, 16), (12, 1, 12
 class TestKnownGainScore:
     """The known-gain score is likelihood_terms under AlphaPosterior(gain, 0),
     built from the history's running statistics."""
+
+    @pytest.mark.parametrize(
+        "noise", [(0.3, 0.6, 1.0), (0.5, 0.0, 2.0)], ids=["per_trial", "floor"]
+    )
+    @pytest.mark.parametrize("segments", [1, 3])
+    @pytest.mark.parametrize("n, n_v, taps", KNOWN_GAIN_LAYOUTS)
+    def test_closed_form_has_the_bits_of_the_zero_variance_terms(
+        self, n, n_v, taps, segments, noise
+    ):
+        # a noiseless trial at the 1e-12 floor scores without a warning,
+        # which the test settings turn into an error
+        hist, gains, _, _ = known_gain_history(n, n_v, taps, segments, noise=noise)
+        known = AlphaPosterior(gains[:, None], 0.0)
+        want = likelihood_terms(hist, known).log_likelihood
+        assert np.array_equal(known_gain_log_likelihood(hist, gains[:, None]), want)
+
+    def test_fitted_score_is_the_paper_chain(self):
+        hist, _, _, _ = known_gain_history(16, 4, 13)
+        posterior = alpha_posterior(hist, gamma_mle(hist))
+        want = approx_log_likelihood(hist, posterior)
+        assert np.array_equal(fitted_log_likelihood(hist), want)
 
     @pytest.mark.parametrize("n, n_v, taps", KNOWN_GAIN_LAYOUTS)
     def test_equals_the_dense_gaussian_log_density(self, n, n_v, taps):

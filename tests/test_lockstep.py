@@ -47,6 +47,7 @@ from svamsim.harness import (
 from svamsim.inference import (
     alpha_posterior,
     approx_log_likelihood,
+    fitted_log_likelihood,
     gamma_mle,
     known_alpha_posterior,
     posterior_pmf,
@@ -363,8 +364,20 @@ def _tied_pmfs(grid_size=64):
     return np.stack(pmfs + [half, quarters, level_tie])
 
 
+def _nan_pmfs():
+    """The peaky and tied pmfs, each with one NaN grid point, and one row of
+    NaNs: every node above a NaN point is NaN."""
+    pmf = np.concatenate([_peaky_pmfs(), _tied_pmfs()])
+    for k, row in enumerate(pmf):
+        row[(7 * k) % len(row)] = np.nan
+    pmf[1, :] = np.nan
+    return pmf
+
+
 def test_batched_matching_equals_scalar_rule():
-    for pmf in (_peaky_pmfs(), _tied_pmfs()):
+    # a NaN sibling pair takes the right child, and a NaN mass stops the
+    # walk as a failed test does
+    for pmf in (_peaky_pmfs(), _tied_pmfs(), _nan_pmfs()):
         for depth in range(7):  # depth 0: every trial takes the root
             book = types.SimpleNamespace(depth=depth)
             want = [select_codeword_scalar(row, book) for row in pmf]
@@ -590,7 +603,10 @@ def test_beam_table_keeps_the_first_tap_count():
         return pmf.max(axis=-1), (keys[0] + 1, keys[1])
 
     with pytest.raises(ValueError, match="16-tap beam in a run of 13-tap"):
-        _align(cfg, channels, rngs, None, (first, first), locate, [sliding, full], step)
+        _align(
+            cfg, channels, rngs, fitted_log_likelihood, (first, first), locate,
+            [sliding, full], step,
+        )
 
 
 # ------------------------------------------------------ batched inference
