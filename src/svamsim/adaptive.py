@@ -109,10 +109,6 @@ class AdaptConfig:
             )
 
     @property
-    def segments(self) -> int:
-        return self.total_snapshots // self.n_v
-
-    @property
     def combiner_length(self) -> int:
         """Taps m = n - n_v + 1 of the sliding sub-aperture combiner."""
         return self.n - self.n_v + 1

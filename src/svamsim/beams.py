@@ -128,27 +128,14 @@ def _ls_lowpass(m: int, pass_edge: float, stop_edge: float) -> np.ndarray:
     omega = np.concatenate(omegas)
     target = np.concatenate(targets)
 
-    if m % 2:  # type I: A(w) = c0 + sum 2*ck*cos(k w)
-        mid = (m - 1) // 2
-        basis = np.empty((len(omega), mid + 1))
-        basis[:, 0] = 1.0
-        for k in range(1, mid + 1):
-            basis[:, k] = 2.0 * np.cos(k * omega)
-        coef, *_ = np.linalg.lstsq(basis, target, rcond=None)
-        h = np.empty(m)
-        h[mid] = coef[0]
-        for k in range(1, mid + 1):
-            h[mid - k] = h[mid + k] = coef[k]
-    else:  # type II: A(w) = sum 2*ck*cos((k - 1/2) w)
-        mid = m // 2
-        basis = np.empty((len(omega), mid))
-        for k in range(1, mid + 1):
-            basis[:, k - 1] = 2.0 * np.cos((k - 0.5) * omega)
-        coef, *_ = np.linalg.lstsq(basis, target, rcond=None)
-        h = np.empty(m)
-        for k in range(1, mid + 1):
-            h[mid - k] = h[mid - 1 + k] = coef[k - 1]
-    return h
+    # A(w) = sum over k < ceil(m/2) of coef_k * 2*cos(w*((m-1)/2 - k)) about
+    # the middle of the taps; an odd m's middle tap counts once
+    half = (m + 1) // 2
+    basis = 2.0 * np.cos(np.outer(omega, (m - 1) / 2.0 - np.arange(half)))
+    if m % 2:
+        basis[:, -1] = 1.0
+    coef, *_ = np.linalg.lstsq(basis, target, rcond=None)
+    return np.concatenate([coef, coef[: m // 2][::-1]])
 
 
 @lru_cache(maxsize=None)

@@ -9,16 +9,16 @@ the bounds depend on them only through that ratio. Singular geometries
 reported explicitly rather than raised.
 
 Every bound and the certificate take the angle u as a float or as a 1-D
-array of angles. A float returns one result, an array a list with one
-result per angle. One call computes all its angles at once, with each
-angle's bits: every projection is a batched matrix-vector product and
-every Gram product a batched dot (channel.combine); one matrix-matrix
-product would round differently. The steering rows of one tap count and
-angle array are built once and shared by every call on them
-(_steering_rows). A squared modulus that reaches a printed
-bound or a verdict is np.float_power(np.hypot(re, im), 2.0): one complex
-number's abs and one float's ** 2 (libm pow); np.abs, x * x and np.power
-round differently.
+array of angles, and return values shaped like u: numpy scalars for a
+float, arrays of its length for an array. One call computes all its
+angles at once, with each angle's bits: every projection is a batched
+matrix-vector product and every Gram product a batched dot
+(channel.combine); one matrix-matrix product would round differently.
+The steering rows of one tap count and angle array are built once and
+shared by every call on them (_steering_rows). A squared modulus that
+reaches a printed bound or a verdict is
+np.float_power(np.hypot(re, im), 2.0): one complex number's abs and one
+float's ** 2 (libm pow); np.abs, x * x and np.power round differently.
 
 A practical caveat: the adaptive estimators in this package pick the
 posterior argmax on a finite grid and are therefore biased; for them these
@@ -43,14 +43,15 @@ _SINGULAR_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class CrbResult:
-    """Variance bound, infinite iff the Fisher denominator vanishes.
+    """Variance bound, infinite iff the Fisher denominator vanishes, shaped
+    like the angles u: a numpy scalar for a float, an array for an array.
 
     gain_term carries the virtual-aperture contribution for the sliding
     scheme and is None otherwise.
     """
 
-    bound: float
-    gain_term: float | None = None
+    bound: np.ndarray
+    gain_term: np.ndarray | None = None
 
 
 def _check_noise_terms(noise_var: float) -> float:
@@ -60,12 +61,12 @@ def _check_noise_terms(noise_var: float) -> float:
 
 
 def _finish(prefactor: float, denominator: np.ndarray, scale: np.ndarray,
-            gain_term: np.ndarray | None = None) -> list[CrbResult]:
+            shape: tuple, gain_term: np.ndarray | None = None) -> CrbResult:
     singular = denominator <= _SINGULAR_RTOL * np.maximum(scale, 1e-300)
     bound = np.full(len(denominator), math.inf)
     np.divide(prefactor, denominator, out=bound, where=~singular)
-    gains = [None] * len(bound) if gain_term is None else gain_term.tolist()
-    return list(map(CrbResult, bound.tolist(), gains))
+    gains = None if gain_term is None else _shaped(gain_term, shape)
+    return CrbResult(_shaped(bound, shape), gains)
 
 
 def _bank(w: np.ndarray) -> np.ndarray:
@@ -75,16 +76,17 @@ def _bank(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _angles(u) -> tuple[np.ndarray, bool]:
-    """The angles as a 1-D array, and whether u was a single angle."""
+def _angles(u) -> tuple[np.ndarray, tuple]:
+    """The angles as a 1-D array, and u's shape."""
     us = np.asarray(u, dtype=float)
     if us.ndim > 1:
         raise ValueError("angles must be a float or a 1-D array")
-    return us.reshape(-1), us.ndim == 0
+    return us.reshape(-1), us.shape
 
 
-def _per_angle(results: list, single: bool):
-    return results[0] if single else results
+def _shaped(values: np.ndarray, shape: tuple):
+    """One value per angle, shaped like u: a numpy scalar for a float."""
+    return values.reshape(shape)[()]
 
 
 # keyed on the angles' bytes, so each angle keeps its bits and -0.0 is not
@@ -118,22 +120,22 @@ def _responses(bank: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _known_gain_bounds(
     bank: np.ndarray, repeats: int, u, noise_var: float
-) -> CrbResult | list[CrbResult]:
+) -> CrbResult:
     """Known-gain bound of full-length combiners, each column held for
     `repeats` snapshots, at the angle(s) u: the repetition multiplies the
     projected derivative energy."""
     bank = _bank(bank)
     prefactor = _check_noise_terms(noise_var)
-    us, single = _angles(u)
+    us, shape = _angles(u)
     _, d = _steering_rows(bank.shape[0], us.tobytes())
     energy = float(np.sum(np.abs(bank) ** 2))
     projected = _responses(bank, d)
     denom = repeats * combine(projected, projected).real
     scale = repeats * combine(d, d).real * energy
-    return _per_angle(_finish(prefactor, denom, scale), single)
+    return _finish(prefactor, denom, scale, shape)
 
 
-def crb_general(w: np.ndarray, u, noise_var: float) -> CrbResult | list[CrbResult]:
+def crb_general(w: np.ndarray, u, noise_var: float) -> CrbResult:
     """Bound for an arbitrary bank of full-length combiners (known gain).
 
     Parameters
@@ -153,7 +155,7 @@ def crb_benchmark(
     n_v: int,
     u,
     noise_var: float,
-) -> CrbResult | list[CrbResult]:
+) -> CrbResult:
     """Bound for full-aperture combining with each beamformer held for n_v
     snapshots, at the angle(s) u. Works on the per-segment beamformers
     directly; the block repetition contributes the factor n_v."""
@@ -194,35 +196,35 @@ def crb_svam(
     n_v: int,
     u,
     noise_var: float,
-) -> CrbResult | list[CrbResult]:
+) -> CrbResult:
     """Bound for the sliding sub-aperture scheme (known gain) at the angle(s) u.
 
     f stacks the per-segment length-m beamformers as columns. Equals
     crb_general on the expanded full-length combiner bank, but is computed
-    from m-sized Gram products without materializing the expansion. Each
-    result's gain_term is the virtual-aperture contribution in its Fisher
-    denominator (see _virtual_gain).
+    from m-sized Gram products without materializing the expansion. The
+    result's gain_term is the virtual-aperture contribution to the Fisher
+    denominator at each angle (see _virtual_gain).
     """
     f = _bank(f)
     if n_v < 1:
         raise ValueError("block size must be positive")
     prefactor = _check_noise_terms(noise_var)
-    us, single = _angles(u)
+    us, shape = _angles(u)
     m = f.shape[0]
     f_energy = float(np.sum(np.abs(f) ** 2))
     derivative_energy, steering_energy, cross, d_scale = _svam_gram_terms(f, us)
     g = _virtual_gain(n_v, steering_energy, cross)
     denom = n_v * (derivative_energy + g)
     scale = n_v * (d_scale + np.pi**2 * n_v**2 * m) * f_energy
-    return _per_angle(_finish(prefactor, denom, scale, gain_term=g), single)
+    return _finish(prefactor, denom, scale, shape, gain_term=g)
 
 
 def gain_condition_sufficient(
     f: np.ndarray, u
-) -> tuple[bool, float, float] | list[tuple[bool, float, float]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Certificate that the virtual-aperture term is nonnegative.
 
-    Returns (holds, lhs, rhs) at the angle(s) u for the test
+    Returns (holds, lhs, rhs), each shaped like u, for the test
 
         ||F^H phi||^2 / ||phi||^2  >=  lambda_max(F^H P F) / 4,
 
@@ -240,7 +242,7 @@ def gain_condition_sufficient(
     certificate holds.
     """
     f = _bank(f)
-    us, single = _angles(u)
+    us, shape = _angles(u)
     m = f.shape[0]
     phi, _ = _steering_rows(m, us.tobytes())
     companion = (np.arange(m) - (m - 1) / 2.0) * phi
@@ -255,12 +257,10 @@ def gain_condition_sufficient(
     top = 0.5 * (lhs + q) + np.sqrt(np.float_power(0.5 * (lhs - q), 2.0) + r * r)
     rhs = top / 4.0
     holds = lhs >= rhs - slack
-    return _per_angle(list(zip(holds.tolist(), lhs.tolist(), rhs.tolist())), single)
+    return _shaped(holds, shape), _shaped(lhs, shape), _shaped(rhs, shape)
 
 
-def crb_unknown_alpha(
-    w: np.ndarray, u, noise_var: float
-) -> CrbResult | list[CrbResult]:
+def crb_unknown_alpha(w: np.ndarray, u, noise_var: float) -> CrbResult:
     """Bound for the angle(s) u when the complex path gain must be estimated too.
 
     The gain nuisance removes the component of the derivative response that
@@ -278,7 +278,7 @@ def crb_unknown_alpha(
     """
     w = _bank(w)
     prefactor = _check_noise_terms(noise_var)
-    us, single = _angles(u)
+    us, shape = _angles(u)
     n = w.shape[0]
     phi, d = _steering_rows(n, us.tobytes())
     blind_level = _SINGULAR_RTOL * float(np.sum(np.abs(w) ** 2)) * n
@@ -290,4 +290,4 @@ def crb_unknown_alpha(
     np.divide(np.float_power(np.hypot(cross.real, cross.imag), 2.0), steering_energy,
               out=explained, where=steering_energy > blind_level)
     denom = derivative_energy - explained
-    return _per_angle(_finish(prefactor, denom, derivative_energy), single)
+    return _finish(prefactor, denom, derivative_energy, shape)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -381,8 +380,8 @@ def _scheme_bounds(
     total_snapshots: int,
     grid: AngularGrid,
     snr_db: float,
-) -> tuple[np.ndarray, list[CrbResult]]:
-    """The scheme's repeated-beam bank and its bound at every grid point,
+) -> tuple[np.ndarray, CrbResult]:
+    """The scheme's repeated-beam bank and its bounds at the grid points,
     from one bound call over the whole grid.
 
     The bank is designed once: full-aperture taps for benchmark,
@@ -415,16 +414,16 @@ def _crb_rows(config: ExperimentConfig) -> list[MetricRow]:
     grid = AngularGrid(config.roi, config.grid_size)
     rows = []
     for snr, n_v in itertools.product(config.snr_db, config.n_v):
-        columns = [
+        results = [
             _scheme_bounds(scheme, config.n, n_v, config.total_snapshots, grid, snr)[1]
             for scheme in _SWEEP_SCHEMES
         ]
-        for i, point in enumerate(zip(*columns)):
-            for scheme, res in zip(_SWEEP_SCHEMES, point):
+        for i, point in enumerate(zip(*(res.bound.tolist() for res in results))):
+            for scheme, bound in zip(_SWEEP_SCHEMES, point):
                 rows.append(
                     MetricRow(
                         config.experiment, snr, n_v, None, None, i, 0,
-                        "crb_" + scheme.replace("-", "_"), res.bound,
+                        "crb_" + scheme.replace("-", "_"), bound,
                     )
                 )
     return rows
@@ -535,29 +534,33 @@ def crb_table(
     total_snapshots: int,
     grid: AngularGrid,
     snr_db: float,
-) -> list[dict]:
+) -> list[tuple]:
     """Bound sweep over the grid for one scheme and a fixed (repeated) beam
-    covering the grid's region.
+    covering the grid's region: one row per grid point, its cells in
+    CRB_COLUMNS order.
 
     general expands the sliding combiners explicitly and must match svam;
     benchmark repeats a full-aperture beam; unknown-alpha drops the
     known-gain assumption on the expanded combiners. svam rows add the
-    virtual-aperture gain term and its nonnegativity certificate.
+    virtual-aperture gain term and its nonnegativity certificate; the
+    other schemes leave both None.
     """
-    bank, bounds = _scheme_bounds(scheme, n, n_v, total_snapshots, grid, snr_db)
+    bank, res = _scheme_bounds(scheme, n, n_v, total_snapshots, grid, snr_db)
+    gains = holds = [None] * len(grid)
     if scheme == "svam":
-        holds = [h for h, _, _ in gain_condition_sufficient(bank, grid.points)]
-    else:
-        holds = [None] * len(grid)
-    rows = [
-        (u, n, n_v, total_snapshots, scheme, res.bound, res.gain_term, h)
-        for u, res, h in zip(map(float, grid.points), bounds, holds)
+        gains = res.gain_term.tolist()
+        holds = gain_condition_sufficient(bank, grid.points)[0].tolist()
+    columns = grid.points.tolist(), res.bound.tolist(), gains, holds
+    return [
+        (u, n, n_v, total_snapshots, scheme, bound, g, h)
+        for u, bound, g, h in zip(*columns)
     ]
-    return [dict(zip(CRB_COLUMNS, row)) for row in rows]
 
 
-def write_crb_csv(rows: list[dict], path: str) -> None:
-    _write_csv(path, "CRB", CRB_COLUMNS, map(operator.itemgetter(*CRB_COLUMNS), rows))
+def write_crb_csv(rows: list[tuple], path: str) -> None:
+    """Write crb_table rows, joined from any number of calls, under the
+    CRB_COLUMNS header."""
+    _write_csv(path, "CRB", CRB_COLUMNS, rows)
 
 
 def write_codebook(book: HierarchicalCodebook, path: str) -> None:

@@ -230,7 +230,8 @@ def run_alignment_scalar(
     history = ScalarHistory(config.n_v, grid, noise_var)
     logs: list[SegmentLog] = []
     pmf = np.full(grid.size, 1.0 / grid.size)
-    for t in range(config.segments):
+    blocks = config.total_snapshots // config.n_v
+    for t in range(blocks):
         history.append(measure_segment(beam, channel, config, t, rng), beam)
         gamma = gamma_mle(history)
         post = alpha_posterior(history, gamma)
@@ -258,7 +259,7 @@ def run_alignment_scalar(
                 peak_prob=peak_prob,
             )
         )
-        if t < config.segments - 1:
+        if t < blocks - 1:
             beam = next_beam
             if hierarchical:
                 level = next_level

@@ -5,7 +5,9 @@ and projects the bank with one gemv each. The certificate forms the m x m
 projector onto span{phi, companion} and takes the top eigenvalue of
 F^H P F with eigvalsh. The grid forms in svamsim.crb must reproduce these
 bounds exactly at every angle, and the certificate's verdict.
-grid_and_oracle runs both on the bank crb_table builds.
+grid_and_oracle runs both on the bank crb_table builds; stacked lays the
+one-angle results out as one grid call returns them, and bits compares
+them bit for bit.
 """
 
 from __future__ import annotations
@@ -156,6 +158,29 @@ def crb_unknown_alpha(w: np.ndarray, u: float, noise_var: float) -> CrbResult:
     return _finish(prefactor, denom, derivative_energy)
 
 
+def fields(result) -> tuple:
+    """A bound result's (bound, gain_term), or a certificate's (holds, lhs, rhs)."""
+    return (result.bound, result.gain_term) if isinstance(result, CrbResult) else result
+
+
+def stacked(results: list):
+    """One-angle results stacked field by field into the arrays one grid
+    call returns: a CrbResult for bounds, a tuple for certificates."""
+    columns = [
+        None if col[0] is None else np.array(col) for col in zip(*map(fields, results))
+    ]
+    return CrbResult(*columns) if isinstance(results[0], CrbResult) else tuple(columns)
+
+
+def bits(result) -> tuple:
+    """Each field's dtype and bytes: -0.0 is not 0.0, a nan equals itself,
+    and a bool is not a float."""
+    return tuple(
+        None if v is None else (np.asarray(v).dtype.str, np.asarray(v).tobytes())
+        for v in fields(result)
+    )
+
+
 # scheme -> (grid form in the package, one-angle oracle here)
 _BOUNDS = {
     "svam": (crb.crb_svam, crb_svam),
@@ -178,14 +203,14 @@ def grid_bounds(scheme, bank, n, n_v, us, noise_var):
 def grid_and_oracle(scheme, n, n_v, total_snapshots, grid, snr_db, beam):
     """The bank crb_table builds for the scheme, the scheme's bound over the
     whole grid in one svamsim.crb call, and this module's bound at each
-    grid point."""
+    grid point, stacked as that call returns them."""
     noise_var = noise_variance_from_snr(snr_db)
     m = n if scheme == "benchmark" else n - n_v + 1
     bank = region_beam_bank(beam, m, total_snapshots // n_v)
     on_grid = grid_bounds(scheme, bank, n, n_v, grid.points, noise_var)
     slow = _BOUNDS[scheme][1]
-    us = [float(u) for u in grid.points]
+    us = grid.points.tolist()
     if scheme in ("svam", "benchmark"):
-        return bank, on_grid, [slow(bank, n_v, u, noise_var) for u in us]
+        return bank, on_grid, stacked([slow(bank, n_v, u, noise_var) for u in us])
     w = expanded_combiners(bank, n)
-    return bank, on_grid, [slow(w, u, noise_var) for u in us]
+    return bank, on_grid, stacked([slow(w, u, noise_var) for u in us])

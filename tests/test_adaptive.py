@@ -321,7 +321,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         make_config(codebook="fancy")
     cfg = make_config()
-    assert cfg.segments == 4
     assert cfg.depth() == 4
     assert cfg.combiner_length == 13
 
@@ -408,10 +407,10 @@ def test_records_carry_one_log_per_segment():
     cfg = make_config()
     chan = ChannelParams(1.0, 0.4, noise_variance=0.1)
     out = run_alignment(cfg, [chan], [np.random.default_rng(1)])
-    blocks = (1, cfg.segments)
+    blocks = (1, cfg.total_snapshots // cfg.n_v)
     assert out.mode_index.shape == out.peak_prob.shape == blocks
     assert out.gain_at_truth().shape == blocks
-    assert len(out.beams) == 1 and len(out.beams[0]) == cfg.segments
+    assert len(out.beams) == 1 and len(out.beams[0]) == blocks[1]
     assert (out.peak_prob >= 0).all()
 
 
@@ -434,7 +433,7 @@ def test_no_beam_is_designed_after_the_last_block(monkeypatch):
         for block in zip(*out.beams)
     )
     assert len(designed) == distinct
-    assert distinct > cfg.segments  # the trials do not all sense alike
+    assert distinct > cfg.total_snapshots // cfg.n_v  # the trials do not all sense alike
 
 
 def test_hiepm_noiseless_recovery():

@@ -1,7 +1,6 @@
 """Grid bounds: one call over every angle against the one-angle oracles in
 scalar_bounds, and the rank-two certificate against eigvalsh."""
 
-import dataclasses
 import math
 import warnings
 
@@ -9,6 +8,7 @@ import numpy as np
 import pytest
 
 import scalar_bounds
+from scalar_bounds import bits, stacked
 from svamsim import crb
 from svamsim.arrays import AngularGrid, RegionOfInterest, ula_manifold
 from svamsim.beams import BeamSpec
@@ -37,26 +37,26 @@ def test_grid_bounds_equal_the_oracle_at_every_point(scheme, n_v, beam):
     bank, grid, oracle = scalar_bounds.grid_and_oracle(
         scheme, N, n_v, SNAPSHOTS, GRID, SNR_DB, beam
     )
-    assert grid == oracle
+    assert bits(grid) == bits(oracle)
     if scheme == "unknown-alpha" and n_v == 1:
-        assert all(math.isinf(res.bound) for res in grid)
+        assert np.isinf(grid.bound).all()
     if scheme != "svam":
         return
-    us = [float(u) for u in GRID.points]
-    certificates = gain_condition_sufficient(bank, GRID.points)
-    expected = [scalar_bounds.gain_condition_sufficient(bank, u) for u in us]
-    for (holds, lhs, rhs), (ref_holds, ref_lhs, ref_rhs) in zip(certificates, expected):
-        assert (holds, lhs) == (ref_holds, ref_lhs)
-        assert rhs == pytest.approx(ref_rhs, rel=1e-13)
+    holds, lhs, rhs = gain_condition_sufficient(bank, GRID.points)
+    ref_holds, ref_lhs, ref_rhs = stacked(
+        [scalar_bounds.gain_condition_sufficient(bank, u) for u in GRID.points.tolist()]
+    )
+    assert bits((holds, lhs)) == bits((ref_holds, ref_lhs))
+    assert rhs.tolist() == pytest.approx(ref_rhs.tolist(), rel=1e-13)
 
 
 def test_single_angle_returns_one_result():
     bank = region_beam_bank(BeamSpec(0.5, 1.0), 13, 3)
     many = crb_svam(bank, 4, [0.3], 0.5)
     one = crb_svam(bank, 4, 0.3, 0.5)
-    assert many == [one] and one == scalar_bounds.crb_svam(bank, 4, 0.3, 0.5)
-    assert gain_condition_sufficient(bank, np.float64(0.3)) == (
-        gain_condition_sufficient(bank, [0.3])[0]
+    assert bits(many) == bits(one) == bits(scalar_bounds.crb_svam(bank, 4, 0.3, 0.5))
+    assert bits(gain_condition_sufficient(bank, np.float64(0.3))) == bits(
+        gain_condition_sufficient(bank, [0.3])
     )
     with pytest.raises(ValueError):
         crb_general(bank, np.zeros((2, 2)), 1.0)
@@ -70,11 +70,13 @@ def test_rank_two_certificate_matches_eigvalsh_on_general_banks():
     for m, segments in shapes:
         f = rng.standard_normal((m, segments)) + 1j * rng.standard_normal((m, segments))
         us = rng.uniform(-1.0, 1.0, 3)
-        for u, (holds, lhs, rhs) in zip(us, gain_condition_sufficient(f, us)):
-            ref_holds, ref_lhs, ref_rhs = scalar_bounds.gain_condition_sufficient(f, u)
-            assert (holds, lhs) == (ref_holds, ref_lhs)
-            assert rhs == pytest.approx(ref_rhs, rel=1e-13)
-            verdicts.add(holds)
+        holds, lhs, rhs = gain_condition_sufficient(f, us)
+        ref_holds, ref_lhs, ref_rhs = stacked(
+            [scalar_bounds.gain_condition_sufficient(f, u) for u in us]
+        )
+        assert bits((holds, lhs)) == bits((ref_holds, ref_lhs))
+        assert rhs.tolist() == pytest.approx(ref_rhs.tolist(), rel=1e-13)
+        verdicts.update(holds.tolist())
     assert verdicts == {True, False}
 
 
@@ -113,10 +115,28 @@ def test_many_angles_equal_one_angle_calls_bit_for_bit(bank):
     rng = np.random.default_rng(bank.shape[0] * 31 + bank.shape[1])
     us = np.concatenate([[-1.0, 0.0], rng.uniform(-1.0, 1.0, 17)])
     for name, bound in _GRID_FUNCTIONS.items():
-        assert bound(bank, us) == [bound(bank, u) for u in us.tolist()], name
+        one_by_one = stacked([bound(bank, u) for u in us.tolist()])
+        assert bits(bound(bank, us)) == bits(one_by_one), name
     rows = ula_manifold(bank.shape[0], us)
     lone = np.stack([bank.conj().T @ row for row in rows])
     assert crb._responses(bank, rows).tobytes() == lone.tobytes()
+
+
+@pytest.mark.parametrize("name", list(_GRID_FUNCTIONS))
+def test_results_are_shaped_like_the_angles(name):
+    bank = region_beam_bank(BeamSpec(0.5, 1.0), 13, 3)
+    function = _GRID_FUNCTIONS[name]
+    single = scalar_bounds.fields(function(bank, 0.3))
+    scalar_types = (
+        [np.bool_, np.float64, np.float64] if name == "certificate"
+        else [np.float64, np.float64 if name.startswith("svam") else type(None)]
+    )
+    assert list(map(type, single)) == scalar_types
+    for us in ([0.3], np.array([0.3]), np.linspace(-1.0, 0.9, 7)):
+        values = [v for v in scalar_bounds.fields(function(bank, us)) if v is not None]
+        assert all(type(v) is np.ndarray and v.shape == (len(us),) for v in values)
+    with pytest.raises(ValueError, match="1-D"):
+        function(bank, np.zeros((2, 2)))
 
 
 def _degenerate_banks():
@@ -146,10 +166,13 @@ def test_degenerate_banks_give_infinite_bounds_without_warnings(case):
         warnings.simplefilter("error")
         for name in infinite:
             results = _GRID_FUNCTIONS[name](bank, us)
-            assert all(res.bound == math.inf for res in results), name
-            assert results == [_GRID_FUNCTIONS[name](bank, u) for u in us.tolist()]
+            assert (results.bound == math.inf).all(), name
+            one_by_one = stacked([_GRID_FUNCTIONS[name](bank, u) for u in us.tolist()])
+            assert bits(results) == bits(one_by_one), name
         if case == "zero":
-            assert gain_condition_sufficient(bank, us) == [(True, 0.0, 0.0)] * len(us)
+            holds, lhs, rhs = gain_condition_sufficient(bank, us)
+            assert holds.tolist() == [True] * len(us)
+            assert lhs.tolist() == rhs.tolist() == [0.0] * len(us)
 
 
 def test_a_bank_blind_to_the_steering_vector_keeps_the_derivative_energy():
@@ -164,9 +187,11 @@ def test_a_bank_blind_to_the_steering_vector_keeps_the_derivative_energy():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         blind = crb_unknown_alpha(bank, us, 0.3)
-        assert blind[0] == crb_general(bank, u, 0.3)
-        assert blind == [crb_unknown_alpha(bank, v, 0.3) for v in us.tolist()]
-        assert blind == [scalar_bounds.crb_unknown_alpha(bank, v, 0.3) for v in us]
+        assert blind.bound[0].hex() == crb_general(bank, u, 0.3).bound.hex()
+        one_by_one = stacked([crb_unknown_alpha(bank, v, 0.3) for v in us.tolist()])
+        assert bits(blind) == bits(one_by_one)
+        oracle = stacked([scalar_bounds.crb_unknown_alpha(bank, v, 0.3) for v in us])
+        assert bits(blind) == bits(oracle)
 
 
 def test_vector_modulus_and_square_round_as_the_scalar_ones():
@@ -192,18 +217,6 @@ def test_expanded_combiners_stack_each_columns_block(taps, segments):
     want = np.concatenate([block_combiners(column, n, n_v) for column in bank.T]).T
     got = expanded_combiners(bank, n)
     assert got.flags.c_contiguous and got.tobytes() == np.ascontiguousarray(want).tobytes()
-
-
-def _bits(results) -> list[tuple]:
-    """Each result's fields, every float as its hex spelling: -0.0 is not
-    0.0, and a nan equals itself."""
-    if not isinstance(results, list):
-        results = [results]
-    return [
-        tuple(v.hex() if isinstance(v, float) else v
-              for v in (dataclasses.astuple(r) if dataclasses.is_dataclass(r) else r))
-        for r in results
-    ]
 
 
 @pytest.mark.parametrize("m", [1, 2, 13, 57, 64])
@@ -243,10 +256,10 @@ def test_negative_zero_angles_are_their_own_cache_entry():
     bank = region_beam_bank(BeamSpec(0.5, 1.0), 5, 3)
     for u in (0.0, -0.0):
         crb._steering_rows.cache_clear()
-        cold = _bits(crb_svam(bank, 2, u, 0.3))
+        cold = bits(crb_svam(bank, 2, u, 0.3))
         crb._steering_rows.cache_clear()
         crb_svam(bank, 2, -u, 0.3)  # the other zero's entry only
-        assert _bits(crb_svam(bank, 2, u, 0.3)) == cold
+        assert bits(crb_svam(bank, 2, u, 0.3)) == cold
         assert crb._steering_rows.cache_info()[:2] == (0, 2)
 
 
@@ -259,8 +272,8 @@ def test_a_warm_steering_cache_gives_a_cold_ones_bits(bank):
     cold = {}
     for name, bound in _GRID_FUNCTIONS.items():
         crb._steering_rows.cache_clear()
-        cold[name] = _bits(bound(bank, us))
+        cold[name] = bits(bound(bank, us))
     # the last cold call left the entry every function now finds
     for name, bound in _GRID_FUNCTIONS.items():
-        assert _bits(bound(bank, us)) == cold[name], name
+        assert bits(bound(bank, us)) == cold[name], name
     assert crb._steering_rows.cache_info()[:2] == (len(_GRID_FUNCTIONS), 1)

@@ -3,6 +3,7 @@ parsing, and the CLI surface."""
 
 import csv
 import dataclasses
+import itertools
 import math
 import re
 
@@ -13,8 +14,10 @@ from scalar_alignment import columns
 from svamsim.arrays import AngularGrid, RegionOfInterest
 from svamsim import harness
 from svamsim.cli import main as cli_main
+from svamsim.crb import gain_condition_sufficient
 from svamsim.harness import (
     CONFIG_KEYS,
+    CRB_COLUMNS,
     CRB_SCHEMES,
     EXPERIMENT_KINDS,
     UNREAD_SETTINGS,
@@ -539,10 +542,10 @@ def test_crb_table_and_writer(tmp_path):
     grid = AngularGrid(ROI, 8)
     rows = crb_table("svam", 16, 4, 16, grid, 0.0)
     assert len(rows) == 8
-    assert all(r["g_term"] is not None for r in rows)
-    general = crb_table("general", 16, 4, 16, grid, 0.0)
-    for a, b in zip(rows, general):
-        assert a["bound"] == pytest.approx(b["bound"], rel=1e-9)
+    svam = dict(zip(CRB_COLUMNS, zip(*rows)))
+    assert None not in svam["g_term"]
+    general = dict(zip(CRB_COLUMNS, zip(*crb_table("general", 16, 4, 16, grid, 0.0))))
+    assert svam["bound"] == pytest.approx(general["bound"], rel=1e-9)
     path = tmp_path / "crb.csv"
     write_crb_csv(rows, str(path))
     with open(path) as fh:
@@ -558,11 +561,11 @@ def test_svam_table_with_single_tap_combiners(tmp_path):
     # gain term is pi^2 (n_v-1)(2 n_v-1)/6 ||F^H phi||^2, so it is
     # nonnegative and the certificate holds
     grid = AngularGrid(ROI, 8)
-    rows = crb_table("svam", 16, 16, 32, grid, 0.0)
+    table = dict(zip(CRB_COLUMNS, zip(*crb_table("svam", 16, 16, 32, grid, 0.0))))
     expected_g = np.pi**2 * 15 * 31 / 6.0 * 2  # two unit-modulus taps
-    assert all(r["condition_holds"] is True for r in rows)
-    assert all(r["g_term"] == pytest.approx(expected_g, rel=1e-12) for r in rows)
-    assert all(math.isfinite(r["bound"]) and r["bound"] > 0 for r in rows)
+    assert all(h is True for h in table["condition_holds"])
+    assert all(g == pytest.approx(expected_g, rel=1e-12) for g in table["g_term"])
+    assert all(math.isfinite(b) and b > 0 for b in table["bound"])
     out = tmp_path / "crb.csv"
     code = cli_main(
         ["crb", "--scheme", "svam", "--n", "16", "--nv", "16", "--snapshots", "32",
@@ -573,6 +576,34 @@ def test_svam_table_with_single_tap_combiners(tmp_path):
         parsed = list(csv.DictReader(fh))
     assert len(parsed) == 8
     assert all(r["condition_holds"] == "true" and float(r["g_term"]) >= 0 for r in parsed)
+
+
+def test_crb_table_rows_are_tuples_in_column_order(tmp_path):
+    # every row is (u, N, N_v, L, scheme, bound, g_term, condition_holds) of
+    # plain Python values, read off the bound call's arrays; rows joined
+    # from several calls write each cell as _cell formats it
+    grid = AngularGrid(ROI, 8)
+    rows = []
+    for scheme, n_v in itertools.product(("svam", "unknown-alpha"), (1, 4)):
+        table = crb_table(scheme, 16, n_v, 16, grid, 0.0)
+        bank, res = harness._scheme_bounds(scheme, 16, n_v, 16, grid, 0.0)
+        if scheme == "svam":
+            gains = res.gain_term.tolist()
+            holds = gain_condition_sufficient(bank, grid.points)[0].tolist()
+        else:
+            gains = holds = [None] * len(grid)
+        want = [
+            (u, 16, n_v, 16, scheme, bound, g, h)
+            for u, bound, g, h in zip(grid.points.tolist(), res.bound.tolist(), gains, holds)
+        ]
+        assert all(type(row) is tuple for row in table)
+        assert [list(map(type, row)) for row in table] == [list(map(type, row)) for row in want]
+        assert table == want
+        rows += table
+    path = tmp_path / "crb.csv"
+    write_crb_csv(rows, str(path))
+    text = "".join(",".join(map(harness._cell, row)) + "\n" for row in [CRB_COLUMNS, *rows])
+    assert path.read_bytes() == text.encode()
 
 
 @pytest.mark.parametrize("scheme", CRB_SCHEMES)

@@ -278,7 +278,7 @@ class TestLikelihoodTerms:
         monkeypatch.setattr(adaptive, "MeasurementHistory", DenseCheckedHistory)
         checked_run = run_adaptive_trials(cfg, snr_db, trials=2, seed=0)
         assert columns(checked_run) == columns(plain)
-        assert checked == list(range(1, cfg.segments + 1))
+        assert checked == list(range(1, cfg.total_snapshots // cfg.n_v + 1))
 
     def test_zero_data_scores_all_candidates_equally(self):
         grid = AngularGrid(RegionOfInterest(0.0, 1.0), 8)

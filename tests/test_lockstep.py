@@ -167,7 +167,7 @@ def test_sweep_batch_draws_each_trial_once_per_block(codebook):
     for i, rng in enumerate(rngs[:TRIALS]):
         fresh = trial_generator(seed, i)
         draw_channel(grid, snrs[0], fresh)
-        for _ in range(cfg.segments):
+        for _ in range(cfg.total_snapshots // cfg.n_v):
             fresh.standard_normal((cfg.n_v, 2, cfg.n))
         assert rng.bit_generator.state == fresh.bit_generator.state
     assert_same_outcome(shared, run_alignment(cfg, channels, copies))
@@ -572,7 +572,7 @@ def test_beam_table_builds_each_weights_array_once(controller, monkeypatch):
     monkeypatch.undo()
     distinct = {id(beam.weights) for row in out.beams for beam in row}
     assert 1 < len(distinct) and len(calls) == cfg.n_v * len(distinct)
-    assert len(gathered) == cfg.segments
+    assert len(gathered) == cfg.total_snapshots // cfg.n_v
     for t, (combiners, responses) in enumerate(gathered):
         for i, row in enumerate(out.beams):
             w = row[t].weights

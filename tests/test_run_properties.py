@@ -63,7 +63,7 @@ def test_accepted_config_runs_to_the_end(case):
     out = run_adaptive_trials(config, snr_db, trials, seed)
     grid = AngularGrid(config.roi, config.grid_size)
     assert np.isin(out.estimate, grid.points).all()
-    assert out.peak_prob.shape == (trials, config.segments)
+    assert out.peak_prob.shape == (trials, config.total_snapshots // config.n_v)
     assert np.isfinite(out.peak_prob).all()
     # a pmf summed in another order may exceed 1 by a few ulps
     assert (out.peak_prob >= 0).all() and (out.peak_prob <= 1 + 1e-12).all()
