@@ -16,17 +16,19 @@ within a block (n - n_v + 1 taps) or, with n taps and so one shift, repeat.
 A batch row reproduces a lone run of its trial bit for bit; one bad row
 rejects the batch. The noise is drawn once per run, not per block: each
 distinct noisy generator draws all its snapshots' normals up front
-(channel.BatchNoise, total_snapshots * 2 * n floats per generator), and
-each block scales its slice; a run on the last run's generator states,
-as in a paired comparison, reuses its draw. Each beam's block combiners
-and grid responses are built once per run into a table (sensing.BeamTable)
-that every block reads by row: node (l, k) of a codebook is row
+(channel.BatchNoise, total_snapshots * n complex numbers per generator),
+and each block scales its slice; a run on the last run's generator
+states, as in a paired comparison, reuses its draw. Each beam's block
+combiners and grid responses are built once per run into a table
+(sensing.BeamTable) that every block reads by row, with one stacked build
+of the beams a block meets first: node (l, k) of a codebook is row
 2**l - 1 + k, and the flexible controller numbers its designs as it makes
-them. A block keeps its beams as those rows. What still runs row by row in
-a block is the flexible controller's lookup of each trial's (direction,
-width) row and the flexible step's np.convolve of each trial's pmf, once
-per width tried, whose dot order fixes the bits of windows of 16 points
-and up.
+them. A block keeps its beams as those rows, and a codebook step lays its
+node masses out as one heap table. What still runs row by row in a block
+is the flexible controller's lookup of each trial's (direction, width)
+row and the flexible step's np.convolve of each pmf whose window is wider
+than one point, once per width tried, whose dot order fixes the bits of
+windows of 16 points and up.
 """
 
 from __future__ import annotations
@@ -177,9 +179,10 @@ def cumul_peak(
     each direction is the midpoint of the winning window's grid points,
     clamped so a beam of that width stays inside the region.
 
-    Each trial's window sums are one np.convolve(pmf[i], ones(window)): its
-    dot order fixes the bits of windows of 16 points and up, where a
-    left-to-right running sum would round differently.
+    A one-point window's only sum is its mode's mass; a wider window's sums
+    are one np.convolve(pmf[i], ones(window)), whose dot order fixes the
+    bits of windows of 16 points and up, where a left-to-right running sum
+    would round differently.
     """
     pmf = np.asarray(pmf, dtype=float)
     if pmf.ndim != 2 or pmf.shape[1] != grid.size:
@@ -191,8 +194,11 @@ def cumul_peak(
     longest = windows.max(initial=1)
     candidates = np.full((len(pmf), longest), -np.inf)
     ones = np.ones(longest)
-    for row, p, window, mode in zip(candidates, pmf, windows.tolist(), modes.tolist()):
-        row[:window] = np.convolve(p, ones[:window])[mode : mode + window]
+    one = windows == 1
+    candidates[one, 0] = pmf[one, modes[one]]
+    wide = np.flatnonzero(~one)
+    for i, w, mode in zip(wide.tolist(), windows[wide].tolist(), modes[wide].tolist()):
+        candidates[i, :w] = np.convolve(pmf[i], ones[:w])[mode : mode + w]
     k = np.argmax(candidates, axis=-1)  # ties: widest overlap to the left wins
     peaks = candidates[np.arange(len(pmf)), k]
     end = modes + k
@@ -322,8 +328,10 @@ def node_masses(pmf: np.ndarray, depth: int) -> list[np.ndarray]:
     if depth < 0 or pmf.shape[-1] % 2**depth:
         raise ValueError("grid does not tile the node's level")
     lead = pmf.shape[:-1]
+    # the reduction ndarray.sum runs, without its Python wrapper
     return [
-        pmf.reshape(lead + (2**level, -1)).sum(axis=-1) for level in range(depth + 1)
+        np.add.reduce(pmf.reshape(lead + (2**level, -1)), axis=-1)
+        for level in range(depth + 1)
     ]
 
 
@@ -344,8 +352,13 @@ def select_codeword_posterior_matching(
     gather per level, and each trial stops at the deepest level whose path
     masses all stay at least 1/2 and makes one closer test.
     """
-    count, depth = _mass_table(masses)
-    table = np.concatenate(masses, axis=-1)
+    _, depth = _mass_table(masses)
+    return _walk_to_half(np.concatenate(masses, axis=-1), depth)
+
+
+def _walk_to_half(table: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """select_codeword_posterior_matching's walk on a heap table of node masses."""
+    count = len(table)
     inner = table.shape[1] // 2  # nodes with children
     # child[i * inner + h]: node h's larger child in row i; a NaN pair takes
     # the right one
@@ -371,9 +384,8 @@ def _node_rows(levels: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return 2**levels - 1 + indices
 
 
-def _node_peaks(masses: Sequence[np.ndarray], levels, indices) -> np.ndarray:
-    """Mass of node (levels[i], indices[i]) in row i of a node_masses table."""
-    table = np.concatenate(masses, axis=-1)
+def _node_peaks(table: np.ndarray, levels, indices) -> np.ndarray:
+    """Mass of node (levels[i], indices[i]) in row i of a heap table of node masses."""
     return table[np.arange(len(table)), _node_rows(levels, indices)]
 
 
@@ -487,7 +499,7 @@ def run_alignment(
     def hierarchical(pmf, modes, keys):
         masses = node_masses(pmf, book.depth)
         nodes = hier_beam_search(keys[0], masses, modes, config.grid_size, p_thresh)
-        return _node_peaks(masses, *nodes), nodes
+        return _node_peaks(np.concatenate(masses, axis=-1), *nodes), nodes
 
     root = np.zeros(count, dtype=int)
     return _align(
@@ -535,8 +547,9 @@ def run_hiepm_known_alpha(
     gains = np.array([[channel.alpha] for channel in channels], dtype=complex)
 
     def posterior_matching(pmf, modes, keys):
-        masses = node_masses(pmf, codebook.depth)
-        return _node_peaks(masses, *keys), select_codeword_posterior_matching(masses)
+        # one heap table per block, read by the peaks and the walk
+        table = np.concatenate(node_masses(pmf, codebook.depth), axis=-1)
+        return _node_peaks(table, *keys), _walk_to_half(table, codebook.depth)
 
     uniform = np.full((len(channels), config.grid_size), 1.0 / config.grid_size)
     first = select_codeword_posterior_matching(node_masses(uniform, codebook.depth))

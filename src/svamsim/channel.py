@@ -64,18 +64,23 @@ def antenna_snapshot(
 
 @lru_cache(maxsize=1)
 def _run_draw(key: tuple, count: int, n: int) -> tuple[np.ndarray, tuple[dict, ...]]:
-    """A run's read-only normals, one slot drawn per (bit-generator class,
-    pickled state) pair of key on a generator rebuilt from it, then a slot
-    of zeros; and the states the draw leaves the rebuilt generators in.
+    """A run's read-only complex (slots, count, n) normals, one slot drawn
+    per (bit-generator class, pickled state) pair of key on a generator
+    rebuilt from it, then a slot of zeros; and the states the draw leaves
+    the rebuilt generators in. Each generator draws standard_normal((count,
+    2, n)) into one scratch array whose planes are copied into its slot's
+    real and imaginary parts: slot by slot, so no whole draw is held twice.
 
     Each generator is built from one fixed seed sequence before its state is
     set: kind() alone would first read OS entropy for a state it discards."""
-    normals = np.zeros((len(key) + 1, count, 2, n))
+    normals = np.zeros((len(key) + 1, count, n), dtype=complex)
+    scratch = np.empty((count, 2, n))
     seed = np.random.SeedSequence(0)
     drawers = [kind(seed) for kind, _ in key]
     for bits, (_, state), out in zip(drawers, key, normals):
         bits.state = pickle.loads(state)
-        np.random.Generator(bits).standard_normal(out=out)
+        np.random.Generator(bits).standard_normal(out=scratch)
+        out.real, out.imag = scratch[:, 0], scratch[:, 1]
     normals.flags.writeable = False
     return normals, tuple(bits.state for bits in drawers)
 
@@ -94,8 +99,9 @@ class BatchNoise:
     same generator read its one slot, each scaled by its own variance, so a
     generator advances count observations however many rows hold it. A
     noiseless row reads the last slot, of zeros, and a generator that only
-    noiseless rows hold draws nothing. The draw holds (slots + 1) * count *
-    2 * n floats. Distinct generator objects must not share a bit generator.
+    noiseless rows hold draws nothing. ``normals`` is laid out complex,
+    (slots + 1, count, n), the real and imaginary parts of each observation
+    side by side. Distinct generator objects must not share a bit generator.
 
     The last draw is cached (_run_draw), keyed on each drawing bit
     generator's class and pickled state in slot order, count and n: a run
@@ -144,19 +150,17 @@ class BatchNoise:
         """(trials, stop - start, n) observations start to stop - 1: each
         trial's (n,) signal in the (trials, n) stack plus its scaled noise.
 
-        The scaled parts are written straight into the output's real and
-        imaginary planes before the signal is added; that sum has the bits
-        of signal + scale * (real + 1j * imaginary), noiseless rows included.
+        A float times a complex number adds an exact zero to each part's
+        product, so the sum has the bits of signal + scale * (real + 1j *
+        imaginary), noiseless rows included, but for a normal of exactly 0.
         """
-        (trials,), (_, count, _, n) = self.slot.shape, self.normals.shape
+        (trials,), (_, count, n) = self.slot.shape, self.normals.shape
         if not 0 <= start < stop <= count:
             raise ValueError(f"observations {start}:{stop} lie outside 0:{count}")
         if np.shape(signals) != (trials, n):
             raise ValueError(f"need ({trials}, {n}) signals, got {np.shape(signals)}")
-        noise = self.normals[self.slot, start:stop]
-        x = np.empty((len(signals), stop - start, signals.shape[1]), dtype=complex)
-        np.multiply(self._scale, noise[..., 0, :], out=x.real)
-        np.multiply(self._scale, noise[..., 1, :], out=x.imag)
+        x = self.normals[self.slot, start:stop]  # a copy: fancy indexing
+        x *= self._scale
         x += signals[:, None, :]
         return x
 

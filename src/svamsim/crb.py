@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -39,6 +40,11 @@ from .channel import combine
 # Relative level below which a Fisher denominator is considered exactly
 # singular: rank-deficient geometries hit zero only up to roundoff.
 _SINGULAR_RTOL = 1e-12
+
+# Angles per _responses call: glibc maps a 128 KiB or larger array afresh and
+# faults its pages in on every call. 128 angles of a 120-segment bank take
+# 240 KiB, a block of 32 angles 60 KiB, which stays on the heap.
+_ANGLE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -118,6 +124,23 @@ def _responses(bank: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.matmul(bank.conj().T, rows[..., None])[..., 0]
 
 
+def _in_angle_blocks(terms: Callable[[slice], tuple], count: int) -> list[np.ndarray]:
+    """terms(rows) on row slices of _ANGLE_BLOCK of the count angles, each
+    of its per-angle outputs joined over the slices."""
+    blocks = [terms(slice(i, i + _ANGLE_BLOCK)) for i in range(0, count, _ANGLE_BLOCK)]
+    return [np.concatenate(term) for term in zip(*blocks)]
+
+
+def _grams(bank: np.ndarray, x: np.ndarray, y: np.ndarray | None = None) -> tuple:
+    """Per row, ||a||^2 of a = bank^H x and, given rows y, ||b||^2 and a^H b
+    of b = bank^H y."""
+    a = _responses(bank, x)
+    if y is None:
+        return (combine(a, a).real,)
+    b = _responses(bank, y)
+    return combine(a, a).real, combine(b, b).real, combine(a, b)
+
+
 def _known_gain_bounds(
     bank: np.ndarray, repeats: int, u, noise_var: float
 ) -> CrbResult:
@@ -129,8 +152,7 @@ def _known_gain_bounds(
     us, shape = _angles(u)
     _, d = _steering_rows(bank.shape[0], us.tobytes())
     energy = float(np.sum(np.abs(bank) ** 2))
-    projected = _responses(bank, d)
-    denom = repeats * combine(projected, projected).real
+    denom = repeats * _in_angle_blocks(lambda rows: _grams(bank, d[rows]), len(us))[0]
     scale = repeats * combine(d, d).real * energy
     return _finish(prefactor, denom, scale, shape)
 
@@ -171,9 +193,8 @@ def _svam_gram_terms(
     one entry per angle: derivative energy, steering energy, their cross
     term, and the squared norm of the derivative itself."""
     phi, d = _steering_rows(f.shape[0], us.tobytes())
-    fd, fp = _responses(f, d), _responses(f, phi)
-    return (combine(fd, fd).real, combine(fp, fp).real, combine(fd, fp),
-            combine(d, d).real)
+    grams = _in_angle_blocks(lambda rows: _grams(f, d[rows], phi[rows]), len(us))
+    return (*grams, combine(d, d).real)
 
 
 def _virtual_gain(
@@ -245,14 +266,14 @@ def gain_condition_sufficient(
     us, shape = _angles(u)
     m = f.shape[0]
     phi, _ = _steering_rows(m, us.tobytes())
-    companion = (np.arange(m) - (m - 1) / 2.0) * phi
+    taps = np.arange(m) - (m - 1) / 2.0  # the companion rows are taps * phi
     kappa = 12.0 / (m * (m * m - 1)) if m > 1 else 0.0
     # slack keeps boundary cases (lhs = rhs = 0 in exact arithmetic) holding
     slack = 1e-12 * float(np.sum(np.abs(f) ** 2))
-    fp, fc = _responses(f, phi), _responses(f, companion)
-    lhs = combine(fp, fp).real / m
-    q = kappa * combine(fc, fc).real
-    cross = combine(fp, fc)
+    lhs, q, cross = _in_angle_blocks(
+        lambda rows: _grams(f, phi[rows], taps * phi[rows]), len(us)
+    )
+    lhs, q = lhs / m, kappa * q
     r = np.hypot(cross.real, cross.imag) * math.sqrt(kappa / m)
     top = 0.5 * (lhs + q) + np.sqrt(np.float_power(0.5 * (lhs - q), 2.0) + r * r)
     rhs = top / 4.0
@@ -282,9 +303,9 @@ def crb_unknown_alpha(w: np.ndarray, u, noise_var: float) -> CrbResult:
     n = w.shape[0]
     phi, d = _steering_rows(n, us.tobytes())
     blind_level = _SINGULAR_RTOL * float(np.sum(np.abs(w) ** 2)) * n
-    a, b = _responses(w, phi), _responses(w, d)
-    steering_energy, derivative_energy = combine(a, a).real, combine(b, b).real
-    cross = combine(a, b)
+    steering_energy, derivative_energy, cross = _in_angle_blocks(
+        lambda rows: _grams(w, phi[rows], d[rows]), len(us)
+    )
     # combiners blind to the steering vector: the projection is vacuous
     explained = np.zeros(len(us))
     np.divide(np.float_power(np.hypot(cross.real, cross.imag), 2.0), steering_energy,

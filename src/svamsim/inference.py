@@ -81,15 +81,12 @@ def gamma_mle(history: MeasurementHistory) -> np.ndarray:
     history's.
     """
     _check_history(history)
-    n_v = history.n_v
     g = history.cumulative_gain
-    s = history.matched_statistic
-    gamma = np.zeros(g.shape)
-    lit = g > 0
-    energy = np.abs(s[lit]) ** 2 / (g[lit] * n_v)
-    noise = np.broadcast_to(history.noise_var, g.shape)[lit]
-    gamma[lit] = np.maximum(0.0, (energy - noise) / (g[lit] * n_v))
-    return gamma
+    # every point, unlit ones too (0/0 there), then unlit points set to zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        energy = np.abs(history.matched_statistic) ** 2 / (g * history.n_v)
+        gamma = np.maximum(0.0, (energy - history.noise_var) / (g * history.n_v))
+    return np.where(g > 0, gamma, 0.0)
 
 
 def alpha_posterior(history: MeasurementHistory, gamma: np.ndarray) -> AlphaPosterior:
@@ -139,8 +136,8 @@ def likelihood_terms(
     mean = posterior.mean
     var = posterior.variance
 
-    gain_energy = var * g * history.n_v
-    log_det = np.log(gain_energy + noise_var) + (total - 1) * np.log(noise_var)
+    spread = var * g * history.n_v + noise_var
+    log_det = np.log(spread) + (total - 1) * np.log(noise_var)
 
     residual_sq = (
         np.expand_dims(history.total_power, -1)
@@ -151,7 +148,7 @@ def likelihood_terms(
     matched_residual = s - mean * g * history.n_v
     quad = residual_sq / noise_var - (var / noise_var) * np.abs(
         matched_residual
-    ) ** 2 / (gain_energy + noise_var)
+    ) ** 2 / spread
     quad = np.maximum(quad, 0.0)
 
     log_likelihood = -total * np.log(np.pi) - log_det - quad

@@ -64,9 +64,11 @@ def block_combiners(f: Beamformer | np.ndarray, n: int, n_v: int) -> np.ndarray:
 
 
 def beam_responses(f: Beamformer | np.ndarray, grid: AngularGrid) -> np.ndarray:
-    """(grid,) responses beta(u_i) = f^H phi_m(u_i) of an m-tap beam."""
+    """(grid,) responses beta(u_i) = f^H phi_m(u_i) of an m-tap beam. A
+    (..., m) stack of weights gives (..., grid), each row a lone beam's."""
     w = _weights_of(f)
-    return w.conj() @ grid.manifold(len(w))
+    # one row-vector product per beam: a matrix product would round differently
+    return np.matmul(w.conj()[..., None, :], grid.manifold(w.shape[-1]))[..., 0, :]
 
 
 def _doubled(a: np.ndarray) -> np.ndarray:
@@ -83,10 +85,11 @@ class BeamTable:
     Row r belongs to beams[r]. The caller may extend beams as a run designs
     new ones, and numbers them so that a beam keeps its row: node (l, k) of
     a codebook is row 2**l - 1 + k. The first time a block reads a row, the
-    row is given the slot of its weights array, and a weights array met for
-    the first time is built into a new slot. So each weights array is built
-    once per run, beams that share one (designs whose bands floor alike)
-    share its slot, and every block gathers its rows' slots by index.
+    row is given the slot of its weights array, and the weights arrays a
+    gather meets for the first time are built into new slots in one stacked
+    build. So each weights array is built once per run, when a block first
+    reads it, beams that share one (designs whose bands floor alike) share
+    its slot, and every block gathers its rows' slots by index.
     Beams' weights must not change during the run (a Beamformer's are
     read-only). The first weights array built fixes taps, the run's one tap
     count, and a later array of another count is rejected.
@@ -115,23 +118,25 @@ class BeamTable:
         else:
             more = len(self._beams) - len(self._slot)
             self._slot = np.concatenate([self._slot, np.full(more, -1)])
-        new = rows[self._slot[rows] < 0]
-        for row in np.unique(new).tolist() if new.size else ():
-            w = _weights_of(self._beams[row])
-            slot = self._slot_of.get(id(w))
-            if slot is None:
-                if self._slot_of and w.size != self.taps:
-                    raise ValueError(
-                        f"a {w.size}-tap beam in a run of {self.taps}-tap beams"
-                    )
-                self.taps = w.size
-                slot = self._slot_of[id(w)] = len(self._slot_of)
-                if slot == len(self._combiners):
-                    self._combiners = _doubled(self._combiners)
-                    self._responses = _doubled(self._responses)
-                self._combiners[slot] = block_combiners(w, self._n, self._n_v)
-                self._responses[slot] = beam_responses(w, self._grid)
-            self._slot[row] = slot
+        new = np.unique(rows[self._slot[rows] < 0])
+        weights = [_weights_of(self._beams[row]) for row in new.tolist()]
+        fresh = {id(w): w for w in weights if id(w) not in self._slot_of}
+        if fresh:
+            self.taps = self.taps or next(iter(fresh.values())).size
+            other = [w.size for w in fresh.values() if w.size != self.taps]
+            if other:
+                raise ValueError(
+                    f"a {other[0]}-tap beam in a run of {self.taps}-tap beams"
+                )
+            built = slice(len(self._slot_of), len(self._slot_of) + len(fresh))
+            self._slot_of.update(zip(fresh, range(built.start, built.stop)))
+            while built.stop > len(self._combiners):
+                self._combiners = _doubled(self._combiners)
+                self._responses = _doubled(self._responses)
+            stack = np.stack(list(fresh.values()))
+            self._combiners[built] = block_combiners(stack, self._n, self._n_v)
+            self._responses[built] = beam_responses(stack, self._grid)
+        self._slot[new] = [self._slot_of[id(w)] for w in weights]
         slots = self._slot[rows]
         return self._combiners[slots], self._responses[slots]
 

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from scalar_alignment import columns
+from scalar_alignment import columns, cumul_peak_scalar
 from svamsim import adaptive
 from svamsim.adaptive import (
     AdaptConfig,
@@ -96,6 +96,26 @@ def test_cumul_peak_wider_than_region_centers():
     pmf = np.full(16, 1 / 16)
     _, spec = peak_one(pmf, 2.0, g)
     assert spec.direction == pytest.approx(ROI.center)
+
+
+@pytest.mark.parametrize("windows", ["mixed", "one_point"])
+def test_cumul_peak_keeps_the_per_trial_convolution_bits(windows):
+    # one-point windows are read off the pmf and wider ones convolved; each
+    # trial's mass and direction equal the lone np.convolve oracle's bits
+    g = grid_of(64)
+    rng = np.random.default_rng(12)
+    pmf = rng.dirichlet(np.full(64, 0.3), size=60)
+    pmf[:4] = 1.0 / 64  # ties everywhere
+    points = np.ones(60) if windows == "one_point" else rng.integers(1, 65, 60) * 1.0
+    points[::4] = 1
+    # 0.2 and 1.4 grid points round to windows of one point
+    points[1::8], points[3::8] = 0.2, 1.4
+    widths = points * g.spacing
+    peaks, directions = cumul_peak(pmf, widths, g)
+    for p, bw, peak, direction in zip(pmf, widths, peaks, directions):
+        want, spec = cumul_peak_scalar(p, bw, g)
+        assert np.float64(peak).tobytes() == np.float64(want).tobytes()
+        assert np.float64(direction).tobytes() == np.float64(spec.direction).tobytes()
 
 
 def test_cumul_peak_rejects_length_mismatch():

@@ -175,6 +175,14 @@ def _generators(seeds, bit_generator=np.random.PCG64):
     return [made[seed] for seed in seeds]
 
 
+def _assert_laid(slot, draw):
+    """A complex (count, n) slot of the draw holds the real and imaginary
+    planes of the (count, 2, n) standard_normal draw, bit for bit."""
+    assert slot.dtype == complex and slot.shape == draw[:, 0].shape
+    assert slot.real.tobytes() == draw[:, 0].tobytes()
+    assert slot.imag.tobytes() == draw[:, 1].tobytes()
+
+
 def _equal_states(a, b):
     """Bit generator states compared with their arrays by value."""
     if isinstance(a, dict):
@@ -214,7 +222,8 @@ class TestSharedRunDraw:
         want = np.random.Generator(kind(11))
         normals = BatchNoise([rng], 0.5, count, n).normals
         assert cold.cache_info()[:2] == (0, 1)
-        assert normals[0].tobytes() == want.standard_normal((count, 2, n)).tobytes()
+        assert normals.shape == (2, count, n)  # the draw and the zero slot
+        _assert_laid(normals[0], want.standard_normal((count, 2, n)))
         assert type(rng.bit_generator) is kind
         assert _equal_states(rng.bit_generator.state, want.bit_generator.state)
 
@@ -227,7 +236,7 @@ class TestSharedRunDraw:
         assert cold.cache_info()[:2] == (1, 1)  # hits, misses
         assert shared.normals is drawn.normals
         with pytest.raises(ValueError, match="read-only"):
-            shared.normals[0, 0, 0, 0] = 1.0
+            shared.normals[0, 0, 0] = 1.0
         # the reused draw left each generator where a real draw leaves it
         real = _generators(seeds)
         for rng in real:
@@ -297,9 +306,8 @@ class TestSharedRunDraw:
         drawn = [BatchNoise(_generators([3], k), 0.5, 6, 8).normals for k in kinds]
         assert cold.cache_info()[:2] == (0, 2)
         for kind, normals in zip(kinds, drawn):
-            assert normals.shape == (2, 6, 2, 8)  # the draw and the zero slot
-            want = np.random.Generator(kind(3)).standard_normal((6, 2, 8))
-            np.testing.assert_array_equal(normals[0], want)
+            assert normals.shape == (2, 6, 8)  # the draw and the zero slot
+            _assert_laid(normals[0], np.random.Generator(kind(3)).standard_normal((6, 2, 8)))
             assert not normals[-1].any()
 
 
@@ -315,9 +323,27 @@ class TestSharedRunDraw:
         monkeypatch.setattr(np.random.bit_generator, "randbits", no_entropy)
         normals = BatchNoise(rngs, 0.5, 6, 8).normals
         assert cold.cache_info()[:2] == (0, 1)
+        assert normals.shape == (3, 6, 8)
         for slot, rng in zip(normals, want):
-            assert slot.tobytes() == rng.standard_normal((6, 2, 8)).tobytes()
+            _assert_laid(slot, rng.standard_normal((6, 2, 8)))
         assert _states(rngs[:2]) == _states(want)
+
+
+def test_observe_adds_the_scaled_complex_noise_to_each_signal():
+    # the complex-laid draw gives every row the bits of the two-plane
+    # formula signal + scale * (real + 1j * imaginary); a noiseless row,
+    # whose planes are zeros, reads its signal
+    seeds, variances = [80, 81, 80, 82], np.array([0.0, 1.0, 2.0, 0.7])
+    rng = np.random.default_rng(9)
+    signals = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
+    noise = BatchNoise(_generators(seeds), variances, 6, 8)
+    draws = {seed: np.random.default_rng(seed).standard_normal((6, 2, 8)) for seed in (80, 81, 82)}
+    got = noise.observe(signals, 1, 5)
+    for k, (seed, v) in enumerate(zip(seeds, variances)):
+        planes = draws[seed][1:5] if v > 0 else np.zeros((4, 2, 8))
+        want = signals[k] + np.sqrt(v / 2.0) * (planes[:, 0] + 1j * planes[:, 1])
+        assert got[k].tobytes() == want.tobytes()
+    np.testing.assert_array_equal(got[0], np.broadcast_to(signals[0], (4, 8)))
 
 
 class TestBatchNoiseArguments:

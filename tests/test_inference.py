@@ -127,6 +127,28 @@ class TestGammaMle:
         gamma = gamma_mle(hist)
         assert gamma[0, 0] == 0.0
 
+    def test_unlit_points_are_zero_and_lit_ones_keep_the_masked_bits(self):
+        # a difference beam nulls u = 0 exactly; trial 2 senses with it only,
+        # trial 0 never, so rows hold zero, one or all unlit blocks
+        grid = AngularGrid(RegionOfInterest(0.0, 1.0), 8)
+        rng = np.random.default_rng(3)
+        hist = MeasurementHistory(3, 2, grid, 3, np.array([0.1, 0.4, 2.0]))
+        null = np.array([1.0, -1.0]) / np.sqrt(2.0)
+        for t in range(4):
+            beams = [unit(2, t), null if t % 2 else unit(2, 10 + t), null]
+            values = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+            append_beams(hist, values, beams)
+        g, s = hist.cumulative_gain, hist.matched_statistic
+        lit = g > 0
+        assert lit[0].all() and lit[1].all() and not lit[2, 0]
+        # the masked formula: unlit points never reach the division
+        want = np.zeros(g.shape)
+        energy = np.abs(s[lit]) ** 2 / (g[lit] * hist.n_v)
+        noise = np.broadcast_to(hist.noise_var, g.shape)[lit]
+        want[lit] = np.maximum(0.0, (energy - noise) / (g[lit] * hist.n_v))
+        gamma = gamma_mle(hist)
+        assert gamma.shape == g.shape and gamma.tobytes() == want.tobytes()
+
     def test_monotone_in_measurement_scale(self):
         hist, grid, beta = make_history(noise=0.5, seed=7)
         gamma = gamma_mle(hist)

@@ -537,7 +537,12 @@ def test_run_draw_holds_one_slot_per_noisy_generator():
     rngs = generators()
     untouched = rngs[3].bit_generator.state
     noise = BatchNoise(rngs, variances, 6, signals.shape[1])
-    assert noise.normals.shape == (3, 6, 2, signals.shape[1])
+    assert noise.normals.shape == (3, 6, signals.shape[1])
+    # each drawn slot holds its generator's (6, 2, n) draw as complex parts
+    for slot, rng in zip(noise.normals, generators()[1:3]):
+        draw = rng.standard_normal((6, 2, signals.shape[1]))
+        assert slot.real.tobytes() == draw[:, 0].tobytes()
+        assert slot.imag.tobytes() == draw[:, 1].tobytes()
     assert not noise.normals[-1].any()
     assert noise.slot.tolist() == [-1, 0, 1, -1]
     assert rngs[3].bit_generator.state == untouched
@@ -548,15 +553,20 @@ def test_run_draw_holds_one_slot_per_noisy_generator():
 
 @pytest.mark.parametrize("controller", ["flexible", "hierarchical", "hiepm"])
 def test_beam_table_builds_each_weights_array_once(controller, monkeypatch):
-    # a run builds the block combiners of each distinct weights array once,
-    # n_v svam_combiner calls, and every block's rows equal block_combiners
-    # and the beam's own responses bit for bit
+    # a run builds the block combiners of each distinct weights array once:
+    # each gather that builds makes one stacked block_combiners call (n_v
+    # svam_combiner calls) of the arrays it meets first, and every block's
+    # rows equal block_combiners and the beam's own responses bit for bit
     cfg = config(codebook="flexible" if controller == "flexible" else "hierarchical")
     grid = AngularGrid(cfg.roi, cfg.grid_size)
-    calls, gathered = [], []
-    combiner = sensing.svam_combiner
+    calls, stacks, gathered = [], [], []
+    combiner, blocks = sensing.svam_combiner, sensing.block_combiners
     monkeypatch.setattr(
         sensing, "svam_combiner", lambda *args: calls.append(1) or combiner(*args)
+    )
+    monkeypatch.setattr(
+        sensing, "block_combiners",
+        lambda w, *args: stacks.append(w.copy()) or blocks(w, *args),
     )
     gather = sensing.BeamTable.gather
     monkeypatch.setattr(
@@ -570,8 +580,11 @@ def test_beam_table_builds_each_weights_array_once(controller, monkeypatch):
     else:
         out = run_alignment(cfg, channels, rngs)
     monkeypatch.undo()
-    distinct = {id(beam.weights) for row in out.beams for beam in row}
-    assert 1 < len(distinct) and len(calls) == cfg.n_v * len(distinct)
+    distinct = {id(beam.weights): beam.weights for row in out.beams for beam in row}
+    assert all(w.shape[1:] == (cfg.combiner_length,) for w in stacks)
+    built = sorted(w.tobytes() for stack in stacks for w in stack)
+    assert 1 < len(distinct) and built == sorted(w.tobytes() for w in distinct.values())
+    assert len(calls) == cfg.n_v * len(stacks)
     assert len(gathered) == cfg.total_snapshots // cfg.n_v
     for t, (combiners, responses) in enumerate(gathered):
         for i, row in enumerate(out.beams):

@@ -6,7 +6,9 @@ from svamsim.arrays import AngularGrid, RegionOfInterest, ula_manifold
 from svamsim.beams import BeamSpec, design_beamformer
 from svamsim.channel import ChannelParams
 from svamsim.sensing import (
+    BeamTable,
     MeasurementHistory,
+    beam_responses,
     block_combiners,
     measure_segment,
     svam_combiner,
@@ -71,6 +73,42 @@ class TestSvamCombiner:
                 lone = svam_combiner(stack[i], r, n)
                 assert svam_combiner(stack, r, n)[i].tobytes() == lone.tobytes()
                 assert blocks[i + (r,)].tobytes() == lone.tobytes()
+
+
+# (new rows, taps m, aperture n, block n_v, grid points), then random ones
+_BUILDS = [
+    (1, 1, 1, 1, 8), (1, 64, 64, 1, 128), (2, 1, 9, 9, 8), (7, 13, 16, 4, 64),
+    (31, 33, 40, 8, 37), (64, 61, 64, 4, 64), (127, 64, 80, 17, 128),
+    (127, 5, 68, 64, 100),
+]
+for _draw in np.random.default_rng(31).integers(0, 2**31, size=(8, 5)):
+    _m = 1 + int(_draw[1]) % 64
+    _n = _m + int(_draw[2]) % 40
+    _BUILDS.append(
+        (1 + int(_draw[0]) % 127, _m, _n, 1 + int(_draw[3]) % (_n - _m + 1),
+         8 + int(_draw[4]) % 121)
+    )
+
+
+@pytest.mark.parametrize("count, m, n, n_v, size", _BUILDS)
+def test_a_stacked_build_gives_each_row_a_lone_builds_bits(count, m, n, n_v, size):
+    # a gather builds all the weights arrays it meets first in one stacked
+    # call; each row has the bits of block_combiners and beam_responses on
+    # its own array, in the gather that builds it and in a later one
+    rng = np.random.default_rng((count, m, n, n_v, size))
+    grid = AngularGrid(RegionOfInterest(0.0, 1.0), size)
+    w = rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m))
+    beams = [row.copy() for row in w]
+    beams.append(beams[0])  # a row that shares row 0's weights array
+    table = BeamTable(beams, n, n_v, grid)
+    order = rng.permutation(len(beams))
+    for rows in (order[: rng.integers(1, len(beams) + 1)], order, order[::-1]):
+        combiners, responses = table.gather(rows)
+        assert table.taps == m
+        for row, c, r in zip(rows.tolist(), combiners, responses):
+            assert c.tobytes() == block_combiners(beams[row], n, n_v).tobytes()
+            assert r.tobytes() == beam_responses(beams[row], grid).tobytes()
+            assert r.tobytes() == (beams[row].conj() @ grid.manifold(m)).tobytes()
 
 
 class TestMeasureSegment:
