@@ -6,8 +6,9 @@ and takes a controller step. The score and the step are arguments of the
 loop. The score is the fitted gain's (inference.fitted_log_likelihood) or
 each channel's known gain's (inference.known_gain_log_likelihood). The step
 is flexible (re-design a beam around the posterior mass, halving or
-doubling its width against a confidence threshold), hierarchical (climb a
-dyadic codebook from the node holding the mode) or posterior matching (the
+doubling its width against a confidence threshold, up to the region-wide
+beam, which it takes whatever its mass), hierarchical (climb a dyadic
+codebook from the node holding the mode) or posterior matching (the
 codebook node whose mass is closest to 1/2). run_alignment fits the gain
 and takes one of the first two; run_hiepm_known_alpha, the known-gain hiePM
 case study, takes the third with codewords that slide across the aperture
@@ -23,12 +24,13 @@ combiners and grid responses are built once per run into a table
 (sensing.BeamTable) that every block reads by row, with one stacked build
 of the beams a block meets first: node (l, k) of a codebook is row
 2**l - 1 + k, and the flexible controller numbers its designs as it makes
-them. A block keeps its beams as those rows, and a codebook step lays its
-node masses out as one heap table. What still runs row by row in a block
-is the flexible controller's lookup of each trial's (direction, width)
-row and the flexible step's np.convolve of each pmf whose window is wider
-than one point, once per width tried, whose dot order fixes the bits of
-windows of 16 points and up.
+them. A block keeps its beams as those rows. A codebook step reads its
+node masses from one node_masses table laid out the same way, and calls
+its public rule (hier_beam_search or select_codeword_posterior_matching)
+on it. What still runs row by row in a block is the flexible controller's
+lookup of each trial's (direction, width) row and the flexible step's
+np.convolve of each pmf whose window is wider than one point, once per
+width tried, whose dot order fixes the bits of windows of 16 points and up.
 """
 
 from __future__ import annotations
@@ -219,8 +221,9 @@ def select_next_beam(
     grid: AngularGrid,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pick each trial's next flexible beam: try half its current width and
-    double until the windowed mass clears the threshold; at the region's
-    width the search gives up and resets to the region-wide beam.
+    double until the windowed mass clears the threshold. Every width is
+    clipped at the region's width, and a try at that width, the region-wide
+    reset, is accepted whatever its mass.
 
     pmf is the (trials, grid) stack and widths holds each trial's current
     beamwidth. Returns the directions, widths and windowed masses, one per
@@ -234,39 +237,35 @@ def select_next_beam(
         raise ValueError("confidence threshold must lie in (0, 1)")
     pmf = np.asarray(pmf, dtype=float)
     widest = grid.roi.width
-    bw = np.maximum(0.5 * _check_widths(widths, len(pmf)), np.finfo(float).eps)
+    bw = np.clip(0.5 * _check_widths(widths, len(pmf)), np.finfo(float).eps, widest)
     peaks = np.empty(len(bw))
     directions = np.empty(len(bw))
-    searching = np.flatnonzero(bw < widest)
+    searching = np.arange(len(bw))
     while searching.size:
         peak, direction = cumul_peak(pmf[searching], bw[searching], grid)
-        won = peak >= p_thresh
+        # a NaN mass fails the test, so only the reset accepts it
+        won = (peak >= p_thresh) | (bw[searching] == widest)
         peaks[searching[won]] = peak[won]
         directions[searching[won]] = direction[won]
-        lost = searching[~won]  # a NaN mass fails the test too
-        bw[lost] *= 2.0
-        searching = lost[bw[lost] < widest]
-    # every try failed, or the first was already as wide as the region
-    reset = np.flatnonzero(bw >= widest)
-    if reset.size:
-        bw[reset] = widest
-        peaks[reset], directions[reset] = cumul_peak(pmf[reset], bw[reset], grid)
+        searching = searching[~won]
+        bw[searching] = np.minimum(2.0 * bw[searching], widest)
     return directions, bw, peaks
 
 
-def _mass_table(masses: Sequence[np.ndarray]) -> tuple[int, int]:
-    """(trials, depth) of a node_masses table: (trials, 2**l) masses per level l."""
-    if not len(masses):
-        raise ValueError("mass table is missing the root level's masses")
-    count = len(masses[0])
-    if any(np.shape(m) != (count, 2**level) for level, m in enumerate(masses)):
-        raise ValueError("need a (trials, 2**level) mass table per level")
-    return count, len(masses) - 1
+def _heap_depth(table: np.ndarray) -> int:
+    """Codebook depth of a node_masses table, read off its width."""
+    width = np.shape(table)[-1] if np.ndim(table) == 2 else 0
+    if width < 1 or width & (width + 1):
+        raise ValueError(
+            "need a (trials, 2**(depth+1) - 1) heap table of node masses, "
+            f"got shape {np.shape(table)}"
+        )
+    return width.bit_length() - 1
 
 
 def hier_beam_search(
     levels: Sequence[int],
-    masses: Sequence[np.ndarray],
+    masses: np.ndarray,
     modes: Sequence[int],
     grid_size: int,
     p_thresh: float,
@@ -276,23 +275,25 @@ def hier_beam_search(
     mode, then climb to the parent until enough mass is captured. Level 0
     always terminates the climb.
 
-    levels and modes hold one entry per trial; masses is node_masses of the
-    (trials, grid) pmf stack, and the codebook depth is len(masses) - 1.
-    Every mass is read from that table, so a node's mass is node_mass's.
-    Returns the levels and the indices as integer arrays, one entry per trial.
+    levels and modes hold one entry per trial; masses is the node_masses
+    table of the (trials, grid) pmf stack, whose width sets the codebook
+    depth. Every mass is read from that table, so a node's mass is
+    node_mass's. Returns the levels and the indices as integer arrays, one
+    entry per trial.
     """
     if not (0.0 < p_thresh < 1.0):
         raise ValueError("confidence threshold must lie in (0, 1)")
-    count, depth = _mass_table(masses)
-    if len(levels) != count or len(modes) != count:
+    depth = _heap_depth(masses)
+    if len(levels) != len(masses) or len(modes) != len(masses):
         raise ValueError("need one level and mode per trial of the mass table")
     if grid_size % 2**depth:
         raise ValueError(
             f"grid size {grid_size} cannot resolve {2**depth} nodes evenly"
         )
-    level = np.minimum(np.asarray(levels, dtype=int) + 1, depth)
-    if np.any(level < 0):
+    levels = np.asarray(levels, dtype=int)
+    if np.any(levels < 0):
         raise ValueError("negative codebook level")
+    level = np.minimum(levels + 1, depth)
     modes = np.asarray(modes, dtype=int)
     if np.any((modes < 0) | (modes >= grid_size)):
         raise ValueError("posterior mode outside the grid")
@@ -301,7 +302,7 @@ def hier_beam_search(
     for at_level in range(depth, 0, -1):
         rows = np.flatnonzero(level == at_level)
         # written so that a NaN mass climbs, as a failed >= test does
-        climb = rows[~(masses[at_level][rows, index[rows]] >= p_thresh)]
+        climb = rows[~(masses[rows, _node_rows(at_level, index[rows])] >= p_thresh)]
         level[climb] -= 1
         index[climb] //= 2
     return level, index
@@ -317,52 +318,47 @@ def node_mass(pmf: np.ndarray, level: int, index: int) -> float:
     return float(np.sum(pmf[index * per_node : (index + 1) * per_node]))
 
 
-def node_masses(pmf: np.ndarray, depth: int) -> list[np.ndarray]:
-    """Posterior mass of every dyadic node from the root down to depth.
-
-    Entry l holds the 2**l masses of level l: (trials, 2**l) for a
-    (trials, grid) stack of pmfs. Each is the sum of the node's contiguous
-    pmf slice, taken the way node_mass takes it, so the two agree to the bit.
+def node_masses(pmf: np.ndarray, depth: int) -> np.ndarray:
+    """Posterior mass of every dyadic node from the root down to depth, as
+    one heap table: (trials, 2**(depth+1) - 1) for a (trials, grid) stack
+    of pmfs. Node (l, k) is column 2**l - 1 + k (_node_rows), so node h's
+    children are columns 2h + 1 and 2h + 2. Each mass is the sum of the
+    node's contiguous pmf slice, taken the way node_mass takes it, so the
+    two agree to the bit.
     """
     pmf = np.asarray(pmf, dtype=float)
     if depth < 0 or pmf.shape[-1] % 2**depth:
         raise ValueError("grid does not tile the node's level")
     lead = pmf.shape[:-1]
     # the reduction ndarray.sum runs, without its Python wrapper
-    return [
+    levels = [
         np.add.reduce(pmf.reshape(lead + (2**level, -1)), axis=-1)
         for level in range(depth + 1)
     ]
+    return np.concatenate(levels, axis=-1)
 
 
 def select_codeword_posterior_matching(
-    masses: Sequence[np.ndarray],
+    masses: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Known-gain codeword rule, one (level, index) per trial: walk down the
     larger-mass child (the left one on ties) while the mass stays at least
     1/2, then choose between the deepest such node and its better child
     whichever mass is closer to 1/2; the root counts as mass 1. masses is
-    node_masses of a (trials, grid) pmf stack; the codebook depth is
-    len(masses) - 1.
+    the node_masses table of a (trials, grid) pmf stack, whose width sets
+    the codebook depth.
 
-    The whole batch at once, on the levels laid side by side as a heap:
-    node (l, k) is column 2**l - 1 + k (_node_rows) and node h's children
-    are 2h + 1 and 2h + 2. One comparison of all sibling pairs decides
+    The whole batch at once: one comparison of all sibling pairs decides
     every node's larger child, the path follows them to the leaves with one
     gather per level, and each trial stops at the deepest level whose path
     masses all stay at least 1/2 and makes one closer test.
     """
-    _, depth = _mass_table(masses)
-    return _walk_to_half(np.concatenate(masses, axis=-1), depth)
-
-
-def _walk_to_half(table: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """select_codeword_posterior_matching's walk on a heap table of node masses."""
-    count = len(table)
-    inner = table.shape[1] // 2  # nodes with children
+    depth = _heap_depth(masses)
+    count, width = masses.shape
+    inner = width // 2  # nodes with children
     # child[i * inner + h]: node h's larger child in row i; a NaN pair takes
     # the right one
-    child = np.arange(1, 2 * inner, 2) + ~(table[:, 1::2] >= table[:, 2::2])
+    child = np.arange(1, 2 * inner, 2) + ~(masses[:, 1::2] >= masses[:, 2::2])
     child = child.reshape(-1)
     rows = np.arange(count)
     path = np.zeros((depth + 1, count), dtype=int)
@@ -372,7 +368,7 @@ def _walk_to_half(table: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray
     # both tests below, as a NaN mass on the path does
     mass = np.empty((depth + 2, count))
     mass[0], mass[-1] = 1.0, np.nan
-    mass[1:-1] = table.reshape(-1)[rows * table.shape[1] + path[1:]]
+    mass[1:-1] = masses.reshape(-1)[rows * width + path[1:]]
     level = (mass[1:] >= 0.5).argmin(axis=0)
     # a walk that stops above the leaves still ends on the child if it is closer
     level += np.abs(mass[level + 1, rows] - 0.5) < np.abs(mass[level, rows] - 0.5)
@@ -380,12 +376,13 @@ def _walk_to_half(table: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _node_rows(levels: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Row 2**l - 1 + k of node (l, k) in the levels laid side by side."""
+    """Row 2**l - 1 + k of node (l, k): its column in a node_masses table
+    and its row in a codebook's beam list."""
     return 2**levels - 1 + indices
 
 
 def _node_peaks(table: np.ndarray, levels, indices) -> np.ndarray:
-    """Mass of node (levels[i], indices[i]) in row i of a heap table of node masses."""
+    """Mass of node (levels[i], indices[i]) in row i of a node_masses table."""
     return table[np.arange(len(table)), _node_rows(levels, indices)]
 
 
@@ -499,7 +496,7 @@ def run_alignment(
     def hierarchical(pmf, modes, keys):
         masses = node_masses(pmf, book.depth)
         nodes = hier_beam_search(keys[0], masses, modes, config.grid_size, p_thresh)
-        return _node_peaks(np.concatenate(masses, axis=-1), *nodes), nodes
+        return _node_peaks(masses, *nodes), nodes
 
     root = np.zeros(count, dtype=int)
     return _align(
@@ -547,9 +544,8 @@ def run_hiepm_known_alpha(
     gains = np.array([[channel.alpha] for channel in channels], dtype=complex)
 
     def posterior_matching(pmf, modes, keys):
-        # one heap table per block, read by the peaks and the walk
-        table = np.concatenate(node_masses(pmf, codebook.depth), axis=-1)
-        return _node_peaks(table, *keys), _walk_to_half(table, codebook.depth)
+        masses = node_masses(pmf, codebook.depth)
+        return _node_peaks(masses, *keys), select_codeword_posterior_matching(masses)
 
     uniform = np.full((len(channels), config.grid_size), 1.0 / config.grid_size)
     first = select_codeword_posterior_matching(node_masses(uniform, codebook.depth))

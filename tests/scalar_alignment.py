@@ -188,9 +188,9 @@ def hier_beam_search_scalar(
     pmf = np.asarray(pmf, dtype=float)
     if len(pmf) != grid_size:
         raise ValueError("pmf length must match the grid size")
-    level = min(level_current + 1, codebook.depth)
-    if level < 0:
+    if level_current < 0:
         raise ValueError("negative codebook level")
+    level = min(level_current + 1, codebook.depth)
     if grid_size % 2**level:
         raise ValueError(
             f"grid size {grid_size} cannot resolve {2**level} nodes evenly"

@@ -2,11 +2,12 @@
 posterior-matching codeword choice, and full closed-loop runs."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
 
-from scalar_alignment import columns, cumul_peak_scalar
+from scalar_alignment import columns, cumul_peak_scalar, hier_beam_search_scalar
 from svamsim import adaptive
 from svamsim.adaptive import (
     AdaptConfig,
@@ -252,9 +253,9 @@ def test_hier_search_rejects_uneven_grid():
 @pytest.mark.parametrize(
     "levels, modes, p_thresh",
     [([0, 0], [0], 0.6), ([0], [16], 0.6), ([0], [-1], 0.6), ([-3], [0], 0.6),
-     ([0], [0], 1.0)],
+     ([-1], [0], 0.6), ([0], [0], 1.0)],
     ids=["levels_vs_modes", "mode_past_grid", "negative_mode", "negative_level",
-         "p_thresh"],
+         "level_minus_one", "p_thresh"],
 )
 def test_hier_search_rejects_bad_batch(levels, modes, p_thresh):
     masses = node_masses(np.full((len(levels), 16), 1 / 16), DEPTH_16)
@@ -262,11 +263,21 @@ def test_hier_search_rejects_bad_batch(levels, modes, p_thresh):
         hier_beam_search(levels, masses, modes, 16, p_thresh)
 
 
+def test_hier_search_oracle_rejects_a_negative_level_too():
+    book = types.SimpleNamespace(depth=DEPTH_16)
+    for level in (-1, -3):
+        with pytest.raises(ValueError, match="negative codebook level"):
+            hier_beam_search_scalar(level, np.full(16, 1 / 16), 16, 0.6, book)
+
+
 def test_both_codebook_steps_reject_a_table_without_the_root_level():
-    with pytest.raises(ValueError, match="root level"):
-        hier_beam_search([0], [], [0], 8, 0.6)
-    with pytest.raises(ValueError, match="root level"):
-        select_codeword_posterior_matching([])
+    # a heap table is 2**(depth+1) - 1 columns wide: width 0 lacks the root,
+    # and no width but 1, 3, 7, ... ends on a whole level
+    for shape in [(1, 0), (1, 2), (1, 4), (1, 6), (3,)]:
+        with pytest.raises(ValueError, match="heap table"):
+            hier_beam_search([0], np.ones(shape), [0], 8, 0.6)
+        with pytest.raises(ValueError, match="heap table"):
+            select_codeword_posterior_matching(np.ones(shape))
 
 
 # ---------------------------------------- posterior-matching codeword choice

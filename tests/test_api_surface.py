@@ -3,6 +3,7 @@ must all exist: a deleted function would otherwise leave a benchmark layer
 reading zero while every other test passes."""
 
 import ast
+import dataclasses
 import importlib.util
 import inspect
 import json
@@ -10,7 +11,10 @@ import os
 import subprocess
 import sys
 import symtable
+from functools import partial
 from pathlib import Path
+
+import numpy as np
 
 import svamsim
 import svamsim.cli  # noqa: F401  (the tracer looks in every loaded module)
@@ -217,6 +221,35 @@ def test_every_tracer_target_is_on_a_live_path():
     unread = {target for target in targets if target.rpartition(".")[2] not in read}
     assert sorted(unread - TRACER_TARGETS_WITHOUT_A_CALLER) == []
     assert sorted(TRACER_TARGETS_WITHOUT_A_CALLER - unread) == []
+
+
+def test_the_tracer_counts_one_controller_call_per_block():
+    # each controller step calls its public rule, which the tracer wraps
+    # in adaptive.controller; a step that bypasses it reads fewer calls
+    roi = svamsim.RegionOfInterest(0.0, 1.0)
+    blocks = 3
+    flexible = svamsim.AdaptConfig(8, 2, 2 * blocks, roi, 8, 0.6)
+    hierarchical = dataclasses.replace(flexible, codebook="hierarchical")
+    book = svamsim.build_hierarchical_codebook(roi, 3, 7, grid_size=8)
+    channels = [svamsim.ChannelParams(1.0, 0.3, noise_variance=0.5)] * 2
+    steps = {  # step -> (run, calls beyond one per block)
+        "flexible": (partial(svamsim.run_alignment, flexible), 0),
+        "hierarchical": (partial(svamsim.run_alignment, hierarchical), 0),
+        # the first node is chosen before the first block
+        "posterior matching": (
+            partial(svamsim.run_hiepm_known_alpha, flexible, codebook=book), 1
+        ),
+    }
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install()
+        for step, (run, extra) in steps.items():
+            tracer.reset()
+            run(channels, [np.random.default_rng(seed) for seed in (0, 1)])
+            calls = tracer.snapshot()["calls"]["adaptive.controller"]
+            assert calls == blocks + extra, step
+    finally:
+        tracer.uninstall()
 
 
 # Lower this ceiling whenever a knob goes. Raise it only for a new option

@@ -1,6 +1,6 @@
 """Property test: on random, peaky and tied (trials, grid) pmfs, the batched
 hier_beam_search picks the node the one-trial oracle picks for every trial,
-and the mass read from the node_masses table has node_mass's bits."""
+and the mass read from the node_masses heap table has node_mass's bits."""
 
 import types
 
@@ -36,7 +36,8 @@ def search_cases(draw):
     masses = node_masses(pmf, depth)
     start = min(levels[0] + 1, depth)  # a level at the depth stays there
     index = int(np.argmax(pmf[0])) * 2**start // grid_size
-    climb = [float(masses[l][0, index >> (start - l)]) for l in range(start, -1, -1)]
+    nodes = [2**l - 1 + (index >> (start - l)) for l in range(start, -1, -1)]
+    climb = [float(masses[0, node]) for node in nodes]
     thresholds = st.floats(0.001, 0.999)
     ties = [mass for mass in climb if 0.0 < mass < 1.0]
     p_thresh = draw(st.sampled_from(ties) | thresholds if ties else thresholds)
@@ -67,5 +68,5 @@ def test_batched_search_equals_the_oracle(case):
     ]
     assert list(zip(got_levels.tolist(), got_indices.tolist())) == want
     for i, (row, (level, index)) in enumerate(zip(pmf, want)):
-        peak = float(masses[level][i, index])
+        peak = float(masses[i, 2**level - 1 + index])
         assert peak == node_mass(row, level, index)

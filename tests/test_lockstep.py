@@ -334,12 +334,10 @@ def _peaky_pmfs(grid_size=64, seed=4):
 def test_node_masses_equal_node_mass_bit_for_bit():
     pmf = _peaky_pmfs()
     masses = node_masses(pmf, 6)
-    assert len(masses) == 7
-    for level, table in enumerate(masses):
-        assert table.shape == (len(pmf), 2**level)
-        for i, row in enumerate(pmf):
-            for k in range(2**level):
-                assert table[i, k] == node_mass(row, level, k)
+    assert masses.shape == (len(pmf), 2**7 - 1)
+    for i, row in enumerate(pmf):  # node (l, k) at column 2**l - 1 + k
+        nodes = [node_mass(row, l, k) for l in range(7) for k in range(2**l)]
+        assert masses[i].tolist() == nodes
     with pytest.raises(ValueError):  # 12 points do not split into 8 nodes
         node_masses(np.full((1, 12), 1 / 12), 3)
 
@@ -386,8 +384,8 @@ def test_batched_matching_equals_scalar_rule():
             )
             assert list(zip(levels.tolist(), indices.tolist())) == want, depth
         assert len({level for level, _ in want}) > 2  # walks of several lengths
-    with pytest.raises(ValueError):  # a level table of the wrong width
-        select_codeword_posterior_matching([np.ones((2, 1)), np.ones((2, 3))])
+    with pytest.raises(ValueError):  # a table that ends inside a level
+        select_codeword_posterior_matching(np.ones((2, 4)))
 
 
 # ------------------------------------------------------------ block noise
