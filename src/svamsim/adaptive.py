@@ -1,36 +1,37 @@
 """Closed-loop beam controllers driving the posterior toward the path angle.
 
 One loop runs every alignment. Each block senses a batch of trials in
-lockstep, appends the outputs to the measurement history, scores the grid
-and takes a controller step. The score and the step are arguments of the
-loop. The score is the fitted gain's (inference.fitted_log_likelihood) or
-each channel's known gain's (inference.known_gain_log_likelihood). The step
-is flexible (re-design a beam around the posterior mass, halving or
-doubling its width against a confidence threshold, up to the region-wide
-beam, which it takes whatever its mass), hierarchical (climb a dyadic
-codebook from the node holding the mode) or posterior matching (the
-codebook node whose mass is closest to 1/2). run_alignment fits the gain
-and takes one of the first two; run_hiepm_known_alpha, the known-gain hiePM
-case study, takes the third with codewords that slide across the aperture
-within a block (n - n_v + 1 taps) or, with n taps and so one shift, repeat.
+lockstep (sensing.measure_segment), appends the outputs to the measurement
+history, scores the grid and takes a controller step. The score and the
+step are arguments of the loop. The score is the fitted gain's
+(inference.fitted_log_likelihood) or each channel's known gain's
+(inference.known_gain_log_likelihood). The step is flexible (re-design a
+beam around the posterior mass, halving or doubling its width against a
+confidence threshold, up to the region-wide beam, which it takes whatever
+its mass), hierarchical (climb a dyadic codebook from the node holding the
+mode) or posterior matching (the codebook node whose mass is closest to
+1/2). run_alignment fits the gain and takes one of the first two;
+run_hiepm_known_alpha, the known-gain hiePM case study, takes the third
+with codewords that slide across the aperture within a block (n - n_v + 1
+taps) or, with n taps and so one shift, repeat.
 
 A batch row reproduces a lone run of its trial bit for bit; one bad row
 rejects the batch. The noise is drawn once per run, not per block: each
 distinct noisy generator draws all its snapshots' normals up front
 (channel.BatchNoise, total_snapshots * n complex numbers per generator),
-and each block scales its slice; a run on the last run's generator
-states, as in a paired comparison, reuses its draw. Each beam's block
-combiners and grid responses are built once per run into a table
-(sensing.BeamTable) that every block reads by row, with one stacked build
-of the beams a block meets first: node (l, k) of a codebook is row
+and each block scales its slice (channel.antenna_snapshot); a run on the
+last run's generator states, as in a paired comparison, reuses its draw.
+Each beam's block combiners and grid responses are built once per run into
+a table (sensing.BeamTable) that every block reads by row, with one stacked
+build of the beams a block meets first: node (l, k) of a codebook is row
 2**l - 1 + k, and the flexible controller numbers its designs as it makes
-them. A block keeps its beams as those rows. A codebook step reads its
-node masses from one node_masses table laid out the same way, and calls
-its public rule (hier_beam_search or select_codeword_posterior_matching)
-on it. What still runs row by row in a block is the flexible controller's
-lookup of each trial's (direction, width) row and the flexible step's
-np.convolve of each pmf whose window is wider than one point, once per
-width tried, whose dot order fixes the bits of windows of 16 points and up.
+them. A block keeps its beams as those rows. A codebook step reads its node
+masses from one node_masses table laid out the same way, and calls its
+public rule (hier_beam_search or select_codeword_posterior_matching) on it.
+What still runs row by row in a block is the flexible controller's lookup
+of each trial's (direction, width) row and the flexible step's np.convolve
+of each pmf whose window is wider than one point, once per width tried,
+whose dot order fixes the bits of windows of 16 points and up.
 """
 
 from __future__ import annotations
@@ -51,13 +52,13 @@ from .beams import (
     build_hierarchical_codebook,
     design_beamformer,
 )
-from .channel import BatchNoise, ChannelParams, combine, noiseless_snapshot
+from .channel import BatchNoise, ChannelParams, noiseless_snapshot
 from .inference import (
     fitted_log_likelihood,
     known_gain_log_likelihood,
     posterior_pmf,
 )
-from .sensing import BeamTable, MeasurementHistory
+from .sensing import BeamTable, MeasurementHistory, measure_segment
 
 # Noiseless channels are allowed as a sentinel (infinite SNR); the Gaussian
 # scoring still needs a positive variance, so inference falls back to this
@@ -423,10 +424,7 @@ def _align(
     for start in range(0, config.total_snapshots, config.n_v):
         # located here, so no beam is designed after the last block
         rows = locate(*keys)
-        combiners, responses = table.gather(rows)
-        x = noise.observe(signals, start, start + config.n_v)
-        # combine gives every row the bits a lone trial's product has
-        values = combine(combiners, x)
+        values, responses = measure_segment(table, rows, noise, signals, start)
         history.append(values, responses, table.taps)
         pmf = posterior_pmf(score(history))
         modes = np.argmax(pmf, axis=-1)

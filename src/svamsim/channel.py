@@ -4,7 +4,9 @@ A snapshot is alpha * phi_n(u) plus circular Gaussian noise, with alpha the
 received path gain: the transmit power P and the fading coefficient enter
 every measurement only as the product sqrt(P) * alpha, so the channel holds
 that product and nothing else scales it. The noise is the one random step:
-BatchNoise draws a run's noise once, and a noiseless row reads zeros.
+BatchNoise draws a run's noise once, a noiseless row reading zeros, and
+antenna_snapshot adds any window of it to a batch's signals. A lone trial
+is a batch of one.
 """
 
 from __future__ import annotations
@@ -47,21 +49,6 @@ def noiseless_snapshot(params: ChannelParams, n: int) -> np.ndarray:
     return params.alpha * ula_manifold(n, params.u)
 
 
-def antenna_snapshot(
-    params: ChannelParams, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """One length-n array observation: the path plus circular noise.
-
-    Noiseless parameters skip the generator entirely, so the output is
-    deterministic and the stream is left untouched.
-    """
-    x = noiseless_snapshot(params, n)
-    if params.noise_variance > 0.0:
-        scale = np.sqrt(params.noise_variance / 2.0)
-        x += scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    return x
-
-
 @lru_cache(maxsize=1)
 def _run_draw(key: tuple, count: int, n: int) -> tuple[np.ndarray, tuple[dict, ...]]:
     """A run's read-only complex (slots, count, n) normals, one slot drawn
@@ -87,21 +74,24 @@ def _run_draw(key: tuple, count: int, n: int) -> tuple[np.ndarray, tuple[dict, .
 
 class BatchNoise:
     """The noise of count consecutive observations of n elements for each
-    trial of a batch, drawn up front; observe() adds any run of them to the
-    trials' signals.
+    trial of a batch, drawn up front; antenna_snapshot adds any run of them
+    to the trials' signals.
 
     noise_variance is one finite, nonnegative variance for the whole batch
     or one per trial. Each distinct generator object among the noisy rows
     draws one standard_normal((count, 2, n)) into its own slot of
     ``normals``: real, then imaginary parts, observation by observation, the
-    numbers count antenna_snapshot calls would take, and the numbers any
-    split of them into consecutive smaller draws takes. Rows that hold the
+    numbers count lone snapshots would take, each drawing standard_normal(n)
+    for the real and then for the imaginary part, and the numbers any split
+    of them into consecutive smaller draws takes. Rows that hold the
     same generator read its one slot, each scaled by its own variance, so a
     generator advances count observations however many rows hold it. A
     noiseless row reads the last slot, of zeros, and a generator that only
     noiseless rows hold draws nothing. ``normals`` is laid out complex,
     (slots + 1, count, n), the real and imaginary parts of each observation
-    side by side. Distinct generator objects must not share a bit generator.
+    side by side, and ``scale`` holds each row's sqrt(variance / 2) as a
+    (trials, 1, 1) column. Distinct generator objects must not share a bit
+    generator.
 
     The last draw is cached (_run_draw), keyed on each drawing bit
     generator's class and pickled state in slot order, count and n: a run
@@ -144,25 +134,29 @@ class BatchNoise:
         self.normals, ends = _run_draw(key, count, n)
         for bits, state in zip(drawers, ends):
             bits.state = state
-        self._scale = np.sqrt(variance / 2.0)[:, None, None]
+        self.scale = np.sqrt(variance / 2.0)[:, None, None]
 
-    def observe(self, signals: np.ndarray, start: int, stop: int) -> np.ndarray:
-        """(trials, stop - start, n) observations start to stop - 1: each
-        trial's (n,) signal in the (trials, n) stack plus its scaled noise.
 
-        A float times a complex number adds an exact zero to each part's
-        product, so the sum has the bits of signal + scale * (real + 1j *
-        imaginary), noiseless rows included, but for a normal of exactly 0.
-        """
-        (trials,), (_, count, n) = self.slot.shape, self.normals.shape
-        if not 0 <= start < stop <= count:
-            raise ValueError(f"observations {start}:{stop} lie outside 0:{count}")
-        if np.shape(signals) != (trials, n):
-            raise ValueError(f"need ({trials}, {n}) signals, got {np.shape(signals)}")
-        x = self.normals[self.slot, start:stop]  # a copy: fancy indexing
-        x *= self._scale
-        x += signals[:, None, :]
-        return x
+def antenna_snapshot(
+    noise: BatchNoise, signals: np.ndarray, start: int, stop: int
+) -> np.ndarray:
+    """(trials, stop - start, n) array observations start to stop - 1 of a
+    batch: each trial's (n,) path signal in the (trials, n) stack plus its
+    scaled noise from the run's draw. A lone trial is a batch of one.
+
+    A float times a complex number adds an exact zero to each part's
+    product, so the sum has the bits of signal + scale * (real + 1j *
+    imaginary), noiseless rows included, but for a normal of exactly 0.
+    """
+    (trials,), (_, count, n) = noise.slot.shape, noise.normals.shape
+    if not 0 <= start < stop <= count:
+        raise ValueError(f"observations {start}:{stop} lie outside 0:{count}")
+    if np.shape(signals) != (trials, n):
+        raise ValueError(f"need ({trials}, {n}) signals, got {np.shape(signals)}")
+    x = noise.normals[noise.slot, start:stop]  # a copy: fancy indexing
+    x *= noise.scale
+    x += signals[:, None, :]
+    return x
 
 
 def combine(w: np.ndarray, x: np.ndarray) -> complex | np.ndarray:

@@ -13,12 +13,14 @@ aperture n and read m from the beam's taps. Snapshot r of a block holds the
 beam at shift r mod (n - m + 1): a full-aperture beam (m = n) has one shift
 and is repeated for the whole block, whose virtual rows are then all ones.
 
-MeasurementHistory keeps the blocks of a batch of trials that advance in
-lockstep, a lone trial being a batch of one. It owns the grid of candidate
-angles it was built on and the noise variance the inference assumes, and
-folds every block's values and its beams' response rows into running
-(trials, grid) statistics; it keeps no beam. The inference reads all of
-these from the history alone.
+measure_segment senses one block of a batch of trials that advance in
+lockstep, a lone trial being a batch of one: it gathers each trial's beam
+from the run's BeamTable, reads the block's observations off the run's
+noise draw (channel.antenna_snapshot) and combines them. MeasurementHistory
+keeps the blocks. It owns the grid of candidate angles it was built on and
+the noise variance the inference assumes, and folds every block's values
+and its beams' response rows into running (trials, grid) statistics; it
+keeps no beam. The inference reads all of these from the history alone.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .arrays import AngularGrid, check_integer
 from .beams import Beamformer, _weights_of
-from .channel import BatchNoise, ChannelParams, combine, noiseless_snapshot
+from .channel import BatchNoise, antenna_snapshot, combine
 
 
 def _virtual_size(taps: int, n: int) -> int:
@@ -111,11 +113,7 @@ class BeamTable:
     def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (trials, n_v, n) combiners and (trials, grid) responses of
         the beams in the given rows, one row per trial."""
-        if rows.max() < len(self._slot):
-            slots = self._slot[rows]
-            if slots.min() >= 0:  # every row built, as after the first blocks
-                return self._combiners[slots], self._responses[slots]
-        else:
+        if rows.max() >= len(self._slot):
             more = len(self._beams) - len(self._slot)
             self._slot = np.concatenate([self._slot, np.full(more, -1)])
         new = np.unique(rows[self._slot[rows] < 0])
@@ -142,18 +140,23 @@ class BeamTable:
 
 
 def measure_segment(
-    f: Beamformer | np.ndarray,
-    params: ChannelParams,
-    n: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Slide the combiner across one block of snapshots on an n-element
-    aperture and return its (n_v,) outputs: the block of a lone trial, built
-    like each trial's block of a batch."""
-    w = block_combiners(f, n, _virtual_size(len(_weights_of(f)), n))
-    noise = BatchNoise([rng], params.noise_variance, len(w), n)
-    (x,) = noise.observe(noiseless_snapshot(params, n)[None], 0, len(w))
-    return combine(w, x)
+    table: BeamTable,
+    rows: np.ndarray,
+    noise: BatchNoise,
+    signals: np.ndarray,
+    start: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One block of a batch: the (trials, n_v) outputs of each trial's beam
+    in the given table rows slid across observations start to start + n_v -
+    1 of its (n,) signal in the (trials, n) stack, and the (trials, grid)
+    responses of those beams. A lone trial is a batch of one.
+
+    combine gives every row the bits a lone trial's snapshot-by-snapshot
+    products have.
+    """
+    combiners, responses = table.gather(rows)
+    x = antenna_snapshot(noise, signals, start, start + combiners.shape[-2])
+    return combine(combiners, x), responses
 
 
 class MeasurementHistory:

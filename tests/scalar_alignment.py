@@ -29,7 +29,7 @@ from svamsim.beams import (
     build_hierarchical_codebook,
     design_beamformer,
 )
-from svamsim.channel import ChannelParams, antenna_snapshot, combine
+from svamsim.channel import ChannelParams, combine, noiseless_snapshot
 from svamsim.inference import (
     alpha_posterior,
     approx_log_likelihood,
@@ -82,13 +82,25 @@ def columns(outcome: Trials | list[TrialRecord]) -> dict[str, list]:
     }
 
 
-def measure_segment(f, params, config: AdaptConfig, segment_index, rng) -> np.ndarray:
-    """One block, snapshot by snapshot: pad, synthesize, combine."""
-    values = np.empty(config.n_v, dtype=complex)
-    base = segment_index * config.n_v
-    for r in range(config.n_v):
-        w = svam_combiner(f, base + r, config.n)
-        x = antenna_snapshot(params, config.n, rng)
+def antenna_snapshot_scalar(params: ChannelParams, n: int, rng) -> np.ndarray:
+    """One lone length-n array observation: the path plus circular noise,
+    real then imaginary normals drawn on their own. Noiseless parameters
+    draw nothing, so the generator is left untouched."""
+    x = noiseless_snapshot(params, n)
+    if params.noise_variance > 0.0:
+        scale = np.sqrt(params.noise_variance / 2.0)
+        x += scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return x
+
+
+def measure_segment_scalar(f, params: ChannelParams, n: int, rng) -> np.ndarray:
+    """One lone block on an n-element aperture, snapshot by snapshot: pad,
+    synthesize, combine. f is a Beamformer or its weights; snapshot r holds
+    the beam at shift r, so an m-tap beam gives n - m + 1 outputs."""
+    values = np.empty(n - len(getattr(f, "weights", f)) + 1, dtype=complex)
+    for r in range(len(values)):
+        w = svam_combiner(f, r, n)
+        x = antenna_snapshot_scalar(params, n, rng)
         values[r] = combine(w, x)
     return values
 
@@ -232,7 +244,7 @@ def run_alignment_scalar(
     pmf = np.full(grid.size, 1.0 / grid.size)
     blocks = config.total_snapshots // config.n_v
     for t in range(blocks):
-        history.append(measure_segment(beam, channel, config, t, rng), beam)
+        history.append(measure_segment_scalar(beam, channel, config.n, rng), beam)
         gamma = gamma_mle(history)
         post = alpha_posterior(history, gamma)
         pmf = posterior_pmf(approx_log_likelihood(history, post))
@@ -329,7 +341,7 @@ def run_hiepm_scalar(
             w = svam_combiner(codeword, snap, config.n)
         else:
             w = codeword.weights
-        x = antenna_snapshot(channel, config.n, rng)
+        x = antenna_snapshot_scalar(channel, config.n, rng)
         y = combine(w, x)
         pmf = known_alpha_update(pmf, y, w, alpha, grid, noise_var)
         if (snap + 1) % config.n_v == 0:

@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 from history_helpers import append_beams
+from scalar_alignment import measure_segment_scalar
 from svamsim import (
     AdaptConfig,
     AngularGrid,
@@ -46,7 +47,7 @@ from svamsim.harness import (
     run_adaptive_trials,
     run_hiepm_trials,
 )
-from svamsim.sensing import MeasurementHistory, measure_segment
+from svamsim.sensing import MeasurementHistory
 
 ROI = RegionOfInterest(0.0, 1.0)
 
@@ -153,7 +154,7 @@ def _random_history(
     beams = []
     for t in range(segments):
         f = _unit_columns(rng, n - n_v + 1, 1)[:, 0]
-        append_beams(history, measure_segment(f, params, n, rng)[None], [f])
+        append_beams(history, measure_segment_scalar(f, params, n, rng)[None], [f])
         beams.append(f)
     return history, beams
 

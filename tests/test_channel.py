@@ -38,22 +38,28 @@ class TestAntennaSnapshot:
     def test_noiseless_single_path_formula(self):
         rng = np.random.default_rng(0)
         params = ChannelParams(2.0 * (0.5 - 0.5j), 0.3)
-        x = antenna_snapshot(params, 6, rng)
+        noise = BatchNoise([rng], params.noise_variance, 1, 6)
+        (x,) = antenna_snapshot(noise, noiseless_snapshot(params, 6)[None], 0, 1)
         np.testing.assert_allclose(
-            x, 2.0 * (0.5 - 0.5j) * ula_manifold(6, 0.3), atol=1e-12
+            x[0], 2.0 * (0.5 - 0.5j) * ula_manifold(6, 0.3), atol=1e-12
         )
 
     def test_noiseless_deterministic_and_stream_untouched(self):
         params = ChannelParams(1.0, 0.1)
         rng = np.random.default_rng(42)
         before = rng.bit_generator.state
-        antenna_snapshot(params, 4, rng)
+        signal = noiseless_snapshot(params, 4)
+        noise = BatchNoise([rng], params.noise_variance, 3, 4)
+        (x,) = antenna_snapshot(noise, signal[None], 0, 3)
         assert rng.bit_generator.state == before
+        assert x.tobytes() == np.tile(signal, (3, 1)).tobytes()
 
     def test_noise_moments(self):
-        params = ChannelParams(0.0, 0.0, noise_variance=2.0)
+        # 100 000 observations of 3 elements from one run's draw
         rng = np.random.default_rng(123)
-        draws = np.array([antenna_snapshot(params, 3, rng) for _ in range(100_000)])
+        noise = BatchNoise([rng], 2.0, 100_000, 3)
+        zeros = np.zeros((1, 3), dtype=complex)
+        (draws,) = antenna_snapshot(noise, zeros, 0, 100_000)
         mean = draws.mean()
         var = np.mean(np.abs(draws) ** 2)
         assert abs(mean) < 0.02
@@ -61,15 +67,15 @@ class TestAntennaSnapshot:
         # circularity: pseudo-variance E[x^2] vanishes
         assert abs(np.mean(draws**2)) < 0.02
 
-    def test_same_seed_bit_identical(self):
-        params = ChannelParams(1.0, 0.4, noise_variance=1.0)
-        a = [
-            antenna_snapshot(params, 5, np.random.default_rng(9)) for _ in range(1)
-        ][0]
-        b = [
-            antenna_snapshot(params, 5, np.random.default_rng(9)) for _ in range(1)
-        ][0]
-        assert np.array_equal(a, b)
+    def test_same_seed_bit_identical(self, cold):
+        # two fresh generators of one seed, each run drawing cold
+        signals = noiseless_snapshot(ChannelParams(1.0, 0.4), 5)[None]
+        runs = []
+        for _ in range(2):
+            cold.cache_clear()
+            noise = BatchNoise([np.random.default_rng(9)], 1.0, 2, 5)
+            runs.append(antenna_snapshot(noise, signals, 0, 2))
+        assert np.array_equal(*runs)
 
 
 class TestCombine:
@@ -130,15 +136,15 @@ class TestCombine:
                     )
 
     def test_unit_norm_noise_variance_preserved(self):
-        params = ChannelParams(0.0, 0.0, noise_variance=1.5)
+        # 60 000 observations of 6 elements from one run's draw
         rng = np.random.default_rng(77)
         w = np.random.default_rng(1).standard_normal(6) + 1j * np.random.default_rng(
             2
         ).standard_normal(6)
         w = w / np.linalg.norm(w)
-        outs = np.array(
-            [combine(w, antenna_snapshot(params, 6, rng)) for _ in range(60_000)]
-        )
+        noise = BatchNoise([rng], 1.5, 60_000, 6)
+        (x,) = antenna_snapshot(noise, np.zeros((1, 6), dtype=complex), 0, 60_000)
+        outs = combine(np.broadcast_to(w, x.shape), x)
         assert abs(np.mean(np.abs(outs) ** 2) - 1.5) < 0.05
 
 
@@ -154,7 +160,7 @@ class TestAntennaBlocks:
         ])
         signals[1, 0] = -0.0  # a negative zero meets the noiseless zero
         rngs = [np.random.default_rng(5 + k) for k in range(3)]
-        got = BatchNoise(rngs, variances, count, n).observe(signals, 0, count)
+        got = antenna_snapshot(BatchNoise(rngs, variances, count, n), signals, 0, count)
         noise = np.zeros((3, count, 2, n))
         for k, variance in enumerate(variances):
             if variance > 0.0:
@@ -276,11 +282,11 @@ class TestSharedRunDraw:
         assert cold.cache_info()[:2] == ((1, 1) if warm else (0, 1))
         assert noise.slot.tolist() == [-1, 0, 1, -1]
         assert rngs[3].bit_generator.state == untouched
-        got = noise.observe(signals, 0, 6)
+        got = antenna_snapshot(noise, signals, 0, 6)
         np.testing.assert_array_equal(got[0], signals[0, None].repeat(6, axis=0))
         for k in (1, 2):
             lone = BatchNoise(_generators([seeds[k]]), variances[k], 6, 8)
-            (want,) = lone.observe(signals[k : k + 1], 0, 6)
+            (want,) = antenna_snapshot(lone, signals[k : k + 1], 0, 6)
             assert got[k].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
@@ -329,7 +335,7 @@ class TestSharedRunDraw:
         assert _states(rngs[:2]) == _states(want)
 
 
-def test_observe_adds_the_scaled_complex_noise_to_each_signal():
+def test_a_snapshot_adds_the_scaled_complex_noise_to_each_signal():
     # the complex-laid draw gives every row the bits of the two-plane
     # formula signal + scale * (real + 1j * imaginary); a noiseless row,
     # whose planes are zeros, reads its signal
@@ -338,7 +344,7 @@ def test_observe_adds_the_scaled_complex_noise_to_each_signal():
     signals = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
     noise = BatchNoise(_generators(seeds), variances, 6, 8)
     draws = {seed: np.random.default_rng(seed).standard_normal((6, 2, 8)) for seed in (80, 81, 82)}
-    got = noise.observe(signals, 1, 5)
+    got = antenna_snapshot(noise, signals, 1, 5)
     for k, (seed, v) in enumerate(zip(seeds, variances)):
         planes = draws[seed][1:5] if v > 0 else np.zeros((4, 2, 8))
         want = signals[k] + np.sqrt(v / 2.0) * (planes[:, 0] + 1j * planes[:, 1])
@@ -372,13 +378,13 @@ class TestBatchNoiseArguments:
         assert _states(rngs) == _states(_generators([1, 2]))
 
     @pytest.mark.parametrize("start, stop", [(-1, 2), (2, 2), (3, 1), (0, 5), (4, 6)])
-    def test_observe_window_must_lie_in_the_draw(self, start, stop):
+    def test_snapshot_window_must_lie_in_the_draw(self, start, stop):
         noise = BatchNoise(_generators([1, 2]), 0.5, 4, 8)
         with pytest.raises(ValueError, match=f"{start}:{stop} lie outside 0:4"):
-            noise.observe(np.ones((2, 8), dtype=complex), start, stop)
+            antenna_snapshot(noise, np.ones((2, 8), dtype=complex), start, stop)
 
     @pytest.mark.parametrize("shape", [(3, 8), (2, 7), (8,), (2, 8, 1)])
     def test_signal_stack_must_be_trials_by_elements(self, shape):
         noise = BatchNoise(_generators([1, 2]), 0.5, 4, 8)
         with pytest.raises(ValueError, match=r"need \(2, 8\) signals"):
-            noise.observe(np.ones(shape, dtype=complex), 0, 4)
+            antenna_snapshot(noise, np.ones(shape, dtype=complex), 0, 4)

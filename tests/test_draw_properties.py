@@ -15,7 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from svamsim import channel  # noqa: E402
-from svamsim.channel import BatchNoise  # noqa: E402
+from svamsim.channel import BatchNoise, antenna_snapshot  # noqa: E402
 
 KINDS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
 
@@ -38,7 +38,7 @@ def _run(seeds, kinds, variances, count, n):
     made = {seed: np.random.Generator(kinds[seed](seed)) for seed in set(seeds)}
     rngs = [made[seed] for seed in seeds]
     signals = np.arange(len(seeds) * n).reshape(len(seeds), n) * (1 + 1j)
-    x = BatchNoise(rngs, variances, count, n).observe(signals, 0, count)
+    x = antenna_snapshot(BatchNoise(rngs, variances, count, n), signals, 0, count)
     return x.tobytes(), [pickle.dumps(rng.bit_generator.state) for rng in rngs]
 
 

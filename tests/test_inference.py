@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from history_helpers import append_beams
-from scalar_alignment import columns
+from scalar_alignment import columns, measure_segment_scalar
 from svamsim import adaptive
 from svamsim.adaptive import NOISELESS_VAR_FLOOR, AdaptConfig
 from svamsim.arrays import AngularGrid, RegionOfInterest, ula_manifold
@@ -21,7 +21,7 @@ from svamsim.inference import (
     likelihood_terms,
     posterior_pmf,
 )
-from svamsim.sensing import MeasurementHistory, block_combiners, measure_segment
+from svamsim.sensing import MeasurementHistory, block_combiners
 
 
 def unit(m, seed):
@@ -52,7 +52,8 @@ def make_history(
     beta = []
     for t in range(segments):
         f = unit(n - n_v + 1, 100 + t)
-        beta.append(append_beams(hist, measure_segment(f, params, n, rng)[None], [f]))
+        values = measure_segment_scalar(f, params, n, rng)[None]
+        beta.append(append_beams(hist, values, [f]))
     return hist, grid, np.stack(beta, axis=-2)
 
 
@@ -263,7 +264,7 @@ class TestLikelihoodTerms:
         for t in range(segments):  # 61 taps on 64 elements: blocks of 4
             beams = [unit(61, 2 * t + k) for k in range(2)]
             values = np.stack([
-                measure_segment(f, c, 64, rng) for f, c in zip(beams, channels)
+                measure_segment_scalar(f, c, 64, rng) for f, c in zip(beams, channels)
             ])
             beta.append(append_beams(hist, values, beams))
         assert hist.stacked().shape == (2, segments * 4)
@@ -355,7 +356,7 @@ class TestNoiseColumn:
         beams = [unit(10, 100 + t) for t in range(segments)]
         for f in beams:  # 10 taps on 12 elements: blocks of 3
             values = np.stack([
-                measure_segment(f, c, 12, rng) for c, rng in zip(channels, rngs)
+                measure_segment_scalar(f, c, 12, rng) for c, rng in zip(channels, rngs)
             ])
             append_beams(batch, values, [f] * len(channels))
         return batch, beams

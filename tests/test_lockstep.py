@@ -14,8 +14,10 @@ import pytest
 
 from history_helpers import append_beams
 from scalar_alignment import (
+    antenna_snapshot_scalar,
     columns,
     known_alpha_update,
+    measure_segment_scalar,
     run_alignment_scalar,
     run_hiepm_scalar,
     select_codeword_scalar,
@@ -52,7 +54,7 @@ from svamsim.inference import (
     known_alpha_posterior,
     posterior_pmf,
 )
-from svamsim.sensing import MeasurementHistory, block_combiners, measure_segment
+from svamsim.sensing import MeasurementHistory, block_combiners
 
 ROI = RegionOfInterest(0.0, 1.0)
 TRIALS = 6
@@ -395,16 +397,16 @@ def test_noise_block_reproduces_consecutive_snapshots():
     n, n_v, seed = 8, 4, 21
     params = ChannelParams(np.exp(0.7j), 0.3, noise_variance=2.0)
     rng = np.random.default_rng(seed)
-    singles = np.stack([antenna_snapshot(params, n, rng) for _ in range(n_v)])
+    singles = np.stack([antenna_snapshot_scalar(params, n, rng) for _ in range(n_v)])
     raw = np.random.default_rng(seed).standard_normal((n_v, 2, n))
     noise = np.sqrt(params.noise_variance / 2.0) * (raw[:, 0] + 1j * raw[:, 1])
     np.testing.assert_array_equal(singles, noiseless_snapshot(params, n) + noise)
 
     rng_block, rng_single = np.random.default_rng(seed), np.random.default_rng(seed)
     noise = BatchNoise([rng_block], params.noise_variance, n_v, n)
-    (block,) = noise.observe(noiseless_snapshot(params, n)[None], 0, n_v)
+    (block,) = antenna_snapshot(noise, noiseless_snapshot(params, n)[None], 0, n_v)
     np.testing.assert_array_equal(
-        block, [antenna_snapshot(params, n, rng_single) for _ in range(n_v)]
+        block, [antenna_snapshot_scalar(params, n, rng_single) for _ in range(n_v)]
     )
     # both generators stand at the same place afterwards
     assert rng_block.standard_normal() == rng_single.standard_normal()
@@ -414,7 +416,7 @@ def test_noiseless_block_leaves_generator_untouched():
     params = ChannelParams(1.0, 0.5)
     rng = np.random.default_rng(3)
     signal = noiseless_snapshot(params, 6)
-    block = BatchNoise([rng], 0.0, 3, 6).observe(signal[None], 0, 3)
+    block = antenna_snapshot(BatchNoise([rng], 0.0, 3, 6), signal[None], 0, 3)
     np.testing.assert_array_equal(block[0], np.tile(signal, (3, 1)))
     assert rng.standard_normal() == np.random.default_rng(3).standard_normal()
 
@@ -430,11 +432,11 @@ def test_per_trial_noise_rows_equal_shared_noise_blocks(variances):
         for k in range(3)
     ])
     rngs = [np.random.default_rng(60 + k) for k in range(3)]
-    blocks = BatchNoise(rngs, variances, n_v, n).observe(signals, 0, n_v)
+    blocks = antenna_snapshot(BatchNoise(rngs, variances, n_v, n), signals, 0, n_v)
     for k, variance in enumerate(variances):
         rng = np.random.default_rng(60 + k)
         lone = BatchNoise([rng], float(variance), n_v, n)
-        (want,) = lone.observe(signals[k : k + 1], 0, n_v)
+        (want,) = antenna_snapshot(lone, signals[k : k + 1], 0, n_v)
         np.testing.assert_array_equal(blocks[k], want)
         # each generator stands where its lone draw left it, and a
         # noiseless row's never moved
@@ -464,11 +466,11 @@ def test_rows_on_one_generator_share_its_draw(shared):
     seeds = [70, 71, 70]
     one, other = np.random.default_rng(70), np.random.default_rng(71)
     noise = BatchNoise([one, other, one], variances, n_v, n)
-    blocks = noise.observe(signals, 0, n_v)
+    blocks = antenna_snapshot(noise, signals, 0, n_v)
     for k, (seed, variance) in enumerate(zip(seeds, variances)):
         fresh = np.random.default_rng(seed)
         lone = BatchNoise([fresh], float(variance), n_v, n)
-        (want,) = lone.observe(signals[k : k + 1], 0, n_v)
+        (want,) = antenna_snapshot(lone, signals[k : k + 1], 0, n_v)
         np.testing.assert_array_equal(blocks[k], want)
     moved = np.random.default_rng(70)
     if max(shared) > 0.0:
@@ -519,9 +521,9 @@ def test_run_draw_equals_per_block_draws(variances):
     run_rngs, block_rngs = generators(), generators()
     noise = BatchNoise(run_rngs, variances, blocks * n_v, signals.shape[1])
     for t in range(blocks):
-        got = noise.observe(signals, t * n_v, (t + 1) * n_v)
+        got = antenna_snapshot(noise, signals, t * n_v, (t + 1) * n_v)
         block = BatchNoise(block_rngs, variances, n_v, signals.shape[1])
-        want = block.observe(signals, 0, n_v)
+        want = antenna_snapshot(block, signals, 0, n_v)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     for run_rng, block_rng in zip(run_rngs, block_rngs):
         assert run_rng.bit_generator.state == block_rng.bit_generator.state
@@ -639,7 +641,7 @@ def _histories(trials=3, n_v=2, segments=3):
             1j, float(grid.points[3]), noise_variance=0.7
         )
         values = np.stack(
-            [measure_segment(f, params, n, rng) for f, rng in zip(beams, rngs)]
+            [measure_segment_scalar(f, params, n, rng) for f, rng in zip(beams, rngs)]
         )
         for hist, row, f in zip(lone, values, beams):
             append_beams(hist, row[None], [f])

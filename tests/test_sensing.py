@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from history_helpers import append_beams
+from scalar_alignment import measure_segment_scalar
 from svamsim.arrays import AngularGrid, RegionOfInterest, ula_manifold
 from svamsim.beams import BeamSpec, design_beamformer
-from svamsim.channel import ChannelParams
+from svamsim.channel import BatchNoise, ChannelParams, noiseless_snapshot
 from svamsim.sensing import (
     BeamTable,
     MeasurementHistory,
@@ -111,12 +112,23 @@ def test_a_stacked_build_gives_each_row_a_lone_builds_bits(count, m, n, n_v, siz
             assert r.tobytes() == (beams[row].conj() @ grid.manifold(m)).tobytes()
 
 
+def _measure_lone(f, params, n, n_v, rng):
+    """The (n_v,) outputs and (grid,) responses measure_segment gives a
+    batch of one sensing block 0 with beam f."""
+    table = BeamTable([f], n, n_v, AngularGrid(RegionOfInterest(0.0, 1.0), 8))
+    noise = BatchNoise([rng], params.noise_variance, n_v, n)
+    signals = noiseless_snapshot(params, n)[None]
+    rows = np.zeros(1, dtype=int)
+    (values,), (responses,) = measure_segment(table, rows, noise, signals, 0)
+    return values, responses
+
+
 class TestMeasureSegment:
     def test_noiseless_phase_progression(self):
         f = random_unit(4, 9)
         alpha, u = np.sqrt(2.0) * (0.7 - 0.2j), 0.35
         params = ChannelParams(alpha, u)
-        values = measure_segment(f, params, 6, np.random.default_rng(0))
+        values, _ = _measure_lone(f, params, 6, 3, np.random.default_rng(0))
         beta = np.vdot(f, ula_manifold(4, u))
         expected = alpha * beta * np.exp(1j * np.pi * u * np.arange(3))
         np.testing.assert_allclose(values, expected, atol=1e-12)
@@ -124,8 +136,34 @@ class TestMeasureSegment:
     def test_broadside_gives_equal_snapshots(self):
         f = random_unit(4, 10)
         params = ChannelParams(1.0, 0.0)
-        values = measure_segment(f, params, 5, np.random.default_rng(0))
+        values, _ = _measure_lone(f, params, 5, 2, np.random.default_rng(0))
         np.testing.assert_allclose(values[0], values[1], atol=1e-12)
+
+    def test_rows_equal_lone_blocks_snapshot_by_snapshot(self):
+        # each block of a batch, at any window of the run's draw, carries
+        # the bits of its trial's lone block: every snapshot synthesized and
+        # combined on its own, after the blocks before it
+        n, n_v, blocks = 9, 3, 3
+        grid = AngularGrid(RegionOfInterest(0.0, 1.0), 16)
+        beams = [random_unit(n - n_v + 1, 20 + k) for k in range(4)]
+        channels = [
+            ChannelParams(np.exp(1j * k), 0.2 * k, noise_variance=v)
+            for k, v in enumerate([0.5, 0.0, 2.0, 1.0])
+        ]
+        signals = np.stack([noiseless_snapshot(c, n) for c in channels])
+        rngs = [np.random.default_rng(30 + k) for k in range(4)]
+        lone_rngs = [np.random.default_rng(30 + k) for k in range(4)]
+        table = BeamTable(beams, n, n_v, grid)
+        noise = BatchNoise(rngs, [c.noise_variance for c in channels], blocks * n_v, n)
+        for t in range(blocks):
+            rows = np.roll(np.arange(4), t)
+            values, responses = measure_segment(table, rows, noise, signals, t * n_v)
+            assert values.shape == (4, n_v) and responses.shape == (4, grid.size)
+            for k, row in enumerate(rows.tolist()):
+                lone = measure_segment_scalar(beams[row], channels[k], n, lone_rngs[k])
+                assert values[k].tobytes() == lone.tobytes()
+                lone_responses = beam_responses(beams[row], grid)
+                assert responses[k].tobytes() == lone_responses.tobytes()
 
 
 class TestMeasurementHistory:
@@ -143,7 +181,7 @@ class TestMeasurementHistory:
         for t in range(count):
             # 10 taps on 12 elements: blocks of n_v = 3
             f = random_unit(10, 100 + t)
-            values = measure_segment(f, params, 12, rng)[None]
+            values = measure_segment_scalar(f, params, 12, rng)[None]
             beta.append(append_beams(hist, values, [f]))
         # the (trials, segments, grid) response rows the history folded
         return hist, grid, params, np.stack(beta, axis=-2)
