@@ -11,7 +11,6 @@ from .arrays import (
 from .beams import (
     BeamSpec,
     Beamformer,
-    CodebookNode,
     HierarchicalCodebook,
     beam_gain,
     build_hierarchical_codebook,
@@ -68,7 +67,6 @@ __all__ = [
     "ula_manifold",
     "BeamSpec",
     "Beamformer",
-    "CodebookNode",
     "HierarchicalCodebook",
     "beam_gain",
     "build_hierarchical_codebook",

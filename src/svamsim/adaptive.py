@@ -23,11 +23,13 @@ and each block scales its slice (channel.antenna_snapshot); a run on the
 last run's generator states, as in a paired comparison, reuses its draw.
 Each beam's block combiners and grid responses are built once per run into
 a table (sensing.BeamTable) that every block reads by row, with one stacked
-build of the beams a block meets first: node (l, k) of a codebook is row
-2**l - 1 + k, and the flexible controller numbers its designs as it makes
-them. A block keeps its beams as those rows. A codebook step reads its node
-masses from one node_masses table laid out the same way, and calls its
-public rule (hier_beam_search or select_codeword_posterior_matching) on it.
+build of the beams a block meets first: a codebook's rows are its heap of
+beams, node (l, k) at row 2**l - 1 + k, and the flexible controller numbers
+its designs as it makes them. A block keeps its beams as those rows. A
+codebook step keys each trial by its node's row: it reads the node masses
+from one node_masses table laid out the same way, and its public rule
+(hier_beam_search or select_codeword_posterior_matching) takes and returns
+rows, so the rows are the next block's beams as they stand.
 What still runs row by row in a block is the flexible controller's lookup
 of each trial's (direction, width) row and the flexible step's np.convolve
 of each pmf whose window is wider than one point, once per width tried,
@@ -48,6 +50,7 @@ from .beams import (
     Beamformer,
     BeamSpec,
     HierarchicalCodebook,
+    _heap_depth,
     beam_gain,
     build_hierarchical_codebook,
     design_beamformer,
@@ -253,60 +256,53 @@ def select_next_beam(
     return directions, bw, peaks
 
 
-def _heap_depth(table: np.ndarray) -> int:
-    """Codebook depth of a node_masses table, read off its width."""
-    width = np.shape(table)[-1] if np.ndim(table) == 2 else 0
-    if width < 1 or width & (width + 1):
-        raise ValueError(
-            "need a (trials, 2**(depth+1) - 1) heap table of node masses, "
-            f"got shape {np.shape(table)}"
-        )
-    return width.bit_length() - 1
-
-
 def hier_beam_search(
-    levels: Sequence[int],
+    nodes: Sequence[int],
     masses: np.ndarray,
     modes: Sequence[int],
     grid_size: int,
     p_thresh: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Codebook node (level, index) for each trial's next block: start one
-    level below the trial's current one at the node containing its posterior
-    mode, then climb to the parent until enough mass is captured. Level 0
-    always terminates the climb.
+) -> np.ndarray:
+    """Codebook node for each trial's next block, as its heap row 2**l - 1 +
+    k: start one level below the trial's current node at the node
+    containing its posterior mode, then climb to the parent until enough
+    mass is captured. Level 0 always terminates the climb.
 
-    levels and modes hold one entry per trial; masses is the node_masses
-    table of the (trials, grid) pmf stack, whose width sets the codebook
-    depth. Every mass is read from that table, so a node's mass is
-    node_mass's. Returns the levels and the indices as integer arrays, one
-    entry per trial.
+    nodes holds each trial's current heap row and modes its posterior mode;
+    masses is the node_masses table of the (trials, grid) pmf stack, whose
+    width sets the codebook depth. Every mass is read from that table, so a
+    node's mass is node_mass's. Returns the rows as one integer array.
     """
     if not (0.0 < p_thresh < 1.0):
         raise ValueError("confidence threshold must lie in (0, 1)")
-    depth = _heap_depth(masses)
-    if len(levels) != len(masses) or len(modes) != len(masses):
-        raise ValueError("need one level and mode per trial of the mass table")
+    depth = _heap_depth(np.shape(masses), 2)
+    masses = np.asarray(masses, dtype=float)
+    if len(nodes) != len(masses) or len(modes) != len(masses):
+        raise ValueError("need one node and mode per trial of the mass table")
     if grid_size % 2**depth:
         raise ValueError(
             f"grid size {grid_size} cannot resolve {2**depth} nodes evenly"
         )
-    levels = np.asarray(levels, dtype=int)
-    if np.any(levels < 0):
-        raise ValueError("negative codebook level")
-    level = np.minimum(levels + 1, depth)
+    nodes = np.asarray(nodes)
+    width = masses.shape[1]
+    if nodes.dtype.kind not in "iu" or np.any((nodes < 0) | (nodes >= width)):
+        raise ValueError(
+            f"codebook nodes must be integer rows in [0, {width}), got {nodes}"
+        )
+    # row h lies on level frexp(h + 1)[1] - 1, so this is the level below
+    level = np.minimum(np.frexp(nodes + 1)[1], depth)
     modes = np.asarray(modes, dtype=int)
     if np.any((modes < 0) | (modes >= grid_size)):
         raise ValueError("posterior mode outside the grid")
-    index = (modes * 2**level) // grid_size
+    node = 2**level - 1 + (modes * 2**level) // grid_size
     # a climb only goes up, so one sweep from the deepest level settles all
     for at_level in range(depth, 0, -1):
         rows = np.flatnonzero(level == at_level)
         # written so that a NaN mass climbs, as a failed >= test does
-        climb = rows[~(masses[rows, _node_rows(at_level, index[rows])] >= p_thresh)]
+        climb = rows[~(masses[rows, node[rows]] >= p_thresh)]
         level[climb] -= 1
-        index[climb] //= 2
-    return level, index
+        node[climb] = (node[climb] - 1) // 2
+    return node
 
 
 def node_mass(pmf: np.ndarray, level: int, index: int) -> float:
@@ -322,10 +318,10 @@ def node_mass(pmf: np.ndarray, level: int, index: int) -> float:
 def node_masses(pmf: np.ndarray, depth: int) -> np.ndarray:
     """Posterior mass of every dyadic node from the root down to depth, as
     one heap table: (trials, 2**(depth+1) - 1) for a (trials, grid) stack
-    of pmfs. Node (l, k) is column 2**l - 1 + k (_node_rows), so node h's
-    children are columns 2h + 1 and 2h + 2. Each mass is the sum of the
-    node's contiguous pmf slice, taken the way node_mass takes it, so the
-    two agree to the bit.
+    of pmfs. Node (l, k) is column 2**l - 1 + k, its heap row in the
+    codebook, so node h's children are columns 2h + 1 and 2h + 2. Each mass
+    is the sum of the node's contiguous pmf slice, taken the way node_mass
+    takes it, so the two agree to the bit.
     """
     pmf = np.asarray(pmf, dtype=float)
     if depth < 0 or pmf.shape[-1] % 2**depth:
@@ -339,10 +335,8 @@ def node_masses(pmf: np.ndarray, depth: int) -> np.ndarray:
     return np.concatenate(levels, axis=-1)
 
 
-def select_codeword_posterior_matching(
-    masses: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Known-gain codeword rule, one (level, index) per trial: walk down the
+def select_codeword_posterior_matching(masses: np.ndarray) -> np.ndarray:
+    """Known-gain codeword rule, one heap row per trial: walk down the
     larger-mass child (the left one on ties) while the mass stays at least
     1/2, then choose between the deepest such node and its better child
     whichever mass is closer to 1/2; the root counts as mass 1. masses is
@@ -354,7 +348,8 @@ def select_codeword_posterior_matching(
     gather per level, and each trial stops at the deepest level whose path
     masses all stay at least 1/2 and makes one closer test.
     """
-    depth = _heap_depth(masses)
+    depth = _heap_depth(np.shape(masses), 2)
+    masses = np.asarray(masses, dtype=float)
     count, width = masses.shape
     inner = width // 2  # nodes with children
     # child[i * inner + h]: node h's larger child in row i; a NaN pair takes
@@ -373,23 +368,12 @@ def select_codeword_posterior_matching(
     level = (mass[1:] >= 0.5).argmin(axis=0)
     # a walk that stops above the leaves still ends on the child if it is closer
     level += np.abs(mass[level + 1, rows] - 0.5) < np.abs(mass[level, rows] - 0.5)
-    return level, path[level, rows] - _node_rows(level, 0)
+    return path[level, rows]
 
 
-def _node_rows(levels: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Row 2**l - 1 + k of node (l, k): its column in a node_masses table
-    and its row in a codebook's beam list."""
-    return 2**levels - 1 + indices
-
-
-def _node_peaks(table: np.ndarray, levels, indices) -> np.ndarray:
-    """Mass of node (levels[i], indices[i]) in row i of a node_masses table."""
-    return table[np.arange(len(table)), _node_rows(levels, indices)]
-
-
-def _codebook_beams(book: HierarchicalCodebook) -> list[Beamformer]:
-    """The codebook's beams in node-row order (_node_rows)."""
-    return [node.beamformer for level in book.levels for node in level]
+def _node_peaks(table: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Mass of node nodes[i] in row i of a node_masses table."""
+    return table[np.arange(len(table)), nodes]
 
 
 def _align(
@@ -397,16 +381,17 @@ def _align(
     channels: Sequence[ChannelParams],
     rngs: Sequence[np.random.Generator],
     score: Callable[[MeasurementHistory], np.ndarray],
-    keys: tuple[np.ndarray, np.ndarray],
-    locate: Callable[..., np.ndarray],
+    keys: np.ndarray | tuple[np.ndarray, np.ndarray],
+    locate: Callable[[object], np.ndarray],
     beams: Sequence[Beamformer],
     step: Callable[..., tuple],
 ) -> Trials:
     """The one alignment loop, without a branch. score(history) -> the
     (trials, grid) log-likelihood of the grid points. The controller is
-    keys, each trial's first beam key as two arrays; locate(*keys) -> each
-    trial's row of beams, the run's row-numbered beam list, which locate
-    may extend; and step(pmf, modes, keys) -> (peaks, next keys).
+    keys, each trial's first beam key; locate(keys) -> each trial's row of
+    beams, the run's row-numbered beam list, which locate may extend; and
+    step(pmf, modes, keys) -> (peaks, next keys). A codebook step's keys
+    are its nodes' heap rows, which locate returns as they are.
     Trials.beams is the beam list indexed by the blocks' rows, once, after
     the last block."""
     count = len(channels)
@@ -423,7 +408,7 @@ def _align(
     block_rows, block_modes, block_peaks = [], [], []
     for start in range(0, config.total_snapshots, config.n_v):
         # located here, so no beam is designed after the last block
-        rows = locate(*keys)
+        rows = locate(keys)
         values, responses = measure_segment(table, rows, noise, signals, start)
         history.append(values, responses, table.taps)
         pmf = posterior_pmf(score(history))
@@ -475,7 +460,8 @@ def run_alignment(
         designed: list[Beamformer] = []
         row_of: dict[tuple[float, float], int] = {}  # (direction, width) -> row
 
-        def design(u, bw):
+        def design(keys):
+            u, bw = keys
             rows = []
             for key in zip(u.tolist(), bw.tolist()):
                 if key not in row_of:
@@ -491,15 +477,15 @@ def run_alignment(
 
     book = build_hierarchical_codebook(config.roi, config.depth(), m)
 
-    def hierarchical(pmf, modes, keys):
+    def hierarchical(pmf, modes, nodes):
         masses = node_masses(pmf, book.depth)
-        nodes = hier_beam_search(keys[0], masses, modes, config.grid_size, p_thresh)
-        return _node_peaks(masses, *nodes), nodes
+        nodes = hier_beam_search(nodes, masses, modes, config.grid_size, p_thresh)
+        return _node_peaks(masses, nodes), nodes
 
     root = np.zeros(count, dtype=int)
     return _align(
-        config, channels, rngs, fitted_log_likelihood, (root, root), _node_rows,
-        _codebook_beams(book), hierarchical,
+        config, channels, rngs, fitted_log_likelihood, root, lambda nodes: nodes,
+        book.beams, hierarchical,
     )
 
 
@@ -523,16 +509,15 @@ def run_hiepm_known_alpha(
     tap counts, whose root does not span the config's region or that has
     a codeword of norm above 1. Each trial may have its own noise variance.
     """
-    root = codebook.node(0, 0)
-    taps = root.beamformer.size
+    beams, span = codebook.beams, codebook.spans[0]
+    taps = beams[0].size
     region = (config.roi.u_left, config.roi.u_right)
-    if taps not in (config.combiner_length, config.n) or root.span != region:
+    if taps not in (config.combiner_length, config.n) or span != region:
         raise ValueError(
-            f"codebook of {taps}-tap beams over {root.span}; blocks of "
+            f"codebook of {taps}-tap beams over {span}; blocks of "
             f"{config.n_v} on {config.n} elements need {config.combiner_length} "
             f"(sliding) or {config.n} (repeated) taps over the region {region}"
         )
-    beams = _codebook_beams(codebook)
     other = {f.size for f in beams} - {taps}
     if other:
         raise ValueError(f"codebook mixes {taps}-tap and {min(other)}-tap codewords")
@@ -541,13 +526,14 @@ def run_hiepm_known_alpha(
         raise ValueError(f"codeword norm {norm} exceeds 1")
     gains = np.array([[channel.alpha] for channel in channels], dtype=complex)
 
-    def posterior_matching(pmf, modes, keys):
+    def posterior_matching(pmf, modes, nodes):
         masses = node_masses(pmf, codebook.depth)
-        return _node_peaks(masses, *keys), select_codeword_posterior_matching(masses)
+        return _node_peaks(masses, nodes), select_codeword_posterior_matching(masses)
 
     uniform = np.full((len(channels), config.grid_size), 1.0 / config.grid_size)
     first = select_codeword_posterior_matching(node_masses(uniform, codebook.depth))
     score = partial(known_gain_log_likelihood, gains=gains)
     return _align(
-        config, channels, rngs, score, first, _node_rows, beams, posterior_matching
+        config, channels, rngs, score, first, lambda nodes: nodes, beams,
+        posterior_matching,
     )

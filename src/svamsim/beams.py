@@ -9,6 +9,11 @@ The response a combiner f presents to an incoming angle u is
 
 so the prototype's amplitude response directly shapes the beam pattern and
 the unit-norm constraint fixes the mean passband power gain near 2/bw.
+
+A hierarchical codebook numbers its nodes one way, as a heap: node (l, k)
+of the dyadic hierarchy is entry 2**l - 1 + k of its beam and span lists.
+The codebook rules of adaptive take and return these rows, the alignment
+loop reads beams by them and node_masses lays out its columns by them.
 """
 
 from __future__ import annotations
@@ -258,35 +263,38 @@ def beam_gain(
     return combine(w, np.broadcast_to(ula_manifold(w.shape[-1], u), w.shape))
 
 
-@dataclass(frozen=True, eq=False)
-class CodebookNode:
-    level: int
-    index: int
-    span: tuple[float, float]
-    beamformer: Beamformer
+def _heap_depth(shape: tuple[int, ...], axes: int) -> int:
+    """Codebook depth d of a heap of 2**(d+1) - 1 nodes on the last axis of
+    shape, which must have the given number of axes: a codebook's beam list
+    (one) or a node_masses table (two)."""
+    width = shape[-1] if len(shape) == axes else 0
+    if width < 1 or width & (width + 1):
+        raise ValueError(
+            f"need a heap table of 2**(depth+1) - 1 nodes on the last of "
+            f"{axes} axes, got shape {shape}"
+        )
+    return width.bit_length() - 1
 
 
 class HierarchicalCodebook:
-    """Dyadic beam hierarchy over a region of interest.
+    """Dyadic beam hierarchy over a region of interest, in heap order.
 
     Level l splits the region into 2^l equal spans; node (l, k) covers the
-    k-th span and carries a beam of matching width centered on it.
+    k-th span and carries a beam of matching width centered on it. Its beam
+    and its (u_lo, u_hi) span are entry 2**l - 1 + k of beams and spans, so
+    node h's children are entries 2h + 1 and 2h + 2.
     """
 
-    def __init__(self, levels: list[list[CodebookNode]]):
-        self.levels = levels
+    def __init__(self, beams: list[Beamformer], spans: list[tuple[float, float]]):
+        _heap_depth((len(beams),), 1)
+        if len(spans) != len(beams):
+            raise ValueError(f"need one span per beam, got {len(spans)} spans")
+        self.beams = beams
+        self.spans = spans
 
     @property
     def depth(self) -> int:
-        return len(self.levels) - 1
-
-    def node(self, level: int, index: int) -> CodebookNode:
-        if not (0 <= level <= self.depth):
-            raise ValueError(f"level {level} outside [0, {self.depth}]")
-        row = self.levels[level]
-        if not (0 <= index < len(row)):
-            raise ValueError(f"node index {index} outside level {level}")
-        return row[index]
+        return _heap_depth((len(self.beams),), 1)
 
 
 def build_hierarchical_codebook(
@@ -312,21 +320,14 @@ def build_hierarchical_codebook(
         )
     left = Fraction(roi.u_left)
     width = Fraction(roi.u_right) - left
-    levels: list[list[CodebookNode]] = []
+    beams: list[Beamformer] = []
+    spans: list[tuple[float, float]] = []
     for level in range(depth + 1):
         count = 2**level
-        nodes = []
         for k in range(count):
             lo = left + width * k / count
             hi = left + width * (k + 1) / count
+            spans.append((float(lo), float(hi)))
             spec = BeamSpec(float((lo + hi) / 2), float(width / count))
-            nodes.append(
-                CodebookNode(
-                    level=level,
-                    index=k,
-                    span=(float(lo), float(hi)),
-                    beamformer=design_beamformer(spec, m),
-                )
-            )
-        levels.append(nodes)
-    return HierarchicalCodebook(levels)
+            beams.append(design_beamformer(spec, m))
+    return HierarchicalCodebook(beams, spans)

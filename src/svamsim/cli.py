@@ -102,7 +102,7 @@ def _design_codebook(args) -> HierarchicalCodebook:
 def _cmd_codebook(args, book: HierarchicalCodebook) -> int:
     out = args.out or "codebook.csv"
     write_codebook(book, out)
-    print(f"{2**(book.depth + 1) - 1} beams -> {out}")
+    print(f"{len(book.beams)} beams -> {out}")
     return 0
 
 

@@ -233,7 +233,7 @@ def run_hiepm_trials(
     """All trials of one known-gain scheme, advanced together by
     run_hiepm_known_alpha. The codewords' taps set the combining; mode must
     name it: "svam" for n - n_v + 1 taps, "repeat" for n."""
-    taps = codebook.node(0, 0).beamformer.size
+    taps = codebook.beams[0].size
     if taps != {"svam": config.combiner_length, "repeat": config.n}.get(mode):
         raise ValueError(f"combining mode {mode!r} does not fit {taps}-tap codewords")
     channels, rngs = _draw_trials(config, [snr_db], trials, seed)
@@ -567,14 +567,13 @@ def write_codebook(book: HierarchicalCodebook, path: str) -> None:
     """Every node of a dyadic codebook: span, beam, design method and taps."""
 
     def records():
-        for level in book.levels:
-            for node in level:
-                beam = node.beamformer
-                taps = " ".join(f"{w.real:.12g}{w.imag:+.12g}j" for w in beam.weights)
-                yield [
-                    node.level, node.index, *node.span, beam.spec.direction,
-                    beam.spec.beamwidth, beam.method, taps,
-                ]
+        for row, (beam, span) in enumerate(zip(book.beams, book.spans)):
+            level = (row + 1).bit_length() - 1  # row 2**level - 1 + index
+            taps = " ".join(f"{w.real:.12g}{w.imag:+.12g}j" for w in beam.weights)
+            yield [
+                level, row + 1 - 2**level, *span, beam.spec.direction,
+                beam.spec.beamwidth, beam.method, taps,
+            ]
 
     header = [
         "level", "index", "u_lo", "u_hi", "direction", "beamwidth", "method", "taps",

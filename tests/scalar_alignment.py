@@ -8,9 +8,11 @@ once per trial and block; the flexible step windows one trial's pmf
 (select_next_beam_scalar, cumul_peak_scalar) and the dyadic search reads
 one trial's pmf slice by slice (hier_beam_search_scalar). The known-gain
 loop (at the end) takes one trial's Bayes update and posterior matching
-snapshot by snapshot. Each oracle keeps its own per-trial log
-(TrialRecord, one SegmentLog per block, the gain at the truth computed as
-the block runs). The batched run_alignment and run_hiepm_known_alpha must
+snapshot by snapshot. Both dyadic oracles keep a node as its own (level,
+index) pair, a numbering independent of the package's heap rows, and read
+its beam at row 2**level - 1 + index of the codebook. Each oracle keeps its
+own per-trial log (TrialRecord, one SegmentLog per block, the gain at the
+truth computed as the block runs). The batched run_alignment and run_hiepm_known_alpha must
 reproduce every column of it exactly (columns below).
 """
 
@@ -234,7 +236,7 @@ def run_alignment_scalar(
             config.roi, config.depth(), m, grid_size=config.grid_size
         )
         level = 0
-        beam = codebook.node(0, 0).beamformer
+        beam = codebook.beams[0]
     else:
         beam = design_beamformer(BeamSpec(config.roi.center, config.roi.width), m)
         bw_current = config.roi.width
@@ -256,7 +258,7 @@ def run_alignment_scalar(
                 level, pmf, grid.size, config.p_thresh, codebook
             )
             peak_prob = node_mass(pmf, next_level, next_index)
-            next_beam = codebook.node(next_level, next_index).beamformer
+            next_beam = codebook.beams[2**next_level - 1 + next_index]
         else:
             spec, peak_prob = select_next_beam_scalar(
                 pmf, bw_current, config.p_thresh, grid
@@ -336,7 +338,7 @@ def run_hiepm_scalar(
     level, index = select_codeword_scalar(pmf, codebook)
     logs: list[SegmentLog] = []
     for snap in range(config.total_snapshots):
-        codeword = codebook.node(level, index).beamformer
+        codeword = codebook.beams[2**level - 1 + index]
         if mode == "svam":
             w = svam_combiner(codeword, snap, config.n)
         else:

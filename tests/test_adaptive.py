@@ -209,39 +209,46 @@ def test_long_flexible_run_completes(snr_db):
 DEPTH_16 = 4  # dyadic levels over a 16-point grid
 
 
-def search_one(level, pmf, p_thresh):
-    """The batched search on a batch of one trial: its (level, index)."""
-    (level,), (index,) = hier_beam_search(
-        [level], node_masses(pmf[None], DEPTH_16), [int(np.argmax(pmf))],
+def row(level, index):
+    """Heap row of dyadic node (level, index)."""
+    return 2**level - 1 + index
+
+
+def search_one(node, pmf, p_thresh):
+    """The batched search on a batch of one trial: its next heap row."""
+    (node,) = hier_beam_search(
+        [node], node_masses(pmf[None], DEPTH_16), [int(np.argmax(pmf))],
         len(pmf), p_thresh,
     )
-    return level, index
+    return node
 
 
 def test_hier_search_descends_to_confident_leaf():
     pmf = np.full(16, 0.1 / 15)
     pmf[5] = 0.9
-    assert search_one(3, pmf, 0.6) == (4, 5)
+    # only the current node's level counts, not where on it the node lies
+    for k in range(8):
+        assert search_one(row(3, k), pmf, 0.6) == row(4, 5)
 
 
 def test_hier_search_climbs_to_parent():
     pmf = np.zeros(16)
     pmf[5] = 0.55
     pmf[4] = 0.45
-    node = search_one(3, pmf, 0.6)
-    assert node == (3, 2)
-    assert node_mass(pmf, *node) == pytest.approx(1.0)
+    assert search_one(row(3, 0), pmf, 0.6) == row(3, 2)
+    assert node_mass(pmf, 3, 2) == pytest.approx(1.0)
 
 
 def test_hier_search_terminates_at_root():
     pmf = np.full(16, 1 / 16)
-    assert search_one(0, pmf, 0.99) == (0, 0)
+    assert search_one(row(0, 0), pmf, 0.99) == row(0, 0)
 
 
 def test_hier_search_level_is_capped_at_depth():
     pmf = np.zeros(16)
     pmf[5] = 1.0
-    assert search_one(9, pmf, 0.6) == (4, 5)
+    for k in (0, 5, 15):  # a leaf's next node is a leaf
+        assert search_one(row(4, k), pmf, 0.6) == row(4, 5)
 
 
 def test_hier_search_rejects_uneven_grid():
@@ -251,16 +258,20 @@ def test_hier_search_rejects_uneven_grid():
 
 
 @pytest.mark.parametrize(
-    "levels, modes, p_thresh",
+    "nodes, modes, p_thresh",
     [([0, 0], [0], 0.6), ([0], [16], 0.6), ([0], [-1], 0.6), ([-3], [0], 0.6),
-     ([-1], [0], 0.6), ([0], [0], 1.0)],
-    ids=["levels_vs_modes", "mode_past_grid", "negative_mode", "negative_level",
-         "level_minus_one", "p_thresh"],
+     ([-1], [0], 0.6), ([0], [0], 1.0), ([31], [0], 0.6), ([40], [0], 0.6),
+     ([0.5], [0], 0.6), ([1.0], [0], 0.6), ([True], [0], 0.6)],
+    ids=["nodes_vs_modes", "mode_past_grid", "negative_mode", "negative_node",
+         "node_minus_one", "p_thresh", "node_past_table", "node_far_past_table",
+         "fractional_node", "float_node", "bool_node"],
 )
-def test_hier_search_rejects_bad_batch(levels, modes, p_thresh):
-    masses = node_masses(np.full((len(levels), 16), 1 / 16), DEPTH_16)
+def test_hier_search_rejects_bad_batch(nodes, modes, p_thresh):
+    # a 31-node table: a row past it once restarted from the leaves, and a
+    # fractional row was truncated
+    masses = node_masses(np.full((len(nodes), 16), 1 / 16), DEPTH_16)
     with pytest.raises(ValueError):
-        hier_beam_search(levels, masses, modes, 16, p_thresh)
+        hier_beam_search(nodes, masses, modes, 16, p_thresh)
 
 
 def test_hier_search_oracle_rejects_a_negative_level_too():
@@ -268,6 +279,19 @@ def test_hier_search_oracle_rejects_a_negative_level_too():
     for level in (-1, -3):
         with pytest.raises(ValueError, match="negative codebook level"):
             hier_beam_search_scalar(level, np.full(16, 1 / 16), 16, 0.6, book)
+
+
+def test_both_codebook_steps_take_a_nested_list_table():
+    # the table may be any array-like, as node_masses's pmf may
+    pmf = np.random.default_rng(5).random((6, 16)) ** 8
+    masses = node_masses(pmf / pmf.sum(axis=1, keepdims=True), DEPTH_16)
+    nodes, modes = [0, 1, 4, 9, 20, 30], np.argmax(pmf, axis=-1)
+    want = hier_beam_search(nodes, masses, modes, 16, 0.6)
+    got = hier_beam_search(nodes, masses.tolist(), modes, 16, 0.6)
+    assert got.tolist() == want.tolist()
+    want = select_codeword_posterior_matching(masses)
+    got = select_codeword_posterior_matching(masses.tolist())
+    assert got.tolist() == want.tolist()
 
 
 def test_both_codebook_steps_reject_a_table_without_the_root_level():
@@ -286,37 +310,32 @@ DEPTH_8 = 3  # dyadic levels over an 8-point grid
 
 
 def match_one(pmf):
-    """Posterior matching on a batch of one trial: its (level, index)."""
-    (level,), (index,) = select_codeword_posterior_matching(
-        node_masses(pmf[None], DEPTH_8)
-    )
-    return level, index
+    """Posterior matching on a batch of one trial: its heap row."""
+    (node,) = select_codeword_posterior_matching(node_masses(pmf[None], DEPTH_8))
+    return node
 
 
 def test_matching_walks_to_leaf_on_delta():
     pmf = np.zeros(8)
     pmf[4] = 1.0
-    assert match_one(pmf) == (3, 4)
+    assert match_one(pmf) == row(3, 4)
 
 
 def test_matching_keeps_node_closer_to_half():
     # right half holds 0.52 (close to 1/2); its children hold 0.22 and 0.3
     pmf = np.array([0.48, 0.0, 0.0, 0.0, 0.22, 0.0, 0.3, 0.0])
-    node = match_one(pmf)
-    assert node == (1, 1)
-    assert node_mass(pmf, *node) == pytest.approx(0.52)
+    assert match_one(pmf) == row(1, 1)
+    assert node_mass(pmf, 1, 1) == pytest.approx(0.52)
 
 
 def test_matching_takes_child_closer_to_half():
     pmf = np.array([0.25, 0.24, 0.03, 0.0, 0.48, 0.0, 0.0, 0.0])
-    node = match_one(pmf)
-    assert node == (2, 0)
-    assert node_mass(pmf, *node) == pytest.approx(0.49)
+    assert match_one(pmf) == row(2, 0)
+    assert node_mass(pmf, 2, 0) == pytest.approx(0.49)
 
 
 def test_matching_uniform_picks_half_region():
-    level, _ = match_one(np.full(8, 1 / 8))
-    assert level == 1
+    assert match_one(np.full(8, 1 / 8)) in (row(1, 0), row(1, 1))
 
 
 @pytest.mark.parametrize(
@@ -520,15 +539,10 @@ def test_hiepm_rejects_codewords_beyond_unit_norm(taps):
     # from the caller with scaled taps fails before any update runs
     cfg = make_config(n_v=4)
     book = build_hierarchical_codebook(ROI, 4, taps, grid_size=16)
-    loud = HierarchicalCodebook([
-        [
-            dataclasses.replace(node, beamformer=dataclasses.replace(
-                node.beamformer, weights=1.01 * node.beamformer.weights
-            ))
-            for node in level
-        ]
-        for level in book.levels
-    ])
+    loud = HierarchicalCodebook(
+        [dataclasses.replace(f, weights=1.01 * f.weights) for f in book.beams],
+        book.spans,
+    )
     chan = ChannelParams(1.0, 0.4, noise_variance=0.1)
     rng = np.random.default_rng(0)
     run_hiepm_known_alpha(cfg, [chan], [rng], book)  # unit norm passes
@@ -542,7 +556,7 @@ def test_hiepm_rejects_codewords_of_another_tap_count():
     cfg = make_config(n_v=2)
     root = build_hierarchical_codebook(ROI, 4, 15, grid_size=16)
     deeper = build_hierarchical_codebook(ROI, 4, 16, grid_size=16)
-    mixed = HierarchicalCodebook(root.levels[:1] + deeper.levels[1:])
+    mixed = HierarchicalCodebook(root.beams[:1] + deeper.beams[1:], root.spans)
     chan = ChannelParams(1.0, 0.4, noise_variance=0.1)
     with pytest.raises(ValueError, match="15-tap and 16-tap"):
         run_hiepm_known_alpha(cfg, [chan], [np.random.default_rng(0)], mixed)

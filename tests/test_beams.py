@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from svamsim import beams, harness
 from svamsim.arrays import RegionOfInterest, manifold_matrix, ula_manifold
 from svamsim.beams import (
     BeamSpec,
+    HierarchicalCodebook,
     beam_gain,
     build_hierarchical_codebook,
     design_beamformer,
@@ -373,45 +375,78 @@ class TestExchange:
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def heap_rows(depth):
+    """Each dyadic node (level, index) down to depth with its heap row."""
+    return [
+        (level, k, 2**level - 1 + k)
+        for level in range(depth + 1)
+        for k in range(2**level)
+    ]
+
+
 class TestHierarchicalCodebook:
     def test_structure_and_spans(self):
         roi = RegionOfInterest(0.0, 1.0)
         cb = build_hierarchical_codebook(roi, depth=2, m=17)
         assert cb.depth == 2
-        assert [len(row) for row in cb.levels] == [1, 2, 4]
-        assert cb.node(0, 0).span == (0.0, 1.0)
-        assert cb.node(1, 0).span == (0.0, 0.5)
-        assert cb.node(1, 1).span == (0.5, 1.0)
+        assert len(cb.beams) == len(cb.spans) == 7
+        assert cb.spans[:3] == [(0.0, 1.0), (0.0, 0.5), (0.5, 1.0)]
+
+    def test_every_row_holds_its_nodes_span_and_beam(self):
+        # node (l, k) covers the k-th of 2**l equal spans, at row 2**l - 1 + k
+        roi = RegionOfInterest(-0.25, 0.75)
+        cb = build_hierarchical_codebook(roi, depth=4, m=9)
+        assert len(cb.beams) == len(heap_rows(4))
+        for level, k, row in heap_rows(4):
+            lo = Fraction(roi.u_left) + Fraction(k, 2**level)
+            hi = lo + Fraction(1, 2**level)
+            assert cb.spans[row] == (float(lo), float(hi))
+            spec = cb.beams[row].spec
+            assert (spec.direction, spec.beamwidth) == (
+                float((lo + hi) / 2), 1.0 / 2**level
+            )
 
     def test_levels_tile_region_exactly(self):
         roi = RegionOfInterest(-0.25, 0.75)
         cb = build_hierarchical_codebook(roi, depth=4, m=9)
-        for row in cb.levels:
-            assert row[0].span[0] == roi.u_left
-            assert row[-1].span[1] == roi.u_right
+        for level in range(cb.depth + 1):
+            row = cb.spans[2**level - 1 : 2 ** (level + 1) - 1]
+            assert row[0][0] == roi.u_left
+            assert row[-1][1] == roi.u_right
             for a, b in zip(row, row[1:]):
-                assert a.span[1] == b.span[0]
+                assert a[1] == b[0]
 
     def test_deep_level_beamwidth_and_ideal_gain(self):
         roi = RegionOfInterest(0.0, 1.0)
         cb = build_hierarchical_codebook(roi, depth=5, m=61)
-        node = cb.node(5, 7)
-        assert node.beamformer.spec.beamwidth == pytest.approx(1.0 / 32)
-        assert ideal_gain(node.beamformer.spec) == pytest.approx(64.0)
-        assert 10 * np.log10(ideal_gain(node.beamformer.spec)) == pytest.approx(
-            18.06, abs=0.01
-        )
+        spec = cb.beams[2**5 - 1 + 7].spec  # node (5, 7)
+        assert spec.beamwidth == pytest.approx(1.0 / 32)
+        assert ideal_gain(spec) == pytest.approx(64.0)
+        assert 10 * np.log10(ideal_gain(spec)) == pytest.approx(18.06, abs=0.01)
 
     def test_children_cover_parent(self):
+        # node (l, k) at row h has children (l + 1, 2k) and (l + 1, 2k + 1)
+        # at rows 2h + 1 and 2h + 2
         cb = build_hierarchical_codebook(RegionOfInterest(0.0, 1.0), 3, m=8)
-        for level in range(cb.depth):
-            for k in range(2**level):
-                parent = cb.node(level, k)
-                left = cb.node(level + 1, 2 * k)
-                right = cb.node(level + 1, 2 * k + 1)
-                assert left.span[0] == parent.span[0]
-                assert right.span[1] == parent.span[1]
-                assert left.span[1] == right.span[0]
+        for level, k, h in heap_rows(cb.depth - 1):
+            assert (2 * h + 1, 2 * h + 2) == (
+                2 ** (level + 1) - 1 + 2 * k, 2 ** (level + 1) + 2 * k
+            )
+            parent, left, right = (cb.spans[r] for r in (h, 2 * h + 1, 2 * h + 2))
+            assert left[0] == parent[0]
+            assert right[1] == parent[1]
+            assert left[1] == right[0]
+
+    def test_rejects_a_beam_list_that_is_not_a_heap(self):
+        cb = build_hierarchical_codebook(RegionOfInterest(0.0, 1.0), 2, m=8)
+        assert HierarchicalCodebook(cb.beams[:3], cb.spans[:3]).depth == 1
+        for count in (0, 2, 4, 6):  # 2**(depth+1) - 1 beams, or no whole level
+            with pytest.raises(ValueError, match="heap table"):
+                HierarchicalCodebook(cb.beams[:count], cb.spans[:count])
+        with pytest.raises(ValueError, match="one span per beam"):
+            HierarchicalCodebook(cb.beams, cb.spans[:3])
+        with pytest.raises(ValueError, match="one span per beam"):
+            HierarchicalCodebook(cb.beams[:3], cb.spans)
 
     def test_depth_too_large_for_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -430,6 +465,6 @@ class TestHierarchicalCodebook:
     def test_root_is_region_wide_beam(self):
         roi = RegionOfInterest(0.0, 1.0)
         cb = build_hierarchical_codebook(roi, depth=1, m=33)
-        root = cb.node(0, 0)
-        assert root.beamformer.spec.direction == pytest.approx(0.5)
-        assert root.beamformer.spec.beamwidth == pytest.approx(1.0)
+        root = cb.beams[0]
+        assert root.spec.direction == pytest.approx(0.5)
+        assert root.spec.beamwidth == pytest.approx(1.0)

@@ -1,6 +1,7 @@
 """Property test: on random, peaky and tied (trials, grid) pmfs, the batched
 hier_beam_search picks the node the one-trial oracle picks for every trial,
-and the mass read from the node_masses heap table has node_mass's bits."""
+the oracle's (level, index) at heap row 2**level - 1 + index, and the mass
+read from the node_masses heap table has node_mass's bits."""
 
 import types
 
@@ -31,17 +32,19 @@ def search_cases(draw):
         weights = rng.random((trials, grid_size)) ** (1 if kind == "random" else 30)
     pmf = weights / weights.sum(axis=1, keepdims=True)
     levels = draw(st.lists(st.integers(0, depth), min_size=trials, max_size=trials))
+    # each trial's current node: any node of its level, as a heap row
+    nodes = [2**l - 1 + draw(st.integers(0, 2**l - 1)) for l in levels]
     # a threshold equal to the mass of a node on trial 0's climb puts an
     # exact tie on the test that ends the climb
     masses = node_masses(pmf, depth)
     start = min(levels[0] + 1, depth)  # a level at the depth stays there
     index = int(np.argmax(pmf[0])) * 2**start // grid_size
-    nodes = [2**l - 1 + (index >> (start - l)) for l in range(start, -1, -1)]
-    climb = [float(masses[0, node]) for node in nodes]
+    path = [2**l - 1 + (index >> (start - l)) for l in range(start, -1, -1)]
+    climb = [float(masses[0, node]) for node in path]
     thresholds = st.floats(0.001, 0.999)
     ties = [mass for mass in climb if 0.0 < mass < 1.0]
     p_thresh = draw(st.sampled_from(ties) | thresholds if ties else thresholds)
-    return pmf, depth, levels, p_thresh
+    return pmf, depth, nodes, levels, p_thresh
 
 
 # On a failure, hypothesis's pytest plugin imports libcst to suggest a patch,
@@ -55,18 +58,16 @@ def search_cases(draw):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(search_cases())
 def test_batched_search_equals_the_oracle(case):
-    pmf, depth, levels, p_thresh = case
+    pmf, depth, nodes, levels, p_thresh = case
     grid_size = pmf.shape[1]
     masses = node_masses(pmf, depth)
-    got_levels, got_indices = hier_beam_search(
-        levels, masses, np.argmax(pmf, axis=-1), grid_size, p_thresh
-    )
+    got = hier_beam_search(nodes, masses, np.argmax(pmf, axis=-1), grid_size, p_thresh)
     book = types.SimpleNamespace(depth=depth)
     want = [
         hier_beam_search_scalar(level, row, grid_size, p_thresh, book)
         for level, row in zip(levels, pmf)
     ]
-    assert list(zip(got_levels.tolist(), got_indices.tolist())) == want
+    assert got.tolist() == [2**level - 1 + index for level, index in want]
     for i, (row, (level, index)) in enumerate(zip(pmf, want)):
         peak = float(masses[i, 2**level - 1 + index])
         assert peak == node_mass(row, level, index)

@@ -381,10 +381,8 @@ def test_batched_matching_equals_scalar_rule():
         for depth in range(7):  # depth 0: every trial takes the root
             book = types.SimpleNamespace(depth=depth)
             want = [select_codeword_scalar(row, book) for row in pmf]
-            levels, indices = select_codeword_posterior_matching(
-                node_masses(pmf, depth)
-            )
-            assert list(zip(levels.tolist(), indices.tolist())) == want, depth
+            got = select_codeword_posterior_matching(node_masses(pmf, depth))
+            assert got.tolist() == [2**l - 1 + k for l, k in want], depth
         assert len({level for level, _ in want}) > 2  # walks of several lengths
     with pytest.raises(ValueError):  # a table that ends inside a level
         select_codeword_posterior_matching(np.ones((2, 4)))
@@ -609,8 +607,8 @@ def test_beam_table_keeps_the_first_tap_count():
     rngs = [np.random.default_rng((6, k)) for k in range(len(channels))]
     first = np.zeros(len(channels), dtype=int)
 
-    def locate(block, _):  # the sliding beam, then the full one
-        return np.minimum(block, 1)
+    def locate(keys):  # the sliding beam, then the full one
+        return np.minimum(keys[0], 1)
 
     def step(pmf, modes, keys):
         return pmf.max(axis=-1), (keys[0] + 1, keys[1])
