@@ -16,14 +16,16 @@ with codewords that slide across the aperture within a block (n - n_v + 1
 taps) or, with n taps and so one shift, repeat.
 
 A batch row reproduces a lone run of its trial bit for bit; one bad row
-rejects the batch. The noise is drawn once per run, not per block: each
-distinct noisy generator draws all its snapshots' normals up front
-(channel.BatchNoise, total_snapshots * n complex numbers per generator),
-and each block scales its slice (channel.antenna_snapshot); a run on the
-last run's generator states, as in a paired comparison, reuses its draw.
-Each beam's block combiners and grid responses are built once per run into
-a table (sensing.BeamTable) that every block reads by row, with one stacked
-build of the beams a block meets first: a codebook's rows are its heap of
+rejects the batch. Per run, the path signals are one product of the gains
+column and the steering rows (channel.noiseless_snapshot), and the noise is
+drawn once, not per block: each distinct noisy generator draws all its
+snapshots' normals up front (channel.BatchNoise, total_snapshots * n
+complex numbers per generator), and each block scales its slice
+(channel.antenna_snapshot); a run on the last run's generator states, as in
+a paired comparison, reuses its draw. Each beam's block combiners and grid
+responses are built once per run into a table (sensing.BeamTable) that
+every block reads by row with one slot lookup, building only the beams no
+block has read yet, in one stacked build: a codebook's rows are its heap of
 beams, node (l, k) at row 2**l - 1 + k, and the flexible controller numbers
 its designs as it makes them. A block keeps its beams as those rows. A
 codebook step keys each trial by its node's row: it reads the node masses
@@ -291,10 +293,13 @@ def hier_beam_search(
         )
     # row h lies on level frexp(h + 1)[1] - 1, so this is the level below
     level = np.minimum(np.frexp(nodes + 1)[1], depth)
-    modes = np.asarray(modes, dtype=int)
-    if np.any((modes < 0) | (modes >= grid_size)):
-        raise ValueError("posterior mode outside the grid")
-    node = 2**level - 1 + (modes * 2**level) // grid_size
+    modes = np.asarray(modes)
+    if modes.dtype.kind not in "iu" or np.any((modes < 0) | (modes >= grid_size)):
+        raise ValueError(
+            f"posterior modes must be integer grid points in [0, {grid_size}), "
+            f"got {modes}"
+        )
+    node = 2**level - 1 + (modes.astype(int) * 2**level) // grid_size
     # a climb only goes up, so one sweep from the deepest level settles all
     for at_level in range(depth, 0, -1):
         rows = np.flatnonzero(level == at_level)
@@ -321,18 +326,33 @@ def node_masses(pmf: np.ndarray, depth: int) -> np.ndarray:
     of pmfs. Node (l, k) is column 2**l - 1 + k, its heap row in the
     codebook, so node h's children are columns 2h + 1 and 2h + 2. Each mass
     is the sum of the node's contiguous pmf slice, taken the way node_mass
-    takes it, so the two agree to the bit.
+    takes it, so the two agree to the bit on every pmf.
+
+    np.add.reduce sums fewer than 8 values left to right from +0.0 and more
+    in its pairwise order. A level whose nodes span fewer than 8 points is
+    filled left to right from the first point, ((x0 + x1) + x2) + x3 for
+    four, one elementwise add per point across all its nodes, which costs
+    less than a reduction over such short slices; starting from the first
+    point rather than +0.0 differs only for a slice of all -0.0, which no
+    pmf holds. A level of wider nodes keeps np.add.reduce, whose pairwise
+    order no elementwise loop reproduces.
     """
     pmf = np.asarray(pmf, dtype=float)
-    if depth < 0 or pmf.shape[-1] % 2**depth:
+    if depth < 0 or pmf.shape[-1] % 2**depth or not pmf.shape[-1]:
         raise ValueError("grid does not tile the node's level")
     lead = pmf.shape[:-1]
-    # the reduction ndarray.sum runs, without its Python wrapper
-    levels = [
-        np.add.reduce(pmf.reshape(lead + (2**level, -1)), axis=-1)
-        for level in range(depth + 1)
-    ]
-    return np.concatenate(levels, axis=-1)
+    table = np.empty(lead + (2 ** (depth + 1) - 1,))
+    for level in range(depth + 1):
+        nodes = pmf.reshape(lead + (2**level, -1))
+        masses = table[..., 2**level - 1 : 2 ** (level + 1) - 1]
+        if nodes.shape[-1] < 8:
+            masses[...] = nodes[..., 0]
+            for point in range(1, nodes.shape[-1]):
+                masses += nodes[..., point]
+        else:
+            # the reduction ndarray.sum runs, without its Python wrapper
+            masses[...] = np.add.reduce(nodes, axis=-1)
+    return table
 
 
 def select_codeword_posterior_matching(masses: np.ndarray) -> np.ndarray:
@@ -398,7 +418,7 @@ def _align(
     if count < 1 or len(rngs) != count:
         raise ValueError("need at least one channel and one generator per channel")
     channel_noise = np.array([channel.noise_variance for channel in channels])
-    signals = np.stack([noiseless_snapshot(channel, config.n) for channel in channels])
+    signals = noiseless_snapshot(channels, config.n)
     # the variance the inference assumes
     noise_var = np.maximum(config.noise_scale * channel_noise, NOISELESS_VAR_FLOOR)
     grid = AngularGrid(config.roi, config.grid_size)

@@ -44,9 +44,13 @@ class ChannelParams:
         object.__setattr__(self, "u", check_angle(self.u))
 
 
-def noiseless_snapshot(params: ChannelParams, n: int) -> np.ndarray:
-    """The deterministic part of an observation: alpha * phi_n(u)."""
-    return params.alpha * ula_manifold(n, params.u)
+def noiseless_snapshot(channels: Sequence[ChannelParams], n: int) -> np.ndarray:
+    """The deterministic part of a batch's observations: the (trials, n)
+    stack of each channel's alpha * phi_n(u), one product of the gains
+    column and the channels' steering rows. Each row has the bits of its
+    channel's own alpha * phi_n(u). A lone trial is a batch of one."""
+    gains = np.array([channel.alpha for channel in channels], dtype=complex)
+    return gains[:, None] * ula_manifold(n, [channel.u for channel in channels])
 
 
 @lru_cache(maxsize=1)

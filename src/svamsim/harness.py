@@ -16,6 +16,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -192,6 +193,24 @@ def draw_channel(
     return ChannelParams(alpha, u_true, noise_variance=noise_variance_from_snr(snr_db))
 
 
+@lru_cache(maxsize=1)
+def _trial_setup(
+    roi: RegionOfInterest, grid_size: int, trials: int, seed: int
+) -> tuple[tuple[ChannelParams, ...], tuple[tuple[type, dict], ...]]:
+    """Each trial's noiseless path on the grid, drawn from
+    trial_generator(seed, i), and the (bit-generator class, state) that
+    generator is left in by the draw. Only the last trial set is kept: the
+    schemes of a comparison, and a sweep's controller groups, run the same
+    trials one after another."""
+    grid = AngularGrid(roi, grid_size)
+    paths, states = [], []
+    for i in range(trials):
+        rng = trial_generator(seed, i)
+        paths.append(draw_channel(grid, math.inf, rng))
+        states.append((type(rng.bit_generator), rng.bit_generator.state))
+    return tuple(paths), tuple(states)
+
+
 def _draw_trials(
     config: AdaptConfig, snrs: Sequence[float], trials: int, seed: int
 ) -> tuple[list[ChannelParams], list[np.random.Generator]]:
@@ -203,10 +222,20 @@ def _draw_trials(
     the generator's one noise draw per run (channel.BatchNoise), so each
     trial's noise is drawn and held once, total_snapshots * 2 * n floats,
     not once per SNR. Equal arguments give generators in equal states, so
-    the next scheme or controller on these trials reuses that draw."""
-    grid = AngularGrid(config.roi, config.grid_size)
-    rngs = [trial_generator(seed, i) for i in range(trials)]
-    paths = [draw_channel(grid, math.inf, rng) for rng in rngs]
+    the next scheme or controller on these trials reuses that draw.
+
+    The paths and the generators' states after the path draw come from the
+    last trial set's one set-up (_trial_setup); every call gets new
+    generators set to those states, each built from one fixed seed sequence
+    first, so no OS entropy is read and no generator is shared between
+    calls."""
+    paths, states = _trial_setup(config.roi, config.grid_size, trials, seed)
+    fixed = np.random.SeedSequence(0)
+    rngs = []
+    for kind, state in states:
+        bits = kind(fixed)
+        bits.state = state
+        rngs.append(np.random.Generator(bits))
     variances = [noise_variance_from_snr(snr) for snr in snrs]
     channels = [replace(path, noise_variance=v) for v in variances for path in paths]
     return channels, rngs * len(snrs)

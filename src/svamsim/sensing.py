@@ -112,11 +112,22 @@ class BeamTable:
 
     def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (trials, n_v, n) combiners and (trials, grid) responses of
-        the beams in the given rows, one row per trial."""
-        if rows.max() >= len(self._slot):
+        the beams in the given rows, one row per trial: one read of the
+        rows' slots, and a build only for rows no block has read yet."""
+        if len(self._beams) > len(self._slot):  # the run designed new beams
             more = len(self._beams) - len(self._slot)
             self._slot = np.concatenate([self._slot, np.full(more, -1)])
-        new = np.unique(rows[self._slot[rows] < 0])
+        slots = self._slot[rows]
+        unread = slots < 0
+        if unread.any():
+            self._build(rows[unread])
+            slots = self._slot[rows]
+        return self._combiners[slots], self._responses[slots]
+
+    def _build(self, rows: np.ndarray) -> None:
+        """Give each of the unread rows the slot of its weights array,
+        building the arrays no earlier block met in one stacked build."""
+        new = np.unique(rows)
         weights = [_weights_of(self._beams[row]) for row in new.tolist()]
         fresh = {id(w): w for w in weights if id(w) not in self._slot_of}
         if fresh:
@@ -135,8 +146,6 @@ class BeamTable:
             self._combiners[built] = block_combiners(stack, self._n, self._n_v)
             self._responses[built] = beam_responses(stack, self._grid)
         self._slot[new] = [self._slot_of[id(w)] for w in weights]
-        slots = self._slot[rows]
-        return self._combiners[slots], self._responses[slots]
 
 
 def measure_segment(

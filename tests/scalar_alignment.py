@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from svamsim.adaptive import AdaptConfig, Trials, node_mass
-from svamsim.arrays import AngularGrid
+from svamsim.arrays import AngularGrid, ula_manifold
 from svamsim.beams import (
     BeamSpec,
     HierarchicalCodebook,
@@ -31,7 +31,7 @@ from svamsim.beams import (
     build_hierarchical_codebook,
     design_beamformer,
 )
-from svamsim.channel import ChannelParams, combine, noiseless_snapshot
+from svamsim.channel import ChannelParams, combine
 from svamsim.inference import (
     alpha_posterior,
     approx_log_likelihood,
@@ -88,7 +88,7 @@ def antenna_snapshot_scalar(params: ChannelParams, n: int, rng) -> np.ndarray:
     """One lone length-n array observation: the path plus circular noise,
     real then imaginary normals drawn on their own. Noiseless parameters
     draw nothing, so the generator is left untouched."""
-    x = noiseless_snapshot(params, n)
+    x = params.alpha * ula_manifold(n, params.u)
     if params.noise_variance > 0.0:
         scale = np.sqrt(params.noise_variance / 2.0)
         x += scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))

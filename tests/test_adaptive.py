@@ -261,14 +261,16 @@ def test_hier_search_rejects_uneven_grid():
     "nodes, modes, p_thresh",
     [([0, 0], [0], 0.6), ([0], [16], 0.6), ([0], [-1], 0.6), ([-3], [0], 0.6),
      ([-1], [0], 0.6), ([0], [0], 1.0), ([31], [0], 0.6), ([40], [0], 0.6),
-     ([0.5], [0], 0.6), ([1.0], [0], 0.6), ([True], [0], 0.6)],
+     ([0.5], [0], 0.6), ([1.0], [0], 0.6), ([True], [0], 0.6),
+     ([0], [2.5], 0.6), ([0], [True], 0.6)],
     ids=["nodes_vs_modes", "mode_past_grid", "negative_mode", "negative_node",
          "node_minus_one", "p_thresh", "node_past_table", "node_far_past_table",
-         "fractional_node", "float_node", "bool_node"],
+         "fractional_node", "float_node", "bool_node", "fractional_mode",
+         "bool_mode"],
 )
 def test_hier_search_rejects_bad_batch(nodes, modes, p_thresh):
     # a 31-node table: a row past it once restarted from the leaves, and a
-    # fractional row was truncated
+    # fractional row was truncated, as were a fractional and a boolean mode
     masses = node_masses(np.full((len(nodes), 16), 1 / 16), DEPTH_16)
     with pytest.raises(ValueError):
         hier_beam_search(nodes, masses, modes, 16, p_thresh)

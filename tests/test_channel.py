@@ -34,12 +34,27 @@ class TestChannelParams:
         assert ChannelParams(1, 0).noise_variance == 0.0
 
 
+def test_batch_signals_keep_each_lone_products_bits():
+    # one product of the gains column and the steering rows gives every row
+    # the bits of its channel's own alpha * phi_n(u)
+    rng = np.random.default_rng(38)
+    for n in (1, 7, 64):
+        channels = [
+            ChannelParams(rng.normal() * np.exp(2j * np.pi * rng.uniform()), u)
+            for u in rng.uniform(-1.0, 1.0, 100)
+        ]
+        signals = noiseless_snapshot(channels, n)
+        assert signals.shape == (100, n)
+        for row, c in zip(signals, channels):
+            assert row.tobytes() == (c.alpha * ula_manifold(n, c.u)).tobytes()
+
+
 class TestAntennaSnapshot:
     def test_noiseless_single_path_formula(self):
         rng = np.random.default_rng(0)
         params = ChannelParams(2.0 * (0.5 - 0.5j), 0.3)
         noise = BatchNoise([rng], params.noise_variance, 1, 6)
-        (x,) = antenna_snapshot(noise, noiseless_snapshot(params, 6)[None], 0, 1)
+        (x,) = antenna_snapshot(noise, noiseless_snapshot([params], 6), 0, 1)
         np.testing.assert_allclose(
             x[0], 2.0 * (0.5 - 0.5j) * ula_manifold(6, 0.3), atol=1e-12
         )
@@ -48,11 +63,11 @@ class TestAntennaSnapshot:
         params = ChannelParams(1.0, 0.1)
         rng = np.random.default_rng(42)
         before = rng.bit_generator.state
-        signal = noiseless_snapshot(params, 4)
+        signals = noiseless_snapshot([params], 4)
         noise = BatchNoise([rng], params.noise_variance, 3, 4)
-        (x,) = antenna_snapshot(noise, signal[None], 0, 3)
+        (x,) = antenna_snapshot(noise, signals, 0, 3)
         assert rng.bit_generator.state == before
-        assert x.tobytes() == np.tile(signal, (3, 1)).tobytes()
+        assert x.tobytes() == np.tile(signals[0], (3, 1)).tobytes()
 
     def test_noise_moments(self):
         # 100 000 observations of 3 elements from one run's draw
@@ -69,7 +84,7 @@ class TestAntennaSnapshot:
 
     def test_same_seed_bit_identical(self, cold):
         # two fresh generators of one seed, each run drawing cold
-        signals = noiseless_snapshot(ChannelParams(1.0, 0.4), 5)[None]
+        signals = noiseless_snapshot([ChannelParams(1.0, 0.4)], 5)
         runs = []
         for _ in range(2):
             cold.cache_clear()
@@ -154,10 +169,9 @@ class TestAntennaBlocks:
         # draws; the noiseless middle row adds an exact zero to its signal
         n, count = 9, 4
         variances = np.array([0.7, 0.0, 2.5])
-        signals = np.stack([
-            noiseless_snapshot(ChannelParams((k - 1.5) * np.exp(1j * k), 0.2 * k), n)
-            for k in range(3)
-        ])
+        signals = noiseless_snapshot(
+            [ChannelParams((k - 1.5) * np.exp(1j * k), 0.2 * k) for k in range(3)], n
+        )
         signals[1, 0] = -0.0  # a negative zero meets the noiseless zero
         rngs = [np.random.default_rng(5 + k) for k in range(3)]
         got = antenna_snapshot(BatchNoise(rngs, variances, count, n), signals, 0, count)

@@ -22,7 +22,7 @@ from scalar_alignment import (
     run_hiepm_scalar,
     select_codeword_scalar,
 )
-from svamsim import sensing
+from svamsim import harness, sensing
 from svamsim.adaptive import (
     AdaptConfig,
     _align,
@@ -173,6 +173,62 @@ def test_sweep_batch_draws_each_trial_once_per_block(codebook):
             fresh.standard_normal((cfg.n_v, 2, cfg.n))
         assert rng.bit_generator.state == fresh.bit_generator.state
     assert_same_outcome(shared, run_alignment(cfg, channels, copies))
+
+
+def test_draw_trials_rebuilds_fresh_generators_from_one_set_up(monkeypatch):
+    # a second call with equal arguments, after a run has moved the first
+    # call's generators, gets the channels and the generator states a fresh
+    # trial_generator and draw_channel give, on generators of its own that
+    # read no OS entropy; any other seed, trial count, grid size or region
+    # misses the set-up cache
+    def no_entropy(*args):
+        raise AssertionError("a rebuilt generator read OS entropy")
+
+    monkeypatch.setattr(np.random.bit_generator, "randbits", no_entropy)
+    harness._trial_setup.cache_clear()
+    cfg, snrs, seed = config(), [-10.0, 0.0], 23
+    first, first_rngs = _draw_trials(cfg, snrs, TRIALS, seed)
+    run_alignment(cfg, first, first_rngs)
+    for cfg, trials, seed, misses in [
+        (cfg, TRIALS, seed, 1),
+        (config(n_v=2, total_snapshots=12), TRIALS, seed, 1),  # same trials
+        (cfg, TRIALS, seed + 1, 2),
+        (cfg, TRIALS + 1, seed, 3),
+        (config(grid_size=32), TRIALS, seed, 4),
+        (config(roi=RegionOfInterest(-0.5, 0.25)), TRIALS, seed, 5),
+    ]:
+        channels, rngs = _draw_trials(cfg, snrs, trials, seed)
+        assert harness._trial_setup.cache_info().misses == misses
+        assert not {id(rng) for rng in rngs} & {id(rng) for rng in first_rngs}
+        grid = AngularGrid(cfg.roi, cfg.grid_size)
+        for i in range(trials):
+            fresh = [trial_generator(seed, i) for _ in snrs]
+            for k, (snr, lone) in enumerate(zip(snrs, fresh)):
+                assert channels[k * trials + i] == draw_channel(grid, snr, lone)
+                assert rngs[k * trials + i] is rngs[i]
+            rng = rngs[i]
+            assert type(rng.bit_generator) is type(fresh[0].bit_generator)
+            assert rng.bit_generator.state == fresh[0].bit_generator.state
+            assert rng.standard_normal(3).tobytes() == fresh[0].standard_normal(3).tobytes()
+
+
+def test_hiepm_schemes_share_one_trial_set_up(monkeypatch):
+    # the eight schemes of the known-gain table (L = 60, the least multiple
+    # of their block sizes) run on one set-up of their trials
+    harness._trial_setup.cache_clear()
+    made = []
+
+    def counted(seed, trial):
+        made.append(trial)
+        return trial_generator(seed, trial)
+
+    monkeypatch.setattr(harness, "trial_generator", counted)
+    schemes = [(1, "svam"), (2, "repeat")] + [(k, "svam") for k in (2, 3, 4, 5, 10, 15)]
+    for n_v, mode in schemes:
+        cfg = config(codebook="hierarchical", n_v=n_v, total_snapshots=60)
+        book = book_for(cfg, mode)
+        run_hiepm_trials(cfg, -10.0, 2, 7, book, mode=mode)
+    assert made == [0, 1]
 
 
 # --------------------------------------------------------- known-gain hiePM
@@ -333,13 +389,44 @@ def _peaky_pmfs(grid_size=64, seed=4):
     return np.stack(pmfs)
 
 
+def _node_mass_stacks(seed=39):
+    """Seeded pmf stacks on grids of 1 to 128 points: Dirichlet rows at
+    several concentrations, softmax rows of wide logits, one-hot, uniform,
+    and a row of NaN."""
+    rng = np.random.default_rng(seed)
+    for size in (1, 2, 4, 8, 16, 32, 64, 128):
+        rows = [rng.dirichlet(np.full(size, c), 4) for c in (0.05, 0.5, 5.0)]
+        logits = rng.uniform(-300.0, 300.0, (4, size))
+        softmax = np.exp(logits - logits.max(axis=1, keepdims=True))
+        rows.append(softmax / softmax.sum(axis=1, keepdims=True))
+        rows.append([np.eye(size)[rng.integers(size)], np.full(size, 1.0 / size)])
+        rows.append(np.full((1, size), np.nan))
+        yield np.concatenate(rows)
+
+
+def _assert_same_bits(got, want):
+    """Equal float bit patterns, and NaN exactly where want is NaN."""
+    nan = np.isnan(want)
+    assert got.shape == want.shape
+    assert (np.isnan(got) == nan).all()
+    assert (got[~nan].view(np.int64) == want[~nan].view(np.int64)).all()
+
+
 def test_node_masses_equal_node_mass_bit_for_bit():
-    pmf = _peaky_pmfs()
-    masses = node_masses(pmf, 6)
-    assert masses.shape == (len(pmf), 2**7 - 1)
-    for i, row in enumerate(pmf):  # node (l, k) at column 2**l - 1 + k
-        nodes = [node_mass(row, l, k) for l in range(7) for k in range(2**l)]
-        assert masses[i].tolist() == nodes
+    # levels of fewer than 8 points are added left to right and wider ones
+    # reduced pairwise: every level must keep node_mass's np.sum bits
+    for pmf in _node_mass_stacks():
+        size = pmf.shape[1]
+        depth = size.bit_length() - 1
+        # node (l, k) at column 2**l - 1 + k
+        want = np.array([
+            [node_mass(row, l, k) for l in range(depth + 1) for k in range(2**l)]
+            for row in pmf
+        ])
+        for d in range(depth + 1):
+            _assert_same_bits(node_masses(pmf, d), want[:, : 2 ** (d + 1) - 1])
+        # a lone pmf gives its row of the table
+        _assert_same_bits(node_masses(pmf[0], depth), want[0])
     with pytest.raises(ValueError):  # 12 points do not split into 8 nodes
         node_masses(np.full((1, 12), 1 / 12), 3)
 
@@ -398,11 +485,11 @@ def test_noise_block_reproduces_consecutive_snapshots():
     singles = np.stack([antenna_snapshot_scalar(params, n, rng) for _ in range(n_v)])
     raw = np.random.default_rng(seed).standard_normal((n_v, 2, n))
     noise = np.sqrt(params.noise_variance / 2.0) * (raw[:, 0] + 1j * raw[:, 1])
-    np.testing.assert_array_equal(singles, noiseless_snapshot(params, n) + noise)
+    np.testing.assert_array_equal(singles, noiseless_snapshot([params], n)[0] + noise)
 
     rng_block, rng_single = np.random.default_rng(seed), np.random.default_rng(seed)
     noise = BatchNoise([rng_block], params.noise_variance, n_v, n)
-    (block,) = antenna_snapshot(noise, noiseless_snapshot(params, n)[None], 0, n_v)
+    (block,) = antenna_snapshot(noise, noiseless_snapshot([params], n), 0, n_v)
     np.testing.assert_array_equal(
         block, [antenna_snapshot_scalar(params, n, rng_single) for _ in range(n_v)]
     )
@@ -413,9 +500,9 @@ def test_noise_block_reproduces_consecutive_snapshots():
 def test_noiseless_block_leaves_generator_untouched():
     params = ChannelParams(1.0, 0.5)
     rng = np.random.default_rng(3)
-    signal = noiseless_snapshot(params, 6)
-    block = antenna_snapshot(BatchNoise([rng], 0.0, 3, 6), signal[None], 0, 3)
-    np.testing.assert_array_equal(block[0], np.tile(signal, (3, 1)))
+    signals = noiseless_snapshot([params], 6)
+    block = antenna_snapshot(BatchNoise([rng], 0.0, 3, 6), signals, 0, 3)
+    np.testing.assert_array_equal(block[0], np.tile(signals[0], (3, 1)))
     assert rng.standard_normal() == np.random.default_rng(3).standard_normal()
 
 
@@ -425,10 +512,9 @@ def test_noiseless_block_leaves_generator_untouched():
 def test_per_trial_noise_rows_equal_shared_noise_blocks(variances):
     n, n_v = 8, 3
     variances = np.array(variances)
-    signals = np.stack([
-        noiseless_snapshot(ChannelParams(np.exp(1j * k), 0.1 * k), n)
-        for k in range(3)
-    ])
+    signals = noiseless_snapshot(
+        [ChannelParams(np.exp(1j * k), 0.1 * k) for k in range(3)], n
+    )
     rngs = [np.random.default_rng(60 + k) for k in range(3)]
     blocks = antenna_snapshot(BatchNoise(rngs, variances, n_v, n), signals, 0, n_v)
     for k, variance in enumerate(variances):
@@ -457,10 +543,9 @@ def test_rows_on_one_generator_share_its_draw(shared):
     # shared generator moves one block if any of its rows is noisy
     n, n_v = 8, 3
     variances = np.array([shared[0], 1.0, shared[1]])
-    signals = np.stack([
-        noiseless_snapshot(ChannelParams(np.exp(1j * k), 0.1 * k), n)
-        for k in range(3)
-    ])
+    signals = noiseless_snapshot(
+        [ChannelParams(np.exp(1j * k), 0.1 * k) for k in range(3)], n
+    )
     seeds = [70, 71, 70]
     one, other = np.random.default_rng(70), np.random.default_rng(71)
     noise = BatchNoise([one, other, one], variances, n_v, n)
@@ -493,10 +578,9 @@ def _run_noise_batch(variances, seeds=(80, 81, 80, 82)):
     """Rows on generators by seed, the first and third holding one object:
     the signals, variances and a maker of fresh generators for each row."""
     n = 8
-    signals = np.stack([
-        noiseless_snapshot(ChannelParams(np.exp(1j * k), 0.1 * k), n)
-        for k in range(len(seeds))
-    ])
+    signals = noiseless_snapshot(
+        [ChannelParams(np.exp(1j * k), 0.1 * k) for k in range(len(seeds))], n
+    )
 
     def generators():
         made = {seed: np.random.default_rng(seed) for seed in seeds}

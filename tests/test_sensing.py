@@ -112,12 +112,34 @@ def test_a_stacked_build_gives_each_row_a_lone_builds_bits(count, m, n, n_v, siz
             assert r.tobytes() == (beams[row].conj() @ grid.manifold(m)).tobytes()
 
 
+def test_a_gather_builds_only_the_rows_no_block_has_read(monkeypatch):
+    # a gather reads its rows' slots once and sends only unread rows to the
+    # build, and a beam appended after the table was made gets a slot
+    rng = np.random.default_rng(39)
+    grid = AngularGrid(RegionOfInterest(0.0, 1.0), 8)
+    beams = [rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(3)]
+    table = BeamTable(beams, 6, 2, grid)
+    built, build = [], BeamTable._build
+    monkeypatch.setattr(
+        BeamTable, "_build", lambda t, rows: built.append(rows.tolist()) or build(t, rows)
+    )
+    gathers = [np.array([0, 0, 2]), np.array([2, 0]), np.array([3, 1, 3, 0])]
+    for k, rows in enumerate(gathers):
+        if k == 2:
+            beams.append(rng.standard_normal(5) + 1j * rng.standard_normal(5))
+        combiners, responses = table.gather(rows)
+        for row, c, r in zip(rows.tolist(), combiners, responses):
+            assert c.tobytes() == block_combiners(beams[row], 6, 2).tobytes()
+            assert r.tobytes() == beam_responses(beams[row], grid).tobytes()
+    assert built == [[0, 0, 2], [3, 1, 3]]
+
+
 def _measure_lone(f, params, n, n_v, rng):
     """The (n_v,) outputs and (grid,) responses measure_segment gives a
     batch of one sensing block 0 with beam f."""
     table = BeamTable([f], n, n_v, AngularGrid(RegionOfInterest(0.0, 1.0), 8))
     noise = BatchNoise([rng], params.noise_variance, n_v, n)
-    signals = noiseless_snapshot(params, n)[None]
+    signals = noiseless_snapshot([params], n)
     rows = np.zeros(1, dtype=int)
     (values,), (responses,) = measure_segment(table, rows, noise, signals, 0)
     return values, responses
@@ -150,7 +172,7 @@ class TestMeasureSegment:
             ChannelParams(np.exp(1j * k), 0.2 * k, noise_variance=v)
             for k, v in enumerate([0.5, 0.0, 2.0, 1.0])
         ]
-        signals = np.stack([noiseless_snapshot(c, n) for c in channels])
+        signals = noiseless_snapshot(channels, n)
         rngs = [np.random.default_rng(30 + k) for k in range(4)]
         lone_rngs = [np.random.default_rng(30 + k) for k in range(4)]
         table = BeamTable(beams, n, n_v, grid)
