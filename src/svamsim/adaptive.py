@@ -18,20 +18,21 @@ taps) or, with n taps and so one shift, repeat.
 A batch row reproduces a lone run of its trial bit for bit; one bad row
 rejects the batch. Per run, the path signals are one product of the gains
 column and the steering rows (channel.noiseless_snapshot), and the noise is
-drawn once, not per block: each distinct noisy generator draws all its
-snapshots' normals up front (channel.BatchNoise, total_snapshots * n
-complex numbers per generator), and each block scales its slice
-(channel.antenna_snapshot); a run on the last run's generator states, as in
-a paired comparison, reuses its draw. Each beam's block combiners and grid
-responses are built once per run into a table (sensing.BeamTable) that
-every block reads by row with one slot lookup, building only the beams no
-block has read yet, in one stacked build: a codebook's rows are its heap of
-beams, node (l, k) at row 2**l - 1 + k, and the flexible controller numbers
-its designs as it makes them. A block keeps its beams as those rows. A
-codebook step keys each trial by its node's row: it reads the node masses
-from one node_masses table laid out the same way, and its public rule
-(hier_beam_search or select_codeword_posterior_matching) takes and returns
-rows, so the rows are the next block's beams as they stand.
+an input: a BatchNoise drawn before the run (channel.draw_noise,
+total_snapshots * n complex numbers per trial), whose rows the loop scales
+to its channels' variances, each block reading its slice
+(channel.antenna_snapshot). The loop draws nothing, so a run is a function
+of its inputs, and runs given one draw are paired. Each beam's block
+combiners and grid responses are built once per run into a table
+(sensing.BeamTable) that every block reads by row with one slot lookup,
+building only the beams no block has read yet, in one stacked build: a
+codebook's rows are its heap of beams, node (l, k) at row 2**l - 1 + k, and
+the flexible controller numbers its designs as it makes them. A block
+keeps its beams as those rows. A codebook step keys each trial by its
+node's row: it reads the node masses from one node_masses table laid out
+the same way, and its public rule (hier_beam_search or
+select_codeword_posterior_matching) takes and returns rows, so the rows
+are the next block's beams as they stand.
 What still runs row by row in a block is the flexible controller's lookup
 of each trial's (direction, width) row and the flexible step's np.convolve
 of each pmf whose window is wider than one point, once per width tried,
@@ -338,6 +339,7 @@ def node_masses(pmf: np.ndarray, depth: int) -> np.ndarray:
     order no elementwise loop reproduces.
     """
     pmf = np.asarray(pmf, dtype=float)
+    depth = check_integer("codebook depth", depth)
     if depth < 0 or pmf.shape[-1] % 2**depth or not pmf.shape[-1]:
         raise ValueError("grid does not tile the node's level")
     lead = pmf.shape[:-1]
@@ -399,7 +401,7 @@ def _node_peaks(table: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 def _align(
     config: AdaptConfig,
     channels: Sequence[ChannelParams],
-    rngs: Sequence[np.random.Generator],
+    noise: BatchNoise,
     score: Callable[[MeasurementHistory], np.ndarray],
     keys: np.ndarray | tuple[np.ndarray, np.ndarray],
     locate: Callable[[object], np.ndarray],
@@ -415,21 +417,28 @@ def _align(
     Trials.beams is the beam list indexed by the blocks' rows, once, after
     the last block."""
     count = len(channels)
-    if count < 1 or len(rngs) != count:
-        raise ValueError("need at least one channel and one generator per channel")
+    if count < 1 or noise.slot.shape != (count,):
+        raise ValueError("need at least one channel and one noise row per channel")
+    if (drawn := noise.normals.shape[1:]) != (config.total_snapshots, config.n):
+        raise ValueError(
+            f"need {config.total_snapshots} observations of {config.n} "
+            f"elements, got a draw of {drawn}"
+        )
     channel_noise = np.array([channel.noise_variance for channel in channels])
     signals = noiseless_snapshot(channels, config.n)
+    # each row's noise at its channel's variance, a noiseless row's zeros
+    noise = BatchNoise(noise.normals, np.where(channel_noise > 0.0, noise.slot, -1))
+    scale = np.sqrt(channel_noise / 2.0)
     # the variance the inference assumes
     noise_var = np.maximum(config.noise_scale * channel_noise, NOISELESS_VAR_FLOOR)
     grid = AngularGrid(config.roi, config.grid_size)
-    noise = BatchNoise(rngs, channel_noise, config.total_snapshots, config.n)
     table = BeamTable(beams, config.n, config.n_v, grid)
     history = MeasurementHistory(config.n, config.n_v, grid, count, noise_var)
     block_rows, block_modes, block_peaks = [], [], []
     for start in range(0, config.total_snapshots, config.n_v):
         # located here, so no beam is designed after the last block
         rows = locate(keys)
-        values, responses = measure_segment(table, rows, noise, signals, start)
+        values, responses = measure_segment(table, rows, noise, scale, signals, start)
         history.append(values, responses, table.taps)
         pmf = posterior_pmf(score(history))
         modes = np.argmax(pmf, axis=-1)
@@ -449,24 +458,21 @@ def _align(
 def run_alignment(
     config: AdaptConfig,
     channels: Sequence[ChannelParams],
-    rngs: Sequence[np.random.Generator],
+    noise: BatchNoise,
 ) -> Trials:
     """Unknown-gain alignment of a batch of trials over all snapshot blocks.
 
-    Trial i observes channels[i] with its own noise variance and draws only
-    from rngs[i]: one standard_normal((total_snapshots, 2, n)) before the
-    first block, the numbers a lone run of that trial draws block by block;
-    a noiseless trial draws nothing. Rows that hold the same generator
-    object share its draw (BatchNoise), as a sweep's rows of one trial at
-    several SNRs do: the generator moves total_snapshots observations per
-    run, and each row sees the numbers a lone run on a fresh copy of it
-    sees. The draw holds total_snapshots * 2 * n floats per distinct noisy
-    generator; a later run whose generators stand where this run's stood
-    reuses it, with the same bits and end states. A single trial is a
-    batch of one. The flexible controller starts from, and resets to, the
-    region-wide beam; the hierarchical one climbs a codebook log2(grid
-    size) levels deep from its root. Each records the mass of the beam or
-    node it picks for the next block.
+    Trial i observes channels[i] with its own noise variance through row i
+    of noise, a draw of total_snapshots observations of n elements
+    (channel.draw_noise), scaled to that variance; a noiseless trial reads
+    zeros. Rows that read one slot share its draw, as a sweep's rows of one
+    trial at several SNRs do, and each sees the numbers a lone run on that
+    slot sees. The run draws nothing: equal inputs give equal outcomes, and
+    the draw is never written. A single trial is a batch of one. The
+    flexible controller starts from, and resets to, the region-wide beam;
+    the hierarchical one climbs a codebook log2(grid size) levels deep from
+    its root. Each records the mass of the beam or node it picks for the
+    next block.
     """
     count, m, p_thresh = len(channels), config.combiner_length, config.p_thresh
     if config.codebook == "flexible":
@@ -491,7 +497,7 @@ def run_alignment(
             return np.array(rows)
 
         return _align(
-            config, channels, rngs, fitted_log_likelihood, region, design,
+            config, channels, noise, fitted_log_likelihood, region, design,
             designed, flexible,
         )
 
@@ -504,7 +510,7 @@ def run_alignment(
 
     root = np.zeros(count, dtype=int)
     return _align(
-        config, channels, rngs, fitted_log_likelihood, root, lambda nodes: nodes,
+        config, channels, noise, fitted_log_likelihood, root, lambda nodes: nodes,
         book.beams, hierarchical,
     )
 
@@ -512,7 +518,7 @@ def run_alignment(
 def run_hiepm_known_alpha(
     config: AdaptConfig,
     channels: Sequence[ChannelParams],
-    rngs: Sequence[np.random.Generator],
+    noise: BatchNoise,
     codebook: HierarchicalCodebook,
 ) -> Trials:
     """Known-gain hierarchical alignment (hiePM) of a batch of trials over
@@ -554,6 +560,6 @@ def run_hiepm_known_alpha(
     first = select_codeword_posterior_matching(node_masses(uniform, codebook.depth))
     score = partial(known_gain_log_likelihood, gains=gains)
     return _align(
-        config, channels, rngs, score, first, lambda nodes: nodes, beams,
+        config, channels, noise, score, first, lambda nodes: nodes, beams,
         posterior_matching,
     )

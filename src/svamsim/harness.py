@@ -6,8 +6,11 @@ per-antenna SNR P|alpha|^2 / sigma^2 in dB maps to the noise power as
 sigma^2 = 10^(-SNR/10) exactly. True angles are drawn uniformly from the
 candidate grid, so a perfect run has zero error. Per-trial generators are
 spawned from the experiment seed keyed by trial index alone; shrinking or
-growing the trial count never changes earlier trials, and paired
-comparisons across sweep points see identical channel realizations.
+growing the trial count never changes earlier trials. Each trial's
+generator draws its path and then its run's noise, once per trial set
+(_trial_setup), and the alignment loops take that draw as an input and draw
+nothing, so paired comparisons across sweep points, schemes and
+controllers see identical channel and noise realizations.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .adaptive import (
 )
 from .arrays import AngularGrid, RegionOfInterest, check_integer, check_roi
 from .beams import BeamSpec, HierarchicalCodebook, design_beamformer
-from .channel import ChannelParams
+from .channel import BatchNoise, ChannelParams, draw_noise
 from .crb import (
     CrbResult,
     crb_benchmark,
@@ -195,50 +198,36 @@ def draw_channel(
 
 @lru_cache(maxsize=1)
 def _trial_setup(
-    roi: RegionOfInterest, grid_size: int, trials: int, seed: int
-) -> tuple[tuple[ChannelParams, ...], tuple[tuple[type, dict], ...]]:
-    """Each trial's noiseless path on the grid, drawn from
-    trial_generator(seed, i), and the (bit-generator class, state) that
-    generator is left in by the draw. Only the last trial set is kept: the
-    schemes of a comparison, and a sweep's controller groups, run the same
-    trials one after another."""
+    roi: RegionOfInterest, grid_size: int, trials: int, seed: int, count: int, n: int
+) -> tuple[tuple[ChannelParams, ...], BatchNoise]:
+    """Each trial's noiseless path on the grid and its noise, count
+    observations of n elements, both drawn from trial_generator(seed, i):
+    the path first, as a lone run of any SNR draws it, then the noise
+    (channel.draw_noise), one row per trial. This is the package's one
+    cache of a trial set, and only the last set is kept: the schemes of a
+    comparison, and a sweep's controller groups, run the same trials one
+    after another, so each runs on the same draws."""
     grid = AngularGrid(roi, grid_size)
-    paths, states = [], []
-    for i in range(trials):
-        rng = trial_generator(seed, i)
-        paths.append(draw_channel(grid, math.inf, rng))
-        states.append((type(rng.bit_generator), rng.bit_generator.state))
-    return tuple(paths), tuple(states)
+    rngs = [trial_generator(seed, i) for i in range(trials)]
+    paths = tuple(draw_channel(grid, math.inf, rng) for rng in rngs)
+    return paths, draw_noise(rngs, count, n)
 
 
 def _draw_trials(
     config: AdaptConfig, snrs: Sequence[float], trials: int, seed: int
-) -> tuple[list[ChannelParams], list[np.random.Generator]]:
-    """The channels and generators of every SNR's trials in batch order,
-    SNR by SNR. Trial i has one generator, trial_generator(seed, i), and
-    its row at every SNR holds that same object. The generator draws the
-    trial's path first, as a lone run of any SNR draws it; each SNR's
-    channel is that path with the SNR's noise variance. The rows then share
-    the generator's one noise draw per run (channel.BatchNoise), so each
-    trial's noise is drawn and held once, total_snapshots * 2 * n floats,
-    not once per SNR. Equal arguments give generators in equal states, so
-    the next scheme or controller on these trials reuses that draw.
-
-    The paths and the generators' states after the path draw come from the
-    last trial set's one set-up (_trial_setup); every call gets new
-    generators set to those states, each built from one fixed seed sequence
-    first, so no OS entropy is read and no generator is shared between
-    calls."""
-    paths, states = _trial_setup(config.roi, config.grid_size, trials, seed)
-    fixed = np.random.SeedSequence(0)
-    rngs = []
-    for kind, state in states:
-        bits = kind(fixed)
-        bits.state = state
-        rngs.append(np.random.Generator(bits))
+) -> tuple[list[ChannelParams], BatchNoise]:
+    """The channels and noise rows of every SNR's trials in batch order,
+    SNR by SNR, from the trial set's one set-up (_trial_setup): each SNR's
+    channel of trial i is that trial's path with the SNR's noise variance,
+    and its noise row reads trial i's slot of the one draw, so each trial's
+    noise is drawn and held once, total_snapshots * 2 * n floats, however
+    many SNRs, schemes or controllers run it."""
+    paths, noise = _trial_setup(
+        config.roi, config.grid_size, trials, seed, config.total_snapshots, config.n
+    )
     variances = [noise_variance_from_snr(snr) for snr in snrs]
     channels = [replace(path, noise_variance=v) for v in variances for path in paths]
-    return channels, rngs * len(snrs)
+    return channels, BatchNoise(noise.normals, np.tile(noise.slot, len(snrs)))
 
 
 def run_adaptive_trials(
@@ -265,8 +254,8 @@ def run_hiepm_trials(
     taps = codebook.beams[0].size
     if taps != {"svam": config.combiner_length, "repeat": config.n}.get(mode):
         raise ValueError(f"combining mode {mode!r} does not fit {taps}-tap codewords")
-    channels, rngs = _draw_trials(config, [snr_db], trials, seed)
-    return run_hiepm_known_alpha(config, channels, rngs, codebook)
+    channels, noise = _draw_trials(config, [snr_db], trials, seed)
+    return run_hiepm_known_alpha(config, channels, noise, codebook)
 
 
 def rmse(estimates, truths) -> float:

@@ -110,6 +110,19 @@ def alpha_posterior(history: MeasurementHistory, gamma: np.ndarray) -> AlphaPost
     return AlphaPosterior(mean=mean, variance=variance)
 
 
+def _residual_power(history: MeasurementHistory, mean: np.ndarray) -> np.ndarray:
+    """max(P - 2 Re(conj(mean) s) + |mean|^2 g n_v, 0) for every candidate:
+    the measured power left once mean times each candidate's response is
+    taken out, with P the total power, s the matched statistic and g the
+    accumulated gain, clipped at zero against rounding."""
+    residual_sq = (
+        np.expand_dims(history.total_power, -1)
+        - 2.0 * (mean.conj() * history.matched_statistic).real
+        + np.abs(mean) ** 2 * history.cumulative_gain * history.n_v
+    )
+    return np.maximum(residual_sq, 0.0)
+
+
 def likelihood_terms(
     history: MeasurementHistory, posterior: AlphaPosterior
 ) -> LikelihoodTerms:
@@ -139,12 +152,7 @@ def likelihood_terms(
     spread = var * g * history.n_v + noise_var
     log_det = np.log(spread) + (total - 1) * np.log(noise_var)
 
-    residual_sq = (
-        np.expand_dims(history.total_power, -1)
-        - 2.0 * (mean.conj() * s).real
-        + np.abs(mean) ** 2 * g * history.n_v
-    )
-    residual_sq = np.maximum(residual_sq, 0.0)
+    residual_sq = _residual_power(history, mean)
     matched_residual = s - mean * g * history.n_v
     quad = residual_sq / noise_var - (var / noise_var) * np.abs(
         matched_residual
@@ -194,12 +202,7 @@ def known_gain_log_likelihood(
     noise_var = history.noise_var
     log_noise = np.log(noise_var)
     log_det = log_noise + (total - 1) * log_noise
-    residual_sq = (
-        history.total_power[..., None]
-        - 2.0 * (gains.conj() * history.matched_statistic).real
-        + np.abs(gains) ** 2 * history.cumulative_gain * history.n_v
-    )
-    quad = np.maximum(np.maximum(residual_sq, 0.0) / noise_var, 0.0)
+    quad = np.maximum(_residual_power(history, gains) / noise_var, 0.0)
     return -total * np.log(np.pi) - log_det - quad
 
 

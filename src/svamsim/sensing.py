@@ -152,19 +152,22 @@ def measure_segment(
     table: BeamTable,
     rows: np.ndarray,
     noise: BatchNoise,
+    scale: np.ndarray,
     signals: np.ndarray,
     start: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One block of a batch: the (trials, n_v) outputs of each trial's beam
     in the given table rows slid across observations start to start + n_v -
-    1 of its (n,) signal in the (trials, n) stack, and the (trials, grid)
-    responses of those beams. A lone trial is a batch of one.
+    1 of its (n,) signal in the (trials, n) stack, with its noise row
+    scaled by its entry of scale, and the (trials, grid) responses of those
+    beams. A lone trial is a batch of one.
 
     combine gives every row the bits a lone trial's snapshot-by-snapshot
     products have.
     """
     combiners, responses = table.gather(rows)
-    x = antenna_snapshot(noise, signals, start, start + combiners.shape[-2])
+    stop = start + combiners.shape[-2]
+    x = antenna_snapshot(noise, scale, signals, start, stop)
     return combine(combiners, x), responses
 
 

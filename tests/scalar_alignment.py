@@ -31,7 +31,7 @@ from svamsim.beams import (
     build_hierarchical_codebook,
     design_beamformer,
 )
-from svamsim.channel import ChannelParams, combine
+from svamsim.channel import BatchNoise, ChannelParams, combine
 from svamsim.inference import (
     alpha_posterior,
     approx_log_likelihood,
@@ -93,6 +93,15 @@ def antenna_snapshot_scalar(params: ChannelParams, n: int, rng) -> np.ndarray:
         scale = np.sqrt(params.noise_variance / 2.0)
         x += scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     return x
+
+
+def noise_rows(noise: BatchNoise, variances) -> tuple[BatchNoise, np.ndarray]:
+    """The rows of a drawn noise at the given per-row variances, as the
+    alignment loop reads them: a noiseless row points at the zero slot; and
+    each row's scale, sqrt(variance / 2)."""
+    variances = np.asarray(variances, dtype=float)
+    slot = np.where(variances > 0.0, noise.slot, -1)
+    return BatchNoise(noise.normals, slot), np.sqrt(variances / 2.0)
 
 
 def measure_segment_scalar(f, params: ChannelParams, n: int, rng) -> np.ndarray:

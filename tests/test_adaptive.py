@@ -27,7 +27,7 @@ from svamsim.beams import (
     build_hierarchical_codebook,
     design_beamformer,
 )
-from svamsim.channel import ChannelParams
+from svamsim.channel import ChannelParams, draw_noise
 from svamsim.harness import run_hiepm_trials
 
 ROI = RegionOfInterest(0.0, 1.0)
@@ -35,6 +35,12 @@ ROI = RegionOfInterest(0.0, 1.0)
 
 def grid_of(size: int) -> AngularGrid:
     return AngularGrid(ROI, size)
+
+
+def noise_of(cfg: AdaptConfig, *seeds: int):
+    """A run's noise, one row per seed."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    return draw_noise(rngs, cfg.total_snapshots, cfg.n)
 
 
 # ---------------------------------------------------------------- cumul_peak
@@ -427,7 +433,7 @@ def test_noiseless_on_grid_recovery_flexible():
     grid = AngularGrid(ROI, 16)
     truth = float(grid.points[9])
     chan = ChannelParams(np.exp(0.3j), truth)
-    out = run_alignment(cfg, [chan], [np.random.default_rng(0)])
+    out = run_alignment(cfg, [chan], noise_of(cfg, 0))
     assert out.estimate.tolist() == [truth]
     assert out.true_angle.tolist() == [truth]
     assert out.mode_index[0, -1] == 9
@@ -442,7 +448,7 @@ def test_noiseless_on_grid_recovery_hierarchical():
     grid = AngularGrid(ROI, 16)
     truth = float(grid.points[9])
     chan = ChannelParams(1.0 + 0.0j, truth)
-    out = run_alignment(cfg, [chan], [np.random.default_rng(0)])
+    out = run_alignment(cfg, [chan], noise_of(cfg, 0))
     assert out.estimate.tolist() == [truth]
     assert out.beams[0][0].spec.beamwidth == pytest.approx(ROI.width)
 
@@ -450,15 +456,15 @@ def test_noiseless_on_grid_recovery_hierarchical():
 def test_alignment_is_deterministic():
     cfg = make_config()
     chan = ChannelParams(1j, 0.4, noise_variance=0.5)
-    out1 = run_alignment(cfg, [chan], [np.random.default_rng(7)])
-    out2 = run_alignment(cfg, [chan], [np.random.default_rng(7)])
+    out1 = run_alignment(cfg, [chan], noise_of(cfg, 7))
+    out2 = run_alignment(cfg, [chan], noise_of(cfg, 7))
     assert columns(out1) == columns(out2)
 
 
 def test_records_carry_one_log_per_segment():
     cfg = make_config()
     chan = ChannelParams(1.0, 0.4, noise_variance=0.1)
-    out = run_alignment(cfg, [chan], [np.random.default_rng(1)])
+    out = run_alignment(cfg, [chan], noise_of(cfg, 1))
     blocks = (1, cfg.total_snapshots // cfg.n_v)
     assert out.mode_index.shape == out.peak_prob.shape == blocks
     assert out.gain_at_truth().shape == blocks
@@ -477,9 +483,8 @@ def test_no_beam_is_designed_after_the_last_block(monkeypatch):
 
     monkeypatch.setattr(adaptive, "design_beamformer", counting)
     cfg = make_config(total_snapshots=24)
-    rngs = [np.random.default_rng(seed) for seed in range(3)]
     chans = [ChannelParams(1.0, u, noise_variance=0.3) for u in (0.1, 0.45, 0.8)]
-    out = run_alignment(cfg, chans, rngs)
+    out = run_alignment(cfg, chans, noise_of(cfg, 0, 1, 2))
     distinct = sum(
         len({(beam.spec.direction, beam.spec.beamwidth) for beam in block})
         for block in zip(*out.beams)
@@ -494,7 +499,7 @@ def test_hiepm_noiseless_recovery():
     truth = float(grid.points[6])
     chan = ChannelParams(np.exp(-0.7j), truth)
     book = build_hierarchical_codebook(ROI, 4, 16, grid_size=16)
-    out = run_hiepm_known_alpha(cfg, [chan], [np.random.default_rng(0)], book)
+    out = run_hiepm_known_alpha(cfg, [chan], noise_of(cfg, 0), book)
     assert out.estimate.tolist() == [truth]
     assert out.peak_prob.shape == (1, 12)
 
@@ -514,7 +519,7 @@ def test_hiepm_validations():
     book_13 = build_hierarchical_codebook(ROI, 4, 13, grid_size=16)
     book_16 = build_hierarchical_codebook(ROI, 4, 16, grid_size=16)
     chan = ChannelParams(1.0, 0.4)
-    rng = np.random.default_rng(0)
+    noise = noise_of(cfg, 0)
     # the taps set the combining: 13 slide and 16 repeat on 16 elements,
     # and a mode naming the other one is rejected
     with pytest.raises(ValueError, match="'svam' does not fit 16-tap"):
@@ -525,14 +530,14 @@ def test_hiepm_validations():
         run_hiepm_trials(cfg, 0.0, 1, 0, book_13, "sideways")
     book_10 = build_hierarchical_codebook(ROI, 4, 10, grid_size=16)
     with pytest.raises(ValueError, match="13 .sliding. or 16 .repeated."):
-        run_hiepm_known_alpha(cfg, [chan], [rng], book_10)
+        run_hiepm_known_alpha(cfg, [chan], noise, book_10)
     # the right tap count over another region would score beams pointing
     # elsewhere
     elsewhere = build_hierarchical_codebook(
         RegionOfInterest(-1.0, 0.0), 4, 13, grid_size=16
     )
     with pytest.raises(ValueError, match="region"):
-        run_hiepm_known_alpha(cfg, [chan], [rng], elsewhere)
+        run_hiepm_known_alpha(cfg, [chan], noise, elsewhere)
 
 
 @pytest.mark.parametrize("taps", [13, 16], ids=["svam", "repeat"])
@@ -546,10 +551,10 @@ def test_hiepm_rejects_codewords_beyond_unit_norm(taps):
         book.spans,
     )
     chan = ChannelParams(1.0, 0.4, noise_variance=0.1)
-    rng = np.random.default_rng(0)
-    run_hiepm_known_alpha(cfg, [chan], [rng], book)  # unit norm passes
+    noise = noise_of(cfg, 0)
+    run_hiepm_known_alpha(cfg, [chan], noise, book)  # unit norm passes
     with pytest.raises(ValueError, match="norm"):
-        run_hiepm_known_alpha(cfg, [chan], [rng], loud)
+        run_hiepm_known_alpha(cfg, [chan], noise, loud)
 
 
 def test_hiepm_rejects_codewords_of_another_tap_count():
@@ -561,4 +566,4 @@ def test_hiepm_rejects_codewords_of_another_tap_count():
     mixed = HierarchicalCodebook(root.beams[:1] + deeper.beams[1:], root.spans)
     chan = ChannelParams(1.0, 0.4, noise_variance=0.1)
     with pytest.raises(ValueError, match="15-tap and 16-tap"):
-        run_hiepm_known_alpha(cfg, [chan], [np.random.default_rng(0)], mixed)
+        run_hiepm_known_alpha(cfg, [chan], noise_of(cfg, 0), mixed)

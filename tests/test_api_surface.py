@@ -18,6 +18,7 @@ import numpy as np
 
 import svamsim
 import svamsim.cli  # noqa: F401  (the tracer looks in every loaded module)
+from svamsim.channel import draw_noise
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH_DIR = ROOT / "perfbench"
@@ -362,7 +363,8 @@ def _traced_calls() -> dict[str, dict[str, int]]:
         tracer.install()
         for step, run in runs.items():
             tracer.reset()
-            run(channels, [np.random.default_rng(seed) for seed in (0, 1)])
+            rngs = [np.random.default_rng(seed) for seed in (0, 1)]
+            run(channels, draw_noise(rngs, 2 * BLOCKS, 8))
             calls[step] = tracer.snapshot()["calls"]
     finally:
         tracer.uninstall()
@@ -385,6 +387,63 @@ def test_the_tracer_counts_one_sensing_call_per_block():
     for step, calls in _traced_calls().items():
         assert calls["sensing.measure"] == BLOCKS, step
         assert calls["channel.snapshot"] == BLOCKS, step
+
+
+# the names that build a numpy generator, and the attributes that build one
+# or draw from one
+GENERATOR_BUILDERS = {"default_rng", "Generator", "SeedSequence"}
+GENERATOR_ATTRIBUTES = GENERATOR_BUILDERS | {
+    "standard_normal", "integers", "uniform", "bit_generator",
+}
+# the modules that hold the package's randomness: the trial set-up and the
+# noise draw it calls
+DRAWING_MODULES = {"harness", "channel"}
+
+
+def _generator_uses(tree: ast.Module) -> list[str]:
+    """"name (line n)" for every generator a module builds or draws from: a
+    builder read as a name, a builder or draw read as an attribute of
+    anything, and any name imported from numpy.random. A local variable
+    named uniform is no draw."""
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
+            uses += [f"{alias.name} (line {node.lineno})" for alias in node.names]
+        elif isinstance(node, ast.Name) and node.id in GENERATOR_BUILDERS:
+            uses.append(f"{node.id} (line {node.lineno})")
+        elif isinstance(node, ast.Attribute) and node.attr in GENERATOR_ATTRIBUTES:
+            uses.append(f"{node.attr} (line {node.lineno})")
+    return uses
+
+
+def test_only_the_trial_set_up_draws():
+    # the loop, the sensing and the inference take their noise as an input:
+    # a generator anywhere else would decide on its own which runs share a
+    # draw, and paired comparisons would stop being paired
+    drawing = {
+        path.stem: uses
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.stem not in DRAWING_MODULES
+        and (uses := _generator_uses(ast.parse(path.read_text())))
+    }
+    assert drawing == {}
+    # the check sees a generator built, an attribute draw and an import
+    source = (
+        "import numpy as np\n"
+        "from numpy.random import PCG64\n"
+        "rng = np.random.default_rng(0)\n"
+        "x = rng.standard_normal(3) + rng.bit_generator.state['state']['state']\n"
+        "uniform = x.uniform\n"
+    )
+    assert sorted(_generator_uses(ast.parse(source))) == [
+        "PCG64 (line 2)", "bit_generator (line 4)", "default_rng (line 3)",
+        "standard_normal (line 4)", "uniform (line 5)",
+    ]
+    assert {"harness", "channel"} == {
+        path.stem
+        for path in PACKAGE_DIR.glob("*.py")
+        if _generator_uses(ast.parse(path.read_text()))
+    }
 
 
 # Lower this ceiling whenever a knob goes. Raise it only for a new option

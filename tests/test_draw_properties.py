@@ -1,12 +1,10 @@
-"""Property test: a run's noise from a warm draw cache has the bits, and
-leaves the generators in the states, of the same run from a cleared cache.
+"""Property test: every row of a batch's observations has the bits of its
+trial's lone draw, whichever rows share a slot.
 
-Batches mix rows that share a generator, noiseless rows and generators of
-four bit-generator types, and the warm cache holds either the run's own
-draw (a hit) or another batch's (a miss).
+Batches mix rows that read one trial's slot at several variances, noiseless
+rows, which read the zero slot, and generators of four bit-generator types;
+the draw is read again unchanged.
 """
-
-import pickle
 
 import numpy as np
 import pytest
@@ -14,8 +12,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from svamsim import channel  # noqa: E402
-from svamsim.channel import BatchNoise, antenna_snapshot  # noqa: E402
+from scalar_alignment import noise_rows  # noqa: E402
+from svamsim.channel import BatchNoise, antenna_snapshot, draw_noise  # noqa: E402
 
 KINDS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
 
@@ -23,23 +21,14 @@ KINDS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
 @st.composite
 def batches(draw):
     rows = draw(st.integers(1, 5))
-    seeds = draw(st.lists(st.integers(0, 3), min_size=rows, max_size=rows))
+    slots = draw(st.lists(st.integers(0, 3), min_size=rows, max_size=rows))
     kinds = draw(st.lists(st.sampled_from(KINDS), min_size=4, max_size=4))
     variances = draw(
         st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]), min_size=rows, max_size=rows)
     )
-    return seeds, kinds, np.array(variances), draw(st.integers(1, 6)), draw(
+    return slots, kinds, np.array(variances), draw(st.integers(1, 6)), draw(
         st.integers(1, 5)
     )
-
-
-def _run(seeds, kinds, variances, count, n):
-    """The batch's observations on fresh generators, and their end states."""
-    made = {seed: np.random.Generator(kinds[seed](seed)) for seed in set(seeds)}
-    rngs = [made[seed] for seed in seeds]
-    signals = np.arange(len(seeds) * n).reshape(len(seeds), n) * (1 + 1j)
-    x = antenna_snapshot(BatchNoise(rngs, variances, count, n), signals, 0, count)
-    return x.tobytes(), [pickle.dumps(rng.bit_generator.state) for rng in rngs]
 
 
 # On a failure, hypothesis's pytest plugin imports libcst to suggest a patch,
@@ -51,10 +40,19 @@ def _run(seeds, kinds, variances, count, n):
 # few, fixed examples: tier-1 wall time counts, and a run must not differ
 # from the last one
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(batches(), batches(), st.booleans())
-def test_warm_cache_equals_cleared_cache(batch, other, own):
-    channel._run_draw.cache_clear()
-    cleared = _run(*batch)
-    _run(*(batch if own else other))
-    assert _run(*batch) == cleared
-    channel._run_draw.cache_clear()
+@given(batches())
+def test_shared_slots_give_each_row_its_lone_draw(batch):
+    slots, kinds, variances, count, n = batch
+    rngs = [np.random.Generator(kind(seed)) for seed, kind in enumerate(kinds)]
+    drawn = draw_noise(rngs, count, n)
+    before = drawn.normals.tobytes()
+    signals = np.arange(len(slots) * n).reshape(len(slots), n) * (1 + 1j)
+    rows = noise_rows(BatchNoise(drawn.normals, np.array(slots)), variances)
+    x = antenna_snapshot(*rows, signals, 0, count)
+    for k, (slot, v) in enumerate(zip(slots, variances)):
+        lone = draw_noise([np.random.Generator(kinds[slot](slot))], count, n)
+        lone_rows = noise_rows(lone, [v])
+        (want,) = antenna_snapshot(*lone_rows, signals[k : k + 1], 0, count)
+        assert x[k].tobytes() == want.tobytes()
+    assert antenna_snapshot(*rows, signals, 0, count).tobytes() == x.tobytes()
+    assert drawn.normals.tobytes() == before

@@ -2,7 +2,6 @@
 their one-trial oracles, block noise against single snapshots, and per-row
 validation."""
 
-import copy
 import functools
 import gc
 import math
@@ -18,6 +17,7 @@ from scalar_alignment import (
     columns,
     known_alpha_update,
     measure_segment_scalar,
+    noise_rows,
     run_alignment_scalar,
     run_hiepm_scalar,
     select_codeword_scalar,
@@ -38,6 +38,7 @@ from svamsim.channel import (
     BatchNoise,
     ChannelParams,
     antenna_snapshot,
+    draw_noise,
     noiseless_snapshot,
 )
 from svamsim.harness import (
@@ -76,6 +77,11 @@ def single_path_trials(cfg: AdaptConfig, snr_db: float, seed: int = 5):
     ]
 
 
+def drawn(cfg: AdaptConfig, rngs) -> BatchNoise:
+    """A run's noise: one row per generator, each drawing the whole run."""
+    return draw_noise(rngs, cfg.total_snapshots, cfg.n)
+
+
 def assert_matches_oracle(cfg: AdaptConfig, channels, seed: int = 0) -> None:
     """The batch and the lone runs each start from the same per-trial
     generators; every column of the outcome must agree with the lone
@@ -84,7 +90,7 @@ def assert_matches_oracle(cfg: AdaptConfig, channels, seed: int = 0) -> None:
     def generators():
         return [np.random.default_rng((seed, trial)) for trial in range(len(channels))]
 
-    batched = run_alignment(cfg, channels, generators())
+    batched = run_alignment(cfg, channels, drawn(cfg, generators()))
     lone = [
         run_alignment_scalar(cfg, channel, rng)
         for channel, rng in zip(channels, generators())
@@ -109,14 +115,42 @@ def test_lockstep_matches_scalar_oracle(codebook, snr_db, noise_scale, n_v):
     assert_matches_oracle(cfg, single_path_trials(cfg, snr_db))
 
 
-def test_batch_rejects_mismatched_inputs():
+def _assert_rejects_mismatched_inputs(run):
+    # no channel, a noise row short, or a draw of another length or size
     cfg = config()
     chan = ChannelParams(1.0, 0.25, noise_variance=0.5)
-    rng = np.random.default_rng
-    with pytest.raises(ValueError):
-        run_alignment(cfg, [], [])
-    with pytest.raises(ValueError):
-        run_alignment(cfg, [chan, chan], [rng(0)])
+    rngs = [np.random.default_rng(0)]
+    for channels, noise, match in [
+        ([], drawn(cfg, []), None),
+        ([chan, chan], drawn(cfg, rngs), "one noise row per channel"),
+        ([chan], draw_noise(rngs, 12, cfg.n), "need 24 observations of 16"),
+        ([chan], draw_noise(rngs, 24, 8), r"got a draw of \(24, 8\)"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            run(cfg, channels, noise)
+
+
+def test_batch_rejects_mismatched_inputs():
+    _assert_rejects_mismatched_inputs(run_alignment)
+
+
+@pytest.mark.parametrize("codebook", ["flexible", "hierarchical", "hiepm"])
+def test_a_run_reads_its_noise_and_writes_nothing(codebook):
+    # the loop is a function of its inputs: two runs on one draw give the
+    # same bits, and the draw stays read-only and unchanged
+    cfg = config(codebook="flexible" if codebook == "flexible" else "hierarchical")
+    channels = single_path_trials(cfg, -5.0)
+    noise = drawn(cfg, [trial_generator(3, i) for i in range(len(channels))])
+    before = noise.normals.tobytes()
+    if codebook == "hiepm":
+        run = functools.partial(run_hiepm_known_alpha, codebook=book_for(cfg, "svam"))
+    else:
+        run = run_alignment
+    first, second = run(cfg, channels, noise), run(cfg, channels, noise)
+    assert columns(first) == columns(second)
+    assert first.peak_prob.tobytes() == second.peak_prob.tobytes()
+    assert not noise.normals.flags.writeable
+    assert noise.normals.tobytes() == before
 
 
 @pytest.mark.parametrize("noise_scale", [1.0, 0.5])
@@ -133,90 +167,89 @@ def test_mixed_snr_batch_equals_lone_batches(codebook, noise_scale):
         return rngs, [draw_channel(grid, snr, rng) for rng in rngs]
 
     draws = [draw(snr) for snr in snrs]
-    noiseless = draws[snrs.index(math.inf)][0][0]
-    state = noiseless.bit_generator.state
     mixed = run_alignment(
         cfg,
         [channel for _, channels in draws for channel in channels],
-        [rng for rngs, _ in draws for rng in rngs],
+        drawn(cfg, [rng for rngs, _ in draws for rng in rngs]),
     )
-    assert noiseless.bit_generator.state == state
     for k, snr in enumerate(snrs):
         rngs, channels = draw(snr)
-        lone = run_alignment(cfg, channels, rngs)
+        lone = run_alignment(cfg, channels, drawn(cfg, rngs))
         assert_same_outcome(mixed[k * TRIALS : (k + 1) * TRIALS], lone)
 
 
 @pytest.mark.parametrize("codebook", ["flexible", "hierarchical"])
-def test_sweep_batch_draws_each_trial_once_per_block(codebook):
-    # a sweep batch's rows of one trial hold one generator: each row's
-    # channel is the one a lone draw at its SNR gives, the generator moves
-    # one noise block per segment however many SNRs hold it, and the run
-    # equals the same batch on a distinct copy of the generator per row
+def test_sweep_batch_rows_of_a_trial_read_its_one_draw(codebook):
+    # a sweep batch's rows of one trial read that trial's one slot: each
+    # row's channel is the one a lone draw at its SNR gives, the slot holds
+    # the noise its generator draws after the path, and the run equals the
+    # same batch on a draw of its own per row
     cfg = config(codebook=codebook)
     snrs, seed = [-10.0, math.inf, 0.0, -10.0], 17
     grid = AngularGrid(cfg.roi, cfg.grid_size)
-    channels, rngs = _draw_trials(cfg, snrs, TRIALS, seed)
-    assert len(channels) == len(rngs) == len(snrs) * TRIALS
-    assert len({id(rng) for rng in rngs}) == TRIALS
+    channels, noise = _draw_trials(cfg, snrs, TRIALS, seed)
+    assert len(channels) == len(noise.slot) == len(snrs) * TRIALS
+    assert noise.normals.shape == (TRIALS + 1, cfg.total_snapshots, cfg.n)
+    assert noise.slot.tolist() == list(range(TRIALS)) * len(snrs)
+    fresh = []
     for k, snr in enumerate(snrs):
         for i in range(TRIALS):
-            assert rngs[k * TRIALS + i] is rngs[i]
-            lone = draw_channel(grid, snr, trial_generator(seed, i))
-            assert channels[k * TRIALS + i] == lone
-    copies = [copy.deepcopy(rng) for rng in rngs]
-    shared = run_alignment(cfg, channels, rngs)
-    for i, rng in enumerate(rngs[:TRIALS]):
-        fresh = trial_generator(seed, i)
-        draw_channel(grid, snrs[0], fresh)
-        for _ in range(cfg.total_snapshots // cfg.n_v):
-            fresh.standard_normal((cfg.n_v, 2, cfg.n))
-        assert rng.bit_generator.state == fresh.bit_generator.state
-    assert_same_outcome(shared, run_alignment(cfg, channels, copies))
+            fresh.append(trial_generator(seed, i))
+            assert channels[k * TRIALS + i] == draw_channel(grid, snr, fresh[-1])
+    own = drawn(cfg, fresh)
+    assert own.normals[:TRIALS].tobytes() == noise.normals[:TRIALS].tobytes()
+    shared = run_alignment(cfg, channels, noise)
+    assert_same_outcome(shared, run_alignment(cfg, channels, own))
 
 
-def test_draw_trials_rebuilds_fresh_generators_from_one_set_up(monkeypatch):
-    # a second call with equal arguments, after a run has moved the first
-    # call's generators, gets the channels and the generator states a fresh
-    # trial_generator and draw_channel give, on generators of its own that
-    # read no OS entropy; any other seed, trial count, grid size or region
-    # misses the set-up cache
-    def no_entropy(*args):
-        raise AssertionError("a rebuilt generator read OS entropy")
-
-    monkeypatch.setattr(np.random.bit_generator, "randbits", no_entropy)
+def test_draw_trials_reads_one_set_up_per_trial_set():
+    # a second call with equal trial-set arguments reads the first call's
+    # draw, the same read-only normals, whatever the SNRs or block size; any
+    # other seed, trial count, grid, region, snapshot count or aperture
+    # misses the set-up cache, and every set-up holds each trial's path
+    # and then its noise from trial_generator
     harness._trial_setup.cache_clear()
     cfg, snrs, seed = config(), [-10.0, 0.0], 23
-    first, first_rngs = _draw_trials(cfg, snrs, TRIALS, seed)
-    run_alignment(cfg, first, first_rngs)
-    for cfg, trials, seed, misses in [
-        (cfg, TRIALS, seed, 1),
-        (config(n_v=2, total_snapshots=12), TRIALS, seed, 1),  # same trials
-        (cfg, TRIALS, seed + 1, 2),
-        (cfg, TRIALS + 1, seed, 3),
-        (config(grid_size=32), TRIALS, seed, 4),
-        (config(roi=RegionOfInterest(-0.5, 0.25)), TRIALS, seed, 5),
+    _, first = _draw_trials(cfg, snrs, TRIALS, seed)
+    for cfg, snrs, trials, seed, misses in [
+        (cfg, [math.inf], TRIALS, seed, 1),
+        (config(n_v=2), snrs, TRIALS, seed, 1),
+        (cfg, snrs, TRIALS, seed + 1, 2),
+        (cfg, snrs, TRIALS + 1, seed, 3),
+        (config(grid_size=32), snrs, TRIALS, seed, 4),
+        (config(roi=RegionOfInterest(-0.5, 0.25)), snrs, TRIALS, seed, 5),
+        (config(n_v=2, total_snapshots=12), snrs, TRIALS, seed, 6),
+        (config(n=8), snrs, TRIALS, seed, 7),
     ]:
-        channels, rngs = _draw_trials(cfg, snrs, trials, seed)
+        channels, noise = _draw_trials(cfg, snrs, trials, seed)
         assert harness._trial_setup.cache_info().misses == misses
-        assert not {id(rng) for rng in rngs} & {id(rng) for rng in first_rngs}
+        assert (noise.normals is first.normals) == (misses == 1)
         grid = AngularGrid(cfg.roi, cfg.grid_size)
-        for i in range(trials):
-            fresh = [trial_generator(seed, i) for _ in snrs]
-            for k, (snr, lone) in enumerate(zip(snrs, fresh)):
-                assert channels[k * trials + i] == draw_channel(grid, snr, lone)
-                assert rngs[k * trials + i] is rngs[i]
-            rng = rngs[i]
-            assert type(rng.bit_generator) is type(fresh[0].bit_generator)
-            assert rng.bit_generator.state == fresh[0].bit_generator.state
-            assert rng.standard_normal(3).tobytes() == fresh[0].standard_normal(3).tobytes()
+        fresh = [trial_generator(seed, i) for i in range(trials)]
+        for i, rng in enumerate(fresh):
+            assert channels[i] == draw_channel(grid, snrs[0], rng)
+        assert noise.normals.tobytes() == drawn(cfg, fresh).normals.tobytes()
+
+
+def _counted_draws(monkeypatch) -> list[int]:
+    """The row count of each draw_noise call the harness makes from now on,
+    its set-up cache emptied."""
+    harness._trial_setup.cache_clear()
+    rows = []
+
+    def counted(rngs, count, n):
+        rows.append(len(rngs))
+        return draw_noise(rngs, count, n)
+
+    monkeypatch.setattr(harness, "draw_noise", counted)
+    return rows
 
 
 def test_hiepm_schemes_share_one_trial_set_up(monkeypatch):
     # the eight schemes of the known-gain table (L = 60, the least multiple
-    # of their block sizes) run on one set-up of their trials
-    harness._trial_setup.cache_clear()
-    made = []
+    # of their block sizes) run on one set-up of their trials: one
+    # generator per trial and one noise draw
+    made, rows = [], _counted_draws(monkeypatch)
 
     def counted(seed, trial):
         made.append(trial)
@@ -229,6 +262,20 @@ def test_hiepm_schemes_share_one_trial_set_up(monkeypatch):
         book = book_for(cfg, mode)
         run_hiepm_trials(cfg, -10.0, 2, 7, book, mode=mode)
     assert made == [0, 1]
+    assert rows == [2]
+
+
+def test_codebook_compare_groups_share_one_noise_draw(monkeypatch):
+    # both controller groups of a codebook comparison, each a batch of two
+    # SNRs, read one draw of the trial set
+    rows = _counted_draws(monkeypatch)
+    harness.run_experiment(
+        harness.ExperimentConfig(
+            "codebook_compare", n=16, n_v=(4,), grid_size=16, total_snapshots=24,
+            trials=3, snr_db=(-10.0, 0.0),
+        )
+    )
+    assert rows == [3]
 
 
 # --------------------------------------------------------- known-gain hiePM
@@ -259,7 +306,7 @@ def test_hiepm_lockstep_matches_scalar_oracle(mode, n_v, snr_db):
     def generators():
         return [np.random.default_rng((7, trial)) for trial in range(len(channels))]
 
-    batched = run_hiepm_known_alpha(cfg, channels, generators(), book)
+    batched = run_hiepm_known_alpha(cfg, channels, drawn(cfg, generators()), book)
     lone = [
         run_hiepm_scalar(cfg, channel, book, rng, mode)
         for channel, rng in zip(channels, generators())
@@ -297,14 +344,10 @@ def test_hiepm_batch_keeps_each_trial_stream(mode):
 
 
 def test_hiepm_batch_rejects_mismatched_inputs():
-    cfg = hiepm_config(2)
-    book = book_for(cfg, "svam")
-    chan = ChannelParams(1.0, 0.25, noise_variance=0.5)
-    rng = np.random.default_rng
-    with pytest.raises(ValueError):
-        run_hiepm_known_alpha(cfg, [], [], book)
-    with pytest.raises(ValueError):
-        run_hiepm_known_alpha(cfg, [chan, chan], [rng(0)], book)
+    book = book_for(config(), "svam")
+    _assert_rejects_mismatched_inputs(
+        functools.partial(run_hiepm_known_alpha, codebook=book)
+    )
 
 
 @pytest.mark.parametrize("mode", ["svam", "repeat"])
@@ -322,9 +365,9 @@ def test_hiepm_batch_mixes_noise_variances(mode):
     def generators():
         return [np.random.default_rng((2, k)) for k in range(len(channels))]
 
-    mixed = run_hiepm_known_alpha(cfg, channels, generators(), book)
+    mixed = run_hiepm_known_alpha(cfg, channels, drawn(cfg, generators()), book)
     for k, (channel, rng) in enumerate(zip(channels, generators())):
-        lone = run_hiepm_known_alpha(cfg, [channel], [rng], book)
+        lone = run_hiepm_known_alpha(cfg, [channel], drawn(cfg, [rng]), book)
         assert_same_outcome(mixed[k : k + 1], lone)
     oracle = [
         run_hiepm_scalar(cfg, channel, book, rng, mode)
@@ -427,8 +470,11 @@ def test_node_masses_equal_node_mass_bit_for_bit():
             _assert_same_bits(node_masses(pmf, d), want[:, : 2 ** (d + 1) - 1])
         # a lone pmf gives its row of the table
         _assert_same_bits(node_masses(pmf[0], depth), want[0])
-    with pytest.raises(ValueError):  # 12 points do not split into 8 nodes
-        node_masses(np.full((1, 12), 1 / 12), 3)
+    # 12 points do not split into 8 nodes, an empty grid into any, and a
+    # depth must be a nonnegative integer: True is no depth of 1, nor 2.0 of 2
+    for points, depth in [(12, 3), (0, 0), (16, -1), (16, True), (16, 2.0)]:
+        with pytest.raises(ValueError):
+            node_masses(np.full((1, points), 1 / 16), depth)
 
 
 def _tied_pmfs(grid_size=64):
@@ -488,8 +534,8 @@ def test_noise_block_reproduces_consecutive_snapshots():
     np.testing.assert_array_equal(singles, noiseless_snapshot([params], n)[0] + noise)
 
     rng_block, rng_single = np.random.default_rng(seed), np.random.default_rng(seed)
-    noise = BatchNoise([rng_block], params.noise_variance, n_v, n)
-    (block,) = antenna_snapshot(noise, noiseless_snapshot([params], n), 0, n_v)
+    rows = noise_rows(draw_noise([rng_block], n_v, n), [params.noise_variance])
+    (block,) = antenna_snapshot(*rows, noiseless_snapshot([params], n), 0, n_v)
     np.testing.assert_array_equal(
         block, [antenna_snapshot_scalar(params, n, rng_single) for _ in range(n_v)]
     )
@@ -497,137 +543,44 @@ def test_noise_block_reproduces_consecutive_snapshots():
     assert rng_block.standard_normal() == rng_single.standard_normal()
 
 
-def test_noiseless_block_leaves_generator_untouched():
-    params = ChannelParams(1.0, 0.5)
-    rng = np.random.default_rng(3)
-    signals = noiseless_snapshot([params], 6)
-    block = antenna_snapshot(BatchNoise([rng], 0.0, 3, 6), signals, 0, 3)
-    np.testing.assert_array_equal(block[0], np.tile(signals[0], (3, 1)))
-    assert rng.standard_normal() == np.random.default_rng(3).standard_normal()
-
-
 @pytest.mark.parametrize(
     "variances", [[0.5, 0.0, 2.0], [0.5, 1.0, 2.0]], ids=["one_noiseless", "all_noisy"]
 )
-def test_per_trial_noise_rows_equal_shared_noise_blocks(variances):
+def test_per_trial_noise_rows_equal_lone_noise_blocks(variances):
     n, n_v = 8, 3
-    variances = np.array(variances)
     signals = noiseless_snapshot(
         [ChannelParams(np.exp(1j * k), 0.1 * k) for k in range(3)], n
     )
-    rngs = [np.random.default_rng(60 + k) for k in range(3)]
-    blocks = antenna_snapshot(BatchNoise(rngs, variances, n_v, n), signals, 0, n_v)
+    noise = draw_noise([np.random.default_rng(60 + k) for k in range(3)], n_v, n)
+    blocks = antenna_snapshot(*noise_rows(noise, variances), signals, 0, n_v)
     for k, variance in enumerate(variances):
-        rng = np.random.default_rng(60 + k)
-        lone = BatchNoise([rng], float(variance), n_v, n)
-        (want,) = antenna_snapshot(lone, signals[k : k + 1], 0, n_v)
+        lone = draw_noise([np.random.default_rng(60 + k)], n_v, n)
+        rows = noise_rows(lone, [variance])
+        (want,) = antenna_snapshot(*rows, signals[k : k + 1], 0, n_v)
         np.testing.assert_array_equal(blocks[k], want)
-        # each generator stands where its lone draw left it, and a
-        # noiseless row's never moved
-        assert rngs[k].bit_generator.state == rng.bit_generator.state
-        if variance == 0.0:
-            untouched = np.random.default_rng(60 + k).bit_generator.state
-            assert rng.bit_generator.state == untouched
-    with pytest.raises(ValueError):  # one variance short
-        BatchNoise(rngs, variances[:2], n_v, n)
 
 
 @pytest.mark.parametrize(
     "shared",
-    [(0.5, 2.0), (0.0, 2.0), (0.0, 0.0)],
+    [(-5.0, 3.0), (math.inf, 3.0), (math.inf, math.inf)],
     ids=["both_noisy", "noiseless_first", "both_noiseless"],
 )
-def test_rows_on_one_generator_share_its_draw(shared):
-    # rows 0 and 2 hold one generator, row 1 another; each row is the row a
-    # fresh copy of its generator gives at that row's variance, and the
-    # shared generator moves one block if any of its rows is noisy
-    n, n_v = 8, 3
-    variances = np.array([shared[0], 1.0, shared[1]])
-    signals = noiseless_snapshot(
-        [ChannelParams(np.exp(1j * k), 0.1 * k) for k in range(3)], n
-    )
-    seeds = [70, 71, 70]
-    one, other = np.random.default_rng(70), np.random.default_rng(71)
-    noise = BatchNoise([one, other, one], variances, n_v, n)
-    blocks = antenna_snapshot(noise, signals, 0, n_v)
-    for k, (seed, variance) in enumerate(zip(seeds, variances)):
-        fresh = np.random.default_rng(seed)
-        lone = BatchNoise([fresh], float(variance), n_v, n)
-        (want,) = antenna_snapshot(lone, signals[k : k + 1], 0, n_v)
-        np.testing.assert_array_equal(blocks[k], want)
-    moved = np.random.default_rng(70)
-    if max(shared) > 0.0:
-        moved.standard_normal((n_v, 2, n))
-    assert one.bit_generator.state == moved.bit_generator.state
-
-
-@pytest.mark.parametrize(
-    "variance, count",
-    [(-1.0, 2), (math.nan, 2), (math.inf, 2), ([0.5, -1.0], 2), (0.5, 0), (0.5, -1)],
-    ids=["negative", "nan", "inf", "one_bad_row", "no_observation", "negative_count"],
-)
-def test_blocks_reject_bad_variance_or_count(variance, count):
-    rngs = [np.random.default_rng(5), np.random.default_rng(6)]
-    with pytest.raises(ValueError):
-        BatchNoise(rngs, variance, count, 4)
-    # rejected before any row draws
-    assert rngs[0].bit_generator.state == np.random.default_rng(5).bit_generator.state
-
-
-def _run_noise_batch(variances, seeds=(80, 81, 80, 82)):
-    """Rows on generators by seed, the first and third holding one object:
-    the signals, variances and a maker of fresh generators for each row."""
-    n = 8
-    signals = noiseless_snapshot(
-        [ChannelParams(np.exp(1j * k), 0.1 * k) for k in range(len(seeds))], n
-    )
-
-    def generators():
-        made = {seed: np.random.default_rng(seed) for seed in seeds}
-        return [made[seed] for seed in seeds]
-
-    return signals, np.array(variances), generators
-
-
-@pytest.mark.parametrize(
-    "variances",
-    [(0.5, 1.0, 2.0, 0.3), (0.0, 1.0, 2.0, 0.0), (0.0, 0.0, 0.0, 0.0)],
-    ids=["all_noisy", "noiseless_first", "all_noiseless"],
-)
-def test_run_draw_equals_per_block_draws(variances):
-    # one draw of the whole run per generator gives every block the bits,
-    # and leaves every generator in the state, of one block-sized
-    # BatchNoise per block
-    n_v, blocks = 3, 4
-    signals, variances, generators = _run_noise_batch(variances)
-    run_rngs, block_rngs = generators(), generators()
-    noise = BatchNoise(run_rngs, variances, blocks * n_v, signals.shape[1])
-    for t in range(blocks):
-        got = antenna_snapshot(noise, signals, t * n_v, (t + 1) * n_v)
-        block = BatchNoise(block_rngs, variances, n_v, signals.shape[1])
-        want = antenna_snapshot(block, signals, 0, n_v)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    for run_rng, block_rng in zip(run_rngs, block_rngs):
-        assert run_rng.bit_generator.state == block_rng.bit_generator.state
-
-
-def test_run_draw_holds_one_slot_per_noisy_generator():
-    # rows 0 and 2 share a generator; row 0 and the last row are noiseless,
-    # so the last row's generator draws nothing and gets no slot; the
-    # noiseless rows read the zero slot after the two drawn ones
-    signals, variances, generators = _run_noise_batch((0.0, 1.0, 2.0, 0.0))
-    rngs = generators()
-    untouched = rngs[3].bit_generator.state
-    noise = BatchNoise(rngs, variances, 6, signals.shape[1])
-    assert noise.normals.shape == (3, 6, signals.shape[1])
-    # each drawn slot holds its generator's (6, 2, n) draw as complex parts
-    for slot, rng in zip(noise.normals, generators()[1:3]):
-        draw = rng.standard_normal((6, 2, signals.shape[1]))
-        assert slot.real.tobytes() == draw[:, 0].tobytes()
-        assert slot.imag.tobytes() == draw[:, 1].tobytes()
-    assert not noise.normals[-1].any()
-    assert noise.slot.tolist() == [-1, 0, 1, -1]
-    assert rngs[3].bit_generator.state == untouched
+@pytest.mark.parametrize("codebook", ["flexible", "hierarchical"])
+def test_rows_that_share_a_slot_equal_lone_runs(codebook, shared):
+    # rows 0 and 2 read one slot at their own SNRs, row 1 another slot;
+    # each row's outcome is the lone run of its trial on a draw of its own
+    cfg = config(codebook=codebook)
+    grid = AngularGrid(cfg.roi, cfg.grid_size)
+    snrs, trials = [shared[0], -10.0, shared[1]], [0, 1, 0]
+    channels = [
+        draw_channel(grid, snr, trial_generator(70, i)) for snr, i in zip(snrs, trials)
+    ]
+    two = drawn(cfg, [np.random.default_rng(70 + i) for i in range(2)])
+    batch = run_alignment(cfg, channels, BatchNoise(two.normals, np.array(trials)))
+    for k, (channel, i) in enumerate(zip(channels, trials)):
+        own = drawn(cfg, [np.random.default_rng(70 + i)])
+        lone = run_alignment(cfg, [channel], own)
+        assert_same_outcome(batch[k : k + 1], lone)
 
 
 # ------------------------------------------------------------ beam tables
@@ -656,11 +609,11 @@ def test_beam_table_builds_each_weights_array_once(controller, monkeypatch):
         lambda table, rows: gathered.append(gather(table, rows)) or gathered[-1],
     )
     channels = single_path_trials(cfg, -5.0)
-    rngs = [np.random.default_rng((4, k)) for k in range(len(channels))]
+    noise = drawn(cfg, [np.random.default_rng((4, k)) for k in range(len(channels))])
     if controller == "hiepm":
-        out = run_hiepm_known_alpha(cfg, channels, rngs, book_for(cfg, "svam"))
+        out = run_hiepm_known_alpha(cfg, channels, noise, book_for(cfg, "svam"))
     else:
-        out = run_alignment(cfg, channels, rngs)
+        out = run_alignment(cfg, channels, noise)
     monkeypatch.undo()
     distinct = {id(beam.weights): beam.weights for row in out.beams for beam in row}
     assert all(w.shape[1:] == (cfg.combiner_length,) for w in stacks)
@@ -688,7 +641,7 @@ def test_beam_table_keeps_the_first_tap_count():
     with pytest.raises(ValueError, match="16-tap beam in a run of 13-tap"):
         table.gather(np.array([0, 1]))
     channels = single_path_trials(cfg, -5.0)
-    rngs = [np.random.default_rng((6, k)) for k in range(len(channels))]
+    noise = drawn(cfg, [np.random.default_rng((6, k)) for k in range(len(channels))])
     first = np.zeros(len(channels), dtype=int)
 
     def locate(keys):  # the sliding beam, then the full one
@@ -699,7 +652,7 @@ def test_beam_table_keeps_the_first_tap_count():
 
     with pytest.raises(ValueError, match="16-tap beam in a run of 13-tap"):
         _align(
-            cfg, channels, rngs, fitted_log_likelihood, (first, first), locate,
+            cfg, channels, noise, fitted_log_likelihood, (first, first), locate,
             [sliding, full], step,
         )
 

@@ -22,7 +22,7 @@ import run  # noqa: E402
 
 run._load_package()
 import workloads  # noqa: E402
-from svamsim import channel, crb  # noqa: E402
+from svamsim import crb, harness  # noqa: E402
 
 
 @pytest.mark.parametrize(
@@ -41,11 +41,12 @@ def test_default_size_output_matches_the_recorded_digest(name, seed, tmp_path):
 
 
 # per workload, the cache a rerun finds warm and the misses it takes when
-# cold: one noise draw per run, and crb's steering rows for one 128-point
-# grid at 64 taps and the sub-aperture taps of n_v 2, 4 and 8
+# cold: one trial set-up (paths and noise) per run, and crb's steering rows
+# for one 128-point grid at 64 taps and the sub-aperture taps of n_v 2, 4
+# and 8
 _WARM_CACHES = {
-    "align": (channel._run_draw, 1),
-    "hiepm": (channel._run_draw, 1),
+    "align": (harness._trial_setup, 1),
+    "hiepm": (harness._trial_setup, 1),
     "crb": (crb._steering_rows, 4),
 }
 

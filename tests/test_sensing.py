@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from history_helpers import append_beams
-from scalar_alignment import measure_segment_scalar
+from scalar_alignment import measure_segment_scalar, noise_rows
 from svamsim.arrays import AngularGrid, RegionOfInterest, ula_manifold
 from svamsim.beams import BeamSpec, design_beamformer
-from svamsim.channel import BatchNoise, ChannelParams, noiseless_snapshot
+from svamsim.channel import ChannelParams, draw_noise, noiseless_snapshot
 from svamsim.sensing import (
     BeamTable,
     MeasurementHistory,
@@ -138,10 +138,10 @@ def _measure_lone(f, params, n, n_v, rng):
     """The (n_v,) outputs and (grid,) responses measure_segment gives a
     batch of one sensing block 0 with beam f."""
     table = BeamTable([f], n, n_v, AngularGrid(RegionOfInterest(0.0, 1.0), 8))
-    noise = BatchNoise([rng], params.noise_variance, n_v, n)
+    noise = noise_rows(draw_noise([rng], n_v, n), [params.noise_variance])
     signals = noiseless_snapshot([params], n)
     rows = np.zeros(1, dtype=int)
-    (values,), (responses,) = measure_segment(table, rows, noise, signals, 0)
+    (values,), (responses,) = measure_segment(table, rows, *noise, signals, 0)
     return values, responses
 
 
@@ -176,10 +176,12 @@ class TestMeasureSegment:
         rngs = [np.random.default_rng(30 + k) for k in range(4)]
         lone_rngs = [np.random.default_rng(30 + k) for k in range(4)]
         table = BeamTable(beams, n, n_v, grid)
-        noise = BatchNoise(rngs, [c.noise_variance for c in channels], blocks * n_v, n)
+        noise = noise_rows(
+            draw_noise(rngs, blocks * n_v, n), [c.noise_variance for c in channels]
+        )
         for t in range(blocks):
             rows = np.roll(np.arange(4), t)
-            values, responses = measure_segment(table, rows, noise, signals, t * n_v)
+            values, responses = measure_segment(table, rows, *noise, signals, t * n_v)
             assert values.shape == (4, n_v) and responses.shape == (4, grid.size)
             for k, row in enumerate(rows.tolist()):
                 lone = measure_segment_scalar(beams[row], channels[k], n, lone_rngs[k])
