@@ -199,6 +199,10 @@ def _generators(seeds):
     return [np.random.Generator(kind(seed)) for kind, seed in zip(KINDS, seeds)]
 
 
+class _PCG64Subclass(np.random.PCG64):
+    """A bit generator numpy does not know by name."""
+
+
 class TestDrawNoise:
     def test_each_generator_draws_its_own_slot(self):
         # slot i holds generator i's standard_normal((count, 2, n)) as
@@ -229,6 +233,46 @@ class TestDrawNoise:
             assert run.normals[:, t * n_v : (t + 1) * n_v].tobytes() == (
                 block.normals.tobytes()
             )
+
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            np.random.PCG64,
+            np.random.PCG64DXSM,
+            np.random.MT19937,
+            np.random.Philox,
+            np.random.SFC64,
+            _PCG64Subclass,
+        ],
+        ids=lambda kind: kind.__name__,
+    )
+    def test_every_bit_generator_class_draws_its_own_slot(self, kind):
+        # the caller's generator draws its slot itself, whatever its class:
+        # the slot holds its numbers, and it keeps its bit generator and
+        # stands where that draw leaves it
+        count, n = 5, 7
+        rng, want = np.random.Generator(kind(11)), np.random.Generator(kind(11))
+        normals = draw_noise([rng], count, n).normals
+        assert normals.shape == (2, count, n)  # the draw and the zero slot
+        _assert_laid(normals[0], want.standard_normal((count, 2, n)))
+        assert not normals[-1].any()
+        assert type(rng.bit_generator) is kind
+        assert rng.standard_normal() == want.standard_normal()
+
+    def test_a_generator_listed_twice_draws_twice(self):
+        # slots go by position, not by generator: a generator listed twice
+        # fills its second slot with the numbers after its first
+        one, other = _generators([3, 4])
+        noise = draw_noise([one, other, one], 4, 6)
+        want = _generators([3, 4])
+        _assert_laid(noise.normals[0], want[0].standard_normal((4, 2, 6)))
+        _assert_laid(noise.normals[1], want[1].standard_normal((4, 2, 6)))
+        _assert_laid(noise.normals[2], want[0].standard_normal((4, 2, 6)))
+
+    def test_no_generators_draw_only_the_zero_slot(self):
+        noise = draw_noise([], 3, 4)
+        assert noise.normals.shape == (1, 3, 4) and not noise.normals.any()
+        assert noise.slot.shape == (0,)
 
     @pytest.mark.parametrize(
         "count, n",
@@ -266,6 +310,31 @@ def test_a_snapshot_adds_the_scaled_complex_noise_to_each_signal():
         want = signals[k] + np.sqrt(v / 2.0) * (planes[:, 0] + 1j * planes[:, 1])
         assert got[k].tobytes() == want.tobytes()
     np.testing.assert_array_equal(got[0], np.broadcast_to(signals[0], (4, 8)))
+
+
+class TestSnapshotWindows:
+    @pytest.mark.parametrize("start, stop", [(0, 4), (0, 1), (1, 3), (2, 4), (3, 4)])
+    def test_a_window_is_that_slice_of_the_whole_draw(self, start, stop):
+        # rows of one slot at two variances and a noiseless row: any window
+        # has the bits of the same observations read in one whole window
+        drawn = draw_noise(_generators([1, 2]), 4, 8)
+        noise = BatchNoise(drawn.normals, np.array([0, 1, 0, -1]))
+        scale = np.sqrt(np.array([0.5, 1.0, 2.0, 0.0]) / 2.0)
+        signals = np.exp(1j * np.arange(32.0)).reshape(4, 8)
+        whole = antenna_snapshot(noise, scale, signals, 0, 4)
+        got = antenna_snapshot(noise, scale, signals, start, stop)
+        assert got.tobytes() == whole[:, start:stop].tobytes()
+
+    def test_a_snapshot_is_a_copy_of_the_draw(self):
+        # the observations may be written in place without touching the
+        # read-only draw they were read from
+        noise = draw_noise(_generators([1, 2]), 4, 8)
+        before = noise.normals.tobytes()
+        x = antenna_snapshot(noise, np.ones(2), np.zeros((2, 8), dtype=complex), 0, 4)
+        assert x.tobytes() == noise.normals[:2].tobytes()
+        assert not np.shares_memory(x, noise.normals)
+        x += 1.0
+        assert noise.normals.tobytes() == before
 
 
 class TestSnapshotArguments:

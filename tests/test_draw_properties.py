@@ -1,5 +1,6 @@
-"""Property test: every row of a batch's observations has the bits of its
-trial's lone draw, whichever rows share a slot.
+"""Property tests: every row of a batch's observations has the bits of its
+trial's lone draw, whichever rows share a slot, and a trial set read from
+the harness's set-up cache has the bits of a cold set-up.
 
 Batches mix rows that read one trial's slot at several variances, noiseless
 rows, which read the zero slot, and generators of four bit-generator types;
@@ -13,6 +14,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from scalar_alignment import noise_rows  # noqa: E402
+from svamsim import harness  # noqa: E402
+from svamsim.adaptive import AdaptConfig  # noqa: E402
+from svamsim.arrays import RegionOfInterest  # noqa: E402
 from svamsim.channel import BatchNoise, antenna_snapshot, draw_noise  # noqa: E402
 
 KINDS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
@@ -56,3 +60,38 @@ def test_shared_slots_give_each_row_its_lone_draw(batch):
         assert x[k].tobytes() == want.tobytes()
     assert antenna_snapshot(*rows, signals, 0, count).tobytes() == x.tobytes()
     assert drawn.normals.tobytes() == before
+
+
+@st.composite
+def trial_sets(draw):
+    n_v = draw(st.sampled_from([1, 2, 4]))
+    config = AdaptConfig(
+        n=draw(st.sampled_from([4, 8])),
+        n_v=n_v,
+        total_snapshots=n_v * draw(st.integers(1, 3)),
+        roi=RegionOfInterest(0.0, 1.0),
+        grid_size=draw(st.sampled_from([4, 8])),
+        p_thresh=0.6,
+    )
+    snrs = draw(
+        st.lists(st.sampled_from([-10.0, 0.0, np.inf]), min_size=1, max_size=3)
+    )
+    return config, snrs, draw(st.integers(1, 4)), draw(st.integers(0, 3))
+
+
+@pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
+)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(trial_sets(), trial_sets())
+def test_warm_cache_equals_cleared_cache(first, second):
+    # the second trial set read after the first, from the cache or not,
+    # has the channels and noise bits of a set-up made from a cleared cache
+    harness._trial_setup.cache_clear()
+    harness._draw_trials(*first)
+    warm_channels, warm = harness._draw_trials(*second)
+    harness._trial_setup.cache_clear()
+    cold_channels, cold = harness._draw_trials(*second)
+    assert warm_channels == cold_channels
+    assert warm.normals.tobytes() == cold.normals.tobytes()
+    assert warm.slot.tolist() == cold.slot.tolist()

@@ -153,6 +153,26 @@ def test_a_run_reads_its_noise_and_writes_nothing(codebook):
     assert noise.normals.tobytes() == before
 
 
+@pytest.mark.parametrize("codebook", ["flexible", "hierarchical", "hiepm"])
+def test_noiseless_rows_read_no_noise(codebook):
+    # a noiseless trial's outcome does not depend on the draw it is given:
+    # its row reads the zero slot, whatever its own slot holds
+    cfg = config(codebook="flexible" if codebook == "flexible" else "hierarchical")
+    channels = single_path_trials(cfg, math.inf)
+    if codebook == "hiepm":
+        run = functools.partial(run_hiepm_known_alpha, codebook=book_for(cfg, "svam"))
+    else:
+        run = run_alignment
+    one = drawn(cfg, [trial_generator(3, i) for i in range(TRIALS)])
+    other = drawn(cfg, [trial_generator(4, i) for i in range(TRIALS)])
+    zeros = BatchNoise(one.normals, np.full(TRIALS, -1))
+    want = run(cfg, channels, zeros)
+    for noise in (one, other):
+        got = run(cfg, channels, noise)
+        assert_same_outcome(got, want)
+        assert got.peak_prob.tobytes() == want.peak_prob.tobytes()
+
+
 @pytest.mark.parametrize("noise_scale", [1.0, 0.5])
 @pytest.mark.parametrize("codebook", ["flexible", "hierarchical"])
 def test_mixed_snr_batch_equals_lone_batches(codebook, noise_scale):
@@ -229,6 +249,23 @@ def test_draw_trials_reads_one_set_up_per_trial_set():
         for i, rng in enumerate(fresh):
             assert channels[i] == draw_channel(grid, snrs[0], rng)
         assert noise.normals.tobytes() == drawn(cfg, fresh).normals.tobytes()
+
+
+def test_a_trial_set_up_reads_no_os_entropy(monkeypatch):
+    # each trial's generator is seeded by (seed, trial) alone, so a set-up
+    # is a function of its arguments: a second cold set-up has its bits
+    def no_entropy(*args):
+        raise AssertionError("a trial generator read OS entropy")
+
+    monkeypatch.setattr(np.random.bit_generator, "randbits", no_entropy)
+    cfg, seed = config(), 29
+    harness._trial_setup.cache_clear()
+    channels, noise = _draw_trials(cfg, [-10.0], TRIALS, seed)
+    harness._trial_setup.cache_clear()
+    again, redrawn = _draw_trials(cfg, [-10.0], TRIALS, seed)
+    assert redrawn.normals is not noise.normals
+    assert channels == again
+    assert redrawn.normals.tobytes() == noise.normals.tobytes()
 
 
 def _counted_draws(monkeypatch) -> list[int]:
@@ -558,6 +595,34 @@ def test_per_trial_noise_rows_equal_lone_noise_blocks(variances):
         rows = noise_rows(lone, [variance])
         (want,) = antenna_snapshot(*rows, signals[k : k + 1], 0, n_v)
         np.testing.assert_array_equal(blocks[k], want)
+
+
+@pytest.mark.parametrize(
+    "variances",
+    [(0.5, 2.0), (0.0, 2.0), (0.0, 0.0)],
+    ids=["all_noisy", "noiseless_first", "all_noiseless"],
+)
+def test_run_draw_equals_per_block_draws(variances):
+    # one draw of the whole run, read block by block at the rows'
+    # variances, gives each block the observations of a draw of that block
+    # alone, and each row the consecutive snapshots of its lone trial
+    n, n_v, blocks = 8, 3, 4
+    channels = [
+        ChannelParams(np.exp(1j * k), 0.1 * k, noise_variance=v)
+        for k, v in enumerate(variances)
+    ]
+    signals = noiseless_snapshot(channels, n)
+    rngs = [np.random.default_rng(90 + k) for k in range(2)]
+    run = noise_rows(draw_noise(rngs, blocks * n_v, n), variances)
+    block_rngs = [np.random.default_rng(90 + k) for k in range(2)]
+    lone_rngs = [np.random.default_rng(90 + k) for k in range(2)]
+    for t in range(blocks):
+        got = antenna_snapshot(*run, signals, t * n_v, (t + 1) * n_v)
+        block = noise_rows(draw_noise(block_rngs, n_v, n), variances)
+        assert got.tobytes() == antenna_snapshot(*block, signals, 0, n_v).tobytes()
+        for k, (channel, rng) in enumerate(zip(channels, lone_rngs)):
+            lone = [antenna_snapshot_scalar(channel, n, rng) for _ in range(n_v)]
+            np.testing.assert_array_equal(got[k], lone)
 
 
 @pytest.mark.parametrize(
