@@ -40,7 +40,6 @@ from .adaptive import (
     hier_beam_search,
     node_masses,
     run_alignment,
-    run_hiepm_known_alpha,
     select_codeword_posterior_matching,
     select_next_beam,
 )
@@ -55,7 +54,6 @@ from .harness import (
     rmse,
     run_adaptive_trials,
     run_experiment,
-    run_hiepm_trials,
     write_crb_csv,
     write_trajectories,
 )
@@ -92,7 +90,6 @@ __all__ = [
     "hier_beam_search",
     "node_masses",
     "run_alignment",
-    "run_hiepm_known_alpha",
     "select_codeword_posterior_matching",
     "select_next_beam",
     "ExperimentConfig",
@@ -105,7 +102,6 @@ __all__ = [
     "rmse",
     "run_adaptive_trials",
     "run_experiment",
-    "run_hiepm_trials",
     "write_crb_csv",
     "write_trajectories",
 ]

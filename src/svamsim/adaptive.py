@@ -10,10 +10,12 @@ beam around the posterior mass, halving or doubling its width against a
 confidence threshold, up to the region-wide beam, which it takes whatever
 its mass), hierarchical (climb a dyadic codebook from the node holding the
 mode) or posterior matching (the codebook node whose mass is closest to
-1/2). run_alignment fits the gain and takes one of the first two;
-run_hiepm_known_alpha, the known-gain hiePM case study, takes the third
-with codewords that slide across the aperture within a block (n - n_v + 1
-taps) or, with n taps and so one shift, repeat.
+1/2). run_alignment is the one run: AdaptConfig.gain picks the score and
+AdaptConfig.codebook the step, so any score runs with any step. A codebook
+step takes a given codebook, whose codewords slide across the aperture
+within a block (n - n_v + 1 taps) or, with n taps and so one shift,
+repeat, or builds the sliding one. The known-gain hiePM case study is the
+known score with posterior matching.
 
 A batch row reproduces a lone run of its trial bit for bit; one bad row
 rejects the batch. Per run, the path signals are one product of the gains
@@ -42,7 +44,7 @@ whose dot order fixes the bits of windows of 16 points and up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -71,7 +73,9 @@ from .sensing import BeamTable, MeasurementHistory, measure_segment
 # floor. Large enough that closed-form cancellation noise stays harmless.
 NOISELESS_VAR_FLOOR = 1e-12
 
-CODEBOOK_MODES = ("flexible", "hierarchical")
+# the gain scores and the controller steps a run can take
+GAIN_SCORES = ("fitted", "known")
+CODEBOOK_MODES = ("flexible", "hierarchical", "posterior_matching")
 
 
 def check_blocks(n: int, n_v: int, total_snapshots: int) -> None:
@@ -95,8 +99,9 @@ class AdaptConfig:
     roi: RegionOfInterest
     grid_size: int
     p_thresh: float
-    codebook: str = "flexible"  # or "hierarchical"
+    codebook: str = "flexible"  # one of CODEBOOK_MODES
     noise_scale: float = 1.0
+    gain: str = "fitted"  # one of GAIN_SCORES
 
     def __post_init__(self) -> None:
         for name in ("n", "n_v", "grid_size", "total_snapshots"):
@@ -109,11 +114,13 @@ class AdaptConfig:
             raise ValueError("confidence threshold must lie in (0, 1)")
         if self.codebook not in CODEBOOK_MODES:
             raise ValueError(f"unknown codebook mode {self.codebook!r}")
+        if self.gain not in GAIN_SCORES:
+            raise ValueError(f"unknown gain score {self.gain!r}")
         if not (0.0 < self.noise_scale < math.inf):  # NaN compares false
             raise ValueError(
                 f"noise scale must be positive and finite, got {self.noise_scale}"
             )
-        if self.codebook == "hierarchical" and self.grid_size % 2 ** self.depth():
+        if self.codebook != "flexible" and self.grid_size % 2 ** self.depth():
             raise ValueError(
                 f"grid size {self.grid_size} cannot resolve "
                 f"{2 ** self.depth()} nodes evenly"
@@ -280,6 +287,7 @@ def hier_beam_search(
         raise ValueError("confidence threshold must lie in (0, 1)")
     depth = _heap_depth(np.shape(masses), 2)
     masses = np.asarray(masses, dtype=float)
+    grid_size = check_integer("grid size", grid_size)
     if len(nodes) != len(masses) or len(modes) != len(masses):
         raise ValueError("need one node and mode per trial of the mass table")
     if grid_size % 2**depth:
@@ -455,86 +463,14 @@ def _align(
     )
 
 
-def run_alignment(
-    config: AdaptConfig,
-    channels: Sequence[ChannelParams],
-    noise: BatchNoise,
-) -> Trials:
-    """Unknown-gain alignment of a batch of trials over all snapshot blocks.
-
-    Trial i observes channels[i] with its own noise variance through row i
-    of noise, a draw of total_snapshots observations of n elements
-    (channel.draw_noise), scaled to that variance; a noiseless trial reads
-    zeros. Rows that read one slot share its draw, as a sweep's rows of one
-    trial at several SNRs do, and each sees the numbers a lone run on that
-    slot sees. The run draws nothing: equal inputs give equal outcomes, and
-    the draw is never written. A single trial is a batch of one. The
-    flexible controller starts from, and resets to, the region-wide beam;
-    the hierarchical one climbs a codebook log2(grid size) levels deep from
-    its root. Each records the mass of the beam or node it picks for the
-    next block.
-    """
-    count, m, p_thresh = len(channels), config.combiner_length, config.p_thresh
-    if config.codebook == "flexible":
-        grid = AngularGrid(config.roi, config.grid_size)
-
-        def flexible(pmf, modes, keys):
-            u, bw, peaks = select_next_beam(pmf, keys[1], p_thresh, grid)
-            return peaks, (u, bw)
-
-        region = (np.full(count, config.roi.center), np.full(count, config.roi.width))
-        designed: list[Beamformer] = []
-        row_of: dict[tuple[float, float], int] = {}  # (direction, width) -> row
-
-        def design(keys):
-            u, bw = keys
-            rows = []
-            for key in zip(u.tolist(), bw.tolist()):
-                if key not in row_of:
-                    row_of[key] = len(designed)
-                    designed.append(design_beamformer(BeamSpec(*key), m))
-                rows.append(row_of[key])
-            return np.array(rows)
-
-        return _align(
-            config, channels, noise, fitted_log_likelihood, region, design,
-            designed, flexible,
-        )
-
-    book = build_hierarchical_codebook(config.roi, config.depth(), m)
-
-    def hierarchical(pmf, modes, nodes):
-        masses = node_masses(pmf, book.depth)
-        nodes = hier_beam_search(nodes, masses, modes, config.grid_size, p_thresh)
-        return _node_peaks(masses, nodes), nodes
-
-    root = np.zeros(count, dtype=int)
-    return _align(
-        config, channels, noise, fitted_log_likelihood, root, lambda nodes: nodes,
-        book.beams, hierarchical,
-    )
-
-
-def run_hiepm_known_alpha(
-    config: AdaptConfig,
-    channels: Sequence[ChannelParams],
-    noise: BatchNoise,
-    codebook: HierarchicalCodebook,
-) -> Trials:
-    """Known-gain hierarchical alignment (hiePM) of a batch of trials over
-    all snapshot blocks: the loop of run_alignment, scored with each
-    channel's gain (known_gain_log_likelihood, the Gaussian log density of
-    the measurements given that gain) and stepped by posterior matching
-    over the codebook from the node a uniform pmf picks. Each block records
-    the mass of the node it sensed with.
-
-    The codewords' tap count sets the combining: m = n - n_v + 1 taps slide
+def _codebook_depth(config: AdaptConfig, codebook: HierarchicalCodebook) -> int:
+    """Depth of a codebook that the config's blocks can sense with. The
+    codewords' tap count sets the combining: m = n - n_v + 1 taps slide
     across the aperture within each block, n taps are repeated at full
-    aperture for the whole block. With a block size of one the two are the
+    aperture for the whole block; with a block size of one the two are the
     same. Any other tap count is rejected, and so is a codebook that mixes
-    tap counts, whose root does not span the config's region or that has
-    a codeword of norm above 1. Each trial may have its own noise variance.
-    """
+    tap counts, whose root does not span the config's region or that has a
+    codeword of norm above 1."""
     beams, span = codebook.beams, codebook.spans[0]
     taps = beams[0].size
     region = (config.roi.u_left, config.roi.u_right)
@@ -550,16 +486,100 @@ def run_hiepm_known_alpha(
     norm = np.linalg.norm(np.stack([f.weights for f in beams]), axis=-1).max()
     if norm > 1.0 + 1e-9:
         raise ValueError(f"codeword norm {norm} exceeds 1")
-    gains = np.array([[channel.alpha] for channel in channels], dtype=complex)
+    return codebook.depth
+
+
+def run_alignment(
+    config: AdaptConfig,
+    channels: Sequence[ChannelParams],
+    noise: BatchNoise,
+    codebook: HierarchicalCodebook | None = None,
+) -> Trials:
+    """Alignment of a batch of trials over all snapshot blocks, scored with
+    the gain config.gain names and stepped by the controller
+    config.codebook names.
+
+    Trial i observes channels[i] with its own noise variance through row i
+    of noise, a draw of total_snapshots observations of n elements
+    (channel.draw_noise), scaled to that variance; a noiseless trial reads
+    zeros. Rows that read one slot share its draw, as a sweep's rows of one
+    trial at several SNRs do, and each sees the numbers a lone run on that
+    slot sees. The run draws nothing: equal inputs give equal outcomes, and
+    the draw is never written. A single trial is a batch of one.
+
+    The "fitted" gain scores the grid under the gain fitted to the history
+    (inference.fitted_log_likelihood), the "known" gain under each
+    channel's alpha (inference.known_gain_log_likelihood). The flexible
+    controller starts from, and resets to, the region-wide beam, and takes
+    no codebook. The codebook controllers climb the given codebook, whose
+    taps set the combining (_codebook_depth), or the m-tap codebook
+    log2(grid size) levels deep: the hierarchical one from its root, and
+    posterior matching from the node a uniform pmf picks. Flexible and
+    hierarchical record the mass of the beam or node they pick for the
+    next block, posterior matching the mass of the node the block sensed
+    with.
+    """
+    count, m, p_thresh = len(channels), config.combiner_length, config.p_thresh
+    score = fitted_log_likelihood
+    if config.gain == "known":
+        gains = np.array([[channel.alpha] for channel in channels], dtype=complex)
+        score = partial(known_gain_log_likelihood, gains=gains)
+    if config.codebook == "flexible":
+        if codebook is not None:
+            raise ValueError("a flexible run designs its beams and takes no codebook")
+        grid = AngularGrid(config.roi, config.grid_size)
+
+        def flexible(pmf, modes, keys):
+            u, bw, peaks = select_next_beam(pmf, keys[1], p_thresh, grid)
+            return peaks, (u, bw)
+
+        region = (np.full(count, config.roi.center), np.full(count, config.roi.width))
+        beams: list[Beamformer] = []
+        row_of: dict[tuple[float, float], int] = {}  # (direction, width) -> row
+
+        def design(keys):
+            u, bw = keys
+            rows = []
+            for key in zip(u.tolist(), bw.tolist()):
+                if key not in row_of:
+                    row_of[key] = len(beams)
+                    beams.append(design_beamformer(BeamSpec(*key), m))
+                rows.append(row_of[key])
+            return np.array(rows)
+
+        return _align(config, channels, noise, score, region, design, beams, flexible)
+
+    book = codebook or build_hierarchical_codebook(config.roi, config.depth(), m)
+    depth = _codebook_depth(config, book)
+
+    def hierarchical(pmf, modes, nodes):
+        masses = node_masses(pmf, depth)
+        nodes = hier_beam_search(nodes, masses, modes, config.grid_size, p_thresh)
+        return _node_peaks(masses, nodes), nodes
 
     def posterior_matching(pmf, modes, nodes):
-        masses = node_masses(pmf, codebook.depth)
+        masses = node_masses(pmf, depth)
         return _node_peaks(masses, nodes), select_codeword_posterior_matching(masses)
 
-    uniform = np.full((len(channels), config.grid_size), 1.0 / config.grid_size)
-    first = select_codeword_posterior_matching(node_masses(uniform, codebook.depth))
-    score = partial(known_gain_log_likelihood, gains=gains)
-    return _align(
-        config, channels, noise, score, first, lambda nodes: nodes, beams,
-        posterior_matching,
-    )
+    step, node = hierarchical, 0  # the root
+    if config.codebook == "posterior_matching":
+        # a uniform pmf picks one node for every trial
+        uniform = np.full((1, config.grid_size), 1.0 / config.grid_size)
+        step = posterior_matching
+        (node,) = select_codeword_posterior_matching(node_masses(uniform, depth))
+    keys = np.full(count, node)  # each trial's first node, as its heap row
+    return _align(config, channels, noise, score, keys, lambda h: h, book.beams, step)
+
+
+def run_hiepm_known_alpha(
+    config: AdaptConfig,
+    channels: Sequence[ChannelParams],
+    noise: BatchNoise,
+    codebook: HierarchicalCodebook,
+) -> Trials:
+    """The known-gain hiePM run: run_alignment with the known gain and
+    posterior matching over the given codebook. It stays only because the
+    benchmark's hiepm workload and tracer name it; ROADMAP item 9, the
+    next change to the benchmark, deletes it."""
+    known = replace(config, gain="known", codebook="posterior_matching")
+    return run_alignment(known, channels, noise, codebook)

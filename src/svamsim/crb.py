@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .arrays import ula_manifold
+from .arrays import check_integer, ula_manifold
 from .channel import combine
 
 # Relative level below which a Fisher denominator is considered exactly
@@ -181,6 +181,7 @@ def crb_benchmark(
     """Bound for full-aperture combining with each beamformer held for n_v
     snapshots, at the angle(s) u. Works on the per-segment beamformers
     directly; the block repetition contributes the factor n_v."""
+    n_v = check_integer("block size", n_v)
     if n_v < 1:
         raise ValueError("block size must be positive")
     return _known_gain_bounds(f, n_v, u, noise_var)
@@ -227,6 +228,7 @@ def crb_svam(
     denominator at each angle (see _virtual_gain).
     """
     f = _bank(f)
+    n_v = check_integer("block size", n_v)
     if n_v < 1:
         raise ValueError("block size must be positive")
     prefactor = _check_noise_terms(noise_var)

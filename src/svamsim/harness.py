@@ -8,7 +8,8 @@ candidate grid, so a perfect run has zero error. Per-trial generators are
 spawned from the experiment seed keyed by trial index alone; shrinking or
 growing the trial count never changes earlier trials. Each trial's
 generator draws its path and then its run's noise, once per trial set
-(_trial_setup), and the alignment loops take that draw as an input and draw
+(_trial_setup), and the alignment run (adaptive.run_alignment, whatever
+its gain score and controller step) takes that draw as an input and draws
 nothing, so paired comparisons across sweep points, schemes and
 controllers see identical channel and noise realizations.
 """
@@ -152,7 +153,8 @@ class ExperimentConfig:
         does not sweep is None in the coordinates.
         """
         scales = self.noise_scale if self.experiment == "noise_mismatch" else (None,)
-        books = CODEBOOK_MODES if self.experiment == "codebook_compare" else (None,)
+        compared = ("flexible", "hierarchical")
+        books = compared if self.experiment == "codebook_compare" else (None,)
         for point in itertools.product(
             self.snr_db, self.n_v, self.p_thresh, scales, books
         ):
@@ -248,9 +250,11 @@ def run_hiepm_trials(
     codebook: HierarchicalCodebook,
     mode: str = "svam",
 ) -> Trials:
-    """All trials of one known-gain scheme, advanced together by
+    """All trials of one known-gain hiePM scheme, advanced together by
     run_hiepm_known_alpha. The codewords' taps set the combining; mode must
-    name it: "svam" for n - n_v + 1 taps, "repeat" for n."""
+    name it: "svam" for n - n_v + 1 taps, "repeat" for n. It stays only
+    because the benchmark's hiepm workload and tracer name it; ROADMAP item
+    9, the next change to the benchmark, deletes it."""
     taps = codebook.beams[0].size
     if taps != {"svam": config.combiner_length, "repeat": config.n}.get(mode):
         raise ValueError(f"combining mode {mode!r} does not fit {taps}-tap codewords")

@@ -1,19 +1,22 @@
-"""Test oracles: the one-trial-at-a-time unknown-gain and known-gain loops.
+"""Test oracles: the one-trial-at-a-time alignment loop, for every gain
+score and controller step.
 
-These are the loops as they ran before trials advanced in lockstep. In the
-unknown-gain loop every snapshot is synthesized and combined on its own,
-the running statistics live in a one-trial history that computes each
-response row afresh, and the inference and controller functions are called
-once per trial and block; the flexible step windows one trial's pmf
-(select_next_beam_scalar, cumul_peak_scalar) and the dyadic search reads
-one trial's pmf slice by slice (hier_beam_search_scalar). The known-gain
-loop (at the end) takes one trial's Bayes update and posterior matching
-snapshot by snapshot. Both dyadic oracles keep a node as its own (level,
-index) pair, a numbering independent of the package's heap rows, and read
-its beam at row 2**level - 1 + index of the codebook. Each oracle keeps its
-own per-trial log (TrialRecord, one SegmentLog per block, the gain at the
-truth computed as the block runs). The batched run_alignment and run_hiepm_known_alpha must
-reproduce every column of it exactly (columns below).
+This is the loop as it ran before trials advanced in lockstep. Every
+snapshot is synthesized and combined on its own, and the score and step
+functions are called once per trial and block. The fitted-gain score keeps
+its running statistics in a one-trial history that computes each response
+row afresh; the known-gain score takes one exact Bayes update per snapshot.
+The flexible step windows one trial's pmf (select_next_beam_scalar,
+cumul_peak_scalar), the dyadic search reads one trial's pmf slice by slice
+(hier_beam_search_scalar), and posterior matching reads it node by node
+through node_mass (select_codeword_scalar). Both codebook steps keep a node
+as its own (level, index) pair, a numbering independent of the package's
+heap rows, and read its beam at row 2**level - 1 + index of the codebook.
+The oracle keeps its own per-trial log (TrialRecord, one SegmentLog per
+block, the gain at the truth computed as the block runs). The batched
+run_alignment must reproduce every column of it (columns below): exactly
+with the fitted gain, and with the known gain every column but peak_prob,
+whose masses the per-snapshot updates sum in another order.
 """
 
 from __future__ import annotations
@@ -119,7 +122,8 @@ def measure_segment_scalar(f, params: ChannelParams, n: int, rng) -> np.ndarray:
 class ScalarHistory:
     """The running statistics the inference reads, for one trial."""
 
-    def __init__(self, n_v: int, grid: AngularGrid, noise_var: float):
+    def __init__(self, n: int, n_v: int, grid: AngularGrid, noise_var: float):
+        self.n = n
         self.n_v = n_v
         self.grid = grid
         self.noise_var = noise_var
@@ -131,7 +135,15 @@ class ScalarHistory:
     def append(self, values: np.ndarray, beamformer) -> None:
         weights = beamformer.weights
         beta = weights.conj() @ self.grid.manifold(len(weights))
-        matched_row = self.grid.manifold(self.n_v).conj().T @ values
+        # the virtual rows: phi_{n_v} for a sliding beam, ones for an n-tap
+        # beam, which repeats for the whole block; complex ones, since real
+        # ones cast in the product reach another BLAS kernel, which rounds
+        # differently at block sizes 4 and 5
+        if len(weights) < self.n:
+            rows = self.grid.manifold(self.n_v)
+        else:
+            rows = np.ones((self.n_v, self.grid.size), dtype=complex)
+        matched_row = rows.conj().T @ values
         self.segment_count += 1
         self.cumulative_gain += np.abs(beta) ** 2
         self.matched_statistic += beta.conj() * matched_row
@@ -229,80 +241,6 @@ def hier_beam_search_scalar(
         level -= 1
 
 
-def run_alignment_scalar(
-    config: AdaptConfig,
-    channel: ChannelParams,
-    rng: np.random.Generator,
-) -> TrialRecord:
-    grid = AngularGrid(config.roi, config.grid_size)
-    m = config.combiner_length
-    noise_var = max(config.noise_scale * channel.noise_variance, NOISELESS_VAR_FLOOR)
-    truth = channel.u
-
-    hierarchical = config.codebook == "hierarchical"
-    if hierarchical:
-        codebook = build_hierarchical_codebook(
-            config.roi, config.depth(), m, grid_size=config.grid_size
-        )
-        level = 0
-        beam = codebook.beams[0]
-    else:
-        beam = design_beamformer(BeamSpec(config.roi.center, config.roi.width), m)
-        bw_current = config.roi.width
-
-    history = ScalarHistory(config.n_v, grid, noise_var)
-    logs: list[SegmentLog] = []
-    pmf = np.full(grid.size, 1.0 / grid.size)
-    blocks = config.total_snapshots // config.n_v
-    for t in range(blocks):
-        history.append(measure_segment_scalar(beam, channel, config.n, rng), beam)
-        gamma = gamma_mle(history)
-        post = alpha_posterior(history, gamma)
-        pmf = posterior_pmf(approx_log_likelihood(history, post))
-        mode = int(np.argmax(pmf))
-        gain = abs(beam_gain(beam, truth)) ** 2
-
-        if hierarchical:
-            next_level, next_index = hier_beam_search_scalar(
-                level, pmf, grid.size, config.p_thresh, codebook
-            )
-            peak_prob = node_mass(pmf, next_level, next_index)
-            next_beam = codebook.beams[2**next_level - 1 + next_index]
-        else:
-            spec, peak_prob = select_next_beam_scalar(
-                pmf, bw_current, config.p_thresh, grid
-            )
-            next_beam = design_beamformer(spec, m)
-
-        logs.append(
-            SegmentLog(
-                beam=beam.spec,
-                gain_at_truth=gain,
-                mode_index=mode,
-                peak_prob=peak_prob,
-            )
-        )
-        if t < blocks - 1:
-            beam = next_beam
-            if hierarchical:
-                level = next_level
-            else:
-                bw_current = spec.beamwidth
-
-    return TrialRecord(
-        true_angle=truth,
-        estimate=float(grid.points[int(np.argmax(pmf))]),
-        segments=tuple(logs),
-    )
-
-
-# ------------------------------------------------------------ known gain
-#
-# The known-gain hiePM loop as it ran before trials advanced in lockstep:
-# one snapshot per step, with the one-trial Bayes update and posterior
-# matching read node by node through node_mass.
-
-
 def known_alpha_update(prior, y, w, alpha, grid, noise_var) -> np.ndarray:
     """One trial's exact single-snapshot Bayes update."""
     response = w.conj() @ grid.manifold(len(w))
@@ -332,43 +270,130 @@ def select_codeword_scalar(
     return level, k
 
 
-def run_hiepm_scalar(
+# ------------------------------------------------------------ the scores
+#
+# score(config, channel, grid, noise_var) -> update(pmf, values, combiners,
+# beam), the pmf after one block: its (n_v,) outputs, the combiner of each
+# snapshot and the block's beam.
+
+
+def fitted_score(config: AdaptConfig, channel: ChannelParams, grid, noise_var):
+    """The unknown-gain chain: each block joins a one-trial history, and the
+    pmf is its likelihood under the posterior of the fitted gain."""
+    history = ScalarHistory(config.n, config.n_v, grid, noise_var)
+
+    def update(pmf, values, combiners, beam):
+        history.append(values, beam)
+        post = alpha_posterior(history, gamma_mle(history))
+        return posterior_pmf(approx_log_likelihood(history, post))
+
+    return update
+
+
+def known_score(config: AdaptConfig, channel: ChannelParams, grid, noise_var):
+    """The known-gain chain: one exact Bayes update per snapshot."""
+
+    def update(pmf, values, combiners, beam):
+        for y, w in zip(values, combiners):
+            pmf = known_alpha_update(pmf, y, w, channel.alpha, grid, noise_var)
+        return pmf
+
+    return update
+
+
+# ------------------------------------------------------------- the steps
+#
+# step(config, grid, codebook) -> (first key, beam_of(key), next(key, pmf)
+# -> (peak_prob, next key)). A flexible key is its BeamSpec, a codebook key
+# the (level, index) pair of its node.
+
+
+def flexible_step(config: AdaptConfig, grid, codebook):
+    """The region-wide beam first; then the flexible search from the current
+    width, whose beam's mass is recorded."""
+    m = config.combiner_length
+
+    def next_key(spec, pmf):
+        spec, peak_prob = select_next_beam_scalar(
+            pmf, spec.beamwidth, config.p_thresh, grid
+        )
+        return peak_prob, spec
+
+    first = BeamSpec(config.roi.center, config.roi.width)
+    return first, lambda spec: design_beamformer(spec, m), next_key
+
+
+def hierarchical_step(config: AdaptConfig, grid, codebook):
+    """The root first; then the dyadic search from the current level, whose
+    node's mass is recorded."""
+
+    def next_key(node, pmf):
+        level, index = hier_beam_search_scalar(
+            node[0], pmf, grid.size, config.p_thresh, codebook
+        )
+        return node_mass(pmf, level, index), (level, index)
+
+    return (0, 0), lambda node: codebook.beams[2 ** node[0] - 1 + node[1]], next_key
+
+
+def posterior_matching_step(config: AdaptConfig, grid, codebook):
+    """The node a uniform pmf picks first; then posterior matching, with the
+    mass of the node the block sensed with recorded."""
+
+    def next_key(node, pmf):
+        return node_mass(pmf, *node), select_codeword_scalar(pmf, codebook)
+
+    first = select_codeword_scalar(np.full(grid.size, 1.0 / grid.size), codebook)
+    return first, lambda node: codebook.beams[2 ** node[0] - 1 + node[1]], next_key
+
+
+SCORES = {"fitted": fitted_score, "known": known_score}
+STEPS = {
+    "flexible": flexible_step,
+    "hierarchical": hierarchical_step,
+    "posterior_matching": posterior_matching_step,
+}
+
+
+def run_alignment_scalar(
     config: AdaptConfig,
     channel: ChannelParams,
-    codebook: HierarchicalCodebook,
     rng: np.random.Generator,
-    mode: str = "svam",
+    codebook: HierarchicalCodebook | None = None,
 ) -> TrialRecord:
+    """One trial under the score config.gain names and the step
+    config.codebook names. A codebook step climbs the given codebook or the
+    m-tap one log2(grid) levels deep. Snapshot r of a block holds the beam
+    at shift r mod (n - taps + 1), so an n-tap codeword repeats."""
     grid = AngularGrid(config.roi, config.grid_size)
     noise_var = max(config.noise_scale * channel.noise_variance, NOISELESS_VAR_FLOOR)
-    alpha, truth = channel.alpha, channel.u
+    if codebook is None and config.codebook != "flexible":
+        codebook = build_hierarchical_codebook(
+            config.roi, config.depth(), config.combiner_length, grid_size=grid.size
+        )
+    update = SCORES[config.gain](config, channel, grid, noise_var)
+    key, beam_of, next_key = STEPS[config.codebook](config, grid, codebook)
 
-    pmf = np.full(grid.size, 1.0 / grid.size)
-    level, index = select_codeword_scalar(pmf, codebook)
     logs: list[SegmentLog] = []
-    for snap in range(config.total_snapshots):
-        codeword = codebook.beams[2**level - 1 + index]
-        if mode == "svam":
-            w = svam_combiner(codeword, snap, config.n)
-        else:
-            w = codeword.weights
-        x = antenna_snapshot_scalar(channel, config.n, rng)
-        y = combine(w, x)
-        pmf = known_alpha_update(pmf, y, w, alpha, grid, noise_var)
-        if (snap + 1) % config.n_v == 0:
-            logs.append(
-                SegmentLog(
-                    beam=codeword.spec,
-                    gain_at_truth=abs(beam_gain(codeword, truth)) ** 2,
-                    mode_index=int(np.argmax(pmf)),
-                    peak_prob=node_mass(pmf, level, index),
-                )
+    pmf = np.full(grid.size, 1.0 / grid.size)
+    for _ in range(config.total_snapshots // config.n_v):
+        beam = beam_of(key)
+        combiners = [svam_combiner(beam, r, config.n) for r in range(config.n_v)]
+        snapshots = [antenna_snapshot_scalar(channel, config.n, rng) for _ in combiners]
+        values = np.array([combine(w, x) for w, x in zip(combiners, snapshots)])
+        pmf = update(pmf, values, combiners, beam)
+        peak_prob, key = next_key(key, pmf)
+        logs.append(
+            SegmentLog(
+                beam=beam.spec,
+                gain_at_truth=abs(beam_gain(beam, channel.u)) ** 2,
+                mode_index=int(np.argmax(pmf)),
+                peak_prob=peak_prob,
             )
-            if snap + 1 < config.total_snapshots:
-                level, index = select_codeword_scalar(pmf, codebook)
+        )
 
     return TrialRecord(
-        true_angle=truth,
+        true_angle=channel.u,
         estimate=float(grid.points[int(np.argmax(pmf))]),
         segments=tuple(logs),
     )

@@ -16,7 +16,6 @@ from svamsim.adaptive import (
     node_mass,
     node_masses,
     run_alignment,
-    run_hiepm_known_alpha,
     select_codeword_posterior_matching,
     select_next_beam,
 )
@@ -261,6 +260,10 @@ def test_hier_search_rejects_uneven_grid():
     masses = node_masses(np.full((1, 8), 1 / 8), 2)
     with pytest.raises(ValueError):
         hier_beam_search([1], masses, [0], 6, 0.5)
+    # a float grid size once failed in numpy's indexing, and True is no size
+    for grid_size in (8.0, True):
+        with pytest.raises(ValueError, match="grid size must be an integer"):
+            hier_beam_search([1], masses, [0], grid_size, 0.5)
 
 
 @pytest.mark.parametrize(
@@ -378,6 +381,12 @@ def test_config_validation():
         make_config(p_thresh=0.0)
     with pytest.raises(ValueError):
         make_config(codebook="fancy")
+    with pytest.raises(ValueError, match="unknown gain score"):
+        make_config(gain="fancy")
+    # both codebook steps build a codebook log2(grid) levels deep
+    for step in ("hierarchical", "posterior_matching"):
+        with pytest.raises(ValueError, match="cannot resolve 8 nodes"):
+            make_config(codebook=step, grid_size=12)
     cfg = make_config()
     assert cfg.depth() == 4
     assert cfg.combiner_length == 13
@@ -493,33 +502,26 @@ def test_no_beam_is_designed_after_the_last_block(monkeypatch):
     assert distinct > cfg.total_snapshots // cfg.n_v  # the trials do not all sense alike
 
 
+def hiepm_config(**overrides) -> AdaptConfig:
+    """The known-gain hiePM scheme: the known gain with posterior matching."""
+    return make_config(codebook="posterior_matching", gain="known", **overrides)
+
+
 def test_hiepm_noiseless_recovery():
-    cfg = make_config(n_v=1, total_snapshots=12)
+    cfg = hiepm_config(n_v=1, total_snapshots=12)
     grid = AngularGrid(ROI, 16)
     truth = float(grid.points[6])
     chan = ChannelParams(np.exp(-0.7j), truth)
     book = build_hierarchical_codebook(ROI, 4, 16, grid_size=16)
-    out = run_hiepm_known_alpha(cfg, [chan], noise_of(cfg, 0), book)
+    out = run_alignment(cfg, [chan], noise_of(cfg, 0), book)
     assert out.estimate.tolist() == [truth]
     assert out.peak_prob.shape == (1, 12)
 
 
-def test_hiepm_block_size_one_makes_modes_agree():
-    # with one snapshot per block, sliding and repeating are the same rule,
-    # so a full-aperture codebook satisfies both modes
-    cfg = make_config(n_v=1, total_snapshots=8)
-    book = build_hierarchical_codebook(ROI, 4, 16, grid_size=16)
-    rec_a = run_hiepm_trials(cfg, 5.0, 2, 5, book, "svam")
-    rec_b = run_hiepm_trials(cfg, 5.0, 2, 5, book, "repeat")
-    assert columns(rec_a) == columns(rec_b)
-
-
-def test_hiepm_validations():
+def test_hiepm_modes_must_fit_the_taps():
     cfg = make_config(n_v=4)
     book_13 = build_hierarchical_codebook(ROI, 4, 13, grid_size=16)
     book_16 = build_hierarchical_codebook(ROI, 4, 16, grid_size=16)
-    chan = ChannelParams(1.0, 0.4)
-    noise = noise_of(cfg, 0)
     # the taps set the combining: 13 slide and 16 repeat on 16 elements,
     # and a mode naming the other one is rejected
     with pytest.raises(ValueError, match="'svam' does not fit 16-tap"):
@@ -528,23 +530,49 @@ def test_hiepm_validations():
         run_hiepm_trials(cfg, 0.0, 1, 0, book_13, "repeat")
     with pytest.raises(ValueError):
         run_hiepm_trials(cfg, 0.0, 1, 0, book_13, "sideways")
+    # with one snapshot per block, sliding and repeating are the same rule,
+    # so a full-aperture codebook satisfies both modes
+    cfg = make_config(n_v=1, total_snapshots=8)
+    rec_a = run_hiepm_trials(cfg, 5.0, 2, 5, book_16, "svam")
+    rec_b = run_hiepm_trials(cfg, 5.0, 2, 5, book_16, "repeat")
+    assert columns(rec_a) == columns(rec_b)
+
+
+CODEBOOK_STEPS = ["hierarchical", "posterior_matching"]
+
+
+@pytest.mark.parametrize("step", CODEBOOK_STEPS)
+def test_codebook_validations(step):
+    cfg = make_config(n_v=4, codebook=step, gain="known")
+    chan = ChannelParams(1.0, 0.4)
+    noise = noise_of(cfg, 0)
     book_10 = build_hierarchical_codebook(ROI, 4, 10, grid_size=16)
     with pytest.raises(ValueError, match="13 .sliding. or 16 .repeated."):
-        run_hiepm_known_alpha(cfg, [chan], noise, book_10)
+        run_alignment(cfg, [chan], noise, book_10)
     # the right tap count over another region would score beams pointing
     # elsewhere
     elsewhere = build_hierarchical_codebook(
         RegionOfInterest(-1.0, 0.0), 4, 13, grid_size=16
     )
     with pytest.raises(ValueError, match="region"):
-        run_hiepm_known_alpha(cfg, [chan], noise, elsewhere)
+        run_alignment(cfg, [chan], noise, elsewhere)
 
 
+def test_a_flexible_run_takes_no_codebook():
+    # the flexible step designs its beams, so a codebook would go unread
+    cfg = make_config()
+    book = build_hierarchical_codebook(ROI, 4, 13, grid_size=16)
+    chan = ChannelParams(1.0, 0.4)
+    with pytest.raises(ValueError, match="takes no codebook"):
+        run_alignment(cfg, [chan], noise_of(cfg, 0), book)
+
+
+@pytest.mark.parametrize("step", CODEBOOK_STEPS)
 @pytest.mark.parametrize("taps", [13, 16], ids=["svam", "repeat"])
-def test_hiepm_rejects_codewords_beyond_unit_norm(taps):
+def test_codebook_rejects_codewords_beyond_unit_norm(taps, step):
     # the known-gain update assumes combiners of norm at most 1; a codebook
     # from the caller with scaled taps fails before any update runs
-    cfg = make_config(n_v=4)
+    cfg = make_config(n_v=4, codebook=step, gain="known")
     book = build_hierarchical_codebook(ROI, 4, taps, grid_size=16)
     loud = HierarchicalCodebook(
         [dataclasses.replace(f, weights=1.01 * f.weights) for f in book.beams],
@@ -552,18 +580,19 @@ def test_hiepm_rejects_codewords_beyond_unit_norm(taps):
     )
     chan = ChannelParams(1.0, 0.4, noise_variance=0.1)
     noise = noise_of(cfg, 0)
-    run_hiepm_known_alpha(cfg, [chan], noise, book)  # unit norm passes
+    run_alignment(cfg, [chan], noise, book)  # unit norm passes
     with pytest.raises(ValueError, match="norm"):
-        run_hiepm_known_alpha(cfg, [chan], noise, loud)
+        run_alignment(cfg, [chan], noise, loud)
 
 
-def test_hiepm_rejects_codewords_of_another_tap_count():
+@pytest.mark.parametrize("step", CODEBOOK_STEPS)
+def test_codebook_rejects_codewords_of_another_tap_count(step):
     # every codeword is checked against the root before the first block: a
     # 15-tap root fits n = 16, n_v = 2, its 16-tap deeper levels do not
-    cfg = make_config(n_v=2)
+    cfg = make_config(n_v=2, codebook=step, gain="known")
     root = build_hierarchical_codebook(ROI, 4, 15, grid_size=16)
     deeper = build_hierarchical_codebook(ROI, 4, 16, grid_size=16)
     mixed = HierarchicalCodebook(root.beams[:1] + deeper.beams[1:], root.spans)
     chan = ChannelParams(1.0, 0.4, noise_variance=0.1)
     with pytest.raises(ValueError, match="15-tap and 16-tap"):
-        run_hiepm_known_alpha(cfg, [chan], noise_of(cfg, 0), mixed)
+        run_alignment(cfg, [chan], noise_of(cfg, 0), mixed)

@@ -140,6 +140,11 @@ def test_both_gram_forms_reject_an_empty_block():
     for bound in (crb_svam, crb_benchmark):
         with pytest.raises(ValueError, match="block size"):
             bound(f, 0, 0.1, 1.0)
+        # crb_svam once bounded a block of 2.5 snapshots (7.54e-4), and
+        # True was read as a block of one
+        for n_v in (2.5, True):
+            with pytest.raises(ValueError, match="block size must be an integer"):
+                bound(f, n_v, 0.1, 1.0)
 
 
 def test_every_bound_rejects_a_bank_that_is_not_2d():

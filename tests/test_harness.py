@@ -31,7 +31,6 @@ from svamsim.harness import (
     rmse,
     run_adaptive_trials,
     run_experiment,
-    run_hiepm_trials,
     write_crb_csv,
     write_trajectories,
 )
@@ -116,7 +115,7 @@ def test_first_trials_unchanged_when_count_grows():
     assert columns(many[:3]) == columns(few)
 
 
-@pytest.mark.parametrize("codebook", ["flexible", "hierarchical"])
+@pytest.mark.parametrize("codebook", ["flexible", "hierarchical", "posterior_matching"])
 def test_lockstep_batch_keeps_each_trial_stream(codebook):
     # trials advance together, but each still draws only from its own
     # generator: a 3-trial batch equals the head of a 7-trial batch
@@ -149,7 +148,7 @@ def test_noiseless_single_trial_recovers_exactly():
 
 
 @pytest.mark.parametrize("trials", [1, 3])
-@pytest.mark.parametrize("codebook", ["flexible", "hierarchical"])
+@pytest.mark.parametrize("codebook", ["flexible", "hierarchical", "posterior_matching"])
 def test_snr_batch_records_equal_one_snr_sweeps(codebook, trials, monkeypatch):
     # every SNR of a sweep point runs in one batch; each point must see the
     # records of a sweep of its SNR alone, an SNR listed twice included.
@@ -226,15 +225,15 @@ def test_crb_sweep_rows_and_inf_tabulation():
 
 
 def test_hiepm_trials_run_and_reproduce():
-    from svamsim.beams import build_hierarchical_codebook
-
+    # the known-gain scheme is a config of the sweeps' run, on the sliding
+    # codebook it builds
     cfg = tiny_config(n_v=(2,), total_snapshots=8)
-    adapt = cfg.adapt(2, 0.6)
-    book = build_hierarchical_codebook(ROI, 4, adapt.combiner_length,
-                                       grid_size=16)
-    out = run_hiepm_trials(adapt, math.inf, 2, 5, book, mode="svam")
+    adapt = dataclasses.replace(
+        cfg.adapt(2, 0.6, codebook="posterior_matching"), gain="known"
+    )
+    out = run_adaptive_trials(adapt, math.inf, 2, 5)
     assert out.estimate.tolist() == out.true_angle.tolist()
-    again = run_hiepm_trials(adapt, math.inf, 2, 5, book, mode="svam")
+    again = run_adaptive_trials(adapt, math.inf, 2, 5)
     assert columns(out) == columns(again)
 
 
@@ -257,6 +256,8 @@ def test_invalid_configs_rejected():
         dict(codebook="bogus"),
         dict(n=64, grid_size=48, total_snapshots=120, snr_db=(20.0,),
              codebook="hierarchical"),
+        dict(n=64, grid_size=48, total_snapshots=120, snr_db=(20.0,),
+             codebook="posterior_matching"),
         dict(experiment="codebook_compare", n=64, grid_size=48,
              total_snapshots=120, snr_db=(20.0,)),
         dict(n=8, n_v=(16,), total_snapshots=16, trials=1),
@@ -308,7 +309,8 @@ def test_invalid_configs_rejected():
         dict(experiment="noise_mismatch", snr_db="-10"),
     ],
     ids=[
-        "p_thresh", "noise_scale", "codebook", "hier_grid", "compare_grid",
+        "p_thresh", "noise_scale", "codebook", "hier_grid", "matching_grid",
+        "compare_grid",
         "n_v_beyond_aperture", "empty_grid",
         *(f"n_v_zero_{kind}" for kind in EXPERIMENT_KINDS),
         "crb_n_v_beyond_aperture", "crb_noiseless", "crb_negative_n_v",

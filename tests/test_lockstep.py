@@ -7,6 +7,7 @@ import gc
 import math
 import types
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from scalar_alignment import (
     measure_segment_scalar,
     noise_rows,
     run_alignment_scalar,
-    run_hiepm_scalar,
     select_codeword_scalar,
 )
 from svamsim import harness, sensing
@@ -82,20 +82,26 @@ def drawn(cfg: AdaptConfig, rngs) -> BatchNoise:
     return draw_noise(rngs, cfg.total_snapshots, cfg.n)
 
 
-def assert_matches_oracle(cfg: AdaptConfig, channels, seed: int = 0) -> None:
+def assert_matches_oracle(
+    cfg: AdaptConfig, channels, seed: int = 0, codebook=None
+) -> None:
     """The batch and the lone runs each start from the same per-trial
     generators; every column of the outcome must agree with the lone
-    runs' logs, gains at the truth included."""
+    runs' logs, gains at the truth included: to the bit with the fitted
+    gain, and as assert_matches_known_gain_oracle says with the known one."""
 
     def generators():
         return [np.random.default_rng((seed, trial)) for trial in range(len(channels))]
 
-    batched = run_alignment(cfg, channels, drawn(cfg, generators()))
+    batched = run_alignment(cfg, channels, drawn(cfg, generators()), codebook)
     lone = [
-        run_alignment_scalar(cfg, channel, rng)
+        run_alignment_scalar(cfg, channel, rng, codebook)
         for channel, rng in zip(channels, generators())
     ]
-    assert_same_outcome(batched, lone)
+    if cfg.gain == "known":
+        assert_matches_known_gain_oracle(batched, lone)
+    else:
+        assert_same_outcome(batched, lone)
 
 
 def assert_same_outcome(batched, lone) -> None:
@@ -110,18 +116,28 @@ def assert_same_outcome(batched, lone) -> None:
 @pytest.mark.parametrize("noise_scale", [1.0, 0.5])
 @pytest.mark.parametrize("snr_db", [-10.0, math.inf])
 @pytest.mark.parametrize("codebook", ["flexible", "hierarchical"])
-def test_lockstep_matches_scalar_oracle(codebook, snr_db, noise_scale, n_v):
-    cfg = config(codebook=codebook, noise_scale=noise_scale, n_v=n_v)
+@pytest.mark.parametrize("gain", ["fitted", "known"])
+def test_lockstep_matches_scalar_oracle(gain, codebook, snr_db, noise_scale, n_v):
+    cfg = config(codebook=codebook, noise_scale=noise_scale, n_v=n_v, gain=gain)
     assert_matches_oracle(cfg, single_path_trials(cfg, snr_db))
 
 
-def _assert_rejects_mismatched_inputs(run):
+def run_of(controller: str, cfg: AdaptConfig):
+    """The config and run of a controller on cfg's sizes: flexible and
+    hierarchical fit the gain, and hiepm, the known-gain scheme, is the
+    known gain with posterior matching over the sliding codebook."""
+    if controller != "hiepm":
+        return replace(cfg, codebook=controller), run_alignment
+    cfg = replace(cfg, codebook="posterior_matching", gain="known")
+    return cfg, functools.partial(run_alignment, codebook=book_for(cfg, "svam"))
+
+
+def _assert_rejects_mismatched_inputs(run, cfg):
     # no channel, a noise row short, or a draw of another length or size
-    cfg = config()
     chan = ChannelParams(1.0, 0.25, noise_variance=0.5)
     rngs = [np.random.default_rng(0)]
     for channels, noise, match in [
-        ([], drawn(cfg, []), None),
+        ([], drawn(cfg, []), "need at least one channel"),
         ([chan, chan], drawn(cfg, rngs), "one noise row per channel"),
         ([chan], draw_noise(rngs, 12, cfg.n), "need 24 observations of 16"),
         ([chan], draw_noise(rngs, 24, 8), r"got a draw of \(24, 8\)"),
@@ -130,22 +146,22 @@ def _assert_rejects_mismatched_inputs(run):
             run(cfg, channels, noise)
 
 
-def test_batch_rejects_mismatched_inputs():
-    _assert_rejects_mismatched_inputs(run_alignment)
+@pytest.mark.parametrize("controller", ["flexible", "hierarchical", "hiepm"])
+def test_batch_rejects_mismatched_inputs(controller):
+    # posterior matching picks its first node from one uniform row, so a
+    # run of no channels reaches the loop's own check
+    cfg, run = run_of(controller, config())
+    _assert_rejects_mismatched_inputs(run, cfg)
 
 
 @pytest.mark.parametrize("codebook", ["flexible", "hierarchical", "hiepm"])
 def test_a_run_reads_its_noise_and_writes_nothing(codebook):
     # the loop is a function of its inputs: two runs on one draw give the
     # same bits, and the draw stays read-only and unchanged
-    cfg = config(codebook="flexible" if codebook == "flexible" else "hierarchical")
+    cfg, run = run_of(codebook, config())
     channels = single_path_trials(cfg, -5.0)
     noise = drawn(cfg, [trial_generator(3, i) for i in range(len(channels))])
     before = noise.normals.tobytes()
-    if codebook == "hiepm":
-        run = functools.partial(run_hiepm_known_alpha, codebook=book_for(cfg, "svam"))
-    else:
-        run = run_alignment
     first, second = run(cfg, channels, noise), run(cfg, channels, noise)
     assert columns(first) == columns(second)
     assert first.peak_prob.tobytes() == second.peak_prob.tobytes()
@@ -157,12 +173,8 @@ def test_a_run_reads_its_noise_and_writes_nothing(codebook):
 def test_noiseless_rows_read_no_noise(codebook):
     # a noiseless trial's outcome does not depend on the draw it is given:
     # its row reads the zero slot, whatever its own slot holds
-    cfg = config(codebook="flexible" if codebook == "flexible" else "hierarchical")
+    cfg, run = run_of(codebook, config())
     channels = single_path_trials(cfg, math.inf)
-    if codebook == "hiepm":
-        run = functools.partial(run_hiepm_known_alpha, codebook=book_for(cfg, "svam"))
-    else:
-        run = run_alignment
     one = drawn(cfg, [trial_generator(3, i) for i in range(TRIALS)])
     other = drawn(cfg, [trial_generator(4, i) for i in range(TRIALS)])
     zeros = BatchNoise(one.normals, np.full(TRIALS, -1))
@@ -295,9 +307,10 @@ def test_hiepm_schemes_share_one_trial_set_up(monkeypatch):
     monkeypatch.setattr(harness, "trial_generator", counted)
     schemes = [(1, "svam"), (2, "repeat")] + [(k, "svam") for k in (2, 3, 4, 5, 10, 15)]
     for n_v, mode in schemes:
-        cfg = config(codebook="hierarchical", n_v=n_v, total_snapshots=60)
-        book = book_for(cfg, mode)
-        run_hiepm_trials(cfg, -10.0, 2, 7, book, mode=mode)
+        cfg = config(
+            codebook="posterior_matching", gain="known", n_v=n_v, total_snapshots=60
+        )
+        run_alignment(cfg, *_draw_trials(cfg, [-10.0], 2, 7), book_for(cfg, mode))
     assert made == [0, 1]
     assert rows == [2]
 
@@ -324,8 +337,11 @@ def hiepm_codebook(taps: int):
 
 
 def hiepm_config(n_v: int) -> AdaptConfig:
-    """A 20-snapshot run, which every block size below divides."""
-    return config(codebook="hierarchical", n_v=n_v, total_snapshots=20)
+    """A 20-snapshot known-gain run stepped by posterior matching, the
+    hiePM scheme; every block size below divides 20."""
+    return config(
+        codebook="posterior_matching", gain="known", n_v=n_v, total_snapshots=20
+    )
 
 
 def book_for(cfg: AdaptConfig, mode: str):
@@ -335,31 +351,33 @@ def book_for(cfg: AdaptConfig, mode: str):
 @pytest.mark.parametrize("snr_db", [-10.0, math.inf])
 @pytest.mark.parametrize("n_v", [1, 2, 5])
 @pytest.mark.parametrize("mode", ["svam", "repeat"])
-def test_hiepm_lockstep_matches_scalar_oracle(mode, n_v, snr_db):
-    cfg = hiepm_config(n_v)
-    book = book_for(cfg, mode)
+@pytest.mark.parametrize(
+    "gain, step",
+    [
+        ("known", "posterior_matching"),
+        ("known", "hierarchical"),
+        ("fitted", "posterior_matching"),
+        ("fitted", "hierarchical"),
+    ],
+)
+def test_codebook_runs_match_scalar_oracle(gain, step, mode, n_v, snr_db):
+    # each codebook step with each score, on a given codebook whose
+    # codewords slide or repeat
+    cfg = replace(hiepm_config(n_v), gain=gain, codebook=step)
     channels = single_path_trials(cfg, snr_db, seed=3)
-
-    def generators():
-        return [np.random.default_rng((7, trial)) for trial in range(len(channels))]
-
-    batched = run_hiepm_known_alpha(cfg, channels, drawn(cfg, generators()), book)
-    lone = [
-        run_hiepm_scalar(cfg, channel, book, rng, mode)
-        for channel, rng in zip(channels, generators())
-    ]
-    assert_matches_hiepm_oracle(batched, lone)
+    assert_matches_oracle(cfg, channels, seed=7, codebook=book_for(cfg, mode))
 
 
-# The loop scores a whole block from the history's running statistics, the
-# oracle updates once per snapshot: the masses are summed in another order,
-# so peak_prob agrees to rounding (worst seen 1.3e-14 relative in the cases
-# above, 2.9e-13 over -20 to +10 dB) and every other column, posterior
-# modes and estimates included, to the bit.
+# With the known gain the loop scores a whole block from the history's
+# running statistics, and the oracle updates once per snapshot: the masses
+# are summed in another order, so peak_prob agrees to rounding (worst seen
+# 1.3e-14 relative in posterior matching's cases above, 2.9e-13 over -20 to
+# +10 dB) and every other column, posterior modes and estimates included,
+# to the bit.
 PEAK_PROB_RTOL = 1e-10
 
 
-def assert_matches_hiepm_oracle(batched, lone) -> None:
+def assert_matches_known_gain_oracle(batched, lone) -> None:
     got, want = columns(batched), columns(lone)
     for name in want:
         if name != "peak_prob":
@@ -374,17 +392,26 @@ def test_hiepm_batch_keeps_each_trial_stream(mode):
     # a 3-trial batch equals the head of a 7-trial batch
     cfg = hiepm_config(2)
     book = book_for(cfg, mode)
-    few = run_hiepm_trials(cfg, -5.0, 3, 11, book, mode)
-    many = run_hiepm_trials(cfg, -5.0, 7, 11, book, mode)
+    few = run_alignment(cfg, *_draw_trials(cfg, [-5.0], 3, 11), book)
+    many = run_alignment(cfg, *_draw_trials(cfg, [-5.0], 7, 11), book)
     assert len(few.true_angle) == 3 and len(many.true_angle) == 7
     assert_same_outcome(many[:3], few)
 
 
-def test_hiepm_batch_rejects_mismatched_inputs():
-    book = book_for(config(), "svam")
-    _assert_rejects_mismatched_inputs(
-        functools.partial(run_hiepm_known_alpha, codebook=book)
-    )
+@pytest.mark.parametrize("mode", ["svam", "repeat"])
+def test_the_hiepm_wrappers_are_one_run_alignment_call(mode):
+    # the two wrappers kept for the benchmark give the bits of run_alignment
+    # with the known gain and posterior matching, from a config of any step
+    cfg = config(codebook="hierarchical", n_v=2, total_snapshots=20)
+    book = book_for(cfg, mode)
+    channels, noise = _draw_trials(cfg, [-5.0], TRIALS, 11)
+    want = run_alignment(hiepm_config(2), channels, noise, book)
+    for got in (
+        run_hiepm_known_alpha(cfg, channels, noise, book),
+        run_hiepm_trials(cfg, -5.0, TRIALS, 11, book, mode),
+    ):
+        assert_same_outcome(got, want)
+        assert got.peak_prob.tobytes() == want.peak_prob.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["svam", "repeat"])
@@ -402,15 +429,15 @@ def test_hiepm_batch_mixes_noise_variances(mode):
     def generators():
         return [np.random.default_rng((2, k)) for k in range(len(channels))]
 
-    mixed = run_hiepm_known_alpha(cfg, channels, drawn(cfg, generators()), book)
+    mixed = run_alignment(cfg, channels, drawn(cfg, generators()), book)
     for k, (channel, rng) in enumerate(zip(channels, generators())):
-        lone = run_hiepm_known_alpha(cfg, [channel], drawn(cfg, [rng]), book)
+        lone = run_alignment(cfg, [channel], drawn(cfg, [rng]), book)
         assert_same_outcome(mixed[k : k + 1], lone)
     oracle = [
-        run_hiepm_scalar(cfg, channel, book, rng, mode)
+        run_alignment_scalar(cfg, channel, rng, book)
         for channel, rng in zip(channels, generators())
     ]
-    assert_matches_hiepm_oracle(mixed, oracle)
+    assert_matches_known_gain_oracle(mixed, oracle)
 
 
 def _known_alpha_batch(trials=4, n=10, grid_size=16, seed=8):
@@ -657,7 +684,7 @@ def test_beam_table_builds_each_weights_array_once(controller, monkeypatch):
     # each gather that builds makes one stacked block_combiners call (n_v
     # svam_combiner calls) of the arrays it meets first, and every block's
     # rows equal block_combiners and the beam's own responses bit for bit
-    cfg = config(codebook="flexible" if controller == "flexible" else "hierarchical")
+    cfg, run = run_of(controller, config())
     grid = AngularGrid(cfg.roi, cfg.grid_size)
     calls, stacks, gathered = [], [], []
     combiner, blocks = sensing.svam_combiner, sensing.block_combiners
@@ -675,10 +702,7 @@ def test_beam_table_builds_each_weights_array_once(controller, monkeypatch):
     )
     channels = single_path_trials(cfg, -5.0)
     noise = drawn(cfg, [np.random.default_rng((4, k)) for k in range(len(channels))])
-    if controller == "hiepm":
-        out = run_hiepm_known_alpha(cfg, channels, noise, book_for(cfg, "svam"))
-    else:
-        out = run_alignment(cfg, channels, noise)
+    out = run(cfg, channels, noise)
     monkeypatch.undo()
     distinct = {id(beam.weights): beam.weights for row in out.beams for beam in row}
     assert all(w.shape[1:] == (cfg.combiner_length,) for w in stacks)
